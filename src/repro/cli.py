@@ -95,13 +95,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="--engine mp: how often (s) the coordinator re-arms "
                         "its wait on worker pipes to check for silent deaths")
     g.add_argument("--out-of-core", type=Path, default=None, metavar="DIR",
-                   help="spill edges to sha256-sealed shards under DIR "
-                        "instead of accumulating them in RAM; peak RSS of "
+                   help="write edges once, in place, into sha256-verified "
+                        "column files under DIR instead of accumulating "
+                        "them in RAM; peak RSS of "
                         "the edge-storage layer is bounded by "
                         "--spill-budget-mb and the output is bit-identical "
                         "to the in-RAM path (see docs/performance.md)")
     g.add_argument("--spill-budget-mb", type=float, default=64.0,
-                   help="out-of-core write-buffer budget in MiB "
+                   help="out-of-core budget in MiB for the write buffer "
+                        "and the verification reads "
                         "(default: 64)")
     g.add_argument("--trace-out", type=Path, default=None,
                    help="record telemetry and write a Chrome trace-event "

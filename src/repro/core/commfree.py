@@ -61,7 +61,6 @@ Algorithm 3.2.
 from __future__ import annotations
 
 import multiprocessing as mp
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -72,6 +71,7 @@ from repro.rng import CounterStream, StreamFactory
 __all__ = [
     "commfree",
     "commfree_x1",
+    "commfree_edge_counts",
     "commfree_edge_slice",
     "commfree_mp",
     "commfree_slices",
@@ -482,24 +482,114 @@ def commfree_edge_slice(
     return _general_edges(n, x, lo, hi, val)
 
 
+def commfree_edge_counts(n: int, x: int, ranks: int) -> np.ndarray:
+    """Edges each slice of :func:`commfree_slices` ``(n, ranks)`` emits.
+
+    Known before any slice is computed (node ``t`` owns ``min(t, x)``
+    edges), which is what lets an out-of-core run give every slice its
+    final region up front.
+
+    Examples
+    --------
+    >>> commfree_edge_counts(10, 1, 3).tolist()
+    [2, 3, 4]
+    """
+    from repro.core.spill import rank_edge_counts
+
+    his = np.array([hi for _lo, hi in commfree_slices(n, ranks)], dtype=np.int64)
+    sizes = np.diff(his, prepend=0)
+    return rank_edge_counts(x, sizes, lambda t: np.searchsorted(his, t, side="right"))
+
+
 def _slice_worker(args):
-    """One rank's job: compute a slice, and (out-of-core) spill it sealed.
+    """One rank's job: compute a slice, and (out-of-core) write it in place.
 
     Jobs are 7-tuples ``(n, x, p, seed, lo, hi, block_size)``; out-of-core
-    jobs append ``(shard_dir, chunk_edges)``.  A spilling worker returns the
-    slice's sealed manifest (a small dict) instead of the edge arrays —
-    the coordinator assembles manifests, never ships arrays over the pipe.
+    jobs append ``(spill_dir, rank, offsets)``.  A spilling worker writes
+    the slice into its region of the final columns and returns the sealed
+    manifest (a small dict) instead of the edge arrays.
     """
     n, x, p, seed, lo, hi, block_size = args[:7]
     u, v = commfree_edge_slice(n, lo, hi, x=x, p=p, seed=seed, block_size=block_size)
     if len(args) == 7:
         return u, v
-    shard_dir, chunk_edges = args[7:]
-    from repro.core.spill import EdgeShardWriter
+    from repro.core.spill import write_edge_shards
 
-    writer = EdgeShardWriter(shard_dir, chunk_edges=chunk_edges)
-    writer.append_arrays(u, v)
-    return writer.seal()
+    spill_dir, rank, offsets = args[7:]
+    return write_edge_shards(spill_dir, rank, offsets, [(u, v)])
+
+
+def _slice_main(conn, job) -> None:
+    """Forked worker body: run one job and send ``(ok, payload)`` back."""
+    try:
+        reply = (True, _slice_worker(job))
+    except Exception as exc:  # re-raised by the parent
+        reply = (False, exc)
+    conn.send(reply)
+    conn.close()
+
+
+def _run_slice_workers(jobs: list) -> list:
+    """Fork one worker per job and collect the replies in job order.
+
+    Waits on the reply pipes and the workers' process sentinels together
+    (like :func:`repro.mpsim.mp_backend._recv_all`), so a worker that dies
+    without replying — killed, OOM-reaped — surfaces at once as
+    :class:`~repro.mpsim.errors.RankFailure` naming its rank instead of
+    blocking forever.  A worker's own exception is re-raised as is.  On any
+    failure the surviving workers are terminated before the error
+    propagates.
+    """
+    from multiprocessing.connection import wait
+
+    from repro.mpsim.errors import RankFailure
+
+    methods = mp.get_all_start_methods()
+    ctx = mp.get_context("fork" if "fork" in methods else None)
+    procs, conns = [], []
+    try:
+        for job in jobs:
+            parent, child = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_slice_main, args=(child, job), daemon=True)
+            proc.start()
+            child.close()
+            procs.append(proc)
+            conns.append(parent)
+        rank_of = {c: r for r, c in enumerate(conns)}
+        rank_of.update({proc.sentinel: r for r, proc in enumerate(procs)})
+        replies: dict[int, object] = {}
+        while len(replies) < len(jobs):
+            pending = [r for r in range(len(jobs)) if r not in replies]
+            ready = wait(
+                [conns[r] for r in pending] + [procs[r].sentinel for r in pending]
+            )
+            for rank in dict.fromkeys(rank_of[obj] for obj in ready):
+                try:
+                    # a dead worker's pipe reads as EOF, never as silence
+                    if not conns[rank].poll():
+                        raise EOFError
+                    ok, payload = conns[rank].recv()
+                except (EOFError, OSError):
+                    procs[rank].join(1.0)
+                    raise RankFailure(
+                        rank,
+                        RuntimeError(
+                            f"slice worker died before replying (exit code "
+                            f"{procs[rank].exitcode})"
+                        ),
+                    ) from None
+                if not ok:
+                    raise payload
+                replies[rank] = payload
+        return [replies[r] for r in range(len(jobs))]
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
 
 
 def commfree_mp(
@@ -518,48 +608,32 @@ def commfree_mp(
     no inter-worker traffic of any kind; the coordinator concatenates the
     slices in rank order.  There is no exchange, no barrier, and no
     checkpoint surface — a crashed worker simply means rerunning its pure,
-    stateless slice.  Output is bit-identical to :func:`commfree` /
-    :func:`commfree_x1` for any ``ranks``.
+    stateless slice; it raises :class:`~repro.mpsim.errors.RankFailure`
+    rather than hanging the call.  Output is bit-identical to
+    :func:`commfree` / :func:`commfree_x1` for any ``ranks``.
 
-    With ``spill_dir`` set the run goes out-of-core: each worker writes its
-    slice as sha256-sealed shards under ``<spill_dir>/shards/rank<r>`` and
-    returns only the manifest; the coordinator streams the shards, in rank
-    order, into a :class:`repro.core.spill.SpillEdgeList` whose in-RAM
-    write buffer is bounded by ``budget_bytes``.  Bit-identical to the
+    With ``spill_dir`` set the run goes out-of-core: the coordinator
+    pre-sizes ``<spill_dir>/edges/{u,v}.i64`` from
+    :func:`commfree_edge_counts`, each worker writes its slice straight into
+    its own region and seals a manifest, and the coordinator verifies every
+    region and adopts the files as a :class:`repro.core.spill.SpillEdgeList`
+    (whose in-RAM write buffer, and the verification reads, are bounded by
+    ``budget_bytes``).  Each edge is written once.  Bit-identical to the
     in-RAM path at every rank count.
     """
     _check_params(n, x, p)
     slices = commfree_slices(n, ranks)
-    spilling = spill_dir is not None
-    if spilling:
+    jobs = [(n, x, p, seed, lo, hi, block_size) for lo, hi in slices]
+    if spill_dir is not None:
         from repro.core import spill as _spill
 
-        budget = budget_bytes or _spill.DEFAULT_BUDGET_BYTES
-        chunk_edges = max(budget // 32, 1024)
-        jobs = [
-            (n, x, p, seed, lo, hi, block_size,
-             str(_spill.rank_shard_dir(Path(spill_dir) / "shards", r, ranks)),
-             chunk_edges)
-            for r, (lo, hi) in enumerate(slices)
-        ]
-    else:
-        jobs = [(n, x, p, seed, lo, hi, block_size) for lo, hi in slices]
-    if ranks == 1:
-        parts = [_slice_worker(jobs[0])]
-    else:
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else None)
-        with ctx.Pool(processes=ranks) as pool:
-            parts = pool.map(_slice_worker, jobs)
-    if spilling:
-        edges = _spill.SpillEdgeList(Path(spill_dir) / "edges", budget_bytes=budget)
-        _spill.assemble_shards(Path(spill_dir) / "shards", ranks, edges)
-        expected = sum(m["edges"] for m in parts)
-        if len(edges) != expected:
-            raise RuntimeError(
-                f"assembled {len(edges)} edges, manifests promised {expected}"
-            )
-        return edges
+        offsets = _spill.prepare_regions(spill_dir, commfree_edge_counts(n, x, ranks))
+        jobs = [job + (spill_dir, r, offsets) for r, job in enumerate(jobs)]
+    parts = [_slice_worker(jobs[0])] if ranks == 1 else _run_slice_workers(jobs)
+    if spill_dir is not None:
+        return _spill.assemble_shards(
+            spill_dir, ranks, budget_bytes or _spill.DEFAULT_BUDGET_BYTES
+        )
     m = x * (x - 1) // 2 + (n - x) * x if x > 1 else n - 1
     edges = EdgeList(capacity=max(m, 1))
     for u, v in parts:

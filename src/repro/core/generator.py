@@ -237,11 +237,14 @@ def generate(
         fork).
     out_of_core, spill_budget_bytes:
         When ``out_of_core`` names a directory, the run spills its edges to
-        disk instead of accumulating them in RAM: workers/ranks emit
-        sha256-sealed shards under per-rank directories, the coordinator
-        assembles manifests (never arrays), and ``result.edges`` is a
-        :class:`repro.core.spill.SpillEdgeList` whose in-RAM write buffer
-        is bounded by ``spill_budget_bytes`` (default 64 MiB).  Supported on
+        disk instead of accumulating them in RAM: the coordinator pre-sizes
+        the final ``u``/``v`` columns, every worker/rank writes its edges
+        straight into its own region and seals a sha256 manifest, and the
+        coordinator verifies every region before adopting the files (never
+        copying an edge).  ``result.edges`` is a
+        :class:`repro.core.spill.SpillEdgeList`; ``spill_budget_bytes``
+        (default 64 MiB) bounds its in-RAM write buffer and the
+        verification reads.  Supported on
         the ``sequential`` (``x=1`` streaming emitters), ``bsp``, and
         ``mp`` engines for both generators; output is **bit-identical** to
         the in-RAM path at every rank count.  See ``docs/performance.md``
@@ -394,7 +397,7 @@ def generate(
 
             with tel.span("copy_stream.spill", cat="compute", tid=0, n=n):
                 edges = _spill_stream(
-                    out_of_core, spill_budget_bytes,
+                    out_of_core, spill_budget_bytes, n,
                     stream_copy_model_x1(n, p=p, seed=seed),
                 )
         else:
@@ -569,29 +572,14 @@ def _attach_evolution(
     return result
 
 
-def _spill_chunk_edges(budget_bytes: int) -> int:
-    """Sealed-shard chunk size honouring the write-buffer budget.
-
-    A shard transits RAM twice while being sealed (the pending batches plus
-    their concatenation), so chunks are budget/32 edges — two copies of a
-    chunk stay within ``budget_bytes``.
-    """
-    return max(int(budget_bytes) // 32, 1024)
-
-
-def _spill_stream(out_dir, budget_bytes, blocks):
-    """Drain a streaming emitter into sealed shards; return the spilled list."""
-    from pathlib import Path
-
+def _spill_stream(out_dir, budget_bytes, n, blocks):
+    """Write an x=1 streaming emitter's ``n - 1`` edges in place, block by
+    block, as the run's single region; return the adopted spilled list."""
     from repro.core import spill
 
-    shards = Path(out_dir) / "shards"
-    spill.write_edge_shards(
-        spill.rank_shard_dir(shards, 0, 1), blocks,
-        chunk_edges=_spill_chunk_edges(budget_bytes),
-    )
-    edges = spill.SpillEdgeList(Path(out_dir) / "edges", budget_bytes=budget_bytes)
-    return spill.assemble_shards(shards, 1, edges)
+    offsets = spill.prepare_regions(out_dir, [max(n - 1, 0)])
+    spill.write_edge_shards(out_dir, 0, offsets, blocks)
+    return spill.assemble_shards(out_dir, 1, budget_bytes)
 
 
 def _run_bsp_oocore(
@@ -602,8 +590,8 @@ def _run_bsp_oocore(
 
     Runs the same rank programs as :func:`run_parallel_pa_x1` /
     :func:`run_parallel_pa` (so the graph is bit-identical), but their
-    park/pend queues are memmap-backed and each rank's result is chunked
-    into sealed shards instead of concatenated in RAM.
+    park/pend queues are memmap-backed and each rank's result is written
+    into its region of the final columns instead of concatenated in RAM.
     """
     from pathlib import Path
 
@@ -634,15 +622,12 @@ def _run_bsp_oocore(
         part.P, cost_model=cost_model, telemetry=telemetry
     )
     engine.run(programs, fault_plan=plan, schedule=schedule)
-    chunk = _spill_chunk_edges(budget_bytes)
-    shards = out_dir / "shards"
+    offsets = spill.prepare_regions(
+        out_dir, spill.rank_edge_counts(x, part.sizes(), part.owner)
+    )
     for r, prog in enumerate(programs):
-        u, v = prog.result()
-        spill.write_edge_shards(
-            spill.rank_shard_dir(shards, r, part.P), [(u, v)], chunk_edges=chunk
-        )
-    edges = spill.SpillEdgeList(out_dir / "edges", budget_bytes=budget_bytes)
-    spill.assemble_shards(shards, part.P, edges)
+        spill.write_edge_shards(out_dir, r, offsets, [prog.result()])
+    edges = spill.assemble_shards(out_dir, part.P, budget_bytes)
     return edges, engine, programs
 
 
@@ -669,11 +654,16 @@ def _generate_mp(
     if x > 1 and n <= x:
         raise ValueError(f"need n > x, got n={n}, x={x}")
 
-    spill_dir = None
+    spill_dir = offsets = None
     if out_of_core is not None:
         from pathlib import Path
 
+        from repro.core.spill import prepare_regions, rank_edge_counts
+
         spill_dir = Path(out_of_core)
+        offsets = prepare_regions(
+            spill_dir, rank_edge_counts(x, part.sizes(), part.owner)
+        )
 
     def program_factory():
         factory = StreamFactory(seed)
@@ -695,17 +685,13 @@ def _generate_mp(
                 for r in range(part.P)
             ]
         if spill_dir is not None:
-            # each worker seals its own rank's shards at result() time; the
+            # each worker writes its rank's region at result() time; the
             # coordinator then collects a small manifest over the pipe
             # instead of the rank's edge arrays
-            from repro.core.spill import SpillResultProgram, rank_shard_dir
+            from repro.core.spill import SpillResultProgram
 
-            chunk = _spill_chunk_edges(spill_budget_bytes)
             progs = [
-                SpillResultProgram(
-                    prog, rank_shard_dir(spill_dir / "shards", r, part.P),
-                    chunk_edges=chunk,
-                )
+                SpillResultProgram(prog, spill_dir, r, offsets)
                 for r, prog in enumerate(progs)
             ]
         return progs
@@ -768,12 +754,9 @@ def _generate_mp(
         eng.run(program_factory(), fault_plan=plan, checkpointer=checkpointer)
 
     if spill_dir is not None:
-        from repro.core.spill import SpillEdgeList, assemble_shards
+        from repro.core.spill import assemble_shards
 
-        edges = SpillEdgeList(
-            spill_dir / "edges", budget_bytes=spill_budget_bytes
-        )
-        assemble_shards(spill_dir / "shards", part.P, edges)
+        edges = assemble_shards(spill_dir, part.P, spill_budget_bytes)
     else:
         edges = EdgeList(capacity=max(n * max(x, 1) - 1, 1))
         for pair in eng.results:
@@ -812,12 +795,14 @@ def _generate_commfree(
     counter-based randomness); they differ only in where the slices are
     computed.  The simulated time charges pure compute divided by the rank
     count — perfect scaling, because there is literally no communication
-    term to add.  With ``out_of_core`` every surface emits sealed shards
-    and assembles a :class:`repro.core.spill.SpillEdgeList` — still bit for
-    bit the in-RAM graph.
+    term to add.  With ``out_of_core`` every surface writes each slice into
+    its region of the final columns and adopts them as a
+    :class:`repro.core.spill.SpillEdgeList` — still bit for bit the in-RAM
+    graph.
     """
     from repro.core.commfree import (
         commfree,
+        commfree_edge_counts,
         commfree_edge_slice,
         commfree_mp,
         commfree_slices,
@@ -842,14 +827,14 @@ def _generate_commfree(
                 raise ValueError(
                     "sequential out-of-core needs a streaming emitter and "
                     "only the x=1 commfree stream has one — use "
-                    "engine='bsp' or 'mp' (slices spill shard by shard), "
+                    "engine='bsp' or 'mp' (slices spill region by region), "
                     "or x=1"
                 )
             from repro.core.commfree import stream_commfree_x1
 
             with tel.span("commfree.stream.spill", cat="compute", tid=0, n=n):
                 edges = _spill_stream(
-                    out_of_core, spill_budget_bytes,
+                    out_of_core, spill_budget_bytes, n,
                     stream_commfree_x1(n, p=p, seed=seed),
                 )
         else:
@@ -859,12 +844,11 @@ def _generate_commfree(
         # in-process slice-at-a-time evaluation: same work the mp workers
         # would do, on one core — supersteps do not exist here
         if out_of_core is not None:
-            from pathlib import Path
-
             from repro.core import spill
 
-            out_dir = Path(out_of_core)
-            chunk = _spill_chunk_edges(spill_budget_bytes)
+            offsets = spill.prepare_regions(
+                out_of_core, commfree_edge_counts(n, x, ranks)
+            )
             with tel.span("commfree.slices", cat="compute", tid=0, n=n, x=x):
                 for r, (lo, hi) in enumerate(slices):
                     with tel.span("commfree.slice", cat="compute", tid=r,
@@ -873,15 +857,11 @@ def _generate_commfree(
                             n, lo, hi, x=x, p=p, seed=seed
                         )
                         spill.write_edge_shards(
-                            spill.rank_shard_dir(
-                                out_dir / "shards", r, ranks
-                            ),
-                            [(u, v)], chunk_edges=chunk,
+                            out_of_core, r, offsets, [(u, v)]
                         )
-            edges = spill.SpillEdgeList(
-                out_dir / "edges", budget_bytes=spill_budget_bytes
+            edges = spill.assemble_shards(
+                out_of_core, ranks, spill_budget_bytes
             )
-            spill.assemble_shards(out_dir / "shards", ranks, edges)
         else:
             m = x * (x - 1) // 2 + (n - x) * x if x > 1 else max(n - 1, 0)
             edges = EdgeList(capacity=max(m, 1))

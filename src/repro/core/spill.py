@@ -16,17 +16,20 @@ keeping every hot loop vectorised:
 * :class:`SpillArena` / :func:`spill_record_queue` — memmap-backed variants
   of the :mod:`repro.core.arena` park/pend queues, so the PA rank programs'
   wait queues can grow past RAM too.
-* :class:`EdgeShardWriter` / :func:`iter_edge_shards` — chunked
-  shard-at-a-time edge emission in the *same sha256-sealed envelope* as the
-  mp checkpoint shards (:func:`repro.mpsim.checkpoint.save_sealed`): a
-  worker killed mid-write can never leave a torn shard, and a bit-flipped
-  shard raises :class:`~repro.mpsim.errors.CorruptCheckpointError` instead
-  of silently corrupting the graph.  Each rank writes its shards to its own
-  directory and seals a manifest; the coordinator assembles manifests, not
-  arrays.
-* :func:`assemble_shards` / :func:`edges_digest` — streaming assembly and
-  chunked content digests, so even the bit-identity *check* against an
-  in-RAM run never materialises the whole graph.
+* :func:`prepare_regions` / :class:`EdgeShardWriter` /
+  :func:`assemble_shards` — each edge is written once, into its final
+  place.  The coordinator pre-sizes the run's two columns from the ranks'
+  edge counts (:func:`rank_edge_counts`, a pure function of each rank's
+  node set); every rank ``pwrite``-s its edges straight into its own
+  region, hashing them as it goes, and seals a small manifest in the *same
+  sha256-sealed envelope* as the mp checkpoint shards
+  (:func:`repro.mpsim.checkpoint.save_sealed`).  The coordinator requires
+  every manifest, checks that the regions tile the columns, re-hashes each
+  region from disk, and only then adopts the files — so a worker killed
+  mid-write, or a bit flipped on disk, raises instead of silently
+  corrupting the graph.
+* :func:`edges_digest` — chunked content digests, so even the bit-identity
+  *check* against an in-RAM run never materialises the whole graph.
 
 Everything here is bit-transparent: a spilled run produces exactly the
 bytes an in-RAM run produces, at every rank count — asserted by
@@ -37,6 +40,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -58,8 +63,9 @@ __all__ = [
     "assemble_shards",
     "edges_digest",
     "iter_edge_blocks",
-    "iter_edge_shards",
     "load_edge_manifest",
+    "prepare_regions",
+    "rank_edge_counts",
     "rank_shard_dir",
     "spill_record_queue",
     "write_edge_shards",
@@ -68,10 +74,14 @@ __all__ = [
 #: default bound on the in-RAM write buffer of a :class:`SpillEdgeList`
 DEFAULT_BUDGET_BYTES = 64 << 20
 
-#: sealed-envelope magic for edge shards — distinct from checkpoint shards
-#: so a checkpoint loader can never mistake edge data for program state
+#: sealed-envelope magic for edge-region manifests — distinct from
+#: checkpoint shards so a checkpoint loader can never mistake edge data for
+#: program state
 EDGE_SHARD_MAGIC = "repro-edge-shard"
 _MANIFEST_NAME = "MANIFEST"
+
+#: largest read block of the adoption-time re-hash (per thread)
+_VERIFY_BLOCK = 1 << 20
 
 
 class SpillEdgeList:
@@ -90,8 +100,9 @@ class SpillEdgeList:
     directory:
         Spill directory (created if missing).  The two segment files are
         plain little-endian ``int64`` streams; sealing/corruption detection
-        is the shard layer's job (:class:`EdgeShardWriter`), not this one's
-        — this is the *assembled* form, analogous to the in-RAM array.
+        is the region layer's job (:class:`EdgeShardWriter`,
+        :func:`assemble_shards`), not this one's — this is the *adopted*
+        form, analogous to the in-RAM array.
     budget_bytes:
         Bound on the write buffer.  Both columns share it, so the buffer
         holds ``budget_bytes // 16`` edges before a flush.
@@ -109,6 +120,34 @@ class SpillEdgeList:
     def __init__(
         self, directory: str | Path, budget_bytes: int = DEFAULT_BUDGET_BYTES
     ) -> None:
+        self._setup(directory, budget_bytes)
+        # truncate: a SpillEdgeList owns its directory's segment files
+        self._fh_u = open(self._path_u, "wb")
+        self._fh_v = open(self._path_v, "wb")
+
+    @classmethod
+    def adopt(
+        cls,
+        directory: str | Path,
+        max_node: int,
+        budget_bytes: int = DEFAULT_BUDGET_BYTES,
+    ) -> "SpillEdgeList":
+        """Take over complete ``u.i64``/``v.i64`` files without truncating.
+
+        The files' length is the edge count; ``max_node`` is their largest
+        node id (-1 when empty), which the caller already knows — e.g. from
+        the ranks' manifests in :func:`assemble_shards`.  Later appends go
+        after the adopted edges.
+        """
+        el = cls.__new__(cls)
+        el._setup(directory, budget_bytes)
+        el._flushed = _column_edges((el._path_u, el._path_v))
+        el._max_node = int(max_node)
+        el._fh_u = open(el._path_u, "ab")
+        el._fh_v = open(el._path_v, "ab")
+        return el
+
+    def _setup(self, directory: str | Path, budget_bytes: int) -> None:
         if budget_bytes < 1:
             raise ValueError(f"budget_bytes must be >= 1, got {budget_bytes}")
         self.directory = Path(directory)
@@ -123,9 +162,6 @@ class SpillEdgeList:
         self._max_node = -1
         self._path_u = self.directory / "u.i64"
         self._path_v = self.directory / "v.i64"
-        # truncate: a SpillEdgeList owns its directory's segment files
-        self._fh_u = open(self._path_u, "wb")
-        self._fh_v = open(self._path_v, "wb")
         self._closed = False
 
     # ------------------------------------------------------------- building
@@ -325,157 +361,297 @@ def edges_digest(edges: Any, block_edges: int = 1 << 20) -> str:
 
 
 # --------------------------------------------------------------------------
-# sealed edge shards — the on-disk emission format of out-of-core runs
+# rank regions — out-of-core runs write each edge once, in its final place
 # --------------------------------------------------------------------------
+
+_EDGES_DIR = "edges"
+_SHARDS_DIR = "shards"
+
+
+def _column_paths(directory: str | Path) -> tuple[Path, Path]:
+    """The run's final ``u``/``v`` columns: ``<directory>/edges/{u,v}.i64``."""
+    edges = Path(directory) / _EDGES_DIR
+    return edges / "u.i64", edges / "v.i64"
+
+
+def _column_edges(paths: tuple[Path, Path]) -> int:
+    """Edges held by a pair of column files; they must agree."""
+    sizes = [p.stat().st_size if p.exists() else -1 for p in paths]
+    if sizes[0] != sizes[1] or sizes[0] < 0 or sizes[0] % 8:
+        raise CorruptCheckpointError(
+            f"{paths[0].parent}: column files are missing or disagree "
+            f"(u: {sizes[0]} bytes, v: {sizes[1]} bytes)"
+        )
+    return sizes[0] // 8
+
+
+def rank_edge_counts(x: int, sizes: Any, owner: Any) -> np.ndarray:
+    """Edges each rank emits, a pure function of its node set.
+
+    Node ``t`` contributes ``min(t, x)`` edges: a clique node ``t < x`` its
+    ``t`` clique edges (node 0 none), every later node ``x`` attachments.
+    So rank ``r`` emits ``x * sizes[r]``, less ``x - t`` for each clique
+    node ``t`` it owns — for contiguous slices and every partition scheme
+    alike.  ``owner`` maps an array of node ids to their ranks, e.g.
+    :meth:`repro.core.partitioning.Partition.owner`.
+
+    Examples
+    --------
+    >>> rank_edge_counts(1, [3, 3], lambda t: t % 2).tolist()  # rrp, n=6
+    [2, 3]
+    >>> rank_edge_counts(3, [2, 3], lambda t: t // 2).tolist()  # x-clique
+    [1, 8]
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    counts = sizes * x
+    clique = np.arange(min(x, int(sizes.sum())), dtype=np.int64)
+    np.subtract.at(counts, np.asarray(owner(clique), dtype=np.int64), x - clique)
+    return counts
+
+
+def prepare_regions(directory: str | Path, counts: Any) -> np.ndarray:
+    """Lay out an out-of-core run and return its region offsets.
+
+    Creates ``<directory>/edges/{u,v}.i64`` sized to exactly
+    ``sum(counts)`` edges (sparse until the ranks fill them) and removes
+    every manifest under ``<directory>/shards``, so nothing an earlier run
+    left in the same directory can be adopted.  Rank ``r`` owns edges
+    ``[offsets[r], offsets[r + 1])`` of both columns.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    if (counts < 0).any():
+        raise ValueError(f"edge counts must be >= 0, got {counts.tolist()}")
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    shards = Path(directory) / _SHARDS_DIR
+    if shards.exists():
+        shutil.rmtree(shards)
+    for path in _column_paths(directory):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # a fresh inode: views already mapped from an earlier run's columns
+        # keep their pages instead of faulting on a truncated file
+        path.unlink(missing_ok=True)
+        with open(path, "wb") as fh:
+            fh.truncate(8 * int(offsets[-1]))
+    return offsets
 
 
 def rank_shard_dir(directory: str | Path, rank: int, size: int) -> Path:
-    """Canonical per-rank shard directory within an out-of-core run dir."""
+    """Canonical per-rank manifest directory within an out-of-core run dir."""
     width = max(len(str(size - 1)), 1)
     return Path(directory) / f"rank{rank:0{width}d}.of{size}"
 
 
-class EdgeShardWriter:
-    """Chunked writer of sha256-sealed edge shards for one rank.
+def _pwrite_all(fd: int, data: np.ndarray, pos: int) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        done = os.pwrite(fd, view, pos)
+        view = view[done:]
+        pos += done
 
-    Buffers appended edges and seals a shard file (``part-NNNNNN.edges``)
-    every ``chunk_edges``; :meth:`seal` flushes the remainder and writes the
-    ``MANIFEST`` — also sealed — recording the shard names, edge count, and
-    running max node id.  Until the manifest exists the directory is not a
-    valid rank output, so a worker killed mid-emission is indistinguishable
-    from one that never ran (the same all-or-nothing discipline as mp
-    checkpoint cuts, whose envelope format this reuses).
+
+class EdgeShardWriter:
+    """Writes one rank's edges straight into its region of the final columns.
+
+    The region is ``[offsets[rank], offsets[rank + 1])`` of the columns
+    :func:`prepare_regions` pre-sized.  :meth:`append_arrays` writes each
+    batch into place with ``os.pwrite`` — no pickle, no staging copy — and
+    folds its bytes into one running sha256 per column.  :meth:`seal` checks
+    the region is exactly full, fsyncs both columns, and only then writes the
+    rank's ``MANIFEST`` (offset, edge count, max node id, the two digests) in
+    the same sha256-sealed envelope as mp checkpoint shards.  Until the
+    manifest exists the region is not a valid rank output, so a worker
+    killed mid-write is indistinguishable from one that never ran.
     """
 
-    def __init__(self, directory: str | Path, chunk_edges: int = 1 << 20) -> None:
-        if chunk_edges < 1:
-            raise ValueError(f"chunk_edges must be >= 1, got {chunk_edges}")
+    def __init__(self, directory: str | Path, rank: int, offsets: Any) -> None:
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.chunk_edges = int(chunk_edges)
-        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
-        self._pending_len = 0
-        self._shards: list[str] = []
-        self._edges = 0
+        self.size = len(offsets) - 1
+        if not 0 <= rank < self.size:
+            raise ValueError(f"rank {rank} outside [0, {self.size})")
+        self.rank = int(rank)
+        self.offset = int(offsets[rank])
+        self.count = int(offsets[rank + 1]) - self.offset
+        self._paths = _column_paths(directory)
+        self._hashes = (hashlib.sha256(), hashlib.sha256())
+        self._written = 0
         self._max_node = -1
         self._sealed = False
 
     def append_arrays(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Append a batch; full chunks are sealed to disk immediately."""
+        """Write a batch at the region's cursor; overflowing it raises."""
         if self._sealed:
-            raise ValueError(f"{self.directory}: writer already sealed")
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
+            raise ValueError(f"rank {self.rank}: writer already sealed")
+        u = np.ascontiguousarray(u, dtype="<i8")
+        v = np.ascontiguousarray(v, dtype="<i8")
         if u.shape != v.shape or u.ndim != 1:
             raise ValueError("batch arrays must be equal-length and 1-D")
-        if len(u):
-            self._max_node = max(self._max_node, int(max(u.max(), v.max())))
-        off = 0
-        while off < len(u):
-            take = min(len(u) - off, self.chunk_edges - self._pending_len)
-            self._pending.append((u[off : off + take], v[off : off + take]))
-            self._pending_len += take
-            off += take
-            if self._pending_len == self.chunk_edges:
-                self._write_shard()
-
-    def _write_shard(self) -> None:
-        if not self._pending_len:
+        if self._written + len(u) > self.count:
+            raise ValueError(
+                f"rank {self.rank}: {self._written + len(u)} edges overflow "
+                f"its region of {self.count}"
+            )
+        if not len(u):
             return
-        u = np.concatenate([b[0] for b in self._pending])
-        v = np.concatenate([b[1] for b in self._pending])
-        name = f"part-{len(self._shards):06d}.edges"
-        save_sealed(
-            self.directory / name,
-            EDGE_SHARD_MAGIC,
-            {"index": len(self._shards), "u": u, "v": v},
-        )
-        self._shards.append(name)
-        self._edges += self._pending_len
-        self._pending = []
-        self._pending_len = 0
+        self._max_node = max(self._max_node, int(max(u.max(), v.max())))
+        pos = 8 * (self.offset + self._written)
+        for path, h, col in zip(self._paths, self._hashes, (u, v)):
+            h.update(col)
+            fd = os.open(path, os.O_WRONLY)
+            try:
+                _pwrite_all(fd, col, pos)
+            finally:
+                os.close(fd)
+        self._written += len(u)
 
     def seal(self) -> dict:
-        """Flush the tail shard and write the sealed manifest; returns it."""
+        """Check the region is full, fsync it, write the sealed manifest."""
         if self._sealed:
             return self.manifest
-        self._write_shard()
+        if self._written != self.count:
+            raise ValueError(
+                f"rank {self.rank}: wrote {self._written} edges into a region "
+                f"of {self.count}"
+            )
+        for path in self._paths:
+            fd = os.open(path, os.O_WRONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
         self.manifest = {
-            "schema": "repro-edge-shards-v1",
-            "shards": list(self._shards),
-            "edges": self._edges,
+            "schema": "repro-edge-region-v1",
+            "offset": self.offset,
+            "edges": self.count,
             "max_node": self._max_node,
+            "sha256_u": self._hashes[0].hexdigest(),
+            "sha256_v": self._hashes[1].hexdigest(),
         }
-        save_sealed(self.directory / _MANIFEST_NAME, EDGE_SHARD_MAGIC, self.manifest)
+        save_sealed(
+            rank_shard_dir(self.directory / _SHARDS_DIR, self.rank, self.size)
+            / _MANIFEST_NAME,
+            EDGE_SHARD_MAGIC,
+            self.manifest,
+        )
         self._sealed = True
         return self.manifest
 
 
+def write_edge_shards(
+    directory: str | Path,
+    rank: int,
+    offsets: Any,
+    blocks: Iterator[tuple[np.ndarray, np.ndarray]],
+) -> dict:
+    """Drain ``blocks`` into rank ``rank``'s region and seal it; returns the
+    manifest.  The convenience wrapper the slice workers and streaming
+    emitters use."""
+    writer = EdgeShardWriter(directory, rank, offsets)
+    for u, v in blocks:
+        writer.append_arrays(u, v)
+    return writer.seal()
+
+
 def load_edge_manifest(directory: str | Path) -> dict:
-    """Load and validate one rank's sealed shard manifest."""
+    """Load and validate one rank's sealed region manifest."""
     path = Path(directory) / _MANIFEST_NAME
     if not path.exists():
         raise FileNotFoundError(
             f"{directory}: no sealed MANIFEST — the rank's emission never "
-            f"completed (worker died before seal()) or this is not a shard "
+            f"completed (worker died before seal()) or this is not a rank "
             f"directory"
         )
-    manifest = load_sealed(path, EDGE_SHARD_MAGIC, "edge-shard manifest")
-    if not isinstance(manifest, dict) or "shards" not in manifest:
-        raise CorruptCheckpointError(f"{path}: payload is not a shard manifest")
+    manifest = load_sealed(path, EDGE_SHARD_MAGIC, "edge-region manifest")
+    if not isinstance(manifest, dict) or "offset" not in manifest:
+        raise CorruptCheckpointError(f"{path}: payload is not a region manifest")
     return manifest
 
 
-def iter_edge_shards(
-    directory: str | Path,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield one ``(u, v)`` block per sealed shard, in emission order.
+def _hash_region(path: Path, start: int, nbytes: int, block: int) -> str:
+    """sha256 of ``nbytes`` of ``path`` from ``start``, read ``block`` at a time."""
+    h = hashlib.sha256()
+    buf = memoryview(bytearray(min(block, nbytes)))
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        done = 0
+        while done < nbytes:
+            got = os.preadv(fd, [buf[: min(block, nbytes - done)]], start + done)
+            if not got:
+                break
+            h.update(buf[:got])
+            done += got
+    finally:
+        os.close(fd)
+    return h.hexdigest()
 
-    Validates every shard's checksum and its recorded position; a missing
-    or corrupt shard raises :class:`CorruptCheckpointError` rather than
-    yielding a silently truncated graph.
+
+def assemble_shards(
+    directory: str | Path, size: int, budget_bytes: int = DEFAULT_BUDGET_BYTES
+) -> SpillEdgeList:
+    """Verify every rank's region, then adopt the columns as the edge list.
+
+    Requires all ``size`` sealed manifests, checks that their regions tile
+    ``[0, m)`` of the pre-sized columns in rank order, and re-hashes every
+    region from disk against its manifest — in a thread pool (``os.preadv``
+    and ``hashlib`` release the GIL), reading blocks of at most 1 MiB that
+    together stay within ``budget_bytes``.  Only then are the two files
+    adopted as a :class:`SpillEdgeList`; no edge is copied.  A missing
+    manifest raises
+    :class:`FileNotFoundError`; a corrupt manifest, a gap or overlap, or a
+    digest mismatch raises :class:`CorruptCheckpointError`.  Each names the
+    rank.
     """
-    directory = Path(directory)
-    manifest = load_edge_manifest(directory)
-    for i, name in enumerate(manifest["shards"]):
-        path = directory / name
-        if not path.exists():
-            raise CorruptCheckpointError(
-                f"{path}: shard listed in the manifest is missing"
-            )
-        shard = load_sealed(path, EDGE_SHARD_MAGIC, "edge shard")
-        if not isinstance(shard, dict) or shard.get("index") != i:
-            raise CorruptCheckpointError(
-                f"{path}: shard is out of place (expected index {i})"
-            )
-        yield shard["u"], shard["v"]
-
-
-def assemble_shards(directory: str | Path, size: int, into: Any) -> Any:
-    """Stream every rank's shards, in rank order, into ``into``.
-
-    ``into`` is any EdgeList-flavoured container; with a
-    :class:`SpillEdgeList` the assembly is manifest-to-segment streaming —
-    at no point does more than one shard chunk live in RAM.
-    """
+    paths = _column_paths(directory)
+    m = _column_edges(paths)
+    shards = Path(directory) / _SHARDS_DIR
+    manifests = []
+    end = 0
     for rank in range(size):
-        for u, v in iter_edge_shards(rank_shard_dir(directory, rank, size)):
-            into.append_arrays(u, v)
-    return into
+        try:
+            man = load_edge_manifest(rank_shard_dir(shards, rank, size))
+        except FileNotFoundError as exc:
+            raise FileNotFoundError(f"rank {rank}: {exc}") from None
+        except CorruptCheckpointError as exc:
+            raise CorruptCheckpointError(f"rank {rank}: {exc}") from None
+        off, cnt = man["offset"], man["edges"]
+        if off != end:
+            kind = "a gap" if off > end else "an overlap"
+            raise CorruptCheckpointError(
+                f"rank {rank}: region [{off}, {off + cnt}) leaves {kind} "
+                f"after edge {end}"
+            )
+        end = off + cnt
+        manifests.append(man)
+    if end != m:
+        raise CorruptCheckpointError(
+            f"{paths[0].parent}: rank regions cover [0, {end}) but the "
+            f"columns hold {m} edges"
+        )
 
+    tasks = [(rank, col) for rank in range(size) for col in range(2)]
+    threads = max(min(len(tasks), os.cpu_count() or 1), 1)
+    # cache-sized blocks hash fastest; the budget caps them on tiny budgets
+    block = max(min(budget_bytes // threads, _VERIFY_BLOCK), 8)
 
-def write_edge_shards(
-    directory: str | Path,
-    blocks: Iterator[tuple[np.ndarray, np.ndarray]],
-    chunk_edges: int = 1 << 20,
-) -> dict:
-    """Drain ``blocks`` into sealed shards under ``directory``; returns the
-    manifest.  The convenience wrapper the slice workers and streaming
-    emitters use."""
-    writer = EdgeShardWriter(directory, chunk_edges=chunk_edges)
-    for u, v in blocks:
-        writer.append_arrays(u, v)
-    return writer.seal()
+    def digest(task: tuple[int, int]) -> str:
+        rank, col = task
+        man = manifests[rank]
+        return _hash_region(paths[col], 8 * man["offset"], 8 * man["edges"], block)
+
+    with ThreadPoolExecutor(threads) as pool:
+        digests = list(pool.map(digest, tasks))
+    for (rank, col), got in zip(tasks, digests):
+        name = "uv"[col]
+        want = manifests[rank][f"sha256_{name}"]
+        if got != want:
+            man = manifests[rank]
+            raise CorruptCheckpointError(
+                f"rank {rank}: column {name} region [{man['offset']}, "
+                f"{man['offset'] + man['edges']}) fails its sha256 (sealed "
+                f"{want[:12]}, on disk {got[:12]})"
+            )
+    max_node = max((man["max_node"] for man in manifests), default=-1)
+    return SpillEdgeList.adopt(paths[0].parent, max_node, budget_bytes=budget_bytes)
 
 
 # --------------------------------------------------------------------------
@@ -557,31 +733,32 @@ class SpillResultProgram:
     out-of-core run that payload must not be the rank's edge arrays.  This
     proxy delegates the whole program protocol (``step``, ``done``, the
     Figure-7 counters) to the wrapped program and intercepts only
-    ``result()``: the edges are sealed into the rank's shard directory
-    *inside the worker process* and a small manifest dict travels the pipe.
-    The coordinator then assembles manifests with :func:`assemble_shards`.
+    ``result()``: the edges are written into the rank's region of the final
+    columns *inside the worker process* and a small sealed manifest dict
+    travels the pipe.  The coordinator then verifies and adopts the columns
+    with :func:`assemble_shards`.
     """
 
     def __init__(
-        self, program: Any, shard_dir: str | Path, chunk_edges: int = 1 << 20
+        self, program: Any, directory: str | Path, rank: int, offsets: Any
     ) -> None:
         self._prog = program
-        self._shard_dir = Path(shard_dir)
-        self._chunk_edges = int(chunk_edges)
+        self._dir = Path(directory)
+        self._rank = int(rank)
+        self._offsets = offsets
 
     def result(self) -> dict:
-        u, v = self._prog.result()
         return write_edge_shards(
-            self._shard_dir, [(u, v)], chunk_edges=self._chunk_edges
+            self._dir, self._rank, self._offsets, [self._prog.result()]
         )
 
     def __getattr__(self, name: str):
-        if name.startswith("__") or name in ("_prog", "_shard_dir", "_chunk_edges"):
+        if name.startswith("__") or name in ("_prog", "_dir", "_rank", "_offsets"):
             raise AttributeError(name)
         return getattr(self._prog, name)
 
     def __repr__(self) -> str:
-        return f"SpillResultProgram({self._prog!r}, dir={str(self._shard_dir)!r})"
+        return f"SpillResultProgram({self._prog!r}, dir={str(self._dir)!r})"
 
 
 class SpillQueueFactory:

@@ -149,9 +149,8 @@ class StreamingDegreeAccumulator:
         """Fold an iterable of ``(u, v)`` blocks; returns ``self``.
 
         Composes with every block source in the library: the live stream
-        emitters here, :func:`repro.core.spill.iter_edge_shards` over a
-        spilled rank directory, and
-        :func:`repro.core.spill.iter_edge_blocks` over any edge list — so
+        emitters here and :func:`repro.core.spill.iter_edge_blocks` over any
+        edge list, spilled ones included — so
         degree analysis of an out-of-core run never materialises the graph.
         """
         for u, v in blocks:

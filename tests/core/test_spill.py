@@ -1,20 +1,28 @@
 """Tests for out-of-core (spill-to-disk) edge storage.
 
 Covers the :mod:`repro.core.spill` containers in isolation (watermark
-flushing, sealed shards, spill arenas) and the property the whole layer is
-built on: a spilled generation is *bit-identical* to the in-RAM one, on
-every engine and at every rank count, even with a pathologically small
-budget that forces constant flushing.
+flushing, sealed rank regions and their verification on adoption, spill
+arenas), slice-worker deaths, and the property the whole layer is built on:
+a spilled generation is *bit-identical* to the in-RAM one, on every engine,
+partition scheme and rank count, even with a pathologically small budget
+that forces constant flushing.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import os
 import pickle
+import signal
+import time
 
 import numpy as np
 import pytest
 
+import repro.core.commfree as commfree_mod
+from repro.core.commfree import commfree_edge_counts, commfree_edge_slice, commfree_mp
 from repro.core.generator import generate
+from repro.core.partitioning import make_partition
 from repro.core.spill import (
     EdgeShardWriter,
     SpillArena,
@@ -23,14 +31,15 @@ from repro.core.spill import (
     assemble_shards,
     edges_digest,
     iter_edge_blocks,
-    iter_edge_shards,
     load_edge_manifest,
+    prepare_regions,
+    rank_edge_counts,
     rank_shard_dir,
     spill_record_queue,
     write_edge_shards,
 )
 from repro.graph.edgelist import EdgeList
-from repro.mpsim.errors import CorruptCheckpointError
+from repro.mpsim.errors import CorruptCheckpointError, RankFailure
 
 #: small enough to force many flushes/shards on a few thousand edges
 TINY = 1 << 10
@@ -154,62 +163,209 @@ class TestEdgeBlocksAndDigest:
         assert edges_digest(a) != edges_digest(EdgeList.from_arrays(u, v2))
 
 
+def _write_regions(directory, blocks_per_rank):
+    """Lay out one region per rank and fill each from its ``(u, v)`` blocks."""
+    counts = [sum(len(u) for u, _ in blocks) for blocks in blocks_per_rank]
+    offsets = prepare_regions(directory, counts)
+    return [
+        write_edge_shards(directory, r, offsets, blocks)
+        for r, blocks in enumerate(blocks_per_rank)
+    ]
+
+
+def _flip_byte(path, pos):
+    with open(path, "r+b") as fh:
+        fh.seek(pos)
+        byte = fh.read(1)[0]
+        fh.seek(pos)
+        fh.write(bytes([byte ^ 0xFF]))
+
+
 class TestSealedShards:
+    """Rank regions: written in place, sealed by a manifest, adopted whole."""
+
     def test_roundtrip_chunked(self, tmp_path, sample_arrays):
         u, v = sample_arrays
-        manifest = write_edge_shards(tmp_path, [(u, v)], chunk_edges=300)
+        blocks = [(u[i : i + 300], v[i : i + 300]) for i in range(0, len(u), 300)]
+        (manifest,) = _write_regions(tmp_path, [blocks])
+        assert manifest["offset"] == 0
         assert manifest["edges"] == len(u)
-        assert len(manifest["shards"]) == -(-len(u) // 300)
-        got_u = np.concatenate([bu for bu, _ in iter_edge_shards(tmp_path)])
-        got_v = np.concatenate([bv for _, bv in iter_edge_shards(tmp_path)])
-        assert np.array_equal(got_u, u)
-        assert np.array_equal(got_v, v)
+        el = assemble_shards(tmp_path, 1, budget_bytes=TINY)
+        assert isinstance(el, SpillEdgeList)
+        assert np.array_equal(el.sources, u)
+        assert np.array_equal(el.targets, v)
+        assert el.num_nodes == int(max(u.max(), v.max())) + 1
 
     def test_empty_emission_still_seals(self, tmp_path):
-        manifest = write_edge_shards(tmp_path, [], chunk_edges=10)
+        (manifest,) = _write_regions(tmp_path, [[]])
         assert manifest["edges"] == 0
-        assert manifest["shards"] == []
-        assert list(iter_edge_shards(tmp_path)) == []
+        el = assemble_shards(tmp_path, 1)
+        assert len(el) == 0
+        assert el.num_nodes == 0
 
     def test_missing_manifest_is_a_clear_error(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="never\\s+completed"):
             load_edge_manifest(tmp_path)
 
     def test_corrupt_shard_detected(self, tmp_path, sample_arrays):
+        # a byte flipped inside rank 1's v region after rank 1 sealed it
         u, v = sample_arrays
-        manifest = write_edge_shards(tmp_path, [(u, v)], chunk_edges=1000)
-        victim = tmp_path / manifest["shards"][1]
-        blob = bytearray(victim.read_bytes())
-        blob[-1] ^= 0xFF
-        victim.write_bytes(bytes(blob))
-        with pytest.raises(CorruptCheckpointError):
-            list(iter_edge_shards(tmp_path))
+        _write_regions(tmp_path, [[(u[:2000], v[:2000])], [(u[2000:], v[2000:])]])
+        _flip_byte(tmp_path / "edges" / "v.i64", 8 * 2500 + 3)
+        with pytest.raises(CorruptCheckpointError, match="rank 1: column v"):
+            assemble_shards(tmp_path, 2, budget_bytes=TINY)
 
     def test_deleted_shard_detected(self, tmp_path, sample_arrays):
         u, v = sample_arrays
-        manifest = write_edge_shards(tmp_path, [(u, v)], chunk_edges=1000)
-        (tmp_path / manifest["shards"][0]).unlink()
+        _write_regions(tmp_path, [[(u, v)]])
+        (tmp_path / "edges" / "v.i64").unlink()
         with pytest.raises(CorruptCheckpointError, match="missing"):
-            list(iter_edge_shards(tmp_path))
+            assemble_shards(tmp_path, 1)
 
     def test_writer_refuses_appends_after_seal(self, tmp_path):
-        w = EdgeShardWriter(tmp_path)
+        w = EdgeShardWriter(tmp_path, 0, prepare_regions(tmp_path, [0]))
         w.seal()
         with pytest.raises(ValueError, match="sealed"):
             w.append_arrays(np.arange(2), np.arange(2))
 
     def test_assemble_shards_is_rank_ordered(self, tmp_path):
         size = 3
-        per_rank = []
-        for r in range(size):
-            u = np.arange(r * 100, r * 100 + 10, dtype=np.int64)
-            per_rank.append(u)
-            write_edge_shards(
-                rank_shard_dir(tmp_path, r, size), [(u, np.zeros_like(u))],
-                chunk_edges=4,
-            )
-        out = assemble_shards(tmp_path, size, EdgeList())
+        per_rank = [np.arange(r * 100, r * 100 + 10, dtype=np.int64) for r in range(size)]
+        offsets = prepare_regions(tmp_path, [10] * size)
+        for r in reversed(range(size)):  # the region, not write order, decides
+            write_edge_shards(tmp_path, r, offsets, [(per_rank[r], np.zeros(10))])
+        out = assemble_shards(tmp_path, size)
         assert np.array_equal(out.sources, np.concatenate(per_rank))
+
+
+class TestRegionIntegrity:
+    """Adoption refuses anything but a complete, verified tiling."""
+
+    def test_missing_rank_manifest_names_the_rank(self, tmp_path):
+        offsets = prepare_regions(tmp_path, [3, 2])
+        write_edge_shards(tmp_path, 0, offsets, [(np.arange(3), np.arange(3))])
+        with pytest.raises(FileNotFoundError, match="rank 1"):
+            assemble_shards(tmp_path, 2)
+
+    def test_corrupt_manifest_names_the_rank(self, tmp_path):
+        _write_regions(tmp_path, [[(np.arange(3), np.arange(3))], []])
+        path = rank_shard_dir(tmp_path / "shards", 0, 2) / "MANIFEST"
+        _flip_byte(path, path.stat().st_size - 1)
+        with pytest.raises(CorruptCheckpointError, match="rank 0"):
+            assemble_shards(tmp_path, 2)
+
+    def test_stale_manifest_is_never_adopted(self, tmp_path):
+        kwargs = dict(ranks=2, seed=5, engine="mp", generator="commfree")
+        generate(900, out_of_core=str(tmp_path), **kwargs)
+        stale = rank_shard_dir(tmp_path / "shards", 1, 2) / "MANIFEST"
+        assert stale.exists()
+        # a second run in the same directory whose rank 1 never seals
+        offsets = prepare_regions(tmp_path, commfree_edge_counts(900, 1, 2))
+        assert not stale.exists()
+        u, v = commfree_edge_slice(900, 0, 450, seed=5)
+        write_edge_shards(tmp_path, 0, offsets, [(u, v)])
+        with pytest.raises(FileNotFoundError, match="rank 1"):
+            assemble_shards(tmp_path, 2)
+        # and a complete rerun with another n adopts only its own regions
+        again = generate(700, out_of_core=str(tmp_path), **kwargs)
+        assert again.edges == generate(700, **kwargs).edges
+
+    @pytest.mark.parametrize(
+        "rank1_offsets,fragment",
+        [
+            ([0, 4, 8], "rank 1: region \\[4, 8\\) leaves a gap"),
+            ([0, 2, 8], "rank 1: region \\[2, 8\\) leaves an overlap"),
+            ([0, 3, 7], "cover \\[0, 7\\) but the columns hold 8"),
+        ],
+    )
+    def test_gapped_or_overlapping_regions_rejected(
+        self, tmp_path, rank1_offsets, fragment
+    ):
+        offsets = prepare_regions(tmp_path, [3, 5])
+        write_edge_shards(tmp_path, 0, offsets, [(np.arange(3), np.arange(3))])
+        count = rank1_offsets[2] - rank1_offsets[1]
+        write_edge_shards(
+            tmp_path, 1, rank1_offsets, [(np.arange(count), np.arange(count))]
+        )
+        with pytest.raises(CorruptCheckpointError, match=fragment):
+            assemble_shards(tmp_path, 2)
+
+    @pytest.mark.parametrize("edges,fragment", [(4, "overflow"), (2, "wrote 2")])
+    def test_writer_rejects_wrong_edge_count(self, tmp_path, edges, fragment):
+        offsets = prepare_regions(tmp_path, [3])
+        with pytest.raises(ValueError, match=fragment):
+            write_edge_shards(
+                tmp_path, 0, offsets, [(np.arange(edges), np.arange(edges))]
+            )
+        with pytest.raises(FileNotFoundError, match="rank 0"):
+            assemble_shards(tmp_path, 1)
+
+
+class TestEdgeCounts:
+    """Region sizes are known before any rank runs."""
+
+    @pytest.mark.parametrize("scheme", ["rrp", "ucp", "lcp"])
+    @pytest.mark.parametrize("x", [1, 3])
+    def test_partition_counts_match_node_sets(self, scheme, x):
+        part = make_partition(scheme, 500, 4)
+        expected = [
+            int(np.minimum(part.partition_nodes(r), x).sum()) for r in range(4)
+        ]
+        assert rank_edge_counts(x, part.sizes(), part.owner).tolist() == expected
+
+    @pytest.mark.parametrize("n,x,ranks", [(10, 1, 3), (50, 4, 3), (3, 1, 5)])
+    def test_commfree_counts_match_slices(self, n, x, ranks):
+        from repro.core.commfree import commfree_slices
+
+        got = [
+            len(commfree_edge_slice(n, lo, hi, x=x, seed=0)[0])
+            for lo, hi in commfree_slices(n, ranks)
+        ]
+        assert commfree_edge_counts(n, x, ranks).tolist() == got
+
+
+class TestWorkerDeath:
+    """A dead slice worker fails the call fast instead of hanging it."""
+
+    @pytest.fixture
+    def deadline(self):
+        """Fail, rather than hang, if a death is never noticed."""
+
+        def expire(signum, frame):
+            raise TimeoutError("commfree_mp still blocked on a dead worker")
+
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(20)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+    @pytest.mark.parametrize("spill", [False, True])
+    def test_killed_worker_raises_rank_failure(
+        self, tmp_path, monkeypatch, deadline, spill
+    ):
+        def doomed(n, lo, hi, **kwargs):
+            if lo > 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(60)  # a surviving worker that must be terminated
+
+        monkeypatch.setattr(commfree_mod, "commfree_edge_slice", doomed)
+        t0 = time.monotonic()
+        with pytest.raises(RankFailure) as info:
+            commfree_mp(
+                20_000_000, ranks=2, seed=1,
+                spill_dir=str(tmp_path) if spill else None,
+            )
+        assert time.monotonic() - t0 < 10
+        assert info.value.rank == 1
+        assert mp.active_children() == []
+        if spill:
+            with pytest.raises(FileNotFoundError):
+                assemble_shards(tmp_path, 2)
+
+    def test_worker_exception_propagates(self):
+        with pytest.raises(RuntimeError, match="retries"):
+            commfree_mp(10, x=2, p=1.0, ranks=2, seed=0)
 
 
 class TestSpillQueues:
@@ -253,26 +409,43 @@ COMBOS = [
     ("bsp", "copy", 1, 4),
     ("bsp", "copy", 2, 3),
     ("mp", "copy", 1, 2),
+    ("mp", "copy", 2, 3),
     ("sequential", "commfree", 1, 1),
     ("bsp", "commfree", 1, 4),
     ("bsp", "commfree", 2, 2),
     ("mp", "commfree", 1, 3),
 ]
 
+#: the copy-model surfaces whose regions come from a partition, rerun under
+#: the consecutive schemes (COMBOS covers the default rrp)
+SCHEME_COMBOS = [c for c in COMBOS if c[0] != "sequential" and c[1] == "copy"]
+
+
+def _assert_spilled_matches_in_ram(tmp_path, n, **kwargs):
+    ram = generate(n, **kwargs)
+    spilled = generate(n, out_of_core=str(tmp_path), spill_budget_bytes=TINY, **kwargs)
+    assert isinstance(spilled.edges, SpillEdgeList)
+    assert np.array_equal(spilled.edges.sources, ram.edges.sources)
+    assert np.array_equal(spilled.edges.targets, ram.edges.targets)
+    assert edges_digest(spilled.edges) == edges_digest(ram.edges)
+
 
 class TestGenerateOutOfCore:
     @pytest.mark.parametrize("engine,gen,x,ranks", COMBOS)
     def test_bit_identical_to_in_ram(self, tmp_path, engine, gen, x, ranks):
-        n = 1_200
-        kwargs = dict(x=x, ranks=ranks, seed=7, engine=engine, generator=gen)
-        ram = generate(n, **kwargs)
-        spilled = generate(
-            n, out_of_core=str(tmp_path), spill_budget_bytes=TINY, **kwargs
+        _assert_spilled_matches_in_ram(
+            tmp_path, 1_200, x=x, ranks=ranks, seed=7, engine=engine, generator=gen
         )
-        assert isinstance(spilled.edges, SpillEdgeList)
-        assert np.array_equal(spilled.edges.sources, ram.edges.sources)
-        assert np.array_equal(spilled.edges.targets, ram.edges.targets)
-        assert edges_digest(spilled.edges) == edges_digest(ram.edges)
+
+    @pytest.mark.parametrize("scheme", ["ucp", "lcp"])
+    @pytest.mark.parametrize("engine,gen,x,ranks", SCHEME_COMBOS)
+    def test_bit_identical_under_scheme(
+        self, tmp_path, engine, gen, x, ranks, scheme
+    ):
+        _assert_spilled_matches_in_ram(
+            tmp_path, 1_200, x=x, ranks=ranks, seed=7, engine=engine,
+            generator=gen, scheme=scheme,
+        )
 
     def test_figure7_counters_survive_spilling(self, tmp_path):
         ram = generate(800, ranks=3, seed=3, engine="mp")
@@ -303,12 +476,18 @@ class TestGenerateOutOfCore:
             generate(500, seed=0, out_of_core=str(tmp_path), **kwargs)
 
     def test_spilled_run_writes_sealed_rank_dirs(self, tmp_path):
-        generate(
+        result = generate(
             600, ranks=2, seed=1, engine="bsp", out_of_core=str(tmp_path),
             spill_budget_bytes=TINY,
         )
+        end = 0
         for r in range(2):
             manifest = load_edge_manifest(
                 rank_shard_dir(tmp_path / "shards", r, 2)
             )
             assert manifest["edges"] > 0
+            assert manifest["offset"] == end
+            end += manifest["edges"]
+        assert end == len(result.edges) == 599
+        # each edge is written once: the two columns are the whole spill
+        assert (tmp_path / "edges" / "u.i64").stat().st_size == 8 * end
