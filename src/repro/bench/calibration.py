@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.mpsim.costmodel import CostModel
 
@@ -107,6 +106,8 @@ def fit_cost_model(observations: list[Observation]) -> CostModel:
     vectors; vary ``n``, ``x``, and ``ranks`` across the grid to ensure
     that.
     """
+    from scipy import optimize
+
     if len(observations) < 5:
         raise ValueError(
             f"need at least 5 observations to fit 5 constants, got {len(observations)}"

@@ -11,6 +11,8 @@
 * :mod:`repro.core.parallel_pa` — Algorithm 3.1 (``x = 1``) on the BSP
   engine;
 * :mod:`repro.core.parallel_pa_general` — Algorithm 3.2 (``x >= 1``);
+* :mod:`repro.core.arbitration` — Algorithm 3.2's first-wins duplicate
+  arbitration, shared with the vectorised sequential copy model;
 * :mod:`repro.core.event_driven` — the literal per-message pseudocode on the
   event-driven engine (small n, used for cross-validation);
 * :mod:`repro.core.commfree` — the communication-free generator family

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
 
 __all__ = [
     "harmonic",
@@ -51,6 +50,8 @@ def harmonic(k: np.ndarray | float) -> np.ndarray | float:
     >>> round(float(harmonic(4)), 12)   # 1 + 1/2 + 1/3 + 1/4
     2.083333333333
     """
+    from scipy import special
+
     k = np.asarray(k, dtype=np.float64)
     out = special.digamma(k + 1.0) + _EULER_GAMMA
     return out if out.ndim else float(out)
@@ -101,6 +102,8 @@ def solve_balanced_boundaries(n: int, P: int, b: float = 2.0) -> np.ndarray:
         raise ValueError(f"P must be >= 1, got {P}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    from scipy import optimize
+
     share = total_load(n, b) / P
     bounds = np.empty(P + 1, dtype=np.float64)
     bounds[0] = 0.0
@@ -160,6 +163,8 @@ def lcp_parameters(n: int, P: int, b: float = 2.0) -> LCPParameters:
         return LCPParameters(a=float(n), d=0.0, n=n, P=1)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    from scipy import optimize
+
     share = total_load(n, b) / P
 
     # First partition: load(0, n_1) = share.

@@ -122,18 +122,17 @@ class PAx1RankProgram:
 
     def step(self, ctx: BSPRankContext, inbox) -> dict[int, list[np.ndarray]]:
         out: dict[int, list[np.ndarray]] = defaultdict(list)
-        newly: list[np.ndarray] = []
 
         if not self._started:
             self._started = True
-            self._setup(ctx, out, newly)
+            self._setup(ctx, out)
 
         for _src, arr in inbox:
             res = arr[arr["kind"] == RES]
             if len(res):
-                self._apply_resolved(res, newly, ctx)
+                self._apply_resolved(res, ctx)
 
-        self._local_sweep(newly, ctx)
+        self._local_sweep(ctx)
 
         for _src, arr in inbox:
             req = arr[arr["kind"] == REQ]
@@ -144,7 +143,7 @@ class PAx1RankProgram:
         return {d: [np.concatenate(batches)] for d, batches in out.items() if batches}
 
     # ------------------------------------------------------------- phases
-    def _setup(self, ctx: BSPRankContext, out, newly) -> None:
+    def _setup(self, ctx: BSPRankContext, out) -> None:
         """Lines 2-9: per-node draws and immediate/deferred attachment."""
         nodes = self.nodes
         ctx.charge(nodes=len(nodes))
@@ -153,7 +152,6 @@ class PAx1RankProgram:
         if len(one):
             self.F[one[0]] = 0
             self._unresolved -= 1
-            newly.append(one.astype(np.int64))
 
         mask = nodes >= 2
         t = nodes[mask]
@@ -167,8 +165,6 @@ class PAx1RankProgram:
         d_idx = tidx[direct]
         self.F[d_idx] = k[direct]
         self._unresolved -= len(d_idx)
-        if len(d_idx):
-            newly.append(d_idx)
 
         ct, ck, cidx = t[~direct], k[~direct], tidx[~direct]
         owners = self.part.owner(ck)
@@ -183,15 +179,14 @@ class PAx1RankProgram:
             self._route(out, _records(REQ, ct[remote], ck[remote]), owners[remote])
             self.requests_sent += int(remote.sum())
 
-    def _apply_resolved(self, res: np.ndarray, newly, ctx: BSPRankContext) -> None:
+    def _apply_resolved(self, res: np.ndarray, ctx: BSPRankContext) -> None:
         """Lines 16-17: install ``F_t <- v`` for every resolved record."""
         tidx = np.asarray(self.part.local_index(self.rank, res["t"]), dtype=np.int64)
         self.F[tidx] = res["a"]
         self._unresolved -= len(tidx)
-        newly.append(tidx)
         ctx.charge(work_items=len(tidx))
 
-    def _local_sweep(self, newly, ctx: BSPRankContext) -> None:
+    def _local_sweep(self, ctx: BSPRankContext) -> None:
         """Resolve local copy chains: one pass per chain level."""
         while len(self._pend):
             pend_t, pend_k = self._pend.columns()
@@ -202,7 +197,6 @@ class PAx1RankProgram:
             done_t = pend_t[ready]
             self.F[done_t] = vals[ready]
             self._unresolved -= len(done_t)
-            newly.append(done_t)
             ctx.charge(work_items=len(done_t))
             self._pend.keep(~ready)
 

@@ -24,8 +24,8 @@ the ``x`` existing nodes — so ``F_x = {0, .., x-1}`` deterministically.
 The bulk implementation vectorises every phase; the only per-record Python
 loops are queue parking/draining, which touch the (rare) unresolved tail.
 Intra-batch duplicate arbitration keeps the first record per ``(t, v)`` pair
-in batch order — the bulk analogue of the sequential first-come-first-served
-adjacency check.
+in batch order (:func:`repro.core.arbitration.first_wins`) — the bulk analogue
+of the sequential first-come-first-served adjacency check.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from collections import defaultdict
 
 import numpy as np
 
+from repro.core.arbitration import first_wins
 from repro.core.arena import RecordQueue
 from repro.core.partitioning import Partition
 from repro.core.routing import route_by_dest
@@ -96,8 +97,9 @@ class PAGeneralRankProgram:
         # ``queue_factory(ncols) -> RecordQueue`` swaps the queues' backing
         # (out-of-core runs pass repro.core.spill.SpillQueueFactory)
         make = queue_factory or RecordQueue
-        # pending local copies: slot (t local idx, e) awaiting F[k local idx, l]
-        self._pend = make(4)  # columns: (t idx, e, k idx, l)
+        # pending local copies: slot (t local idx, e) awaiting the value of
+        # local flat slot `key`, i.e. F[k local idx, l]
+        self._pend = make(3)  # columns: (key = kidx * x + l, t idx, e)
         # remote requesters parked on unknown local slots (the wait queues
         # Q_{k,l} of Lines 19-20, kept in an amortised-doubling arena so
         # each superstep's append costs the batch, not the queue):
@@ -139,18 +141,17 @@ class PAGeneralRankProgram:
         if self.canonical_inbox and len(inbox) > 1:
             inbox = sorted(inbox, key=lambda item: item[0])
         out: dict[int, list[np.ndarray]] = defaultdict(list)
-        newly: list[np.ndarray] = []  # flat slot keys (tidx * x + e) assigned
 
         if not self._started:
             self._started = True
-            self._setup(ctx, out, newly)
+            self._setup(ctx, out)
 
         for _src, arr in inbox:
             res = arr[arr["kind"] == GRES]
             if len(res):
-                self._apply_resolved(res, out, newly, ctx)
+                self._apply_resolved(res, out, ctx)
 
-        self._local_sweep(out, newly, ctx)
+        self._local_sweep(out, ctx)
 
         for _src, arr in inbox:
             req = arr[arr["kind"] == GREQ]
@@ -161,7 +162,7 @@ class PAGeneralRankProgram:
         return {d: [np.concatenate(b)] for d, b in out.items() if b}
 
     # --------------------------------------------------------------- setup
-    def _setup(self, ctx: BSPRankContext, out, newly) -> None:
+    def _setup(self, ctx: BSPRankContext, out) -> None:
         ctx.charge(nodes=len(self.nodes))
 
         # Node x: deterministic attachment to the whole clique.
@@ -170,7 +171,6 @@ class PAGeneralRankProgram:
             ti = int(idx_x[0])
             self.F[ti, :] = np.arange(self.x)
             self._unresolved -= self.x
-            newly.append(ti * self.x + np.arange(self.x, dtype=np.int64))
 
         mask = self.nodes > self.x
         t = self.nodes[mask]
@@ -180,7 +180,7 @@ class PAGeneralRankProgram:
         T = np.repeat(t, self.x)
         Tidx = np.repeat(tidx, self.x)
         E = np.tile(np.arange(self.x, dtype=np.int64), len(t))
-        self._draw_and_dispatch(Tidx, T, E, out, newly, ctx, redraw_coin=True)
+        self._draw_and_dispatch(Tidx, T, E, out, ctx, redraw_coin=True)
 
     # ------------------------------------------------------ draw machinery
     def _draw_and_dispatch(
@@ -189,7 +189,6 @@ class PAGeneralRankProgram:
         T: np.ndarray,
         E: np.ndarray,
         out,
-        newly,
         ctx: BSPRankContext,
         redraw_coin: bool,
     ) -> None:
@@ -213,7 +212,7 @@ class PAGeneralRankProgram:
             d_sel = np.flatnonzero(direct)
             retry_direct = np.empty(0, dtype=np.int64)
             if len(d_sel):
-                win = self._try_assign(todo_idx[d_sel], todo_e[d_sel], k[d_sel], newly)
+                win = self._try_assign(todo_idx[d_sel], todo_e[d_sel], k[d_sel])
                 retry_direct = d_sel[~win]
                 self.retries += len(retry_direct)
 
@@ -228,7 +227,7 @@ class PAGeneralRankProgram:
                     kloc = np.asarray(
                         self.part.local_index(self.rank, ck[local]), dtype=np.int64
                     )
-                    self._pend.push(cidx[local], ce[local], kloc, l[local])
+                    self._pend.push(kloc * self.x + l[local], cidx[local], ce[local])
                 remote = ~local
                 if remote.any():
                     self._route(
@@ -243,60 +242,49 @@ class PAGeneralRankProgram:
             todo_e = todo_e[retry_direct]
             redraw_coin = True  # any further retry re-flips the coin
 
-    def _try_assign(
-        self, tidx: np.ndarray, e: np.ndarray, v: np.ndarray, newly
-    ) -> np.ndarray:
+    def _try_assign(self, tidx: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Assign ``F[tidx, e] = v`` where legal; return the winner mask.
 
         A slot loses when ``v`` already sits in its row or an earlier record
         of the same batch claims the same ``(row, v)`` pair.
         """
         dup_row = (self.F[tidx] == v[:, None]).any(axis=1)
-        # intra-batch first-wins per (row, value), preserving batch order
-        order = np.lexsort((np.arange(len(tidx)), v, tidx))
-        key_t, key_v = tidx[order], v[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (key_t[1:] != key_t[:-1]) | (key_v[1:] != key_v[:-1])
-        keep = np.zeros(len(tidx), dtype=bool)
-        keep[order[first]] = True
-        win = keep & ~dup_row
+        win = first_wins(tidx, v, self.part.n) & ~dup_row
         if win.any():
-            wt, we, wv = tidx[win], e[win], v[win]
-            self.F[wt, we] = wv
-            self._unresolved -= len(wt)
-            newly.append(wt * self.x + we)
+            self.F[tidx[win], e[win]] = v[win]
+            self._unresolved -= int(win.sum())
         return win
 
     # ------------------------------------------------------------ messages
-    def _apply_resolved(self, res: np.ndarray, out, newly, ctx: BSPRankContext) -> None:
+    def _apply_resolved(self, res: np.ndarray, out, ctx: BSPRankContext) -> None:
         """Lines 21-29: install resolved values, retrying duplicates."""
         tidx = np.asarray(self.part.local_index(self.rank, res["t"]), dtype=np.int64)
         ctx.charge(work_items=len(tidx))
-        win = self._try_assign(tidx, res["e"], res["a"], newly)
+        win = self._try_assign(tidx, res["e"], res["a"])
         lose = ~win
         if lose.any():
             self.retries += int(lose.sum())
             self._draw_and_dispatch(
-                tidx[lose], res["t"][lose], res["e"][lose], out, newly, ctx, redraw_coin=False
+                tidx[lose], res["t"][lose], res["e"][lose], out, ctx, redraw_coin=False
             )
 
-    def _local_sweep(self, out, newly, ctx: BSPRankContext) -> None:
+    def _local_sweep(self, out, ctx: BSPRankContext) -> None:
         """Resolve local copy slots whose source slot is now known."""
         while len(self._pend):
-            pend_t, pend_e, pend_k, pend_l = self._pend.columns()
-            vals = self.F[pend_k, pend_l]
+            pend_key, pend_t, pend_e = self._pend.columns()
+            vals = self.F.reshape(-1)[pend_key]
             ready = vals >= 0
             if not ready.any():
                 return
             rt, re_, rv = pend_t[ready], pend_e[ready], vals[ready]
             self._pend.keep(~ready)
             ctx.charge(work_items=len(rt))
-            win = self._try_assign(rt, re_, rv, newly)
+            win = self._try_assign(rt, re_, rv)
             lose = ~win
             if lose.any():
                 self.retries += int(lose.sum())
                 self._draw_and_dispatch(
-                    rt[lose], self.nodes[rt[lose]], re_[lose], out, newly, ctx, redraw_coin=False
+                    rt[lose], self.nodes[rt[lose]], re_[lose], out, ctx, redraw_coin=False
                 )
 
     def _park_requests(self, req: np.ndarray, ctx: BSPRankContext) -> None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
 
 from repro.graph.degree import ccdf
 
@@ -57,11 +56,15 @@ class PowerLawFit:
 
 def _zeta_tail(gamma: float, k_min: int) -> float:
     """Hurwitz zeta ζ(γ, k_min) — the normaliser of the discrete power law."""
+    from scipy import special
+
     return float(special.zeta(gamma, k_min))
 
 
 def _mle_gamma(degrees: np.ndarray, k_min: int) -> float:
     """Maximise the discrete power-law log-likelihood in γ."""
+    from scipy import optimize
+
     tail = degrees[degrees >= k_min].astype(np.float64)
     n = tail.size
     sum_log = np.log(tail).sum()
@@ -80,6 +83,8 @@ def _mle_gamma(degrees: np.ndarray, k_min: int) -> float:
 
 def _ks_tail(degrees: np.ndarray, gamma: float, k_min: int) -> float:
     """KS distance between empirical and fitted tail CDFs."""
+    from scipy import special
+
     tail = np.sort(degrees[degrees >= k_min])
     if tail.size == 0:
         return np.inf

@@ -16,7 +16,6 @@ exact BA law — the property the paper claims over approximate prior art.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = [
     "ba_degree_pmf",
@@ -80,6 +79,8 @@ def ba_chi_square_gof(
     into the tail.  Returns ``(statistic, p_value)``.  High p-values mean
     the sample is consistent with exact preferential attachment.
     """
+    from scipy import stats as sps
+
     degrees = np.asarray(degrees)
     degrees = degrees[degrees >= x]
     n = degrees.size

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.arbitration import first_wins
 from repro.graph.edgelist import EdgeList
 
 __all__ = ["copy_model_x1", "copy_model", "resolve_pointers"]
@@ -209,9 +210,9 @@ def _copy_model_fast(
     — so a copy always reads the final ``F[k, l]``, the same semantics as
     the sequential loop (where ``k < t`` is fully resolved at read time)
     and as the parallel wait-queues.  Candidates commit under the same
-    first-wins-per-``(row, value)`` arbitration as
-    ``PAGeneralRankProgram._try_assign``; losers join the next round's
-    redraw batch.  Chains strictly decrease in node id, so every round
+    first-wins-per-``(row, value)`` arbitration as the rank programs
+    (:func:`repro.core.arbitration.first_wins`); losers join the next
+    round's redraw batch.  Chains strictly decrease in node id, so every round
     makes progress and the retry tail shrinks geometrically.
     """
     m = x * (x - 1) // 2 + (n - x) * x
@@ -264,13 +265,7 @@ def _copy_model_fast(
             v = ready_v
             # reject values already in the row, first-wins within the batch
             dup_row = (F[rows] == v[:, None]).any(axis=1)
-            order = np.lexsort((np.arange(len(rows)), v, rows))
-            srow, sv = rows[order], v[order]
-            first = np.ones(len(order), dtype=bool)
-            first[1:] = (srow[1:] != srow[:-1]) | (sv[1:] != sv[:-1])
-            keep = np.zeros(len(rows), dtype=bool)
-            keep[order[first]] = True
-            win = keep & ~dup_row
+            win = first_wins(rows, v, n) & ~dup_row
             if win.any():
                 F[rows[win], cols[win]] = v[win]
                 val[ready_dst[win]] = v[win]

@@ -1,0 +1,117 @@
+"""Pinned ``edges_digest`` values for Algorithm 3.2 (``x > 1``).
+
+Most x>1 tests compare one engine with another, so a change that alters the
+bsp and mp graphs the same way would pass them.  These digests pin the exact
+graphs: a deliberate change to the draw protocol or to the order in which
+duplicate arbitration picks winners must re-record them.
+"""
+
+import itertools
+
+import pytest
+
+from repro import generate
+from repro.core.parallel_pa_general import run_parallel_pa
+from repro.core.partitioning import make_partition
+from repro.core.spill import edges_digest
+from repro.seq.copy_model import copy_model
+
+N = 600
+
+#: ``(x, P, scheme, p) -> edges_digest[:16]`` of ``run_parallel_pa`` at
+#: ``n = N`` and ``seed = 100 x + 10 P + 10 p``
+BSP_DIGESTS = {
+    (2, 1, 'rrp', 0.2): '46ffd08c1af8bc54',
+    (2, 1, 'rrp', 0.9): '749404ce96c07565',
+    (2, 1, 'ucp', 0.2): '46ffd08c1af8bc54',
+    (2, 1, 'ucp', 0.9): '749404ce96c07565',
+    (2, 1, 'lcp', 0.2): '46ffd08c1af8bc54',
+    (2, 1, 'lcp', 0.9): '749404ce96c07565',
+    (2, 3, 'rrp', 0.2): '3d4823012a74d70d',
+    (2, 3, 'rrp', 0.9): 'e56deb4dfa96dad0',
+    (2, 3, 'ucp', 0.2): 'd8fc5fc6deaf71cc',
+    (2, 3, 'ucp', 0.9): '7218ba52412f72a0',
+    (2, 3, 'lcp', 0.2): '4e913c7e23aace4d',
+    (2, 3, 'lcp', 0.9): 'a30a3d31818a04d2',
+    (2, 4, 'rrp', 0.2): 'd857df2d396edc6b',
+    (2, 4, 'rrp', 0.9): 'deae134b030f7e22',
+    (2, 4, 'ucp', 0.2): 'c6ca71f6699b57e9',
+    (2, 4, 'ucp', 0.9): 'ba83f77039263e36',
+    (2, 4, 'lcp', 0.2): 'c8eda8c8b307d773',
+    (2, 4, 'lcp', 0.9): '0136457811bb38a0',
+    (4, 1, 'rrp', 0.2): 'a4a9138f4321946c',
+    (4, 1, 'rrp', 0.9): 'cd131beb3de79eb1',
+    (4, 1, 'ucp', 0.2): 'a4a9138f4321946c',
+    (4, 1, 'ucp', 0.9): 'cd131beb3de79eb1',
+    (4, 1, 'lcp', 0.2): 'a4a9138f4321946c',
+    (4, 1, 'lcp', 0.9): 'cd131beb3de79eb1',
+    (4, 3, 'rrp', 0.2): '8972a8afe54e1ae5',
+    (4, 3, 'rrp', 0.9): 'bf27893fe6d19c39',
+    (4, 3, 'ucp', 0.2): '5e6b6e41fb2a6c93',
+    (4, 3, 'ucp', 0.9): '94a596934b0c523f',
+    (4, 3, 'lcp', 0.2): 'e2d00e6c371a2ae1',
+    (4, 3, 'lcp', 0.9): '73c5e6ba18814d9b',
+    (4, 4, 'rrp', 0.2): '9c4db5cdf9f8fd65',
+    (4, 4, 'rrp', 0.9): '416a73e1757c2e6c',
+    (4, 4, 'ucp', 0.2): 'c5bf4aad8638d5ba',
+    (4, 4, 'ucp', 0.9): '6e343db7f3a33ffd',
+    (4, 4, 'lcp', 0.2): '3ffde6a0e59fd2ee',
+    (4, 4, 'lcp', 0.9): 'e355e4d846f95088',
+    (6, 1, 'rrp', 0.2): 'e70800b438d92a8b',
+    (6, 1, 'rrp', 0.9): '6cd340de9acc9370',
+    (6, 1, 'ucp', 0.2): 'e70800b438d92a8b',
+    (6, 1, 'ucp', 0.9): '6cd340de9acc9370',
+    (6, 1, 'lcp', 0.2): 'e70800b438d92a8b',
+    (6, 1, 'lcp', 0.9): '6cd340de9acc9370',
+    (6, 3, 'rrp', 0.2): 'abfe20a00b1b4912',
+    (6, 3, 'rrp', 0.9): '58781a1f93c462f7',
+    (6, 3, 'ucp', 0.2): '59dd5f7106ebbedd',
+    (6, 3, 'ucp', 0.9): '40679cbaed344e39',
+    (6, 3, 'lcp', 0.2): '99d3605f1dc28c1e',
+    (6, 3, 'lcp', 0.9): '4312eb537d371077',
+    (6, 4, 'rrp', 0.2): '4b81565de4367b6c',
+    (6, 4, 'rrp', 0.9): '1a1d69faa14be11a',
+    (6, 4, 'ucp', 0.2): 'b097d95b5eb77067',
+    (6, 4, 'ucp', 0.9): 'c347f07e2a8147ed',
+    (6, 4, 'lcp', 0.2): '5c0dd2502b7e34fd',
+    (6, 4, 'lcp', 0.9): '9166c6189f02a835',
+}
+
+
+def _seed(x: int, P: int, p: float) -> int:
+    return x * 100 + P * 10 + int(p * 10)
+
+
+@pytest.mark.parametrize(
+    "x,P,scheme,p",
+    list(itertools.product((2, 4, 6), (1, 3, 4), ("rrp", "ucp", "lcp"), (0.2, 0.9))),
+)
+def test_bsp_digest(x, P, scheme, p):
+    edges, _, _ = run_parallel_pa(N, x, make_partition(scheme, N, P), p=p, seed=_seed(x, P, p))
+    assert edges_digest(edges)[:16] == BSP_DIGESTS[(x, P, scheme, p)]
+
+
+def test_mp_digest():
+    edges = generate(3000, x=4, ranks=3, engine="mp", seed=21).edges
+    assert edges_digest(edges)[:16] == 'ca8de7b974c8fc0d'
+
+
+@pytest.mark.parametrize(
+    "engine,seed,digest",
+    [("bsp", 22, '7f4769b80d221e32'), ("mp", 23, 'd392a86cfcbe125d')],
+)
+def test_spilled_digest(tmp_path, engine, seed, digest):
+    result = generate(
+        3000, x=4, ranks=3, engine=engine, seed=seed,
+        out_of_core=str(tmp_path / "spill"), spill_budget_bytes=4096,
+    )
+    assert edges_digest(result.edges)[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "x,p,seed,digest",
+    [(3, 0.5, 24, '64df240114d5a340'), (6, 0.2, 25, 'f7ae4e0e166cb0e9')],
+)
+def test_copy_model_fast_digest(x, p, seed, digest):
+    edges = copy_model(3000, x=x, p=p, seed=seed, method="fast")
+    assert edges_digest(edges)[:16] == digest
