@@ -9,6 +9,14 @@ probability ``p`` it sets ``F_t = k`` immediately (Line 5-6); otherwise
   (the paper's intra-processor case — no message needed), or
 * turned into a ``<request, t, k>`` message to ``k``'s owner (Line 9).
 
+A local wait lives in ``F`` itself: ``F[t] = -2 - kidx`` points at the local
+slot ``kidx`` of ``k``, while ``F[t] = -1`` means ``t`` waits on a remote
+``resolved`` record.  The sweep pointer-jumps along those pointers
+(``F[t] <- F[-2 - F[t]]``), so a local chain of length ``L`` resolves in
+``O(log L)`` passes, and a chain ending at a node that waits on a remote
+reply collapses onto that *anchor*: once the reply arrives, every node of
+the chain resolves in one pass.
+
 An owner receiving a request replies ``<resolved, t, F_k>`` if ``F_k`` is
 known and otherwise parks the requester in the wait queue ``Q_k``
 (Lines 11-15); when ``F_k`` later resolves, queued requesters are answered
@@ -94,14 +102,15 @@ class PAx1RankProgram:
         # out-of-core runs pass repro.core.spill.SpillQueueFactory so the
         # wait queues live in memmapped files instead of the heap
         make = queue_factory or RecordQueue
-        # local copy-chain waits: t (local idx) waiting on k (local idx)
-        self._pend = make(2)  # columns: (t local idx, k local idx)
+        # local copy-chain waits: t (local idx) whose F[t] = -2 - kidx points
+        # at another local slot; the sweep pointer-jumps those pointers
+        self._pend = make(1)  # columns: (t local idx,)
         # remote requesters parked on an unknown local F_k (the wait queues
         # Q_k of Lines 14-15, kept in an amortised-doubling arena so each
         # superstep's append costs the batch, not the queue)
         self._park = make(2)  # columns: (k local idx awaited, t)
         # resolution progress (node 0 owns no attachment)
-        self._unresolved = int((self.nodes >= 1).sum())
+        self._unresolved = len(self.nodes) - int(np.searchsorted(self.nodes, 1))
         # paper's Figure 7 counters
         self.requests_sent = 0
         self.requests_received = 0
@@ -113,8 +122,8 @@ class PAx1RankProgram:
 
     def result(self) -> tuple[np.ndarray, np.ndarray]:
         """Local edges ``(t, F_t)`` for owned ``t >= 1`` (mp-backend hook)."""
-        mask = self.nodes >= 1
-        return self.nodes[mask], self.F[mask]
+        first = int(np.searchsorted(self.nodes, 1))
+        return self.nodes[first:], self.F[first:]
 
     def local_edges(self) -> EdgeList:
         t, f = self.result()
@@ -140,7 +149,11 @@ class PAx1RankProgram:
                 self._park_requests(req, ctx)
 
         self._drain_parked(out, ctx)
-        return {d: [np.concatenate(batches)] for d, batches in out.items() if batches}
+        # a lone batch ships as is; np.concatenate would copy it
+        return {
+            d: [batches[0] if len(batches) == 1 else np.concatenate(batches)]
+            for d, batches in out.items()
+        }
 
     # ------------------------------------------------------------- phases
     def _setup(self, ctx: BSPRankContext, out) -> None:
@@ -148,36 +161,38 @@ class PAx1RankProgram:
         nodes = self.nodes
         ctx.charge(nodes=len(nodes))
 
-        one = np.flatnonzero(nodes == 1)
-        if len(one):
-            self.F[one[0]] = 0
+        # partition_nodes is ascending: node 1 (if owned) sits just before
+        # the t >= 2 suffix
+        first = int(np.searchsorted(nodes, 2))
+        if first and nodes[first - 1] == 1:
+            self.F[first - 1] = 0
             self._unresolved -= 1
 
-        mask = nodes >= 2
-        t = nodes[mask]
-        tidx = np.flatnonzero(mask)
+        t = nodes[first:]
         if len(t) == 0:
             return
-        u = self.rng.random(2 * len(t))
-        k = 1 + (u[0::2] * (t - 1)).astype(np.int64)
-        direct = u[1::2] < self.p
+        u = self.rng.random(2 * len(t)).reshape(-1, 2)
+        k = 1 + (u[:, 0] * (t - 1)).astype(np.int64)
+        direct = u[:, 1] < self.p
+        del u
 
-        d_idx = tidx[direct]
-        self.F[d_idx] = k[direct]
-        self._unresolved -= len(d_idx)
+        d_sel = np.flatnonzero(direct)
+        self.F[first + d_sel] = k[d_sel]
+        self._unresolved -= len(d_sel)
 
-        ct, ck, cidx = t[~direct], k[~direct], tidx[~direct]
+        c_sel = np.flatnonzero(~direct)
+        ck = k[c_sel]
         owners = self.part.owner(ck)
-        local = owners == self.rank
-        if local.any():
-            self._pend.push(
-                cidx[local],
-                np.asarray(self.part.local_index(self.rank, ck[local]), dtype=np.int64),
-            )
-        remote = ~local
-        if remote.any():
-            self._route(out, _records(REQ, ct[remote], ck[remote]), owners[remote])
-            self.requests_sent += int(remote.sum())
+        local = np.flatnonzero(owners == self.rank)
+        if len(local):
+            cidx = first + c_sel[local]
+            kidx = np.asarray(self.part.local_index(self.rank, ck[local]), dtype=np.int64)
+            self.F[cidx] = -2 - kidx
+            self._pend.push(cidx)
+        remote = np.flatnonzero(owners != self.rank)
+        if len(remote):
+            self._route(out, _records(REQ, t[c_sel[remote]], ck[remote]), owners[remote])
+            self.requests_sent += len(remote)
 
     def _apply_resolved(self, res: np.ndarray, ctx: BSPRankContext) -> None:
         """Lines 16-17: install ``F_t <- v`` for every resolved record."""
@@ -187,18 +202,33 @@ class PAx1RankProgram:
         ctx.charge(work_items=len(tidx))
 
     def _local_sweep(self, ctx: BSPRankContext) -> None:
-        """Resolve local copy chains: one pass per chain level."""
+        """Resolve local copy chains by pointer jumping inside ``F``.
+
+        Each pass gathers ``F[-2 - F[t]]`` for every pending ``t`` and
+        installs it unless it is ``-1``: a value resolves ``t``, a pointer
+        moves ``t`` one hop farther along its chain.  The sweep stops after
+        a pass that made no jump, which leaves every pending ``t`` pointing
+        at its chain's anchor, a node waiting on a remote reply.
+        """
         while len(self._pend):
-            pend_t, pend_k = self._pend.columns()
-            vals = self.F[pend_k]
-            ready = vals >= 0
-            if not ready.any():
+            if self._pend.ncols != 1:
+                raise ValueError(
+                    f"x=1 pend queue has {self._pend.ncols} columns, expected "
+                    "1; checkpoints written before local waits moved into F "
+                    "do not resume"
+                )
+            (pend_t,) = self._pend.columns()
+            nxt = self.F[-2 - self.F[pend_t]]
+            jump = np.flatnonzero(nxt != -1)
+            if not len(jump):
                 return
-            done_t = pend_t[ready]
-            self.F[done_t] = vals[ready]
-            self._unresolved -= len(done_t)
-            ctx.charge(work_items=len(done_t))
-            self._pend.keep(~ready)
+            self.F[pend_t[jump]] = nxt[jump]
+            done = nxt >= 0
+            n_done = int(np.count_nonzero(done))
+            if n_done:
+                self._unresolved -= n_done
+                ctx.charge(work_items=n_done)
+                self._pend.keep(~done)
 
     def _park_requests(self, req: np.ndarray, ctx: BSPRankContext) -> None:
         """Lines 11-15: park arriving requests on their target node.

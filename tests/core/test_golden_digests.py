@@ -1,9 +1,15 @@
-"""Pinned ``edges_digest`` values for Algorithm 3.2 (``x > 1``).
+"""Pinned ``edges_digest`` values for Algorithms 3.1 (``x = 1``) and 3.2.
 
-Most x>1 tests compare one engine with another, so a change that alters the
-bsp and mp graphs the same way would pass them.  These digests pin the exact
+Most tests compare one engine with another, so a change that alters the bsp
+and mp graphs the same way would pass them.  These digests pin the exact
 graphs: a deliberate change to the draw protocol or to the order in which
 duplicate arbitration picks winners must re-record them.
+
+The ``x = 1`` cases pin the protocol as well as the graph: supersteps,
+per-rank ``requests_sent`` and ``simulated_time``.  Simulated time is a float
+sum of per-call compute charges, so regrouping the same work items into
+fewer ``ctx.charge`` calls moves it in the last bits only; it is compared to
+a relative ``1e-12``, far below one work item's share of it.
 """
 
 import itertools
@@ -11,6 +17,7 @@ import itertools
 import pytest
 
 from repro import generate
+from repro.core.parallel_pa import run_parallel_pa_x1
 from repro.core.parallel_pa_general import run_parallel_pa
 from repro.core.partitioning import make_partition
 from repro.core.spill import edges_digest
@@ -78,6 +85,31 @@ BSP_DIGESTS = {
 }
 
 
+#: ``(P, scheme, p) -> (edges_digest[:16], supersteps, requests_sent per rank,
+#: simulated_time)`` of ``run_parallel_pa_x1`` at ``n = N`` and
+#: ``seed = 100 + 10 P + 10 p``
+X1_PROTOCOL = {
+    (1, 'rrp', 0.2): ('e3eaf4a974224d28', 1, (0,), 0.00107468),
+    (1, 'rrp', 0.9): ('5dcd9179daa41d29', 1, (0,), 0.0009263599999999999),
+    (1, 'ucp', 0.2): ('e3eaf4a974224d28', 1, (0,), 0.00107468),
+    (1, 'ucp', 0.9): ('5dcd9179daa41d29', 1, (0,), 0.0009263599999999999),
+    (1, 'lcp', 0.2): ('e3eaf4a974224d28', 1, (0,), 0.00107468),
+    (1, 'lcp', 0.9): ('5dcd9179daa41d29', 1, (0,), 0.0009263599999999999),
+    (3, 'rrp', 0.2): ('e87a2d20ceb5709d', 10, (108, 86, 114), 0.0006487332799999998),
+    (3, 'rrp', 0.9): ('cc08fb26df0c5b64', 4, (10, 9, 9), 0.0003463294400000001),
+    (3, 'ucp', 0.2): ('c130975b2a1e63f8', 4, (0, 117, 132), 0.0007900875200000001),
+    (3, 'ucp', 0.9): ('6c18ffc25080118c', 3, (0, 9, 9), 0.0003394104000000001),
+    (3, 'lcp', 0.2): ('99917fb4ea642a21', 4, (0, 101, 154), 0.00087178496),
+    (3, 'lcp', 0.9): ('893840927c535f9e', 4, (0, 7, 14), 0.00044268176000000005),
+    (4, 'rrp', 0.2): ('8605dbe59133845c', 12, (88, 83, 94, 93), 0.0005439259199999999),
+    (4, 'rrp', 0.9): ('9f7b32ff86c2e23e', 4, (11, 12, 12, 14), 0.00027371408000000005),
+    (4, 'ucp', 0.2): ('b4e9b537423435c3', 5, (0, 87, 92, 102), 0.0006724873600000001),
+    (4, 'ucp', 0.9): ('170a1b2b885d75c8', 4, (0, 14, 10, 15), 0.00028622288000000005),
+    (4, 'lcp', 0.2): ('83c59cac4d4a5a4a', 5, (0, 69, 97, 139), 0.00076011808),
+    (4, 'lcp', 0.9): ('115577e75773170d', 4, (0, 11, 10, 19), 0.00037926032000000005),
+}
+
+
 def _seed(x: int, P: int, p: float) -> int:
     return x * 100 + P * 10 + int(p * 10)
 
@@ -89,6 +121,53 @@ def _seed(x: int, P: int, p: float) -> int:
 def test_bsp_digest(x, P, scheme, p):
     edges, _, _ = run_parallel_pa(N, x, make_partition(scheme, N, P), p=p, seed=_seed(x, P, p))
     assert edges_digest(edges)[:16] == BSP_DIGESTS[(x, P, scheme, p)]
+
+
+def _check_protocol(expected, edges, supersteps, requests_sent, simulated_time):
+    digest, steps, requests, sim = expected
+    got = (edges_digest(edges)[:16], supersteps, tuple(int(r) for r in requests_sent))
+    assert got == (digest, steps, requests)
+    assert simulated_time == pytest.approx(sim, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "P,scheme,p", list(itertools.product((1, 3, 4), ("rrp", "ucp", "lcp"), (0.2, 0.9)))
+)
+def test_x1_bsp_protocol(P, scheme, p):
+    edges, engine, programs = run_parallel_pa_x1(
+        N, make_partition(scheme, N, P), p=p, seed=_seed(1, P, p)
+    )
+    _check_protocol(
+        X1_PROTOCOL[(P, scheme, p)], edges, engine.supersteps,
+        [pr.requests_sent for pr in programs], engine.simulated_time,
+    )
+
+
+@pytest.mark.parametrize(
+    "engine,spill,checkpoint,seed,expected",
+    [
+        ("mp", False, False, 31,
+         ('c40a92e017d452bc', 10, (330, 327, 321), 0.0024424313600000004)),
+        ("bsp", True, False, 32,
+         ('374c7389a42b5650', 10, (345, 333, 324), 0.0024544899199999996)),
+        ("mp", True, False, 33,
+         ('39196af688d6ab11', 9, (362, 344, 370), 0.00254284944)),
+        ("bsp", False, True, 34,
+         ('739e1cb38140c037', 8, (341, 324, 322), 0.002469314560000001)),
+    ],
+    ids=["mp", "spilled-bsp", "spilled-mp", "supervised-bsp"],
+)
+def test_x1_generate_protocol(tmp_path, engine, spill, checkpoint, seed, expected):
+    kwargs = {}
+    if spill:
+        kwargs.update(out_of_core=str(tmp_path / "spill"), spill_budget_bytes=4096)
+    if checkpoint:
+        kwargs.update(checkpoint_dir=str(tmp_path / "ckpt"))
+    result = generate(3000, x=1, ranks=3, engine=engine, seed=seed, **kwargs)
+    _check_protocol(
+        expected, result.edges, result.supersteps, result.requests_sent,
+        result.simulated_time,
+    )
 
 
 def test_mp_digest():

@@ -1,13 +1,21 @@
 """Tests for Algorithm 3.1 (x = 1) on the BSP engine."""
 
+import math
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.parallel_pa import run_parallel_pa_x1
+from repro.core.arena import RecordQueue
+from repro.core.chains import dependency_chain_lengths
+from repro.core.parallel_pa import RECORD_DTYPE, RES, PAx1RankProgram, run_parallel_pa_x1
 from repro.core.partitioning import make_partition
+from repro.graph.edgelist import EdgeList
 from repro.graph.validation import validate_pa_graph
+from repro.mpsim.bsp import BSPEngine
+from repro.rng import StreamFactory
 
 SCHEMES = ["ucp", "lcp", "rrp"]
 
@@ -106,3 +114,136 @@ class TestErrors:
         part = make_partition("rrp", 100, 4)
         with pytest.raises(ValueError, match="partition covers"):
             run_parallel_pa_x1(200, part, seed=0)
+
+
+class _CountingQueue(RecordQueue):
+    """A RecordQueue that counts ``columns()`` calls: one per sweep pass."""
+
+    def __init__(self, ncols, capacity=64):
+        super().__init__(ncols, capacity)
+        self.passes = 0
+
+    def columns(self):
+        self.passes += 1
+        return super().columns()
+
+
+class _Ctx:
+    """Stand-in for BSPRankContext that sums the charged work items."""
+
+    def __init__(self):
+        self.work_items = 0
+
+    def charge(self, nodes=0, work_items=0):
+        self.work_items += work_items
+
+
+def _x1_draws(n, p, seed):
+    """The ``(k, direct)`` draws a one-rank run makes, in chains.py's layout."""
+    t = np.arange(2, n, dtype=np.int64)
+    u = StreamFactory(seed).stream(0).random(2 * len(t))
+    k = np.zeros(n, dtype=np.int64)
+    direct = np.zeros(n, dtype=bool)
+    direct[1] = True
+    k[2:] = 1 + (u[0::2] * (t - 1)).astype(np.int64)
+    direct[2:] = u[1::2] < p
+    return k, direct
+
+
+class TestLocalSweep:
+    """The pend queue pointer-jumps through ``F`` (``F[t] = -2 - kidx``)."""
+
+    @pytest.mark.parametrize("n,p,seed", [(20_000, 0.2, 1), (5_000, 0.05, 2), (3_000, 0.5, 3)])
+    def test_all_local_chains_resolve_in_log_passes(self, n, p, seed):
+        part = make_partition("ucp", n, 1)
+        prog = PAx1RankProgram(
+            0, part, p, StreamFactory(seed).stream(0), queue_factory=_CountingQueue
+        )
+        BSPEngine(1).run([prog])
+        assert prog.done
+        l_max = int(dependency_chain_lengths(*_x1_draws(n, p, seed)).max())
+        assert l_max >= 8  # long enough that one pass per level would fail
+        assert prog._pend.passes <= math.ceil(math.log2(l_max)) + 2
+
+        edges, _, _ = run_parallel_pa_x1(n, part, p=p, seed=seed)
+        assert prog.local_edges() == edges
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("P", [2, 4])
+    def test_pending_waits_point_at_anchors(self, scheme, P):
+        n, p, seed = 3_000, 0.2, 11
+        part = make_partition(scheme, n, P)
+        checked = []
+
+        class Checked(PAx1RankProgram):
+            def step(self, ctx, inbox):
+                out = super().step(ctx, inbox)
+                waits = np.flatnonzero(self.F < -1)
+                # after a sweep no jump is left: each wait points at a node
+                # that itself waits on a remote reply
+                assert (self.F[-2 - self.F[waits]] == -1).all()
+                assert np.array_equal(np.sort(self._pend.column(0)), waits)
+                checked.append(len(waits))
+                return out
+
+        factory = StreamFactory(seed)
+        progs = [Checked(r, part, p, factory.stream(r)) for r in range(P)]
+        BSPEngine(P).run(progs)
+        assert any(checked)  # some step did hold anchored waits
+        edges, _, _ = run_parallel_pa_x1(n, part, p=p, seed=seed)
+        got = [np.concatenate(cols) for cols in zip(*(pr.result() for pr in progs))]
+        assert EdgeList.from_arrays(*got) == edges
+
+    def test_hand_built_chains(self):
+        # rank 1 of ucp(10, 2) owns nodes 5..9 at local slots 0..4
+        part = make_partition("ucp", 10, 2)
+        prog = PAx1RankProgram(
+            1, part, 0.5, StreamFactory(0).stream(1), queue_factory=_CountingQueue
+        )
+        ctx = _Ctx()
+        # node 5 waits on a remote reply (the anchor); 7 -> 6 -> 5 is a
+        # local chain ending at it; 9 -> 8 is a chain of length 1 ending at
+        # the resolved node 8
+        prog.F[:] = [-1, -2 - 0, -2 - 1, 3, -2 - 3]
+        prog._pend.push(np.array([1, 2, 4]))
+        unresolved = prog._unresolved
+
+        prog._local_sweep(ctx)
+        assert prog.F.tolist() == [-1, -2, -2, 3, 3]
+        assert prog._pend.column(0).tolist() == [1, 2]
+        assert (ctx.work_items, prog._unresolved) == (1, unresolved - 1)
+        assert prog._pend.passes == 2  # one jump pass, one pass without
+
+        reply = np.zeros(1, dtype=RECORD_DTYPE)
+        reply["kind"], reply["t"], reply["a"] = RES, 5, 4
+        prog._apply_resolved(reply, ctx)
+        prog._local_sweep(ctx)
+        assert prog.F.tolist() == [4, 4, 4, 3, 3]
+        assert len(prog._pend) == 0
+        assert prog._pend.passes == 3
+        assert (ctx.work_items, prog._unresolved) == (4, unresolved - 4)
+
+    def test_empty_pend_queue(self):
+        part = make_partition("ucp", 10, 2)
+        prog = PAx1RankProgram(
+            1, part, 0.5, StreamFactory(0).stream(1), queue_factory=_CountingQueue
+        )
+        ctx = _Ctx()
+        prog._local_sweep(ctx)
+        assert (prog._pend.passes, ctx.work_items) == (0, 0)
+        assert (prog.F == -1).all()
+
+    def test_two_column_pend_queue_fails_loudly(self):
+        """A checkpoint from before local waits moved into ``F`` held a
+        ``(t idx, k idx)`` pend queue and ``-1`` in ``F`` for local waits."""
+        part = make_partition("ucp", 10, 2)
+        prog = PAx1RankProgram(1, part, 0.5, StreamFactory(0).stream(1))
+        prog._started = True
+        prog._pend = RecordQueue(2)
+        resumed = pickle.loads(pickle.dumps(prog))
+        assert resumed.step(_Ctx(), []) == {}  # an empty old queue is inert
+
+        prog._pend.push(np.array([2]), np.array([1]))
+        resumed = pickle.loads(pickle.dumps(prog))
+        with pytest.raises(ValueError, match="pend queue has 2 columns"):
+            resumed.step(_Ctx(), [])
