@@ -266,59 +266,43 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    from repro.core.generator import generate
+    from repro.core.generator import check_run, generate
     from repro.graph import io as gio
 
-    if args.pool and args.engine != "mp":
-        print("--pool requires --engine mp", file=sys.stderr)
-        return 2
-    if args.pool and (args.checkpoint or args.checkpoint_dir):
-        print("--pool cannot checkpoint (pooled workers outlive any single "
-              "job's recovery lifecycle); drop --pool to snapshot and resume",
-              file=sys.stderr)
-        return 2
-    if args.generator == "commfree":
-        if args.inject_faults is not None:
-            print("--generator commfree has no distributed state to crash "
-                  "(every slice is recomputable from the seed); drop "
-                  "--inject-faults", file=sys.stderr)
-            return 2
-        if args.checkpoint or args.checkpoint_dir:
-            print("--generator commfree has nothing to snapshot (rerunning "
-                  "a pure slice is the recovery); drop --checkpoint/"
-                  "--checkpoint-dir", file=sys.stderr)
-            return 2
-        if args.pool:
-            print("--pool runs copy-model rank programs; --generator "
-                  "commfree forks its own slice workers — drop --pool",
-                  file=sys.stderr)
-            return 2
-        if args.engine == "event":
-            print("--generator commfree sends no messages, so the event-"
-                  "driven simulator has nothing to simulate; use --engine "
-                  "sequential, bsp, or mp", file=sys.stderr)
-            return 2
-    if args.out_of_core is not None:
-        if args.engine == "event":
-            print("--out-of-core bounds edge-storage memory; the event-"
-                  "driven simulator is a small-n demonstrator — use "
-                  "--engine bsp or mp", file=sys.stderr)
-            return 2
-        if args.pool:
-            print("--out-of-core redirects worker results into a per-run "
-                  "spill directory; pooled workers outlive the run — drop "
-                  "--pool", file=sys.stderr)
-            return 2
-        if args.checkpoint or args.checkpoint_dir:
-            print("--out-of-core spills edges, checkpointing spills program "
-                  "state; the two shard lifecycles cannot combine yet — "
-                  "drop --checkpoint/--checkpoint-dir", file=sys.stderr)
-            return 2
     tel = None
     if args.trace_out is not None or args.metrics_out is not None:
         from repro.telemetry import Telemetry
 
         tel = Telemetry()
+    spec = dict(
+        n=args.nodes,
+        x=args.edges_per_node,
+        p=args.prob,
+        ranks=args.ranks,
+        scheme=args.scheme,
+        engine=args.engine,
+        exchange=args.exchange,
+        seed=args.seed,
+        checkpoint_path=str(args.checkpoint) if args.checkpoint else None,
+        checkpoint_every=args.checkpoint_every,
+        checkpoint_dir=str(args.checkpoint_dir) if args.checkpoint_dir else None,
+        checkpoint_keep=args.checkpoint_keep,
+        fault_seed=args.inject_faults,
+        max_retries=args.max_retries,
+        barrier_timeout=args.barrier_timeout,
+        liveness_poll=args.liveness_poll,
+        # a pooled run attaches telemetry to the pool at fork time
+        telemetry=None if args.pool else tel,
+        generator=args.generator,
+        out_of_core=str(args.out_of_core) if args.out_of_core else None,
+        spill_budget_bytes=int(args.spill_budget_mb * (1 << 20)),
+    )
+    try:
+        # before the pool forks: a stand-in marks that one will be passed
+        check_run(**spec, pool=True if args.pool else None)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     pool = None
     if args.pool:
         from repro.mpsim.pool import WorkerPool
@@ -328,31 +312,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                           liveness_poll=args.liveness_poll)
     t0 = time.perf_counter()
     try:
-        result = generate(
-            n=args.nodes,
-            x=args.edges_per_node,
-            p=args.prob,
-            ranks=args.ranks,
-            scheme=args.scheme,
-            engine=args.engine,
-            exchange=args.exchange,
-            pool=pool,
-            seed=args.seed,
-            checkpoint_path=str(args.checkpoint) if args.checkpoint else None,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_dir=str(args.checkpoint_dir) if args.checkpoint_dir else None,
-            checkpoint_keep=args.checkpoint_keep,
-            fault_seed=args.inject_faults,
-            max_retries=args.max_retries,
-            barrier_timeout=args.barrier_timeout,
-            liveness_poll=args.liveness_poll,
-            # a pooled run attaches telemetry to the pool at fork time
-            # (generate() refuses telemetry= alongside pool=)
-            telemetry=None if pool is not None else tel,
-            generator=args.generator,
-            out_of_core=str(args.out_of_core) if args.out_of_core else None,
-            spill_budget_bytes=int(args.spill_budget_mb * (1 << 20)),
-        )
+        result = generate(**spec, pool=pool)
     finally:
         if pool is not None:
             pool.close()

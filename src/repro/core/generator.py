@@ -35,25 +35,48 @@ message pipeline for the communication-free family
 counter-based randomness instead of requesting them, so the ``mp`` surface
 degenerates to embarrassingly-parallel slice workers with no exchange at
 all.
+
+Which knobs combine is decided in one place: :data:`CONFLICTS` lists every
+rejected combination with its one-line reason, and :func:`check_run` applies
+it before anything is forked or written (the CLI calls it too).
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from typing import Any
+from pathlib import Path
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from repro.core.parallel_pa import run_parallel_pa_x1
-from repro.core.parallel_pa_general import run_parallel_pa
+from repro.core.commfree import (
+    commfree,
+    commfree_edge_counts,
+    commfree_edge_slice,
+    commfree_mp,
+    commfree_slices,
+    stream_commfree_x1,
+)
+from repro.core.parallel_pa import PAx1RankProgram
+from repro.core.parallel_pa_general import PAGeneralRankProgram
 from repro.core.partitioning import Partition, make_partition
+from repro.core.streaming import stream_copy_model_x1
 from repro.graph.degree import degrees_from_edges
 from repro.graph.edgelist import EdgeList
 from repro.graph.validation import ValidationReport, validate_pa_graph
+from repro.mpsim.bsp import BSPEngine
+from repro.mpsim.checkpoint import Checkpointer
 from repro.mpsim.costmodel import CostModel
+from repro.mpsim.faults import FaultPlan
+from repro.mpsim.mp_backend import MultiprocessingBSPEngine, _check_mp_fault_plan
+from repro.mpsim.supervisor import Supervisor
+from repro.rng import StreamFactory
+from repro.seq.copy_model import copy_model
 from repro.telemetry.collector import resolve
 
-__all__ = ["GenerationResult", "generate"]
+__all__ = ["CONFLICTS", "Conflict", "GenerationResult", "check_run", "generate"]
 
 
 @dataclass
@@ -112,6 +135,180 @@ class GenerationResult:
         return validate_pa_graph(self.edges, self.n, self.x)
 
 
+class Conflict(NamedTuple):
+    """One row of :data:`CONFLICTS`."""
+
+    #: short label for the combination
+    name: str
+    #: predicate over :func:`generate`'s keywords (plus ``checkpointing``
+    #: and ``faults``, see :func:`check_run`); true means rejected
+    when: Callable[[SimpleNamespace], bool]
+    #: the one-line reason, ``str.format``-ed with :func:`generate`'s keywords
+    reason: str
+
+
+#: Every combination of :func:`generate` keywords that is rejected, in the
+#: order :func:`check_run` tests them; the first matching row's reason is
+#: the error.
+CONFLICTS: tuple[Conflict, ...] = (
+    Conflict(
+        "unknown-generator", lambda k: k.generator not in ("copy", "commfree"),
+        "unknown generator {generator!r}; choose 'copy' or 'commfree'",
+    ),
+    Conflict(
+        "unknown-engine",
+        lambda k: k.engine not in ("bsp", "event", "sequential", "mp"),
+        "unknown engine {engine!r}; choose bsp, event, sequential, or mp",
+    ),
+    Conflict("x", lambda k: k.x < 1, "x must be >= 1, got x={x}"),
+    Conflict(
+        "ranks", lambda k: k.partition is None and k.ranks < 1,
+        "ranks must be >= 1, got ranks={ranks}",
+    ),
+    Conflict(
+        "n-not-above-x", lambda k: k.x > 1 and k.n <= k.x,
+        "need n > x, got n={n}, x={x}",
+    ),
+    Conflict(
+        "partition-size", lambda k: k.partition is not None and k.partition.n != k.n,
+        "partition covers n={partition.n}, requested n={n}",
+    ),
+    Conflict(
+        "evolve-event", lambda k: k.evolve is not None and k.engine == "event",
+        "evolve= churns the generated graph on the sequential, bsp, or mp "
+        "engine; engine='event' cannot run the evolution",
+    ),
+    Conflict(
+        "evolve-out-of-core",
+        lambda k: k.evolve is not None and k.out_of_core is not None,
+        "evolve= keeps the evolving edge arrays in RAM; drop out_of_core=",
+    ),
+    Conflict(
+        "spill-budget",
+        lambda k: k.out_of_core is not None and k.spill_budget_bytes < 1,
+        "spill_budget_bytes must be >= 1, got {spill_budget_bytes}",
+    ),
+    Conflict(
+        "out-of-core-event",
+        lambda k: k.out_of_core is not None and k.engine == "event",
+        "out_of_core= bounds edge memory, and the event-driven simulator is a "
+        "small-n demonstrator — use engine='bsp' or 'mp'",
+    ),
+    Conflict(
+        "out-of-core-sequential-x",
+        lambda k: k.out_of_core is not None and k.engine == "sequential"
+        and k.x != 1,
+        "sequential out-of-core needs a streaming emitter, and only x=1 has "
+        "one — use engine='bsp' or 'mp', or x=1",
+    ),
+    Conflict(
+        "out-of-core-pool", lambda k: k.out_of_core is not None and k.pool is not None,
+        "out_of_core= writes into a per-run directory that pooled workers "
+        "would outlive — drop pool=",
+    ),
+    Conflict(
+        "out-of-core-checkpoint",
+        lambda k: k.out_of_core is not None and k.checkpointing,
+        "out_of_core= and checkpointing would combine two shard lifecycles, "
+        "which is not supported — drop checkpoint_path/checkpoint_dir",
+    ),
+    Conflict(
+        "commfree-faults", lambda k: k.generator == "commfree" and k.faults,
+        "commfree has no distributed state to crash: rerunning a slice is the "
+        "recovery — drop fault_plan/fault_seed",
+    ),
+    Conflict(
+        "commfree-checkpoint", lambda k: k.generator == "commfree" and k.checkpointing,
+        "commfree has nothing to snapshot: any slice is recomputable from "
+        "the seed alone — drop checkpoint_path/checkpoint_dir",
+    ),
+    Conflict(
+        "commfree-schedule",
+        lambda k: k.generator == "commfree" and k.schedule is not None,
+        "schedule= permutes message delivery order; commfree exchanges no "
+        "messages — drop schedule=",
+    ),
+    Conflict(
+        "commfree-pool", lambda k: k.generator == "commfree" and k.pool is not None,
+        "pool= runs copy-model rank programs on pooled workers; commfree "
+        "forks its own trivially-parallel slice workers — drop pool=",
+    ),
+    Conflict(
+        "commfree-partition",
+        lambda k: k.generator == "commfree" and k.partition is not None,
+        "commfree owns contiguous node slices, which is what reproduces the "
+        "sequential edge order — drop partition=",
+    ),
+    Conflict(
+        "commfree-event", lambda k: k.generator == "commfree" and k.engine == "event",
+        "a zero-message algorithm leaves the event-driven simulator nothing "
+        "to simulate — use engine 'sequential', 'bsp', or 'mp'",
+    ),
+    Conflict(
+        "schedule-engine",
+        lambda k: k.schedule is not None and k.engine not in ("bsp", "event"),
+        "schedule= permutes the in-process engines' choice points; "
+        "engine={engine!r} does not expose them (use 'bsp' or 'event')",
+    ),
+    Conflict(
+        "schedule-supervised",
+        lambda k: k.schedule is not None and k.checkpoint_dir is not None,
+        "schedule= is single-use, so a supervised re-run would replay a "
+        "half-consumed decision stream — drop checkpoint_dir=",
+    ),
+    Conflict(
+        "pool-engine", lambda k: k.pool is not None and k.engine != "mp",
+        "pool= runs the job on live worker processes; engine={engine!r} "
+        "forks none — use engine='mp'",
+    ),
+    Conflict(
+        "pool-telemetry", lambda k: k.pool is not None and resolve(k.telemetry).enabled,
+        "telemetry= cannot attach to a running WorkerPool; build the pool "
+        "with WorkerPool(..., telemetry=tel) instead",
+    ),
+    Conflict(
+        "pool-checkpoint", lambda k: k.pool is not None and k.checkpointing,
+        "checkpointing needs one-shot workers, and pooled workers outlive "
+        "any job's recovery — drop pool=",
+    ),
+    Conflict(
+        "sequential-ranks", lambda k: k.engine == "sequential" and k.ranks != 1,
+        "sequential engine requires ranks=1",
+    ),
+    Conflict(
+        "sequential-faults", lambda k: k.engine == "sequential" and k.faults,
+        "fault injection requires a parallel engine",
+    ),
+    Conflict(
+        "checkpoint-engine",
+        lambda k: k.checkpointing and k.engine in ("sequential", "event"),
+        "checkpointing needs superstep boundaries to snapshot at and "
+        "engine={engine!r} has none — use engine='bsp' or 'mp'",
+    ),
+)
+
+
+def check_run(**knobs: Any) -> None:
+    """Reject an invalid :func:`generate` call before it forks or writes.
+
+    Takes :func:`generate`'s keywords and raises :class:`ValueError` with
+    the reason of the first matching :data:`CONFLICTS` row.  On
+    ``engine="mp"`` it also rejects fault plans real processes cannot
+    realise.  ``pool`` is only compared with ``None``, so a caller that
+    forks its pool after the check may pass any stand-in.
+    """
+    bound = inspect.signature(generate).bind(**knobs)
+    bound.apply_defaults()
+    k = SimpleNamespace(**bound.arguments)
+    k.checkpointing = k.checkpoint_path is not None or k.checkpoint_dir is not None
+    k.faults = k.fault_plan is not None or k.fault_seed is not None
+    for row in CONFLICTS:
+        if row.when(k):
+            raise ValueError(row.reason.format(**bound.arguments))
+    if k.engine == "mp":
+        _check_mp_fault_plan(k.fault_plan)
+
+
 def generate(
     n: int,
     x: int = 1,
@@ -142,6 +339,11 @@ def generate(
 ) -> GenerationResult:
     """Generate a preferential-attachment network.
 
+    Knobs that do not combine (say ``out_of_core`` with checkpointing, or
+    ``pool`` with an engine other than ``"mp"``) are rejected up front with
+    a one-line :class:`ValueError`; :data:`CONFLICTS` lists every rule and
+    its reason.
+
     Parameters
     ----------
     n:
@@ -160,12 +362,10 @@ def generate(
         ``"commfree"`` — the communication-free family
         (:mod:`repro.core.commfree`): every draw is a pure function of
         ``(seed, slot)``, ranks recompute foreign endpoints locally, and
-        no messages exist to exchange.  Supports ``engine`` ``"sequential"``,
+        no messages exist to exchange.  Runs on the ``"sequential"``,
         ``"bsp"`` (in-process slices), and ``"mp"`` (one forked worker per
-        slice); fault injection, checkpointing, schedules, pools, and
-        explicit partitions are meaningless without distributed state and
-        are rejected.  Same attachment statistics as the copy model, but a
-        *different* graph at equal seeds (different draw protocol).
+        slice) engines.  Same attachment statistics as the copy model, but
+        a *different* graph at equal seeds (different draw protocol).
     seed:
         Root seed; identical inputs reproduce the identical graph.
     engine:
@@ -190,8 +390,7 @@ def generate(
         :func:`repro.mpsim.checkpoint.resume` is bit-exact.  On ``mp``,
         workers write per-rank shards and the coordinator commits each
         complete cut as an ordinary manifest, so the snapshot is loadable by
-        either engine.  Not supported with ``pool=`` (pooled workers
-        outlive any single job's recovery lifecycle) or ``engine="event"``.
+        either engine.
     checkpoint_dir, checkpoint_keep:
         When ``checkpoint_dir`` is set (``bsp`` and ``mp`` engines),
         snapshots rotate through ``checkpoint_keep`` generations under that
@@ -221,8 +420,8 @@ def generate(
         wakeups; the default (0.25 s) matches prior releases.
     schedule:
         Optional :class:`repro.schedsim.Schedule` permuting message delivery
-        and rank activation order (in-process ``bsp``/``event`` engines
-        only — the real-process backend's interleavings are the OS's to
+        and rank activation order in the in-process ``bsp``/``event``
+        engines (the real-process backend's interleavings are the OS's to
         make).  Used by ``repro-pa explore``; see
         ``docs/schedule_exploration.md``.
     telemetry:
@@ -231,10 +430,9 @@ def generate(
         it for export — ``telemetry.to_chrome_trace("run.trace.json")``,
         ``telemetry.to_prometheus()`` — see ``docs/observability.md``.
         Observation-only: the generated graph is bit-identical with
-        telemetry on or off.  Not supported together with ``pool=`` —
-        construct the :class:`~repro.mpsim.pool.WorkerPool` with
-        ``telemetry=`` instead (the ring must exist before its workers
-        fork).
+        telemetry on or off.  A pooled run is observed by constructing the
+        :class:`~repro.mpsim.pool.WorkerPool` with ``telemetry=`` (the ring
+        must exist before its workers fork).
     out_of_core, spill_budget_bytes:
         When ``out_of_core`` names a directory, the run spills its edges to
         disk instead of accumulating them in RAM: the coordinator pre-sizes
@@ -244,19 +442,16 @@ def generate(
         copying an edge).  ``result.edges`` is a
         :class:`repro.core.spill.SpillEdgeList`; ``spill_budget_bytes``
         (default 64 MiB) bounds its in-RAM write buffer and the
-        verification reads.  Supported on
-        the ``sequential`` (``x=1`` streaming emitters), ``bsp``, and
-        ``mp`` engines for both generators; output is **bit-identical** to
-        the in-RAM path at every rank count.  See ``docs/performance.md``
+        verification reads.  The ``sequential`` engine spills through the
+        ``x=1`` streaming emitters.  Output is **bit-identical** to the
+        in-RAM path at every rank count.  See ``docs/performance.md``
         (out-of-core section) for the format and the RSS budget semantics.
     evolve:
         Optional :class:`repro.dyngraph.ChurnSchedule`: after generation
         the graph churns under it (on the same engine and rank count) and
         the :class:`repro.dyngraph.evolve.EvolutionResult` lands on the
         result's ``evolution`` attribute; ``result.edges`` stays the
-        static base graph.  Supported on the ``sequential``, ``bsp``, and
-        ``mp`` engines; incompatible with ``out_of_core`` (the evolving
-        edge arrays live in RAM).  See ``docs/dynamic_networks.md``.
+        static base graph.  See ``docs/dynamic_networks.md``.
 
     Examples
     --------
@@ -266,673 +461,237 @@ def generate(
     >>> len(r.edges)
     5994
     """
+    knobs = dict(locals())  # the keywords are the run spec
+    check_run(**knobs)
+
     plan = fault_plan
     if plan is None and fault_seed is not None:
-        from repro.mpsim.faults import FaultPlan
-
         plan = FaultPlan.chaos(fault_seed, ranks, crashes=1)
-
-    if generator not in ("copy", "commfree"):
-        raise ValueError(
-            f"unknown generator {generator!r}; choose 'copy' or 'commfree'"
-        )
-    if evolve is not None:
-        if engine not in ("sequential", "bsp", "mp"):
-            raise ValueError(
-                "evolve= churns the generated graph on the sequential, bsp, "
-                f"or mp engine; engine={engine!r} cannot run the evolution"
-            )
-        if out_of_core is not None:
-            raise ValueError(
-                "evolve= materialises the evolving edge arrays in RAM; "
-                "drop out_of_core= (or evolve the spilled graph separately "
-                "via repro.dyngraph.evolve)"
-            )
-    if out_of_core is not None:
-        if spill_budget_bytes < 1:
-            raise ValueError(
-                f"spill_budget_bytes must be >= 1, got {spill_budget_bytes}"
-            )
-        if engine == "event":
-            raise ValueError(
-                "out_of_core= bounds edge-storage memory; the event-driven "
-                "simulator is a small-n demonstrator whose edges trivially "
-                "fit in RAM — use engine='bsp' or 'mp'"
-            )
-        if pool is not None:
-            raise ValueError(
-                "out_of_core= redirects worker results into a per-run spill "
-                "directory; pooled workers outlive the run and its "
-                "directory — drop pool="
-            )
-        if checkpoint_path is not None or checkpoint_dir is not None:
-            raise ValueError(
-                "out_of_core= spills edges, checkpointing spills program "
-                "state; combining the two shard lifecycles is not supported "
-                "yet — drop checkpoint_path/checkpoint_dir"
-            )
-    if generator == "commfree":
-        if plan is not None:
-            raise ValueError(
-                "fault injection needs distributed state to damage; a "
-                "commfree slice is a pure function of (seed, range) and "
-                "rerunning it *is* the recovery — drop fault_plan/fault_seed"
-            )
-        if checkpoint_path is not None or checkpoint_dir is not None:
-            raise ValueError(
-                "checkpointing needs superstep state to snapshot; commfree "
-                "has none (any slice is recomputable from the seed alone) — "
-                "drop checkpoint_path/checkpoint_dir"
-            )
-        if schedule is not None:
-            raise ValueError(
-                "schedule= permutes message delivery order; commfree "
-                "exchanges no messages — drop schedule="
-            )
-        if pool is not None:
-            raise ValueError(
-                "pool= runs copy-model rank programs on pooled workers; "
-                "commfree forks its own trivially-parallel slice workers — "
-                "drop pool="
-            )
-        if partition is not None:
-            raise ValueError(
-                "commfree always owns contiguous node slices (that is what "
-                "makes rank-order concatenation reproduce the sequential "
-                "edge order) — drop partition="
-            )
-        return _attach_evolution(
-            _generate_commfree(
-                n, x, p, ranks, seed, engine, cost_model, telemetry,
-                out_of_core=out_of_core, spill_budget_bytes=spill_budget_bytes,
-            ),
-            evolve, engine, ranks, exchange, cost_model, telemetry,
-        )
-
-    if schedule is not None:
-        if engine not in ("bsp", "event"):
-            raise ValueError(
-                "schedule= permutes the in-process engines' choice points; "
-                f"engine={engine!r} does not expose them (use 'bsp' or 'event')"
-            )
-        if checkpoint_dir is not None:
-            raise ValueError(
-                "schedule= cannot compose with supervised recovery: a "
-                "Schedule is single-use and a recovered re-run would replay "
-                "a half-consumed decision stream"
-            )
-
     tel = resolve(telemetry)
     if tel.enabled:
-        if pool is not None:
-            raise ValueError(
-                "telemetry= cannot attach to a running WorkerPool: the "
-                "telemetry ring must exist before the workers fork; build "
-                "the pool with WorkerPool(..., telemetry=tel) instead"
-            )
         tel.meta.update(
-            engine=engine, n=n, x=x, p=p, scheme=scheme, ranks=ranks, seed=seed
+            engine=engine, generator=generator, n=n, x=x, p=p, ranks=ranks,
+            scheme="contig" if generator == "commfree" else scheme, seed=seed,
         )
 
-    if engine == "sequential":
-        if ranks != 1:
-            raise ValueError("sequential engine requires ranks=1")
-        if plan is not None:
-            raise ValueError("fault injection requires a parallel engine")
-        if checkpoint_path is not None or checkpoint_dir is not None:
-            raise ValueError(
-                "checkpointing requires a superstep engine (engine='bsp' or "
-                "'mp'); the sequential model runs in one shot"
-            )
-        from repro.seq.copy_model import copy_model
-
-        if out_of_core is not None:
-            if x != 1:
-                raise ValueError(
-                    "sequential out-of-core needs a streaming emitter and "
-                    "only the x=1 copy stream has one — use engine='bsp' or "
-                    "'mp' (whose rank programs spill their results), or x=1"
-                )
-            from repro.core.streaming import stream_copy_model_x1
-
-            with tel.span("copy_stream.spill", cat="compute", tid=0, n=n):
-                edges = _spill_stream(
-                    out_of_core, spill_budget_bytes, n,
-                    stream_copy_model_x1(n, p=p, seed=seed),
-                )
+    if engine == "sequential" or generator == "commfree":
+        if engine == "sequential":
+            edges, sizes = _run_sequential(tel, **knobs), np.array([n], np.int64)
         else:
-            with tel.span("copy_model", cat="compute", tid=0, n=n, x=x):
-                edges = copy_model(n, x=x, p=p, seed=seed)
+            edges, sizes = _run_commfree_slices(tel, **knobs)
+        # one-shot runs: pure compute, split perfectly over the ranks
         cost = cost_model or CostModel()
-        return _attach_evolution(
-            GenerationResult(
-                edges=edges,
-                n=n,
-                x=x,
-                p=p,
-                scheme="none",
-                ranks=1,
-                engine=engine,
-                seed=seed,
-                simulated_time=cost.compute_time(n, work_items=len(edges)),
-                supersteps=0,
-                nodes_per_rank=np.array([n], dtype=np.int64),
-                requests_sent=np.zeros(1, np.int64),
-                requests_received=np.zeros(1, np.int64),
-            ),
-            evolve, engine, 1, exchange, cost_model, telemetry,
-        )
-
-    part = partition if partition is not None else make_partition(scheme, n, ranks)
-    if part.n != n:
-        raise ValueError(f"partition covers n={part.n}, requested n={n}")
-
-    if engine == "event":
-        if checkpoint_path is not None or checkpoint_dir is not None:
-            raise ValueError(
-                "checkpointing requires engine='bsp' or engine='mp'; the "
-                "event-driven simulator has no superstep boundaries to "
-                "snapshot at"
-            )
-        from repro.core.event_driven import run_event_driven_pa
-
-        with tel.span("event.run", cat="run", tid=-1, n=n, x=x) as sp:
-            edges, sim = run_event_driven_pa(
-                n, x, part, p=p, seed=seed, cost_model=cost_model,
-                fault_injector=plan, schedule=schedule,
-            )
-            sp.note(virtual_total_s=sim.makespan)
-        return GenerationResult(
-            edges=edges,
-            n=n,
-            x=x,
-            p=p,
-            scheme=part.scheme,
-            ranks=part.P,
-            engine=engine,
-            seed=seed,
-            simulated_time=sim.makespan,
-            supersteps=0,
-            nodes_per_rank=part.sizes(),
-            requests_sent=np.zeros(part.P, np.int64),
-            requests_received=np.zeros(part.P, np.int64),
-            world_stats=sim.stats,
-            fault_plan=plan,
-        )
-
-    if engine == "mp":
-        return _attach_evolution(
-            _generate_mp(
-                n, x, p, part, seed, cost_model, exchange, pool, plan,
-                checkpoint_path, checkpoint_every, checkpoint_dir,
-                checkpoint_keep, max_retries, barrier_timeout, telemetry,
-                liveness_poll, out_of_core, spill_budget_bytes,
-            ),
-            evolve, engine, part.P, exchange, cost_model, telemetry,
-        )
-
-    if engine != "bsp":
-        raise ValueError(
-            f"unknown engine {engine!r}; choose bsp, event, sequential, or mp"
-        )
-
-    checkpointer = None
-    if checkpoint_dir is not None:
-        from pathlib import Path
-
-        from repro.mpsim.checkpoint import Checkpointer
-
-        checkpointer = Checkpointer(
-            Path(checkpoint_dir) / "run.ckpt", every=checkpoint_every,
-            keep=checkpoint_keep, telemetry=telemetry,
-        )
-    elif checkpoint_path is not None:
-        from repro.mpsim.checkpoint import Checkpointer
-
-        checkpointer = Checkpointer(
-            checkpoint_path, every=checkpoint_every, telemetry=telemetry
-        )
-
-    recoveries: list = []
-    if checkpoint_dir is not None:
-        # rotated checkpoints => run under the supervisor: crashes and
-        # deadlocks are recovered (bit-identically) instead of propagating
-        eng, programs = _run_supervised(
-            n, x, p, part, seed, cost_model, checkpointer, plan, max_retries,
-            telemetry,
-        )
-        edges = EdgeList(capacity=max(n * max(x, 1) - 1, 1))
-        for prog in programs:
-            u, v = prog.result()
-            edges.append_arrays(u, v)
-        recoveries = list(eng.stats.recoveries)
-    elif out_of_core is not None:
-        edges, eng, programs = _run_bsp_oocore(
-            n, x, p, part, seed, cost_model, plan, telemetry, schedule,
-            out_of_core, spill_budget_bytes,
-        )
-    elif x == 1:
-        edges, eng, programs = run_parallel_pa_x1(
-            n, part, p=p, seed=seed, cost_model=cost_model,
-            checkpointer=checkpointer, fault_plan=plan, telemetry=telemetry,
-            schedule=schedule,
+        run = dict(
+            edges=edges, scheme="contig" if generator == "commfree" else "none",
+            ranks=ranks, nodes_per_rank=sizes, supersteps=0,
+            simulated_time=cost.compute_time(n, work_items=len(edges)) / ranks,
+            requests_sent=np.zeros(ranks, np.int64),
+            requests_received=np.zeros(ranks, np.int64),
         )
     else:
-        edges, eng, programs = run_parallel_pa(
-            n, x, part, p=p, seed=seed, cost_model=cost_model,
-            checkpointer=checkpointer, fault_plan=plan, telemetry=telemetry,
-            schedule=schedule,
+        part = partition if partition is not None else make_partition(scheme, n, ranks)
+        if engine == "event":
+            from repro.core.event_driven import run_event_driven_pa
+
+            with tel.span("event.run", cat="run", tid=-1, n=n, x=x) as sp:
+                edges, sim = run_event_driven_pa(
+                    n, x, part, p=p, seed=seed, cost_model=cost_model,
+                    fault_injector=plan, schedule=schedule,
+                )
+                sp.note(virtual_total_s=sim.makespan)
+            run = dict(
+                edges=edges, simulated_time=sim.makespan, supersteps=0,
+                requests_sent=np.zeros(part.P, np.int64),
+                requests_received=np.zeros(part.P, np.int64),
+                world_stats=sim.stats,
+            )
+        else:
+            run = _run_supersteps(part, plan, **knobs)
+        run.update(scheme=part.scheme, ranks=part.P, nodes_per_rank=part.sizes())
+    result = GenerationResult(
+        n=n, x=x, p=p, engine=engine, seed=seed, fault_plan=plan, **run
+    )
+    if evolve is not None:
+        # churn on the same engine and rank count; result.edges stays the
+        # static base graph
+        from repro.dyngraph.evolve import evolve as _evolve
+
+        result.evolution = _evolve(
+            result.edges, n, evolve, engine=engine, ranks=result.ranks,
+            exchange=exchange, cost_model=cost_model, telemetry=telemetry,
         )
-    return _attach_evolution(
-        GenerationResult(
-            edges=edges,
-            n=n,
-            x=x,
-            p=p,
-            scheme=part.scheme,
-            ranks=part.P,
-            engine=engine,
-            seed=seed,
-            simulated_time=eng.simulated_time,
-            supersteps=eng.supersteps,
-            requests_sent=np.array(
-                [pr.requests_sent for pr in programs], dtype=np.int64
-            ),
-            requests_received=np.array(
-                [pr.requests_received for pr in programs], dtype=np.int64
-            ),
-            nodes_per_rank=part.sizes(),
-            world_stats=eng.stats,
-            recoveries=recoveries,
-            fault_plan=plan,
-        ),
-        evolve, engine, part.P, exchange, cost_model, telemetry,
-    )
-
-
-def _attach_evolution(
-    result: GenerationResult, schedule, engine, ranks, exchange, cost_model,
-    telemetry,
-) -> GenerationResult:
-    """Churn the generated graph when ``generate(..., evolve=)`` asked for it.
-
-    The evolution runs on the same engine and rank count as the generation
-    (the commfree mp surface exchanges nothing, but its evolution uses the
-    regular mp backend).  ``result.edges`` keeps the static base graph; the
-    evolved state and per-epoch deltas land on ``result.evolution``.
-    """
-    if schedule is None:
-        return result
-    from repro.dyngraph.evolve import evolve as _evolve
-
-    result.evolution = _evolve(
-        result.edges, result.n, schedule, engine=engine, ranks=ranks,
-        exchange=exchange, cost_model=cost_model, telemetry=telemetry,
-    )
     return result
 
 
-def _spill_stream(out_dir, budget_bytes, n, blocks):
-    """Write an x=1 streaming emitter's ``n - 1`` edges in place, block by
-    block, as the run's single region; return the adopted spilled list."""
-    from repro.core import spill
+def _run_supersteps(
+    part, plan, *, engine, n, x, p, seed, cost_model, exchange, pool,
+    checkpoint_path, checkpoint_every, checkpoint_dir, checkpoint_keep,
+    max_retries, barrier_timeout, liveness_poll, telemetry, schedule,
+    out_of_core, spill_budget_bytes, **_rest,
+) -> dict:
+    """Run the copy model's rank programs to quiescence on a superstep engine.
 
-    offsets = spill.prepare_regions(out_dir, [max(n - 1, 0)])
-    spill.write_edge_shards(out_dir, 0, offsets, blocks)
-    return spill.assemble_shards(out_dir, 1, budget_bytes)
-
-
-def _run_bsp_oocore(
-    n, x, p, part, seed, cost_model, plan, telemetry, schedule, out_dir,
-    budget_bytes,
-):
-    """The BSP generation with spilled wait queues and spilled results.
-
-    Runs the same rank programs as :func:`run_parallel_pa_x1` /
-    :func:`run_parallel_pa` (so the graph is bit-identical), but their
-    park/pend queues are memmap-backed and each rank's result is written
-    into its region of the final columns instead of concatenated in RAM.
+    ``engine="bsp"`` drives them in-process (:class:`BSPEngine`), ``"mp"`` in
+    forked workers (:class:`~repro.mpsim.mp_backend.MultiprocessingBSPEngine`,
+    or the caller's live ``pool``).  ``checkpoint_dir`` runs under a
+    :class:`~repro.mpsim.supervisor.Supervisor` that recovers crashes from
+    rotated snapshots, bit-identically; ``checkpoint_path`` snapshots without
+    supervision.  With ``out_of_core`` the programs' wait queues are
+    memmap-backed and each rank writes its result into its region of the
+    final columns, which are verified and adopted at the end.  Returns the
+    run's :class:`GenerationResult` fields.
     """
-    from pathlib import Path
-
-    from repro.core import spill
-    from repro.core.parallel_pa import PAx1RankProgram
-    from repro.core.parallel_pa_general import PAGeneralRankProgram
-    from repro.mpsim.bsp import BSPEngine
-    from repro.rng import StreamFactory
-
-    if x > 1 and n <= x:
-        raise ValueError(f"need n > x, got n={n}, x={x}")
-    out_dir = Path(out_dir)
-    qf = spill.SpillQueueFactory(out_dir / "queues")
-    factory = StreamFactory(seed)
-    if x == 1:
-        programs = [
-            PAx1RankProgram(r, part, p, factory.stream(r), queue_factory=qf)
-            for r in range(part.P)
-        ]
-    else:
-        programs = [
-            PAGeneralRankProgram(
-                r, part, x, p, factory.stream(r), queue_factory=qf
-            )
-            for r in range(part.P)
-        ]
-    engine = BSPEngine(
-        part.P, cost_model=cost_model, telemetry=telemetry
-    )
-    engine.run(programs, fault_plan=plan, schedule=schedule)
-    offsets = spill.prepare_regions(
-        out_dir, spill.rank_edge_counts(x, part.sizes(), part.owner)
-    )
-    for r, prog in enumerate(programs):
-        spill.write_edge_shards(out_dir, r, offsets, [prog.result()])
-    edges = spill.assemble_shards(out_dir, part.P, budget_bytes)
-    return edges, engine, programs
-
-
-def _generate_mp(
-    n, x, p, part, seed, cost_model, exchange, pool, plan,
-    checkpoint_path=None, checkpoint_every=1, checkpoint_dir=None,
-    checkpoint_keep=3, max_retries=3, barrier_timeout=120.0, telemetry=None,
-    liveness_poll=0.25, out_of_core=None, spill_budget_bytes=64 << 20,
-):
-    """Run the generation on the real-process backend (or a live pool).
-
-    Mirrors the BSP branch's checkpoint ladder: ``checkpoint_dir`` runs the
-    one-shot engine under a :class:`~repro.mpsim.supervisor.Supervisor`
-    (killed workers are respawned and resumed from the newest valid
-    snapshot, bit-identically), ``checkpoint_path`` snapshots without
-    supervision, and a :class:`~repro.mpsim.pool.WorkerPool` supports
-    neither — pooled workers outlive any single job's recovery lifecycle.
-    """
-    from repro.core.parallel_pa import PAx1RankProgram
-    from repro.core.parallel_pa_general import PAGeneralRankProgram
-    from repro.mpsim.mp_backend import MultiprocessingBSPEngine
-    from repro.rng import StreamFactory
-
-    if x > 1 and n <= x:
-        raise ValueError(f"need n > x, got n={n}, x={x}")
-
-    spill_dir = offsets = None
+    if pool is not None and pool.size != part.P:
+        raise ValueError(f"pool has {pool.size} workers, partition needs {part.P}")
+    offsets = None
     if out_of_core is not None:
-        from pathlib import Path
+        from repro.core import spill
 
-        from repro.core.spill import prepare_regions, rank_edge_counts
-
-        spill_dir = Path(out_of_core)
-        offsets = prepare_regions(
-            spill_dir, rank_edge_counts(x, part.sizes(), part.owner)
+        offsets = spill.prepare_regions(
+            out_of_core, spill.rank_edge_counts(x, part.sizes(), part.owner)
         )
 
-    def program_factory():
-        factory = StreamFactory(seed)
+    def build_programs() -> list:
+        rngs = StreamFactory(seed)
         qf = None
-        if spill_dir is not None:
-            from repro.core.spill import SpillQueueFactory
+        if offsets is not None:
+            qf = spill.SpillQueueFactory(Path(out_of_core) / "queues")
+        progs = [
+            PAx1RankProgram(r, part, p, rngs.stream(r), queue_factory=qf)
+            if x == 1
+            else PAGeneralRankProgram(r, part, x, p, rngs.stream(r), queue_factory=qf)
+            for r in range(part.P)
+        ]
+        if offsets is None:
+            return progs
+        # each rank writes its region when asked for its result (inside its
+        # worker on mp), so only a small sealed manifest travels back
+        return [
+            spill.SpillResultProgram(prog, out_of_core, r, offsets)
+            for r, prog in enumerate(progs)
+        ]
 
-            qf = SpillQueueFactory(spill_dir / "queues")
-        if x == 1:
-            progs = [
-                PAx1RankProgram(r, part, p, factory.stream(r), queue_factory=qf)
-                for r in range(part.P)
-            ]
-        else:
-            progs = [
-                PAGeneralRankProgram(
-                    r, part, x, p, factory.stream(r), queue_factory=qf
-                )
-                for r in range(part.P)
-            ]
-        if spill_dir is not None:
-            # each worker writes its rank's region at result() time; the
-            # coordinator then collects a small manifest over the pipe
-            # instead of the rank's edge arrays
-            from repro.core.spill import SpillResultProgram
-
-            progs = [
-                SpillResultProgram(prog, spill_dir, r, offsets)
-                for r, prog in enumerate(progs)
-            ]
-        return progs
-
-    if pool is not None and (
-        checkpoint_path is not None or checkpoint_dir is not None
-    ):
-        raise ValueError(
-            "checkpointing is not supported on a WorkerPool: pooled workers "
-            "outlive any single job's recovery lifecycle; drop pool= so "
-            "engine='mp' forks one-shot workers that can snapshot and resume"
-        )
-
-    recoveries: list = []
-    if checkpoint_dir is not None:
-        from pathlib import Path
-
-        from repro.mpsim.checkpoint import Checkpointer
-        from repro.mpsim.supervisor import Supervisor
-
-        checkpointer = Checkpointer(
-            Path(checkpoint_dir) / "run.ckpt",
-            every=checkpoint_every,
-            keep=checkpoint_keep,
-            telemetry=telemetry,
-        )
-        supervisor = Supervisor(
-            lambda: MultiprocessingBSPEngine(
+    def build_engine():
+        if engine == "mp":
+            return MultiprocessingBSPEngine(
                 part.P, exchange=exchange, cost_model=cost_model,
                 barrier_timeout=barrier_timeout, telemetry=telemetry,
                 liveness_poll=liveness_poll,
-            ),
-            program_factory,
-            checkpointer,
-            max_retries=max_retries,
+            )
+        return BSPEngine(part.P, cost_model=cost_model, telemetry=telemetry)
+
+    checkpointer = None
+    if checkpoint_dir is not None or checkpoint_path is not None:
+        rotated = checkpoint_dir is not None
+        checkpointer = Checkpointer(
+            Path(checkpoint_dir) / "run.ckpt" if rotated else checkpoint_path,
+            every=checkpoint_every, keep=checkpoint_keep if rotated else 1,
             telemetry=telemetry,
         )
-        eng, _ = supervisor.run(fault_plan=plan)
-        recoveries = list(eng.stats.recoveries)
-    elif pool is not None:
-        if pool.size != part.P:
-            raise ValueError(
-                f"pool has {pool.size} workers, partition needs {part.P}"
-            )
-        eng = pool
-        eng.run(program_factory(), fault_plan=plan)
+
+    if checkpoint_dir is not None:
+        eng, programs = Supervisor(
+            build_engine, build_programs, checkpointer,
+            max_retries=max_retries, telemetry=telemetry,
+        ).run(fault_plan=plan)
     else:
-        checkpointer = None
-        if checkpoint_path is not None:
-            from repro.mpsim.checkpoint import Checkpointer
+        eng = pool if pool is not None else build_engine()
+        programs = build_programs()
+        # a pool takes neither knob, and only the bsp engine takes a schedule
+        kw = {} if checkpointer is None else {"checkpointer": checkpointer}
+        if schedule is not None:
+            kw["schedule"] = schedule
+        eng.run(programs, fault_plan=plan, **kw)
 
-            checkpointer = Checkpointer(
-                checkpoint_path, every=checkpoint_every, telemetry=telemetry
-            )
-        eng = MultiprocessingBSPEngine(
-            part.P, exchange=exchange, cost_model=cost_model,
-            barrier_timeout=barrier_timeout, telemetry=telemetry,
-            liveness_poll=liveness_poll,
-        )
-        eng.run(program_factory(), fault_plan=plan, checkpointer=checkpointer)
-
-    if spill_dir is not None:
-        from repro.core.spill import assemble_shards
-
-        edges = assemble_shards(spill_dir, part.P, spill_budget_bytes)
+    if engine == "mp":
+        # the final program state lives in the workers; they sent it back
+        results = eng.results
+        counters = [(c["requests_sent"], c["requests_received"]) for c in eng.telemetry]
     else:
-        edges = EdgeList(capacity=max(n * max(x, 1) - 1, 1))
-        for pair in eng.results:
-            edges.append_arrays(pair[0], pair[1])
-    return GenerationResult(
-        edges=edges,
-        n=n,
-        x=x,
-        p=p,
-        scheme=part.scheme,
-        ranks=part.P,
-        engine="mp",
-        seed=seed,
-        simulated_time=eng.simulated_time,
-        supersteps=eng.supersteps,
-        requests_sent=np.array(
-            [t.get("requests_sent", 0) for t in eng.telemetry], dtype=np.int64
-        ),
-        requests_received=np.array(
-            [t.get("requests_received", 0) for t in eng.telemetry], dtype=np.int64
-        ),
-        nodes_per_rank=part.sizes(),
-        world_stats=eng.stats,
-        recoveries=recoveries,
-        fault_plan=plan,
+        results = (prog.result() for prog in programs)
+        counters = [(pr.requests_sent, pr.requests_received) for pr in programs]
+    if offsets is None:
+        edges = EdgeList(capacity=max(n * x - 1, 1))
+        for u, v in results:
+            edges.append_arrays(u, v)
+    else:
+        list(results)  # in-process ranks write their regions here
+        edges = spill.assemble_shards(out_of_core, part.P, spill_budget_bytes)
+    sent, received = np.array(list(zip(*counters)), dtype=np.int64)
+    return dict(
+        edges=edges, simulated_time=eng.simulated_time,
+        supersteps=eng.supersteps, requests_sent=sent,
+        requests_received=received, world_stats=eng.stats,
+        recoveries=list(eng.stats.recoveries),
     )
 
 
-def _generate_commfree(
-    n, x, p, ranks, seed, engine, cost_model, telemetry,
-    out_of_core=None, spill_budget_bytes=64 << 20,
+def _run_sequential(
+    tel, *, generator, n, x, p, seed, out_of_core, spill_budget_bytes, **_rest
 ):
-    """Run the communication-free generator on the requested surface.
+    """One-shot sequential run of either generator (the ``T_s`` baseline).
 
-    All three surfaces produce bit-identical edge lists (the point of
-    counter-based randomness); they differ only in where the slices are
-    computed.  The simulated time charges pure compute divided by the rank
-    count — perfect scaling, because there is literally no communication
-    term to add.  With ``out_of_core`` every surface writes each slice into
-    its region of the final columns and adopts them as a
-    :class:`repro.core.spill.SpillEdgeList` — still bit for bit the in-RAM
-    graph.
+    Out of core, the ``x = 1`` streaming emitter writes its ``n - 1`` edges
+    block by block as the run's single region.
     """
-    from repro.core.commfree import (
-        commfree,
-        commfree_edge_counts,
-        commfree_edge_slice,
-        commfree_mp,
-        commfree_slices,
-    )
+    if generator == "commfree":
+        whole, stream = commfree, stream_commfree_x1
+        span, spill_span = "commfree", "commfree.stream.spill"
+    else:
+        whole, stream = copy_model, stream_copy_model_x1
+        span, spill_span = "copy_model", "copy_stream.spill"
+    if out_of_core is None:
+        with tel.span(span, cat="compute", tid=0, n=n, x=x):
+            return whole(n, x=x, p=p, seed=seed)
+    from repro.core import spill
 
-    tel = resolve(telemetry)
-    if tel.enabled:
-        tel.meta.update(
-            engine=engine, generator="commfree", n=n, x=x, p=p, ranks=ranks,
-            seed=seed,
-        )
-    if ranks < 1:
-        raise ValueError(f"ranks must be >= 1, got {ranks}")
+    with tel.span(spill_span, cat="compute", tid=0, n=n):
+        offsets = spill.prepare_regions(out_of_core, [max(n - 1, 0)])
+        spill.write_edge_shards(out_of_core, 0, offsets, stream(n, p=p, seed=seed))
+        return spill.assemble_shards(out_of_core, 1, spill_budget_bytes)
+
+
+def _run_commfree_slices(
+    tel, *, n, x, p, ranks, seed, engine, out_of_core, spill_budget_bytes,
+    **_rest,
+):
+    """Compute the commfree slices in-process (``bsp``) or in forked workers
+    (``mp``); return the edges and each slice's node count.
+
+    Every surface produces the same edge list bit for bit (the point of
+    counter-based randomness).  With ``out_of_core`` each slice is written
+    into its region of the final columns and the columns are adopted as a
+    :class:`repro.core.spill.SpillEdgeList`.
+    """
     slices = commfree_slices(n, ranks)
     sizes = np.array([hi - lo for lo, hi in slices], dtype=np.int64)
-
-    if engine == "sequential":
-        if ranks != 1:
-            raise ValueError("sequential engine requires ranks=1")
-        if out_of_core is not None:
-            if x != 1:
-                raise ValueError(
-                    "sequential out-of-core needs a streaming emitter and "
-                    "only the x=1 commfree stream has one — use "
-                    "engine='bsp' or 'mp' (slices spill region by region), "
-                    "or x=1"
-                )
-            from repro.core.commfree import stream_commfree_x1
-
-            with tel.span("commfree.stream.spill", cat="compute", tid=0, n=n):
-                edges = _spill_stream(
-                    out_of_core, spill_budget_bytes, n,
-                    stream_commfree_x1(n, p=p, seed=seed),
-                )
-        else:
-            with tel.span("commfree", cat="compute", tid=0, n=n, x=x):
-                edges = commfree(n, x=x, p=p, seed=seed)
-    elif engine == "bsp":
-        # in-process slice-at-a-time evaluation: same work the mp workers
-        # would do, on one core — supersteps do not exist here
-        if out_of_core is not None:
-            from repro.core import spill
-
-            offsets = spill.prepare_regions(
-                out_of_core, commfree_edge_counts(n, x, ranks)
-            )
-            with tel.span("commfree.slices", cat="compute", tid=0, n=n, x=x):
-                for r, (lo, hi) in enumerate(slices):
-                    with tel.span("commfree.slice", cat="compute", tid=r,
-                                  lo=lo, hi=hi):
-                        u, v = commfree_edge_slice(
-                            n, lo, hi, x=x, p=p, seed=seed
-                        )
-                        spill.write_edge_shards(
-                            out_of_core, r, offsets, [(u, v)]
-                        )
-            edges = spill.assemble_shards(
-                out_of_core, ranks, spill_budget_bytes
-            )
-        else:
-            m = x * (x - 1) // 2 + (n - x) * x if x > 1 else max(n - 1, 0)
-            edges = EdgeList(capacity=max(m, 1))
-            with tel.span("commfree.slices", cat="compute", tid=0, n=n, x=x):
-                for r, (lo, hi) in enumerate(slices):
-                    with tel.span("commfree.slice", cat="compute", tid=r,
-                                  lo=lo, hi=hi):
-                        u, v = commfree_edge_slice(
-                            n, lo, hi, x=x, p=p, seed=seed
-                        )
-                        edges.append_arrays(u, v)
-    elif engine == "mp":
+    if engine == "mp":
         with tel.span("commfree.mp", cat="run", tid=-1, n=n, x=x, P=ranks):
             edges = commfree_mp(
                 n, x=x, p=p, ranks=ranks, seed=seed,
                 spill_dir=out_of_core, budget_bytes=spill_budget_bytes,
             )
+        return edges, sizes
+
+    # bsp: slice-at-a-time on one core, the same work the mp workers do
+    counts = commfree_edge_counts(n, x, ranks)
+    if out_of_core is not None:
+        from repro.core import spill
+
+        offsets = spill.prepare_regions(out_of_core, counts)
+
+        def emit(r, u, v):
+            spill.write_edge_shards(out_of_core, r, offsets, [(u, v)])
     else:
-        raise ValueError(
-            f"generator='commfree' supports engines 'sequential', 'bsp', "
-            f"and 'mp'; engine={engine!r} has nothing to contribute to a "
-            f"zero-message algorithm"
-        )
+        edges = EdgeList(capacity=max(int(counts.sum()), 1))
 
-    cost = cost_model or CostModel()
-    total = cost.compute_time(n, work_items=len(edges))
-    return GenerationResult(
-        edges=edges,
-        n=n,
-        x=x,
-        p=p,
-        scheme="contig",
-        ranks=ranks,
-        engine=engine,
-        seed=seed,
-        simulated_time=total / ranks,
-        supersteps=0,
-        requests_sent=np.zeros(ranks, np.int64),
-        requests_received=np.zeros(ranks, np.int64),
-        nodes_per_rank=sizes,
-    )
+        def emit(r, u, v):
+            edges.append_arrays(u, v)
 
-
-def _run_supervised(
-    n, x, p, part, seed, cost_model, checkpointer, plan, max_retries,
-    telemetry=None,
-):
-    """Run the BSP generation under a crash-recovering Supervisor."""
-    from repro.core.parallel_pa import PAx1RankProgram
-    from repro.core.parallel_pa_general import PAGeneralRankProgram
-    from repro.mpsim.bsp import BSPEngine
-    from repro.mpsim.supervisor import Supervisor
-    from repro.rng import StreamFactory
-
-    if x > 1 and n <= x:
-        raise ValueError(f"need n > x, got n={n}, x={x}")
-
-    def engine_factory() -> BSPEngine:
-        return BSPEngine(part.P, cost_model=cost_model, telemetry=telemetry)
-
-    def program_factory():
-        factory = StreamFactory(seed)
-        if x == 1:
-            return [PAx1RankProgram(r, part, p, factory.stream(r)) for r in range(part.P)]
-        return [
-            PAGeneralRankProgram(r, part, x, p, factory.stream(r))
-            for r in range(part.P)
-        ]
-
-    supervisor = Supervisor(
-        engine_factory, program_factory, checkpointer, max_retries=max_retries,
-        telemetry=telemetry,
-    )
-    return supervisor.run(fault_plan=plan)
+    with tel.span("commfree.slices", cat="compute", tid=0, n=n, x=x):
+        for r, (lo, hi) in enumerate(slices):
+            with tel.span("commfree.slice", cat="compute", tid=r, lo=lo, hi=hi):
+                emit(r, *commfree_edge_slice(n, lo, hi, x=x, p=p, seed=seed))
+    if out_of_core is not None:
+        edges = spill.assemble_shards(out_of_core, ranks, spill_budget_bytes)
+    return edges, sizes

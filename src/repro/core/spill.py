@@ -729,13 +729,13 @@ def spill_record_queue(
 class SpillResultProgram:
     """Wrap a rank program so its ``result()`` spills instead of returning.
 
-    The mp backend collects each rank's result over the worker pipe; for an
-    out-of-core run that payload must not be the rank's edge arrays.  This
-    proxy delegates the whole program protocol (``step``, ``done``, the
-    Figure-7 counters) to the wrapped program and intercepts only
-    ``result()``: the edges are written into the rank's region of the final
-    columns *inside the worker process* and a small sealed manifest dict
-    travels the pipe.  The coordinator then verifies and adopts the columns
+    For an out-of-core run a rank's result must not be its edge arrays
+    (the mp backend would ship them over the worker pipe).  This proxy
+    delegates the whole program protocol (``step``, ``done``, the Figure-7
+    counters) to the wrapped program and intercepts only ``result()``: the
+    edges are written into the rank's region of the final columns where the
+    rank runs (inside the worker process on mp) and a small sealed manifest
+    dict is returned.  The coordinator then verifies and adopts the columns
     with :func:`assemble_shards`.
     """
 

@@ -1077,8 +1077,8 @@ def _check_mp_fault_plan(fault_plan: Any) -> None:
         raise ValueError(
             "mp backend cannot inject message drops/duplications: payloads "
             "travel real pipes and shared memory and cannot be un-sent; "
-            "run drop/duplicate plans on the in-process engine "
-            "(engine='bsp'/'sim')"
+            "run drop/duplicate plans on the in-process engines "
+            "(engine='bsp'/'event')"
         )
     if CAP_CRASH_TIME in caps:
         raise ValueError(

@@ -1,11 +1,17 @@
 """Tests for the top-level generate() facade."""
 
+import inspect
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from repro import generate
+from repro import Telemetry, generate
+from repro.cli import main
+from repro.core.generator import CONFLICTS
 from repro.core.partitioning import make_partition
 from repro.mpsim.costmodel import CostModel
+from repro.mpsim.faults import FaultPlan
 
 
 class TestFacade:
@@ -89,3 +95,139 @@ class TestReproducibility:
         a = generate(1000, x=2, ranks=4, seed=8)
         b = generate(1000, x=2, ranks=8, seed=8)
         assert a.edges != b.edges  # different draw ownership, as on a cluster
+
+
+#: One triggering call per CONFLICTS row: generate() keywords, and the CLI
+#: arguments reaching the same row (None where no flag can express it).
+#: Paths are relative: the test runs inside an empty tmp_path.
+REJECTED = {
+    "unknown-generator": (dict(n=100, generator="nope"), None),
+    "unknown-engine": (dict(n=100, engine="quantum"), None),
+    "x": (dict(n=100, x=0), ["-n", "100", "-x", "0"]),
+    "ranks": (dict(n=100, ranks=0), ["-n", "100", "-P", "0"]),
+    "n-not-above-x": (dict(n=5, x=6), ["-n", "5", "-x", "6"]),
+    "partition-size": (
+        dict(n=200, partition=make_partition("rrp", 100, 2)), None
+    ),
+    "evolve-event": (
+        dict(n=100, ranks=2, engine="event", evolve=object()), None
+    ),
+    "evolve-out-of-core": (
+        dict(n=100, evolve=object(), out_of_core="spill"), None
+    ),
+    "spill-budget": (
+        dict(n=100, out_of_core="spill", spill_budget_bytes=0),
+        ["-n", "100", "--out-of-core", "spill", "--spill-budget-mb", "0"],
+    ),
+    "out-of-core-event": (
+        dict(n=100, ranks=2, engine="event", out_of_core="spill"),
+        ["-n", "100", "-P", "2", "--engine", "event", "--out-of-core", "spill"],
+    ),
+    "out-of-core-sequential-x": (
+        dict(n=100, x=2, engine="sequential", out_of_core="spill"),
+        ["-n", "100", "-x", "2", "--engine", "sequential",
+         "--out-of-core", "spill"],
+    ),
+    "out-of-core-pool": (
+        dict(n=100, ranks=2, engine="mp", pool=object(), out_of_core="spill"),
+        ["-n", "100", "-P", "2", "--engine", "mp", "--pool",
+         "--out-of-core", "spill"],
+    ),
+    "out-of-core-checkpoint": (
+        dict(n=100, ranks=2, out_of_core="spill", checkpoint_dir="ck"),
+        ["-n", "100", "-P", "2", "--out-of-core", "spill",
+         "--checkpoint-dir", "ck"],
+    ),
+    "commfree-faults": (
+        dict(n=100, generator="commfree", fault_seed=1),
+        ["-n", "100", "--generator", "commfree", "--inject-faults", "1"],
+    ),
+    "commfree-checkpoint": (
+        dict(n=100, generator="commfree", checkpoint_path="ck.ckpt"),
+        ["-n", "100", "--generator", "commfree", "--checkpoint", "ck.ckpt"],
+    ),
+    "commfree-schedule": (
+        dict(n=100, generator="commfree", schedule=object()), None
+    ),
+    "commfree-pool": (
+        dict(n=100, ranks=2, engine="mp", generator="commfree", pool=object()),
+        ["-n", "100", "-P", "2", "--engine", "mp", "--generator", "commfree",
+         "--pool"],
+    ),
+    "commfree-partition": (
+        dict(n=100, generator="commfree",
+             partition=make_partition("rrp", 100, 2)),
+        None,
+    ),
+    "commfree-event": (
+        dict(n=100, generator="commfree", engine="event"),
+        ["-n", "100", "--generator", "commfree", "--engine", "event"],
+    ),
+    "schedule-engine": (
+        dict(n=100, ranks=2, engine="mp", schedule=object()), None
+    ),
+    "schedule-supervised": (
+        dict(n=100, ranks=2, schedule=object(), checkpoint_dir="ck"), None
+    ),
+    "pool-engine": (
+        dict(n=100, ranks=2, engine="bsp", pool=object()),
+        ["-n", "100", "-P", "2", "--pool"],
+    ),
+    "pool-telemetry": (
+        dict(n=100, ranks=2, engine="mp", pool=object(),
+             telemetry=Telemetry()),
+        None,
+    ),
+    "pool-checkpoint": (
+        dict(n=100, ranks=2, engine="mp", pool=object(), checkpoint_dir="ck"),
+        ["-n", "100", "-P", "2", "--engine", "mp", "--pool",
+         "--checkpoint-dir", "ck"],
+    ),
+    "sequential-ranks": (
+        dict(n=100, ranks=2, engine="sequential"),
+        ["-n", "100", "-P", "2", "--engine", "sequential"],
+    ),
+    "sequential-faults": (
+        dict(n=100, engine="sequential", fault_seed=1),
+        ["-n", "100", "--engine", "sequential", "--inject-faults", "1"],
+    ),
+    "checkpoint-engine": (
+        dict(n=100, ranks=2, engine="event", checkpoint_path="ck.ckpt"),
+        ["-n", "100", "-P", "2", "--engine", "event", "--checkpoint",
+         "ck.ckpt"],
+    ),
+}
+
+
+class TestConflictTable:
+    """CONFLICTS is the oracle for rejection: each row fails generate() and
+    the CLI with exactly its reason, before anything forks or is written."""
+
+    def test_every_case_names_a_row(self):
+        assert set(REJECTED) == {row.name for row in CONFLICTS}
+
+    @pytest.mark.parametrize("row", CONFLICTS, ids=lambda row: row.name)
+    def test_row_rejects_before_side_effects(
+        self, row, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        kwargs, argv = REJECTED[row.name]
+        spec = inspect.signature(generate).bind(**kwargs)
+        spec.apply_defaults()
+        reason = row.reason.format(**spec.arguments)
+        with pytest.raises(ValueError) as exc_info:
+            generate(**kwargs)
+        assert str(exc_info.value) == reason
+        if argv is not None:
+            assert main(["generate", "--seed", "1", *argv]) == 2
+            assert capsys.readouterr().err == reason + "\n"
+        assert multiprocessing.active_children() == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rejected_mp_fault_plan_writes_nothing(self, tmp_path):
+        spill = tmp_path / "spill"
+        with pytest.raises(ValueError, match="drop.*'bsp'/'event'"):
+            generate(1000, ranks=2, engine="mp", out_of_core=str(spill),
+                     fault_plan=FaultPlan(0).drop(5))
+        assert not spill.exists()
+        assert multiprocessing.active_children() == []

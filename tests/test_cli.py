@@ -291,7 +291,7 @@ class TestCommfreeCLI:
     @pytest.mark.parametrize("extra,fragment", [
         (["--inject-faults", "1"], "no distributed state to crash"),
         (["--checkpoint-dir", "unused"], "nothing to snapshot"),
-        (["--pool", "--engine", "mp"], "drop --pool"),
+        (["--pool", "--engine", "mp"], "drop pool="),
         (["--engine", "event"], "nothing to simulate"),
     ])
     def test_meaningless_flags_rejected(self, extra, fragment, capsys):
@@ -299,6 +299,24 @@ class TestCommfreeCLI:
                    "--seed", "1", *extra])
         assert rc == 2
         assert fragment in capsys.readouterr().err
+
+
+class TestGenerateRejections:
+    @pytest.mark.parametrize("extra,fragment", [
+        (["--engine", "sequential", "-P", "2"], "requires ranks=1"),
+        (["--engine", "event", "-P", "2", "--checkpoint", "F"],
+         "superstep boundaries"),
+        (["-n", "5", "-x", "6"], "need n > x"),
+    ])
+    def test_invalid_combinations_rejected(
+        self, extra, fragment, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["generate", "-n", "100", "--seed", "1", *extra])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert fragment in err and err.count("\n") == 1
+        assert not (tmp_path / "F").exists()
 
 
 class TestEvolveCLI:
