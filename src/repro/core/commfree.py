@@ -16,10 +16,11 @@ This module implements that trade (messages for recomputation) on top of
   ``x >= 1`` copy models, sequential but fully vectorised;
 * :func:`commfree_edge_slice` — the edge slice owned by nodes ``[lo, hi)``,
   the unit of parallel work.  A rank resolves foreign dependencies by
-  bounded iterative *chase* (x = 1: follow the copy chain, recomputing each
-  hop's draws; chains are ``O(log n)`` long by Theorem 3.3) or by
-  demand-driven closure (general ``x``: pull in the source rows a slice's
-  copy slots reference and resolve them with the same fixpoint machinery);
+  iterative *chase* (x = 1: follow the copy chain, recomputing each hop's
+  draws until it lands in a fixed prefix table; chains are ``O(log n)``
+  long by Theorem 3.3) or by demand-driven closure (general ``x``: pull in
+  the source rows a slice's copy slots reference and resolve them with the
+  same fixpoint machinery);
 * :func:`commfree_mp` — the trivially-parallel multiprocessing path: one
   forked worker per slice, the coordinator only concatenates.  No exchange,
   no barriers, no checkpoints — there is no distributed state to lose;
@@ -30,7 +31,10 @@ This module implements that trade (messages for recomputation) on top of
 
 Every surface consumes the identical draw protocol, so sequential, sliced,
 multiprocessing, and streaming runs are **bit-identical** for equal seeds —
-regardless of rank count, block size, or evaluation order.  The scalar
+regardless of rank count, block size, or evaluation order.  At ``x = 1``
+they are also one implementation: every surface consumes the same block
+generator, whose only state is the prefix table ``F[0:_PREFIX]`` (8 MiB),
+so an x = 1 run's memory beyond its output is fixed in ``n``.  The scalar
 oracle in :mod:`repro.seq.commfree_ref` re-implements the protocol
 independently and the test-suite pins the vectorised paths to it.
 
@@ -92,13 +96,22 @@ _MAX_ROUNDS = 30_000
 _MAX_RETRIES = 10_000
 
 #: Default node-block size: large enough to amortise per-block call
-#: overhead, small enough that blocks stay cache-resident and chase
-#: chains mostly land in the resolved prefix after one hop (measured
-#: fastest of 2^16..2^20 at n=1e6).
+#: overhead, small enough that a block's draws and chase frontier stay
+#: cache-resident (measured fastest of 2^16..2^20 at n=1e6).  Only the
+#: output chunking depends on it; the x = 1 prefix table is sized apart.
 _BLOCK = 1 << 16
+
+#: Rows of the x = 1 prefix table ``F[0:_PREFIX]`` (8 MiB), the only
+#: attachment state an x = 1 surface keeps.  Copy chains beyond it are
+#: recomputed hop by hop until they land in it; a larger table shortens
+#: them, a smaller one costs less to fill.  Measured over 2^18..2^22 at
+#: p = 0.1 and 0.5, n = 2e7 (see docs/performance.md).
+_PREFIX = 1 << 20
 
 _U32 = np.uint64(32)
 _LO32 = np.uint64(0xFFFFFFFF)
+_ONE = np.array([1], dtype=np.int64)
+_ZERO = np.array([0], dtype=np.int64)
 
 
 def _counter(seed: int | None, x: int) -> CounterStream:
@@ -135,24 +148,23 @@ def _chase_x1(
     thresh: np.uint64,
     start_k: np.ndarray,
     F: np.ndarray,
-    valid_lo: int,
-    valid_hi: int,
+    known_hi: int,
 ) -> np.ndarray:
     """Attachment values at the ends of the copy chains starting at ``start_k``.
 
-    Iterative frontier walk: each pass recomputes the draws of the current
-    chain nodes (O(1) each, vectorised) and retires the entries that hit a
-    direct attachment, node 1, or the resolved window ``[valid_lo,
-    valid_hi)`` of ``F``.  The frontier shrinks geometrically (each hop is
-    direct with probability ``p``) and chains are ``O(log n)`` long w.h.p.
-    (Theorem 3.3), so the walk terminates without any Python-level
-    recursion.
+    Iterative frontier walk: entries below ``known_hi`` read ``F``; the
+    rest recompute their node's draws (O(1) each, vectorised) and retire on
+    a direct attachment or step to the copied node.  Every hop lands on a
+    uniformly drawn earlier node, so a chain falls below ``known_hi`` after
+    about ``ln(start / known_hi)`` hops, and the frontier also shrinks
+    geometrically (each hop is direct with probability ``p``): the walk
+    terminates without any Python-level recursion.
     """
     out = np.empty(len(start_k), dtype=np.int64)
     pos = np.arange(len(start_k))
     cur = start_k
     while pos.size:
-        known = (cur == 1) | ((cur >= valid_lo) & (cur < valid_hi))
+        known = cur < known_hi
         if known.any():
             kn = known.nonzero()[0]
             out[pos[kn]] = F[cur[kn]]
@@ -174,29 +186,62 @@ def _chase_x1(
 
 
 def _fill_x1(
-    cs: CounterStream,
-    thresh: np.uint64,
-    F: np.ndarray,
-    lo: int,
-    hi: int,
-    block_size: int,
-    valid_lo: int,
-) -> None:
-    """Fill ``F[t]`` for ``t in [max(lo, 2), hi)``; ``F[1]`` must be 0.
+    cs: CounterStream, thresh: np.uint64, m: int, block_size: int
+) -> np.ndarray:
+    """The prefix table ``F[0:m]`` (``F[0] = -1``, ``F[1] = 0``).
 
-    ``[valid_lo, b)`` is the portion of ``F`` already filled when block
-    ``b`` starts — 2 for sequential/streaming runs, the slice's left edge
-    for a parallel worker.  Blocks keep chase chains short: most land in
-    the filled prefix after one hop, and chains that descend below
-    ``valid_lo`` are recomputed hop by hop instead of queried.
+    A block-by-block sweep: block ``b``'s copy chains read the already
+    filled ``F[1:b]``, so most resolve after one hop.
     """
-    for b in range(max(lo, 2), hi, block_size):
-        ts = np.arange(b, min(b + block_size, hi), dtype=np.int64)
-        k, direct = _draws_x1(cs, ts, thresh)
-        F[ts[direct]] = k[direct]
+    F = np.full(m, -1, dtype=np.int64)
+    if m > 1:
+        F[1] = 0
+    for b in range(2, m, block_size):
+        e = min(b + block_size, m)
+        k, direct = _draws_x1(cs, np.arange(b, e, dtype=np.int64), thresh)
         copy = (~direct).nonzero()[0]
         if copy.size:
-            F[ts[copy]] = _chase_x1(cs, thresh, k[copy], F, valid_lo, b)
+            k[copy] = _chase_x1(cs, thresh, k[copy], F, b)
+        F[b:e] = k
+    return F
+
+
+def _blocks_x1(
+    seed: int | None, p: float, lo: int, hi: int, block_size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The one ``x = 1`` generator: ``(ts, F[ts])`` blocks for ``[lo, hi)``.
+
+    Blocks start at ``max(lo, 2)`` and hold ``block_size`` nodes; node 1's
+    fixed edge ``(1, 0)`` leads the first block when ``lo <= 1 < hi``.  The
+    only state is the prefix table ``F[0:min(hi, _PREFIX)]``: a block
+    inside it is a copy of its rows, and a block beyond it draws its nodes
+    and chases their copy chains down into it, recomputing every hop at or
+    above ``_PREFIX``.  Memory is therefore fixed in ``n`` and ``hi - lo``,
+    and the values do not depend on the table's extent (a chain ends at the
+    same attachment whichever of its hops is looked up).
+    """
+    cs = _counter(seed, 1)
+    thresh = _coin_threshold(p)
+    F = _fill_x1(cs, thresh, min(hi, _PREFIX), block_size)
+    m = len(F)
+    lead = lo <= 1 < hi
+    for b in range(max(lo, 2), hi, block_size):
+        e = min(b + block_size, hi)
+        ts = np.arange(b, e, dtype=np.int64)
+        if e <= m:
+            v = F[b:e].copy()
+        else:
+            v, direct = _draws_x1(cs, ts, thresh)
+            copy = (~direct).nonzero()[0]
+            if copy.size:
+                v[copy] = _chase_x1(cs, thresh, v[copy], F, m)
+        if lead:
+            ts = np.concatenate([_ONE, ts])
+            v = np.concatenate([_ZERO, v])
+            lead = False
+        yield ts, v
+    if lead:  # hi == 2: node 1 is the whole range
+        yield _ONE.copy(), _ZERO.copy()
 
 
 def commfree_x1(
@@ -225,13 +270,12 @@ def commfree_x1(
     _check_params(n, 1, p)
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-    F = np.full(n, -1, dtype=np.int64)
     edges = EdgeList(capacity=max(n - 1, 1))
-    if n >= 2:
-        F[1] = 0
-        _fill_x1(_counter(seed, 1), _coin_threshold(p), F, 0, n, block_size, 2)
-        edges.append_arrays(np.arange(1, n, dtype=np.int64), F[1:])
+    for ts, v in _blocks_x1(seed, p, 0, n, block_size):
+        edges.append_arrays(ts, v)
     if return_attachments:
+        F = np.full(n, -1, dtype=np.int64)
+        F[1:] = edges.targets
         return edges, F
     return edges
 
@@ -250,7 +294,8 @@ def stream_commfree_x1(
     :class:`~repro.core.streaming.StreamingDegreeAccumulator` accumulates
     degree statistics without materialising the edge list.  Concatenated,
     the blocks equal :func:`commfree_x1`'s edge list bit for bit — block
-    size only changes the chunking, never the graph.
+    size only changes the chunking, never the graph.  Memory stays fixed
+    in ``n``: the emitter holds only the prefix table and one block.
 
     Examples
     --------
@@ -261,27 +306,7 @@ def stream_commfree_x1(
     _check_params(n, 1, p)
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-    if n < 2:
-        return
-    cs = _counter(seed, 1)
-    thresh = _coin_threshold(p)
-    F = np.full(n, -1, dtype=np.int64)
-    F[1] = 0
-    if n == 2:
-        yield np.array([1], dtype=np.int64), np.array([0], dtype=np.int64)
-        return
-    one = np.array([1], dtype=np.int64)
-    zero = np.array([0], dtype=np.int64)
-    lo = 2
-    while lo < n:
-        hi = min(lo + block_size, n)
-        _fill_x1(cs, thresh, F, lo, hi, block_size, 2)
-        ts = np.arange(lo, hi, dtype=np.int64)
-        if lo == 2:
-            yield np.concatenate([one, ts]), np.concatenate([zero, F[ts]])
-        else:
-            yield ts, F[ts]
-        lo = hi
+    yield from _blocks_x1(seed, p, 0, n, block_size)
 
 
 # ---------------------------------------------------------------- general x
@@ -455,7 +480,8 @@ def commfree_edge_slice(
     p: float = 0.5,
     seed: int | None = None,
     block_size: int = _BLOCK,
-) -> tuple[np.ndarray, np.ndarray]:
+    out=None,
+):
     """The ``(u, v)`` edge arrays owned by nodes ``[lo, hi)``.
 
     Computed with zero knowledge of any other slice: foreign dependencies
@@ -463,23 +489,28 @@ def commfree_edge_slice(
     x: demand-driven row closure).  For any partition of ``[0, n)`` into
     contiguous slices, concatenating the results in slice order is
     bit-identical to the sequential generator's edge list.
+
+    With ``out`` — any sink with ``append_arrays``, such as an
+    :class:`~repro.graph.edgelist.EdgeList` or a
+    :class:`~repro.core.spill.EdgeShardWriter` — the edges are appended to
+    it instead and ``out`` is returned.  At ``x = 1`` they arrive one block
+    at a time, so a spilling worker never holds its slice in memory.
     """
     _check_params(n, x, p)
     if not 0 <= lo <= hi <= n:
         raise ValueError(f"need 0 <= lo <= hi <= n, got [{lo}, {hi}) of n={n}")
-    if x == 1:
-        F = np.full(hi, -1, dtype=np.int64)
-        if hi > 1:
-            F[1] = 0
-            _fill_x1(
-                _counter(seed, 1), _coin_threshold(p), F, lo, hi, block_size, max(lo, 2)
-            )
-        start = max(lo, 1)
-        ts = np.arange(start, hi, dtype=np.int64)
-        return ts, F[start:hi].copy()
-    rows = np.arange(max(lo, x + 1), hi, dtype=np.int64)
-    val = _resolve_general(_counter(seed, x), n, x, p, rows)
-    return _general_edges(n, x, lo, hi, val)
+    if x > 1:
+        rows = np.arange(max(lo, x + 1), hi, dtype=np.int64)
+        val = _resolve_general(_counter(seed, x), n, x, p, rows)
+        u, v = _general_edges(n, x, lo, hi, val)
+        if out is None:
+            return u, v
+        out.append_arrays(u, v)
+        return out
+    sink = EdgeList(capacity=hi - max(lo, 1)) if out is None else out
+    for ts, v in _blocks_x1(seed, p, lo, hi, block_size):
+        sink.append_arrays(ts, v)
+    return (sink.sources, sink.targets) if out is None else out
 
 
 def commfree_edge_counts(n: int, x: int, ranks: int) -> np.ndarray:
@@ -505,18 +536,22 @@ def _slice_worker(args):
     """One rank's job: compute a slice, and (out-of-core) write it in place.
 
     Jobs are 7-tuples ``(n, x, p, seed, lo, hi, block_size)``; out-of-core
-    jobs append ``(spill_dir, rank, offsets)``.  A spilling worker writes
-    the slice into its region of the final columns and returns the sealed
-    manifest (a small dict) instead of the edge arrays.
+    jobs append ``(spill_dir, rank, offsets)``.  A spilling worker appends
+    the slice block by block into its region of the final columns and
+    returns the sealed manifest (a small dict) instead of the edge arrays.
     """
     n, x, p, seed, lo, hi, block_size = args[:7]
-    u, v = commfree_edge_slice(n, lo, hi, x=x, p=p, seed=seed, block_size=block_size)
     if len(args) == 7:
-        return u, v
-    from repro.core.spill import write_edge_shards
+        return commfree_edge_slice(
+            n, lo, hi, x=x, p=p, seed=seed, block_size=block_size
+        )
+    from repro.core.spill import EdgeShardWriter
 
-    spill_dir, rank, offsets = args[7:]
-    return write_edge_shards(spill_dir, rank, offsets, [(u, v)])
+    writer = EdgeShardWriter(*args[7:])
+    commfree_edge_slice(
+        n, lo, hi, x=x, p=p, seed=seed, block_size=block_size, out=writer
+    )
+    return writer.seal()
 
 
 def _slice_main(conn, job) -> None:
@@ -619,7 +654,10 @@ def commfree_mp(
     region and adopts the files as a :class:`repro.core.spill.SpillEdgeList`
     (whose in-RAM write buffer, and the verification reads, are bounded by
     ``budget_bytes``).  Each edge is written once.  Bit-identical to the
-    in-RAM path at every rank count.
+    in-RAM path at every rank count.  An x = 1 worker writes its slice one
+    block at a time and keeps only the prefix table besides, so its memory
+    does not grow with ``n``; an x > 1 worker still holds an n-sized slot
+    table.
     """
     _check_params(n, x, p)
     slices = commfree_slices(n, ranks)

@@ -673,25 +673,25 @@ def _run_commfree_slices(
             )
         return edges, sizes
 
-    # bsp: slice-at-a-time on one core, the same work the mp workers do
+    # bsp: slice-at-a-time on one core, the same work the mp workers do;
+    # each slice appends straight into its sink (a region writer out of core)
     counts = commfree_edge_counts(n, x, ranks)
     if out_of_core is not None:
         from repro.core import spill
 
         offsets = spill.prepare_regions(out_of_core, counts)
-
-        def emit(r, u, v):
-            spill.write_edge_shards(out_of_core, r, offsets, [(u, v)])
     else:
         edges = EdgeList(capacity=max(int(counts.sum()), 1))
-
-        def emit(r, u, v):
-            edges.append_arrays(u, v)
 
     with tel.span("commfree.slices", cat="compute", tid=0, n=n, x=x):
         for r, (lo, hi) in enumerate(slices):
             with tel.span("commfree.slice", cat="compute", tid=r, lo=lo, hi=hi):
-                emit(r, *commfree_edge_slice(n, lo, hi, x=x, p=p, seed=seed))
+                if out_of_core is None:
+                    commfree_edge_slice(n, lo, hi, x=x, p=p, seed=seed, out=edges)
+                else:
+                    writer = spill.EdgeShardWriter(out_of_core, r, offsets)
+                    commfree_edge_slice(n, lo, hi, x=x, p=p, seed=seed, out=writer)
+                    writer.seal()
     if out_of_core is not None:
         edges = spill.assemble_shards(out_of_core, ranks, spill_budget_bytes)
     return edges, sizes

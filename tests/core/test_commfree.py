@@ -7,11 +7,16 @@ same graph bit for bit — and all of them must match the boring scalar
 oracle in :mod:`repro.seq.commfree_ref`.
 """
 
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import commfree as commfree_mod
 from repro.core.commfree import (
     commfree,
     commfree_edge_slice,
@@ -143,6 +148,74 @@ class TestSliceIdentity:
             s = commfree_slices(n, ranks)
             assert s[0][0] == 0 and s[-1][1] == n
             assert all(a[1] == b[0] for a, b in zip(s, s[1:]))
+
+
+class TestPrefixChase:
+    """x = 1 surfaces keep only ``F[0:_PREFIX]`` and recompute chain hops
+    above it; with a tiny table every path runs that chase."""
+
+    N = 400
+
+    @pytest.mark.parametrize("lo,hi", [(10, 300), (64, 300), (150, 400)],
+                             ids=["below", "at", "above"])
+    @pytest.mark.parametrize("block_size", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("p", [0.1, 0.5, 1.0])
+    def test_small_prefix_matches_oracle(self, monkeypatch, p, block_size, lo, hi):
+        monkeypatch.setattr(commfree_mod, "_PREFIX", 64)
+        n = self.N
+        ref = commfree_reference(n, 1, p, 19)
+        kw = dict(p=p, seed=19, block_size=block_size)
+
+        u, v = commfree_edge_slice(n, lo, hi, **kw)
+        assert np.array_equal(u, ref.sources[lo - 1 : hi - 1])
+        assert np.array_equal(v, ref.targets[lo - 1 : hi - 1])
+        assert collect_stream(n, **kw) == ref
+        el, F = commfree_x1(n, return_attachments=True, **kw)
+        assert el == ref
+        assert F[0] == -1 and np.array_equal(F[1:], ref.targets)
+
+    def test_real_prefix_slices(self):
+        n = (1 << 20) + 3 * (1 << 16)
+        assert commfree_mod._PREFIX < n
+        assert concat_slices(n, 3, seed=23) == commfree_x1(n, seed=23)
+
+
+_FLAT_RSS = textwrap.dedent("""
+    import resource, sys
+    from repro import generate
+    from repro.core.commfree import stream_commfree_x1
+
+    def peak(who):
+        return resource.getrusage(who).ru_maxrss / 1024
+
+    stream = []
+    for n in (2_000_000, 8_000_000):
+        assert sum(len(u) for u, _ in stream_commfree_x1(n, seed=1)) == n - 1
+        stream.append(peak(resource.RUSAGE_SELF))
+    workers = []
+    for i, n in enumerate((2_000_000, 8_000_000)):
+        r = generate(n, x=1, ranks=2, engine="mp", generator="commfree",
+                     seed=1, out_of_core=f"{sys.argv[1]}/run{i}")
+        assert len(r.edges) == n - 1
+        del r
+        workers.append(peak(resource.RUSAGE_CHILDREN))
+    print(stream[1] - stream[0], workers[1] - workers[0])
+""")
+
+
+class TestFlatMemory:
+    """Spilled and streamed x = 1 runs hold no n-sized state."""
+
+    def test_peak_rss_flat_in_n(self, tmp_path):
+        # a fresh interpreter: RUSAGE_CHILDREN keeps the maximum of every
+        # child ever waited for, including earlier tests' workers
+        out = subprocess.run(
+            [sys.executable, "-c", _FLAT_RSS, str(tmp_path)],
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout.split()
+        stream_growth, worker_growth = map(float, out)
+        assert stream_growth < 16, f"stream peak grew {stream_growth:.1f} MiB"
+        assert worker_growth < 16, f"worker peak grew {worker_growth:.1f} MiB"
 
 
 class TestMpIdentity:
