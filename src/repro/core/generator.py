@@ -59,7 +59,7 @@ from repro.core.commfree import (
     commfree_slices,
     stream_commfree_x1,
 )
-from repro.core.parallel_pa import PAx1RankProgram
+from repro.core.parallel_pa import PAx1RankProgram, ResultRegions
 from repro.core.parallel_pa_general import PAGeneralRankProgram
 from repro.core.partitioning import Partition, make_partition
 from repro.core.streaming import stream_copy_model_x1
@@ -536,20 +536,26 @@ def _run_supersteps(
     or the caller's live ``pool``).  ``checkpoint_dir`` runs under a
     :class:`~repro.mpsim.supervisor.Supervisor` that recovers crashes from
     rotated snapshots, bit-identically; ``checkpoint_path`` snapshots without
-    supervision.  With ``out_of_core`` the programs' wait queues are
-    memmap-backed and each rank writes its result into its region of the
-    final columns, which are verified and adopted at the end.  Returns the
-    run's :class:`GenerationResult` fields.
+    supervision.  In RAM, every rank's result lands in its region of one
+    pair of preallocated columns (:class:`ResultRegions`); in-process x=1
+    programs resolve straight into theirs.  With ``out_of_core`` the
+    programs' wait queues are memmap-backed and each rank writes its result
+    into its region of the final columns on disk, which are verified and
+    adopted at the end.  Returns the run's :class:`GenerationResult` fields.
     """
     if pool is not None and pool.size != part.P:
         raise ValueError(f"pool has {pool.size} workers, partition needs {part.P}")
-    offsets = None
+    offsets = regions = None
     if out_of_core is not None:
         from repro.core import spill
 
         offsets = spill.prepare_regions(
             out_of_core, spill.rank_edge_counts(x, part.sizes(), part.owner)
         )
+    else:
+        regions = ResultRegions(x, part)
+    # in-process x=1 ranks resolve straight into the output column
+    in_place = regions is not None and x == 1 and engine != "mp"
 
     def build_programs() -> list:
         rngs = StreamFactory(seed)
@@ -557,7 +563,10 @@ def _run_supersteps(
         if offsets is not None:
             qf = spill.SpillQueueFactory(Path(out_of_core) / "queues")
         progs = [
-            PAx1RankProgram(r, part, p, rngs.stream(r), queue_factory=qf)
+            PAx1RankProgram(
+                r, part, p, rngs.stream(r), queue_factory=qf,
+                out=regions.x1_region(r) if in_place else None,
+            )
             if x == 1
             else PAGeneralRankProgram(r, part, x, p, rngs.stream(r), queue_factory=qf)
             for r in range(part.P)
@@ -608,14 +617,14 @@ def _run_supersteps(
         results = eng.results
         counters = [(c["requests_sent"], c["requests_received"]) for c in eng.telemetry]
     else:
-        results = (prog.result() for prog in programs)
+        results = programs
         counters = [(pr.requests_sent, pr.requests_received) for pr in programs]
     if offsets is None:
-        edges = EdgeList(capacity=max(n * x - 1, 1))
-        for u, v in results:
-            edges.append_arrays(u, v)
+        edges = regions.edges(results)
     else:
-        list(results)  # in-process ranks write their regions here
+        if engine != "mp":
+            for prog in programs:  # in-process ranks write their regions here
+                prog.result()
         edges = spill.assemble_shards(out_of_core, part.P, spill_budget_bytes)
     sent, received = np.array(list(zip(*counters)), dtype=np.int64)
     return dict(

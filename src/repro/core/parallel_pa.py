@@ -22,6 +22,18 @@ known and otherwise parks the requester in the wait queue ``Q_k``
 (Lines 11-15); when ``F_k`` later resolves, queued requesters are answered
 (Lines 16-19).
 
+Memory: a rank's scratch is bounded by its draw block, not its node count.
+The setup walks the rank's node range (never materialised as an id array)
+in blocks of :data:`_BLOCK` nodes, drawing the block's ``2 * _BLOCK``
+uniforms in node order; NumPy's ``Generator.random`` in chunks yields the
+values of one call, so blocking leaves every draw, record and message as
+it was.  ``F`` itself can be the output: :class:`ResultRegions` lays out the
+run's final ``(u, v)`` columns, rank ``r``'s edges at ``[offsets[r],
+offsets[r + 1])`` (:func:`repro.core.spill.rank_edge_counts`), and an
+in-process program given its region as ``out`` resolves straight into the
+target column; only the source column is filled afterwards, from the node
+ranges.
+
 Execution model: the rank program below runs on the
 :class:`~repro.mpsim.bsp.BSPEngine`, whose exchange step *is* the paper's
 message buffering — all records destined to one rank in one superstep travel
@@ -49,13 +61,29 @@ from repro.mpsim.bsp import BSPEngine, BSPRankContext
 from repro.mpsim.costmodel import CostModel
 from repro.rng import StreamFactory
 
-__all__ = ["RECORD_DTYPE", "REQ", "RES", "PAx1RankProgram", "run_parallel_pa_x1"]
+__all__ = [
+    "RECORD_DTYPE",
+    "REQ",
+    "RES",
+    "PAx1RankProgram",
+    "ResultRegions",
+    "run_parallel_pa_x1",
+]
 
 #: Wire format of one protocol record: ``kind`` is :data:`REQ` or
 #: :data:`RES`; for requests ``a`` is ``k``, for resolved ``a`` is ``v``.
 RECORD_DTYPE = np.dtype([("kind", "i8"), ("t", "i8"), ("a", "i8")])
 REQ = 0
 RES = 1
+
+#: nodes per draw block of :meth:`PAx1RankProgram._setup`; a block's
+#: ``2 * _BLOCK`` uniforms and index arrays are the setup's whole scratch
+#: (~16 MiB), whatever the rank's node count
+_BLOCK = 1 << 18
+
+
+def _arange(nodes: range) -> np.ndarray:
+    return np.arange(nodes.start, nodes.stop, nodes.step, dtype=np.int64)
 
 
 def _records(kind: int, t: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -81,6 +109,10 @@ class PAx1RankProgram:
     rng:
         This rank's private stream (node draws follow the two-uniforms-per-
         node protocol documented in the module docstring).
+    out:
+        Optional array of one slot per owned node that becomes ``F``
+        (:meth:`ResultRegions.x1_region`), so the rank resolves into the
+        run's output column instead of a private array.
     """
 
     def __init__(
@@ -90,13 +122,22 @@ class PAx1RankProgram:
         p: float,
         rng: np.random.Generator,
         queue_factory=None,
+        out: np.ndarray | None = None,
     ) -> None:
         self.rank = rank
         self.part = partition
         self.p = p
         self.rng = rng
-        self.nodes = partition.partition_nodes(rank)
-        self.F = np.full(len(self.nodes), -1, dtype=np.int64)
+        self.nodes = partition.node_range(rank)
+        if out is None:
+            self.F = np.full(len(self.nodes), -1, dtype=np.int64)
+        else:
+            if out.shape != (len(self.nodes),):
+                raise ValueError(
+                    f"rank {rank} owns {len(self.nodes)} nodes, out has shape {out.shape}"
+                )
+            out.fill(-1)
+            self.F = out
         self._started = False
         # ``queue_factory(ncols) -> RecordQueue`` swaps the queues' backing;
         # out-of-core runs pass repro.core.spill.SpillQueueFactory so the
@@ -110,7 +151,7 @@ class PAx1RankProgram:
         # superstep's append costs the batch, not the queue)
         self._park = make(2)  # columns: (k local idx awaited, t)
         # resolution progress (node 0 owns no attachment)
-        self._unresolved = len(self.nodes) - int(np.searchsorted(self.nodes, 1))
+        self._unresolved = len(self.nodes) - int(0 in self.nodes)
         # paper's Figure 7 counters
         self.requests_sent = 0
         self.requests_received = 0
@@ -120,10 +161,14 @@ class PAx1RankProgram:
     def done(self) -> bool:
         return self._started and self._unresolved == 0
 
+    @property
+    def sources(self) -> range:
+        """Owned nodes ``t >= 1``, the sources of this rank's edges."""
+        return self.nodes[int(0 in self.nodes) :]
+
     def result(self) -> tuple[np.ndarray, np.ndarray]:
         """Local edges ``(t, F_t)`` for owned ``t >= 1`` (mp-backend hook)."""
-        first = int(np.searchsorted(self.nodes, 1))
-        return self.nodes[first:], self.F[first:]
+        return _arange(self.sources), self.F[int(0 in self.nodes) :]
 
     def local_edges(self) -> EdgeList:
         t, f = self.result()
@@ -160,24 +205,23 @@ class PAx1RankProgram:
         """Lines 2-9: per-node draws and immediate/deferred attachment."""
         nodes = self.nodes
         ctx.charge(nodes=len(nodes))
-
-        # partition_nodes is ascending: node 1 (if owned) sits just before
-        # the t >= 2 suffix
-        first = int(np.searchsorted(nodes, 2))
-        if first and nodes[first - 1] == 1:
-            self.F[first - 1] = 0
+        if 1 in nodes:
+            self.F[nodes.index(1)] = 0
             self._unresolved -= 1
+        # the node range is ascending and 0, 1 draw nothing
+        for lo in range(int(0 in nodes) + int(1 in nodes), len(nodes), _BLOCK):
+            self._draw_block(lo, nodes[lo : lo + _BLOCK], out)
 
-        t = nodes[first:]
-        if len(t) == 0:
-            return
+    def _draw_block(self, lo: int, block: range, out) -> None:
+        """Draw, attach or defer the nodes ``block``, local slots from ``lo``."""
+        t = _arange(block)
         u = self.rng.random(2 * len(t)).reshape(-1, 2)
         k = 1 + (u[:, 0] * (t - 1)).astype(np.int64)
         direct = u[:, 1] < self.p
         del u
 
         d_sel = np.flatnonzero(direct)
-        self.F[first + d_sel] = k[d_sel]
+        self.F[lo + d_sel] = k[d_sel]
         self._unresolved -= len(d_sel)
 
         c_sel = np.flatnonzero(~direct)
@@ -185,7 +229,7 @@ class PAx1RankProgram:
         owners = self.part.owner(ck)
         local = np.flatnonzero(owners == self.rank)
         if len(local):
-            cidx = first + c_sel[local]
+            cidx = lo + c_sel[local]
             kidx = np.asarray(self.part.local_index(self.rank, ck[local]), dtype=np.int64)
             self.F[cidx] = -2 - kidx
             self._pend.push(cidx)
@@ -263,6 +307,65 @@ class PAx1RankProgram:
         route_by_dest(out, records, dests)
 
 
+class ResultRegions:
+    """A run's output columns, rank ``r``'s edges at ``[offsets[r], offsets[r + 1])``.
+
+    The offsets come from :func:`repro.core.spill.rank_edge_counts`, the
+    layout the spilled runs use on disk.  The target column carries one
+    extra leading slot, so the region of the rank that owns node 0 can
+    start with node 0's (edge-less) ``F`` slot: every x=1 program's ``F``
+    then fits its region exactly (:meth:`x1_region`).
+    """
+
+    def __init__(self, x: int, partition: Partition) -> None:
+        from repro.core.spill import rank_edge_counts
+
+        counts = rank_edge_counts(x, partition.sizes(), partition.owner)
+        self.x = x
+        self.part = partition
+        self.offsets = np.zeros(partition.P + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.offsets[1:])
+        m = int(self.offsets[-1])
+        self.u = np.empty(m, dtype=np.int64)
+        self._v = np.empty(m + 1, dtype=np.int64)
+        self.v = self._v[1:]
+
+    def x1_region(self, rank: int) -> np.ndarray:
+        """Rank ``rank``'s slots of the target column, one per owned node."""
+        lo, hi = self.offsets[rank], self.offsets[rank + 1]
+        return self._v[lo + (0 not in self.part.node_range(rank)) : hi + 1]
+
+    def edges(self, results) -> EdgeList:
+        """Fill every region and wrap the columns as one :class:`EdgeList`.
+
+        ``results[r]`` is rank ``r``'s program or its ``(u, v)`` result.  A
+        rank's edges are copied into its region unless they already live
+        there: an x=1 program built on :meth:`x1_region` leaves only its
+        sources to fill, from its node range.
+        """
+        for r, res in enumerate(results):
+            lo, hi = self.offsets[r], self.offsets[r + 1]
+            if self.x == 1 and _same_memory(getattr(res, "F", None), self.x1_region(r)):
+                _fill_range(self.u[lo:hi], res.sources)
+                continue
+            u, v = res if isinstance(res, tuple) else res.result()
+            self.u[lo:hi] = u
+            self.v[lo:hi] = v
+        return EdgeList.from_arrays(self.u, self.v, copy=False)
+
+
+def _same_memory(a: np.ndarray | None, b: np.ndarray) -> bool:
+    return a is not None and a.shape == b.shape and a.ctypes.data == b.ctypes.data
+
+
+def _fill_range(out: np.ndarray, nodes: range) -> None:
+    """Write ``nodes`` into ``out`` in place, without a temporary."""
+    if len(out):
+        out.fill(nodes.step)
+        out[0] = nodes.start
+        np.cumsum(out, out=out)
+
+
 def run_parallel_pa_x1(
     n: int,
     partition: Partition,
@@ -279,7 +382,8 @@ def run_parallel_pa_x1(
 
     Returns the merged edge list (rank order), the engine (for its traffic
     statistics and simulated time), and the rank programs (for per-rank
-    request counters — Figure 7's data).  ``fault_plan`` injects faults
+    request counters — Figure 7's data).  Each program's ``F`` is its
+    region of the edge list's target column.  ``fault_plan`` injects faults
     without recovery (failures propagate); use
     :class:`repro.mpsim.supervisor.Supervisor` for supervised runs.
     ``schedule`` (a :class:`repro.schedsim.Schedule`) permutes the engine's
@@ -289,8 +393,10 @@ def run_parallel_pa_x1(
     if partition.n != n:
         raise ValueError(f"partition covers n={partition.n}, requested n={n}")
     factory = StreamFactory(seed)
+    regions = ResultRegions(1, partition)
     programs = [
-        PAx1RankProgram(r, partition, p, factory.stream(r)) for r in range(partition.P)
+        PAx1RankProgram(r, partition, p, factory.stream(r), out=regions.x1_region(r))
+        for r in range(partition.P)
     ]
     engine = BSPEngine(
         partition.P,
@@ -301,8 +407,4 @@ def run_parallel_pa_x1(
     engine.run(
         programs, checkpointer=checkpointer, fault_plan=fault_plan, schedule=schedule
     )
-    edges = EdgeList(capacity=max(n - 1, 1))
-    for prog in programs:
-        t, f = prog.result()
-        edges.append_arrays(t, f)
-    return edges, engine, programs
+    return regions.edges(programs), engine, programs

@@ -57,8 +57,18 @@ class Partition(ABC):
         """Rank owning node ``u`` (vectorised)."""
 
     @abstractmethod
+    def node_range(self, rank: int) -> range:
+        """Node ids owned by ``rank``, ascending, as an arithmetic progression.
+
+        Every scheme's node set is one: ``range(lo, hi)`` for consecutive
+        blocks, ``range(rank, n, P)`` for round robin.  Callers that walk
+        their nodes block by block never materialise the whole set.
+        """
+
     def partition_nodes(self, rank: int) -> np.ndarray:
         """Sorted node ids owned by ``rank``."""
+        r = self.node_range(rank)
+        return np.arange(r.start, r.stop, r.step, dtype=np.int64)
 
     @abstractmethod
     def local_index(self, rank: int, u: np.ndarray | int) -> np.ndarray | int:
@@ -71,7 +81,7 @@ class Partition(ABC):
 
     def partition_size(self, rank: int) -> int:
         """Number of nodes owned by ``rank``."""
-        return len(self.partition_nodes(rank))
+        return len(self.node_range(rank))
 
     def sizes(self) -> np.ndarray:
         """All partition sizes, rank order (Figure 7a's data)."""
@@ -106,13 +116,8 @@ class ConsecutivePartition(Partition):
             return int(idx)
         return idx.astype(np.int64)
 
-    def partition_nodes(self, rank: int) -> np.ndarray:
-        self._check_rank(rank)
-        return np.arange(self.boundaries[rank], self.boundaries[rank + 1], dtype=np.int64)
-
-    def partition_size(self, rank: int) -> int:
-        self._check_rank(rank)
-        return int(self.boundaries[rank + 1] - self.boundaries[rank])
+    def node_range(self, rank: int) -> range:
+        return range(*self.partition_range(rank))
 
     def partition_range(self, rank: int) -> tuple[int, int]:
         """Half-open node range ``[lo, hi)`` of ``rank``."""
@@ -204,13 +209,9 @@ class RoundRobinPartition(Partition):
             return int(owner)
         return owner.astype(np.int64)
 
-    def partition_nodes(self, rank: int) -> np.ndarray:
+    def node_range(self, rank: int) -> range:
         self._check_rank(rank)
-        return np.arange(rank, self.n, self.P, dtype=np.int64)
-
-    def partition_size(self, rank: int) -> int:
-        self._check_rank(rank)
-        return (self.n - rank + self.P - 1) // self.P
+        return range(rank, self.n, self.P)
 
     def local_index(self, rank: int, u: np.ndarray | int) -> np.ndarray | int:
         idx = (np.asarray(u) - rank) // self.P

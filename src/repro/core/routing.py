@@ -28,10 +28,15 @@ def route_by_dest(out: dict, records: np.ndarray, dests: np.ndarray) -> None:
         Destination rank per record, same length as ``records``.
 
     The stable sort preserves batch order within each destination, which the
-    deterministic cross-engine guarantees rely on.
+    deterministic cross-engine guarantees rely on.  A batch bound for one
+    destination (every batch at ``P = 2`` once local records are split off)
+    is appended as it is, without the sort and its permuted copies.
     """
     dests = np.asarray(dests)
     if len(records) == 0:
+        return
+    if (dests == dests[0]).all():
+        out[int(dests[0])].append(records)
         return
     order = np.argsort(dests, kind="stable")
     records, dests = records[order], dests[order]

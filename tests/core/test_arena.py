@@ -147,3 +147,28 @@ class TestRouteByDest:
         route_by_dest(out, rec, np.array([1, 0, 1, 0]))
         assert np.concatenate(out[0])["t"].tolist() == [2, 4]
         assert np.concatenate(out[1])["t"].tolist() == [1, 3]
+
+    @pytest.mark.parametrize("batch", ["empty", "one-dest", "multi-dest"])
+    def test_outbox_matches_sort_path(self, batch):
+        """The one-destination shortcut fills the outbox as the sort would."""
+        rng = np.random.default_rng(7)
+        m = {"empty": 0, "one-dest": 500, "multi-dest": 500}[batch]
+        rec = np.zeros(m, dtype=np.dtype([("t", "i8"), ("a", "i8")]))
+        rec["t"] = rng.integers(0, 1 << 40, m)
+        rec["a"] = np.arange(m)
+        dests = np.full(m, 3) if batch == "one-dest" else rng.integers(0, 4, m)
+
+        # the general path: stable argsort, then one chunk per destination
+        expected = defaultdict(list)
+        if m:
+            order = np.argsort(dests, kind="stable")
+            for d in np.unique(dests).tolist():
+                expected[d].append(rec[order][dests[order] == d])
+
+        out = defaultdict(list)
+        route_by_dest(out, rec, dests)
+        assert sorted(out) == sorted(expected)
+        for d, chunks in expected.items():
+            assert len(out[d]) == len(chunks) == 1
+            assert out[d][0].dtype == rec.dtype
+            assert out[d][0].tobytes() == chunks[0].tobytes()

@@ -187,3 +187,23 @@ class TestExact:
         ecp = generate(20_000, x=4, ranks=16, scheme="ecp", seed=1)
         ucp = generate(20_000, x=4, ranks=16, scheme="ucp", seed=1)
         assert ecp.imbalance < ucp.imbalance
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+@given(n=st.integers(min_value=1, max_value=3000),
+       P=st.integers(min_value=1, max_value=40))
+@settings(max_examples=30, deadline=None)
+def test_node_range_is_the_node_set(scheme, n, P):
+    """``node_range`` enumerates ``partition_nodes`` without materialising it."""
+    P = min(P, n)
+    part = make_partition(scheme, n, P)
+    for r in range(P):
+        nodes = part.node_range(r)
+        assert isinstance(nodes, range)
+        assert np.array_equal(np.arange(nodes.start, nodes.stop, nodes.step),
+                              part.partition_nodes(r))
+        assert len(nodes) == part.partition_size(r)
+        if len(nodes):
+            idx = np.arange(len(nodes))
+            assert np.array_equal(part.local_index(r, np.array(nodes)), idx)
+            assert part.local_index(r, nodes[-1]) == len(nodes) - 1
