@@ -8,20 +8,18 @@ machine-readable ``BENCH_hotpaths.json`` at the repository root:
 * ``copy_model_x1`` — the pointer-jumping ``x = 1`` generator;
 * ``resolve_pointers`` — the early-exit pointer-jumping kernel alone;
 * ``bsp_pa`` — end-to-end parallel PA on the in-process BSP engine;
-* ``mp_exchange`` — the multiprocessing backend's superstep exchange,
-  pickle-pipe vs zero-copy shared memory vs peer-to-peer mailbox fabric, at
-  8 ranks under a bulk-payload flood (the regime the zero-copy path is
-  built for), including fork-overhead-corrected per-superstep latency;
+* ``mp_exchange`` — the multiprocessing backend's peer-to-peer superstep
+  exchange at 8 ranks under a bulk-payload flood, including
+  fork-overhead-corrected per-superstep latency;
 * ``mp_endtoend`` — full ``x = 1`` PA generation on the multiprocessing
-  backend, one entry per exchange topology (wall seconds and
-  supersteps/sec);
+  backend (wall seconds and supersteps/sec);
 * ``commfree`` — the communication-free ``x = 1`` generator
   (:mod:`repro.core.commfree`) on one core vs ``copy_model_x1`` — the
   recompute-instead-of-message algorithm must win before parallelism even
   starts;
 * ``commfree_endtoend`` — the same generator on forked slice workers at the
   ``mp_endtoend`` scale; the derived ``speedup_vs_copy_p2p`` compares it
-  against the copy-model pipeline's best transport at equal n and P;
+  against the copy-model pipeline at equal n and P;
 * ``mp_pool`` — five consecutive generation jobs on a persistent
   :class:`~repro.mpsim.pool.WorkerPool` vs five cold engine runs;
 * ``telemetry_overhead`` — end-to-end BSP generation with telemetry
@@ -52,9 +50,6 @@ Usage::
 
 ``--require-speedup S`` exits non-zero unless the fast general copy model is
 at least ``S``× the reference — the repo's perf-regression tripwire.
-``--require-p2p-speedup S`` exits non-zero unless end-to-end p2p generation
-is at least ``S``× coordinator-shm (CI uses ``S = 1.0``: p2p must never be
-slower).
 ``--max-telemetry-overhead R`` exits non-zero if enabled telemetry costs
 more than ``R``× the disabled run (needs the ``telemetry_overhead`` case;
 CI allows generous noise headroom on shared boxes).
@@ -88,13 +83,7 @@ from repro.core.parallel_pa import RECORD_DTYPE, run_parallel_pa_x1
 from repro.core.parallel_pa_general import run_parallel_pa
 from repro.core.partitioning import UniformPartition
 from repro.core.parallel_pa import PAx1RankProgram
-from repro.mpsim.mp_backend import (
-    EXCHANGE_P2P,
-    EXCHANGE_PICKLE,
-    EXCHANGE_SHM,
-    EXCHANGES,
-    MultiprocessingBSPEngine,
-)
+from repro.mpsim.mp_backend import MultiprocessingBSPEngine
 from repro.mpsim.pool import WorkerPool
 from repro.core.commfree import commfree_mp, commfree_x1
 from repro.rng import StreamFactory
@@ -202,7 +191,7 @@ class FloodProgram:
     """Bulk-exchange load generator: each rank sends ``records`` protocol
     records to every other rank for ``rounds`` supersteps.
 
-    This isolates the exchange itself (the thing the shm path accelerates)
+    This isolates the exchange itself (the shared-memory payload path)
     from generator compute, at the large-payload scale where serialization
     cost dominates — the regime massive-graph supersteps actually live in.
     """
@@ -233,38 +222,29 @@ class FloodProgram:
         return {d: [rec] for d in range(self.size) if d != self.rank}
 
 
-def _run_flood(exchange: str, P: int, records: int, rounds: int) -> int:
-    engine = MultiprocessingBSPEngine(P, exchange=exchange)
+def _run_flood(P: int, records: int, rounds: int) -> int:
+    engine = MultiprocessingBSPEngine(P)
     engine.run([FloodProgram(r, P, records, rounds) for r in range(P)])
     return sum(engine.results)
 
 
 def case_mp_exchange(sizes, repeats):
-    """Flood benchmark over all three exchange topologies.
+    """Flood benchmark of the peer-to-peer exchange.
 
-    Besides raw wall time, each mode gets a *superstep latency*: the
+    Besides raw wall time, it reports a *superstep latency*: the
     difference between an R-round and a 1-round flood divided by the extra
-    rounds, which cancels the one-off fork/join cost and isolates what the
-    p2p fabric actually attacks — the per-superstep exchange round trip.
+    rounds, which cancels the one-off fork/join cost and isolates the
+    per-superstep exchange round trip.
     """
     P, records, rounds = sizes["mp_P"], sizes["mp_records"], sizes["mp_rounds"]
-    out = {
+    t = best_of(repeats, _run_flood, P, records, rounds)
+    t1 = best_of(repeats, _run_flood, P, records, 1)
+    return {
         "P": P, "records_per_dest": records, "rounds": rounds,
         "payload_bytes": records * RECORD_DTYPE.itemsize * (P - 1) * P * rounds,
+        "seconds": t,
+        "superstep_latency_s": max(t - t1, 1e-9) / (rounds - 1) if rounds > 1 else t,
     }
-    lat = {}
-    for exchange in EXCHANGES:
-        t = best_of(repeats, _run_flood, exchange, P, records, rounds)
-        t1 = best_of(repeats, _run_flood, exchange, P, records, 1)
-        out[f"{exchange}_s"] = t
-        lat[exchange] = max(t - t1, 1e-9) / (rounds - 1) if rounds > 1 else t
-        out[f"{exchange}_superstep_latency_s"] = lat[exchange]
-    out["speedup_shm_over_pickle"] = out["pickle_s"] / out["shm_s"]
-    out["speedup_p2p_over_shm"] = out["shm_s"] / out["p2p_s"]
-    out["latency_speedup_p2p_over_shm"] = (
-        lat[EXCHANGE_SHM] / lat[EXCHANGE_P2P]
-    )
-    return out
 
 
 def _x1_mp_programs(n: int, P: int):
@@ -274,29 +254,24 @@ def _x1_mp_programs(n: int, P: int):
 
 
 def case_mp_endtoend(sizes, repeats):
-    """Full x=1 PA generation on the multiprocessing backend, per exchange."""
+    """Full x=1 PA generation on the multiprocessing backend."""
     n, P = sizes["endtoend_n"], sizes["mp_P"]
-    out = {"n": n, "P": P, "modes": {}}
-    for exchange in EXCHANGES:
-        best = float("inf")
-        supersteps = 0
-        for _ in range(repeats):
-            engine = MultiprocessingBSPEngine(P, exchange=exchange)
-            programs = _x1_mp_programs(n, P)
-            t0 = time.perf_counter()
-            engine.run(programs)
-            best = min(best, time.perf_counter() - t0)
-            supersteps = engine.supersteps
-        out["modes"][exchange] = {
-            "wall_s": best,
-            "supersteps": supersteps,
-            "supersteps_per_s": supersteps / best,
-            "nodes_per_s": n / best,
-        }
-    out["speedup_p2p_over_shm"] = (
-        out["modes"][EXCHANGE_SHM]["wall_s"] / out["modes"][EXCHANGE_P2P]["wall_s"]
-    )
-    return out
+    best = float("inf")
+    supersteps = 0
+    for _ in range(repeats):
+        engine = MultiprocessingBSPEngine(P)
+        programs = _x1_mp_programs(n, P)
+        t0 = time.perf_counter()
+        engine.run(programs)
+        best = min(best, time.perf_counter() - t0)
+        supersteps = engine.supersteps
+    return {
+        "n": n, "P": P,
+        "wall_s": best,
+        "supersteps": supersteps,
+        "supersteps_per_s": supersteps / best,
+        "nodes_per_s": n / best,
+    }
 
 
 def case_commfree(sizes, repeats):
@@ -345,11 +320,11 @@ def case_mp_pool(sizes, repeats):
 
     def cold():
         for seed_off in range(jobs):
-            engine = MultiprocessingBSPEngine(P, exchange=EXCHANGE_P2P)
+            engine = MultiprocessingBSPEngine(P)
             engine.run(_x1_mp_programs(n + seed_off, P))
 
     def pooled():
-        with WorkerPool(P, exchange=EXCHANGE_P2P) as pool:
+        with WorkerPool(P) as pool:
             for seed_off in range(jobs):
                 pool.run(_x1_mp_programs(n + seed_off, P))
 
@@ -619,9 +594,6 @@ def main(argv=None) -> int:
                          "without re-timing everything")
     ap.add_argument("--require-speedup", type=float, default=None, metavar="S",
                     help="fail unless fast general copy model is >= S x reference")
-    ap.add_argument("--require-p2p-speedup", type=float, default=None, metavar="S",
-                    help="fail unless end-to-end p2p generation is >= S x "
-                         "coordinator-shm (needs the mp_endtoend case)")
     ap.add_argument("--max-telemetry-overhead", type=float, default=None,
                     metavar="R",
                     help="fail if enabled telemetry costs more than R x the "
@@ -683,15 +655,13 @@ def main(argv=None) -> int:
         print(f"[bench_hotpaths] {name} done in {time.perf_counter() - t0:.1f}s",
               flush=True)
 
-    # cross-case derivation: commfree end-to-end vs the copy-model pipeline's
-    # peer-to-peer transport at the same n and P (computed before the report
-    # is written so the tracked JSON carries the headline number)
+    # cross-case derivation: commfree end-to-end vs the copy-model pipeline
+    # at the same n and P (computed before the report is written so the
+    # tracked JSON carries the headline number)
     cf_e2e = report["cases"].get("commfree_endtoend")
-    endtoend_modes = report["cases"].get("mp_endtoend", {}).get("modes", {})
-    if cf_e2e is not None and "p2p" in endtoend_modes:
-        cf_e2e["speedup_vs_copy_p2p"] = (
-            endtoend_modes["p2p"]["wall_s"] / cf_e2e["wall_s"]
-        )
+    endtoend = report["cases"].get("mp_endtoend")
+    if cf_e2e is not None and endtoend is not None:
+        cf_e2e["speedup_vs_copy_p2p"] = endtoend["wall_s"] / cf_e2e["wall_s"]
 
     if args.merge and args.out.exists():
         merged = json.loads(args.out.read_text())
@@ -719,38 +689,17 @@ def main(argv=None) -> int:
               f"({general['speedup']:.1f}x >= {args.require_speedup}x)")
     mp = report["cases"].get("mp_exchange")
     if mp is not None:
-        print(f"[bench_hotpaths] mp exchange at P={mp['P']}: pickle "
-              f"{mp['pickle_s']:.3f}s, shm {mp['shm_s']:.3f}s, "
-              f"p2p {mp['p2p_s']:.3f}s; superstep latency "
-              f"shm {mp['shm_superstep_latency_s'] * 1e3:.1f}ms vs "
-              f"p2p {mp['p2p_superstep_latency_s'] * 1e3:.1f}ms "
-              f"({mp['latency_speedup_p2p_over_shm']:.2f}x)")
-    endtoend = report["cases"].get("mp_endtoend")
+        print(f"[bench_hotpaths] mp exchange at P={mp['P']}: "
+              f"{mp['seconds']:.3f}s; superstep latency "
+              f"{mp['superstep_latency_s'] * 1e3:.1f}ms")
     if endtoend is not None:
-        modes = endtoend["modes"]
-        summary = ", ".join(
-            f"{ex} {modes[ex]['wall_s']:.3f}s" for ex in modes
-        )
         print(f"[bench_hotpaths] mp end-to-end n={endtoend['n']} "
-              f"P={endtoend['P']}: {summary} "
-              f"(p2p {endtoend['speedup_p2p_over_shm']:.2f}x vs shm)")
+              f"P={endtoend['P']}: {endtoend['wall_s']:.3f}s")
     pool = report["cases"].get("mp_pool")
     if pool is not None:
         print(f"[bench_hotpaths] worker pool {pool['jobs']} jobs: cold "
               f"{pool['cold_s']:.3f}s, pooled {pool['pooled_s']:.3f}s "
               f"({pool['speedup_pool_over_cold']:.2f}x)")
-    if args.require_p2p_speedup is not None:
-        if endtoend is None:
-            print("[bench_hotpaths] --require-p2p-speedup needs the "
-                  "mp_endtoend case", file=sys.stderr)
-            return 2
-        got = endtoend["speedup_p2p_over_shm"]
-        if got < args.require_p2p_speedup:
-            print(f"[bench_hotpaths] FAIL: p2p end-to-end speedup {got:.2f}x "
-                  f"< required {args.require_p2p_speedup}x", file=sys.stderr)
-            return 1
-        print(f"[bench_hotpaths] p2p speedup gate passed "
-              f"({got:.2f}x >= {args.require_p2p_speedup}x)")
     cf = report["cases"].get("commfree")
     if cf is not None:
         print(f"[bench_hotpaths] commfree single-core n={cf['n']}: "

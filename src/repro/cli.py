@@ -59,10 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "free family — every draw is recomputable from "
                         "(seed, slot), so parallel ranks never exchange "
                         "messages (engines: sequential, bsp, mp)")
-    g.add_argument("--exchange", choices=["shm", "pickle", "p2p"], default="shm",
-                   help="superstep transport for --engine mp: coordinator-"
-                        "routed shared memory (shm), pickled pipes (pickle), "
-                        "or the peer-to-peer mailbox fabric (p2p)")
     g.add_argument("--pool", action="store_true",
                    help="run --engine mp through a persistent WorkerPool "
                         "(forks once; the shape embedding services use to "
@@ -88,9 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--max-retries", type=int, default=3,
                    help="supervised recovery attempts before giving up")
     g.add_argument("--barrier-timeout", type=float, default=120.0,
-                   help="wall-clock bound (s) on the --exchange p2p barrier; "
-                        "dead ranks are detected much faster via sentinels, "
-                        "this only catches wedged-but-alive ones")
+                   help="wall-clock bound (s) on one --engine mp superstep "
+                        "barrier; dead ranks are detected much faster via "
+                        "sentinels, this only catches wedged-but-alive ones")
     g.add_argument("--liveness-poll", type=float, default=0.25,
                    help="--engine mp: how often (s) the coordinator re-arms "
                         "its wait on worker pipes to check for silent deaths")
@@ -222,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--engine", choices=["sequential", "bsp", "mp"],
                     default="sequential",
                     help="engine for both generation and evolution")
-    ev.add_argument("--exchange", choices=["shm", "pickle", "p2p"], default="p2p",
-                    help="superstep transport for --engine mp")
     ev.add_argument("--seed", type=int, default=0, help="generation seed")
     ev.add_argument("--churn-seed", type=int, default=None,
                     help="churn-schedule seed (default: --seed)")
@@ -281,7 +275,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         ranks=args.ranks,
         scheme=args.scheme,
         engine=args.engine,
-        exchange=args.exchange,
         seed=args.seed,
         checkpoint_path=str(args.checkpoint) if args.checkpoint else None,
         checkpoint_every=args.checkpoint_every,
@@ -307,9 +300,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.pool:
         from repro.mpsim.pool import WorkerPool
 
-        pool = WorkerPool(args.ranks, exchange=args.exchange,
-                          barrier_timeout=args.barrier_timeout, telemetry=tel,
-                          liveness_poll=args.liveness_poll)
+        pool = WorkerPool(args.ranks, barrier_timeout=args.barrier_timeout,
+                          telemetry=tel, liveness_poll=args.liveness_poll)
     t0 = time.perf_counter()
     try:
         result = generate(**spec, pool=pool)
@@ -660,7 +652,6 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         ranks=args.ranks,
         scheme=args.scheme,
         engine=args.engine,
-        exchange=args.exchange,
         seed=args.seed,
     )
     res = evolve(
@@ -669,7 +660,6 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         schedule,
         engine=args.engine,
         ranks=args.ranks,
-        exchange=args.exchange,
         snapshot_dir=str(args.snapshot_dir) if args.snapshot_dir else None,
         snapshot_every=args.snapshot_every,
         checkpoint_dir=str(args.checkpoint_dir) if args.checkpoint_dir else None,

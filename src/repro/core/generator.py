@@ -23,9 +23,8 @@ Engines:
     the sequential copy model (``ranks`` must be 1), the ``T_s`` baseline;
 ``"mp"``
     the same rank programs in real OS processes
-    (:class:`~repro.mpsim.mp_backend.MultiprocessingBSPEngine`); pick the
-    superstep transport with ``exchange`` (``"shm"``, ``"pickle"``, or the
-    peer-to-peer ``"p2p"``) and pass a live
+    (:class:`~repro.mpsim.mp_backend.MultiprocessingBSPEngine`), whose
+    ranks exchange superstep traffic peer to peer; pass a live
     :class:`~repro.mpsim.pool.WorkerPool` as ``pool`` to reuse forked
     workers across repeated calls.
 
@@ -317,7 +316,6 @@ def generate(
     scheme: str = "rrp",
     seed: int | None = None,
     engine: str = "bsp",
-    exchange: str = "shm",
     pool: Any = None,
     partition: Partition | None = None,
     cost_model: CostModel | None = None,
@@ -371,9 +369,6 @@ def generate(
     engine:
         ``"bsp"``, ``"event"``, ``"sequential"``, or ``"mp"`` (see module
         docstring).
-    exchange:
-        Superstep transport for ``engine="mp"``: ``"shm"`` (default),
-        ``"pickle"``, or ``"p2p"``.  Ignored by the other engines.
     pool:
         Optional live :class:`~repro.mpsim.pool.WorkerPool` to run an
         ``engine="mp"`` generation on (its workers are reused instead of
@@ -409,8 +404,8 @@ def generate(
     max_retries:
         Recovery budget for supervised runs.
     barrier_timeout:
-        Last-resort wall-clock bound (seconds) on the ``engine="mp"``
-        ``exchange="p2p"`` barrier.  Worker deaths are detected by the
+        Last-resort wall-clock bound (seconds) on one ``engine="mp"``
+        superstep barrier.  Worker deaths are detected by the
         coordinator within one liveness poll and abort the barrier, so this
         only matters for organically wedged (not dead) ranks.
     liveness_poll:
@@ -518,13 +513,13 @@ def generate(
 
         result.evolution = _evolve(
             result.edges, n, evolve, engine=engine, ranks=result.ranks,
-            exchange=exchange, cost_model=cost_model, telemetry=telemetry,
+            cost_model=cost_model, telemetry=telemetry,
         )
     return result
 
 
 def _run_supersteps(
-    part, plan, *, engine, n, x, p, seed, cost_model, exchange, pool,
+    part, plan, *, engine, n, x, p, seed, cost_model, pool,
     checkpoint_path, checkpoint_every, checkpoint_dir, checkpoint_keep,
     max_retries, barrier_timeout, liveness_poll, telemetry, schedule,
     out_of_core, spill_budget_bytes, **_rest,
@@ -583,7 +578,7 @@ def _run_supersteps(
     def build_engine():
         if engine == "mp":
             return MultiprocessingBSPEngine(
-                part.P, exchange=exchange, cost_model=cost_model,
+                part.P, cost_model=cost_model,
                 barrier_timeout=barrier_timeout, telemetry=telemetry,
                 liveness_poll=liveness_poll,
             )
@@ -615,7 +610,7 @@ def _run_supersteps(
     if engine == "mp":
         # the final program state lives in the workers; they sent it back
         results = eng.results
-        counters = [(c["requests_sent"], c["requests_received"]) for c in eng.telemetry]
+        counters = [(c["requests_sent"], c["requests_received"]) for c in eng.rank_counters]
     else:
         results = programs
         counters = [(pr.requests_sent, pr.requests_received) for pr in programs]

@@ -199,7 +199,7 @@ class _ArrivalProgram:
         if self.rank == 0:
             self.acked += done_now
             return None
-        # flat [rank, count] pairs: the shm exchange ships 1-D payloads
+        # flat [rank, count] pairs: the mp exchange ships 1-D payloads
         return {0: [np.array([self.rank, done_now], dtype=np.int64)]}
 
     def result(self) -> np.ndarray:
@@ -318,7 +318,6 @@ def evolve(
     epochs: int | None = None,
     engine: str = "sequential",
     ranks: int = 1,
-    exchange: str = "p2p",
     chunk: int | None = None,
     snapshot_dir: str | None = None,
     snapshot_every: int = 1,
@@ -346,11 +345,10 @@ def evolve(
         count, chunking, faults, and recovery never change it.
     epochs:
         Epoch count; defaults to ``schedule.epochs``.
-    engine, ranks, exchange:
+    engine, ranks:
         Where arrival targets are computed: ``"sequential"`` (requires
         ``ranks=1``), ``"bsp"`` (simulated ranks), or ``"mp"`` (real
-        forked workers; ``exchange`` as in :func:`repro.core.generator.generate`,
-        default ``"p2p"`` so checkpoint shards can resume mid-epoch).
+        forked workers).
     chunk:
         Arrivals one rank computes per superstep (default: slice/4,
         so every epoch spans a few supersteps for faults and checkpoint
@@ -437,7 +435,7 @@ def evolve(
 
         def targets_fn(pool: np.ndarray, count: int) -> np.ndarray:
             return _compute_targets(
-                schedule, e, pool, count, engine, ranks, exchange, chunk,
+                schedule, e, pool, count, engine, ranks, chunk,
                 checkpoint_dir, checkpoint_keep, max_retries, plan,
                 cost_model, telemetry, barrier_timeout, recoveries,
             )
@@ -478,7 +476,6 @@ def _compute_targets(
     count: int,
     engine: str,
     ranks: int,
-    exchange: str,
     chunk: int | None,
     checkpoint_dir: str | None,
     checkpoint_keep: int,
@@ -544,7 +541,7 @@ def _compute_targets(
 
     def mp_engine_factory():
         return MultiprocessingBSPEngine(
-            ranks, exchange=exchange, cost_model=cost_model,
+            ranks, cost_model=cost_model,
             telemetry=telemetry, barrier_timeout=barrier_timeout,
         )
 

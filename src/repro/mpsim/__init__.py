@@ -14,14 +14,14 @@ executes the *same* rank-local programs and the *same* message protocol:
   "Message Buffering") and scales to millions of nodes in pure Python.
 * :mod:`repro.mpsim.mp_backend` — an optional backend that runs the same BSP
   rank-step functions in real OS processes, proving the rank code is
-  genuinely shared-nothing.  Superstep traffic travels over one of three
-  exchange topologies: coordinator-routed pickle pipes, coordinator-routed
-  zero-copy shared memory, or the peer-to-peer mailbox fabric of
-  :mod:`repro.mpsim.p2p` (shared-memory descriptor slots, a shared barrier,
-  and distributed termination detection — no parent on the data path).
+  genuinely shared-nothing.  Superstep traffic moves peer to peer, as the
+  paper's ranks message each other: payloads in each sender's shared-memory
+  segment, descriptors in the mailbox fabric of :mod:`repro.mpsim.p2p`
+  (shared-memory slots, a shared barrier, and distributed termination
+  detection — no parent on the data path).
 * :mod:`repro.mpsim.pool` — a persistent :class:`~repro.mpsim.pool.WorkerPool`
   that forks the backend's workers once and reuses them (pipes, payload
-  segments, p2p fabric) across many jobs.
+  segments, fabric) across many jobs.
 * :mod:`repro.mpsim.collectives` — barrier / bcast / scatter / gather /
   allgather / reduce / allreduce / alltoall(v) implemented on top of
   point-to-point sends, as an MPI library would.

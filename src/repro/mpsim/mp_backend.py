@@ -7,45 +7,32 @@ programs are genuinely shared-nothing — any accidental reliance on shared
 state would produce a different graph here than under the in-process engine,
 and the test-suite compares the two bit-for-bit.
 
-Three exchange topologies are available:
+Superstep traffic moves peer to peer, as in the paper's Algorithms 3.1/3.2,
+where ranks message each other with no router in between:
 
-``"shm"`` (default)
-    coordinator-routed descriptors, zero-copy payloads: every worker owns a
-    double-buffered ``multiprocessing.shared_memory`` segment, writes its
-    outbox arrays into the half assigned to the current superstep's parity,
-    and ships only small ``(segment, offset, count, dtype)`` descriptors
-    through the parent's pipes.  Receivers map the source segment and copy
-    the records straight out of shared memory — the payload bytes never pass
-    through pickle.  Double buffering makes the lockstep safe: superstep
-    ``s`` writes half ``s % 2`` while every reader of superstep ``s - 1``
-    data reads half ``(s - 1) % 2``.
-``"pickle"``
-    the original pipe path (arrays pickled through the coordinator's
-    connections), kept as a portability fallback and as the baseline the
-    hot-path benchmark compares against.
-``"p2p"``
-    fully peer-to-peer: payloads travel exactly as under ``"shm"``, but the
-    descriptors go through a shared-memory mailbox matrix
-    (:class:`repro.mpsim.p2p.P2PFabric`) and the supersteps are paced by a
-    shared barrier with distributed termination detection — the parent never
-    touches a byte of superstep traffic and only monitors liveness and
-    collects final results.  This removes the coordinator's serial
-    per-superstep work (two pipe hops per rank per superstep) from the
-    critical path.
+* every worker owns a double-buffered ``multiprocessing.shared_memory``
+  payload segment and writes its outbox arrays into the half assigned to the
+  current superstep's parity;
+* it posts small ``(segment, offset, count, dtype)`` descriptors into its
+  receivers' slots of the shared mailbox matrix
+  (:class:`repro.mpsim.p2p.P2PFabric`);
+* a shared barrier paces the supersteps, and every rank takes the same
+  termination decision from the fabric's shared counters;
+* after the barrier each receiver copies its inbox straight out of the
+  senders' segments, in (source rank, send) order — the in-process engine's
+  delivery order, so the graph is bit-identical.
 
-All transports deliver inboxes in identical (source-rank, send) order, so
-they produce bit-identical graphs — asserted by the test-suite.
-
-The coordinator paths drain worker replies with
-``multiprocessing.connection.wait`` in *arrival* order (then process them in
-rank order, keeping delivery deterministic), so a straggling rank no longer
-blocks the parent from servicing the others' pipes.
+Double buffering makes one barrier per superstep enough: superstep ``s``
+writes half ``s % 2`` while every reader of superstep ``s - 1`` data reads
+half ``(s - 1) % 2``.  The parent never touches a byte of superstep traffic:
+it forks the workers, watches their liveness, commits checkpoint cuts, and
+collects the final results.
 
 Statistics are accounted *worker-side* with the same formulas the in-process
 engine uses (message counts, byte volumes, virtual busy time, superstep
 durations) and shipped to the parent at job end, so
 ``engine.stats.summary()`` agrees with a matching in-process run and
-``engine.simulated_time`` is populated on every transport.
+``engine.simulated_time`` is populated.
 
 Fault tolerance (see ``docs/fault_tolerance.md``):
 
@@ -55,11 +42,13 @@ Fault tolerance (see ``docs/fault_tolerance.md``):
 * The parent detects any worker death within one liveness poll
   (:data:`_LIVENESS_POLL` seconds) by waiting on the process *sentinels*
   alongside the reply pipes, and attributes it to a rank and superstep via
-  the shared :class:`~repro.mpsim.heartbeat.Heartbeats` board; under p2p
-  the fabric's barrier is aborted so surviving ranks fail fast instead of
-  waiting out the barrier timeout.  Deaths surface as
+  the shared :class:`~repro.mpsim.heartbeat.Heartbeats` board; the fabric's
+  barrier is aborted so surviving ranks fail fast instead of waiting out the
+  barrier timeout.  Deaths surface as
   :class:`~repro.mpsim.errors.RankFailure` with the victim's rank and last
-  superstep attached.
+  superstep attached.  A killed worker cannot unlink its payload segments,
+  so the parent unlinks them itself (their names derive from the fabric and
+  the rank).
 * With a :class:`~repro.mpsim.checkpoint.Checkpointer` attached, workers
   write per-rank state *shards* at checkpoint supersteps and the parent
   assembles each complete cut into an ordinary checkpoint manifest — so a
@@ -69,18 +58,19 @@ Fault tolerance (see ``docs/fault_tolerance.md``):
 
 For repeated jobs over the same rank count, see
 :class:`repro.mpsim.pool.WorkerPool`, which forks this module's workers once
-and reuses them (pipes, payload segments, and p2p fabric included) across
-many ``run()`` calls — and since this PR heals itself by forking
-replacements for dead members instead of staying permanently broken.
+and reuses them (pipes, payload segments, and fabric included) across many
+``run()`` calls, and heals itself by forking replacements for dead members.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import pickle
 import signal
 import time
 from multiprocessing import connection as _mpc
+from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -109,30 +99,12 @@ from repro.telemetry.collector import (
 from repro.telemetry.metrics import proc_rss_bytes
 from repro.telemetry.ringbuf import EventRing
 
-try:  # pragma: no cover - import guard exercised only on exotic platforms
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None
-
-__all__ = [
-    "MultiprocessingBSPEngine",
-    "EXCHANGE_SHM",
-    "EXCHANGE_PICKLE",
-    "EXCHANGE_P2P",
-    "EXCHANGES",
-]
+__all__ = ["MultiprocessingBSPEngine"]
 
 # worker protocol commands (parent -> worker)
-_STOP = "stop"
-_STEP = "step"
 _JOB = "job"
 _SHUTDOWN = "shutdown"
 _ABANDON = "abandon"
-
-EXCHANGE_SHM = "shm"
-EXCHANGE_PICKLE = "pickle"
-EXCHANGE_P2P = "p2p"
-EXCHANGES = (EXCHANGE_SHM, EXCHANGE_PICKLE, EXCHANGE_P2P)
 
 #: Smallest per-half segment size; avoids churning tiny segments while the
 #: first supersteps ramp up.
@@ -153,10 +125,9 @@ def _attach(name: str):
     """Attach to an existing segment without resource-tracker ownership.
 
     Before Python 3.13 every attach registers the segment with the resource
-    tracker.  With the per-process trackers of a plain fork that is merely
-    noisy, but once the parent has created shared memory of its own (the p2p
-    fabric) every child inherits the *same* tracker process — and the old
-    register-then-``unregister`` dance removes the creating rank's
+    tracker.  The parent creates shared memory of its own (the fabric)
+    before forking, so every child inherits the *same* tracker process — and
+    the old register-then-``unregister`` dance removes the creating rank's
     registration, producing double-unregister errors when several ranks
     attach the same segment.  So the attach must not register at all: the
     registration is suppressed for the duration of the constructor, leaving
@@ -164,12 +135,8 @@ def _attach(name: str):
     has ``track=False`` for exactly this.
     """
     try:
-        return _shared_memory.SharedMemory(name=name, track=False)
+        return shared_memory.SharedMemory(name=name, track=False)
     except TypeError:  # Python < 3.13
-        try:
-            from multiprocessing import resource_tracker
-        except ImportError:  # pragma: no cover - no tracker, nothing to dodge
-            return _shared_memory.SharedMemory(name=name)
         original = resource_tracker.register
 
         def _skip_shm(rname: str, rtype: str) -> None:
@@ -178,9 +145,38 @@ def _attach(name: str):
 
         resource_tracker.register = _skip_shm
         try:
-            return _shared_memory.SharedMemory(name=name)
+            return shared_memory.SharedMemory(name=name)
         finally:
             resource_tracker.register = original
+
+
+def _segment_name(run: str, rank: int, seq: int) -> str:
+    """Name of ``rank``'s ``seq``-th payload segment in the world ``run``.
+
+    ``run`` is the fabric's name, so the parent can derive the names of the
+    segments a killed worker left behind (:func:`_unlink_segments`).
+    """
+    return f"{run}_{rank}_{seq}"
+
+
+def _unlink_segments(run: str, rank: int) -> None:
+    """Unlink whatever payload segments ``rank``'s worker left behind.
+
+    A worker creates its segments as ``seq`` 0, 1, ... and unlinks them
+    newest first on the way out, so the survivors of an interrupted
+    teardown — or of a ``SIGKILL`` — are always ``0 .. k``.  Call only once
+    the worker is dead; a clean exit leaves nothing and costs one failed
+    open.
+    """
+    seq = 0
+    while True:
+        try:
+            seg = shared_memory.SharedMemory(name=_segment_name(run, rank, seq))
+        except FileNotFoundError:
+            return
+        seg.close()
+        seg.unlink()  # also drops the dead worker's tracker registration
+        seq += 1
 
 
 class _ShmWriter:
@@ -188,12 +184,14 @@ class _ShmWriter:
 
     The segment holds two halves; superstep ``s`` writes into half ``s % 2``
     (a bump allocator reset each superstep).  When a superstep's payload
-    outgrows the current half, a fresh segment (doubled) is created under a
-    new name — the old one is kept alive until shutdown because readers may
-    still be copying last superstep's records out of it.
+    outgrows the current half, a fresh segment (doubled) is created under
+    the next :func:`_segment_name` — the old one is kept alive until
+    shutdown because readers may still be copying last superstep's records
+    out of it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, run: str, rank: int) -> None:
+        self.run, self.rank = run, rank
         self.shm = None
         self.half = 0
         self._retired: list[Any] = []
@@ -204,10 +202,11 @@ class _ShmWriter:
         half = _MIN_HALF_BYTES
         while half < nbytes:
             half *= 2
-        new = _shared_memory.SharedMemory(create=True, size=2 * half)
         if self.shm is not None:
             self._retired.append(self.shm)
-        self.shm, self.half = new, half
+        name = _segment_name(self.run, self.rank, len(self._retired))
+        self.shm = shared_memory.SharedMemory(name=name, create=True, size=2 * half)
+        self.half = half
 
     def write(self, outbox: dict[int, list[np.ndarray]], superstep: int) -> dict:
         """Copy ``outbox`` arrays into shared memory; return the descriptor
@@ -237,7 +236,8 @@ class _ShmWriter:
         return meta
 
     def close(self) -> None:
-        for seg in self._retired + ([self.shm] if self.shm is not None else []):
+        # newest first, so an interrupted close leaves a 0..k prefix
+        for seg in reversed(self._retired + ([self.shm] if self.shm is not None else [])):
             seg.close()
             try:
                 seg.unlink()
@@ -274,18 +274,6 @@ class _ShmReader:
 
 
 # ===================================================================== worker
-class _ShutdownRequested(Exception):
-    """Parent asked the worker to exit while a job was in flight."""
-
-
-class _JobAbandoned(Exception):
-    """Parent abandoned the in-flight job (pool healing); carries the token."""
-
-    def __init__(self, token: Any) -> None:
-        super().__init__(f"job abandoned (token {token!r})")
-        self.token = token
-
-
 def _result_of(rank: int, program: RankProgram) -> Any:
     """Extract a rank program's result payload, if it exposes one.
 
@@ -302,8 +290,8 @@ def _result_of(rank: int, program: RankProgram) -> Any:
         raise RankFailure(rank, exc) from exc
 
 
-def _telemetry_of(program: RankProgram) -> dict[str, int]:
-    """Per-rank counters the generation facade reports (Figure 7 data)."""
+def _rank_counters_of(program: RankProgram) -> dict[str, int]:
+    """Per-rank request counters the generation facade reports (Figure 7 data)."""
     return {
         "requests_sent": int(getattr(program, "requests_sent", 0) or 0),
         "requests_received": int(getattr(program, "requests_received", 0) or 0),
@@ -324,7 +312,7 @@ def _execute_step(
     cost: CostModel,
     fault_plan: Any,
     superstep: int,
-    heartbeats: Heartbeats | None,
+    heartbeats: Heartbeats,
 ) -> tuple[dict[int, list[np.ndarray]], int, float]:
     """Run one superstep of ``program`` and account it like the in-process
     engine does.
@@ -339,8 +327,7 @@ def _execute_step(
     outgoing record count, and the superstep's virtual duration for this
     rank.  Program exceptions surface as :class:`RankFailure`.
     """
-    if heartbeats is not None:
-        heartbeats.beat(rank, superstep)
+    heartbeats.beat(rank, superstep)
     if fault_plan is not None and fault_plan.should_crash(rank, superstep=superstep):
         # a *real* fail-stop death: no cleanup, no goodbye message — the
         # parent must detect it from the sentinel and the silent heartbeat
@@ -394,99 +381,7 @@ def _execute_step(
     return clean, out_records, t
 
 
-def _run_job_coordinator(
-    rank: int,
-    size: int,
-    program: RankProgram,
-    conn: Any,
-    exchange: str,
-    writer: Any,
-    reader: Any,
-    cost: CostModel,
-    fault_plan: Any,
-    heartbeats: Heartbeats | None = None,
-    resume: tuple[int, RankStats, list] | None = None,
-    tel: Any = NOOP_TELEMETRY,
-) -> None:
-    """Worker side of one coordinator-routed job (``shm``/``pickle``).
-
-    ``resume`` — ``(superstep0, rank_stats, inbox0)`` — continues a
-    checkpointed run: the superstep counter and statistics row pick up where
-    the snapshot left off, and ``inbox0`` (the snapshot's in-flight
-    messages) is consumed by the first ``_STEP``, whose payload from the
-    parent is empty.
-
-    A ``_STEP`` payload is ``(inbox_payload, shard_req)``; a non-``None``
-    ``shard_req = (cut, simulated_time, shard_dir)`` instructs the worker to
-    write its checkpoint shard for ``cut`` — its state at the *start* of
-    this superstep, which equals the in-process engine's state after
-    superstep ``cut`` — before stepping.
-    """
-    stats = WorldStats.for_size(size)
-    superstep = 0
-    pending_inbox: list | None = None
-    if resume is not None:
-        superstep, rank_stats, pending_inbox = resume
-        stats.ranks[rank] = rank_stats
-    ctx = BSPRankContext(rank, size, stats, cost)
-    rs = stats[rank]
-    while True:
-        # time blocked on the coordinator: routing latency plus however long
-        # the slowest peer makes everyone wait — the transport's barrier
-        with tel.span("step.wait", cat="barrier", tid=rank, superstep=superstep + 1):
-            cmd, payload = conn.recv()
-        if cmd == _SHUTDOWN:
-            raise _ShutdownRequested
-        if cmd == _ABANDON:
-            raise _JobAbandoned(payload)
-        if cmd == _STOP:
-            conn.send(
-                ("final", rs, _result_of(rank, program), _telemetry_of(program), None)
-            )
-            return
-        superstep += 1
-        step_payload, shard_req = payload
-        if exchange == EXCHANGE_SHM:
-            with tel.span("exchange.read", cat="exchange", tid=rank, superstep=superstep):
-                inbox = [(src, reader.read(desc)) for src, desc in step_payload]
-        else:
-            inbox = step_payload
-        if pending_inbox is not None:
-            inbox = pending_inbox + list(inbox)
-            pending_inbox = None
-        if shard_req is not None:
-            cut, sim_abs, shard_dir = shard_req
-            path = _shard_path(shard_dir, cut, rank)
-            with tel.span("shard.save", cat="checkpoint", tid=rank, cut=cut):
-                save_shard(
-                    path, ShardData(rank, cut, sim_abs, program, list(inbox), rs)
-                )
-            conn.send(("shard", cut, str(path)))
-        with tel.span("compute", cat="compute", tid=rank, superstep=superstep) as sp:
-            clean, out_records, t = _execute_step(
-                rank, size, program, ctx, rs, inbox, cost, fault_plan,
-                superstep, heartbeats,
-            )
-            sp.note(virtual_s=t, records=out_records)
-            if tel.enabled:
-                sp.note(rss_bytes=proc_rss_bytes())
-        with tel.span("exchange.write", cat="exchange", tid=rank, superstep=superstep):
-            if exchange == EXCHANGE_SHM:
-                meta = writer.write(clean, superstep)
-            else:
-                meta = clean
-            conn.send(("out", meta, bool(program.done), t))
-        if tel.enabled:
-            tel.counter(
-                "mp_worker_supersteps_total", "supersteps executed worker-side"
-            ).inc(rank=rank)
-            tel.gauge(
-                "proc_rss_bytes", "resident set size, sampled per superstep"
-            ).set(float(proc_rss_bytes()), rank=rank)
-            tel.flush()
-
-
-def _run_job_p2p(
+def _run_job(
     rank: int,
     size: int,
     program: RankProgram,
@@ -497,12 +392,12 @@ def _run_job_p2p(
     cost: CostModel,
     fault_plan: Any,
     max_supersteps: int,
-    heartbeats: Heartbeats | None = None,
+    heartbeats: Heartbeats,
     resume: tuple[int, RankStats, list] | None = None,
     ckpt: tuple[str, int, int, float] | None = None,
     tel: Any = NOOP_TELEMETRY,
 ) -> None:
-    """Worker side of one peer-to-peer job: no parent on the data path.
+    """Worker side of one job: no parent on the data path.
 
     Each superstep: step the program, write payloads into this rank's
     shared-memory arena, post the descriptors into every peer's mailbox,
@@ -514,9 +409,12 @@ def _run_job_p2p(
     min_superstep, sim0)`` gives every rank the same schedule, and the shared
     traffic counters give every rank the same view of whether the cut is
     worth snapshotting — so all ranks write their shard for the same cuts
-    without any coordinator round.  ``resume`` continues a checkpointed run
-    exactly as in the coordinator paths; the final tail reports the
-    superstep count (absolute) and the simulated time *delta* of this job.
+    without any coordinator round.  ``resume`` — ``(superstep0, rank_stats,
+    inbox0)`` — continues a checkpointed run: the superstep counter and
+    statistics row pick up where the snapshot left off, and ``inbox0`` (the
+    snapshot's in-flight messages) feeds the first step.  The final tail
+    reports the superstep count (absolute) and the simulated time *delta*
+    of this job.
     """
     stats = WorldStats.for_size(size)
     superstep = 0
@@ -527,69 +425,65 @@ def _run_job_p2p(
     ctx = BSPRankContext(rank, size, stats, cost)
     rs = stats[rank]
     simulated = 0.0
-    try:
-        while True:
-            if superstep >= max_supersteps:
-                raise MPSimError(f"exceeded max_supersteps={max_supersteps}")
-            superstep += 1
-            with tel.span("compute", cat="compute", tid=rank, superstep=superstep) as sp:
-                clean, out_records, t = _execute_step(
-                    rank, size, program, ctx, rs, inbox, cost, fault_plan,
-                    superstep, heartbeats,
-                )
-                sp.note(virtual_s=t, records=out_records)
-                if tel.enabled:
-                    sp.note(rss_bytes=proc_rss_bytes())
-            with tel.span("exchange.write", cat="exchange", tid=rank, superstep=superstep):
-                meta = writer.write(clean, superstep)
-                fabric.post(rank, superstep, meta)
-            fabric.publish(rank, superstep, bool(program.done), out_records, t)
-            # the real imbalance cost: fast ranks park here until the
-            # slowest peer arrives (paper Section 4.6's load-balance story)
-            with tel.span("barrier.wait", cat="barrier", tid=rank, superstep=superstep):
-                fabric.wait(rank, superstep)
+    while True:
+        if superstep >= max_supersteps:
+            raise MPSimError(f"exceeded max_supersteps={max_supersteps}")
+        superstep += 1
+        with tel.span("compute", cat="compute", tid=rank, superstep=superstep) as sp:
+            clean, out_records, t = _execute_step(
+                rank, size, program, ctx, rs, inbox, cost, fault_plan,
+                superstep, heartbeats,
+            )
+            sp.note(virtual_s=t, records=out_records)
             if tel.enabled:
-                tel.counter(
-                    "mp_worker_supersteps_total", "supersteps executed worker-side"
-                ).inc(rank=rank)
-                tel.gauge(
-                    "proc_rss_bytes", "resident set size, sampled per superstep"
-                ).set(float(proc_rss_bytes()), rank=rank)
-                tel.flush()
-            simulated += fabric.max_step_time(superstep)
-            if fabric.quiescent(superstep):
-                break
-            with tel.span("exchange.read", cat="exchange", tid=rank, superstep=superstep):
-                inbox = [
-                    (src, reader.read(desc))
-                    for src, desc in fabric.collect(rank, superstep)
-                ]
-            if ckpt is not None:
-                shard_dir, every, min_superstep, sim0 = ckpt
-                if (
-                    superstep % every == 0
-                    and superstep > min_superstep
-                    and fabric.traffic(superstep) > 0
-                ):
-                    path = _shard_path(shard_dir, superstep, rank)
-                    with tel.span("shard.save", cat="checkpoint", tid=rank, cut=superstep):
-                        save_shard(
-                            path,
-                            ShardData(
-                                rank, superstep, sim0 + simulated, program,
-                                list(inbox), rs,
-                            ),
-                        )
-                    conn.send(("shard", superstep, str(path)))
-    except Exception:
-        fabric.abort()  # fail peers fast instead of letting them time out
-        raise
+                sp.note(rss_bytes=proc_rss_bytes())
+        with tel.span("exchange.write", cat="exchange", tid=rank, superstep=superstep):
+            meta = writer.write(clean, superstep)
+            fabric.post(rank, superstep, meta)
+        fabric.publish(rank, superstep, bool(program.done), out_records, t)
+        # the real imbalance cost: fast ranks park here until the
+        # slowest peer arrives (paper Section 4.6's load-balance story)
+        with tel.span("barrier.wait", cat="barrier", tid=rank, superstep=superstep):
+            fabric.wait(rank, superstep)
+        if tel.enabled:
+            tel.counter(
+                "mp_worker_supersteps_total", "supersteps executed worker-side"
+            ).inc(rank=rank)
+            tel.gauge(
+                "proc_rss_bytes", "resident set size, sampled per superstep"
+            ).set(float(proc_rss_bytes()), rank=rank)
+            tel.flush()
+        simulated += fabric.max_step_time(superstep)
+        if fabric.quiescent(superstep):
+            break
+        with tel.span("exchange.read", cat="exchange", tid=rank, superstep=superstep):
+            inbox = [
+                (src, reader.read(desc))
+                for src, desc in fabric.collect(rank, superstep)
+            ]
+        if ckpt is not None:
+            shard_dir, every, min_superstep, sim0 = ckpt
+            if (
+                superstep % every == 0
+                and superstep > min_superstep
+                and fabric.traffic(superstep) > 0
+            ):
+                path = _shard_path(shard_dir, superstep, rank)
+                with tel.span("shard.save", cat="checkpoint", tid=rank, cut=superstep):
+                    save_shard(
+                        path,
+                        ShardData(
+                            rank, superstep, sim0 + simulated, program,
+                            list(inbox), rs,
+                        ),
+                    )
+                conn.send(("shard", superstep, str(path)))
     conn.send(
         (
             "final",
             rs,
             _result_of(rank, program),
-            _telemetry_of(program),
+            _rank_counters_of(program),
             (superstep, simulated),
         )
     )
@@ -599,12 +493,11 @@ def _worker_main(
     rank: int,
     size: int,
     conn: Any,
-    exchange: str,
-    fabric: P2PFabric | None,
+    fabric: P2PFabric,
     program: RankProgram | None,
     max_supersteps: int,
     cost: CostModel,
-    heartbeats: Heartbeats | None = None,
+    heartbeats: Heartbeats,
     resume: tuple[int, RankStats, list] | None = None,
     ckpt: tuple[str, int, int, float] | None = None,
     ring: EventRing | None = None,
@@ -621,9 +514,8 @@ def _worker_main(
     worker publishes spans as they close and cumulative metric snapshots
     every superstep, so a crash loses at most the current superstep.
     """
-    needs_shm = exchange in (EXCHANGE_SHM, EXCHANGE_P2P)
-    writer = _ShmWriter() if needs_shm else None
-    reader = _ShmReader() if needs_shm else None
+    writer = _ShmWriter(fabric.name, rank)
+    reader = _ShmReader()
     tel = Telemetry.for_worker(ring, rank) if ring is not None else NOOP_TELEMETRY
     try:
         while True:
@@ -634,60 +526,58 @@ def _worker_main(
             if cmd == _SHUTDOWN:
                 return
             if cmd == _ABANDON:
-                # idle worker: nothing in flight, just acknowledge the token
+                # a failed job already ended here.  A respawned peer reuses
+                # its predecessor's segment names, so forget the old mappings
+                reader.close()
                 conn.send(("abandoned", payload))
                 continue
             if cmd != _JOB:  # pragma: no cover - protocol violation
-                conn.send(("error", "mpsim", f"unexpected command {cmd!r}", rank, None))
+                _report_error(
+                    conn, fabric, "mpsim", MPSimError(f"unexpected command {cmd!r}"),
+                    rank, None,
+                )
                 return
             job_program, fault_plan = payload
             prog = job_program if job_program is not None else program
             job_resume, resume = resume, None
             try:
-                if exchange == EXCHANGE_P2P:
-                    _run_job_p2p(
-                        rank, size, prog, conn, fabric, writer, reader,
-                        cost, fault_plan, max_supersteps,
-                        heartbeats, job_resume, ckpt, tel,
-                    )
-                else:
-                    _run_job_coordinator(
-                        rank, size, prog, conn, exchange, writer, reader,
-                        cost, fault_plan, heartbeats, job_resume, tel,
-                    )
+                _run_job(
+                    rank, size, prog, conn, fabric, writer, reader,
+                    cost, fault_plan, max_supersteps,
+                    heartbeats, job_resume, ckpt, tel,
+                )
                 tel.flush()
-            except _ShutdownRequested:
-                return
-            except _JobAbandoned as exc:
-                conn.send(("abandoned", exc.token))
             except RankFailure as exc:
                 # exc.rank may name a *peer* (barrier attribution), not the
                 # reporter — carry it so the parent raises for the victim
-                _report_error(
-                    conn, fabric, "rank", repr(exc.original), exc.rank, exc.superstep
-                )
+                _report_error(conn, fabric, "rank", exc.original, exc.rank, exc.superstep)
             except Exception as exc:
-                _report_error(conn, fabric, "mpsim", repr(exc), rank, None)
+                _report_error(conn, fabric, "mpsim", exc, rank, None)
     finally:
-        if reader is not None:
-            reader.close()
-        if writer is not None:
-            writer.close()
+        reader.close()
+        writer.close()
 
 
 def _report_error(
     conn: Any,
-    fabric: P2PFabric | None,
+    fabric: P2PFabric,
     kind: str,
-    msg: str,
+    exc: BaseException,
     failing_rank: int,
     superstep: int | None,
 ) -> None:
-    """Abort peers (p2p) and surface a job error to the parent, best-effort."""
-    if fabric is not None:
-        fabric.abort()
+    """Abort peers and surface a job error to the parent, best-effort.
+
+    The exception object itself travels when it survives pickling (so the
+    parent can raise with its type); otherwise its ``repr`` does.
+    """
+    fabric.abort()  # fail peers fast instead of letting them time out
     try:
-        conn.send(("error", kind, msg, failing_rank, superstep))
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = RuntimeError(repr(exc))
+    try:
+        conn.send(("error", kind, exc, failing_rank, superstep))
     except Exception:  # pragma: no cover - parent already gone
         pass
 
@@ -695,8 +585,8 @@ def _report_error(
 # ===================================================================== parent
 def _attribute_death(
     rank: int,
-    fabric: P2PFabric | None,
-    heartbeats: Heartbeats | None,
+    fabric: P2PFabric,
+    heartbeats: Heartbeats,
     fault_plan: Any,
 ) -> None:
     """Raise the :class:`RankFailure` for a worker the parent saw die.
@@ -705,12 +595,11 @@ def _attribute_death(
     plan had an unfired crash scheduled for this rank the death is
     acknowledged on the *parent's* copy of the plan (the worker's forked
     copy died with it) — which is what stops a supervised retry from
-    re-killing the respawned rank forever.  With a p2p fabric the barrier is
-    aborted first so surviving peers fail fast too.
+    re-killing the respawned rank forever.  The barrier is aborted first so
+    surviving peers fail fast too.
     """
-    if fabric is not None:
-        fabric.abort()
-    superstep = heartbeats.last_superstep(rank) if heartbeats is not None else None
+    fabric.abort()
+    superstep = heartbeats.last_superstep(rank)
     injected = (
         fault_plan is not None
         and callable(getattr(fault_plan, "consume_crash", None))
@@ -724,38 +613,21 @@ def _attribute_death(
     raise RankFailure(rank, RuntimeError(why), superstep=superstep)
 
 
-def _safe_send(
-    conn: Any,
-    rank: int,
-    msg: Any,
-    fabric: P2PFabric | None,
-    heartbeats: Heartbeats | None,
-    fault_plan: Any,
-) -> None:
-    """Send to a worker, converting a dead pipe into an attributed failure."""
-    try:
-        conn.send(msg)
-    except (BrokenPipeError, OSError):
-        _attribute_death(rank, fabric, heartbeats, fault_plan)
-
-
 def _recv_all(
     parents: Sequence[Any],
     procs: Sequence[Any],
-    fabric: P2PFabric | None,
-    heartbeats: Heartbeats | None = None,
-    fault_plan: Any = None,
-    on_shard: Callable[[int, int, str], None] | None = None,
-    tick: Callable[[], Any] | None = None,
-    liveness_poll: float = _LIVENESS_POLL,
+    fabric: P2PFabric,
+    heartbeats: Heartbeats,
+    fault_plan: Any,
+    on_shard: Callable[[int, int, str], None],
+    tick: Callable[[], Any] | None,
+    liveness_poll: float,
 ) -> dict[int, tuple]:
     """Collect exactly one reply per worker, draining in *arrival* order.
 
     ``multiprocessing.connection.wait`` services whichever pipes are ready,
     so a straggler rank cannot head-of-line-block the parent from reading
-    the others (the pre-PR path ``recv``-ed in strict rank order).  Callers
-    then iterate the returned dict in rank order, which keeps downstream
-    routing deterministic regardless of arrival timing.
+    the others.  Callers then iterate the returned dict in rank order.
 
     The wait set includes every outstanding worker's process *sentinel*, so
     a death wakes the parent immediately instead of after a poll interval.
@@ -768,8 +640,8 @@ def _recv_all(
     newest complete cut can still be committed.
 
     ``tick`` is invoked once per wait cycle — the telemetry ring drain rides
-    the liveness poll here, so long p2p jobs cannot overflow the ring while
-    the parent sits waiting for finals.
+    the liveness poll here, so long jobs cannot overflow the ring while the
+    parent sits waiting for finals.
     """
     msgs: dict[int, tuple] = {}
     pending: dict[Any, int] = {conn: rank for rank, conn in enumerate(parents)}
@@ -782,7 +654,7 @@ def _recv_all(
             try:
                 while conn2.poll(0):
                     m = conn2.recv()
-                    if m[0] == "shard" and on_shard is not None:
+                    if m[0] == "shard":
                         on_shard(rank2, m[1], m[2])
             except (EOFError, OSError):
                 pass
@@ -800,8 +672,7 @@ def _recv_all(
             except (EOFError, OSError):
                 _died(rank)
             if msg[0] == "shard":
-                if on_shard is not None:
-                    on_shard(rank, msg[1], msg[2])
+                on_shard(rank, msg[1], msg[2])
                 continue  # still owed this worker's real reply
             msgs[rank] = msg
             del pending[conn]
@@ -821,26 +692,28 @@ def _recv_all(
 def _raise_job_errors(msgs: dict[int, tuple]) -> None:
     """Map worker error reports to the exceptions the in-process engine uses.
 
-    Program/rank failures win over engine failures (a crashing rank aborts
-    the barrier, so its peers' reports are collateral).  Error reports carry
-    the *failing* rank — which, for barrier-attributed failures, may differ
-    from the reporting rank — and the lowest failing rank is raised for
-    determinism.
+    A report names the *failing* rank, which for a barrier attribution is a
+    peer of the reporter ("rank(s) [1] never reached the barrier").  Such a
+    peer saw only the effect, so a rank's own report of its failure wins
+    over its peers' attribution of it.  Ranks named by a rank failure win
+    over engine errors nobody was blamed for, and the lowest one is raised
+    for determinism: :class:`RankFailure` for a program failure or death,
+    :class:`MPSimError` (chained to the worker's exception) for an engine
+    error such as :class:`~repro.mpsim.p2p.MailboxOverflow`.
     """
-    errors = {r: m for r, m in msgs.items() if m[0] == "error"}
+    errors = {r: m[1:] for r, m in msgs.items() if m[0] == "error"}
     if not errors:
         return
-    rank_reports: dict[int, tuple[str, int | None]] = {}
-    for reporter in sorted(errors):
-        _tag, kind, msg, failing_rank, superstep = errors[reporter]
-        if kind == "rank" and failing_rank not in rank_reports:
-            rank_reports[failing_rank] = (msg, superstep)
-    if rank_reports:
-        failing = min(rank_reports)
-        msg, superstep = rank_reports[failing]
-        raise RankFailure(failing, RuntimeError(msg), superstep=superstep)
-    reporter = min(errors)
-    raise MPSimError(f"rank {reporter}: {errors[reporter][2]}")
+    blamed = [failing for kind, _exc, failing, _step in errors.values() if kind == "rank"]
+    rank = min(blamed) if blamed else min(errors)
+    if rank in errors and errors[rank][2] == rank:
+        reporter = rank
+    else:
+        reporter = min(r for r, m in errors.items() if m[2] == rank)
+    kind, exc, _failing, superstep = errors[reporter]
+    if kind == "rank":
+        raise RankFailure(rank, exc, superstep=superstep)
+    raise MPSimError(f"rank {rank}: {exc!r}") from exc
 
 
 def _commit_cut(
@@ -888,18 +761,15 @@ def _drive_job(
     parents: Sequence[Any],
     procs: Sequence[Any],
     size: int,
-    exchange: str,
-    fabric: P2PFabric | None,
+    fabric: P2PFabric,
     programs: Sequence[RankProgram] | None,
     fault_plan: Any,
     stats: WorldStats,
     max_supersteps: int,
-    heartbeats: Heartbeats | None = None,
+    heartbeats: Heartbeats,
+    cost: CostModel,
     checkpointer: Checkpointer | None = None,
-    shard_dir: str | None = None,
-    cost: CostModel | None = None,
     step0: int = 0,
-    sim0: float = 0.0,
     collector: RingCollector | None = None,
     tel: Any = NOOP_TELEMETRY,
     liveness_poll: float = _LIVENESS_POLL,
@@ -908,15 +778,15 @@ def _drive_job(
 
     ``programs`` is ``None`` when workers inherited their programs at fork
     (one-shot engine runs); pooled jobs pass the list to pickle across.
-    ``step0`` is the superstep the job resumes from (0 for fresh runs);
-    ``sim0`` the simulated time already on the engine's clock, used only to
-    stamp checkpoint manifests with absolute times.  ``collector`` drains
-    the telemetry event ring opportunistically (once per superstep on the
-    coordinator transports, once per liveness-poll cycle under p2p) and
-    ``tel`` records the parent's own routing/waiting spans.  Returns
-    ``(results, telemetry, supersteps, simulated_delta)`` — the superstep
-    count is absolute, the simulated time is this job's increment — and
-    writes the workers' final :class:`RankStats` into ``stats``.
+    The workers run to quiescence on their own; the parent only commits
+    checkpoint cuts as their shard notifications arrive and collects the
+    finals.  ``step0`` is the superstep the job resumes from (0 for fresh
+    runs).  ``collector`` drains the telemetry event ring once per
+    liveness-poll cycle and ``tel`` records the parent's own collection
+    span.  Returns ``(results, rank_counters, supersteps, simulated_delta)``
+    — the superstep count is absolute, the simulated time is this job's
+    increment — and writes the workers' final :class:`RankStats` into
+    ``stats``.
     """
     shards: dict[int, dict[int, str]] = {}
 
@@ -924,123 +794,46 @@ def _drive_job(
         got = shards.setdefault(cut, {})
         got[rank] = path
         if len(got) == size and checkpointer is not None:
-            _commit_cut(
-                checkpointer, size, cost or CostModel(), max_supersteps,
-                cut, shards.pop(cut),
-            )
+            _commit_cut(checkpointer, size, cost, max_supersteps, cut, shards.pop(cut))
 
     for rank, conn in enumerate(parents):
         shipped = programs[rank] if programs is not None else None
-        _safe_send(
-            conn, rank, (_JOB, (shipped, fault_plan)), fabric, heartbeats, fault_plan
-        )
+        try:
+            conn.send((_JOB, (shipped, fault_plan)))
+        except (BrokenPipeError, OSError):
+            _attribute_death(rank, fabric, heartbeats, fault_plan)
 
-    results: list[Any] = [None] * size
-    telemetry: list[dict] = [{} for _ in range(size)]
     tick = collector.drain if collector is not None else None
-
-    if exchange == EXCHANGE_P2P:
-        # workers run to quiescence on their own; just collect the finals
-        # (and commit checkpoint cuts as their shard notifications arrive)
-        with tel.span("job.collect", cat="run", tid=-1):
-            msgs = _recv_all(
-                parents, procs, fabric, heartbeats, fault_plan, _on_shard, tick,
-                liveness_poll,
-            )
-        _raise_job_errors(msgs)
-        supersteps = step0
-        simulated = 0.0
-        for rank in range(size):
-            kind, rank_stats, result, tele, tail = msgs[rank]
-            if kind != "final":  # pragma: no cover - protocol violation
-                raise MPSimError(f"unexpected final message {kind!r} from rank {rank}")
-            _install_rank_stats(stats, rank, rank_stats)
-            results[rank] = result
-            telemetry[rank] = tele
-            steps, sim = tail
-            supersteps = max(supersteps, steps)
-            simulated = max(simulated, sim)
-        return results, telemetry, supersteps, simulated
-
-    # coordinator topologies: the parent routes descriptors (shm) or whole
-    # payloads (pickle) between workers each superstep, and decides the
-    # checkpoint schedule itself (a shard request rides the next _STEP)
-    supersteps = step0
-    simulated = 0.0
-    inboxes: list[list[tuple[int, Any]]] = [[] for _ in range(size)]
-    shard_req: tuple[int, float, str] | None = None
-    while True:
-        if supersteps >= max_supersteps:
-            raise MPSimError(f"exceeded max_supersteps={max_supersteps}")
-        supersteps += 1
-        step_span = tel.span("superstep", cat="superstep", tid=-1, superstep=supersteps)
-        step_span.__enter__()
-        for rank, conn in enumerate(parents):
-            _safe_send(
-                conn, rank, (_STEP, (inboxes[rank], shard_req)),
-                fabric, heartbeats, fault_plan,
-            )
-        shard_req = None
+    with tel.span("job.collect", cat="run", tid=-1) as sp:
         msgs = _recv_all(
-            parents, procs, None, heartbeats, fault_plan, _on_shard, tick,
+            parents, procs, fabric, heartbeats, fault_plan, _on_shard, tick,
             liveness_poll,
         )
-        _raise_job_errors(msgs)
-        next_inboxes: list[list[tuple[int, Any]]] = [[] for _ in range(size)]
-        any_traffic = False
-        all_done = True
-        step_max = 0.0
-        step_records = 0
-        for rank in range(size):  # rank order: deterministic delivery
-            kind, payload, done, t = msgs[rank]
-            if kind != "out":  # pragma: no cover - protocol violation
-                raise MPSimError(f"unexpected step message {kind!r} from rank {rank}")
-            for dest in sorted(payload):
-                for item in payload[dest]:
-                    next_inboxes[dest].append((rank, item))
-                    step_records += 1
-                    any_traffic = True
-            all_done = all_done and done
-            step_max = max(step_max, t)
-        simulated += step_max
-        step_span.note(virtual_s=step_max, routed_payloads=step_records)
         if tel.enabled:
+            # the coordinator lane's footprint, once the finals are in
             rss = proc_rss_bytes()
-            step_span.note(rss_bytes=rss)
+            sp.note(rss_bytes=rss)
             tel.gauge(
                 "proc_rss_bytes", "resident set size, sampled per superstep"
             ).set(float(rss), rank=-1)
-        step_span.__exit__(None, None, None)
-        inboxes = next_inboxes
-        if not any_traffic and all_done:
-            break
-        if (
-            checkpointer is not None
-            and any_traffic
-            and supersteps % checkpointer.every == 0
-            and supersteps > checkpointer.min_superstep
-        ):
-            # snapshot cut `supersteps`: each worker's state at the start of
-            # the *next* superstep equals the in-process engine's state
-            # after this one, so the manifest is engine-interchangeable
-            shard_req = (supersteps, sim0 + simulated, shard_dir)
-
-    for rank, conn in enumerate(parents):
-        _safe_send(conn, rank, (_STOP, None), fabric, heartbeats, fault_plan)
-    msgs = _recv_all(
-        parents, procs, None, heartbeats, fault_plan, _on_shard, tick, liveness_poll
-    )
-    # a worker may fail *during* final collection (e.g. its ``result()``
-    # raises); surface that as a RankFailure like any mid-run crash
+    # a worker may also fail *during* final collection (e.g. its
+    # ``result()`` raises); that surfaces here like any mid-run failure
     _raise_job_errors(msgs)
+    results: list[Any] = [None] * size
+    counters: list[dict] = [{} for _ in range(size)]
+    supersteps = step0
+    simulated = 0.0
     for rank in range(size):
-        kind, rank_stats, result, tele, _tail = msgs[rank]
+        kind, rank_stats, result, rank_counters, tail = msgs[rank]
         if kind != "final":  # pragma: no cover - protocol violation
             raise MPSimError(f"unexpected final message {kind!r} from rank {rank}")
         _install_rank_stats(stats, rank, rank_stats)
         results[rank] = result
-        telemetry[rank] = tele
-    return results, telemetry, supersteps, simulated
+        counters[rank] = rank_counters
+        steps, sim = tail
+        supersteps = max(supersteps, steps)
+        simulated = max(simulated, sim)
+    return results, counters, supersteps, simulated
 
 
 def _install_rank_stats(stats: WorldStats, rank: int, rank_stats: Any) -> None:
@@ -1059,10 +852,10 @@ def _check_mp_fault_plan(fault_plan: Any) -> None:
     * superstep-scheduled **crashes** are supported — realised as real
       worker ``SIGKILL`` deaths;
     * **stragglers** are supported — realised as real sleeps;
-    * **drops/duplications** are rejected: payload bytes travel real pipes
-      and shared memory, and a sent message cannot be un-sent or doubled
-      without putting the engine back on the data path (use the in-process
-      engine to exercise those);
+    * **drops/duplications** are rejected: payload bytes travel real shared
+      memory, and a sent message cannot be un-sent or doubled without
+      putting the engine back on the data path (use the in-process engine
+      to exercise those);
     * **time-scheduled crashes** are rejected: workers share no global
       virtual clock, so a wall-time trigger would fire non-deterministically
       (schedule with ``crash(rank, at_superstep=...)`` instead).
@@ -1088,16 +881,6 @@ def _check_mp_fault_plan(fault_plan: Any) -> None:
         )
 
 
-def _normalise_exchange(exchange: str) -> str:
-    if exchange not in EXCHANGES:
-        raise ValueError(
-            f"unknown exchange {exchange!r}; use one of {', '.join(EXCHANGES)}"
-        )
-    if exchange != EXCHANGE_PICKLE and _shared_memory is None:  # pragma: no cover
-        return EXCHANGE_PICKLE
-    return exchange
-
-
 class MultiprocessingBSPEngine:
     """Drive :class:`~repro.mpsim.bsp.RankProgram` objects in real processes.
 
@@ -1108,7 +891,7 @@ class MultiprocessingBSPEngine:
     final state is not visible to the caller.  Programs may expose a
     ``result()`` method; the values are collected into :attr:`results` (rank
     order) after :meth:`run`, and per-rank request counters (when the
-    program exposes them) into :attr:`telemetry`.
+    program exposes them) into :attr:`rank_counters`.
 
     Parameters
     ----------
@@ -1116,37 +899,28 @@ class MultiprocessingBSPEngine:
         Number of ranks (one process each).
     max_supersteps:
         Safety bound on the superstep loop.
-    exchange:
-        :data:`EXCHANGE_SHM` (default) for coordinator-routed zero-copy
-        payloads, :data:`EXCHANGE_PICKLE` for the pickle-pipe fallback, or
-        :data:`EXCHANGE_P2P` for the peer-to-peer mailbox fabric.  Platforms
-        without ``multiprocessing.shared_memory`` fall back to pickle
-        automatically.
     cost_model:
         Virtual-time charges used by the worker-side accounting (defaults to
         the paper-testbed preset, same as the in-process engine).
-    mailbox_slot_bytes, barrier_timeout:
-        p2p fabric tuning; ignored by the coordinator transports.  The
-        barrier timeout is a last-resort backstop — worker deaths are
-        detected by the parent within one liveness poll and abort the
-        barrier long before it can expire.
+    barrier_timeout:
+        Wall-clock bound (seconds) on one superstep barrier — a last-resort
+        backstop for wedged ranks.  Worker deaths are detected by the parent
+        within one liveness poll and abort the barrier long before it can
+        expire.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry`.  When enabled, a
         shared-memory event ring is created before forking; workers publish
         compute / exchange / barrier-wait spans (``tid`` = rank) and
         cumulative metric snapshots into it, and the parent drains them into
         the facade — including everything a crashed worker published before
-        dying.  Stored as :attr:`tel` (the pre-existing :attr:`telemetry`
-        attribute holds the per-rank request counters).
+        dying.  Stored as :attr:`tel`.
     """
 
     def __init__(
         self,
         size: int,
         max_supersteps: int = 10_000,
-        exchange: str = EXCHANGE_SHM,
         cost_model: CostModel | None = None,
-        mailbox_slot_bytes: int = 8192,
         barrier_timeout: float = 120.0,
         telemetry: Any = None,
         liveness_poll: float = _LIVENESS_POLL,
@@ -1157,14 +931,12 @@ class MultiprocessingBSPEngine:
             raise ValueError(f"liveness_poll must be positive, got {liveness_poll}")
         self.size = size
         self.max_supersteps = max_supersteps
-        self.exchange = _normalise_exchange(exchange)
         self.cost = cost_model or CostModel()
-        self.mailbox_slot_bytes = mailbox_slot_bytes
         self.barrier_timeout = barrier_timeout
         self.liveness_poll = liveness_poll
         self.stats = WorldStats.for_size(size)
         self.results: list[Any] = []
-        self.telemetry: list[dict] = []
+        self.rank_counters: list[dict] = []
         self.tel = resolve(telemetry)
         self.supersteps = 0
         self.simulated_time = 0.0
@@ -1175,7 +947,6 @@ class MultiprocessingBSPEngine:
         fault_plan: Any = None,
         checkpointer: Checkpointer | None = None,
         initial_inboxes: list[list[tuple[int, Any]]] | None = None,
-        tracer: Any = None,
     ) -> WorldStats:
         """Fork one worker per rank, run ``programs`` to quiescence, collect.
 
@@ -1196,10 +967,6 @@ class MultiprocessingBSPEngine:
         — restored from the snapshot by the caller — are continued rather
         than reset, and each worker starts from its restored program, stats
         row, and in-flight inbox.
-
-        ``tracer`` is accepted for engine-interchangeability but ignored:
-        per-superstep timelines are not observable parent-side on the p2p
-        transport, and this backend exists to measure *real* time anyway.
         """
         if len(programs) != self.size:
             raise MPSimError(f"expected {self.size} rank programs, got {len(programs)}")
@@ -1211,7 +978,7 @@ class MultiprocessingBSPEngine:
             self.stats = WorldStats.for_size(self.size)
             self.supersteps = 0
         heartbeats = Heartbeats(self.size)
-        shard_dir: str | None = None
+        ckpt = None
         if checkpointer is not None:
             shards_path = checkpointer.path.parent / (checkpointer.path.name + ".shards")
             shards_path.mkdir(parents=True, exist_ok=True)
@@ -1222,22 +989,12 @@ class MultiprocessingBSPEngine:
                     stale.unlink()
                 except OSError:  # pragma: no cover - already gone
                     pass
-            shard_dir = str(shards_path)
-        ckpt = (
-            (shard_dir, checkpointer.every, checkpointer.min_superstep, self.simulated_time)
-            if checkpointer is not None and self.exchange == EXCHANGE_P2P
-            else None
-        )
-        ctx = mp.get_context("fork")
-        fabric = (
-            P2PFabric(
-                self.size,
-                slot_bytes=self.mailbox_slot_bytes,
-                timeout=self.barrier_timeout,
+            ckpt = (
+                str(shards_path), checkpointer.every, checkpointer.min_superstep,
+                self.simulated_time,
             )
-            if self.exchange == EXCHANGE_P2P
-            else None
-        )
+        ctx = mp.get_context("fork")
+        fabric = P2PFabric(self.size, timeout=self.barrier_timeout)
         # the event ring must exist before the fork so workers inherit it
         ring = EventRing() if self.tel.enabled else None
         collector = RingCollector(ring) if ring is not None else None
@@ -1254,9 +1011,9 @@ class MultiprocessingBSPEngine:
                 proc = ctx.Process(
                     target=_worker_main,
                     args=(
-                        rank, self.size, child_conn, self.exchange, fabric,
-                        prog, self.max_supersteps, self.cost,
-                        heartbeats, resume, ckpt, ring,
+                        rank, self.size, child_conn, fabric, prog,
+                        self.max_supersteps, self.cost, heartbeats, resume, ckpt,
+                        ring,
                     ),
                     daemon=True,
                 )
@@ -1265,19 +1022,15 @@ class MultiprocessingBSPEngine:
                 parents.append(parent_conn)
                 procs.append(proc)
 
-            with self.tel.span(
-                "mp.run", cat="run", tid=-1, exchange=self.exchange, size=self.size
-            ):
-                results, telemetry, supersteps, simulated = _drive_job(
-                    parents, procs, self.size, self.exchange, fabric,
-                    None, fault_plan, self.stats, self.max_supersteps,
-                    heartbeats=heartbeats, checkpointer=checkpointer,
-                    shard_dir=shard_dir, cost=self.cost,
-                    step0=self.supersteps, sim0=self.simulated_time,
+            with self.tel.span("mp.run", cat="run", tid=-1, size=self.size):
+                results, counters, supersteps, simulated = _drive_job(
+                    parents, procs, self.size, fabric, None, fault_plan,
+                    self.stats, self.max_supersteps, heartbeats, self.cost,
+                    checkpointer=checkpointer, step0=self.supersteps,
                     collector=collector, tel=self.tel,
                     liveness_poll=self.liveness_poll,
                 )
-            self.results, self.telemetry = results, telemetry
+            self.results, self.rank_counters = results, counters
             steps_this_job = supersteps - self.supersteps
             self.supersteps = supersteps
             # accumulate like the in-process engine: the supervisor charges
@@ -1292,7 +1045,6 @@ class MultiprocessingBSPEngine:
                     "mp_simulated_time_seconds", "virtual T_p accumulated so far"
                 ).set(self.simulated_time)
                 self.tel.meta.setdefault("engine", "mp")
-                self.tel.meta["exchange"] = self.exchange
                 self.tel.meta["size"] = self.size
         finally:
             # shut down on *every* path: after a failure the survivors sit
@@ -1305,13 +1057,13 @@ class MultiprocessingBSPEngine:
                 except (BrokenPipeError, OSError):  # worker already gone
                     pass
                 conn.close()
-            for proc in procs:
+            for rank, proc in enumerate(procs):
                 proc.join(timeout=10)
                 if proc.is_alive():  # pragma: no cover - hung worker
                     proc.terminate()
                     proc.join(timeout=1)
-            if fabric is not None:
-                fabric.close(unlink=True)
+                _unlink_segments(fabric.name, rank)
+            fabric.close()
             if collector is not None:
                 # merge on every path: a crashed run's published history is
                 # exactly what the post-mortem trace needs

@@ -1,25 +1,22 @@
 """Peer-to-peer superstep exchange fabric for the multiprocessing backend.
 
-The coordinator exchange (`repro.mpsim.mp_backend`) funnels every superstep
-through the parent process: each worker ships its outbox descriptors up a
-pipe, the parent routes them and mails each worker its inbox.  That is two
-pipe hops and a full parent wake-up per rank per superstep — a serial
-bottleneck no real ``alltoallv`` has.
-
-:class:`P2PFabric` removes the parent from the data path.  It is created
+The paper's ranks message each other directly; so do the workers of
+:mod:`repro.mpsim.mp_backend`.  :class:`P2PFabric` is the shared state that
+makes that possible with no parent on the data path.  It is created
 *before* the workers fork and inherited by all of them, and provides three
 shared facilities:
 
 **Mailbox matrix.**  A single ``multiprocessing.shared_memory`` segment
-holds one fixed-size slot per ``(src, dst, parity)`` triple.  In superstep
-``s`` rank ``src`` writes, for every ``dst``, a small pickled list of
-payload descriptors (produced by the shm payload writer) into slot
-``(src, dst, s % 2)``; after the barrier, rank ``dst`` reads column
-``(*, dst, s % 2)`` in source order.  Slots are double-buffered by superstep
-parity exactly like the payload segments: superstep ``s + 1`` writes the
-other parity, and parity ``s % 2`` is not rewritten until superstep
-``s + 2`` — by which time every reader of superstep ``s`` has passed the
-``s + 1`` barrier, so a single barrier per superstep is sufficient.
+holds one fixed-size slot (:data:`SLOT_BYTES`) per ``(src, dst, parity)``
+triple.  In superstep ``s`` rank ``src`` writes, for every ``dst``, a small
+pickled list of payload descriptors (produced by the shm payload writer)
+into slot ``(src, dst, s % 2)``; after the barrier, rank ``dst`` reads
+column ``(*, dst, s % 2)`` in source order.  Slots are double-buffered by
+superstep parity exactly like the payload segments: superstep ``s + 1``
+writes the other parity, and parity ``s % 2`` is not rewritten until
+superstep ``s + 2`` — by which time every reader of superstep ``s`` has
+passed the ``s + 1`` barrier, so a single barrier per superstep is
+sufficient.
 
 **Control arrays.**  Parity-indexed per-rank ``done`` flags, sent-record
 counters, and virtual step times.  Every rank publishes its triple before
@@ -38,18 +35,19 @@ from __future__ import annotations
 
 import pickle
 import struct
+from multiprocessing import shared_memory
 from typing import Any
 
 import numpy as np
 
 from repro.mpsim.errors import MPSimError, RankFailure
 
-try:  # pragma: no cover - import guard exercised only on exotic platforms
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None
 
 __all__ = ["P2PFabric", "MailboxOverflow"]
+
+#: capacity of one ``(src, dst, parity)`` descriptor slot, excluding the
+#: length header; fits a few hundred payload descriptors
+SLOT_BYTES = 8192
 
 #: bytes reserved at the head of each mailbox slot for the blob length
 _HEADER = 8
@@ -60,9 +58,9 @@ class MailboxOverflow(MPSimError):
     """A superstep's descriptor blob outgrew its fixed mailbox slot.
 
     Descriptors are tiny (a segment name, offset, count, and dtype per
-    payload array), so the default slot comfortably fits hundreds of arrays
-    per destination per superstep; programs that somehow exceed it should
-    raise the engine's ``mailbox_slot_bytes``.
+    payload array), so a slot (:data:`SLOT_BYTES`) fits a few hundred arrays
+    per destination per superstep; a program that exceeds it should send
+    fewer, larger arrays.
     """
 
 
@@ -70,41 +68,38 @@ class P2PFabric:
     """Shared-memory exchange fabric connecting ``size`` worker ranks.
 
     Create in the parent before forking; every worker uses the inherited
-    object directly.  The parent calls :meth:`close` (with ``unlink=True``)
-    once after the workers are gone.
+    object directly.  The parent calls :meth:`close` once after the workers
+    are gone.  :attr:`name` (the mailbox segment's
+    name) is unique to the fabric, so the backend derives its workers'
+    payload-segment names from it.
 
     Parameters
     ----------
     size:
         Number of ranks.
-    slot_bytes:
-        Capacity of one ``(src, dst, parity)`` descriptor slot, excluding
-        the length header.
     timeout:
         Barrier wait timeout in wall seconds; a rank that waits this long
         concludes the world is wedged and raises.
     """
 
-    def __init__(self, size: int, slot_bytes: int = 8192, timeout: float = 120.0) -> None:
-        if _shared_memory is None:  # pragma: no cover - platform guard
-            raise MPSimError("p2p exchange requires multiprocessing.shared_memory")
+    def __init__(self, size: int, timeout: float = 120.0) -> None:
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
         import multiprocessing as mp
 
         self.size = size
-        self.slot_bytes = int(slot_bytes)
         self.timeout = timeout
-        self._slot = _HEADER + self.slot_bytes
-        self._mail = _shared_memory.SharedMemory(
+        self._slot = _HEADER + SLOT_BYTES
+        self._mail = shared_memory.SharedMemory(
             create=True, size=max(size * size * 2 * self._slot, 1)
         )
+        self.name = self._mail.name
         # control block: done flags, sent-record counters, virtual step
         # times — each [2][size], indexed by superstep parity — plus one
         # [size] barrier-progress row (highest superstep whose barrier each
         # rank has *reached*, for attributing a broken barrier to the
         # rank(s) that never arrived)
-        self._ctl = _shared_memory.SharedMemory(create=True, size=2 * size * 8 * 3 + size * 8)
+        self._ctl = shared_memory.SharedMemory(create=True, size=2 * size * 8 * 3 + size * 8)
         self._done = np.frombuffer(self._ctl.buf, np.int64, 2 * size, 0).reshape(2, size)
         self._traffic = np.frombuffer(
             self._ctl.buf, np.int64, 2 * size, 2 * size * 8
@@ -144,10 +139,10 @@ class P2PFabric:
                 _LEN.pack_into(buf, off, 0)
                 continue
             blob = pickle.dumps(descs, protocol=pickle.HIGHEST_PROTOCOL)
-            if len(blob) > self.slot_bytes:
+            if len(blob) > SLOT_BYTES:
                 raise MailboxOverflow(
                     f"rank {src} -> {dst} descriptor blob is {len(blob)} bytes; "
-                    f"mailbox slots hold {self.slot_bytes} (raise mailbox_slot_bytes)"
+                    f"mailbox slots hold {SLOT_BYTES} (send fewer, larger arrays)"
                 )
             _LEN.pack_into(buf, off, len(blob))
             buf[off + _HEADER : off + _HEADER + len(blob)] = blob
@@ -156,9 +151,8 @@ class P2PFabric:
         """Read rank ``dst``'s inbox descriptors for ``superstep``.
 
         Returns ``(source, descriptor)`` pairs ordered by source rank then
-        send order — the identical delivery order the in-process engine and
-        the coordinator paths produce, which is what keeps all transports
-        bit-identical.
+        send order — the delivery order the in-process engine produces,
+        which is what keeps the two engines bit-identical.
         """
         parity = superstep % 2
         buf = self._mail.buf
@@ -203,38 +197,33 @@ class P2PFabric:
         return int(self._traffic[superstep % 2].sum())
 
     # --------------------------------------------------------------- barrier
-    def wait(self, rank: int | None = None, superstep: int | None = None) -> None:
-        """Block until all ranks arrive.
+    def wait(self, rank: int, superstep: int) -> None:
+        """Block until all ranks arrive at ``superstep``'s barrier.
 
-        When the caller identifies itself (``rank``/``superstep``), its
-        arrival is recorded in the shared progress row *before* waiting, so
-        a broken barrier can be attributed: the raised
+        The caller's arrival is recorded in the shared progress row *before*
+        waiting, so a broken barrier can be attributed: the raised
         :class:`~repro.mpsim.errors.RankFailure` names the lowest rank whose
         progress never reached this superstep's barrier — the casualty, not
-        the survivor that noticed.  Without attribution context (or when all
-        ranks did arrive and the barrier was aborted externally) a plain
-        :class:`MPSimError` is raised.
+        the survivor that noticed.  When all ranks did arrive and the
+        barrier was aborted externally, a plain :class:`MPSimError` is
+        raised.
         """
         import threading
 
-        if rank is not None and superstep is not None:
-            self._progress[rank] = superstep
+        self._progress[rank] = superstep
         try:
             self.barrier.wait(self.timeout)
         except threading.BrokenBarrierError:
-            if superstep is not None:
-                missing = [
-                    r for r in range(self.size) if int(self._progress[r]) < superstep
-                ]
-                if missing:
-                    raise RankFailure(
-                        missing[0],
-                        MPSimError(
-                            f"rank(s) {missing} never reached the superstep-"
-                            f"{superstep} barrier (died or wedged)"
-                        ),
-                        superstep=superstep,
-                    )
+            missing = [r for r in range(self.size) if int(self._progress[r]) < superstep]
+            if missing:
+                raise RankFailure(
+                    missing[0],
+                    MPSimError(
+                        f"rank(s) {missing} never reached the superstep-"
+                        f"{superstep} barrier (died or wedged)"
+                    ),
+                    superstep=superstep,
+                )
             raise MPSimError("p2p barrier broken (a peer rank aborted or timed out)")
 
     def abort(self) -> None:
@@ -263,8 +252,8 @@ class P2PFabric:
         self._progress[:] = -1
 
     # --------------------------------------------------------------- cleanup
-    def close(self, unlink: bool = False) -> None:
-        """Detach (and with ``unlink=True``, destroy) the shared segments."""
+    def close(self) -> None:
+        """Detach and destroy the shared segments (parent only)."""
         # drop the numpy views first: SharedMemory.close() refuses while
         # exported buffers exist
         self._done = self._traffic = self._times = self._progress = None
@@ -273,8 +262,7 @@ class P2PFabric:
                 continue
             try:
                 seg.close()
-                if unlink:
-                    seg.unlink()
+                seg.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
         self._mail = self._ctl = None

@@ -7,8 +7,8 @@ generation requests back-to-back) pay the fork, pipe, and shared-memory
 setup every time.  On small jobs that startup dominates the whole run.
 
 :class:`WorkerPool` keeps the fleet alive: workers, pipes, payload segments,
-and (for the p2p exchange) the mailbox fabric are created once and reused by
-every :meth:`WorkerPool.run`.  Jobs ship their rank programs to the workers
+and the peer-to-peer fabric are created once and reused by every
+:meth:`WorkerPool.run`.  Jobs ship their rank programs to the workers
 by pickle (the one-shot engine lets them ride the fork instead), and each
 job's results, statistics, and telemetry land on the pool exactly as they
 would on a one-shot engine — the two are drop-in interchangeable for
@@ -18,7 +18,7 @@ callers, and bit-identical in output (asserted by the test-suite).
 
     from repro.mpsim.pool import WorkerPool
 
-    with WorkerPool(size=8, exchange="p2p") as pool:
+    with WorkerPool(size=8) as pool:
         for seed in range(100):
             pool.run(make_programs(seed))
             consume(pool.results)
@@ -26,11 +26,12 @@ callers, and bit-identical in output (asserted by the test-suite).
 A job that fails (a rank program raising, a worker dying — including an
 injected ``SIGKILL`` crash) still raises from that :meth:`run`, but no
 longer poisons the pool: the next :meth:`run` *heals* first — dead members
-are replaced by freshly forked workers, survivors are told to abandon any
-in-flight job state (and drained of stale replies), and the p2p barrier is
-reset — so one casualty costs one job, not the pool.  The healed pool
-produces bit-identical output to a fresh one.  :meth:`close` is always safe
-and idempotent.
+are replaced by freshly forked workers (after the parent unlinks the
+payload segments they left behind), survivors are told to abandon any
+in-flight job state (and drained of stale replies), and the fabric's
+barrier is reset — so one casualty costs one job, not the pool.  The healed
+pool produces bit-identical output to a fresh one.  :meth:`close` is always
+safe and idempotent.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ from repro.mpsim.errors import MPSimError
 from repro.mpsim.heartbeat import Heartbeats
 from repro.mpsim.mp_backend import (
     _ABANDON,
+    _LIVENESS_POLL,
     _SHUTDOWN,
-    EXCHANGE_P2P,
     _check_mp_fault_plan,
     _drive_job,
-    _normalise_exchange,
+    _unlink_segments,
     _worker_main,
 )
 from repro.mpsim.p2p import P2PFabric
@@ -65,11 +66,11 @@ _ABANDON_TIMEOUT = 5.0
 class WorkerPool:
     """A persistent, self-healing fleet of BSP worker processes.
 
-    Parameters mirror :class:`~repro.mpsim.mp_backend.MultiprocessingBSPEngine`;
-    the pool accepts the same ``exchange`` transports and produces
-    bit-identical output.  Workers fork immediately (with no inherited
-    program — jobs ship theirs) and live until :meth:`close`; members lost
-    to a crash are replaced on the next :meth:`run` (see :attr:`respawns`).
+    Parameters mirror :class:`~repro.mpsim.mp_backend.MultiprocessingBSPEngine`,
+    and the pool produces bit-identical output.  Workers fork immediately
+    (with no inherited program — jobs ship theirs) and live until
+    :meth:`close`; members lost to a crash are replaced on the next
+    :meth:`run` (see :attr:`respawns`).
 
     The pool does not take a checkpointer — supervised checkpoint/resume
     runs own their worker lifecycles and use the one-shot engine.
@@ -78,52 +79,32 @@ class WorkerPool:
     def __init__(
         self,
         size: int,
-        exchange: str = "shm",
         max_supersteps: int = 10_000,
         cost_model: CostModel | None = None,
-        mailbox_slot_bytes: int = 8192,
         barrier_timeout: float = 120.0,
         telemetry: Any = None,
-        liveness_poll: float = 0.25,
+        liveness_poll: float = _LIVENESS_POLL,
     ) -> None:
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
         if liveness_poll <= 0:
             raise ValueError(f"liveness_poll must be positive, got {liveness_poll}")
         self.size = size
-        self.exchange = _normalise_exchange(exchange)
         self.max_supersteps = max_supersteps
         self.cost = cost_model or CostModel()
         self.liveness_poll = liveness_poll
         self.tel = resolve(telemetry)
-        self._fabric = (
-            P2PFabric(size, slot_bytes=mailbox_slot_bytes, timeout=barrier_timeout)
-            if self.exchange == EXCHANGE_P2P
-            else None
-        )
+        self._fabric = P2PFabric(size, timeout=barrier_timeout)
         self._heartbeats = Heartbeats(size)
         # created before the first fork (and shared by respawned members):
         # one ring serves every job the pool ever runs
         self._ring = EventRing() if self.tel.enabled else None
         self._collector = RingCollector(self._ring) if self._ring is not None else None
         self._ctx = mp.get_context("fork")
-        self._parents: list[Any] = []
-        self._procs: list[Any] = []
+        self._parents: list[Any] = [None] * size
+        self._procs: list[Any] = [None] * size
         for rank in range(size):
-            parent_conn, child_conn = self._ctx.Pipe()
-            proc = self._ctx.Process(
-                target=_worker_main,
-                args=(
-                    rank, size, child_conn, self.exchange, self._fabric,
-                    None, max_supersteps, self.cost, self._heartbeats,
-                    None, None, self._ring,
-                ),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._parents.append(parent_conn)
-            self._procs.append(proc)
+            self._fork(rank)
 
         #: jobs completed successfully since the pool was created
         self.jobs_run = 0
@@ -135,7 +116,7 @@ class WorkerPool:
         # per-job outputs, same attributes the one-shot engine exposes
         self.stats = WorldStats.for_size(size)
         self.results: list[Any] = []
-        self.telemetry: list[dict] = []
+        self.rank_counters: list[dict] = []
         self.supersteps = 0
         self.simulated_time = 0.0
 
@@ -160,20 +141,17 @@ class WorkerPool:
         self.stats = WorldStats.for_size(self.size)
         job_index = self.jobs_run
         try:
-            with self.tel.span(
-                "pool.job", cat="run", tid=-1, job=job_index, exchange=self.exchange
-            ):
+            with self.tel.span("pool.job", cat="run", tid=-1, job=job_index):
                 (
                     self.results,
-                    self.telemetry,
+                    self.rank_counters,
                     self.supersteps,
                     self.simulated_time,
                 ) = _drive_job(
-                    self._parents, self._procs, self.size, self.exchange,
-                    self._fabric, list(programs), fault_plan, self.stats,
-                    self.max_supersteps, heartbeats=self._heartbeats,
-                    cost=self.cost, collector=self._collector, tel=self.tel,
-                    liveness_poll=self.liveness_poll,
+                    self._parents, self._procs, self.size, self._fabric,
+                    list(programs), fault_plan, self.stats, self.max_supersteps,
+                    self._heartbeats, self.cost, collector=self._collector,
+                    tel=self.tel, liveness_poll=self.liveness_poll,
                 )
         except Exception:
             self._broken = True
@@ -200,11 +178,10 @@ class WorkerPool:
         """Restore every member to a known-idle state after a failure.
 
         Dead workers (killed, crashed, or wedged past the abandon timeout)
-        are replaced by freshly forked processes inheriting the same pipes'
-        replacements, fabric, and heartbeat board; live survivors — which
-        may be mid-job, blocked waiting for a ``_STEP`` that will never come
-        — are sent an ``_ABANDON`` token and their pipes drained of stale
-        replies until they acknowledge it.  Only then is the p2p barrier
+        are replaced by freshly forked processes inheriting the same fabric
+        and heartbeat board; live survivors — whose job ended at the aborted
+        barrier — are sent an ``_ABANDON`` token and their pipes drained of
+        stale replies until they acknowledge it.  Only then is the barrier
         reset (a straggler still inside ``wait()`` would re-break it).
         """
         self._heal_token += 1
@@ -231,9 +208,25 @@ class WorkerPool:
                 pass
             if not acked:
                 self._respawn(rank)
-        if self._fabric is not None:
-            self._fabric.reset()
+        self._fabric.reset()
         self._broken = False
+
+    def _fork(self, rank: int) -> None:
+        """Fork the worker for ``rank``."""
+        parent_conn, child_conn = self._ctx.Pipe()
+        proc = self._ctx.Process(
+            target=_worker_main,
+            args=(
+                rank, self.size, child_conn, self._fabric, None,
+                self.max_supersteps, self.cost, self._heartbeats,
+                None, None, self._ring,
+            ),
+            daemon=True,
+        )
+        proc.start()
+        child_conn.close()
+        self._parents[rank] = parent_conn
+        self._procs[rank] = proc
 
     def _respawn(self, rank: int) -> None:
         """Replace one member with a freshly forked worker."""
@@ -245,20 +238,9 @@ class WorkerPool:
             self._parents[rank].close()
         except OSError:  # pragma: no cover - already closed
             pass
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                rank, self.size, child_conn, self.exchange, self._fabric,
-                None, self.max_supersteps, self.cost, self._heartbeats,
-                None, None, self._ring,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        self._parents[rank] = parent_conn
-        self._procs[rank] = proc
+        # a killed worker could not unlink its own payload segments
+        _unlink_segments(self._fabric.name, rank)
+        self._fork(rank)
         self.respawns += 1
         if self.tel.enabled:
             self.tel.mark(f"pool respawned rank {rank}")
@@ -279,14 +261,13 @@ class WorkerPool:
                 pass
         for conn in self._parents:
             conn.close()
-        for proc in self._procs:
+        for rank, proc in enumerate(self._procs):
             proc.join(timeout=10)
             if proc.is_alive():  # pragma: no cover - hung worker
                 proc.terminate()
                 proc.join(timeout=1)
-        if self._fabric is not None:
-            self._fabric.close(unlink=True)
-            self._fabric = None
+            _unlink_segments(self._fabric.name, rank)
+        self._fabric.close()
         if self._collector is not None:
             self._collector.merge_into(self.tel)
             self._ring.close(unlink=True)
@@ -307,6 +288,6 @@ class WorkerPool:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else ("healing" if self._broken else "live")
         return (
-            f"WorkerPool(size={self.size}, exchange={self.exchange!r}, "
-            f"jobs_run={self.jobs_run}, respawns={self.respawns}, {state})"
+            f"WorkerPool(size={self.size}, jobs_run={self.jobs_run}, "
+            f"respawns={self.respawns}, {state})"
         )

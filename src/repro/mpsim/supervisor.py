@@ -5,8 +5,8 @@ rank crash or a poisoned exchange must not cost the whole run.
 :class:`Supervisor` wraps an engine's ``run`` in a restart loop.  It is
 engine-agnostic: any object satisfying the BSP engine protocol works —
 ``size``/``stats``/``supersteps``/``simulated_time`` attributes plus
-``run(programs, checkpointer=..., initial_inboxes=..., tracer=...,
-fault_plan=...)`` — which covers both the simulated
+``run(programs, checkpointer=..., initial_inboxes=..., fault_plan=...)``
+(and ``tracer=...`` when one is passed) — which covers both the simulated
 :class:`~repro.mpsim.bsp.BSPEngine` and the real-process
 :class:`~repro.mpsim.mp_backend.MultiprocessingBSPEngine` (whose failures
 are real ``SIGKILL``-ed workers, detected by sentinel/heartbeat and
@@ -173,6 +173,8 @@ class Supervisor:
         inboxes: list[list[tuple[int, Any]]] | None = None
         attempt = 0
 
+        # only the in-process engine records a timeline
+        traced = {} if tracer is None else {"tracer": tracer}
         while True:
             try:
                 with self.tel.span("attempt", cat="run", tid=-1, attempt=attempt + 1):
@@ -180,8 +182,8 @@ class Supervisor:
                         programs,
                         checkpointer=self.checkpointer,
                         initial_inboxes=inboxes,
-                        tracer=tracer,
                         fault_plan=fault_plan,
+                        **traced,
                     )
             except self.recover_on as exc:
                 attempt += 1

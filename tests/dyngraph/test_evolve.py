@@ -93,7 +93,7 @@ class TestFaults:
         ref = evolve(base_edges(), N, SCHED, epochs=3).state.digest()
         res = evolve(
             base_edges(), N, SCHED, epochs=3, engine="mp", ranks=2,
-            exchange="p2p", chunk=2,
+            chunk=2,
             checkpoint_dir=str(tmp_path / "ckpt"),
             fault_plan=FaultPlan().crash(1, at_superstep=2), fault_epoch=1,
         )

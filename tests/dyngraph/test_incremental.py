@@ -102,7 +102,7 @@ class TestChurnSweep:
             # one epoch's engine run is SIGKILLed and crash-recovered:
             # the recovered evolution must still match scratch analyses
             kwargs = dict(
-                exchange="p2p", chunk=2,
+                chunk=2,
                 checkpoint_dir=str(tmp_path / "ckpt"),
                 fault_plan=FaultPlan().crash(1, at_superstep=2),
                 fault_epoch=5,

@@ -1,10 +1,7 @@
 """Tests for the real-parallelism multiprocessing backend.
 
 These prove the BSP rank programs are genuinely shared-nothing: the same
-programs produce the same graph whether they share an address space or not —
-and regardless of which exchange transport (coordinator pickle pipes,
-coordinator shared-memory payloads, or the peer-to-peer mailbox fabric)
-carries the superstep traffic.
+programs produce the same graph whether they share an address space or not.
 """
 
 import numpy as np
@@ -18,16 +15,9 @@ from repro.graph.validation import validate_pa_graph
 from repro.core.parallel_pa_general import run_parallel_pa
 from repro.mpsim.errors import MPSimError, RankFailure
 from repro.mpsim.faults import FaultPlan
-from repro.mpsim.mp_backend import (
-    EXCHANGE_P2P,
-    EXCHANGE_PICKLE,
-    EXCHANGE_SHM,
-    EXCHANGES,
-    MultiprocessingBSPEngine,
-)
+from repro.mpsim.mp_backend import MultiprocessingBSPEngine
+from repro.mpsim.p2p import MailboxOverflow
 from repro.rng import StreamFactory
-
-ALL_EXCHANGES = list(EXCHANGES)
 
 
 def _collect_edges(results) -> EdgeList:
@@ -42,80 +32,51 @@ def _x1_programs(part, seed):
     return [PAx1RankProgram(r, part, 0.5, factory.stream(r)) for r in range(part.P)]
 
 
-def _run_mp_x1(n, part, seed, exchange, fault_plan=None):
-    eng = MultiprocessingBSPEngine(part.P, exchange=exchange)
+def _run_mp_x1(n, part, seed, fault_plan=None):
+    eng = MultiprocessingBSPEngine(part.P)
     eng.run(_x1_programs(part, seed), fault_plan=fault_plan)
     return _collect_edges(eng.results), eng
 
 
-def _run_mp_general(n, x, part, seed, exchange):
+def _run_mp_general(n, x, part, seed):
     factory = StreamFactory(seed)
     programs = [
         PAGeneralRankProgram(r, part, x, 0.5, factory.stream(r))
         for r in range(part.P)
     ]
-    eng = MultiprocessingBSPEngine(part.P, exchange=exchange)
+    eng = MultiprocessingBSPEngine(part.P)
     eng.run(programs)
     return _collect_edges(eng.results), eng
 
 
 # --------------------------------------------------------------- bit-identity
 @pytest.mark.parametrize("scheme", ["ucp", "rrp"])
-@pytest.mark.parametrize("exchange", ALL_EXCHANGES)
-def test_x1_matches_in_process(scheme, exchange):
+def test_x1_matches_in_process(scheme):
     n, P, seed = 600, 4, 21
     part = make_partition(scheme, n, P)
     in_proc, _, _ = run_parallel_pa_x1(n, part, seed=seed)
-    mp_edges, _ = _run_mp_x1(n, part, seed, exchange)
+    mp_edges, _ = _run_mp_x1(n, part, seed)
     assert np.array_equal(in_proc.canonical(), mp_edges.canonical())
 
 
-def test_x1_all_exchanges_bit_identical():
-    """The exchanges are pure transports: same graph, supersteps, and
-    virtual time on every one of them."""
-    n, P, seed = 700, 4, 3
-    part = make_partition("rrp", n, P)
-    runs = {ex: _run_mp_x1(n, part, seed, ex) for ex in ALL_EXCHANGES}
-    ref_edges, ref_eng = runs[EXCHANGE_SHM]
-    for ex in ALL_EXCHANGES:
-        edges, eng = runs[ex]
-        assert np.array_equal(ref_edges.canonical(), edges.canonical()), ex
-        assert eng.supersteps == ref_eng.supersteps, ex
-        assert eng.simulated_time == pytest.approx(ref_eng.simulated_time), ex
-
-
-@pytest.mark.parametrize("exchange", ALL_EXCHANGES)
-def test_general_matches_in_process(exchange):
+def test_general_matches_in_process():
     """x>1: every execution path runs the identical rank programs, so equal
     seeds give the identical canonical edge list."""
     n, x, P, seed = 500, 3, 3, 5
     part = make_partition("rrp", n, P)
     in_proc, _, _ = run_parallel_pa(n, x, part, seed=seed)
-    mp_edges, _ = _run_mp_general(n, x, part, seed, exchange)
+    mp_edges, _ = _run_mp_general(n, x, part, seed)
     assert np.array_equal(in_proc.canonical(), mp_edges.canonical())
 
 
-def test_exchange_traffic_stats_agree():
-    """All exchanges account the same record and byte totals."""
-    n, P, seed = 400, 3, 11
-    part = make_partition("rrp", n, P)
-    engines = [_run_mp_x1(n, part, seed, ex)[1] for ex in ALL_EXCHANGES]
-    ref = engines[0]
-    for eng in engines[1:]:
-        for r in range(P):
-            assert eng.stats[r].msgs_sent == ref.stats[r].msgs_sent
-            assert eng.stats[r].bytes_sent == ref.stats[r].bytes_sent
-
-
-@pytest.mark.parametrize("exchange", ALL_EXCHANGES)
-def test_stats_summary_agrees_with_in_process(exchange):
+def test_stats_summary_agrees_with_in_process():
     """Worker-side accounting reproduces the in-process engine's numbers:
     the whole ``summary()`` dict, the superstep count, and the virtual time
     agree, not just the traffic totals."""
     n, P, seed = 500, 4, 13
     part = make_partition("rrp", n, P)
     _, bsp_eng, _ = run_parallel_pa_x1(n, part, seed=seed)
-    _, mp_eng = _run_mp_x1(n, part, seed, exchange)
+    _, mp_eng = _run_mp_x1(n, part, seed)
     assert mp_eng.supersteps == bsp_eng.supersteps
     assert mp_eng.simulated_time == pytest.approx(bsp_eng.simulated_time, abs=1e-9)
     ref = bsp_eng.stats.summary()
@@ -126,12 +87,11 @@ def test_stats_summary_agrees_with_in_process(exchange):
 
 
 # ----------------------------------------------------------------- stragglers
-@pytest.mark.parametrize("exchange", ALL_EXCHANGES)
-def test_straggler_determinism(exchange):
+def test_straggler_determinism():
     """Randomly skewed per-worker delays must not change the graph.
 
     Stragglers sleep for *real* wall time in their worker processes, so the
-    arrival order on the parent's pipes / the p2p barrier is genuinely
+    arrival order at the barrier is genuinely
     perturbed — the output must still be bit-identical to a healthy
     in-process run.
     """
@@ -142,10 +102,10 @@ def test_straggler_determinism(exchange):
     for rank in range(P):
         plan.straggle(rank, factor=float(1.0 + 4.0 * rng.random()))
     in_proc, _, _ = run_parallel_pa_x1(n, part, seed=seed)
-    edges, eng = _run_mp_x1(n, part, seed, exchange, fault_plan=plan)
+    edges, eng = _run_mp_x1(n, part, seed, fault_plan=plan)
     assert np.array_equal(in_proc.canonical(), edges.canonical())
     # the straggle factors inflate virtual time, never the structure
-    healthy = _run_mp_x1(n, part, seed, exchange)[1]
+    healthy = _run_mp_x1(n, part, seed)[1]
     assert eng.supersteps == healthy.supersteps
     assert eng.simulated_time > healthy.simulated_time
 
@@ -203,30 +163,50 @@ class _ExplodingStepProgram(_NoOpProgram):
         raise RuntimeError("boom in step")
 
 
-@pytest.mark.parametrize("exchange", ALL_EXCHANGES)
-def test_result_failure_raises_rank_failure(exchange):
+def test_result_failure_raises_rank_failure():
     """A ``result()`` that raises during final collection surfaces as
     ``RankFailure`` naming the culprit — not a protocol assertion."""
-    eng = MultiprocessingBSPEngine(2, exchange=exchange)
+    eng = MultiprocessingBSPEngine(2)
     with pytest.raises(RankFailure) as exc_info:
         eng.run([_NoOpProgram(0), _ExplodingResultProgram(1)])
     assert exc_info.value.rank == 1
 
 
-@pytest.mark.parametrize("exchange", ALL_EXCHANGES)
-def test_step_failure_raises_rank_failure(exchange):
-    eng = MultiprocessingBSPEngine(2, exchange=exchange)
+def test_step_failure_raises_rank_failure():
+    eng = MultiprocessingBSPEngine(2)
     with pytest.raises(RankFailure) as exc_info:
         eng.run([_ExplodingStepProgram(0), _NoOpProgram(1)])
     assert exc_info.value.rank == 0
 
 
+class _FloodProgram(_NoOpProgram):
+    """Rank 1 sends 3,000 one-record arrays to rank 0 in one superstep —
+    more descriptors than one mailbox slot holds."""
+
+    def step(self, ctx, inbox):
+        first, self.done = not self.done, True
+        if self.rank == 1 and first:
+            return {0: [np.array([i], np.int64) for i in range(3_000)]}
+        return {}
+
+
+def test_victims_own_error_wins_over_barrier_attribution():
+    """Rank 0 sees rank 1 miss the barrier and blames it; rank 1 knows why.
+    The raised error must carry rank 1's own cause, not rank 0's view."""
+    eng = MultiprocessingBSPEngine(2)
+    with pytest.raises(RankFailure) as exc_info:
+        eng.run([_NoOpProgram(0), _ExplodingStepProgram(1)])
+    assert exc_info.value.rank == 1
+    assert "boom in step" in repr(exc_info.value.original)
+
+    with pytest.raises(MPSimError) as exc_info:
+        eng.run([_FloodProgram(0), _FloodProgram(1)])
+    assert not isinstance(exc_info.value, RankFailure)
+    assert str(exc_info.value).startswith("rank 1: ")
+    assert isinstance(exc_info.value.__cause__, MailboxOverflow)
+
+
 # ----------------------------------------------------------------- edge cases
-def test_invalid_exchange_rejected():
-    with pytest.raises(ValueError):
-        MultiprocessingBSPEngine(2, exchange="carrier-pigeon")
-
-
 def test_general_case_valid_graph():
     n, x, P, seed = 500, 3, 3, 5
     part = make_partition("rrp", n, P)

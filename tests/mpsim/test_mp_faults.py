@@ -6,9 +6,11 @@ is a worker ``SIGKILL``-ing itself mid-run — no Python teardown, no goodbye
 message — and recovery means the coordinator attributing the death from
 heartbeats and sentinels, the Supervisor respawning a whole fleet resumed
 from cross-process checkpoint shards, and the regrown run producing a graph
-bit-identical to the fault-free one on every exchange transport.
+bit-identical to the fault-free one.  A killed worker cannot clean up after
+itself, so the parent must: no run leaves shared memory behind.
 """
 
+import os
 import time
 
 import numpy as np
@@ -21,11 +23,9 @@ from repro.graph.edgelist import EdgeList
 from repro.mpsim.errors import RankFailure
 from repro.mpsim.faults import FaultPlan
 from repro.mpsim.heartbeat import Heartbeats
-from repro.mpsim.mp_backend import EXCHANGES, MultiprocessingBSPEngine
+from repro.mpsim.mp_backend import MultiprocessingBSPEngine
 from repro.mpsim.pool import WorkerPool
 from repro.rng import StreamFactory
-
-ALL_EXCHANGES = list(EXCHANGES)
 
 #: mp_backend._LIVENESS_POLL — the coordinator's dead-worker detection period
 _LIVENESS_POLL = 0.25
@@ -44,16 +44,15 @@ def _collect_edges(results) -> EdgeList:
 
 
 # ------------------------------------------------------- supervised recovery
-@pytest.mark.parametrize("exchange", ALL_EXCHANGES)
-def test_sigkilled_rank_recovers_bit_identically(exchange, tmp_path):
+def test_sigkilled_rank_recovers_bit_identically(tmp_path):
     """The headline guarantee: SIGKILL a worker mid-run, get the exact same
-    graph back — on every exchange transport."""
+    graph back."""
     n, P, seed = 2_000, 4, 11
-    baseline = generate(n, ranks=P, seed=seed, engine="mp", exchange=exchange)
+    baseline = generate(n, ranks=P, seed=seed, engine="mp")
 
     plan = FaultPlan().crash(1, at_superstep=3)
     result = generate(
-        n, ranks=P, seed=seed, engine="mp", exchange=exchange,
+        n, ranks=P, seed=seed, engine="mp",
         fault_plan=plan, checkpoint_dir=str(tmp_path), barrier_timeout=30.0,
     )
 
@@ -71,10 +70,10 @@ def test_two_crashes_across_retries_still_recover(tmp_path):
     """Each retry consumes exactly one scheduled crash; a second pending
     crash fires on the respawned fleet and is recovered in turn."""
     n, P, seed = 2_000, 4, 5
-    baseline = generate(n, ranks=P, seed=seed, engine="mp", exchange="shm")
+    baseline = generate(n, ranks=P, seed=seed, engine="mp")
     plan = FaultPlan().crash(1, at_superstep=2).crash(2, at_superstep=4)
     result = generate(
-        n, ranks=P, seed=seed, engine="mp", exchange="shm",
+        n, ranks=P, seed=seed, engine="mp",
         fault_plan=plan, checkpoint_dir=str(tmp_path),
     )
     assert result.edges == baseline.edges
@@ -83,12 +82,11 @@ def test_two_crashes_across_retries_still_recover(tmp_path):
 
 
 # --------------------------------------------------------- death attribution
-@pytest.mark.parametrize("exchange", ALL_EXCHANGES)
-def test_unsupervised_crash_names_rank_and_superstep(exchange):
+def test_unsupervised_crash_names_rank_and_superstep():
     """Without a supervisor, the kill surfaces as RankFailure naming the
     culprit rank and the superstep it died in."""
     part = make_partition("rrp", 1_000, 4)
-    eng = MultiprocessingBSPEngine(4, exchange=exchange, barrier_timeout=30.0)
+    eng = MultiprocessingBSPEngine(4, barrier_timeout=30.0)
     with pytest.raises(RankFailure) as exc_info:
         eng.run(_x1_programs(part, 3), fault_plan=FaultPlan().crash(2, at_superstep=3))
     assert exc_info.value.rank == 2
@@ -98,11 +96,11 @@ def test_unsupervised_crash_names_rank_and_superstep(exchange):
 
 def test_detection_is_sentinel_fast_not_timeout_bound():
     """A dead rank is noticed within a couple of liveness polls — not by
-    waiting out the p2p barrier timeout."""
+    waiting out the barrier timeout."""
     part = make_partition("rrp", 1_000, 4)
     # a barrier timeout far above the assertion bound: if detection relied
     # on it, this test would fail loudly
-    eng = MultiprocessingBSPEngine(4, exchange="p2p", barrier_timeout=60.0)
+    eng = MultiprocessingBSPEngine(4, barrier_timeout=60.0)
     t0 = time.perf_counter()
     with pytest.raises(RankFailure):
         eng.run(_x1_programs(part, 3), fault_plan=FaultPlan().crash(1, at_superstep=2))
@@ -113,18 +111,17 @@ def test_detection_is_sentinel_fast_not_timeout_bound():
 
 
 # ------------------------------------------------------------- pool healing
-@pytest.mark.parametrize("exchange", ALL_EXCHANGES)
-def test_pool_survives_sigkilled_member(exchange):
+def test_pool_survives_sigkilled_member():
     """One killed member costs one job: the failed run raises RankFailure,
     the next run heals (respawn + abandon + barrier reset) and is
     bit-identical to a fresh pool's output."""
     n, P, seed = 1_000, 4, 17
     part = make_partition("rrp", n, P)
-    eng = MultiprocessingBSPEngine(P, exchange=exchange)
+    eng = MultiprocessingBSPEngine(P)
     eng.run(_x1_programs(part, seed))
     expected = _collect_edges(eng.results)
 
-    with WorkerPool(P, exchange=exchange, barrier_timeout=30.0) as pool:
+    with WorkerPool(P, barrier_timeout=30.0) as pool:
         with pytest.raises(RankFailure) as exc_info:
             pool.run(_x1_programs(part, seed), fault_plan=FaultPlan().crash(2, at_superstep=2))
         assert exc_info.value.rank == 2
@@ -133,6 +130,42 @@ def test_pool_survives_sigkilled_member(exchange):
         assert pool.respawns == 1
         assert pool.jobs_run == 1
     assert np.array_equal(expected.canonical(), healed.canonical())
+
+
+# -------------------------------------------------------------- no leftovers
+def _shm_entries() -> set[str]:
+    return set(os.listdir("/dev/shm"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="POSIX shm not at /dev/shm")
+def test_sigkilled_workers_leave_no_shared_memory(tmp_path):
+    """A SIGKILLed worker cannot unlink its payload segments; the parent
+    does, after a supervised recovery, an unsupervised RankFailure and a
+    healed pool job alike."""
+    n, P, seed = 2_000, 4, 11
+    before = _shm_entries()
+    result = generate(
+        n, ranks=P, seed=seed, engine="mp",
+        fault_plan=FaultPlan().crash(1, at_superstep=3),
+        checkpoint_dir=str(tmp_path),
+    )
+    assert len(result.recoveries) == 1
+    assert _shm_entries() - before == set()
+
+    with pytest.raises(RankFailure):
+        generate(
+            n, ranks=P, seed=seed, engine="mp",
+            fault_plan=FaultPlan().crash(1, at_superstep=3),
+        )
+    assert _shm_entries() - before == set()
+
+    part = make_partition("rrp", n, P)
+    with WorkerPool(P) as pool:
+        with pytest.raises(RankFailure):
+            pool.run(_x1_programs(part, seed), fault_plan=FaultPlan().crash(2, at_superstep=2))
+        pool.run(_x1_programs(part, seed))
+        assert pool.respawns == 1
+    assert _shm_entries() - before == set()
 
 
 # --------------------------------------------------------------- heartbeats
@@ -157,12 +190,12 @@ def test_heartbeat_attribution_marks_coordinator_plan_copy():
     part = make_partition("rrp", 1_000, 4)
     plan = FaultPlan().crash(1, at_superstep=2)
     assert plan.pending_crashes == 1
-    eng = MultiprocessingBSPEngine(4, exchange="pickle")
+    eng = MultiprocessingBSPEngine(4)
     with pytest.raises(RankFailure):
         eng.run(_x1_programs(part, 3), fault_plan=plan)
     assert plan.pending_crashes == 0
     assert plan.counts() == {"crash": 1}
     # the spent plan is now harmless: the same programs run to completion
-    eng2 = MultiprocessingBSPEngine(4, exchange="pickle")
+    eng2 = MultiprocessingBSPEngine(4)
     eng2.run(_x1_programs(part, 3), fault_plan=plan)
     assert len(eng2.results) == 4

@@ -17,11 +17,9 @@ from repro.core.partitioning import make_partition
 from repro.graph.edgelist import EdgeList
 from repro.mpsim.errors import MPSimError, RankFailure
 from repro.mpsim.faults import FaultPlan
-from repro.mpsim.mp_backend import EXCHANGES, MultiprocessingBSPEngine
+from repro.mpsim.mp_backend import MultiprocessingBSPEngine
 from repro.mpsim.pool import WorkerPool
 from repro.rng import StreamFactory
-
-ALL_EXCHANGES = list(EXCHANGES)
 
 
 def _collect_edges(results) -> EdgeList:
@@ -44,12 +42,11 @@ def _general_programs(part, x, seed):
     ]
 
 
-@pytest.mark.parametrize("exchange", ALL_EXCHANGES)
-def test_pool_multi_job_bit_identity(exchange):
+def test_pool_multi_job_bit_identity():
     """Several jobs through one pool each match a fresh in-process run —
     no state bleeds from one job into the next."""
     n, P = 500, 4
-    with WorkerPool(P, exchange=exchange) as pool:
+    with WorkerPool(P) as pool:
         for seed in (1, 2, 3):
             part = make_partition("rrp", n, P)
             in_proc, bsp_eng, _ = run_parallel_pa_x1(n, part, seed=seed)
@@ -68,7 +65,7 @@ def test_pool_general_program_bit_identity():
     n, x, P, seed = 400, 3, 3, 7
     part = make_partition("rrp", n, P)
     in_proc, _, _ = run_parallel_pa(n, x, part, seed=seed)
-    with WorkerPool(P, exchange="p2p") as pool:
+    with WorkerPool(P) as pool:
         pool.run(_general_programs(part, x, seed))
         edges = _collect_edges(pool.results)
     assert np.array_equal(in_proc.canonical(), edges.canonical())
@@ -78,16 +75,16 @@ def test_pool_matches_one_shot_engine_stats():
     """Pool and one-shot engine agree on the whole stats summary."""
     n, P, seed = 400, 3, 9
     part = make_partition("rrp", n, P)
-    eng = MultiprocessingBSPEngine(P, exchange="shm")
+    eng = MultiprocessingBSPEngine(P)
     eng.run(_x1_programs(part, seed))
-    with WorkerPool(P, exchange="shm") as pool:
+    with WorkerPool(P) as pool:
         pool.run(_x1_programs(part, seed))
         ref = eng.stats.summary()
         got = pool.stats.summary()
         assert set(got) == set(ref)
         for key, val in ref.items():
             assert got[key] == pytest.approx(val, abs=1e-9), key
-        assert pool.telemetry == eng.telemetry
+        assert pool.rank_counters == eng.rank_counters
 
 
 def test_pool_straggler_jobs_stay_deterministic():
@@ -95,7 +92,7 @@ def test_pool_straggler_jobs_stay_deterministic():
     part = make_partition("rrp", n, P)
     plan = FaultPlan().straggle(1, factor=3.0)
     in_proc, _, _ = run_parallel_pa_x1(n, part, seed=seed)
-    with WorkerPool(P, exchange="p2p") as pool:
+    with WorkerPool(P) as pool:
         pool.run(_x1_programs(part, seed), fault_plan=plan)
         edges = _collect_edges(pool.results)
     assert np.array_equal(in_proc.canonical(), edges.canonical())
@@ -124,7 +121,7 @@ class _IdleProgram:
 def test_pool_heals_after_job_failure():
     """A failed job costs that job only: the failure propagates, then the
     next run heals the fleet and succeeds."""
-    pool = WorkerPool(2, exchange="pickle")
+    pool = WorkerPool(2)
     try:
         with pytest.raises(MPSimError):
             pool.run([_BoomProgram(), _IdleProgram()])

@@ -3,8 +3,8 @@
 The contract under test:
 
 1. **Observation-only.**  Generation output is bit-identical with telemetry
-   attached and without, on every engine and every mp exchange transport —
-   telemetry reads clocks and counters, never RNG state or messages.
+   attached and without, on every engine — telemetry reads clocks and
+   counters, never RNG state or messages.
 2. **Completeness.**  A real-process run yields a merged trace containing
    every rank's lane plus the coordinator's, with compute / exchange /
    barrier spans, and it passes the Chrome trace-event schema check.
@@ -39,20 +39,18 @@ def test_output_bit_identical_with_telemetry_in_process(engine):
     assert tel.spans.spans  # and telemetry actually recorded something
 
 
-@pytest.mark.parametrize("exchange", ["pickle", "shm", "p2p"])
-def test_output_bit_identical_with_telemetry_mp(exchange):
-    baseline = _edges(engine="mp", exchange=exchange)
+def test_output_bit_identical_with_telemetry_mp():
+    baseline = _edges(engine="mp")
     tel = Telemetry()
-    observed = _edges(engine="mp", exchange=exchange, telemetry=tel)
+    observed = _edges(engine="mp", telemetry=tel)
     assert observed == baseline
     assert tel.spans.spans
 
 
 # ------------------------------------------------------------ completeness
-@pytest.mark.parametrize("exchange", ["pickle", "shm", "p2p"])
-def test_mp_trace_covers_every_lane_and_validates(exchange):
+def test_mp_trace_covers_every_lane_and_validates():
     tel = Telemetry()
-    _edges(engine="mp", exchange=exchange, telemetry=tel)
+    _edges(engine="mp", telemetry=tel)
 
     trace = tel.to_chrome_trace()
     assert validate_chrome_trace(trace) == []
@@ -62,7 +60,7 @@ def test_mp_trace_covers_every_lane_and_validates(exchange):
     assert {"compute", "exchange", "barrier", "run"} <= cats
     assert tel.dropped_events == 0
     assert tel.counter("mp_worker_supersteps_total").total() > 0
-    assert tel.meta["exchange"] == exchange
+    assert tel.meta["engine"] == "mp"
     # the summary renders without error and names every lane
     text = inspect_summary(trace)
     for tid in (-1, 0, 1, 2, 3):
@@ -103,9 +101,9 @@ def test_bsp_superstep_spans_carry_virtual_time():
 def test_pool_runs_attach_telemetry_at_construction():
     from repro.mpsim.pool import WorkerPool
 
-    baseline = _edges(engine="mp", exchange="p2p")
+    baseline = _edges(engine="mp")
     tel = Telemetry()
-    pool = WorkerPool(4, exchange="p2p", telemetry=tel)
+    pool = WorkerPool(4, telemetry=tel)
     try:
         first = generate(1_500, ranks=4, seed=13, engine="mp", pool=pool).edges
         second = generate(1_500, ranks=4, seed=13, engine="mp", pool=pool).edges
@@ -131,12 +129,12 @@ def test_generate_refuses_telemetry_with_foreign_pool():
 # -------------------------------------------------------- crash robustness
 def test_crashed_and_recovered_run_yields_annotated_trace(tmp_path):
     n, seed = 2_000, 11
-    baseline = _edges(n=n, engine="mp", seed=seed, exchange="shm")
+    baseline = _edges(n=n, engine="mp", seed=seed)
 
     tel = Telemetry()
     plan = FaultPlan().crash(1, at_superstep=3)
     result = generate(
-        n, ranks=4, seed=seed, engine="mp", exchange="shm",
+        n, ranks=4, seed=seed, engine="mp",
         fault_plan=plan, checkpoint_dir=str(tmp_path),
         barrier_timeout=30.0, telemetry=tel,
     )

@@ -184,7 +184,7 @@ class TestTelemetryCLI:
     def test_trace_out_with_pool(self, tmp_path, capsys):
         trace = tmp_path / "pool.trace.json"
         rc = main(["generate", "-n", "1000", "-P", "4", "--engine", "mp",
-                   "--exchange", "p2p", "--pool", "--seed", "5",
+                   "--pool", "--seed", "5",
                    "--trace-out", str(trace)])
         assert rc == 0
         from repro.telemetry.export import load_chrome_trace, validate_chrome_trace
