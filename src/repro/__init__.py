@@ -20,7 +20,7 @@ Package layout (see DESIGN.md for the full inventory):
   analysis (the paper's contribution);
 * :mod:`repro.mpsim` — the simulated distributed-memory substrate;
 * :mod:`repro.seq` — sequential generators (copy model, Batagelj–Brandes,
-  naive BA, ER, small-world, Chung–Lu);
+  naive BA);
 * :mod:`repro.graph` — edge lists, degree statistics, power-law fitting,
   validation, I/O;
 * :mod:`repro.baselines` — the Yoo–Henderson approximate parallel baseline;

@@ -109,19 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record telemetry and write Prometheus text-format "
                         "metrics here")
 
-    o = sub.add_parser("other", help="generate non-PA models on the same substrate")
-    o.add_argument("--model", choices=["er", "rmat", "chung-lu"], required=True)
-    o.add_argument("-n", "--nodes", type=int, default=None,
-                   help="nodes (er/chung-lu); rmat uses --scale")
-    o.add_argument("-p", "--prob", type=float, default=0.01, help="er edge probability")
-    o.add_argument("--scale", type=int, default=16, help="rmat: log2 of node count")
-    o.add_argument("-m", "--edges", type=int, default=None, help="rmat edge count")
-    o.add_argument("--mean-degree", type=float, default=8.0, help="chung-lu mean weight")
-    o.add_argument("-P", "--ranks", type=int, default=4)
-    o.add_argument("--seed", type=int, default=None)
-    o.add_argument("-o", "--output", type=Path, default=None)
-    o.add_argument("--text", action="store_true")
-
     d = sub.add_parser("degree-dist", help="log-binned degree distribution of a file")
     d.add_argument("path", type=Path)
     d.add_argument("--text", action="store_true")
@@ -494,44 +481,6 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_other(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from repro.graph import io as gio
-
-    if args.model == "er":
-        from repro.core.parallel_er import run_parallel_er
-
-        n = args.nodes or 10_000
-        edges, engine, _ = run_parallel_er(n, args.prob, args.ranks, seed=args.seed)
-        label = f"G(n={n}, p={args.prob})"
-    elif args.model == "rmat":
-        from repro.core.parallel_rmat import run_parallel_rmat
-
-        m = args.edges or 16 * (1 << args.scale)
-        edges, engine, _ = run_parallel_rmat(
-            args.scale, m, args.ranks, seed=args.seed
-        )
-        label = f"R-MAT(scale={args.scale}, m={m})"
-    else:
-        from repro.core.parallel_er import run_parallel_chung_lu
-
-        n = args.nodes or 10_000
-        weights = np.full(n, args.mean_degree)
-        edges, engine, _ = run_parallel_chung_lu(weights, args.ranks, seed=args.seed)
-        label = f"Chung-Lu(n={n}, mean weight {args.mean_degree})"
-
-    print(f"generated {label}: {len(edges)} edges on P={args.ranks} "
-          f"({engine.stats.total_messages} protocol messages)")
-    if args.output is not None:
-        if args.text:
-            gio.write_edges_text(args.output, edges)
-        else:
-            gio.write_edges_binary(args.output, edges)
-        print(f"wrote {args.output}")
-    return 0
-
-
 def _cmd_degree_dist(args: argparse.Namespace) -> int:
     from repro.bench.reporting import ascii_loglog, format_series
     from repro.graph import io as gio
@@ -713,7 +662,6 @@ _COMMANDS = {
     "stats": _cmd_stats,
     "scaling": _cmd_scaling,
     "chains": _cmd_chains,
-    "other": _cmd_other,
     "degree-dist": _cmd_degree_dist,
     "analyze": _cmd_analyze,
     "campaign": _cmd_campaign,

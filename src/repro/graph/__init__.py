@@ -11,8 +11,6 @@
 * :mod:`repro.graph.theory` — the closed-form BA degree law and the
   chi-square goodness-of-fit certifier;
 * :mod:`repro.graph.analysis` — exact k-cores, triangle counts, rich club;
-* :mod:`repro.graph.sampling` — node/endpoint/snowball sampling estimators;
-* :mod:`repro.graph.communities` — label propagation and modularity;
 * :mod:`repro.graph.rewire` — degree-preserving null models;
 * :mod:`repro.graph.validation` — structural invariants of PA graphs
   (no self-loops, no parallel edges, exactly ``x`` smaller-id neighbours);

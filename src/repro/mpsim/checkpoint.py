@@ -26,6 +26,7 @@ path :class:`~repro.mpsim.supervisor.Supervisor` relies on.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import pickle
@@ -205,17 +206,25 @@ def _atomic_dump(magic: str, data: Any, path: Path) -> str:
 
     Returns the temp file's name; the caller renames it into place (the
     rename is what makes the write atomic — readers either see the old
-    complete file or the new complete file, never a torn one).
+    complete file or the new complete file, never a torn one).  A failed
+    write (e.g. ``ENOSPC`` from the write or the fsync) unlinks the temp
+    file and re-raises, so a full disk leaves nothing behind.
     """
     blob = pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL)
     payload = (magic, _VERSION, hashlib.sha256(blob).hexdigest(), blob)
-    with tempfile.NamedTemporaryFile(
+    fh = tempfile.NamedTemporaryFile(
         dir=path.parent, prefix=path.name, suffix=".tmp", delete=False
-    ) as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        fh.flush()
-        os.fsync(fh.fileno())
-        return fh.name
+    )
+    try:
+        with fh:
+            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            fh.flush()
+            os.fsync(fh.fileno())
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(fh.name)
+        raise
+    return fh.name
 
 
 def _load_envelope(path: str | Path, magic: str, what: str) -> Any:

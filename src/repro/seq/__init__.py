@@ -1,4 +1,4 @@
-"""Sequential random-graph generators (Section 3.1 of the paper + context models).
+"""Sequential preferential-attachment generators (Section 3.1 of the paper).
 
 This subpackage provides the sequential algorithms the paper discusses or
 compares against:
@@ -12,10 +12,6 @@ compares against:
   the parallel algorithms; exact BA dynamics at ``p = 1/2``;
 * :mod:`repro.seq.commfree_ref` — scalar oracle for the communication-free
   generators of :mod:`repro.core.commfree` (bit-identity reference);
-* :mod:`repro.seq.erdos_renyi`, :mod:`repro.seq.small_world`,
-  :mod:`repro.seq.chung_lu` — the other random-graph families the
-  introduction situates the work against, implemented with the efficient
-  (geometric-skip) techniques from the same Batagelj–Brandes paper.
 
 All generators return a :class:`repro.graph.edgelist.EdgeList` and accept a
 ``rng``/``seed`` for reproducibility.
@@ -25,9 +21,6 @@ from repro.seq.ba_naive import ba_naive
 from repro.seq.batagelj_brandes import batagelj_brandes
 from repro.seq.commfree_ref import commfree_reference
 from repro.seq.copy_model import copy_model, copy_model_x1
-from repro.seq.erdos_renyi import erdos_renyi_gnp
-from repro.seq.small_world import watts_strogatz
-from repro.seq.chung_lu import chung_lu
 
 __all__ = [
     "ba_naive",
@@ -35,7 +28,4 @@ __all__ = [
     "commfree_reference",
     "copy_model",
     "copy_model_x1",
-    "erdos_renyi_gnp",
-    "watts_strogatz",
-    "chung_lu",
 ]

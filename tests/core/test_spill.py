@@ -10,6 +10,7 @@ that forces constant flushing.
 
 from __future__ import annotations
 
+import errno
 import multiprocessing as mp
 import os
 import pickle
@@ -299,6 +300,45 @@ class TestRegionIntegrity:
             )
         with pytest.raises(FileNotFoundError, match="rank 0"):
             assemble_shards(tmp_path, 1)
+
+    def test_pwrite_enospc_seals_nothing(self, tmp_path, monkeypatch):
+        offsets = prepare_regions(tmp_path, [3, 4])
+        write_edge_shards(tmp_path, 0, offsets, [(np.arange(3), np.arange(3))])
+        real_pwrite, calls = os.pwrite, []
+
+        def full_disk(fd, data, pos):
+            calls.append(pos)
+            if len(calls) == 2:  # rank 1's v column
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_pwrite(fd, data, pos)
+
+        monkeypatch.setattr(os, "pwrite", full_disk)
+        with pytest.raises(OSError) as exc:
+            write_edge_shards(tmp_path, 1, offsets, [(np.arange(4), np.arange(4))])
+        assert exc.value.errno == errno.ENOSPC
+        rank1 = rank_shard_dir(tmp_path / "shards", 1, 2)
+        assert not (rank1 / "MANIFEST").exists()
+        assert list(tmp_path.rglob("*.tmp")) == []
+        with pytest.raises(FileNotFoundError, match="rank 1"):
+            assemble_shards(tmp_path, 2)
+
+    def test_short_pwrites_write_the_same_bytes(
+        self, tmp_path, monkeypatch, sample_arrays
+    ):
+        u, v = sample_arrays
+        blocks = [(u[i : i + 700], v[i : i + 700]) for i in range(0, len(u), 700)]
+        _write_regions(tmp_path / "full", [blocks[:2], blocks[2:]])
+        real_pwrite = os.pwrite
+        monkeypatch.setattr(
+            os, "pwrite", lambda fd, data, pos: real_pwrite(fd, data[:5], pos)
+        )
+        _write_regions(tmp_path / "short", [blocks[:2], blocks[2:]])
+        for col in ("u.i64", "v.i64"):
+            full = (tmp_path / "full" / "edges" / col).read_bytes()
+            assert (tmp_path / "short" / "edges" / col).read_bytes() == full
+        assert edges_digest(assemble_shards(tmp_path / "short", 2)) == edges_digest(
+            EdgeList.from_arrays(u, v)
+        )
 
 
 class TestEdgeCounts:

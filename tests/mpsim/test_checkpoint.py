@@ -1,5 +1,9 @@
 """Tests for BSP checkpoint/restart: crash-recovery is bit-exact."""
 
+import errno
+import os
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,7 @@ from repro.mpsim.checkpoint import (
     load_checkpoint,
     load_latest_valid,
     resume,
+    save_sealed,
 )
 from repro.mpsim.errors import CorruptCheckpointError, MPSimError
 from repro.mpsim.faults import FaultPlan
@@ -159,6 +164,24 @@ class TestIntegrity:
             load_checkpoint(tmp_path / "nope.ckpt")
         with pytest.raises(FileNotFoundError):
             load_latest_valid(tmp_path / "nope.ckpt")
+
+    @pytest.mark.parametrize("where", ["write", "fsync"])
+    def test_full_disk_leaves_no_temp_file(self, tmp_path, monkeypatch, where):
+        def no_space(*args, **kwargs):
+            if where == "write":
+                args[1].write(b"partial")  # the bytes that fit before ENOSPC
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        if where == "write":
+            monkeypatch.setattr(pickle, "dump", no_space)
+        else:
+            monkeypatch.setattr(os, "fsync", no_space)
+        d = tmp_path / "d"
+        with pytest.raises(OSError) as exc:
+            save_sealed(d / "MANIFEST", "magic", {"edges": 3})
+        assert exc.value.errno == errno.ENOSPC
+        assert list(d.glob("*.tmp")) == []
+        assert not (d / "MANIFEST").exists()
 
 
 class TestRotation:

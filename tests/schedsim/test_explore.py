@@ -85,8 +85,10 @@ class TestInjectedBugs:
         assert res.reproduced and res.diverges
 
     def test_event_nonconfluent_bug_is_caught_and_shrunk(self, tmp_path):
+        # n=60 still hits a cross-rank duplicate at seed 7 (n=100 does not)
+        # and runs ~10x faster than N
         rep = explore(
-            _config("event", knobs={"confluent": False}),
+            _config("event", knobs={"confluent": False}, n=60),
             policy="random", schedules=8, artifact_dir=str(tmp_path),
         )
         assert not rep.ok

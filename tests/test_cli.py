@@ -94,27 +94,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["generate"])
 
-
-class TestOtherModels:
-    def test_er(self, tmp_path, capsys):
-        out = tmp_path / "er.bin"
-        rc = main(["other", "--model", "er", "-n", "500", "-p", "0.02",
-                   "-P", "4", "--seed", "0", "-o", str(out)])
-        assert rc == 0
-        assert out.exists()
-        assert "G(n=500" in capsys.readouterr().out
-
-    def test_rmat(self, capsys):
-        rc = main(["other", "--model", "rmat", "--scale", "8", "-m", "2000",
-                   "-P", "4", "--seed", "1"])
-        assert rc == 0
-        assert "R-MAT" in capsys.readouterr().out
-
-    def test_chung_lu(self, capsys):
-        rc = main(["other", "--model", "chung-lu", "-n", "500",
-                   "--mean-degree", "6", "-P", "2", "--seed", "2"])
-        assert rc == 0
-        assert "Chung-Lu" in capsys.readouterr().out
+    def test_no_other_subcommand(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["other", "--model", "er"])
+        assert exc.value.code == 2
 
 
 class TestDegreeDist:
