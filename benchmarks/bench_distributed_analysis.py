@@ -1,9 +1,9 @@
-"""Extension — distributed analysis of the generated (still-partitioned) graph.
+"""Extension — distributed analysis of the generated, partitioned graph.
 
 The paper motivates its partitioning flexibility with downstream analysis
 (Section 3.2).  This benchmark exercises that workflow end-to-end: generate
-with the parallel algorithm, hand the per-rank edges to the distributed
-graph layer without gathering, and run BFS / connected components /
+with the parallel algorithm, scatter the edges to their owner ranks in the
+distributed graph layer's one exchange, and run BFS / connected components /
 PageRank / degree histogram as BSP programs — reporting supersteps and
 traffic for each kernel, plus the utilisation Gantt that shows where
 barrier time goes.
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.bench.reporting import format_table
-from repro.core.parallel_pa_general import run_parallel_pa
+from repro import generate
 from repro.core.partitioning import make_partition
 from repro.distgraph import (
     DistributedGraph,
@@ -34,10 +34,8 @@ SEED = 23
 @pytest.fixture(scope="module")
 def graph():
     part = make_partition("rrp", N, P)
-    _, _, programs = run_parallel_pa(N, X, part, seed=SEED)
-    return DistributedGraph.from_rank_edges(
-        [prog.local_edges() for prog in programs], part
-    )
+    edges = generate(N, X, partition=part, seed=SEED).edges
+    return DistributedGraph.from_edgelist(edges, part)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +64,7 @@ def test_distributed_analysis_report(report, graph, kernel_rows):
         ["kernel", "supersteps", "protocol records", "result"],
         kernel_rows,
         title=f"Distributed analysis on the partitioned graph, "
-              f"n={N:.0e}, x={X}, P={P} (never gathered)",
+              f"n={N:.0e}, x={X}, P={P} (scattered in one exchange)",
     ))
 
 

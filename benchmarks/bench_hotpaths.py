@@ -79,14 +79,13 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.parallel_pa import RECORD_DTYPE, run_parallel_pa_x1
-from repro.core.parallel_pa_general import run_parallel_pa
+from repro import generate
+from repro.core.generator import rank_programs
+from repro.core.parallel_pa import RECORD_DTYPE
 from repro.core.partitioning import UniformPartition
-from repro.core.parallel_pa import PAx1RankProgram
 from repro.mpsim.mp_backend import MultiprocessingBSPEngine
 from repro.mpsim.pool import WorkerPool
 from repro.core.commfree import commfree_mp, commfree_x1
-from repro.rng import StreamFactory
 from repro.seq.copy_model import copy_model, copy_model_x1, resolve_pointers
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -178,9 +177,9 @@ def case_resolve_pointers(sizes, repeats):
 
 def case_bsp_pa(sizes, repeats):
     n, P = sizes["bsp_n"], sizes["bsp_P"]
-    t_x1 = best_of(repeats, run_parallel_pa_x1, n, UniformPartition(n, P), seed=SEED)
+    t_x1 = best_of(repeats, generate, n, partition=UniformPartition(n, P), seed=SEED)
     ng = sizes["bsp_general_n"]
-    t_gen = best_of(repeats, run_parallel_pa, ng, X, UniformPartition(ng, P), seed=SEED)
+    t_gen = best_of(repeats, generate, ng, X, partition=UniformPartition(ng, P), seed=SEED)
     return {
         "x1": {"n": n, "P": P, "seconds": t_x1},
         "general": {"n": ng, "x": X, "P": P, "seconds": t_gen},
@@ -248,9 +247,7 @@ def case_mp_exchange(sizes, repeats):
 
 
 def _x1_mp_programs(n: int, P: int):
-    part = UniformPartition(n, P)
-    factory = StreamFactory(SEED)
-    return [PAx1RankProgram(r, part, 0.5, factory.stream(r)) for r in range(P)]
+    return rank_programs(UniformPartition(n, P), 1, 0.5, SEED)
 
 
 def case_mp_endtoend(sizes, repeats):
@@ -353,11 +350,11 @@ def case_telemetry_overhead(sizes, repeats):
     part = UniformPartition(n, P)
 
     def disabled():
-        run_parallel_pa_x1(n, part, seed=SEED)
+        generate(n, partition=part, seed=SEED)
 
     def enabled():
         tel = Telemetry()
-        run_parallel_pa_x1(n, part, seed=SEED, telemetry=tel)
+        generate(n, partition=part, seed=SEED, telemetry=tel)
         return tel
 
     # interleave-friendly: time disabled, enabled, then disabled again and

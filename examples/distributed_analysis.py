@@ -1,14 +1,14 @@
 #!/usr/bin/env python
-"""Scenario: analyse the network without ever gathering it.
+"""Scenario: analyse the generated network on its partition.
 
 The paper's Section 3.2 anticipates exactly this consumer: "Many network
 analysis algorithms require partitioning the graph ... Our different
 partitioning schemes can be used to satisfy many such requirements."  This
 example runs the full distributed pipeline:
 
-1. generate a PA network with the parallel algorithm (per-rank edge lists);
-2. hand those per-rank edges to the distributed graph layer — no global
-   gather ever happens;
+1. generate a PA network with the parallel algorithm;
+2. scatter its edges to their owner ranks in the distributed graph layer
+   (one exchange);
 3. run BFS, connected components, PageRank, and the degree histogram as
    BSP programs over the same partition;
 4. render the execution Gantt showing per-rank utilisation.
@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from repro.core.parallel_pa_general import run_parallel_pa
+from repro import generate
 from repro.core.partitioning import make_partition
 from repro.distgraph import (
     DistributedGraph,
@@ -39,13 +39,11 @@ def main() -> None:
 
     print(f"1. Generating PA network: n={n:,}, x={x} on {ranks} ranks (RRP)")
     part = make_partition("rrp", n, ranks)
-    _, engine, programs = run_parallel_pa(n, x, part, seed=29)
-    print(f"   done in {engine.supersteps} supersteps; edges stay per-rank")
+    result = generate(n, x, partition=part, seed=29)
+    print(f"   done in {result.supersteps} supersteps")
 
     print("2. Building the distributed adjacency (one scatter exchange)")
-    graph = DistributedGraph.from_rank_edges(
-        [prog.local_edges() for prog in programs], part
-    )
+    graph = DistributedGraph.from_edgelist(result.edges, part)
     print(f"   {graph!r}")
 
     print("3. Distributed kernels:")

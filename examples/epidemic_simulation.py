@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import generate
+from repro.graph.edgelist import EdgeList
 from repro.graph.io import merge_rank_files, write_rank_edges
 from repro.graph.metrics import adjacency_from_edges
 
@@ -137,16 +138,14 @@ def main() -> None:
     result = generate(n=n, x=x, ranks=ranks, scheme="rrp", seed=11)
     result.validate().raise_if_failed()
 
-    # Per-rank disk output, as the MPI ranks would write on a shared FS.
+    # Per-rank disk output, as the MPI ranks would write on a shared FS:
+    # rank r writes the r-th contiguous stripe of the edge list.
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
-        from repro.core.partitioning import make_partition
-        from repro.core.parallel_pa_general import run_parallel_pa
-
-        part = make_partition("rrp", n, ranks)
-        _, _, programs = run_parallel_pa(n, x, part, seed=11)
-        for r, prog in enumerate(programs):
-            path = write_rank_edges(tmp_path, r, ranks, prog.local_edges())
+        stripes = zip(np.array_split(result.edges.sources, ranks),
+                      np.array_split(result.edges.targets, ranks))
+        for r, (u, v) in enumerate(stripes):
+            path = write_rank_edges(tmp_path, r, ranks, EdgeList.from_arrays(u, v))
         print(f"wrote {ranks} rank files under {tmp_path.name}/ "
               f"(e.g. {path.name})")
         edges = merge_rank_files(tmp_path, ranks)

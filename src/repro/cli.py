@@ -87,9 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wall-clock bound (s) on one --engine mp superstep "
                         "barrier; dead ranks are detected much faster via "
                         "sentinels, this only catches wedged-but-alive ones")
-    g.add_argument("--liveness-poll", type=float, default=0.25,
-                   help="--engine mp: how often (s) the coordinator re-arms "
-                        "its wait on worker pipes to check for silent deaths")
     g.add_argument("--out-of-core", type=Path, default=None, metavar="DIR",
                    help="write edges once, in place, into sha256-verified "
                         "column files under DIR instead of accumulating "
@@ -270,7 +267,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         fault_seed=args.inject_faults,
         max_retries=args.max_retries,
         barrier_timeout=args.barrier_timeout,
-        liveness_poll=args.liveness_poll,
         # a pooled run attaches telemetry to the pool at fork time
         telemetry=None if args.pool else tel,
         generator=args.generator,
@@ -288,7 +284,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         from repro.mpsim.pool import WorkerPool
 
         pool = WorkerPool(args.ranks, barrier_timeout=args.barrier_timeout,
-                          telemetry=tel, liveness_poll=args.liveness_poll)
+                          telemetry=tel)
     t0 = time.perf_counter()
     try:
         result = generate(**spec, pool=pool)

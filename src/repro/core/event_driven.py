@@ -197,8 +197,8 @@ def run_event_driven_pa_x1(
     """Run Algorithm 3.1 one-message-at-a-time; return (edges, simulator).
 
     Uses the same per-node uniform-consumption protocol as
-    :func:`repro.core.parallel_pa.run_parallel_pa_x1`, so for equal
-    ``(seed, partition, p)`` the two produce identical edge lists.
+    :class:`repro.core.parallel_pa.PAx1RankProgram`, so for equal
+    ``(seed, partition, p)`` it produces the bsp engine's edge list.
     ``schedule`` (a :class:`repro.schedsim.Schedule`) permutes the
     simulator's delivery choices; the x=1 protocol is order-invariant, so
     any schedule yields the identical edge list.

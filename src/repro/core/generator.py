@@ -75,7 +75,9 @@ from repro.rng import StreamFactory
 from repro.seq.copy_model import copy_model
 from repro.telemetry.collector import resolve
 
-__all__ = ["CONFLICTS", "Conflict", "GenerationResult", "check_run", "generate"]
+__all__ = [
+    "CONFLICTS", "Conflict", "GenerationResult", "check_run", "generate", "rank_programs",
+]
 
 
 @dataclass
@@ -139,8 +141,9 @@ class Conflict(NamedTuple):
 
     #: short label for the combination
     name: str
-    #: predicate over :func:`generate`'s keywords (plus ``checkpointing``
-    #: and ``faults``, see :func:`check_run`); true means rejected
+    #: predicate over :func:`generate`'s keywords (plus ``nranks``,
+    #: ``checkpointing`` and ``faults``, see :func:`check_run`); true means
+    #: rejected
     when: Callable[[SimpleNamespace], bool]
     #: the one-line reason, ``str.format``-ed with :func:`generate`'s keywords
     reason: str
@@ -271,8 +274,8 @@ CONFLICTS: tuple[Conflict, ...] = (
         "any job's recovery — drop pool=",
     ),
     Conflict(
-        "sequential-ranks", lambda k: k.engine == "sequential" and k.ranks != 1,
-        "sequential engine requires ranks=1",
+        "sequential-ranks", lambda k: k.engine == "sequential" and k.nranks != 1,
+        "sequential engine requires ranks=1 and no multi-rank partition",
     ),
     Conflict(
         "sequential-faults", lambda k: k.engine == "sequential" and k.faults,
@@ -299,6 +302,7 @@ def check_run(**knobs: Any) -> None:
     bound = inspect.signature(generate).bind(**knobs)
     bound.apply_defaults()
     k = SimpleNamespace(**bound.arguments)
+    k.nranks = _nranks(k.partition, k.ranks)
     k.checkpointing = k.checkpoint_path is not None or k.checkpoint_dir is not None
     k.faults = k.fault_plan is not None or k.fault_seed is not None
     for row in CONFLICTS:
@@ -306,6 +310,11 @@ def check_run(**knobs: Any) -> None:
             raise ValueError(row.reason.format(**bound.arguments))
     if k.engine == "mp":
         _check_mp_fault_plan(k.fault_plan)
+
+
+def _nranks(partition: Partition | None, ranks: int) -> int:
+    """The run's rank count: a given partition's, else ``ranks``."""
+    return partition.P if partition is not None else ranks
 
 
 def generate(
@@ -327,7 +336,6 @@ def generate(
     fault_seed: int | None = None,
     max_retries: int = 3,
     barrier_timeout: float = 120.0,
-    liveness_poll: float = 0.25,
     telemetry: Any = None,
     schedule: Any = None,
     generator: str = "copy",
@@ -408,11 +416,6 @@ def generate(
         superstep barrier.  Worker deaths are detected by the
         coordinator within one liveness poll and abort the barrier, so this
         only matters for organically wedged (not dead) ranks.
-    liveness_poll:
-        ``engine="mp"`` only: how often (seconds) the coordinator wakes from
-        waiting on worker pipes to check for silent worker deaths.  Lower
-        values detect ``SIGKILL``-ed workers faster at the cost of more
-        wakeups; the default (0.25 s) matches prior releases.
     schedule:
         Optional :class:`repro.schedsim.Schedule` permuting message delivery
         and rank activation order in the in-process ``bsp``/``event``
@@ -459,13 +462,14 @@ def generate(
     knobs = dict(locals())  # the keywords are the run spec
     check_run(**knobs)
 
+    nranks = _nranks(partition, ranks)
     plan = fault_plan
     if plan is None and fault_seed is not None:
-        plan = FaultPlan.chaos(fault_seed, ranks, crashes=1)
+        plan = FaultPlan.chaos(fault_seed, nranks, crashes=1)
     tel = resolve(telemetry)
     if tel.enabled:
         tel.meta.update(
-            engine=engine, generator=generator, n=n, x=x, p=p, ranks=ranks,
+            engine=engine, generator=generator, n=n, x=x, p=p, ranks=nranks,
             scheme="contig" if generator == "commfree" else scheme, seed=seed,
         )
 
@@ -478,10 +482,10 @@ def generate(
         cost = cost_model or CostModel()
         run = dict(
             edges=edges, scheme="contig" if generator == "commfree" else "none",
-            ranks=ranks, nodes_per_rank=sizes, supersteps=0,
-            simulated_time=cost.compute_time(n, work_items=len(edges)) / ranks,
-            requests_sent=np.zeros(ranks, np.int64),
-            requests_received=np.zeros(ranks, np.int64),
+            ranks=nranks, nodes_per_rank=sizes, supersteps=0,
+            simulated_time=cost.compute_time(n, work_items=len(edges)) / nranks,
+            requests_sent=np.zeros(nranks, np.int64),
+            requests_received=np.zeros(nranks, np.int64),
         )
     else:
         part = partition if partition is not None else make_partition(scheme, n, ranks)
@@ -518,10 +522,49 @@ def generate(
     return result
 
 
+def rank_programs(
+    part: Partition,
+    x: int,
+    p: float,
+    seed: int | None,
+    *,
+    queue_factory: Any = None,
+    regions: ResultRegions | None = None,
+    canonical_inbox: bool = True,
+) -> list:
+    """One copy-model rank program per rank of ``part``, rank ``r`` drawing
+    from stream ``r`` of ``seed``.
+
+    ``x = 1`` builds Algorithm 3.1's :class:`PAx1RankProgram`; with
+    ``regions`` each resolves straight into its
+    :meth:`ResultRegions.x1_region` of the output column.  Larger ``x``
+    builds Algorithm 3.2's :class:`PAGeneralRankProgram`;
+    ``canonical_inbox=False`` lets delivery order reach its arbitration (the
+    schedule fuzzer's injected bug).  ``queue_factory`` backs the wait
+    queues (out-of-core runs pass a spill factory).
+    """
+    rngs = StreamFactory(seed)
+    if x == 1:
+        return [
+            PAx1RankProgram(
+                r, part, p, rngs.stream(r), queue_factory=queue_factory,
+                out=None if regions is None else regions.x1_region(r),
+            )
+            for r in range(part.P)
+        ]
+    return [
+        PAGeneralRankProgram(
+            r, part, x, p, rngs.stream(r),
+            canonical_inbox=canonical_inbox, queue_factory=queue_factory,
+        )
+        for r in range(part.P)
+    ]
+
+
 def _run_supersteps(
     part, plan, *, engine, n, x, p, seed, cost_model, pool,
     checkpoint_path, checkpoint_every, checkpoint_dir, checkpoint_keep,
-    max_retries, barrier_timeout, liveness_poll, telemetry, schedule,
+    max_retries, barrier_timeout, telemetry, schedule,
     out_of_core, spill_budget_bytes, **_rest,
 ) -> dict:
     """Run the copy model's rank programs to quiescence on a superstep engine.
@@ -553,19 +596,12 @@ def _run_supersteps(
     in_place = regions is not None and x == 1 and engine != "mp"
 
     def build_programs() -> list:
-        rngs = StreamFactory(seed)
         qf = None
         if offsets is not None:
             qf = spill.SpillQueueFactory(Path(out_of_core) / "queues")
-        progs = [
-            PAx1RankProgram(
-                r, part, p, rngs.stream(r), queue_factory=qf,
-                out=regions.x1_region(r) if in_place else None,
-            )
-            if x == 1
-            else PAGeneralRankProgram(r, part, x, p, rngs.stream(r), queue_factory=qf)
-            for r in range(part.P)
-        ]
+        progs = rank_programs(
+            part, x, p, seed, queue_factory=qf, regions=regions if in_place else None
+        )
         if offsets is None:
             return progs
         # each rank writes its region when asked for its result (inside its
@@ -580,7 +616,6 @@ def _run_supersteps(
             return MultiprocessingBSPEngine(
                 part.P, cost_model=cost_model,
                 barrier_timeout=barrier_timeout, telemetry=telemetry,
-                liveness_poll=liveness_poll,
             )
         return BSPEngine(part.P, cost_model=cost_model, telemetry=telemetry)
 

@@ -57,9 +57,7 @@ from repro.core.arena import RecordQueue
 from repro.core.partitioning import Partition
 from repro.core.routing import route_by_dest
 from repro.graph.edgelist import EdgeList
-from repro.mpsim.bsp import BSPEngine, BSPRankContext
-from repro.mpsim.costmodel import CostModel
-from repro.rng import StreamFactory
+from repro.mpsim.bsp import BSPRankContext
 
 __all__ = [
     "RECORD_DTYPE",
@@ -67,7 +65,6 @@ __all__ = [
     "RES",
     "PAx1RankProgram",
     "ResultRegions",
-    "run_parallel_pa_x1",
 ]
 
 #: Wire format of one protocol record: ``kind`` is :data:`REQ` or
@@ -365,46 +362,3 @@ def _fill_range(out: np.ndarray, nodes: range) -> None:
         out[0] = nodes.start
         np.cumsum(out, out=out)
 
-
-def run_parallel_pa_x1(
-    n: int,
-    partition: Partition,
-    p: float = 0.5,
-    seed: int | None = None,
-    cost_model: CostModel | None = None,
-    max_supersteps: int = 10_000,
-    checkpointer=None,
-    fault_plan=None,
-    telemetry=None,
-    schedule=None,
-) -> tuple[EdgeList, BSPEngine, list[PAx1RankProgram]]:
-    """Generate an ``x = 1`` PA network on the BSP engine.
-
-    Returns the merged edge list (rank order), the engine (for its traffic
-    statistics and simulated time), and the rank programs (for per-rank
-    request counters — Figure 7's data).  Each program's ``F`` is its
-    region of the edge list's target column.  ``fault_plan`` injects faults
-    without recovery (failures propagate); use
-    :class:`repro.mpsim.supervisor.Supervisor` for supervised runs.
-    ``schedule`` (a :class:`repro.schedsim.Schedule`) permutes the engine's
-    activation and inbox-assembly order; the x=1 program is order-invariant,
-    so any schedule yields the identical edge list.
-    """
-    if partition.n != n:
-        raise ValueError(f"partition covers n={partition.n}, requested n={n}")
-    factory = StreamFactory(seed)
-    regions = ResultRegions(1, partition)
-    programs = [
-        PAx1RankProgram(r, partition, p, factory.stream(r), out=regions.x1_region(r))
-        for r in range(partition.P)
-    ]
-    engine = BSPEngine(
-        partition.P,
-        cost_model=cost_model,
-        max_supersteps=max_supersteps,
-        telemetry=telemetry,
-    )
-    engine.run(
-        programs, checkpointer=checkpointer, fault_plan=fault_plan, schedule=schedule
-    )
-    return regions.edges(programs), engine, programs

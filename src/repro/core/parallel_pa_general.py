@@ -39,11 +39,9 @@ from repro.core.arena import RecordQueue
 from repro.core.partitioning import Partition
 from repro.core.routing import route_by_dest
 from repro.graph.edgelist import EdgeList
-from repro.mpsim.bsp import BSPEngine, BSPRankContext
-from repro.mpsim.costmodel import CostModel
-from repro.rng import StreamFactory
+from repro.mpsim.bsp import BSPRankContext
 
-__all__ = ["GRECORD_DTYPE", "GREQ", "GRES", "PAGeneralRankProgram", "run_parallel_pa"]
+__all__ = ["GRECORD_DTYPE", "GREQ", "GRES", "PAGeneralRankProgram"]
 
 #: Wire format: for requests ``a = k`` and ``l`` is the slot of ``F_k``;
 #: for resolved records ``a = v`` and ``l`` is unused (-1).
@@ -322,53 +320,3 @@ class PAGeneralRankProgram:
     def _route(self, out, records: np.ndarray, dests: np.ndarray) -> None:
         route_by_dest(out, records, dests)
 
-
-def run_parallel_pa(
-    n: int,
-    x: int,
-    partition: Partition,
-    p: float = 0.5,
-    seed: int | None = None,
-    cost_model: CostModel | None = None,
-    max_supersteps: int = 10_000,
-    checkpointer=None,
-    fault_plan=None,
-    telemetry=None,
-    schedule=None,
-    canonical_inbox: bool = True,
-) -> tuple[EdgeList, BSPEngine, list[PAGeneralRankProgram]]:
-    """Generate a PA network with ``x`` edges per node on the BSP engine.
-
-    Returns the merged edge list, the engine, and the rank programs (whose
-    ``requests_sent`` / ``requests_received`` counters feed Figure 7).
-    ``fault_plan`` injects faults without recovery (failures propagate); use
-    :class:`repro.mpsim.supervisor.Supervisor` for supervised runs.
-    ``schedule`` (a :class:`repro.schedsim.Schedule`) permutes activation and
-    inbox order; ``canonical_inbox=False`` disables the programs' defensive
-    inbox sort, exposing delivery order to the algorithm (fuzzer test knob).
-    """
-    if partition.n != n:
-        raise ValueError(f"partition covers n={partition.n}, requested n={n}")
-    if x > 1 and n <= x:
-        raise ValueError(f"need n > x, got n={n}, x={x}")
-    factory = StreamFactory(seed)
-    programs = [
-        PAGeneralRankProgram(
-            r, partition, x, p, factory.stream(r), canonical_inbox=canonical_inbox
-        )
-        for r in range(partition.P)
-    ]
-    engine = BSPEngine(
-        partition.P,
-        cost_model=cost_model,
-        max_supersteps=max_supersteps,
-        telemetry=telemetry,
-    )
-    engine.run(
-        programs, checkpointer=checkpointer, fault_plan=fault_plan, schedule=schedule
-    )
-    edges = EdgeList(capacity=max(n * x, 1))
-    for prog in programs:
-        u, v = prog.result()
-        edges.append_arrays(u, v)
-    return edges, engine, programs

@@ -621,7 +621,6 @@ def _recv_all(
     fault_plan: Any,
     on_shard: Callable[[int, int, str], None],
     tick: Callable[[], Any] | None,
-    liveness_poll: float,
 ) -> dict[int, tuple]:
     """Collect exactly one reply per worker, draining in *arrival* order.
 
@@ -664,7 +663,7 @@ def _recv_all(
         if tick is not None:
             tick()
         sentinels = {procs[r].sentinel: r for r in pending.values()}
-        ready = _mpc.wait(list(pending) + list(sentinels), timeout=liveness_poll)
+        ready = _mpc.wait(list(pending) + list(sentinels), timeout=_LIVENESS_POLL)
         for conn in [c for c in ready if c in pending]:
             rank = pending[conn]
             try:
@@ -772,7 +771,6 @@ def _drive_job(
     step0: int = 0,
     collector: RingCollector | None = None,
     tel: Any = NOOP_TELEMETRY,
-    liveness_poll: float = _LIVENESS_POLL,
 ) -> tuple[list[Any], list[dict], int, float]:
     """Parent side of one job, shared by the engine and the worker pool.
 
@@ -807,7 +805,6 @@ def _drive_job(
     with tel.span("job.collect", cat="run", tid=-1) as sp:
         msgs = _recv_all(
             parents, procs, fabric, heartbeats, fault_plan, _on_shard, tick,
-            liveness_poll,
         )
         if tel.enabled:
             # the coordinator lane's footprint, once the finals are in
@@ -923,17 +920,13 @@ class MultiprocessingBSPEngine:
         cost_model: CostModel | None = None,
         barrier_timeout: float = 120.0,
         telemetry: Any = None,
-        liveness_poll: float = _LIVENESS_POLL,
     ) -> None:
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
-        if liveness_poll <= 0:
-            raise ValueError(f"liveness_poll must be positive, got {liveness_poll}")
         self.size = size
         self.max_supersteps = max_supersteps
         self.cost = cost_model or CostModel()
         self.barrier_timeout = barrier_timeout
-        self.liveness_poll = liveness_poll
         self.stats = WorldStats.for_size(size)
         self.results: list[Any] = []
         self.rank_counters: list[dict] = []
@@ -1028,7 +1021,6 @@ class MultiprocessingBSPEngine:
                     self.stats, self.max_supersteps, heartbeats, self.cost,
                     checkpointer=checkpointer, step0=self.supersteps,
                     collector=collector, tel=self.tel,
-                    liveness_poll=self.liveness_poll,
                 )
             self.results, self.rank_counters = results, counters
             steps_this_job = supersteps - self.supersteps

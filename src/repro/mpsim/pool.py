@@ -44,7 +44,6 @@ from repro.mpsim.errors import MPSimError
 from repro.mpsim.heartbeat import Heartbeats
 from repro.mpsim.mp_backend import (
     _ABANDON,
-    _LIVENESS_POLL,
     _SHUTDOWN,
     _check_mp_fault_plan,
     _drive_job,
@@ -83,16 +82,12 @@ class WorkerPool:
         cost_model: CostModel | None = None,
         barrier_timeout: float = 120.0,
         telemetry: Any = None,
-        liveness_poll: float = _LIVENESS_POLL,
     ) -> None:
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
-        if liveness_poll <= 0:
-            raise ValueError(f"liveness_poll must be positive, got {liveness_poll}")
         self.size = size
         self.max_supersteps = max_supersteps
         self.cost = cost_model or CostModel()
-        self.liveness_poll = liveness_poll
         self.tel = resolve(telemetry)
         self._fabric = P2PFabric(size, timeout=barrier_timeout)
         self._heartbeats = Heartbeats(size)
@@ -151,7 +146,7 @@ class WorkerPool:
                     self._parents, self._procs, self.size, self._fabric,
                     list(programs), fault_plan, self.stats, self.max_supersteps,
                     self._heartbeats, self.cost, collector=self._collector,
-                    tel=self.tel, liveness_poll=self.liveness_poll,
+                    tel=self.tel,
                 )
         except Exception:
             self._broken = True

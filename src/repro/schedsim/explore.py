@@ -144,25 +144,17 @@ def _default_runner(config: Mapping[str, Any], schedule: Schedule):
     part = make_partition(scheme, n, ranks)
     plan = make_fault_plan(config.get("fault"))
     if engine == "bsp":
-        if x == 1:
-            from repro.core.parallel_pa import run_parallel_pa_x1
+        from repro.core.generator import rank_programs
+        from repro.core.parallel_pa import ResultRegions
+        from repro.mpsim.bsp import BSPEngine
 
-            edges, _, _ = run_parallel_pa_x1(
-                n, part, p=p, seed=seed, fault_plan=plan, schedule=schedule
-            )
-        else:
-            from repro.core.parallel_pa_general import run_parallel_pa
-
-            edges, _, _ = run_parallel_pa(
-                n,
-                x,
-                part,
-                p=p,
-                seed=seed,
-                fault_plan=plan,
-                schedule=schedule,
-                canonical_inbox=bool(knobs.get("canonical_inbox", True)),
-            )
+        regions = ResultRegions(x, part)
+        programs = rank_programs(
+            part, x, p, seed, regions=regions,
+            canonical_inbox=bool(knobs.get("canonical_inbox", True)),
+        )
+        BSPEngine(part.P).run(programs, fault_plan=plan, schedule=schedule)
+        edges = regions.edges(programs)
     elif engine == "event":
         from repro.core.event_driven import run_event_driven_pa
 

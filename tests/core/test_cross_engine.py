@@ -8,9 +8,8 @@ same rank streams, so they must produce **bit-identical** graphs.  For
 import numpy as np
 import pytest
 
+from repro import generate
 from repro.core.event_driven import run_event_driven_pa, run_event_driven_pa_x1
-from repro.core.parallel_pa import run_parallel_pa_x1
-from repro.core.parallel_pa_general import run_parallel_pa
 from repro.core.partitioning import make_partition
 from repro.graph.degree import degrees_from_edges
 
@@ -20,7 +19,7 @@ from repro.graph.degree import degrees_from_edges
 def test_x1_bit_identical(scheme, P):
     n, seed = 1200, 99
     part = make_partition(scheme, n, P)
-    bulk, _, _ = run_parallel_pa_x1(n, part, seed=seed)
+    bulk = generate(n, partition=part, seed=seed).edges
     literal, _ = run_event_driven_pa_x1(n, part, seed=seed)
     assert np.array_equal(bulk.canonical(), literal.canonical())
 
@@ -35,7 +34,7 @@ def test_x1_three_engines_bit_identical():
 
     n, P, seed = 800, 4, 7
     part = make_partition("rrp", n, P)
-    bulk, _, _ = run_parallel_pa_x1(n, part, seed=seed)
+    bulk = generate(n, partition=part, seed=seed).edges
     literal, _ = run_event_driven_pa_x1(n, part, seed=seed)
 
     factory = StreamFactory(seed)
@@ -55,7 +54,7 @@ def test_x1_three_engines_bit_identical():
 def test_x1_bit_identical_many_seeds(seed):
     n, P = 700, 6
     part = make_partition("rrp", n, P)
-    bulk, _, _ = run_parallel_pa_x1(n, part, seed=seed)
+    bulk = generate(n, partition=part, seed=seed).edges
     literal, _ = run_event_driven_pa_x1(n, part, seed=seed)
     assert np.array_equal(bulk.canonical(), literal.canonical())
 
@@ -67,7 +66,7 @@ def test_general_distributional_agreement():
     part = make_partition("rrp", n, P)
     tails_bulk, tails_lit = [], []
     for seed in range(3):
-        bulk, _, _ = run_parallel_pa(n, x, part, seed=seed)
+        bulk = generate(n, x, partition=part, seed=seed).edges
         lit, _ = run_event_driven_pa(n, x, part, seed=seed + 100)
         tails_bulk.append((degrees_from_edges(bulk, n) >= 2 * x).mean())
         tails_lit.append((degrees_from_edges(lit, n) >= 2 * x).mean())
@@ -81,7 +80,7 @@ def test_partitioning_changes_instance_not_distribution():
     tails = []
     for scheme in ("ucp", "lcp", "rrp"):
         part = make_partition(scheme, n, 8)
-        edges, _, _ = run_parallel_pa_x1(n, part, seed=seed)
+        edges = generate(n, partition=part, seed=seed).edges
         tails.append((degrees_from_edges(edges, n) >= 4).mean())
     assert max(tails) - min(tails) < 0.01
 
@@ -103,7 +102,7 @@ def test_x1_bit_identical_property(n, P, scheme, p, seed):
     the bulk and literal engines produce the identical graph."""
     P = min(P, n)
     part = make_partition(scheme, n, P)
-    bulk, _, _ = run_parallel_pa_x1(n, part, p=p, seed=seed)
+    bulk = generate(n, partition=part, p=p, seed=seed).edges
     from repro.core.event_driven import run_event_driven_pa_x1 as _run_ed
 
     literal, _ = _run_ed(n, part, p=p, seed=seed)

@@ -231,3 +231,27 @@ class TestConflictTable:
                      fault_plan=FaultPlan(0).drop(5))
         assert not spill.exists()
         assert multiprocessing.active_children() == []
+
+
+class TestPartitionRankCount:
+    """A ``partition=`` run has ``partition.P`` ranks, whatever ``ranks`` says:
+    it behaves exactly like the same run given as ``ranks=P, scheme=...``."""
+
+    def test_chaos_plan_spans_the_partition(self, tmp_path):
+        def run(name, **spec):
+            r = generate(4000, x=2, seed=1, fault_seed=5,
+                         checkpoint_dir=str(tmp_path / name), **spec)
+            return r.fault_plan.log, [(ev.superstep, ev.error) for ev in r.recoveries]
+
+        by_partition = run("part", partition=make_partition("rrp", 4000, 4))
+        assert by_partition == run("ranks", ranks=4, scheme="rrp")
+
+    def test_sequential_rejects_a_multi_rank_partition(self):
+        with pytest.raises(ValueError, match="sequential engine requires ranks=1"):
+            generate(100, engine="sequential", partition=make_partition("rrp", 100, 4))
+
+    def test_telemetry_meta_counts_the_partition(self):
+        tel = Telemetry()
+        r = generate(500, x=2, seed=1, partition=make_partition("rrp", 500, 4),
+                     telemetry=tel)
+        assert tel.meta["ranks"] == r.ranks == 4

@@ -17,15 +17,13 @@ import itertools
 import pytest
 
 from repro import generate
-from repro.core.parallel_pa import run_parallel_pa_x1
-from repro.core.parallel_pa_general import run_parallel_pa
 from repro.core.partitioning import make_partition
 from repro.core.spill import edges_digest
 from repro.seq.copy_model import copy_model
 
 N = 600
 
-#: ``(x, P, scheme, p) -> edges_digest[:16]`` of ``run_parallel_pa`` at
+#: ``(x, P, scheme, p) -> edges_digest[:16]`` of the bsp ``generate()`` at
 #: ``n = N`` and ``seed = 100 x + 10 P + 10 p``
 BSP_DIGESTS = {
     (2, 1, 'rrp', 0.2): '46ffd08c1af8bc54',
@@ -86,7 +84,7 @@ BSP_DIGESTS = {
 
 
 #: ``(P, scheme, p) -> (edges_digest[:16], supersteps, requests_sent per rank,
-#: simulated_time)`` of ``run_parallel_pa_x1`` at ``n = N`` and
+#: simulated_time)`` of the bsp ``generate()`` at ``n = N`` and
 #: ``seed = 100 + 10 P + 10 p``
 X1_PROTOCOL = {
     (1, 'rrp', 0.2): ('e3eaf4a974224d28', 1, (0,), 0.00107468),
@@ -119,7 +117,7 @@ def _seed(x: int, P: int, p: float) -> int:
     list(itertools.product((2, 4, 6), (1, 3, 4), ("rrp", "ucp", "lcp"), (0.2, 0.9))),
 )
 def test_bsp_digest(x, P, scheme, p):
-    edges, _, _ = run_parallel_pa(N, x, make_partition(scheme, N, P), p=p, seed=_seed(x, P, p))
+    edges = generate(N, x, p=p, partition=make_partition(scheme, N, P), seed=_seed(x, P, p)).edges
     assert edges_digest(edges)[:16] == BSP_DIGESTS[(x, P, scheme, p)]
 
 
@@ -134,12 +132,10 @@ def _check_protocol(expected, edges, supersteps, requests_sent, simulated_time):
     "P,scheme,p", list(itertools.product((1, 3, 4), ("rrp", "ucp", "lcp"), (0.2, 0.9)))
 )
 def test_x1_bsp_protocol(P, scheme, p):
-    edges, engine, programs = run_parallel_pa_x1(
-        N, make_partition(scheme, N, P), p=p, seed=_seed(1, P, p)
-    )
+    r = generate(N, 1, p=p, partition=make_partition(scheme, N, P), seed=_seed(1, P, p))
     _check_protocol(
-        X1_PROTOCOL[(P, scheme, p)], edges, engine.supersteps,
-        [pr.requests_sent for pr in programs], engine.simulated_time,
+        X1_PROTOCOL[(P, scheme, p)], r.edges, r.supersteps,
+        r.requests_sent, r.simulated_time,
     )
 
 

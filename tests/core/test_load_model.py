@@ -49,15 +49,14 @@ class TestLemma34:
         """Monte-Carlo check of Lemma 3.4: run the actual parallel algorithm
         with every node on its own 'rank neighbourhood' and compare received
         request counts to (1-p)(H_{n-1} - H_k) averaged over node blocks."""
-        from repro.core.parallel_pa import run_parallel_pa_x1
+        from repro import generate
         from repro.core.partitioning import make_partition
 
         n, P, reps = 3000, 10, 8
         measured = np.zeros(P)
         for seed in range(reps):
             part = make_partition("ucp", n, P)
-            _, _, programs = run_parallel_pa_x1(n, part, seed=seed)
-            measured += np.array([pr.requests_received for pr in programs])
+            measured += generate(n, partition=part, seed=seed).requests_received
         measured /= reps
         # analytic per-block expectation; intra-rank copies resolve locally
         # so subtract the within-block expectation.

@@ -17,7 +17,8 @@ from repro import generate
 from repro.core import parallel_pa
 from repro.core.arena import RecordQueue
 from repro.core.chains import dependency_chain_lengths
-from repro.core.parallel_pa import RECORD_DTYPE, RES, PAx1RankProgram, run_parallel_pa_x1
+from repro.core.generator import rank_programs
+from repro.core.parallel_pa import RECORD_DTYPE, RES, PAx1RankProgram, ResultRegions
 from repro.core.partitioning import ConsecutivePartition, make_partition
 from repro.core.spill import edges_digest
 from repro.graph.edgelist import EdgeList
@@ -36,62 +37,61 @@ class TestCorrectness:
     @pytest.mark.parametrize("n,P", [(50, 1), (100, 4), (1000, 16), (64, 64)])
     def test_valid_structure(self, scheme, n, P):
         part = make_partition(scheme, n, P)
-        edges, _, _ = run_parallel_pa_x1(n, part, seed=0)
+        edges = generate(n, partition=part, seed=0).edges
         report = validate_pa_graph(edges, n, 1)
         assert report.ok, report.errors
 
     def test_deterministic(self, scheme):
         part = make_partition(scheme, 500, 8)
-        a, _, _ = run_parallel_pa_x1(500, part, seed=42)
-        b, _, _ = run_parallel_pa_x1(500, part, seed=42)
+        a = generate(500, partition=part, seed=42).edges
+        b = generate(500, partition=part, seed=42).edges
         assert a == b
 
     def test_seed_changes_graph(self, scheme):
         part = make_partition(scheme, 500, 8)
-        a, _, _ = run_parallel_pa_x1(500, part, seed=1)
-        b, _, _ = run_parallel_pa_x1(500, part, seed=2)
+        a = generate(500, partition=part, seed=1).edges
+        b = generate(500, partition=part, seed=2).edges
         assert a != b
 
     def test_single_rank_no_messages(self, scheme):
         part = make_partition(scheme, 300, 1)
-        _, engine, programs = run_parallel_pa_x1(300, part, seed=3)
-        assert engine.stats.total_messages == 0
-        assert programs[0].requests_sent == 0
+        r = generate(300, partition=part, seed=3)
+        assert r.world_stats.total_messages == 0
+        assert r.requests_sent[0] == 0
 
 
 class TestProtocol:
     def test_request_counters_match_engine(self):
         """Every protocol record is a request or its resolved reply."""
         part = make_partition("rrp", 2000, 8)
-        _, engine, programs = run_parallel_pa_x1(2000, part, seed=4)
-        requests = sum(p.requests_sent for p in programs)
-        received = sum(p.requests_received for p in programs)
+        r = generate(2000, partition=part, seed=4)
+        requests = r.requests_sent.sum()
+        received = r.requests_received.sum()
         assert requests == received
         # each remote request eventually yields >= 1 resolved record;
         # chains can relay, so total records >= 2 * requests
-        assert engine.stats.total_messages >= 2 * requests
+        assert r.world_stats.total_messages >= 2 * requests
 
     def test_supersteps_logarithmic(self):
         """Quiescence in O(log n) supersteps (Theorem 3.3 consequence)."""
         for n in (1000, 10_000, 100_000):
             part = make_partition("rrp", n, 16)
-            _, engine, _ = run_parallel_pa_x1(n, part, seed=5)
-            assert engine.supersteps <= 6 * np.log(n)
+            r = generate(n, partition=part, seed=5)
+            assert r.supersteps <= 6 * np.log(n)
 
     def test_expected_request_volume(self):
         """About (1 - p) of nodes send a request, minus same-rank targets."""
         n, P = 20_000, 10
         part = make_partition("rrp", n, P)
-        _, _, programs = run_parallel_pa_x1(n, part, p=0.5, seed=6)
-        total = sum(pr.requests_sent for pr in programs)
+        total = generate(n, partition=part, p=0.5, seed=6).requests_sent.sum()
         expect = 0.5 * n * (P - 1) / P
         assert total == pytest.approx(expect, rel=0.1)
 
     def test_p_one_no_copies(self):
         part = make_partition("rrp", 1000, 4)
-        _, engine, programs = run_parallel_pa_x1(1000, part, p=1.0, seed=7)
-        assert sum(pr.requests_sent for pr in programs) == 0
-        assert engine.supersteps <= 2
+        r = generate(1000, partition=part, p=1.0, seed=7)
+        assert r.requests_sent.sum() == 0
+        assert r.supersteps <= 2
 
 
 class TestDistribution:
@@ -102,7 +102,7 @@ class TestDistribution:
 
         n = 30_000
         part = make_partition("rrp", n, 12)
-        par_edges, _, _ = run_parallel_pa_x1(n, part, seed=8)
+        par_edges = generate(n, partition=part, seed=8).edges
         seq_edges = copy_model_x1(n, seed=9)
         d_par = degrees_from_edges(par_edges, n)
         d_seq = degrees_from_edges(seq_edges, n)
@@ -116,7 +116,7 @@ class TestDistribution:
     def test_always_valid(self, n, P, seed):
         P = min(P, n)
         part = make_partition("rrp", n, P)
-        edges, _, _ = run_parallel_pa_x1(n, part, seed=seed)
+        edges = generate(n, partition=part, seed=seed).edges
         assert validate_pa_graph(edges, n, 1).ok
 
 
@@ -124,7 +124,7 @@ class TestErrors:
     def test_partition_size_mismatch(self):
         part = make_partition("rrp", 100, 4)
         with pytest.raises(ValueError, match="partition covers"):
-            run_parallel_pa_x1(200, part, seed=0)
+            generate(200, partition=part, seed=0)
 
 
 class _CountingQueue(RecordQueue):
@@ -176,7 +176,7 @@ class TestLocalSweep:
         assert l_max >= 8  # long enough that one pass per level would fail
         assert prog._pend.passes <= math.ceil(math.log2(l_max)) + 2
 
-        edges, _, _ = run_parallel_pa_x1(n, part, p=p, seed=seed)
+        edges = generate(n, partition=part, p=p, seed=seed).edges
         assert prog.local_edges() == edges
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -201,7 +201,7 @@ class TestLocalSweep:
         progs = [Checked(r, part, p, factory.stream(r)) for r in range(P)]
         BSPEngine(P).run(progs)
         assert any(checked)  # some step did hold anchored waits
-        edges, _, _ = run_parallel_pa_x1(n, part, p=p, seed=seed)
+        edges = generate(n, partition=part, p=p, seed=seed).edges
         got = [np.concatenate(cols) for cols in zip(*(pr.result() for pr in progs))]
         assert EdgeList.from_arrays(*got) == edges
 
@@ -280,11 +280,8 @@ class TestDrawBlocks:
         part = make_partition(scheme, self.N, P)
 
         def run():
-            edges, engine, programs = run_parallel_pa_x1(self.N, part, p=p, seed=P)
-            return _protocol(
-                edges, engine.supersteps, [pr.requests_sent for pr in programs],
-                engine.simulated_time,
-            )
+            r = generate(self.N, partition=part, p=p, seed=P)
+            return _protocol(r.edges, r.supersteps, r.requests_sent, r.simulated_time)
 
         monkeypatch.setattr(parallel_pa, "_BLOCK", self.N)
         whole = run()
@@ -316,7 +313,10 @@ def test_ranks_resolve_into_the_output_column():
     owns node 0 (rank 1 here, rank 0 owns nothing) also holds its slot."""
     n, p, seed = 600, 0.3, 4
     part = ConsecutivePartition(n, 3, [0, 0, 250, n])
-    edges, _, programs = run_parallel_pa_x1(n, part, p=p, seed=seed)
+    regions = ResultRegions(1, part)
+    programs = rank_programs(part, 1, p, seed, regions=regions)
+    BSPEngine(3).run(programs)
+    edges = regions.edges(programs)
     assert all(np.shares_memory(pr.F, edges.targets) for pr in programs[1:])
 
     factory = StreamFactory(seed)

@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.parallel_pa_general import run_parallel_pa
+from repro import generate
+from repro.core.generator import rank_programs
+from repro.core.parallel_pa import ResultRegions
+from repro.core.parallel_pa_general import PAGeneralRankProgram
 from repro.core.partitioning import make_partition
 from repro.graph.degree import degrees_from_edges
 from repro.graph.validation import validate_pa_graph
+from repro.mpsim.bsp import BSPEngine
+from repro.rng import StreamFactory
 
 SCHEMES = ["ucp", "lcp", "rrp"]
 
@@ -18,28 +23,28 @@ class TestCorrectness:
     @pytest.mark.parametrize("n,x,P", [(100, 2, 4), (500, 5, 8), (300, 10, 3), (64, 3, 64)])
     def test_valid_structure(self, scheme, n, x, P):
         part = make_partition(scheme, n, P)
-        edges, _, _ = run_parallel_pa(n, x, part, seed=0)
+        edges = generate(n, x, partition=part, seed=0).edges
         report = validate_pa_graph(edges, n, x)
         assert report.ok, report.errors
 
     def test_deterministic(self, scheme):
         part = make_partition(scheme, 400, 8)
-        a, _, _ = run_parallel_pa(400, 3, part, seed=11)
-        b, _, _ = run_parallel_pa(400, 3, part, seed=11)
+        a = generate(400, 3, partition=part, seed=11).edges
+        b = generate(400, 3, partition=part, seed=11).edges
         assert a == b
 
     def test_single_rank(self, scheme):
         part = make_partition(scheme, 300, 1)
-        edges, engine, _ = run_parallel_pa(300, 4, part, seed=1)
-        assert engine.stats.total_messages == 0
-        assert validate_pa_graph(edges, 300, 4).ok
+        r = generate(300, 4, partition=part, seed=1)
+        assert r.world_stats.total_messages == 0
+        assert validate_pa_graph(r.edges, 300, 4).ok
 
 
 class TestEdgeSemantics:
     def test_clique_present(self):
         n, x = 200, 5
         part = make_partition("rrp", n, 7)
-        edges, _, _ = run_parallel_pa(n, x, part, seed=2)
+        edges = generate(n, x, partition=part, seed=2).edges
         canon = {tuple(row) for row in edges.canonical().tolist()}
         for i in range(x):
             for j in range(i + 1, x):
@@ -48,7 +53,7 @@ class TestEdgeSemantics:
     def test_node_x_attaches_to_clique(self):
         n, x = 100, 4
         part = make_partition("ucp", n, 5)
-        edges, _, _ = run_parallel_pa(n, x, part, seed=3)
+        edges = generate(n, x, partition=part, seed=3).edges
         targets = sorted(
             int(v) for u, v in zip(edges.sources, edges.targets) if u == x
         )
@@ -57,7 +62,7 @@ class TestEdgeSemantics:
     def test_all_attachments_point_backwards(self):
         n, x = 300, 3
         part = make_partition("rrp", n, 6)
-        edges, _, _ = run_parallel_pa(n, x, part, seed=4)
+        edges = generate(n, x, partition=part, seed=4).edges
         hi = np.maximum(edges.sources, edges.targets)
         lo = np.minimum(edges.sources, edges.targets)
         assert (lo < hi).all()
@@ -65,7 +70,7 @@ class TestEdgeSemantics:
     def test_x_distinct_targets_per_node(self):
         n, x = 500, 6
         part = make_partition("lcp", n, 9)
-        edges, _, _ = run_parallel_pa(n, x, part, seed=5)
+        edges = generate(n, x, partition=part, seed=5).edges
         from collections import defaultdict
 
         targets = defaultdict(set)
@@ -81,16 +86,22 @@ class TestRetryBehaviour:
         """Small ranges (t near x) force duplicate retries; they stay modest."""
         n, x = 400, 8
         part = make_partition("rrp", n, 8)
-        _, _, programs = run_parallel_pa(n, x, part, seed=6)
+        programs = rank_programs(part, x, 0.5, 6)
+        BSPEngine(part.P).run(programs)
         total_retries = sum(p.retries for p in programs)
         assert total_retries > 0
         assert total_retries < n * x  # far fewer retries than slots
 
     def test_x1_general_path_matches_specialised(self):
-        """run_parallel_pa with x=1 produces a valid x=1 graph too."""
+        """The general program with x=1 produces a valid x=1 graph too."""
         n = 300
         part = make_partition("rrp", n, 4)
-        edges, _, _ = run_parallel_pa(n, 1, part, seed=7)
+        rngs = StreamFactory(7)
+        programs = [
+            PAGeneralRankProgram(r, part, 1, 0.5, rngs.stream(r)) for r in range(part.P)
+        ]
+        BSPEngine(part.P).run(programs)
+        edges = ResultRegions(1, part).edges(programs)
         assert validate_pa_graph(edges, n, 1).ok
 
 
@@ -100,7 +111,7 @@ class TestDistribution:
 
         n, x = 20_000, 4
         part = make_partition("rrp", n, 10)
-        par_edges, _, _ = run_parallel_pa(n, x, part, seed=8)
+        par_edges = generate(n, x, partition=part, seed=8).edges
         seq_edges = copy_model(n, x=x, seed=9)
         d_par = degrees_from_edges(par_edges, n)
         d_seq = degrees_from_edges(seq_edges, n)
@@ -112,7 +123,7 @@ class TestDistribution:
     def test_min_degree_is_x(self):
         n, x = 5000, 5
         part = make_partition("rrp", n, 8)
-        edges, _, _ = run_parallel_pa(n, x, part, seed=10)
+        edges = generate(n, x, partition=part, seed=10).edges
         deg = degrees_from_edges(edges, n)
         assert deg.min() == x
 
@@ -126,7 +137,7 @@ class TestDistribution:
             n = x + 2
         P = min(P, n)
         part = make_partition("rrp", n, P)
-        edges, _, _ = run_parallel_pa(n, x, part, seed=seed)
+        edges = generate(n, x, partition=part, seed=seed).edges
         report = validate_pa_graph(edges, n, x)
         assert report.ok, report.errors
 
@@ -135,9 +146,9 @@ class TestErrors:
     def test_x_too_large(self):
         part = make_partition("rrp", 5, 2)
         with pytest.raises(ValueError):
-            run_parallel_pa(5, 5, part, seed=0)
+            generate(5, 5, partition=part, seed=0)
 
     def test_partition_mismatch(self):
         part = make_partition("rrp", 100, 4)
         with pytest.raises(ValueError, match="partition covers"):
-            run_parallel_pa(50, 2, part, seed=0)
+            generate(50, 2, partition=part, seed=0)

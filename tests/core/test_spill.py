@@ -301,21 +301,28 @@ class TestRegionIntegrity:
         with pytest.raises(FileNotFoundError, match="rank 0"):
             assemble_shards(tmp_path, 1)
 
-    def test_pwrite_enospc_seals_nothing(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "call,nth,err",
+        [("pwrite", 2, errno.ENOSPC), ("fsync", 1, errno.EIO)],
+        ids=["second-pwrite", "first-fsync"],
+    )
+    def test_failed_write_seals_nothing(self, tmp_path, monkeypatch, call, nth, err):
+        """A full disk on rank 1's v column, or a failed fsync of its u
+        column in ``seal``, leaves rank 1 without a manifest."""
         offsets = prepare_regions(tmp_path, [3, 4])
         write_edge_shards(tmp_path, 0, offsets, [(np.arange(3), np.arange(3))])
-        real_pwrite, calls = os.pwrite, []
+        real, calls = getattr(os, call), []
 
-        def full_disk(fd, data, pos):
-            calls.append(pos)
-            if len(calls) == 2:  # rank 1's v column
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return real_pwrite(fd, data, pos)
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == nth:
+                raise OSError(err, os.strerror(err))
+            return real(*args)
 
-        monkeypatch.setattr(os, "pwrite", full_disk)
+        monkeypatch.setattr(os, call, failing)
         with pytest.raises(OSError) as exc:
             write_edge_shards(tmp_path, 1, offsets, [(np.arange(4), np.arange(4))])
-        assert exc.value.errno == errno.ENOSPC
+        assert exc.value.errno == err
         rank1 = rank_shard_dir(tmp_path / "shards", 1, 2)
         assert not (rank1 / "MANIFEST").exists()
         assert list(tmp_path.rglob("*.tmp")) == []

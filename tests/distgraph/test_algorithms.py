@@ -161,16 +161,13 @@ class TestDegree:
 
 class TestEndToEnd:
     def test_generate_then_analyse_distributed(self):
-        """Full pipeline: parallel generation feeds distributed analysis,
-        never gathering the graph (the paper's motivating workflow)."""
-        from repro.core.parallel_pa_general import run_parallel_pa
+        """Full pipeline: parallel generation feeds distributed analysis
+        (the paper's motivating workflow)."""
+        from repro import generate
 
         n, x, P = 3000, 3, 8
         part = make_partition("rrp", n, P)
-        _, _, programs = run_parallel_pa(n, x, part, seed=10)
-        g = DistributedGraph.from_rank_edges(
-            [prog.local_edges() for prog in programs], part
-        )
+        g = DistributedGraph.from_edgelist(generate(n, x, partition=part, seed=10).edges, part)
         labels, _ = distributed_components(g)
         assert (labels == 0).all()  # PA graphs are connected
         dist, _ = distributed_bfs(g, 0)

@@ -65,11 +65,15 @@ class TestFromEdgeList:
 class TestFromRankEdges:
     def test_adopts_generator_output(self):
         """Generation output feeds analysis without a global gather."""
-        from repro.core.parallel_pa_general import run_parallel_pa
+        from repro.core.generator import rank_programs
+        from repro.core.parallel_pa import ResultRegions
+        from repro.mpsim.bsp import BSPEngine
 
         n, x, P = 600, 3, 6
         part = make_partition("rrp", n, P)
-        edges, _, programs = run_parallel_pa(n, x, part, seed=3)
+        programs = rank_programs(part, x, 0.5, 3)
+        BSPEngine(P).run(programs)
+        edges = ResultRegions(x, part).edges(programs)
         g = DistributedGraph.from_rank_edges(
             [prog.local_edges() for prog in programs], part
         )

@@ -168,14 +168,15 @@ class TestRankFiles:
 
     def test_parallel_run_to_disk(self, tmp_path):
         """End-to-end: generate on 4 ranks, write per-rank, merge, validate."""
-        from repro.core.parallel_pa_general import run_parallel_pa
+        from repro import generate
         from repro.core.partitioning import make_partition
         from repro.graph.validation import validate_pa_graph
 
         n, x, P = 400, 2, 4
         part = make_partition("rrp", n, P)
-        _, _, programs = run_parallel_pa(n, x, part, seed=1)
-        for r, prog in enumerate(programs):
-            write_rank_edges(tmp_path, r, P, prog.local_edges())
+        edges = generate(n, x, partition=part, seed=1).edges
+        stripes = zip(np.array_split(edges.sources, P), np.array_split(edges.targets, P))
+        for r, (u, v) in enumerate(stripes):
+            write_rank_edges(tmp_path, r, P, EdgeList.from_arrays(u, v))
         merged = merge_rank_files(tmp_path, P)
         assert validate_pa_graph(merged, n, x).ok

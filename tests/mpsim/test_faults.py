@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import generate
 from repro.core.event_driven import run_event_driven_pa_x1
-from repro.core.parallel_pa import run_parallel_pa_x1
 from repro.core.partitioning import make_partition
 from repro.mpsim import BSPEngine, FaultPlan, Simulator
 from repro.mpsim.errors import DeadlockError, InjectedFault, RankFailure
@@ -73,20 +73,20 @@ class TestBSPFaults:
     def test_straggler_inflates_time_not_results(self):
         n, P = 1500, 4
         part = make_partition("rrp", n, P)
-        base_edges, base_eng, _ = run_parallel_pa_x1(n, part, seed=3)
-        slow_edges, slow_eng, _ = run_parallel_pa_x1(
-            n, part, seed=3, fault_plan=FaultPlan(0).straggle(1, factor=20.0)
+        base = generate(n, partition=part, seed=3)
+        slow = generate(
+            n, partition=part, seed=3, fault_plan=FaultPlan(0).straggle(1, factor=20.0)
         )
-        assert np.array_equal(base_edges.canonical(), slow_edges.canonical())
-        assert slow_eng.simulated_time > 2 * base_eng.simulated_time
+        assert np.array_equal(base.edges.canonical(), slow.edges.canonical())
+        assert slow.simulated_time > 2 * base.simulated_time
 
     def test_exhausted_budgets_are_pass_through(self):
         n, P = 1200, 4
         part = make_partition("rrp", n, P)
-        base, _, _ = run_parallel_pa_x1(n, part, seed=5)
-        hooked, _, _ = run_parallel_pa_x1(
-            n, part, seed=5, fault_plan=FaultPlan(9)  # no faults scheduled
-        )
+        base = generate(n, partition=part, seed=5).edges
+        hooked = generate(
+            n, partition=part, seed=5, fault_plan=FaultPlan(9)  # no faults scheduled
+        ).edges
         assert np.array_equal(base.canonical(), hooked.canonical())
 
 
@@ -242,12 +242,12 @@ class TestUnityStragglers:
     def test_bsp_times_unchanged(self):
         n, P = 1500, 4
         part = make_partition("rrp", n, P)
-        base, base_eng, _ = run_parallel_pa_x1(n, part, seed=3)
-        unity, unity_eng, _ = run_parallel_pa_x1(
-            n, part, seed=3, fault_plan=FaultPlan(0).straggle(1, factor=1.0)
+        base = generate(n, partition=part, seed=3)
+        unity = generate(
+            n, partition=part, seed=3, fault_plan=FaultPlan(0).straggle(1, factor=1.0)
         )
-        assert np.array_equal(base.canonical(), unity.canonical())
-        assert unity_eng.simulated_time == base_eng.simulated_time
+        assert np.array_equal(base.edges.canonical(), unity.edges.canonical())
+        assert unity.simulated_time == base.simulated_time
 
     def test_event_times_unchanged(self):
         part = make_partition("rrp", 400, 4)

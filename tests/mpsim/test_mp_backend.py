@@ -7,12 +7,12 @@ programs produce the same graph whether they share an address space or not.
 import numpy as np
 import pytest
 
-from repro.core.parallel_pa import PAx1RankProgram, run_parallel_pa_x1
+from repro import generate
+from repro.core.generator import rank_programs
 from repro.core.parallel_pa_general import PAGeneralRankProgram
 from repro.core.partitioning import make_partition
 from repro.graph.edgelist import EdgeList
 from repro.graph.validation import validate_pa_graph
-from repro.core.parallel_pa_general import run_parallel_pa
 from repro.mpsim.errors import MPSimError, RankFailure
 from repro.mpsim.faults import FaultPlan
 from repro.mpsim.mp_backend import MultiprocessingBSPEngine
@@ -28,8 +28,7 @@ def _collect_edges(results) -> EdgeList:
 
 
 def _x1_programs(part, seed):
-    factory = StreamFactory(seed)
-    return [PAx1RankProgram(r, part, 0.5, factory.stream(r)) for r in range(part.P)]
+    return rank_programs(part, 1, 0.5, seed)
 
 
 def _run_mp_x1(n, part, seed, fault_plan=None):
@@ -39,13 +38,8 @@ def _run_mp_x1(n, part, seed, fault_plan=None):
 
 
 def _run_mp_general(n, x, part, seed):
-    factory = StreamFactory(seed)
-    programs = [
-        PAGeneralRankProgram(r, part, x, 0.5, factory.stream(r))
-        for r in range(part.P)
-    ]
     eng = MultiprocessingBSPEngine(part.P)
-    eng.run(programs)
+    eng.run(rank_programs(part, x, 0.5, seed))
     return _collect_edges(eng.results), eng
 
 
@@ -54,7 +48,7 @@ def _run_mp_general(n, x, part, seed):
 def test_x1_matches_in_process(scheme):
     n, P, seed = 600, 4, 21
     part = make_partition(scheme, n, P)
-    in_proc, _, _ = run_parallel_pa_x1(n, part, seed=seed)
+    in_proc = generate(n, partition=part, seed=seed).edges
     mp_edges, _ = _run_mp_x1(n, part, seed)
     assert np.array_equal(in_proc.canonical(), mp_edges.canonical())
 
@@ -64,7 +58,7 @@ def test_general_matches_in_process():
     seeds give the identical canonical edge list."""
     n, x, P, seed = 500, 3, 3, 5
     part = make_partition("rrp", n, P)
-    in_proc, _, _ = run_parallel_pa(n, x, part, seed=seed)
+    in_proc = generate(n, x, partition=part, seed=seed).edges
     mp_edges, _ = _run_mp_general(n, x, part, seed)
     assert np.array_equal(in_proc.canonical(), mp_edges.canonical())
 
@@ -75,11 +69,11 @@ def test_stats_summary_agrees_with_in_process():
     agree, not just the traffic totals."""
     n, P, seed = 500, 4, 13
     part = make_partition("rrp", n, P)
-    _, bsp_eng, _ = run_parallel_pa_x1(n, part, seed=seed)
+    bsp = generate(n, partition=part, seed=seed)
     _, mp_eng = _run_mp_x1(n, part, seed)
-    assert mp_eng.supersteps == bsp_eng.supersteps
-    assert mp_eng.simulated_time == pytest.approx(bsp_eng.simulated_time, abs=1e-9)
-    ref = bsp_eng.stats.summary()
+    assert mp_eng.supersteps == bsp.supersteps
+    assert mp_eng.simulated_time == pytest.approx(bsp.simulated_time, abs=1e-9)
+    ref = bsp.world_stats.summary()
     got = mp_eng.stats.summary()
     assert set(got) == set(ref)
     for key, val in ref.items():
@@ -101,7 +95,7 @@ def test_straggler_determinism():
     plan = FaultPlan(seed=99)
     for rank in range(P):
         plan.straggle(rank, factor=float(1.0 + 4.0 * rng.random()))
-    in_proc, _, _ = run_parallel_pa_x1(n, part, seed=seed)
+    in_proc = generate(n, partition=part, seed=seed).edges
     edges, eng = _run_mp_x1(n, part, seed, fault_plan=plan)
     assert np.array_equal(in_proc.canonical(), edges.canonical())
     # the straggle factors inflate virtual time, never the structure

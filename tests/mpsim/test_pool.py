@@ -11,15 +11,14 @@ picklable.
 import numpy as np
 import pytest
 
-from repro.core.parallel_pa import PAx1RankProgram, run_parallel_pa_x1
-from repro.core.parallel_pa_general import PAGeneralRankProgram, run_parallel_pa
+from repro import generate
+from repro.core.generator import rank_programs
 from repro.core.partitioning import make_partition
 from repro.graph.edgelist import EdgeList
 from repro.mpsim.errors import MPSimError, RankFailure
 from repro.mpsim.faults import FaultPlan
 from repro.mpsim.mp_backend import MultiprocessingBSPEngine
 from repro.mpsim.pool import WorkerPool
-from repro.rng import StreamFactory
 
 
 def _collect_edges(results) -> EdgeList:
@@ -30,16 +29,11 @@ def _collect_edges(results) -> EdgeList:
 
 
 def _x1_programs(part, seed):
-    factory = StreamFactory(seed)
-    return [PAx1RankProgram(r, part, 0.5, factory.stream(r)) for r in range(part.P)]
+    return rank_programs(part, 1, 0.5, seed)
 
 
 def _general_programs(part, x, seed):
-    factory = StreamFactory(seed)
-    return [
-        PAGeneralRankProgram(r, part, x, 0.5, factory.stream(r))
-        for r in range(part.P)
-    ]
+    return rank_programs(part, x, 0.5, seed)
 
 
 def test_pool_multi_job_bit_identity():
@@ -49,13 +43,13 @@ def test_pool_multi_job_bit_identity():
     with WorkerPool(P) as pool:
         for seed in (1, 2, 3):
             part = make_partition("rrp", n, P)
-            in_proc, bsp_eng, _ = run_parallel_pa_x1(n, part, seed=seed)
+            in_proc = generate(n, partition=part, seed=seed)
             pool.run(_x1_programs(part, seed))
             edges = _collect_edges(pool.results)
-            assert np.array_equal(in_proc.canonical(), edges.canonical()), seed
-            assert pool.supersteps == bsp_eng.supersteps
+            assert np.array_equal(in_proc.edges.canonical(), edges.canonical()), seed
+            assert pool.supersteps == in_proc.supersteps
             assert pool.simulated_time == pytest.approx(
-                bsp_eng.simulated_time, abs=1e-9
+                in_proc.simulated_time, abs=1e-9
             )
         assert pool.jobs_run == 3
 
@@ -64,7 +58,7 @@ def test_pool_general_program_bit_identity():
     """x>1 programs survive the pickle trip to pooled workers intact."""
     n, x, P, seed = 400, 3, 3, 7
     part = make_partition("rrp", n, P)
-    in_proc, _, _ = run_parallel_pa(n, x, part, seed=seed)
+    in_proc = generate(n, x, partition=part, seed=seed).edges
     with WorkerPool(P) as pool:
         pool.run(_general_programs(part, x, seed))
         edges = _collect_edges(pool.results)
@@ -91,7 +85,7 @@ def test_pool_straggler_jobs_stay_deterministic():
     n, P, seed = 400, 3, 23
     part = make_partition("rrp", n, P)
     plan = FaultPlan().straggle(1, factor=3.0)
-    in_proc, _, _ = run_parallel_pa_x1(n, part, seed=seed)
+    in_proc = generate(n, partition=part, seed=seed).edges
     with WorkerPool(P) as pool:
         pool.run(_x1_programs(part, seed), fault_plan=plan)
         edges = _collect_edges(pool.results)

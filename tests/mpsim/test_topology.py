@@ -115,12 +115,12 @@ class TestEngineIntegration:
 
     def test_generation_slower_on_penalised_ring(self):
         """End-to-end: the PA generator pays for long-range traffic."""
-        from repro.core.parallel_pa_general import run_parallel_pa
+        from repro import generate
         from repro.core.partitioning import make_partition
 
         n, x, P = 4000, 3, 8
         part = make_partition("rrp", n, P)
-        flat_edges, flat_engine, _ = run_parallel_pa(n, x, part, seed=0)
+        flat = generate(n, x, partition=part, seed=0)
 
         from repro.core.parallel_pa_general import PAGeneralRankProgram
         from repro.rng import StreamFactory
@@ -131,7 +131,7 @@ class TestEngineIntegration:
         ]
         ring_engine = BSPEngine(P, topology=RingTopology(P, hop_penalty=5.0))
         ring_engine.run(programs)
-        assert ring_engine.simulated_time > flat_engine.simulated_time
+        assert ring_engine.simulated_time > flat.simulated_time
         # the graphs themselves are identical — topology is timing-only
         assert all(
             np.array_equal(a.F, b.F)

@@ -54,12 +54,12 @@ class TestInvarianceSweeps:
 
     def test_baseline_schedule_reproduces_native_run(self):
         """A threaded-through baseline Schedule changes nothing bit-wise."""
+        from repro import generate
         from repro.core.partitioning import make_partition
-        from repro.core.parallel_pa_general import run_parallel_pa
 
         part = make_partition("ecp", N, P)
-        native, _, _ = run_parallel_pa(N, X, part, seed=SEED)
-        sched, _, _ = run_parallel_pa(N, X, part, seed=SEED, schedule=Schedule())
+        native = generate(N, X, partition=part, seed=SEED).edges
+        sched = generate(N, X, partition=part, seed=SEED, schedule=Schedule()).edges
         assert np.array_equal(native.canonical(), sched.canonical())
 
     def test_dpor_dedupes_commuting_orders(self):

@@ -239,18 +239,6 @@ class TestExploreCLI:
         assert "RankFailure(rank=2)" in capsys.readouterr().out
 
 
-class TestLivenessPollFlag:
-    def test_generate_mp_accepts_liveness_poll(self, capsys):
-        rc = main(["generate", "-n", "1000", "-P", "4", "--engine", "mp",
-                   "--seed", "5", "--liveness-poll", "0.05"])
-        assert rc == 0
-
-    def test_pool_accepts_liveness_poll(self, capsys):
-        rc = main(["generate", "-n", "1000", "-P", "4", "--engine", "mp",
-                   "--pool", "--seed", "5", "--liveness-poll", "0.05"])
-        assert rc == 0
-
-
 class TestCommfreeCLI:
     def test_generate_commfree_default_engine(self, tmp_path, capsys):
         out = tmp_path / "g.bin"
