@@ -20,8 +20,6 @@ machine-readable ``BENCH_hotpaths.json`` at the repository root:
 * ``commfree_endtoend`` — the same generator on forked slice workers at the
   ``mp_endtoend`` scale; the derived ``speedup_vs_copy_p2p`` compares it
   against the copy-model pipeline at equal n and P;
-* ``mp_pool`` — five consecutive generation jobs on a persistent
-  :class:`~repro.mpsim.pool.WorkerPool` vs five cold engine runs;
 * ``telemetry_overhead`` — end-to-end BSP generation with telemetry
   disabled (the default no-op path) vs enabled, the observability tax;
 * ``out_of_core`` — spilled (``out_of_core=``) vs in-RAM mp generation in
@@ -30,12 +28,7 @@ machine-readable ``BENCH_hotpaths.json`` at the repository root:
   subprocess), and asserting the two runs are bit-identical by streaming
   sha256 digest.  ``--oocore-n 100000000`` opts into the paper-scale run
   (pair it with ``--oocore-spill-only``: at that n the in-RAM reference is
-  the thing that cannot exist);
-* ``dyngraph_incremental`` — churn application throughput (epochs/s of
-  :func:`repro.dyngraph.evolve` at n=10^6 under the full scale) and the
-  warm-vs-scratch pagerank comparison on the final snapshot: both runs go
-  to the same ``tol``, the warm one seeded from the previous epoch's
-  vector, and the report records the wall/superstep speedup.
+  the thing that cannot exist).
 
 Every measurement is best-of-``--repeats`` wall time: single-occupancy CI
 boxes (and the 1-CPU container this repo grew up on) show multi-x run-to-run
@@ -84,7 +77,6 @@ from repro.core.generator import rank_programs
 from repro.core.parallel_pa import RECORD_DTYPE
 from repro.core.partitioning import UniformPartition
 from repro.mpsim.mp_backend import MultiprocessingBSPEngine
-from repro.mpsim.pool import WorkerPool
 from repro.core.commfree import commfree_mp, commfree_x1
 from repro.seq.copy_model import copy_model, copy_model_x1, resolve_pointers
 
@@ -99,21 +91,19 @@ SCALES = {
         general_n=20_000, x1_n=100_000, ptr_n=200_000,
         bsp_n=5_000, bsp_general_n=2_000, bsp_P=4,
         mp_records=20_000, mp_rounds=5, mp_P=8,
-        endtoend_n=50_000, pool_n=5_000, pool_jobs=5,
+        endtoend_n=50_000,
         telemetry_n=50_000,
         sched_n=200, sched_schedules=8,
         oocore_n=200_000, oocore_P=4, oocore_budget_mb=2,
-        dyn_n=50_000, dyn_P=4, dyn_epochs=4,
     ),
     "ci": dict(
         general_n=200_000, x1_n=200_000, ptr_n=500_000,
         bsp_n=10_000, bsp_general_n=4_000, bsp_P=4,
         mp_records=50_000, mp_rounds=10, mp_P=8,
-        endtoend_n=200_000, pool_n=10_000, pool_jobs=5,
+        endtoend_n=200_000,
         telemetry_n=200_000,
         sched_n=300, sched_schedules=16,
         oocore_n=1_000_000, oocore_P=4, oocore_budget_mb=8,
-        dyn_n=200_000, dyn_P=4, dyn_epochs=4,
     ),
     "full": dict(
         general_n=200_000, x1_n=1_000_000, ptr_n=2_000_000,
@@ -121,11 +111,10 @@ SCALES = {
         # enough rounds that the per-superstep exchange cost dominates the
         # one-off fork/join of 8 worker processes (noisy on small hosts)
         mp_records=50_000, mp_rounds=20, mp_P=8,
-        endtoend_n=1_000_000, pool_n=20_000, pool_jobs=5,
+        endtoend_n=1_000_000,
         telemetry_n=500_000,
         sched_n=300, sched_schedules=64,
         oocore_n=10_000_000, oocore_P=4, oocore_budget_mb=64,
-        dyn_n=1_000_000, dyn_P=8, dyn_epochs=5,
     ),
 }
 
@@ -306,34 +295,6 @@ def case_commfree_endtoend(sizes, repeats):
     }
 
 
-def case_mp_pool(sizes, repeats):
-    """Amortised startup: J jobs on one pool vs J cold engine runs.
-
-    The pooled total *includes* pool construction and shutdown — the pool
-    must win on honest accounting, by paying fork/pipe/fabric setup once
-    instead of J times.
-    """
-    n, P, jobs = sizes["pool_n"], sizes["mp_P"], sizes["pool_jobs"]
-
-    def cold():
-        for seed_off in range(jobs):
-            engine = MultiprocessingBSPEngine(P)
-            engine.run(_x1_mp_programs(n + seed_off, P))
-
-    def pooled():
-        with WorkerPool(P) as pool:
-            for seed_off in range(jobs):
-                pool.run(_x1_mp_programs(n + seed_off, P))
-
-    t_cold = best_of(repeats, cold)
-    t_pool = best_of(repeats, pooled)
-    return {
-        "n": n, "P": P, "jobs": jobs,
-        "cold_s": t_cold, "pooled_s": t_pool,
-        "speedup_pool_over_cold": t_cold / t_pool,
-    }
-
-
 def case_telemetry_overhead(sizes, repeats):
     """The observability tax on the hottest instrumented loop.
 
@@ -478,86 +439,6 @@ def case_out_of_core(sizes, repeats):
     return out
 
 
-def case_dyngraph_incremental(sizes, repeats):
-    """Churn throughput and the warm-vs-scratch pagerank payoff.
-
-    Evolves an n-node commfree graph for E epochs (``epochs_per_s`` is the
-    sequential churn-application rate), then compares pagerank on the final
-    snapshot started cold (uniform) vs warm (the previous epoch's vector,
-    extended and renormalised by :func:`warm_start_pagerank`) — both run to
-    the same ``tol``, so they agree within the contraction ball and the
-    only difference is how fast they enter it.
-    """
-    from repro.core.commfree import commfree
-    from repro.core.partitioning import make_partition
-    from repro.distgraph.pagerank import distributed_pagerank
-    from repro.distgraph.storage import DistributedGraph
-    from repro.dyngraph import ChurnSchedule
-    from repro.dyngraph.evolve import evolve
-    from repro.dyngraph.incremental import warm_start_pagerank
-    from repro.graph.edgelist import EdgeList
-
-    n, P, epochs = sizes["dyn_n"], sizes["dyn_P"], sizes["dyn_epochs"]
-    tol = 1e-9
-    edges = commfree(n, x=2, seed=SEED)
-    sched = ChurnSchedule(
-        seed=SEED, epochs=epochs,
-        arrival_rate=n / 1000, attach_x=2, departure_prob=0.001,
-        deletion_rate=n / 2000, rewire_rate=n / 2000,
-    )
-
-    t_evolve = best_of(repeats, evolve, edges, n, sched)
-
-    # prefix property: an (epochs-1)-epoch run IS the final run's prefix,
-    # so its state is exactly "the previous snapshot"
-    prev = evolve(edges, n, sched, epochs=epochs - 1).state
-    final = evolve(edges, n, sched).state
-
-    def graph_of(state):
-        part = make_partition("rrp", state.n, P)
-        return DistributedGraph.from_edgelist(
-            EdgeList.from_arrays(state.u, state.v, copy=False), part
-        )
-
-    g_prev, g_final = graph_of(prev), graph_of(final)
-    prev_pr, _ = distributed_pagerank(g_prev, iterations=500, tol=tol)
-    x0 = warm_start_pagerank(prev_pr, final.n)
-
-    cold = {"wall_s": float("inf")}
-    warm = {"wall_s": float("inf")}
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        cold_pr, eng = distributed_pagerank(g_final, iterations=500, tol=tol)
-        t = time.perf_counter() - t0
-        if t < cold["wall_s"]:
-            cold = {"wall_s": t, "supersteps": eng.supersteps}
-        t0 = time.perf_counter()
-        warm_pr, eng = distributed_pagerank(
-            g_final, iterations=500, tol=tol, x0=x0
-        )
-        t = time.perf_counter() - t0
-        if t < warm["wall_s"]:
-            warm = {"wall_s": t, "supersteps": eng.supersteps}
-    linf = float(np.abs(cold_pr - warm_pr).max())
-    if linf > 1e-6:
-        raise RuntimeError(
-            f"warm pagerank diverged from scratch by {linf:.3e}"
-        )
-    return {
-        "n": n, "P": P, "epochs": epochs, "tol": tol,
-        "evolve_wall_s": t_evolve,
-        "epochs_per_s": epochs / t_evolve,
-        "final_edges": final.num_edges,
-        "pagerank_cold": cold,
-        "pagerank_warm": warm,
-        "warm_vs_scratch_linf": linf,
-        "speedup_warm_over_scratch": cold["wall_s"] / warm["wall_s"],
-        "superstep_ratio_cold_over_warm": (
-            cold["supersteps"] / warm["supersteps"]
-        ),
-    }
-
-
 CASES = {
     "copy_model_general": case_copy_model_general,
     "copy_model_x1": case_copy_model_x1,
@@ -567,11 +448,9 @@ CASES = {
     "mp_endtoend": case_mp_endtoend,
     "commfree": case_commfree,
     "commfree_endtoend": case_commfree_endtoend,
-    "mp_pool": case_mp_pool,
     "telemetry_overhead": case_telemetry_overhead,
     "sched_explore": case_sched_explore,
     "out_of_core": case_out_of_core,
-    "dyngraph_incremental": case_dyngraph_incremental,
 }
 
 
@@ -692,11 +571,6 @@ def main(argv=None) -> int:
     if endtoend is not None:
         print(f"[bench_hotpaths] mp end-to-end n={endtoend['n']} "
               f"P={endtoend['P']}: {endtoend['wall_s']:.3f}s")
-    pool = report["cases"].get("mp_pool")
-    if pool is not None:
-        print(f"[bench_hotpaths] worker pool {pool['jobs']} jobs: cold "
-              f"{pool['cold_s']:.3f}s, pooled {pool['pooled_s']:.3f}s "
-              f"({pool['speedup_pool_over_cold']:.2f}x)")
     cf = report["cases"].get("commfree")
     if cf is not None:
         print(f"[bench_hotpaths] commfree single-core n={cf['n']}: "
@@ -751,16 +625,6 @@ def main(argv=None) -> int:
         print(f"[bench_hotpaths] out-of-core RSS gate passed "
               f"({got_mb:.0f}MB <= {args.max_oocore_rss:.0f}MB, "
               f"bit_identical={oo['bit_identical']})")
-    dyn = report["cases"].get("dyngraph_incremental")
-    if dyn is not None:
-        print(f"[bench_hotpaths] dyngraph n={dyn['n']} "
-              f"({dyn['epochs']} epochs): evolve {dyn['evolve_wall_s']:.3f}s "
-              f"({dyn['epochs_per_s']:.1f} epochs/s); pagerank cold "
-              f"{dyn['pagerank_cold']['wall_s']:.3f}s vs warm "
-              f"{dyn['pagerank_warm']['wall_s']:.3f}s "
-              f"({dyn['speedup_warm_over_scratch']:.2f}x, supersteps "
-              f"{dyn['pagerank_cold']['supersteps']} -> "
-              f"{dyn['pagerank_warm']['supersteps']})")
     tel = report["cases"].get("telemetry_overhead")
     if tel is not None:
         print(f"[bench_hotpaths] telemetry: disabled {tel['disabled_s']:.3f}s, "

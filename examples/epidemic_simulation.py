@@ -8,13 +8,7 @@ per-rank to disk (the paper's shared-file-system output model), reloads it,
 and runs a discrete-time SIR process, comparing spread from a random seed
 case versus a hub seed case.
 
-With ``--churn`` the contact network itself evolves while the epidemic
-runs: a seeded :class:`repro.dyngraph.ChurnSchedule` applies arrivals,
-departures, deletions, and rewires between bursts of SIR steps, so the
-disease spreads over a different (but deterministically replayable)
-network each epoch.
-
-Run:  python examples/epidemic_simulation.py [--small] [--churn]
+Run:  python examples/epidemic_simulation.py [--small]
 """
 
 import sys
@@ -72,67 +66,8 @@ def sir(indptr, nbrs, n, patient_zero, beta, gamma, rng, max_steps=100):
     return peak, ever, max_steps
 
 
-def sir_over_churn(store, patient_zero, beta, gamma, rng, steps_per_epoch=4):
-    """SIR over an evolving network: one snapshot's graph per epoch.
-
-    Node ids are never reused by the churn machinery, so infection state
-    carries across epochs by id: arrivals enter susceptible, departed
-    nodes keep their state but have no contacts (they are isolates in
-    later snapshots).  Returns (peak, ever, per-epoch infected counts).
-    """
-    epochs = store.epochs()
-    final_n = store.load(epochs[-1]).n
-    state = np.zeros(final_n, dtype=np.int8)
-    state[patient_zero] = I
-    peak, ever = 1, 1
-    curve = []
-    for epoch in epochs:
-        snap = store.load(epoch)
-        indptr, nbrs = adjacency_from_edges(snap.state().edgelist(), final_n)
-        for _ in range(steps_per_epoch):
-            ever += sir_step(indptr, nbrs, state, beta, gamma, rng)
-            peak = max(peak, int((state == I).sum()))
-        curve.append(int((state == I).sum()))
-    return peak, ever, curve
-
-
-def run_churn(n: int, beta: float, gamma: float, small: bool) -> None:
-    from repro.dyngraph import ChurnSchedule, evolve
-
-    epochs = 6 if small else 10
-    schedule = ChurnSchedule(
-        seed=11,
-        epochs=epochs,
-        arrival_rate=max(n // 100, 4),
-        attach_x=4,
-        departure_prob=0.01,
-        deletion_rate=max(n // 200, 2),
-        rewire_rate=max(n // 200, 2),
-    )
-    print(f"\nEvolving the contact network under churn "
-          f"({epochs} epochs, ~{schedule.arrival_rate:.0f} arrivals/epoch) ...")
-    base = generate(n=n, x=4, ranks=1, engine="sequential", seed=11)
-    with tempfile.TemporaryDirectory() as snapdir:
-        res = evolve(base.edges, base.n, schedule, snapshot_dir=snapdir)
-        store = res.snapshots
-        hub = int(np.argmax(store.load(0).state().degrees()))
-        peak, ever, curve = sir_over_churn(
-            store, hub, beta, gamma, np.random.default_rng(100))
-        final = res.state
-        print(f"  network: n={n:,} -> {final.n:,} ids "
-              f"({final.num_alive:,} alive), m={base.edges.num_edges:,} -> "
-              f"{final.num_edges:,}")
-        print(f"  epidemic over the evolving network (hub seed): "
-              f"peak {peak:,}, attack size {ever / final.n:.1%}")
-        print("  infected at each epoch boundary: "
-              + " ".join(f"{c:,}" for c in curve))
-    print("Churn reshapes the hub structure while the epidemic runs; the "
-          "schedule is seeded, so the whole co-evolution replays exactly.")
-
-
 def main() -> None:
     small = "--small" in sys.argv
-    churn = "--churn" in sys.argv
     n, x, ranks = (3_000, 4, 4) if small else (30_000, 4, 8)
     print(f"Generating contact network: n={n:,}, x={x}, {ranks} ranks")
     result = generate(n=n, x=x, ranks=ranks, scheme="rrp", seed=11)
@@ -173,9 +108,6 @@ def main() -> None:
 
     print("\nHub seeding ignites faster/larger outbreaks — why hub structure "
           "matters and why generators must reproduce it faithfully.")
-
-    if churn:
-        run_churn(n, beta, gamma, small)
 
 
 if __name__ == "__main__":

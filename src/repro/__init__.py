@@ -32,21 +32,17 @@ from repro.core.generator import GenerationResult, generate
 from repro.core.partitioning import make_partition
 from repro.core.streaming import stream_copy_model_x1
 from repro.distgraph import DistributedGraph
-from repro.dyngraph import ChurnSchedule, SnapshotStore, evolve
 from repro.graph.edgelist import EdgeList
 from repro.graph.powerlaw import fit_powerlaw
 from repro.graph.validation import validate_pa_graph
 from repro.telemetry import Telemetry
 
 __all__ = [
-    "ChurnSchedule",
     "DistributedGraph",
     "EdgeList",
     "GenerationResult",
-    "SnapshotStore",
     "Telemetry",
     "__version__",
-    "evolve",
     "fit_powerlaw",
     "generate",
     "make_partition",

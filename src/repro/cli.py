@@ -20,10 +20,6 @@ Subcommands
     Schedule-space fuzzing: sweep seeded message-delivery/activation
     schedules, assert the graph is schedule-invariant, shrink and dump any
     failing schedule, and ``--replay`` dumped artifacts.
-``evolve``
-    Generate a PA network, evolve it under a seeded churn schedule
-    (arrivals, departures, deletions, rewires), seal temporal snapshots,
-    and ``--inspect`` a snapshot directory's epoch manifest.
 """
 
 from __future__ import annotations
@@ -59,10 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "free family — every draw is recomputable from "
                         "(seed, slot), so parallel ranks never exchange "
                         "messages (engines: sequential, bsp, mp)")
-    g.add_argument("--pool", action="store_true",
-                   help="run --engine mp through a persistent WorkerPool "
-                        "(forks once; the shape embedding services use to "
-                        "amortize startup across repeated generations)")
     g.add_argument("--seed", type=int, default=None)
     g.add_argument("-o", "--output", type=Path, default=None, help="output edge file")
     g.add_argument("--text", action="store_true", help="write text instead of binary")
@@ -186,55 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-run a dumped failing-schedule artifact instead of "
                         "sweeping (all other options are read from the file)")
 
-    ev = sub.add_parser(
-        "evolve",
-        help="generate a PA network and evolve it under a churn schedule",
-    )
-    ev.add_argument("--inspect", type=Path, default=None, metavar="DIR",
-                    help="print the epoch summary of a snapshot directory "
-                         "written by --snapshot-dir and exit (all other "
-                         "options are ignored)")
-    ev.add_argument("-n", "--nodes", type=int, default=1_000)
-    ev.add_argument("-x", "--edges-per-node", type=int, default=2)
-    ev.add_argument("-p", "--prob", type=float, default=0.5)
-    ev.add_argument("-P", "--ranks", type=int, default=1)
-    ev.add_argument("--scheme", choices=["ucp", "lcp", "rrp", "ecp"], default="rrp")
-    ev.add_argument("--engine", choices=["sequential", "bsp", "mp"],
-                    default="sequential",
-                    help="engine for both generation and evolution")
-    ev.add_argument("--seed", type=int, default=0, help="generation seed")
-    ev.add_argument("--churn-seed", type=int, default=None,
-                    help="churn-schedule seed (default: --seed)")
-    ev.add_argument("--epochs", type=int, default=10)
-    ev.add_argument("--arrival-rate", type=float, default=8.0,
-                    help="mean Poisson node arrivals per epoch")
-    ev.add_argument("--attach", type=int, default=2,
-                    help="edges each arriving node attaches preferentially")
-    ev.add_argument("--departure-prob", type=float, default=0.02,
-                    help="per-node, per-epoch departure probability")
-    ev.add_argument("--deletion-rate", type=float, default=2.0,
-                    help="mean Poisson edge deletions per epoch")
-    ev.add_argument("--rewire-rate", type=float, default=2.0,
-                    help="mean Poisson degree-proportional rewires per epoch")
-    ev.add_argument("--snapshot-dir", type=Path, default=None,
-                    help="seal a temporal snapshot of the evolving graph "
-                         "here (sha256-sealed, epoch manifest; inspect "
-                         "with 'repro-pa evolve --inspect DIR')")
-    ev.add_argument("--snapshot-every", type=int, default=1,
-                    help="epochs between snapshots (default: every epoch)")
-    ev.add_argument("--checkpoint-dir", type=Path, default=None,
-                    help="rotate per-epoch checkpoints here and run the "
-                         "evolution supervised (--engine bsp or mp)")
-    ev.add_argument("--checkpoint-keep", type=int, default=3)
-    ev.add_argument("--max-retries", type=int, default=3)
-    ev.add_argument("--departure-faults", action="store_true",
-                    help="express each epoch's departures through a "
-                         "deterministic rank-crash fault plan recovered by "
-                         "the supervisor (needs --checkpoint-dir and -P >= 2)")
-    ev.add_argument("-o", "--output", type=Path, default=None,
-                    help="write the final evolved edge list here")
-    ev.add_argument("--text", action="store_true", help="write text instead of binary")
-
     return parser
 
 
@@ -267,30 +210,18 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         fault_seed=args.inject_faults,
         max_retries=args.max_retries,
         barrier_timeout=args.barrier_timeout,
-        # a pooled run attaches telemetry to the pool at fork time
-        telemetry=None if args.pool else tel,
+        telemetry=tel,
         generator=args.generator,
         out_of_core=str(args.out_of_core) if args.out_of_core else None,
         spill_budget_bytes=int(args.spill_budget_mb * (1 << 20)),
     )
     try:
-        # before the pool forks: a stand-in marks that one will be passed
-        check_run(**spec, pool=True if args.pool else None)
+        check_run(**spec)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    pool = None
-    if args.pool:
-        from repro.mpsim.pool import WorkerPool
-
-        pool = WorkerPool(args.ranks, barrier_timeout=args.barrier_timeout,
-                          telemetry=tel)
     t0 = time.perf_counter()
-    try:
-        result = generate(**spec, pool=pool)
-    finally:
-        if pool is not None:
-            pool.close()
+    result = generate(**spec)
     wall = time.perf_counter() - t0
     print(
         f"generated n={args.nodes} x={args.edges_per_node} "
@@ -550,94 +481,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_evolve(args: argparse.Namespace) -> int:
-    from repro.dyngraph import ChurnSchedule, SnapshotStore
-    from repro.dyngraph.evolve import evolve
-
-    if args.inspect is not None:
-        store = SnapshotStore(args.inspect)
-        if not store.manifest_path.exists():
-            print(f"evolve: no snapshot manifest under {args.inspect}",
-                  file=sys.stderr)
-            return 1
-        for line in store.summary_lines():
-            print(line)
-        return 0
-
-    if args.engine == "sequential" and args.ranks != 1:
-        print("--engine sequential evolves on one rank; use --engine bsp "
-              "or mp for -P > 1", file=sys.stderr)
-        return 2
-    if args.departure_faults and args.checkpoint_dir is None:
-        print("--departure-faults crashes ranks on purpose; recovery needs "
-              "--checkpoint-dir", file=sys.stderr)
-        return 2
-    if args.departure_faults and args.ranks < 2:
-        print("--departure-faults needs -P >= 2 (a surviving rank must "
-              "witness the crash)", file=sys.stderr)
-        return 2
-
-    from repro.core.generator import generate
-    from repro.graph import io as gio
-
-    schedule = ChurnSchedule(
-        seed=args.seed if args.churn_seed is None else args.churn_seed,
-        epochs=args.epochs,
-        arrival_rate=args.arrival_rate,
-        attach_x=args.attach,
-        departure_prob=args.departure_prob,
-        deletion_rate=args.deletion_rate,
-        rewire_rate=args.rewire_rate,
-    )
-    t0 = time.perf_counter()
-    base = generate(
-        n=args.nodes,
-        x=args.edges_per_node,
-        p=args.prob,
-        ranks=args.ranks,
-        scheme=args.scheme,
-        engine=args.engine,
-        seed=args.seed,
-    )
-    res = evolve(
-        base.edges,
-        base.n,
-        schedule,
-        engine=args.engine,
-        ranks=args.ranks,
-        snapshot_dir=str(args.snapshot_dir) if args.snapshot_dir else None,
-        snapshot_every=args.snapshot_every,
-        checkpoint_dir=str(args.checkpoint_dir) if args.checkpoint_dir else None,
-        checkpoint_keep=args.checkpoint_keep,
-        max_retries=args.max_retries,
-        departure_faults=args.departure_faults,
-    )
-    wall = time.perf_counter() - t0
-    for delta in res.deltas:
-        s = delta.summary()
-        print(f"epoch {s['epoch']:3d}: +{s['born']} born -{s['departed']} departed "
-              f"+{s['edges_added']}/-{s['edges_removed']} edges "
-              f"{s['rewires']} rewired")
-    st = res.state
-    print(f"evolved n={args.nodes} -> {st.n} ids ({st.num_alive} alive), "
-          f"m={base.edges.num_edges} -> {st.num_edges} over {res.epochs} epochs "
-          f"on P={res.ranks} ({res.engine}) in {wall:.2f}s; "
-          f"digest {st.digest()[:12]}")
-    if res.recoveries:
-        print(f"recoveries: {len(res.recoveries)}")
-    if args.snapshot_dir is not None:
-        print(f"wrote {len(res.snapshots.epochs())} snapshots to "
-              f"{args.snapshot_dir}")
-    if args.output is not None:
-        edges = res.edges
-        if args.text:
-            gio.write_edges_text(args.output, edges)
-        else:
-            gio.write_edges_binary(args.output, edges)
-        print(f"wrote {args.output}")
-    return 0
-
-
 def _cmd_chains(args: argparse.Namespace) -> int:
     from repro.core.chains import chain_statistics
 
@@ -663,7 +506,6 @@ _COMMANDS = {
     "campaign": _cmd_campaign,
     "inspect": _cmd_inspect,
     "explore": _cmd_explore,
-    "evolve": _cmd_evolve,
 }
 
 

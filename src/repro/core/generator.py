@@ -24,9 +24,7 @@ Engines:
 ``"mp"``
     the same rank programs in real OS processes
     (:class:`~repro.mpsim.mp_backend.MultiprocessingBSPEngine`), whose
-    ranks exchange superstep traffic peer to peer; pass a live
-    :class:`~repro.mpsim.pool.WorkerPool` as ``pool`` to reuse forked
-    workers across repeated calls.
+    ranks exchange superstep traffic peer to peer.
 
 Orthogonally to the engine, ``generator="commfree"`` swaps the copy-model
 message pipeline for the communication-free family
@@ -112,9 +110,6 @@ class GenerationResult:
     #: the :class:`repro.mpsim.faults.FaultPlan` the run executed under
     #: (``None`` for fault-free runs); its ``log`` lists every applied fault
     fault_plan: Any = None
-    #: the :class:`repro.dyngraph.evolve.EvolutionResult` when the run was
-    #: asked to churn the generated graph (``generate(..., evolve=schedule)``)
-    evolution: Any = None
 
     @property
     def total_load_per_rank(self) -> np.ndarray:
@@ -164,6 +159,11 @@ CONFLICTS: tuple[Conflict, ...] = (
     ),
     Conflict("x", lambda k: k.x < 1, "x must be >= 1, got x={x}"),
     Conflict(
+        "p", lambda k: not 0 < k.p <= 1 or (k.p == 1 and k.x > 1),
+        "p must be in (0, 1], and below 1 when x > 1 (p=1 leaves node x+1 "
+        "one direct target for its x edges), got p={p}, x={x}",
+    ),
+    Conflict(
         "ranks", lambda k: k.partition is None and k.ranks < 1,
         "ranks must be >= 1, got ranks={ranks}",
     ),
@@ -174,16 +174,6 @@ CONFLICTS: tuple[Conflict, ...] = (
     Conflict(
         "partition-size", lambda k: k.partition is not None and k.partition.n != k.n,
         "partition covers n={partition.n}, requested n={n}",
-    ),
-    Conflict(
-        "evolve-event", lambda k: k.evolve is not None and k.engine == "event",
-        "evolve= churns the generated graph on the sequential, bsp, or mp "
-        "engine; engine='event' cannot run the evolution",
-    ),
-    Conflict(
-        "evolve-out-of-core",
-        lambda k: k.evolve is not None and k.out_of_core is not None,
-        "evolve= keeps the evolving edge arrays in RAM; drop out_of_core=",
     ),
     Conflict(
         "spill-budget",
@@ -202,11 +192,6 @@ CONFLICTS: tuple[Conflict, ...] = (
         and k.x != 1,
         "sequential out-of-core needs a streaming emitter, and only x=1 has "
         "one — use engine='bsp' or 'mp', or x=1",
-    ),
-    Conflict(
-        "out-of-core-pool", lambda k: k.out_of_core is not None and k.pool is not None,
-        "out_of_core= writes into a per-run directory that pooled workers "
-        "would outlive — drop pool=",
     ),
     Conflict(
         "out-of-core-checkpoint",
@@ -229,11 +214,6 @@ CONFLICTS: tuple[Conflict, ...] = (
         lambda k: k.generator == "commfree" and k.schedule is not None,
         "schedule= permutes message delivery order; commfree exchanges no "
         "messages — drop schedule=",
-    ),
-    Conflict(
-        "commfree-pool", lambda k: k.generator == "commfree" and k.pool is not None,
-        "pool= runs copy-model rank programs on pooled workers; commfree "
-        "forks its own trivially-parallel slice workers — drop pool=",
     ),
     Conflict(
         "commfree-partition",
@@ -259,19 +239,8 @@ CONFLICTS: tuple[Conflict, ...] = (
         "half-consumed decision stream — drop checkpoint_dir=",
     ),
     Conflict(
-        "pool-engine", lambda k: k.pool is not None and k.engine != "mp",
-        "pool= runs the job on live worker processes; engine={engine!r} "
-        "forks none — use engine='mp'",
-    ),
-    Conflict(
-        "pool-telemetry", lambda k: k.pool is not None and resolve(k.telemetry).enabled,
-        "telemetry= cannot attach to a running WorkerPool; build the pool "
-        "with WorkerPool(..., telemetry=tel) instead",
-    ),
-    Conflict(
-        "pool-checkpoint", lambda k: k.pool is not None and k.checkpointing,
-        "checkpointing needs one-shot workers, and pooled workers outlive "
-        "any job's recovery — drop pool=",
+        "barrier-timeout", lambda k: not k.barrier_timeout > 0,
+        "barrier_timeout must be > 0 seconds, got {barrier_timeout}",
     ),
     Conflict(
         "sequential-ranks", lambda k: k.engine == "sequential" and k.nranks != 1,
@@ -296,8 +265,7 @@ def check_run(**knobs: Any) -> None:
     Takes :func:`generate`'s keywords and raises :class:`ValueError` with
     the reason of the first matching :data:`CONFLICTS` row.  On
     ``engine="mp"`` it also rejects fault plans real processes cannot
-    realise.  ``pool`` is only compared with ``None``, so a caller that
-    forks its pool after the check may pass any stand-in.
+    realise.
     """
     bound = inspect.signature(generate).bind(**knobs)
     bound.apply_defaults()
@@ -325,7 +293,6 @@ def generate(
     scheme: str = "rrp",
     seed: int | None = None,
     engine: str = "bsp",
-    pool: Any = None,
     partition: Partition | None = None,
     cost_model: CostModel | None = None,
     checkpoint_path: str | None = None,
@@ -341,14 +308,13 @@ def generate(
     generator: str = "copy",
     out_of_core: str | None = None,
     spill_budget_bytes: int = 64 << 20,
-    evolve: Any = None,
 ) -> GenerationResult:
     """Generate a preferential-attachment network.
 
     Knobs that do not combine (say ``out_of_core`` with checkpointing, or
-    ``pool`` with an engine other than ``"mp"``) are rejected up front with
-    a one-line :class:`ValueError`; :data:`CONFLICTS` lists every rule and
-    its reason.
+    ``schedule`` with an engine other than ``"bsp"``/``"event"``) are
+    rejected up front with a one-line :class:`ValueError`; :data:`CONFLICTS`
+    lists every rule and its reason.
 
     Parameters
     ----------
@@ -377,11 +343,6 @@ def generate(
     engine:
         ``"bsp"``, ``"event"``, ``"sequential"``, or ``"mp"`` (see module
         docstring).
-    pool:
-        Optional live :class:`~repro.mpsim.pool.WorkerPool` to run an
-        ``engine="mp"`` generation on (its workers are reused instead of
-        forking a fresh fleet); the pool's ``size`` must match the
-        partition's rank count.
     partition:
         Pre-built partition (overrides ``ranks``/``scheme``).
     cost_model:
@@ -428,9 +389,7 @@ def generate(
         it for export — ``telemetry.to_chrome_trace("run.trace.json")``,
         ``telemetry.to_prometheus()`` — see ``docs/observability.md``.
         Observation-only: the generated graph is bit-identical with
-        telemetry on or off.  A pooled run is observed by constructing the
-        :class:`~repro.mpsim.pool.WorkerPool` with ``telemetry=`` (the ring
-        must exist before its workers fork).
+        telemetry on or off.
     out_of_core, spill_budget_bytes:
         When ``out_of_core`` names a directory, the run spills its edges to
         disk instead of accumulating them in RAM: the coordinator pre-sizes
@@ -444,12 +403,6 @@ def generate(
         ``x=1`` streaming emitters.  Output is **bit-identical** to the
         in-RAM path at every rank count.  See ``docs/performance.md``
         (out-of-core section) for the format and the RSS budget semantics.
-    evolve:
-        Optional :class:`repro.dyngraph.ChurnSchedule`: after generation
-        the graph churns under it (on the same engine and rank count) and
-        the :class:`repro.dyngraph.evolve.EvolutionResult` lands on the
-        result's ``evolution`` attribute; ``result.edges`` stays the
-        static base graph.  See ``docs/dynamic_networks.md``.
 
     Examples
     --------
@@ -507,19 +460,9 @@ def generate(
         else:
             run = _run_supersteps(part, plan, **knobs)
         run.update(scheme=part.scheme, ranks=part.P, nodes_per_rank=part.sizes())
-    result = GenerationResult(
+    return GenerationResult(
         n=n, x=x, p=p, engine=engine, seed=seed, fault_plan=plan, **run
     )
-    if evolve is not None:
-        # churn on the same engine and rank count; result.edges stays the
-        # static base graph
-        from repro.dyngraph.evolve import evolve as _evolve
-
-        result.evolution = _evolve(
-            result.edges, n, evolve, engine=engine, ranks=result.ranks,
-            cost_model=cost_model, telemetry=telemetry,
-        )
-    return result
 
 
 def rank_programs(
@@ -562,7 +505,7 @@ def rank_programs(
 
 
 def _run_supersteps(
-    part, plan, *, engine, n, x, p, seed, cost_model, pool,
+    part, plan, *, engine, n, x, p, seed, cost_model,
     checkpoint_path, checkpoint_every, checkpoint_dir, checkpoint_keep,
     max_retries, barrier_timeout, telemetry, schedule,
     out_of_core, spill_budget_bytes, **_rest,
@@ -570,8 +513,8 @@ def _run_supersteps(
     """Run the copy model's rank programs to quiescence on a superstep engine.
 
     ``engine="bsp"`` drives them in-process (:class:`BSPEngine`), ``"mp"`` in
-    forked workers (:class:`~repro.mpsim.mp_backend.MultiprocessingBSPEngine`,
-    or the caller's live ``pool``).  ``checkpoint_dir`` runs under a
+    forked workers (:class:`~repro.mpsim.mp_backend.MultiprocessingBSPEngine`).
+    ``checkpoint_dir`` runs under a
     :class:`~repro.mpsim.supervisor.Supervisor` that recovers crashes from
     rotated snapshots, bit-identically; ``checkpoint_path`` snapshots without
     supervision.  In RAM, every rank's result lands in its region of one
@@ -581,8 +524,6 @@ def _run_supersteps(
     into its region of the final columns on disk, which are verified and
     adopted at the end.  Returns the run's :class:`GenerationResult` fields.
     """
-    if pool is not None and pool.size != part.P:
-        raise ValueError(f"pool has {pool.size} workers, partition needs {part.P}")
     offsets = regions = None
     if out_of_core is not None:
         from repro.core import spill
@@ -634,9 +575,9 @@ def _run_supersteps(
             max_retries=max_retries, telemetry=telemetry,
         ).run(fault_plan=plan)
     else:
-        eng = pool if pool is not None else build_engine()
+        eng = build_engine()
         programs = build_programs()
-        # a pool takes neither knob, and only the bsp engine takes a schedule
+        # only the bsp engine takes a schedule
         kw = {} if checkpointer is None else {"checkpointer": checkpointer}
         if schedule is not None:
             kw["schedule"] = schedule

@@ -20,20 +20,12 @@ __all__ = ["distributed_components"]
 
 
 class _CCProgram:
-    def __init__(
-        self,
-        rank: int,
-        graph: DistributedGraph,
-        labels0: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, rank: int, graph: DistributedGraph) -> None:
         self.rank = rank
         self.g = graph
         self.part = graph.partition
         self.nodes = self.part.partition_nodes(rank)
-        if labels0 is None:
-            self.labels = self.nodes.copy()
-        else:
-            self.labels = np.asarray(labels0, dtype=np.int64)[self.nodes].copy()
+        self.labels = self.nodes.copy()
         # all nodes are "changed" initially so the first round pushes everything
         self.changed = np.arange(len(self.nodes), dtype=np.int64)
 
@@ -115,16 +107,8 @@ class _CCProgram:
 def distributed_components(
     graph: DistributedGraph,
     cost_model: CostModel | None = None,
-    labels0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, BSPEngine]:
     """Component label (minimum member id) for every node.
-
-    ``labels0`` warm-starts the propagation: entry ``i`` seeds node ``i``'s
-    label.  The result is exact as long as every seed is the id of a node
-    in the same component (the default all-self seeding trivially
-    qualifies; :func:`repro.dyngraph.incremental.warm_start_labels` derives
-    such seeds from an epoch delta) — hash-min then converges to the same
-    minimum-member labels as a cold run, typically in far fewer rounds.
 
     Examples
     --------
@@ -138,12 +122,7 @@ def distributed_components(
     [0, 0, 2, 3, 3]
     """
     part = graph.partition
-    if labels0 is not None and len(labels0) != graph.num_nodes:
-        raise ValueError(
-            f"labels0 has {len(labels0)} entries, graph has "
-            f"{graph.num_nodes} nodes"
-        )
-    programs = [_CCProgram(r, graph, labels0) for r in range(part.P)]
+    programs = [_CCProgram(r, graph) for r in range(part.P)]
     engine = BSPEngine(part.P, cost_model=cost_model)
     engine.run(programs)
     labels = np.empty(graph.num_nodes, dtype=np.int64)

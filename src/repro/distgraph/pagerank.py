@@ -29,19 +29,11 @@ __all__ = ["distributed_pagerank"]
 #: row tags in the exchanged float matrices: (kind, node, value)
 _CONTRIB = 0.0
 _DANGLE = 1.0
-_DELTA = 2.0  #: previous iteration's local L1 step, reduced on rank 0
-_HALT = 3.0  #: rank 0's broadcast verdict: the tolerance was reached
 
 
 class _PageRankProgram:
     def __init__(
-        self,
-        rank: int,
-        graph: DistributedGraph,
-        damping: float,
-        iterations: int,
-        x0: np.ndarray | None = None,
-        tol: float | None = None,
+        self, rank: int, graph: DistributedGraph, damping: float, iterations: int
     ) -> None:
         self.rank = rank
         self.g = graph
@@ -49,26 +41,17 @@ class _PageRankProgram:
         self.n = graph.num_nodes
         self.damping = damping
         self.iterations = iterations
-        self.tol = tol
         count = self.part.partition_size(rank)
-        if x0 is None:
-            self.pr = np.full(count, 1.0 / self.n, dtype=np.float64)
-        else:
-            nodes = self.part.partition_nodes(rank)
-            self.pr = np.asarray(x0, dtype=np.float64)[nodes].copy()
+        self.pr = np.full(count, 1.0 / self.n, dtype=np.float64)
         self.degrees = np.diff(self.g.indptr[rank])
         self.iter = 0
         self._phase = "push"
         self._incoming = np.zeros(count, dtype=np.float64)
         self._dangling = 0.0
-        self._local_delta = np.inf  # L1 step of the last apply
-        self._delta_in = 0.0  # rank 0: previous iteration's global step
-        self._halt = False
-        self._halt_verdict = False  # rank 0: verdict pending for this apply
 
     @property
     def done(self) -> bool:
-        return self._halt or self.iter >= self.iterations
+        return self.iter >= self.iterations
 
     def step(self, ctx: BSPRankContext, inbox):
         if self._phase == "push":
@@ -121,14 +104,6 @@ class _PageRankProgram:
             self._dangling = local_dangling
         else:
             out.setdefault(0, []).append(np.array([[_DANGLE, 0.0, local_dangling]]))
-        if self.tol is not None and self.iter > 0:
-            # piggyback the previous iteration's local L1 step to rank 0
-            if self.rank == 0:
-                self._delta_in = self._local_delta
-            else:
-                out.setdefault(0, []).append(
-                    np.array([[_DELTA, 0.0, self._local_delta]])
-                )
         self._phase = "collect"
         return out or None
 
@@ -145,42 +120,24 @@ class _PageRankProgram:
                 ctx.charge(work_items=len(contrib))
             if self.rank == 0:
                 self._dangling += float(arr[kinds == _DANGLE][:, 2].sum())
-                self._delta_in += float(arr[kinds == _DELTA][:, 2].sum())
 
         self._phase = "apply"
-        converged = (
-            self.tol is not None and self.iter > 0 and self._delta_in < self.tol
-        )
-        if self.rank == 0:
-            self._halt_verdict = converged
-            self._delta_in = 0.0
-            if self.part.P > 1:
-                # broadcast the global dangling mass (and, under a tol run,
-                # the convergence verdict); arrives for the apply phase
-                rows = [np.array([[_DANGLE, 0.0, self._dangling]])]
-                if converged:
-                    rows.append(np.array([[_HALT, 0.0, 1.0]]))
-                return {dest: rows for dest in range(1, self.part.P)}
+        if self.rank == 0 and self.part.P > 1:
+            # broadcast the global dangling mass; arrives for the apply phase
+            row = np.array([[_DANGLE, 0.0, self._dangling]])
+            return {dest: [row] for dest in range(1, self.part.P)}
         return None
 
     def _apply(self, ctx: BSPRankContext, inbox):
-        halt = getattr(self, "_halt_verdict", False) if self.rank == 0 else False
         if self.rank != 0:
             for _src, arr in inbox:
                 self._dangling += float(arr[arr[:, 0] == _DANGLE][:, 2].sum())
-                if (arr[:, 0] == _HALT).any():
-                    halt = True
         ctx.charge(work_items=len(self.pr))
         base = (1.0 - self.damping) / self.n
-        new_pr = base + self.damping * (self._incoming + self._dangling / self.n)
-        if self.tol is not None:
-            self._local_delta = float(np.abs(new_pr - self.pr).sum())
-        self.pr = new_pr
+        self.pr = base + self.damping * (self._incoming + self._dangling / self.n)
         self.iter += 1
         self._dangling = 0.0
         self._phase = "push"
-        if halt:
-            self._halt = True
         return None
 
 
@@ -189,23 +146,8 @@ def distributed_pagerank(
     damping: float = 0.85,
     iterations: int = 50,
     cost_model: CostModel | None = None,
-    x0: np.ndarray | None = None,
-    tol: float | None = None,
 ) -> tuple[np.ndarray, BSPEngine]:
     """PageRank vector of a distributed graph (global node order).
-
-    ``x0`` seeds the iteration (global node order, should sum to 1;
-    default uniform ``1/n``) and ``tol`` adds convergence detection: ranks
-    piggyback their local L1 step onto the existing rank-0 reduction, and
-    rank 0 folds the stop verdict into the dangling-mass broadcast — no
-    extra supersteps, no convergence collective.  The run halts once the
-    global L1 step drops below ``tol`` (``iterations`` stays the hard
-    cap).  Power iteration contracts with factor ``damping``, so any run
-    stopped at step ``< tol`` lies within ``damping/(1-damping) * tol`` of
-    the unique fixed point — which is why a warm-started run
-    (:mod:`repro.dyngraph.incremental`) agrees with a cold one to that
-    ball while doing far fewer iterations.  With ``tol=None`` behaviour
-    (messages included) is bit-identical to prior releases.
 
     Examples
     --------
@@ -222,16 +164,9 @@ def distributed_pagerank(
         raise ValueError(f"damping must be in (0, 1), got {damping}")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if tol is not None and tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if x0 is not None and len(x0) != graph.num_nodes:
-        raise ValueError(
-            f"x0 has {len(x0)} entries, graph has {graph.num_nodes} nodes"
-        )
     part = graph.partition
     programs = [
-        _PageRankProgram(r, graph, damping, iterations, x0=x0, tol=tol)
-        for r in range(part.P)
+        _PageRankProgram(r, graph, damping, iterations) for r in range(part.P)
     ]
     engine = BSPEngine(part.P, cost_model=cost_model, max_supersteps=3 * iterations + 10)
     engine.run(programs)

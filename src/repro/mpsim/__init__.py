@@ -19,9 +19,6 @@ executes the *same* rank-local programs and the *same* message protocol:
   segment, descriptors in the mailbox fabric of :mod:`repro.mpsim.p2p`
   (shared-memory slots, a shared barrier, and distributed termination
   detection — no parent on the data path).
-* :mod:`repro.mpsim.pool` — a persistent :class:`~repro.mpsim.pool.WorkerPool`
-  that forks the backend's workers once and reuses them (pipes, payload
-  segments, fabric) across many jobs.
 * :mod:`repro.mpsim.collectives` — barrier / bcast / scatter / gather /
   allgather / reduce / allreduce / alltoall(v) implemented on top of
   point-to-point sends, as an MPI library would.
@@ -49,7 +46,6 @@ from repro.mpsim.bsp import BSPEngine, BSPRankContext
 from repro.mpsim.faults import FaultPlan, FaultRecord
 from repro.mpsim.checkpoint import Checkpointer, load_checkpoint, load_latest_valid, resume
 from repro.mpsim.mp_backend import MultiprocessingBSPEngine
-from repro.mpsim.pool import WorkerPool
 from repro.mpsim.supervisor import RecoveryEvent, Supervisor
 
 __all__ = [
@@ -71,7 +67,6 @@ __all__ = [
     "Simulator",
     "Supervisor",
     "UnrecoverableError",
-    "WorkerPool",
     "WorldStats",
     "load_checkpoint",
     "load_latest_valid",

@@ -55,11 +55,6 @@ Fault tolerance (see ``docs/fault_tolerance.md``):
   supervised run (:class:`~repro.mpsim.supervisor.Supervisor`) can reload
   the newest valid snapshot, respawn the ranks, resume, and still produce a
   bit-identical graph.
-
-For repeated jobs over the same rank count, see
-:class:`repro.mpsim.pool.WorkerPool`, which forks this module's workers once
-and reuses them (pipes, payload segments, and fabric included) across many
-``run()`` calls, and heals itself by forking replacements for dead members.
 """
 
 from __future__ import annotations
@@ -100,11 +95,6 @@ from repro.telemetry.metrics import proc_rss_bytes
 from repro.telemetry.ringbuf import EventRing
 
 __all__ = ["MultiprocessingBSPEngine"]
-
-# worker protocol commands (parent -> worker)
-_JOB = "job"
-_SHUTDOWN = "shutdown"
-_ABANDON = "abandon"
 
 #: Smallest per-half segment size; avoids churning tiny segments while the
 #: first supersteps ramp up.
@@ -494,7 +484,8 @@ def _worker_main(
     size: int,
     conn: Any,
     fabric: P2PFabric,
-    program: RankProgram | None,
+    program: RankProgram,
+    fault_plan: Any,
     max_supersteps: int,
     cost: CostModel,
     heartbeats: Heartbeats,
@@ -502,57 +493,30 @@ def _worker_main(
     ckpt: tuple[str, int, int, float] | None = None,
     ring: EventRing | None = None,
 ) -> None:
-    """One worker process: serve jobs until shutdown.
+    """One worker process: run its program once, send the final or error
+    reply, and exit.
 
-    ``program`` is the fork-inherited rank program for one-shot engine runs;
-    pooled jobs ship their programs in the job command instead.  Payload
-    segments (and the reader's attachment cache) persist across jobs so a
-    :class:`~repro.mpsim.pool.WorkerPool` pays segment setup once.
-    ``resume``/``ckpt`` ride the fork (no pickling) and apply to the first
-    job only — a resumed engine run is always one-shot.  ``ring`` (also
-    fork-inherited) is the shared telemetry event ring; when present the
-    worker publishes spans as they close and cumulative metric snapshots
-    every superstep, so a crash loses at most the current superstep.
+    Everything rides the fork (no pickling): the rank program, the fault
+    plan, ``resume``/``ckpt`` and ``ring``, the shared telemetry event ring.
+    With a ring the worker publishes spans as they close and cumulative
+    metric snapshots every superstep, so a crash loses at most the current
+    superstep.
     """
     writer = _ShmWriter(fabric.name, rank)
     reader = _ShmReader()
     tel = Telemetry.for_worker(ring, rank) if ring is not None else NOOP_TELEMETRY
     try:
-        while True:
-            try:
-                cmd, payload = conn.recv()
-            except EOFError:
-                return
-            if cmd == _SHUTDOWN:
-                return
-            if cmd == _ABANDON:
-                # a failed job already ended here.  A respawned peer reuses
-                # its predecessor's segment names, so forget the old mappings
-                reader.close()
-                conn.send(("abandoned", payload))
-                continue
-            if cmd != _JOB:  # pragma: no cover - protocol violation
-                _report_error(
-                    conn, fabric, "mpsim", MPSimError(f"unexpected command {cmd!r}"),
-                    rank, None,
-                )
-                return
-            job_program, fault_plan = payload
-            prog = job_program if job_program is not None else program
-            job_resume, resume = resume, None
-            try:
-                _run_job(
-                    rank, size, prog, conn, fabric, writer, reader,
-                    cost, fault_plan, max_supersteps,
-                    heartbeats, job_resume, ckpt, tel,
-                )
-                tel.flush()
-            except RankFailure as exc:
-                # exc.rank may name a *peer* (barrier attribution), not the
-                # reporter — carry it so the parent raises for the victim
-                _report_error(conn, fabric, "rank", exc.original, exc.rank, exc.superstep)
-            except Exception as exc:
-                _report_error(conn, fabric, "mpsim", exc, rank, None)
+        _run_job(
+            rank, size, program, conn, fabric, writer, reader,
+            cost, fault_plan, max_supersteps, heartbeats, resume, ckpt, tel,
+        )
+        tel.flush()
+    except RankFailure as exc:
+        # exc.rank may name a *peer* (barrier attribution), not the
+        # reporter — carry it so the parent raises for the victim
+        _report_error(conn, fabric, "rank", exc.original, exc.rank, exc.superstep)
+    except Exception as exc:
+        _report_error(conn, fabric, "mpsim", exc, rank, None)
     finally:
         reader.close()
         writer.close()
@@ -761,7 +725,6 @@ def _drive_job(
     procs: Sequence[Any],
     size: int,
     fabric: P2PFabric,
-    programs: Sequence[RankProgram] | None,
     fault_plan: Any,
     stats: WorldStats,
     max_supersteps: int,
@@ -772,10 +735,8 @@ def _drive_job(
     collector: RingCollector | None = None,
     tel: Any = NOOP_TELEMETRY,
 ) -> tuple[list[Any], list[dict], int, float]:
-    """Parent side of one job, shared by the engine and the worker pool.
+    """Parent side of one job, once the workers are forked.
 
-    ``programs`` is ``None`` when workers inherited their programs at fork
-    (one-shot engine runs); pooled jobs pass the list to pickle across.
     The workers run to quiescence on their own; the parent only commits
     checkpoint cuts as their shard notifications arrive and collects the
     finals.  ``step0`` is the superstep the job resumes from (0 for fresh
@@ -793,13 +754,6 @@ def _drive_job(
         got[rank] = path
         if len(got) == size and checkpointer is not None:
             _commit_cut(checkpointer, size, cost, max_supersteps, cut, shards.pop(cut))
-
-    for rank, conn in enumerate(parents):
-        shipped = programs[rank] if programs is not None else None
-        try:
-            conn.send((_JOB, (shipped, fault_plan)))
-        except (BrokenPipeError, OSError):
-            _attribute_death(rank, fabric, heartbeats, fault_plan)
 
     tick = collector.drain if collector is not None else None
     with tel.span("job.collect", cat="run", tid=-1) as sp:
@@ -994,30 +948,30 @@ class MultiprocessingBSPEngine:
         parents: list[Any] = []
         procs: list[Any] = []
         try:
-            for rank, prog in enumerate(programs):
-                resume = (
-                    (self.supersteps, self.stats.ranks[rank], list(initial_inboxes[rank]))
-                    if resume_mode
-                    else None
-                )
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(
-                        rank, self.size, child_conn, fabric, prog,
-                        self.max_supersteps, self.cost, heartbeats, resume, ckpt,
-                        ring,
-                    ),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                parents.append(parent_conn)
-                procs.append(proc)
-
             with self.tel.span("mp.run", cat="run", tid=-1, size=self.size):
+                for rank, prog in enumerate(programs):
+                    resume = (
+                        (self.supersteps, self.stats.ranks[rank], list(initial_inboxes[rank]))
+                        if resume_mode
+                        else None
+                    )
+                    parent_conn, child_conn = ctx.Pipe()
+                    proc = ctx.Process(
+                        target=_worker_main,
+                        args=(
+                            rank, self.size, child_conn, fabric, prog, fault_plan,
+                            self.max_supersteps, self.cost, heartbeats, resume, ckpt,
+                            ring,
+                        ),
+                        daemon=True,
+                    )
+                    proc.start()
+                    child_conn.close()
+                    parents.append(parent_conn)
+                    procs.append(proc)
+
                 results, counters, supersteps, simulated = _drive_job(
-                    parents, procs, self.size, fabric, None, fault_plan,
+                    parents, procs, self.size, fabric, fault_plan,
                     self.stats, self.max_supersteps, heartbeats, self.cost,
                     checkpointer=checkpointer, step0=self.supersteps,
                     collector=collector, tel=self.tel,
@@ -1039,15 +993,11 @@ class MultiprocessingBSPEngine:
                 self.tel.meta.setdefault("engine", "mp")
                 self.tel.meta["size"] = self.size
         finally:
-            # shut down on *every* path: after a failure the survivors sit
-            # in their command loop, and closing the parent ends alone does
-            # not EOF them (later-forked siblings inherited the earlier
-            # ranks' parent pipe ends), so they would eat the join timeout
+            # clean up on *every* path.  Each worker exits after its one
+            # reply; the abort releases any still parked at a barrier when
+            # the parent itself failed mid-run
+            fabric.abort()
             for conn in parents:
-                try:
-                    conn.send((_SHUTDOWN, None))
-                except (BrokenPipeError, OSError):  # worker already gone
-                    pass
                 conn.close()
             for rank, proc in enumerate(procs):
                 proc.join(timeout=10)

@@ -126,7 +126,7 @@ class P2PFabric:
         ``meta`` maps destination rank to a list of payload descriptors.
         Every slot in the row is (re)written — destinations absent from
         ``meta`` get an empty marker — so readers never see stale parity
-        data, even across :class:`~repro.mpsim.pool.WorkerPool` jobs.
+        data.
         """
         parity = superstep % 2
         buf = self._mail.buf
@@ -232,24 +232,6 @@ class P2PFabric:
             self.barrier.abort()
         except Exception:  # pragma: no cover - barrier already torn down
             pass
-
-    def reset(self) -> None:
-        """Restore a clean fabric after an aborted job.
-
-        Resets the barrier and zeroes every control row so the next job
-        starts from the same state a fresh fabric would — used by
-        :class:`~repro.mpsim.pool.WorkerPool` when healing after a casualty.
-        Only call once every worker has acknowledged abandoning the failed
-        job; a straggler still inside ``wait()`` would re-break the barrier.
-        """
-        try:
-            self.barrier.reset()
-        except Exception:  # pragma: no cover - barrier already torn down
-            pass
-        self._done[:] = 0
-        self._traffic[:] = 0
-        self._times[:] = 0.0
-        self._progress[:] = -1
 
     # --------------------------------------------------------------- cleanup
     def close(self) -> None:

@@ -47,10 +47,10 @@ class Telemetry:
     """Unified observability handle for one run.
 
     Pass an instance to :func:`repro.generate` (``telemetry=``), an engine
-    constructor, a :class:`~repro.mpsim.pool.WorkerPool`, or a
-    :class:`~repro.mpsim.supervisor.Supervisor`; after the run it holds the
-    merged spans and metrics of every participating process and can export
-    them (:meth:`to_chrome_trace`, :meth:`to_prometheus`, :meth:`to_jsonl`).
+    constructor, or a :class:`~repro.mpsim.supervisor.Supervisor`; after the
+    run it holds the merged spans and metrics of every participating process
+    and can export them (:meth:`to_chrome_trace`, :meth:`to_prometheus`,
+    :meth:`to_jsonl`).
     """
 
     enabled = True

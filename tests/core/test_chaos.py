@@ -20,6 +20,8 @@ from repro.core.partitioning import make_partition
 from repro.mpsim.errors import DeadlockError, MPSimError
 from repro.mpsim.faults import FaultPlan
 
+pytestmark = pytest.mark.usefixtures("no_leftovers")
+
 SEEDS = [0, 1, 2]
 
 

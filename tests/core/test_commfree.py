@@ -30,6 +30,8 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.validation import validate_pa_graph
 from repro.seq.commfree_ref import commfree_reference
 
+pytestmark = pytest.mark.usefixtures("no_leftovers")
+
 
 def concat_slices(n, ranks, **kw) -> EdgeList:
     el = EdgeList()
@@ -313,7 +315,6 @@ class TestGenerateFacade:
         (dict(checkpoint_dir="unused"), "snapshot"),
         (dict(checkpoint_path="unused"), "snapshot"),
         (dict(schedule=object()), "messages"),
-        (dict(pool=object()), "pool"),
         (dict(engine="event"), "zero-message"),
     ])
     def test_meaningless_knobs_rejected(self, kwargs, fragment):

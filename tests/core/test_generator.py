@@ -8,7 +8,7 @@ import pytest
 
 from repro import Telemetry, generate
 from repro.cli import main
-from repro.core.generator import CONFLICTS
+from repro.core.generator import CONFLICTS, check_run
 from repro.core.partitioning import make_partition
 from repro.mpsim.costmodel import CostModel
 from repro.mpsim.faults import FaultPlan
@@ -71,6 +71,24 @@ class TestFacade:
         with pytest.raises(ValueError, match="unknown engine"):
             generate(100, engine="quantum")
 
+    @pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+    def test_p_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match="p must be in"):
+            generate(200, ranks=2, p=p)
+
+    def test_p_one_rejected_when_x_above_one(self):
+        # generate() on this spec redraws its direct slots forever, so only
+        # the check is called
+        with pytest.raises(ValueError, match="below 1 when x > 1"):
+            check_run(n=200, x=3, p=1.0)
+        check_run(n=200, x=1, p=1.0)  # one slot per node cannot collide
+
+    def test_negative_barrier_timeout_rejected_before_fork(self):
+        # the 0 case is the barrier-timeout row of REJECTED
+        with pytest.raises(ValueError, match="barrier_timeout must be > 0"):
+            generate(2000, ranks=2, engine="mp", barrier_timeout=-1)
+        assert multiprocessing.active_children() == []
+
     def test_partition_mismatch(self):
         part = make_partition("rrp", 100, 2)
         with pytest.raises(ValueError):
@@ -104,16 +122,11 @@ REJECTED = {
     "unknown-generator": (dict(n=100, generator="nope"), None),
     "unknown-engine": (dict(n=100, engine="quantum"), None),
     "x": (dict(n=100, x=0), ["-n", "100", "-x", "0"]),
+    "p": (dict(n=100, p=1.5), ["-n", "100", "-p", "1.5"]),
     "ranks": (dict(n=100, ranks=0), ["-n", "100", "-P", "0"]),
     "n-not-above-x": (dict(n=5, x=6), ["-n", "5", "-x", "6"]),
     "partition-size": (
         dict(n=200, partition=make_partition("rrp", 100, 2)), None
-    ),
-    "evolve-event": (
-        dict(n=100, ranks=2, engine="event", evolve=object()), None
-    ),
-    "evolve-out-of-core": (
-        dict(n=100, evolve=object(), out_of_core="spill"), None
     ),
     "spill-budget": (
         dict(n=100, out_of_core="spill", spill_budget_bytes=0),
@@ -126,11 +139,6 @@ REJECTED = {
     "out-of-core-sequential-x": (
         dict(n=100, x=2, engine="sequential", out_of_core="spill"),
         ["-n", "100", "-x", "2", "--engine", "sequential",
-         "--out-of-core", "spill"],
-    ),
-    "out-of-core-pool": (
-        dict(n=100, ranks=2, engine="mp", pool=object(), out_of_core="spill"),
-        ["-n", "100", "-P", "2", "--engine", "mp", "--pool",
          "--out-of-core", "spill"],
     ),
     "out-of-core-checkpoint": (
@@ -149,11 +157,6 @@ REJECTED = {
     "commfree-schedule": (
         dict(n=100, generator="commfree", schedule=object()), None
     ),
-    "commfree-pool": (
-        dict(n=100, ranks=2, engine="mp", generator="commfree", pool=object()),
-        ["-n", "100", "-P", "2", "--engine", "mp", "--generator", "commfree",
-         "--pool"],
-    ),
     "commfree-partition": (
         dict(n=100, generator="commfree",
              partition=make_partition("rrp", 100, 2)),
@@ -169,19 +172,9 @@ REJECTED = {
     "schedule-supervised": (
         dict(n=100, ranks=2, schedule=object(), checkpoint_dir="ck"), None
     ),
-    "pool-engine": (
-        dict(n=100, ranks=2, engine="bsp", pool=object()),
-        ["-n", "100", "-P", "2", "--pool"],
-    ),
-    "pool-telemetry": (
-        dict(n=100, ranks=2, engine="mp", pool=object(),
-             telemetry=Telemetry()),
-        None,
-    ),
-    "pool-checkpoint": (
-        dict(n=100, ranks=2, engine="mp", pool=object(), checkpoint_dir="ck"),
-        ["-n", "100", "-P", "2", "--engine", "mp", "--pool",
-         "--checkpoint-dir", "ck"],
+    "barrier-timeout": (
+        dict(n=100, ranks=2, engine="mp", barrier_timeout=0.0),
+        ["-n", "100", "-P", "2", "--engine", "mp", "--barrier-timeout", "0"],
     ),
     "sequential-ranks": (
         dict(n=100, ranks=2, engine="sequential"),

@@ -42,6 +42,8 @@ from repro.core.spill import (
 from repro.graph.edgelist import EdgeList
 from repro.mpsim.errors import CorruptCheckpointError, RankFailure
 
+pytestmark = pytest.mark.usefixtures("no_leftovers")
+
 #: small enough to force many flushes/shards on a few thousand edges
 TINY = 1 << 10
 
@@ -506,7 +508,7 @@ class TestGenerateOutOfCore:
         "kwargs,fragment",
         [
             (dict(engine="event"), "event-driven"),
-            (dict(engine="mp", pool=object()), "pooled workers"),
+            (dict(engine="bsp", checkpoint_dir="ck"), "two shard lifecycles"),
             (dict(checkpoint_path="x.ckpt"), "shard lifecycles"),
             (dict(engine="mp", checkpoint_dir="ck"), "shard lifecycles"),
             (dict(spill_budget_bytes=0), "spill_budget_bytes"),

@@ -19,6 +19,8 @@ from repro.mpsim.mp_backend import MultiprocessingBSPEngine
 from repro.mpsim.p2p import MailboxOverflow
 from repro.rng import StreamFactory
 
+pytestmark = pytest.mark.usefixtures("no_leftovers")
+
 
 def _collect_edges(results) -> EdgeList:
     edges = EdgeList()

@@ -13,19 +13,18 @@ itself, so the parent must: no run leaves shared memory behind.
 import os
 import time
 
-import numpy as np
 import pytest
 
 from repro.core.generator import generate
 from repro.core.parallel_pa import PAx1RankProgram
 from repro.core.partitioning import make_partition
-from repro.graph.edgelist import EdgeList
 from repro.mpsim.errors import RankFailure
 from repro.mpsim.faults import FaultPlan
 from repro.mpsim.heartbeat import Heartbeats
 from repro.mpsim.mp_backend import MultiprocessingBSPEngine
-from repro.mpsim.pool import WorkerPool
 from repro.rng import StreamFactory
+
+pytestmark = pytest.mark.usefixtures("no_leftovers")
 
 #: mp_backend._LIVENESS_POLL — the coordinator's dead-worker detection period
 _LIVENESS_POLL = 0.25
@@ -34,13 +33,6 @@ _LIVENESS_POLL = 0.25
 def _x1_programs(part, seed):
     factory = StreamFactory(seed)
     return [PAx1RankProgram(r, part, 0.5, factory.stream(r)) for r in range(part.P)]
-
-
-def _collect_edges(results) -> EdgeList:
-    edges = EdgeList()
-    for pair in results:
-        edges.append_arrays(pair[0], pair[1])
-    return edges
 
 
 # ------------------------------------------------------- supervised recovery
@@ -110,28 +102,6 @@ def test_detection_is_sentinel_fast_not_timeout_bound():
     assert elapsed < 2.5 + 4 * _LIVENESS_POLL, elapsed
 
 
-# ------------------------------------------------------------- pool healing
-def test_pool_survives_sigkilled_member():
-    """One killed member costs one job: the failed run raises RankFailure,
-    the next run heals (respawn + abandon + barrier reset) and is
-    bit-identical to a fresh pool's output."""
-    n, P, seed = 1_000, 4, 17
-    part = make_partition("rrp", n, P)
-    eng = MultiprocessingBSPEngine(P)
-    eng.run(_x1_programs(part, seed))
-    expected = _collect_edges(eng.results)
-
-    with WorkerPool(P, barrier_timeout=30.0) as pool:
-        with pytest.raises(RankFailure) as exc_info:
-            pool.run(_x1_programs(part, seed), fault_plan=FaultPlan().crash(2, at_superstep=2))
-        assert exc_info.value.rank == 2
-        pool.run(_x1_programs(part, seed))
-        healed = _collect_edges(pool.results)
-        assert pool.respawns == 1
-        assert pool.jobs_run == 1
-    assert np.array_equal(expected.canonical(), healed.canonical())
-
-
 # -------------------------------------------------------------- no leftovers
 def _shm_entries() -> set[str]:
     return set(os.listdir("/dev/shm"))
@@ -140,8 +110,8 @@ def _shm_entries() -> set[str]:
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="POSIX shm not at /dev/shm")
 def test_sigkilled_workers_leave_no_shared_memory(tmp_path):
     """A SIGKILLed worker cannot unlink its payload segments; the parent
-    does, after a supervised recovery, an unsupervised RankFailure and a
-    healed pool job alike."""
+    does, after a supervised recovery and an unsupervised RankFailure
+    alike."""
     n, P, seed = 2_000, 4, 11
     before = _shm_entries()
     result = generate(
@@ -157,14 +127,6 @@ def test_sigkilled_workers_leave_no_shared_memory(tmp_path):
             n, ranks=P, seed=seed, engine="mp",
             fault_plan=FaultPlan().crash(1, at_superstep=3),
         )
-    assert _shm_entries() - before == set()
-
-    part = make_partition("rrp", n, P)
-    with WorkerPool(P) as pool:
-        with pytest.raises(RankFailure):
-            pool.run(_x1_programs(part, seed), fault_plan=FaultPlan().crash(2, at_superstep=2))
-        pool.run(_x1_programs(part, seed))
-        assert pool.respawns == 1
     assert _shm_entries() - before == set()
 
 

@@ -98,34 +98,6 @@ def test_bsp_superstep_spans_carry_virtual_time():
     )
 
 
-def test_pool_runs_attach_telemetry_at_construction():
-    from repro.mpsim.pool import WorkerPool
-
-    baseline = _edges(engine="mp")
-    tel = Telemetry()
-    pool = WorkerPool(4, telemetry=tel)
-    try:
-        first = generate(1_500, ranks=4, seed=13, engine="mp", pool=pool).edges
-        second = generate(1_500, ranks=4, seed=13, engine="mp", pool=pool).edges
-    finally:
-        pool.close()
-    assert first == baseline and second == baseline
-    assert tel.counter("pool_jobs_total").value() == 2.0
-    jobs = [s for s in tel.spans.spans if s.name == "pool.job"]
-    assert [s.args["job"] for s in jobs] == [0, 1]
-
-
-def test_generate_refuses_telemetry_with_foreign_pool():
-    from repro.mpsim.pool import WorkerPool
-
-    pool = WorkerPool(2)
-    try:
-        with pytest.raises(ValueError, match="WorkerPool"):
-            generate(500, ranks=2, engine="mp", pool=pool, telemetry=Telemetry())
-    finally:
-        pool.close()
-
-
 # -------------------------------------------------------- crash robustness
 def test_crashed_and_recovered_run_yields_annotated_trace(tmp_path):
     n, seed = 2_000, 11

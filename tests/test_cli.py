@@ -164,16 +164,6 @@ class TestTelemetryCLI:
         out = capsys.readouterr().out
         assert "lane" in out and "barrier" in out
 
-    def test_trace_out_with_pool(self, tmp_path, capsys):
-        trace = tmp_path / "pool.trace.json"
-        rc = main(["generate", "-n", "1000", "-P", "4", "--engine", "mp",
-                   "--pool", "--seed", "5",
-                   "--trace-out", str(trace)])
-        assert rc == 0
-        from repro.telemetry.export import load_chrome_trace, validate_chrome_trace
-
-        assert validate_chrome_trace(load_chrome_trace(trace)) == []
-
     def test_plain_generate_records_no_telemetry(self, capsys):
         rc = main(["generate", "-n", "200", "-P", "2", "--seed", "1"])
         assert rc == 0
@@ -262,7 +252,6 @@ class TestCommfreeCLI:
     @pytest.mark.parametrize("extra,fragment", [
         (["--inject-faults", "1"], "no distributed state to crash"),
         (["--checkpoint-dir", "unused"], "nothing to snapshot"),
-        (["--pool", "--engine", "mp"], "drop pool="),
         (["--engine", "event"], "nothing to simulate"),
     ])
     def test_meaningless_flags_rejected(self, extra, fragment, capsys):
@@ -288,58 +277,3 @@ class TestGenerateRejections:
         err = capsys.readouterr().err
         assert fragment in err and err.count("\n") == 1
         assert not (tmp_path / "F").exists()
-
-
-class TestEvolveCLI:
-    def test_evolve_snapshot_inspect_roundtrip(self, tmp_path, capsys):
-        snaps = tmp_path / "snaps"
-        out = tmp_path / "evolved.bin"
-        rc = main(["evolve", "-n", "300", "-x", "2", "--engine", "bsp",
-                   "-P", "3", "--epochs", "4", "--seed", "3",
-                   "--snapshot-dir", str(snaps), "-o", str(out)])
-        assert rc == 0
-        assert out.exists()
-        run_out = capsys.readouterr().out
-        assert "evolved n=300" in run_out
-        assert "wrote 5 snapshots" in run_out
-
-        rc = main(["evolve", "--inspect", str(snaps)])
-        assert rc == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 5
-        assert lines[0].startswith("epoch")
-        assert all("digest=" in line for line in lines)
-
-    def test_evolve_deterministic_digest(self, capsys):
-        digests = []
-        for _ in range(2):
-            rc = main(["evolve", "-n", "200", "--epochs", "3", "--seed", "5"])
-            assert rc == 0
-            out = capsys.readouterr().out
-            digests.append(out.rsplit("digest ", 1)[1].strip())
-        assert digests[0] == digests[1]
-
-    def test_evolve_departure_faults(self, tmp_path, capsys):
-        rc = main(["evolve", "-n", "200", "--engine", "bsp", "-P", "2",
-                   "--epochs", "3", "--seed", "7",
-                   "--checkpoint-dir", str(tmp_path / "ckpt"),
-                   "--departure-faults"])
-        assert rc == 0
-        assert "recoveries:" in capsys.readouterr().out
-
-    def test_inspect_missing_dir_fails_cleanly(self, tmp_path, capsys):
-        rc = main(["evolve", "--inspect", str(tmp_path / "nope")])
-        assert rc == 1
-        assert "no snapshot manifest" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("extra,fragment", [
-        (["-P", "2"], "one rank"),
-        (["--departure-faults", "--engine", "bsp", "-P", "2"],
-         "--checkpoint-dir"),
-        (["--departure-faults", "--engine", "bsp", "-P", "1",
-          "--checkpoint-dir", "unused"], "-P >= 2"),
-    ])
-    def test_invalid_combinations_rejected(self, extra, fragment, capsys):
-        rc = main(["evolve", "-n", "100", "--epochs", "2", *extra])
-        assert rc == 2
-        assert fragment in capsys.readouterr().err
