@@ -28,7 +28,7 @@ Package layout (see DESIGN.md for the full inventory):
 """
 
 from repro._version import __version__
-from repro.core.generator import GenerationResult, generate
+from repro.core.generator import GenerationResult, RunSpec, generate
 from repro.core.partitioning import make_partition
 from repro.core.streaming import stream_copy_model_x1
 from repro.distgraph import DistributedGraph
@@ -41,6 +41,7 @@ __all__ = [
     "DistributedGraph",
     "EdgeList",
     "GenerationResult",
+    "RunSpec",
     "Telemetry",
     "__version__",
     "fit_powerlaw",

@@ -28,11 +28,12 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "run_spec"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,53 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a PA network")
-    g.add_argument("-n", "--nodes", type=int, required=True, help="number of nodes")
-    g.add_argument("-x", "--edges-per-node", type=int, default=1)
-    g.add_argument("-p", "--prob", type=float, default=0.5, help="direct-attachment probability")
-    g.add_argument("-P", "--ranks", type=int, default=1, help="simulated processor count")
-    g.add_argument("--scheme", choices=["ucp", "lcp", "rrp", "ecp"], default="rrp")
-    g.add_argument("--engine", choices=["bsp", "event", "sequential", "mp"], default="bsp")
-    g.add_argument("--generator", choices=["copy", "commfree"], default="copy",
-                   help="'copy' (default): the paper's message-resolving "
-                        "copy-model pipeline; 'commfree': the communication-"
-                        "free family — every draw is recomputable from "
-                        "(seed, slot), so parallel ranks never exchange "
-                        "messages (engines: sequential, bsp, mp)")
-    g.add_argument("--seed", type=int, default=None)
+    _add_spec_flags(g)
     g.add_argument("-o", "--output", type=Path, default=None, help="output edge file")
     g.add_argument("--text", action="store_true", help="write text instead of binary")
     g.add_argument("--validate", action="store_true", help="validate before writing")
-    g.add_argument("--checkpoint", type=Path, default=None,
-                   help="snapshot engine state here every --checkpoint-every "
-                        "supersteps (--engine bsp or mp)")
-    g.add_argument("--checkpoint-every", type=int, default=1)
-    g.add_argument("--checkpoint-dir", type=Path, default=None,
-                   help="rotate checkpoints under this directory and run "
-                        "supervised: crashes are recovered automatically "
-                        "(--engine bsp or mp; on mp, killed worker "
-                        "processes are respawned and resumed)")
-    g.add_argument("--checkpoint-keep", type=int, default=3,
-                   help="checkpoint generations to retain in --checkpoint-dir")
-    g.add_argument("--inject-faults", type=int, default=None, metavar="SEED",
-                   help="inject a deterministic chaos fault plan seeded here "
-                        "(combine with --checkpoint-dir to recover from it)")
-    g.add_argument("--max-retries", type=int, default=3,
-                   help="supervised recovery attempts before giving up")
-    g.add_argument("--barrier-timeout", type=float, default=120.0,
-                   help="wall-clock bound (s) on one --engine mp superstep "
-                        "barrier; dead ranks are detected much faster via "
-                        "sentinels, this only catches wedged-but-alive ones")
-    g.add_argument("--out-of-core", type=Path, default=None, metavar="DIR",
-                   help="write edges once, in place, into sha256-verified "
-                        "column files under DIR instead of accumulating "
-                        "them in RAM; peak RSS of "
-                        "the edge-storage layer is bounded by "
-                        "--spill-budget-mb and the output is bit-identical "
-                        "to the in-RAM path (see docs/performance.md)")
-    g.add_argument("--spill-budget-mb", type=float, default=64.0,
-                   help="out-of-core budget in MiB for the write buffer "
-                        "and the verification reads "
-                        "(default: 64)")
     g.add_argument("--trace-out", type=Path, default=None,
                    help="record telemetry and write a Chrome trace-event "
                         "JSON here (open in chrome://tracing / Perfetto, "
@@ -181,13 +139,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per scalar :class:`~repro.core.generator.RunSpec` field,
+    spelled, parsed and documented as the field declares."""
+    from repro.core.generator import RunSpec
+
+    for f in fields(RunSpec):
+        meta = f.metadata
+        if not meta["flags"]:
+            continue  # object-valued: library only
+        required = f.default is MISSING
+        parser.add_argument(
+            *meta["flags"], dest=f.name, type=meta["parse"], metavar=meta["metavar"],
+            required=required, default=None if required else f.default, help=meta["help"],
+        )
+
+
+def run_spec(args: argparse.Namespace, telemetry=None):
+    """The :class:`~repro.core.generator.RunSpec` of parsed ``generate``
+    arguments; raises :class:`ValueError` if it is invalid."""
+    from repro.core.generator import RunSpec
+
+    knobs = {f.name: getattr(args, f.name) for f in fields(RunSpec) if f.metadata["flags"]}
+    return RunSpec(**knobs, telemetry=telemetry)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     return _COMMANDS[args.command](args)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    from repro.core.generator import check_run, generate
+    from repro.core.generator import generate
     from repro.graph import io as gio
 
     tel = None
@@ -195,37 +178,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         from repro.telemetry import Telemetry
 
         tel = Telemetry()
-    spec = dict(
-        n=args.nodes,
-        x=args.edges_per_node,
-        p=args.prob,
-        ranks=args.ranks,
-        scheme=args.scheme,
-        engine=args.engine,
-        seed=args.seed,
-        checkpoint_path=str(args.checkpoint) if args.checkpoint else None,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_dir=str(args.checkpoint_dir) if args.checkpoint_dir else None,
-        checkpoint_keep=args.checkpoint_keep,
-        fault_seed=args.inject_faults,
-        max_retries=args.max_retries,
-        barrier_timeout=args.barrier_timeout,
-        telemetry=tel,
-        generator=args.generator,
-        out_of_core=str(args.out_of_core) if args.out_of_core else None,
-        spill_budget_bytes=int(args.spill_budget_mb * (1 << 20)),
-    )
     try:
-        check_run(**spec)
+        spec = run_spec(args, tel)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
     t0 = time.perf_counter()
-    result = generate(**spec)
+    result = generate(**{f.name: getattr(spec, f.name) for f in fields(spec)})
     wall = time.perf_counter() - t0
     print(
-        f"generated n={args.nodes} x={args.edges_per_node} "
-        f"m={len(result.edges)} on P={args.ranks} ({result.scheme}/{args.engine}) "
+        f"generated n={spec.n} x={spec.x} "
+        f"m={len(result.edges)} on P={result.ranks} ({result.scheme}/{spec.engine}) "
         f"in {wall:.2f}s wall / {result.simulated_time:.4f}s simulated, "
         f"{result.supersteps} supersteps, imbalance {result.imbalance:.3f}"
     )

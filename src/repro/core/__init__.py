@@ -30,7 +30,7 @@ from repro.core.partitioning import (
     UniformPartition,
     make_partition,
 )
-from repro.core.generator import GenerationResult, generate
+from repro.core.generator import GenerationResult, RunSpec, generate
 from repro.core.chains import chain_statistics, dependency_chains, selection_chain
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "LinearPartition",
     "Partition",
     "RoundRobinPartition",
+    "RunSpec",
     "UniformPartition",
     "chain_statistics",
     "dependency_chains",

@@ -31,19 +31,20 @@ message pipeline for the communication-free family
 (:mod:`repro.core.commfree`): ranks recompute foreign endpoints from
 counter-based randomness instead of requesting them, so the ``mp`` surface
 degenerates to embarrassingly-parallel slice workers with no exchange at
-all.
+all.  It has the copy model's attachment statistics but draws a different
+graph at equal seeds.
 
-Which knobs combine is decided in one place: :data:`CONFLICTS` lists every
-rejected combination with its one-line reason, and :func:`check_run` applies
-it before anything is forked or written (the CLI calls it too).
+A run is described by one :class:`RunSpec`, whose fields are
+:func:`generate`'s keywords and ``repro-pa generate``'s flags.  Which knobs
+combine is decided in one place: :data:`CONFLICTS` lists every rejected
+combination with its one-line reason, and constructing the spec applies it
+before anything is forked or written.
 """
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -58,13 +59,13 @@ from repro.core.commfree import (
 )
 from repro.core.parallel_pa import PAx1RankProgram, ResultRegions
 from repro.core.parallel_pa_general import PAGeneralRankProgram
-from repro.core.partitioning import Partition, make_partition
+from repro.core.partitioning import SCHEMES, Partition, make_partition
 from repro.core.streaming import stream_copy_model_x1
 from repro.graph.degree import degrees_from_edges
 from repro.graph.edgelist import EdgeList
 from repro.graph.validation import ValidationReport, validate_pa_graph
 from repro.mpsim.bsp import BSPEngine
-from repro.mpsim.checkpoint import Checkpointer
+from repro.mpsim.checkpoint import CHECKPOINT_NAME, Checkpointer
 from repro.mpsim.costmodel import CostModel
 from repro.mpsim.faults import FaultPlan
 from repro.mpsim.mp_backend import MultiprocessingBSPEngine, _check_mp_fault_plan
@@ -74,22 +75,135 @@ from repro.seq.copy_model import copy_model
 from repro.telemetry.collector import resolve
 
 __all__ = [
-    "CONFLICTS", "Conflict", "GenerationResult", "check_run", "generate", "rank_programs",
+    "CONFLICTS", "Conflict", "GenerationResult", "RunSpec", "generate", "rank_programs",
 ]
+
+
+def _knob(
+    default: Any, help: str, *flags: str,
+    parse: Callable[[str], Any] | None = None, metavar: str | None = None,
+) -> Any:
+    """A :class:`RunSpec` field: its default and one line of help, plus, for
+    a scalar knob, the ``repro-pa generate`` flags that set it and the parser
+    of their value (``None`` keeps the string)."""
+    return field(
+        default=default,
+        metadata={"help": help, "flags": flags, "parse": parse, "metavar": metavar},
+    )
+
+
+def _mib(text: str) -> int:
+    """``--spill-budget-mb``'s value, in bytes."""
+    return int(float(text) * (1 << 20))
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """One validated :func:`generate` call: every knob of a run.
+
+    Each field carries its default and one line of help; the scalar ones
+    also carry their ``repro-pa generate`` flags, from which the CLI builds
+    its parser.  Construction applies :data:`CONFLICTS` (and, on
+    ``engine="mp"``, rejects fault plans real processes cannot realise), so
+    an invalid spec raises one :class:`ValueError` before any process forks
+    or any file is written.
+
+    ``checkpoint_dir`` runs the job under a
+    :class:`~repro.mpsim.supervisor.Supervisor`: snapshots rotate through
+    ``checkpoint_keep`` generations there, and rank crashes and deadlocks
+    (on ``mp``, real ``SIGKILL``-ed workers) are recovered bit-identically
+    up to ``max_retries`` times.  With ``max_retries=0`` the first failure
+    raises, and :func:`repro.mpsim.checkpoint.resume` finishes the run from
+    the directory.  ``out_of_core`` writes the edges once, in place, into
+    sha256-verified column files (``result.edges`` is then a
+    :class:`repro.core.spill.SpillEdgeList`), bit-identical to the in-RAM
+    path; see ``docs/performance.md``.
+    """
+
+    n: int = _knob(MISSING, "number of nodes", "-n", "--nodes", parse=int)
+    x: int = _knob(1, "edges contributed by each new node", "-x", "--edges-per-node",
+                   parse=int)
+    p: float = _knob(0.5, "copy-model direct-attachment probability (0.5 is exact BA)",
+                     "-p", "--prob", parse=float)
+    ranks: int = _knob(1, "processor count: simulated on bsp/event, processes on mp",
+                       "-P", "--ranks", parse=int)
+    scheme: str = _knob("rrp", "partitioning scheme: ucp, lcp, rrp, or ecp", "--scheme")
+    seed: int | None = _knob(None, "root seed; the same spec reproduces the same graph",
+                             "--seed", parse=int)
+    engine: str = _knob("bsp", "bsp, event, sequential (ranks=1), or mp", "--engine")
+    partition: Partition | None = _knob(None, "pre-built partition; overrides ranks "
+                                              "and scheme")
+    cost_model: CostModel | None = _knob(None, "virtual-time charges of the simulated "
+                                               "cluster")
+    checkpoint_every: int = _knob(1, "snapshot period in supersteps (with "
+                                     "--checkpoint-dir)", "--checkpoint-every", parse=int)
+    checkpoint_dir: str | None = _knob(
+        None, "snapshot under this directory and recover crashes from it "
+              "(engines bsp and mp)", "--checkpoint-dir", metavar="DIR",
+    )
+    checkpoint_keep: int = _knob(3, "snapshot generations kept in --checkpoint-dir",
+                                 "--checkpoint-keep", parse=int)
+    fault_plan: Any = _knob(None, "FaultPlan to inject")
+    fault_seed: int | None = _knob(
+        None, "inject a one-crash chaos plan seeded here (recovered with "
+              "--checkpoint-dir)", "--inject-faults", parse=int, metavar="SEED",
+    )
+    max_retries: int = _knob(3, "recoveries a --checkpoint-dir run attempts before "
+                                "giving up (0: resume by hand)", "--max-retries", parse=int)
+    barrier_timeout: float = _knob(
+        120.0, "wall-clock bound in seconds on one mp superstep barrier; it "
+               "catches wedged ranks, dead ones are detected within a poll",
+        "--barrier-timeout", parse=float,
+    )
+    telemetry: Any = _knob(None, "Telemetry that collects the run's spans and metrics "
+                                 "(observation only)")
+    generator: str = _knob(
+        "copy", "copy (the paper's message-resolving copy model) or commfree "
+                "(no messages: engines sequential, bsp, mp)", "--generator",
+    )
+    out_of_core: str | None = _knob(
+        None, "write the edges in place into sha256-verified column files "
+              "under DIR instead of RAM", "--out-of-core", metavar="DIR",
+    )
+    spill_budget_bytes: int = _knob(
+        64 << 20, "out-of-core budget for the write buffer and the "
+                  "verification reads (flag in MiB)", "--spill-budget-mb", parse=_mib,
+        metavar="MIB",
+    )
+
+    def __post_init__(self) -> None:
+        for row in CONFLICTS:
+            if row.when(self):
+                knobs = {f.name: getattr(self, f.name) for f in fields(self)}
+                raise ValueError(row.reason.format(**knobs))
+        if self.engine == "mp":
+            _check_mp_fault_plan(self.fault_plan)
+
+    @property
+    def nranks(self) -> int:
+        """The run's rank count: the partition's, else ``ranks``."""
+        return self.partition.P if self.partition is not None else self.ranks
+
+    @property
+    def checkpointing(self) -> bool:
+        return self.checkpoint_dir is not None
+
+    @property
+    def faults(self) -> bool:
+        return self.fault_plan is not None or self.fault_seed is not None
 
 
 @dataclass
 class GenerationResult:
     """Everything a run produced: the graph plus execution telemetry."""
 
+    #: the run's validated spec
+    spec: RunSpec
     edges: EdgeList
-    n: int
-    x: int
-    p: float
+    #: the partitioning scheme run (``"contig"`` for commfree slices,
+    #: ``"none"`` for the sequential copy model)
     scheme: str
     ranks: int
-    engine: str
-    seed: int | None
     #: simulated parallel runtime (seconds under the cost model); equals the
     #: sequential compute estimate when ``ranks == 1``/sequential engine
     simulated_time: float
@@ -110,6 +224,13 @@ class GenerationResult:
     #: the :class:`repro.mpsim.faults.FaultPlan` the run executed under
     #: (``None`` for fault-free runs); its ``log`` lists every applied fault
     fault_plan: Any = None
+
+    # the spec's knobs a result is most often read for
+    n = property(lambda self: self.spec.n)
+    x = property(lambda self: self.spec.x)
+    p = property(lambda self: self.spec.p)
+    engine = property(lambda self: self.spec.engine)
+    seed = property(lambda self: self.spec.seed)
 
     @property
     def total_load_per_rank(self) -> np.ndarray:
@@ -136,17 +257,15 @@ class Conflict(NamedTuple):
 
     #: short label for the combination
     name: str
-    #: predicate over :func:`generate`'s keywords (plus ``nranks``,
-    #: ``checkpointing`` and ``faults``, see :func:`check_run`); true means
-    #: rejected
-    when: Callable[[SimpleNamespace], bool]
-    #: the one-line reason, ``str.format``-ed with :func:`generate`'s keywords
+    #: predicate over the :class:`RunSpec` (its fields and its ``nranks``,
+    #: ``checkpointing`` and ``faults``); true means rejected
+    when: Callable[[RunSpec], bool]
+    #: the one-line reason, ``str.format``-ed with the spec's fields
     reason: str
 
 
-#: Every combination of :func:`generate` keywords that is rejected, in the
-#: order :func:`check_run` tests them; the first matching row's reason is
-#: the error.
+#: Every :class:`RunSpec` that is rejected, in the order its construction
+#: tests them; the first matching row's reason is the error.
 CONFLICTS: tuple[Conflict, ...] = (
     Conflict(
         "unknown-generator", lambda k: k.generator not in ("copy", "commfree"),
@@ -157,6 +276,11 @@ CONFLICTS: tuple[Conflict, ...] = (
         lambda k: k.engine not in ("bsp", "event", "sequential", "mp"),
         "unknown engine {engine!r}; choose bsp, event, sequential, or mp",
     ),
+    Conflict(
+        "unknown-scheme", lambda k: str(k.scheme).lower() not in SCHEMES,
+        "unknown scheme {scheme!r}; choose ucp, lcp, rrp, or ecp",
+    ),
+    Conflict("n", lambda k: k.n < 1, "n must be >= 1, got n={n}"),
     Conflict("x", lambda k: k.x < 1, "x must be >= 1, got x={x}"),
     Conflict(
         "p", lambda k: not 0 < k.p <= 1 or (k.p == 1 and k.x > 1),
@@ -176,9 +300,26 @@ CONFLICTS: tuple[Conflict, ...] = (
         "partition covers n={partition.n}, requested n={n}",
     ),
     Conflict(
+        "ranks-above-n", lambda k: k.generator == "copy" and k.nranks > k.n,
+        "the copy model gives every rank at least one node: need ranks <= n, "
+        "got ranks={ranks}, n={n}",
+    ),
+    Conflict(
         "spill-budget",
         lambda k: k.out_of_core is not None and k.spill_budget_bytes < 1,
         "spill_budget_bytes must be >= 1, got {spill_budget_bytes}",
+    ),
+    Conflict(
+        "checkpoint-every", lambda k: k.checkpointing and k.checkpoint_every < 1,
+        "checkpoint_every must be >= 1 superstep, got {checkpoint_every}",
+    ),
+    Conflict(
+        "checkpoint-keep", lambda k: k.checkpointing and k.checkpoint_keep < 1,
+        "checkpoint_keep must be >= 1 generation, got {checkpoint_keep}",
+    ),
+    Conflict(
+        "max-retries", lambda k: k.checkpointing and k.max_retries < 0,
+        "max_retries must be >= 0, got {max_retries}",
     ),
     Conflict(
         "out-of-core-event",
@@ -197,7 +338,7 @@ CONFLICTS: tuple[Conflict, ...] = (
         "out-of-core-checkpoint",
         lambda k: k.out_of_core is not None and k.checkpointing,
         "out_of_core= and checkpointing would combine two shard lifecycles, "
-        "which is not supported — drop checkpoint_path/checkpoint_dir",
+        "which is not supported — drop checkpoint_dir",
     ),
     Conflict(
         "commfree-faults", lambda k: k.generator == "commfree" and k.faults,
@@ -207,13 +348,7 @@ CONFLICTS: tuple[Conflict, ...] = (
     Conflict(
         "commfree-checkpoint", lambda k: k.generator == "commfree" and k.checkpointing,
         "commfree has nothing to snapshot: any slice is recomputable from "
-        "the seed alone — drop checkpoint_path/checkpoint_dir",
-    ),
-    Conflict(
-        "commfree-schedule",
-        lambda k: k.generator == "commfree" and k.schedule is not None,
-        "schedule= permutes message delivery order; commfree exchanges no "
-        "messages — drop schedule=",
+        "the seed alone — drop checkpoint_dir",
     ),
     Conflict(
         "commfree-partition",
@@ -225,18 +360,6 @@ CONFLICTS: tuple[Conflict, ...] = (
         "commfree-event", lambda k: k.generator == "commfree" and k.engine == "event",
         "a zero-message algorithm leaves the event-driven simulator nothing "
         "to simulate — use engine 'sequential', 'bsp', or 'mp'",
-    ),
-    Conflict(
-        "schedule-engine",
-        lambda k: k.schedule is not None and k.engine not in ("bsp", "event"),
-        "schedule= permutes the in-process engines' choice points; "
-        "engine={engine!r} does not expose them (use 'bsp' or 'event')",
-    ),
-    Conflict(
-        "schedule-supervised",
-        lambda k: k.schedule is not None and k.checkpoint_dir is not None,
-        "schedule= is single-use, so a supervised re-run would replay a "
-        "half-consumed decision stream — drop checkpoint_dir=",
     ),
     Conflict(
         "barrier-timeout", lambda k: not k.barrier_timeout > 0,
@@ -259,150 +382,13 @@ CONFLICTS: tuple[Conflict, ...] = (
 )
 
 
-def check_run(**knobs: Any) -> None:
-    """Reject an invalid :func:`generate` call before it forks or writes.
-
-    Takes :func:`generate`'s keywords and raises :class:`ValueError` with
-    the reason of the first matching :data:`CONFLICTS` row.  On
-    ``engine="mp"`` it also rejects fault plans real processes cannot
-    realise.
-    """
-    bound = inspect.signature(generate).bind(**knobs)
-    bound.apply_defaults()
-    k = SimpleNamespace(**bound.arguments)
-    k.nranks = _nranks(k.partition, k.ranks)
-    k.checkpointing = k.checkpoint_path is not None or k.checkpoint_dir is not None
-    k.faults = k.fault_plan is not None or k.fault_seed is not None
-    for row in CONFLICTS:
-        if row.when(k):
-            raise ValueError(row.reason.format(**bound.arguments))
-    if k.engine == "mp":
-        _check_mp_fault_plan(k.fault_plan)
-
-
-def _nranks(partition: Partition | None, ranks: int) -> int:
-    """The run's rank count: a given partition's, else ``ranks``."""
-    return partition.P if partition is not None else ranks
-
-
-def generate(
-    n: int,
-    x: int = 1,
-    p: float = 0.5,
-    ranks: int = 1,
-    scheme: str = "rrp",
-    seed: int | None = None,
-    engine: str = "bsp",
-    partition: Partition | None = None,
-    cost_model: CostModel | None = None,
-    checkpoint_path: str | None = None,
-    checkpoint_every: int = 1,
-    checkpoint_dir: str | None = None,
-    checkpoint_keep: int = 3,
-    fault_plan: Any = None,
-    fault_seed: int | None = None,
-    max_retries: int = 3,
-    barrier_timeout: float = 120.0,
-    telemetry: Any = None,
-    schedule: Any = None,
-    generator: str = "copy",
-    out_of_core: str | None = None,
-    spill_budget_bytes: int = 64 << 20,
-) -> GenerationResult:
+def generate(*args: Any, **knobs: Any) -> GenerationResult:
     """Generate a preferential-attachment network.
 
-    Knobs that do not combine (say ``out_of_core`` with checkpointing, or
-    ``schedule`` with an engine other than ``"bsp"``/``"event"``) are
-    rejected up front with a one-line :class:`ValueError`; :data:`CONFLICTS`
-    lists every rule and its reason.
-
-    Parameters
-    ----------
-    n:
-        Number of nodes.
-    x:
-        Edges contributed by each new node.
-    p:
-        Copy-model direct-attachment probability (``0.5`` = exact BA).
-    ranks:
-        Number of simulated processors.
-    scheme:
-        Partitioning scheme: ``"ucp"``, ``"lcp"``, or ``"rrp"``.
-    generator:
-        ``"copy"`` (default) — the paper's copy-model pipeline, in which
-        ranks resolve dangling attachments through message exchange;
-        ``"commfree"`` — the communication-free family
-        (:mod:`repro.core.commfree`): every draw is a pure function of
-        ``(seed, slot)``, ranks recompute foreign endpoints locally, and
-        no messages exist to exchange.  Runs on the ``"sequential"``,
-        ``"bsp"`` (in-process slices), and ``"mp"`` (one forked worker per
-        slice) engines.  Same attachment statistics as the copy model, but
-        a *different* graph at equal seeds (different draw protocol).
-    seed:
-        Root seed; identical inputs reproduce the identical graph.
-    engine:
-        ``"bsp"``, ``"event"``, ``"sequential"``, or ``"mp"`` (see module
-        docstring).
-    partition:
-        Pre-built partition (overrides ``ranks``/``scheme``).
-    cost_model:
-        Virtual-time charges for the simulated cluster.
-    checkpoint_path, checkpoint_every:
-        When ``checkpoint_path`` is set (``bsp`` and ``mp`` engines), the
-        run snapshots its complete state there every ``checkpoint_every``
-        supersteps; crash recovery via
-        :func:`repro.mpsim.checkpoint.resume` is bit-exact.  On ``mp``,
-        workers write per-rank shards and the coordinator commits each
-        complete cut as an ordinary manifest, so the snapshot is loadable by
-        either engine.
-    checkpoint_dir, checkpoint_keep:
-        When ``checkpoint_dir`` is set (``bsp`` and ``mp`` engines),
-        snapshots rotate through ``checkpoint_keep`` generations under that
-        directory and the run executes under a
-        :class:`repro.mpsim.supervisor.Supervisor`: rank crashes and
-        deadlocks — on ``mp``, real ``SIGKILL``-ed worker processes — are
-        recovered automatically (up to ``max_retries`` times) and recorded
-        in the result's ``recoveries``.
-    fault_plan, fault_seed:
-        Inject faults: either an explicit
-        :class:`repro.mpsim.faults.FaultPlan`, or a seed from which a
-        default chaos plan (one scheduled rank crash) is derived.  With a
-        supervised run (``checkpoint_dir``) the output is still
-        bit-identical to the fault-free graph; without supervision failures
-        propagate to the caller.
-    max_retries:
-        Recovery budget for supervised runs.
-    barrier_timeout:
-        Last-resort wall-clock bound (seconds) on one ``engine="mp"``
-        superstep barrier.  Worker deaths are detected by the
-        coordinator within one liveness poll and abort the barrier, so this
-        only matters for organically wedged (not dead) ranks.
-    schedule:
-        Optional :class:`repro.schedsim.Schedule` permuting message delivery
-        and rank activation order in the in-process ``bsp``/``event``
-        engines (the real-process backend's interleavings are the OS's to
-        make).  Used by ``repro-pa explore``; see
-        ``docs/schedule_exploration.md``.
-    telemetry:
-        Optional :class:`repro.telemetry.Telemetry`; the run's spans and
-        metrics (across every engine, including mp worker processes) land on
-        it for export — ``telemetry.to_chrome_trace("run.trace.json")``,
-        ``telemetry.to_prometheus()`` — see ``docs/observability.md``.
-        Observation-only: the generated graph is bit-identical with
-        telemetry on or off.
-    out_of_core, spill_budget_bytes:
-        When ``out_of_core`` names a directory, the run spills its edges to
-        disk instead of accumulating them in RAM: the coordinator pre-sizes
-        the final ``u``/``v`` columns, every worker/rank writes its edges
-        straight into its own region and seals a sha256 manifest, and the
-        coordinator verifies every region before adopting the files (never
-        copying an edge).  ``result.edges`` is a
-        :class:`repro.core.spill.SpillEdgeList`; ``spill_budget_bytes``
-        (default 64 MiB) bounds its in-RAM write buffer and the
-        verification reads.  The ``sequential`` engine spills through the
-        ``x=1`` streaming emitters.  Output is **bit-identical** to the
-        in-RAM path at every rank count.  See ``docs/performance.md``
-        (out-of-core section) for the format and the RSS budget semantics.
+    Takes :class:`RunSpec`'s fields — ``n`` and ``x`` may be positional, in
+    that order — whose defaults and one-line docs live there.  A spec that
+    :data:`CONFLICTS` rejects raises a one-line :class:`ValueError` before
+    anything forks or is written.  The run's spec is ``result.spec``.
 
     Examples
     --------
@@ -412,43 +398,44 @@ def generate(
     >>> len(r.edges)
     5994
     """
-    knobs = dict(locals())  # the keywords are the run spec
-    check_run(**knobs)
-
-    nranks = _nranks(partition, ranks)
-    plan = fault_plan
-    if plan is None and fault_seed is not None:
-        plan = FaultPlan.chaos(fault_seed, nranks, crashes=1)
-    tel = resolve(telemetry)
+    spec = RunSpec(*args, **knobs)
+    n, x, engine, nranks = spec.n, spec.x, spec.engine, spec.nranks
+    commfree_run = spec.generator == "commfree"
+    plan = spec.fault_plan
+    if plan is None and spec.fault_seed is not None:
+        plan = FaultPlan.chaos(spec.fault_seed, nranks, crashes=1)
+    tel = resolve(spec.telemetry)
     if tel.enabled:
         tel.meta.update(
-            engine=engine, generator=generator, n=n, x=x, p=p, ranks=nranks,
-            scheme="contig" if generator == "commfree" else scheme, seed=seed,
+            {f.name: getattr(spec, f.name) for f in fields(spec) if f.metadata["flags"]},
+            ranks=nranks, scheme="contig" if commfree_run else spec.scheme,
         )
 
-    if engine == "sequential" or generator == "commfree":
+    if engine == "sequential" or commfree_run:
         if engine == "sequential":
-            edges, sizes = _run_sequential(tel, **knobs), np.array([n], np.int64)
+            edges, sizes = _run_sequential(spec, tel), np.array([n], np.int64)
         else:
-            edges, sizes = _run_commfree_slices(tel, **knobs)
+            edges, sizes = _run_commfree_slices(spec, tel)
         # one-shot runs: pure compute, split perfectly over the ranks
-        cost = cost_model or CostModel()
+        cost = spec.cost_model or CostModel()
         run = dict(
-            edges=edges, scheme="contig" if generator == "commfree" else "none",
+            edges=edges, scheme="contig" if commfree_run else "none",
             ranks=nranks, nodes_per_rank=sizes, supersteps=0,
             simulated_time=cost.compute_time(n, work_items=len(edges)) / nranks,
             requests_sent=np.zeros(nranks, np.int64),
             requests_received=np.zeros(nranks, np.int64),
         )
     else:
-        part = partition if partition is not None else make_partition(scheme, n, ranks)
+        part = spec.partition
+        if part is None:
+            part = make_partition(spec.scheme, n, spec.ranks)
         if engine == "event":
             from repro.core.event_driven import run_event_driven_pa
 
             with tel.span("event.run", cat="run", tid=-1, n=n, x=x) as sp:
                 edges, sim = run_event_driven_pa(
-                    n, x, part, p=p, seed=seed, cost_model=cost_model,
-                    fault_injector=plan, schedule=schedule,
+                    n, x, part, p=spec.p, seed=spec.seed,
+                    cost_model=spec.cost_model, fault_injector=plan,
                 )
                 sp.note(virtual_total_s=sim.makespan)
             run = dict(
@@ -458,11 +445,9 @@ def generate(
                 world_stats=sim.stats,
             )
         else:
-            run = _run_supersteps(part, plan, **knobs)
+            run = _run_supersteps(spec, part, plan)
         run.update(scheme=part.scheme, ranks=part.P, nodes_per_rank=part.sizes())
-    return GenerationResult(
-        n=n, x=x, p=p, engine=engine, seed=seed, fault_plan=plan, **run
-    )
+    return GenerationResult(spec=spec, fault_plan=plan, **run)
 
 
 def rank_programs(
@@ -504,26 +489,22 @@ def rank_programs(
     ]
 
 
-def _run_supersteps(
-    part, plan, *, engine, n, x, p, seed, cost_model,
-    checkpoint_path, checkpoint_every, checkpoint_dir, checkpoint_keep,
-    max_retries, barrier_timeout, telemetry, schedule,
-    out_of_core, spill_budget_bytes, **_rest,
-) -> dict:
+def _run_supersteps(spec: RunSpec, part: Partition, plan: Any) -> dict:
     """Run the copy model's rank programs to quiescence on a superstep engine.
 
     ``engine="bsp"`` drives them in-process (:class:`BSPEngine`), ``"mp"`` in
     forked workers (:class:`~repro.mpsim.mp_backend.MultiprocessingBSPEngine`).
     ``checkpoint_dir`` runs under a
     :class:`~repro.mpsim.supervisor.Supervisor` that recovers crashes from
-    rotated snapshots, bit-identically; ``checkpoint_path`` snapshots without
-    supervision.  In RAM, every rank's result lands in its region of one
-    pair of preallocated columns (:class:`ResultRegions`); in-process x=1
-    programs resolve straight into theirs.  With ``out_of_core`` the
-    programs' wait queues are memmap-backed and each rank writes its result
-    into its region of the final columns on disk, which are verified and
-    adopted at the end.  Returns the run's :class:`GenerationResult` fields.
+    rotated snapshots, bit-identically.  In RAM, every rank's result lands
+    in its region of one pair of preallocated columns
+    (:class:`ResultRegions`); in-process x=1 programs resolve straight into
+    theirs.  With ``out_of_core`` the programs' wait queues are
+    memmap-backed and each rank writes its result into its region of the
+    final columns on disk, which are verified and adopted at the end.
+    Returns the run's :class:`GenerationResult` fields.
     """
+    engine, x, out_of_core, tel = spec.engine, spec.x, spec.out_of_core, spec.telemetry
     offsets = regions = None
     if out_of_core is not None:
         from repro.core import spill
@@ -541,7 +522,8 @@ def _run_supersteps(
         if offsets is not None:
             qf = spill.SpillQueueFactory(Path(out_of_core) / "queues")
         progs = rank_programs(
-            part, x, p, seed, queue_factory=qf, regions=regions if in_place else None
+            part, x, spec.p, spec.seed, queue_factory=qf,
+            regions=regions if in_place else None,
         )
         if offsets is None:
             return progs
@@ -555,33 +537,24 @@ def _run_supersteps(
     def build_engine():
         if engine == "mp":
             return MultiprocessingBSPEngine(
-                part.P, cost_model=cost_model,
-                barrier_timeout=barrier_timeout, telemetry=telemetry,
+                part.P, cost_model=spec.cost_model,
+                barrier_timeout=spec.barrier_timeout, telemetry=tel,
             )
-        return BSPEngine(part.P, cost_model=cost_model, telemetry=telemetry)
+        return BSPEngine(part.P, cost_model=spec.cost_model, telemetry=tel)
 
-    checkpointer = None
-    if checkpoint_dir is not None or checkpoint_path is not None:
-        rotated = checkpoint_dir is not None
+    if spec.checkpointing:
         checkpointer = Checkpointer(
-            Path(checkpoint_dir) / "run.ckpt" if rotated else checkpoint_path,
-            every=checkpoint_every, keep=checkpoint_keep if rotated else 1,
-            telemetry=telemetry,
+            Path(spec.checkpoint_dir) / CHECKPOINT_NAME, every=spec.checkpoint_every,
+            keep=spec.checkpoint_keep, telemetry=tel,
         )
-
-    if checkpoint_dir is not None:
         eng, programs = Supervisor(
             build_engine, build_programs, checkpointer,
-            max_retries=max_retries, telemetry=telemetry,
+            max_retries=spec.max_retries, telemetry=tel,
         ).run(fault_plan=plan)
     else:
         eng = build_engine()
         programs = build_programs()
-        # only the bsp engine takes a schedule
-        kw = {} if checkpointer is None else {"checkpointer": checkpointer}
-        if schedule is not None:
-            kw["schedule"] = schedule
-        eng.run(programs, fault_plan=plan, **kw)
+        eng.run(programs, fault_plan=plan)
 
     if engine == "mp":
         # the final program state lives in the workers; they sent it back
@@ -596,7 +569,7 @@ def _run_supersteps(
         if engine != "mp":
             for prog in programs:  # in-process ranks write their regions here
                 prog.result()
-        edges = spill.assemble_shards(out_of_core, part.P, spill_budget_bytes)
+        edges = spill.assemble_shards(out_of_core, part.P, spec.spill_budget_bytes)
     sent, received = np.array(list(zip(*counters)), dtype=np.int64)
     return dict(
         edges=edges, simulated_time=eng.simulated_time,
@@ -606,15 +579,14 @@ def _run_supersteps(
     )
 
 
-def _run_sequential(
-    tel, *, generator, n, x, p, seed, out_of_core, spill_budget_bytes, **_rest
-):
+def _run_sequential(spec: RunSpec, tel: Any):
     """One-shot sequential run of either generator (the ``T_s`` baseline).
 
     Out of core, the ``x = 1`` streaming emitter writes its ``n - 1`` edges
     block by block as the run's single region.
     """
-    if generator == "commfree":
+    n, x, p, seed, out_of_core = spec.n, spec.x, spec.p, spec.seed, spec.out_of_core
+    if spec.generator == "commfree":
         whole, stream = commfree, stream_commfree_x1
         span, spill_span = "commfree", "commfree.stream.spill"
     else:
@@ -628,13 +600,10 @@ def _run_sequential(
     with tel.span(spill_span, cat="compute", tid=0, n=n):
         offsets = spill.prepare_regions(out_of_core, [max(n - 1, 0)])
         spill.write_edge_shards(out_of_core, 0, offsets, stream(n, p=p, seed=seed))
-        return spill.assemble_shards(out_of_core, 1, spill_budget_bytes)
+        return spill.assemble_shards(out_of_core, 1, spec.spill_budget_bytes)
 
 
-def _run_commfree_slices(
-    tel, *, n, x, p, ranks, seed, engine, out_of_core, spill_budget_bytes,
-    **_rest,
-):
+def _run_commfree_slices(spec: RunSpec, tel: Any):
     """Compute the commfree slices in-process (``bsp``) or in forked workers
     (``mp``); return the edges and each slice's node count.
 
@@ -643,13 +612,15 @@ def _run_commfree_slices(
     into its region of the final columns and the columns are adopted as a
     :class:`repro.core.spill.SpillEdgeList`.
     """
+    n, x, p, ranks, seed = spec.n, spec.x, spec.p, spec.ranks, spec.seed
+    out_of_core, budget = spec.out_of_core, spec.spill_budget_bytes
     slices = commfree_slices(n, ranks)
     sizes = np.array([hi - lo for lo, hi in slices], dtype=np.int64)
-    if engine == "mp":
+    if spec.engine == "mp":
         with tel.span("commfree.mp", cat="run", tid=-1, n=n, x=x, P=ranks):
             edges = commfree_mp(
                 n, x=x, p=p, ranks=ranks, seed=seed,
-                spill_dir=out_of_core, budget_bytes=spill_budget_bytes,
+                spill_dir=out_of_core, budget_bytes=budget,
             )
         return edges, sizes
 
@@ -673,5 +644,5 @@ def _run_commfree_slices(
                     commfree_edge_slice(n, lo, hi, x=x, p=p, seed=seed, out=writer)
                     writer.seal()
     if out_of_core is not None:
-        edges = spill.assemble_shards(out_of_core, ranks, spill_budget_bytes)
+        edges = spill.assemble_shards(out_of_core, ranks, budget)
     return edges, sizes

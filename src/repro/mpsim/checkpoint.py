@@ -41,6 +41,7 @@ from repro.mpsim.errors import CorruptCheckpointError, MPSimError
 from repro.telemetry.collector import resolve
 
 __all__ = [
+    "CHECKPOINT_NAME",
     "Checkpointer",
     "CheckpointData",
     "ShardData",
@@ -53,6 +54,10 @@ __all__ = [
     "save_shard",
     "resume",
 ]
+
+#: the newest snapshot's file name in a checkpoint directory (a supervised
+#: run's ``checkpoint_dir``); older generations are ``run.ckpt.1``, ...
+CHECKPOINT_NAME = "run.ckpt"
 
 _MAGIC = "repro-bsp-checkpoint"
 _SHARD_MAGIC = "repro-bsp-shard"
@@ -301,10 +306,14 @@ def load_shard(path: str | Path) -> ShardData:
 def checkpoint_chain(path: str | Path) -> list[Path]:
     """Existing snapshot files for ``path``, newest first.
 
-    Discovers rotated generations (``<path>.1``, ``<path>.2``, ...) without
-    needing to know the writer's ``keep`` setting.
+    ``path`` is the newest snapshot's file, or a checkpoint directory holding
+    it as :data:`CHECKPOINT_NAME`.  Discovers rotated generations
+    (``<path>.1``, ``<path>.2``, ...) without needing to know the writer's
+    ``keep`` setting.
     """
     path = Path(path)
+    if path.is_dir():
+        path = path / CHECKPOINT_NAME
     out = [path] if path.exists() else []
     i = 1
     while True:
@@ -365,7 +374,8 @@ def resume(
     """Continue a checkpointed run to completion.
 
     Loads the newest *valid* snapshot in ``path``'s rotation chain (falling
-    back past corrupted generations).  Returns the reconstructed engine
+    back past corrupted generations); ``path`` may be a snapshot file or a
+    run's ``checkpoint_dir``.  Returns the reconstructed engine
     (with cumulative counters) and the finished rank programs; read results
     off the programs exactly as after a normal :meth:`BSPEngine.run`.
     ``max_supersteps`` defaults to the checkpoint's own recorded bound —

@@ -28,6 +28,7 @@ from repro.core.commfree import (
 from repro.core.generator import generate
 from repro.graph.edgelist import EdgeList
 from repro.graph.validation import validate_pa_graph
+from repro.mpsim.faults import FaultPlan
 from repro.seq.commfree_ref import commfree_reference
 
 pytestmark = pytest.mark.usefixtures("no_leftovers")
@@ -313,8 +314,8 @@ class TestGenerateFacade:
     @pytest.mark.parametrize("kwargs,fragment", [
         (dict(fault_seed=1), "fault"),
         (dict(checkpoint_dir="unused"), "snapshot"),
-        (dict(checkpoint_path="unused"), "snapshot"),
-        (dict(schedule=object()), "messages"),
+        (dict(checkpoint_dir="unused", max_retries=0), "snapshot"),
+        (dict(fault_plan=FaultPlan().crash(0, at_superstep=1)), "fault"),
         (dict(engine="event"), "zero-message"),
     ])
     def test_meaningless_knobs_rejected(self, kwargs, fragment):

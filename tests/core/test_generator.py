@@ -1,16 +1,20 @@
 """Tests for the top-level generate() facade."""
 
-import inspect
+import argparse
 import multiprocessing
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from repro import Telemetry, generate
-from repro.cli import main
-from repro.core.generator import CONFLICTS, check_run
+from repro.cli import build_parser, main, run_spec
+from repro.core.generator import CONFLICTS, RunSpec
+from repro.core.parallel_pa import ResultRegions
 from repro.core.partitioning import make_partition
+from repro.mpsim.checkpoint import resume
 from repro.mpsim.costmodel import CostModel
+from repro.mpsim.errors import UnrecoverableError
 from repro.mpsim.faults import FaultPlan
 
 
@@ -78,10 +82,10 @@ class TestFacade:
 
     def test_p_one_rejected_when_x_above_one(self):
         # generate() on this spec redraws its direct slots forever, so only
-        # the check is called
+        # the spec is built
         with pytest.raises(ValueError, match="below 1 when x > 1"):
-            check_run(n=200, x=3, p=1.0)
-        check_run(n=200, x=1, p=1.0)  # one slot per node cannot collide
+            RunSpec(n=200, x=3, p=1.0)
+        RunSpec(n=200, x=1, p=1.0)  # one slot per node cannot collide
 
     def test_negative_barrier_timeout_rejected_before_fork(self):
         # the 0 case is the barrier-timeout row of REJECTED
@@ -119,8 +123,14 @@ class TestReproducibility:
 #: arguments reaching the same row (None where no flag can express it).
 #: Paths are relative: the test runs inside an empty tmp_path.
 REJECTED = {
-    "unknown-generator": (dict(n=100, generator="nope"), None),
-    "unknown-engine": (dict(n=100, engine="quantum"), None),
+    "unknown-generator": (
+        dict(n=100, generator="nope"), ["-n", "100", "--generator", "nope"]
+    ),
+    "unknown-engine": (
+        dict(n=100, engine="quantum"), ["-n", "100", "--engine", "quantum"]
+    ),
+    "unknown-scheme": (dict(n=100, scheme="zcp"), ["-n", "100", "--scheme", "zcp"]),
+    "n": (dict(n=0), ["-n", "0"]),
     "x": (dict(n=100, x=0), ["-n", "100", "-x", "0"]),
     "p": (dict(n=100, p=1.5), ["-n", "100", "-p", "1.5"]),
     "ranks": (dict(n=100, ranks=0), ["-n", "100", "-P", "0"]),
@@ -128,9 +138,25 @@ REJECTED = {
     "partition-size": (
         dict(n=200, partition=make_partition("rrp", 100, 2)), None
     ),
+    "ranks-above-n": (dict(n=100, ranks=500), ["-n", "100", "-P", "500"]),
     "spill-budget": (
         dict(n=100, out_of_core="spill", spill_budget_bytes=0),
         ["-n", "100", "--out-of-core", "spill", "--spill-budget-mb", "0"],
+    ),
+    "checkpoint-every": (
+        dict(n=100, ranks=2, checkpoint_dir="ck", checkpoint_every=0),
+        ["-n", "100", "-P", "2", "--checkpoint-dir", "ck",
+         "--checkpoint-every", "0"],
+    ),
+    "checkpoint-keep": (
+        dict(n=100, ranks=2, checkpoint_dir="ck", checkpoint_keep=0),
+        ["-n", "100", "-P", "2", "--checkpoint-dir", "ck",
+         "--checkpoint-keep", "0"],
+    ),
+    "max-retries": (
+        dict(n=100, ranks=2, checkpoint_dir="ck", max_retries=-1),
+        ["-n", "100", "-P", "2", "--checkpoint-dir", "ck",
+         "--max-retries", "-1"],
     ),
     "out-of-core-event": (
         dict(n=100, ranks=2, engine="event", out_of_core="spill"),
@@ -151,11 +177,8 @@ REJECTED = {
         ["-n", "100", "--generator", "commfree", "--inject-faults", "1"],
     ),
     "commfree-checkpoint": (
-        dict(n=100, generator="commfree", checkpoint_path="ck.ckpt"),
-        ["-n", "100", "--generator", "commfree", "--checkpoint", "ck.ckpt"],
-    ),
-    "commfree-schedule": (
-        dict(n=100, generator="commfree", schedule=object()), None
+        dict(n=100, generator="commfree", checkpoint_dir="ck"),
+        ["-n", "100", "--generator", "commfree", "--checkpoint-dir", "ck"],
     ),
     "commfree-partition": (
         dict(n=100, generator="commfree",
@@ -165,12 +188,6 @@ REJECTED = {
     "commfree-event": (
         dict(n=100, generator="commfree", engine="event"),
         ["-n", "100", "--generator", "commfree", "--engine", "event"],
-    ),
-    "schedule-engine": (
-        dict(n=100, ranks=2, engine="mp", schedule=object()), None
-    ),
-    "schedule-supervised": (
-        dict(n=100, ranks=2, schedule=object(), checkpoint_dir="ck"), None
     ),
     "barrier-timeout": (
         dict(n=100, ranks=2, engine="mp", barrier_timeout=0.0),
@@ -185,9 +202,8 @@ REJECTED = {
         ["-n", "100", "--engine", "sequential", "--inject-faults", "1"],
     ),
     "checkpoint-engine": (
-        dict(n=100, ranks=2, engine="event", checkpoint_path="ck.ckpt"),
-        ["-n", "100", "-P", "2", "--engine", "event", "--checkpoint",
-         "ck.ckpt"],
+        dict(n=100, ranks=2, engine="event", checkpoint_dir="ck"),
+        ["-n", "100", "-P", "2", "--engine", "event", "--checkpoint-dir", "ck"],
     ),
 }
 
@@ -205,9 +221,8 @@ class TestConflictTable:
     ):
         monkeypatch.chdir(tmp_path)
         kwargs, argv = REJECTED[row.name]
-        spec = inspect.signature(generate).bind(**kwargs)
-        spec.apply_defaults()
-        reason = row.reason.format(**spec.arguments)
+        defaults = {f.name: f.default for f in fields(RunSpec)}
+        reason = row.reason.format(**{**defaults, **kwargs})
         with pytest.raises(ValueError) as exc_info:
             generate(**kwargs)
         assert str(exc_info.value) == reason
@@ -248,3 +263,65 @@ class TestPartitionRankCount:
         r = generate(500, x=2, seed=1, partition=make_partition("rrp", 500, 4),
                      telemetry=tel)
         assert tel.meta["ranks"] == r.ranks == 4
+
+
+#: the RunSpec fields no flag can express: they take library objects
+OBJECT_FIELDS = {"partition", "cost_model", "fault_plan", "telemetry"}
+
+
+class TestRunSpec:
+    """RunSpec is the one list of knobs: generate() takes its fields, the
+    result carries it, and ``repro-pa generate`` has one flag per scalar."""
+
+    def test_every_scalar_field_has_exactly_one_flag(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = [a.dest for a in sub.choices["generate"]._actions]
+        for f in fields(RunSpec):
+            assert dests.count(f.name) == (0 if f.name in OBJECT_FIELDS else 1), f.name
+        assert {f.name for f in fields(RunSpec) if not f.metadata["flags"]} == OBJECT_FIELDS
+
+    def test_parsed_flags_are_the_spec(self):
+        args = build_parser().parse_args(["generate", "-n", "1234"])
+        assert run_spec(args) == RunSpec(n=1234)
+        args = build_parser().parse_args(
+            ["generate", "--nodes", "50", "--edges-per-node", "2", "--prob", "0.25",
+             "--inject-faults", "4", "--spill-budget-mb", "0.5"])
+        assert run_spec(args) == RunSpec(
+            n=50, x=2, p=0.25, fault_seed=4, spill_budget_bytes=1 << 19
+        )
+
+    def test_result_carries_its_spec(self):
+        r = generate(300, 2, ranks=3, seed=4)
+        assert r.spec == RunSpec(300, 2, ranks=3, seed=4)
+        assert (r.n, r.x, r.p, r.engine, r.seed) == (300, 2, 0.5, "bsp", 4)
+
+    def test_telemetry_meta_is_the_scalar_fields(self):
+        tel = Telemetry()
+        generate(300, 2, ranks=3, seed=4, telemetry=tel)
+        scalars = {f.name for f in fields(RunSpec)} - OBJECT_FIELDS
+        assert scalars <= set(tel.meta)
+        assert (tel.meta["n"], tel.meta["x"], tel.meta["ranks"]) == (300, 2, 3)
+
+    def test_unknown_keyword_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            generate(100, checkpoint_path="run.ckpt")
+
+
+class TestResumeCheckpointDir:
+    """An unsupervised snapshot is ``checkpoint_dir=`` with ``max_retries=0``:
+    the first crash gives up, and ``resume(checkpoint_dir)`` finishes the run
+    bit-identically to the fault-free graph."""
+
+    @pytest.mark.parametrize("engine", ["bsp", "mp"])
+    def test_resume_finishes_a_crashed_run(self, engine, tmp_path, no_leftovers):
+        n, x, P, seed = 4000, 3, 4, 2
+        clean = generate(n, x, ranks=P, seed=seed)
+        ckpts = tmp_path / "ckpts"
+        with pytest.raises(UnrecoverableError):
+            generate(n, x, ranks=P, seed=seed, engine=engine,
+                     checkpoint_dir=str(ckpts), max_retries=0,
+                     fault_plan=FaultPlan().crash(1, at_superstep=3))
+        _, programs = resume(ckpts)
+        resumed = ResultRegions(x, make_partition("rrp", n, P)).edges(programs)
+        assert resumed == clean.edges

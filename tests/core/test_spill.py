@@ -509,7 +509,7 @@ class TestGenerateOutOfCore:
         [
             (dict(engine="event"), "event-driven"),
             (dict(engine="bsp", checkpoint_dir="ck"), "two shard lifecycles"),
-            (dict(checkpoint_path="x.ckpt"), "shard lifecycles"),
+            (dict(checkpoint_dir="ck", max_retries=0), "shard lifecycles"),
             (dict(engine="mp", checkpoint_dir="ck"), "shard lifecycles"),
             (dict(spill_budget_bytes=0), "spill_budget_bytes"),
             (dict(engine="sequential", x=2), "streaming emitter"),

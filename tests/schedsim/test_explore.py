@@ -5,6 +5,8 @@ both in-process engines, both algorithm variants, >= 16 schedules each with
 bit-identical edge lists (the CI job runs the full 64-schedule sweep).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -52,15 +54,18 @@ class TestInvarianceSweeps:
         assert explore(_config("bsp"), policy=policy, schedules=8).ok
         assert explore(_config("event"), policy=policy, schedules=8).ok
 
-    def test_baseline_schedule_reproduces_native_run(self):
-        """A threaded-through baseline Schedule changes nothing bit-wise."""
+    @pytest.mark.parametrize("engine", ["bsp", "event"])
+    @pytest.mark.parametrize("x", [1, X])
+    def test_baseline_matches_generate(self, engine, x):
+        """The fuzzer's runner reproduces the user path's graph."""
         from repro import generate
         from repro.core.partitioning import make_partition
 
-        part = make_partition("ecp", N, P)
-        native = generate(N, X, partition=part, seed=SEED).edges
-        sched = generate(N, X, partition=part, seed=SEED, schedule=Schedule()).edges
-        assert np.array_equal(native.canonical(), sched.canonical())
+        edges = generate(N, x, partition=make_partition("ecp", N, P), seed=SEED,
+                         engine=engine).edges
+        digest = hashlib.sha256(np.ascontiguousarray(edges.canonical()).tobytes())
+        rep = explore(_config(engine, x=x), schedules=1)
+        assert rep.baseline.digest == digest.hexdigest()
 
     def test_dpor_dedupes_commuting_orders(self):
         rep = explore(_config("event", x=1, n=120), policy="dpor", schedules=8)

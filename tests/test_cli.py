@@ -112,18 +112,6 @@ class TestDegreeDist:
         assert "*" in cap
 
 
-class TestCheckpointFlag:
-    def test_checkpoint_written(self, tmp_path, capsys):
-        ckpt = tmp_path / "run.ckpt"
-        rc = main(["generate", "-n", "2000", "-x", "3", "-P", "4",
-                   "--seed", "6", "--checkpoint", str(ckpt)])
-        assert rc == 0
-        assert ckpt.exists()
-        from repro.mpsim.checkpoint import load_checkpoint
-
-        assert load_checkpoint(ckpt).size == 4
-
-
 class TestAnalyze:
     def test_distributed_analysis(self, tmp_path, capsys):
         out = tmp_path / "g.bin"
@@ -264,7 +252,7 @@ class TestCommfreeCLI:
 class TestGenerateRejections:
     @pytest.mark.parametrize("extra,fragment", [
         (["--engine", "sequential", "-P", "2"], "requires ranks=1"),
-        (["--engine", "event", "-P", "2", "--checkpoint", "F"],
+        (["--engine", "event", "-P", "2", "--checkpoint-dir", "F"],
          "superstep boundaries"),
         (["-n", "5", "-x", "6"], "need n > x"),
     ])
