@@ -20,7 +20,9 @@ Engines:
     the literal per-message pseudocode on the event-driven simulator (small
     ``n`` — used for demonstrations and cross-validation);
 ``"sequential"``
-    the sequential copy model (``ranks`` must be 1), the ``T_s`` baseline;
+    one rank (``ranks`` must be 1), the ``T_s`` baseline: the blocked copy
+    model (:func:`~repro.seq.copy_model.copy_model_x1`) at ``x = 1``, the
+    ``ranks=1`` ``bsp`` run at ``x > 1``, one slice for commfree;
 ``"mp"``
     the same rank programs in real OS processes
     (:class:`~repro.mpsim.mp_backend.MultiprocessingBSPEngine`), whose
@@ -50,12 +52,10 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from repro.core.commfree import (
-    commfree,
     commfree_edge_counts,
     commfree_edge_slice,
     commfree_mp,
     commfree_slices,
-    stream_commfree_x1,
 )
 from repro.core.parallel_pa import PAx1RankProgram, ResultRegions
 from repro.core.parallel_pa_general import PAGeneralRankProgram
@@ -71,7 +71,7 @@ from repro.mpsim.faults import FaultPlan
 from repro.mpsim.mp_backend import MultiprocessingBSPEngine, _check_mp_fault_plan
 from repro.mpsim.supervisor import Supervisor
 from repro.rng import StreamFactory
-from repro.seq.copy_model import copy_model
+from repro.seq.copy_model import copy_model_x1
 from repro.telemetry.collector import resolve
 
 __all__ = [
@@ -130,7 +130,8 @@ class RunSpec:
     scheme: str = _knob("rrp", "partitioning scheme: ucp, lcp, rrp, or ecp", "--scheme")
     seed: int | None = _knob(None, "root seed; the same spec reproduces the same graph",
                              "--seed", parse=int)
-    engine: str = _knob("bsp", "bsp, event, sequential (ranks=1), or mp", "--engine")
+    engine: str = _knob("bsp", "bsp, event, sequential (ranks=1; at x>1 the ranks=1 "
+                               "bsp run), or mp", "--engine")
     partition: Partition | None = _knob(None, "pre-built partition; overrides ranks "
                                               "and scheme")
     cost_model: CostModel | None = _knob(None, "virtual-time charges of the simulated "
@@ -201,13 +202,13 @@ class GenerationResult:
     spec: RunSpec
     edges: EdgeList
     #: the partitioning scheme run (``"contig"`` for commfree slices,
-    #: ``"none"`` for the sequential copy model)
+    #: ``"none"`` for the sequential copy model at ``x = 1``)
     scheme: str
     ranks: int
     #: simulated parallel runtime (seconds under the cost model); equals the
     #: sequential compute estimate when ``ranks == 1``/sequential engine
     simulated_time: float
-    #: BSP supersteps (0 for sequential)
+    #: BSP supersteps (0 for the event engine, commfree and sequential x=1)
     supersteps: int
     #: per-rank outgoing request-message counts (Figure 7b)
     requests_sent: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
@@ -288,6 +289,12 @@ CONFLICTS: tuple[Conflict, ...] = (
         "one direct target for its x edges), got p={p}, x={x}",
     ),
     Conflict(
+        "seed",
+        lambda k: k.seed is not None
+        and (not isinstance(k.seed, (int, np.integer)) or k.seed < 0),
+        "seed must be None or a non-negative integer, got seed={seed!r}",
+    ),
+    Conflict(
         "ranks", lambda k: k.partition is None and k.ranks < 1,
         "ranks must be >= 1, got ranks={ranks}",
     ),
@@ -326,13 +333,6 @@ CONFLICTS: tuple[Conflict, ...] = (
         lambda k: k.out_of_core is not None and k.engine == "event",
         "out_of_core= bounds edge memory, and the event-driven simulator is a "
         "small-n demonstrator — use engine='bsp' or 'mp'",
-    ),
-    Conflict(
-        "out-of-core-sequential-x",
-        lambda k: k.out_of_core is not None and k.engine == "sequential"
-        and k.x != 1,
-        "sequential out-of-core needs a streaming emitter, and only x=1 has "
-        "one — use engine='bsp' or 'mp', or x=1",
     ),
     Conflict(
         "out-of-core-checkpoint",
@@ -411,11 +411,11 @@ def generate(*args: Any, **knobs: Any) -> GenerationResult:
             ranks=nranks, scheme="contig" if commfree_run else spec.scheme,
         )
 
-    if engine == "sequential" or commfree_run:
-        if engine == "sequential":
-            edges, sizes = _run_sequential(spec, tel), np.array([n], np.int64)
-        else:
+    if commfree_run or (engine == "sequential" and x == 1):
+        if commfree_run:
             edges, sizes = _run_commfree_slices(spec, tel)
+        else:
+            edges, sizes = _run_sequential(spec, tel), np.array([n], np.int64)
         # one-shot runs: pure compute, split perfectly over the ranks
         cost = spec.cost_model or CostModel()
         run = dict(
@@ -492,7 +492,8 @@ def rank_programs(
 def _run_supersteps(spec: RunSpec, part: Partition, plan: Any) -> dict:
     """Run the copy model's rank programs to quiescence on a superstep engine.
 
-    ``engine="bsp"`` drives them in-process (:class:`BSPEngine`), ``"mp"`` in
+    ``engine="bsp"`` drives them in-process (:class:`BSPEngine`), as does
+    ``"sequential"`` at ``x > 1`` over its one-rank partition; ``"mp"`` in
     forked workers (:class:`~repro.mpsim.mp_backend.MultiprocessingBSPEngine`).
     ``checkpoint_dir`` runs under a
     :class:`~repro.mpsim.supervisor.Supervisor` that recovers crashes from
@@ -580,32 +581,29 @@ def _run_supersteps(spec: RunSpec, part: Partition, plan: Any) -> dict:
 
 
 def _run_sequential(spec: RunSpec, tel: Any):
-    """One-shot sequential run of either generator (the ``T_s`` baseline).
+    """The sequential copy model at ``x = 1`` (:func:`copy_model_x1`).
 
-    Out of core, the ``x = 1`` streaming emitter writes its ``n - 1`` edges
-    block by block as the run's single region.
+    Out of core, its streaming emitter writes the ``n - 1`` edges block by
+    block as the run's single region.
     """
-    n, x, p, seed, out_of_core = spec.n, spec.x, spec.p, spec.seed, spec.out_of_core
-    if spec.generator == "commfree":
-        whole, stream = commfree, stream_commfree_x1
-        span, spill_span = "commfree", "commfree.stream.spill"
-    else:
-        whole, stream = copy_model, stream_copy_model_x1
-        span, spill_span = "copy_model", "copy_stream.spill"
+    n, p, seed, out_of_core = spec.n, spec.p, spec.seed, spec.out_of_core
     if out_of_core is None:
-        with tel.span(span, cat="compute", tid=0, n=n, x=x):
-            return whole(n, x=x, p=p, seed=seed)
+        with tel.span("copy_model", cat="compute", tid=0, n=n, x=1):
+            return copy_model_x1(n, p=p, seed=seed)
     from repro.core import spill
 
-    with tel.span(spill_span, cat="compute", tid=0, n=n):
+    with tel.span("copy_stream.spill", cat="compute", tid=0, n=n):
         offsets = spill.prepare_regions(out_of_core, [max(n - 1, 0)])
-        spill.write_edge_shards(out_of_core, 0, offsets, stream(n, p=p, seed=seed))
+        spill.write_edge_shards(
+            out_of_core, 0, offsets, stream_copy_model_x1(n, p=p, seed=seed)
+        )
         return spill.assemble_shards(out_of_core, 1, spec.spill_budget_bytes)
 
 
 def _run_commfree_slices(spec: RunSpec, tel: Any):
-    """Compute the commfree slices in-process (``bsp``) or in forked workers
-    (``mp``); return the edges and each slice's node count.
+    """Compute the commfree slices in-process (``bsp``; ``sequential`` is the
+    one-slice case) or in forked workers (``mp``); return the edges and each
+    slice's node count.
 
     Every surface produces the same edge list bit for bit (the point of
     counter-based randomness).  With ``out_of_core`` each slice is written

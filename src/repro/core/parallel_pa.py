@@ -41,7 +41,8 @@ as a single message.  Theorem 3.3 bounds dependency chains by ``O(log n)``,
 so the run quiesces in ``O(log n)`` supersteps.
 
 Randomness protocol: node ``t`` consumes exactly two uniforms from its
-owner's stream, in node order — first for ``k``, then for the coin.  The
+owner's stream, in node order — first for ``k``, then for the coin
+(:func:`repro.seq.copy_model.draw_x1`, shared with the sequential path).  The
 event-driven implementation follows the identical protocol, which is why the
 two engines produce bit-identical graphs (see
 ``tests/core/test_cross_engine.py``).
@@ -58,6 +59,7 @@ from repro.core.partitioning import Partition
 from repro.core.routing import route_by_dest
 from repro.graph.edgelist import EdgeList
 from repro.mpsim.bsp import BSPRankContext
+from repro.seq.copy_model import draw_x1
 
 __all__ = [
     "RECORD_DTYPE",
@@ -212,10 +214,7 @@ class PAx1RankProgram:
     def _draw_block(self, lo: int, block: range, out) -> None:
         """Draw, attach or defer the nodes ``block``, local slots from ``lo``."""
         t = _arange(block)
-        u = self.rng.random(2 * len(t)).reshape(-1, 2)
-        k = 1 + (u[:, 0] * (t - 1)).astype(np.int64)
-        direct = u[:, 1] < self.p
-        del u
+        k, direct = draw_x1(self.rng, t, self.p)
 
         d_sel = np.flatnonzero(direct)
         self.F[lo + d_sel] = k[d_sel]

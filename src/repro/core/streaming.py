@@ -7,16 +7,17 @@ This module supports that workflow for the ``x = 1`` copy model:
 * :func:`stream_copy_model_x1` yields the network as fixed-size edge
   *blocks*.  Only the attachment table ``F`` (8 bytes/node) is retained;
   the edges themselves — the dominant memory cost for ``x >= 1`` or when
-  materialised as Python/NumPy pairs — never accumulate.  Each block is
-  resolved with the same vectorised pointer jumping as the batch generator,
-  with chains ending in earlier blocks read straight out of ``F``.
+  materialised as Python/NumPy pairs — never accumulate.  The blocks come
+  from the batch generator's own block resolver (chains ending in earlier
+  blocks read straight out of ``F``), and each yields a slice of ``F``.
 * :class:`StreamingDegreeAccumulator` consumes blocks and maintains the
   degree array / histogram incrementally, so degree-distribution analysis
   (Figure 4) runs in one pass without ever holding the edge list.
 
-The stream is distribution-identical to :func:`repro.seq.copy_model.copy_model_x1`
-(and bit-identical to it for equal seeds: both consume two uniforms per node
-in node order — property-tested in ``tests/core/test_streaming.py``).
+The stream is bit-identical to :func:`repro.seq.copy_model.copy_model_x1`
+for equal seeds, whatever the block size (property-tested in
+``tests/core/test_streaming.py``).  ``generate(engine="sequential", x=1,
+out_of_core=...)`` spills through it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.seq.copy_model import resolve_pointers
+from repro.seq.copy_model import _check_params, _resolve_x1
 
 __all__ = ["stream_copy_model_x1", "StreamingDegreeAccumulator"]
 
@@ -51,7 +52,8 @@ def stream_copy_model_x1(
     Yields
     ------
     ``(u, v)`` array pairs; concatenated they equal the batch generator's
-    edge list for the same seed.
+    edge list for the same seed.  ``v`` is a read-only slice of the
+    stream's ``F``, final once yielded.
 
     Examples
     --------
@@ -59,58 +61,16 @@ def stream_copy_model_x1(
     >>> total
     9999
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
+    _check_params(n, 1, p)
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
     rng = rng or np.random.default_rng(seed)
-
-    F = np.full(n, -1, dtype=np.int64)
-    if n >= 2:
-        F[1] = 0
-
-    lo = 2
-    first = True
-    while lo < n or first:
-        if first:
-            first = False
-            if n < 2:
-                return
-            # block 0 starts at node 1 whose edge is deterministic
-            if lo >= n:
-                yield np.array([1], dtype=np.int64), np.array([0], dtype=np.int64)
-                return
-        hi = min(lo + block_size, n)
-        ts = np.arange(lo, hi, dtype=np.int64)
-        u = rng.random(2 * len(ts))
-        k = 1 + (u[0::2] * (ts - 1)).astype(np.int64)
-        direct = u[1::2] < p
-
-        # Per-slot immediate value where known; pointers where chained.
-        value = np.full(len(ts), -1, dtype=np.int64)
-        ptr = np.arange(len(ts), dtype=np.int64)
-
-        value[direct] = k[direct]
-        copy = ~direct
-        ext = copy & (k < lo)  # chain ends in an earlier (resolved) block
-        value[ext] = F[k[ext]]
-        internal = copy & (k >= lo)
-        ptr[internal] = k[internal] - lo
-
-        anchors = resolve_pointers(ptr)
-        F[ts] = value[anchors]
-
-        if lo == 2:
-            # prepend node 1's deterministic edge to the first block
-            yield (
-                np.concatenate([[1], ts]),
-                np.concatenate([[0], F[ts]]),
-            )
-        else:
-            yield ts, F[ts]
-        lo = hi
+    F = np.empty(n, dtype=np.int64)
+    # later blocks read earlier ones out of F, so consumers get it read-only
+    final = F.view()
+    final.flags.writeable = False
+    for lo, hi in _resolve_x1(F, p, rng, block_size):
+        yield np.arange(lo, hi, dtype=np.int64), final[lo:hi]
 
 
 class StreamingDegreeAccumulator:

@@ -11,14 +11,17 @@ exactly, and the exponent of the resulting power law varies with ``p``.
 
 Two implementations are provided:
 
-* :func:`copy_model_x1` — the ``x = 1`` case.  All variates are drawn up
-  front and the copy chains are resolved by vectorised *pointer jumping*
-  (the parallel-algorithms classic: ``ptr <- ptr[ptr]`` until fixed point),
-  which finishes in ``O(log L_max) = O(log log n)`` NumPy passes because
-  dependency chains are ``O(log n)`` long (Theorem 3.3).
+* :func:`copy_model_x1` — the ``x = 1`` case (the sequential engine's).
+  One block resolver fills ``F`` block by block, drawing with
+  :func:`draw_x1`, the draw protocol every ``x = 1`` bulk path shares, and
+  resolving chains by vectorised *pointer jumping*
+  (:func:`resolve_pointers`), ``O(log L_max)`` passes since chains are
+  ``O(log n)`` long (Theorem 3.3).  ``F`` is the output's target column;
+  :func:`repro.core.streaming.stream_copy_model_x1` yields slices of it.
 * :func:`copy_model` — the general ``x >= 1`` case with the initial
-  ``x``-clique and duplicate-edge rejection, matching Algorithm 3.2's
-  sequential semantics.
+  ``x``-clique and duplicate-edge rejection, as a literal per-slot loop:
+  the statistical oracle.  ``generate(engine="sequential")`` at ``x > 1``
+  runs Algorithm 3.2's rank program over one rank instead.
 
 Both return the attachment table ``F`` on request so analyses (dependency
 chains, cross-validation against the parallel engines) can inspect it.
@@ -26,12 +29,18 @@ chains, cross-validation against the parallel engines) can inspect it.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.core.arbitration import first_wins
 from repro.graph.edgelist import EdgeList
 
-__all__ = ["copy_model_x1", "copy_model", "resolve_pointers"]
+__all__ = ["copy_model_x1", "copy_model", "draw_x1", "resolve_pointers"]
+
+#: nodes per block of :func:`copy_model_x1`; a block's ``2 * _BLOCK``
+#: uniforms and index arrays are the run's whole scratch (~16 MiB)
+_BLOCK = 1 << 18
 
 #: Safety bound on duplicate-rejection attempts per edge slot; a correct
 #: configuration retries a handful of times at worst, so hitting this means
@@ -61,6 +70,45 @@ def resolve_pointers(ptr: np.ndarray) -> np.ndarray:
     return ptr
 
 
+def draw_x1(
+    rng: np.random.Generator, t: np.ndarray, p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(k, direct)`` for nodes ``t`` (ascending, each ``>= 2``): two
+    uniforms per node in node order, ``k = 1 + floor(u0 * (t - 1))`` and
+    ``direct = u1 < p``.  Every ``x = 1`` bulk path draws through this, and
+    ``Generator.random`` yields the same values in blocks as in one call."""
+    u = rng.random(2 * len(t)).reshape(-1, 2)
+    k = 1 + (u[:, 0] * (t - 1)).astype(np.int64)
+    return k, u[:, 1] < p
+
+
+def _resolve_x1(
+    F: np.ndarray, p: float, rng: np.random.Generator, block: int
+) -> Iterator[tuple[int, int]]:
+    """Fill ``F`` (one slot per node, ``F[0] = -1``) with the ``x = 1``
+    attachments, ``block`` nodes at a time from node 1, yielding each
+    block's ``(lo, hi)`` once ``F[lo:hi]`` is final.  A copy whose source
+    lies in an earlier block reads ``F``; chains inside the block are
+    pointer-jumped."""
+    n = len(F)
+    F[:2] = (-1, 0)[:n]
+    for lo in range(1, n, block):
+        hi = min(lo + block, n)
+        # node 1 draws nothing: it always attaches to node 0
+        t = np.arange(max(lo, 2), hi, dtype=np.int64)
+        k, direct = draw_x1(rng, t, p)
+        seg, slot = F[lo:hi], t - lo
+        seg[slot[direct]] = k[direct]
+        earlier = ~direct & (k < lo)
+        seg[slot[earlier]] = F[k[earlier]]
+        # in-block copies point at their source's slot, the rest at themselves
+        ptr = np.arange(hi - lo, dtype=np.int64)
+        inner = ~direct & (k >= lo)
+        ptr[slot[inner]] = k[inner] - lo
+        seg[:] = seg[resolve_pointers(ptr)]
+        yield lo, hi
+
+
 def copy_model_x1(
     n: int,
     p: float = 0.5,
@@ -70,6 +118,9 @@ def copy_model_x1(
 ) -> EdgeList | tuple[EdgeList, np.ndarray]:
     """Copy-model PA network with one edge per node.
 
+    ``F`` is resolved in place as the target column, in blocks of
+    :data:`_BLOCK` nodes: the run holds the output plus one block.
+
     Parameters
     ----------
     n:
@@ -78,7 +129,8 @@ def copy_model_x1(
         Direct-attachment probability; ``0 < p <= 1``.  ``p = 1/2`` gives BA.
     return_attachments:
         Also return ``F`` where ``F[t]`` is the node ``t`` attached to
-        (``F[0] = -1``).
+        (``F[0] = -1``).  ``F[1:]`` *is* the edge list's target column: the
+        two share memory.
 
     Examples
     --------
@@ -90,31 +142,10 @@ def copy_model_x1(
     """
     _check_params(n, 1, p)
     rng = rng or np.random.default_rng(seed)
-
-    F = np.full(n, -1, dtype=np.int64)
-    edges = EdgeList(capacity=max(n - 1, 1))
-    if n >= 2:
-        F[1] = 0
-    if n > 2:
-        ts = np.arange(2, n, dtype=np.int64)
-        # Two uniforms per node in node order (k first, then the coin): the
-        # library-wide draw protocol, shared with the parallel engines and
-        # the streaming generator so equal seeds give bit-identical graphs.
-        u = rng.random(2 * (n - 2))
-        k = 1 + (u[0::2] * (ts - 1)).astype(np.int64)
-        direct = u[1::2] < p
-        # anchor pointers: direct nodes point to themselves, copy nodes to k.
-        ptr = np.arange(n, dtype=np.int64)
-        ptr[ts[~direct]] = k[~direct]
-        anchors = resolve_pointers(ptr)
-        # target[a] = the k drawn at direct node a (node 1's "draw" is 0).
-        target = np.full(n, -1, dtype=np.int64)
-        if n >= 2:
-            target[1] = 0
-        target[ts[direct]] = k[direct]
-        F[2:] = target[anchors[2:]]
-    if n >= 2:
-        edges.append_arrays(np.arange(1, n), F[1:])
+    F = np.empty(n, dtype=np.int64)
+    for _ in _resolve_x1(F, p, rng, _BLOCK):
+        pass
+    edges = EdgeList.from_arrays(np.arange(1, n, dtype=np.int64), F[1:], copy=False)
     if return_attachments:
         return edges, F
     return edges

@@ -12,6 +12,7 @@ from repro.cli import build_parser, main, run_spec
 from repro.core.generator import CONFLICTS, RunSpec
 from repro.core.parallel_pa import ResultRegions
 from repro.core.partitioning import make_partition
+from repro.core.spill import edges_digest
 from repro.mpsim.checkpoint import resume
 from repro.mpsim.costmodel import CostModel
 from repro.mpsim.errors import UnrecoverableError
@@ -66,6 +67,13 @@ class TestFacade:
         a = generate(200, ranks=2, seed=6, cost_model=slow).simulated_time
         b = generate(200, ranks=2, seed=6, cost_model=fast).simulated_time
         assert a > b
+
+    @pytest.mark.parametrize("x", [2, 4])
+    @pytest.mark.parametrize("p", [0.2, 0.9])
+    def test_sequential_is_the_one_rank_bsp_graph(self, x, p):
+        seq = generate(1500, x, p=p, engine="sequential", seed=11)
+        bsp = generate(1500, x, p=p, ranks=1, engine="bsp", seed=11)
+        assert edges_digest(seq.edges) == edges_digest(bsp.edges)
 
     def test_sequential_ranks_must_be_one(self):
         with pytest.raises(ValueError, match="ranks=1"):
@@ -133,6 +141,10 @@ REJECTED = {
     "n": (dict(n=0), ["-n", "0"]),
     "x": (dict(n=100, x=0), ["-n", "100", "-x", "0"]),
     "p": (dict(n=100, p=1.5), ["-n", "100", "-p", "1.5"]),
+    "seed": (
+        dict(n=100, seed=-1, out_of_core="spill"),
+        ["-n", "100", "--seed", "-1", "--out-of-core", "spill"],
+    ),
     "ranks": (dict(n=100, ranks=0), ["-n", "100", "-P", "0"]),
     "n-not-above-x": (dict(n=5, x=6), ["-n", "5", "-x", "6"]),
     "partition-size": (
@@ -161,11 +173,6 @@ REJECTED = {
     "out-of-core-event": (
         dict(n=100, ranks=2, engine="event", out_of_core="spill"),
         ["-n", "100", "-P", "2", "--engine", "event", "--out-of-core", "spill"],
-    ),
-    "out-of-core-sequential-x": (
-        dict(n=100, x=2, engine="sequential", out_of_core="spill"),
-        ["-n", "100", "-x", "2", "--engine", "sequential",
-         "--out-of-core", "spill"],
     ),
     "out-of-core-checkpoint": (
         dict(n=100, ranks=2, out_of_core="spill", checkpoint_dir="ck"),

@@ -326,19 +326,23 @@ def test_ranks_resolve_into_the_output_column():
     assert EdgeList.from_arrays(*got) == edges
 
 
-def test_bsp_footprint_near_output_size():
+@pytest.mark.parametrize(
+    "engine,ranks,bound", [("bsp", 2, 40), ("sequential", 1, 24)]
+)
+def test_bsp_footprint_near_output_size(engine, ranks, bound):
     """An in-process x=1 run holds about one output column beyond the output.
 
     The output is 16 B per edge; the run's RSS growth over ``import repro``
-    stays under 40 B per edge at n = 4e6 (~32 measured; ~49 while every
-    rank drew all its uniforms at once and the result was copied out of
-    the programs).
+    at n = 4e6 stays under ``bound`` B per edge: ~32 measured on bsp (~49
+    while every rank drew all its uniforms at once and the result was
+    copied out of the programs), ~17 for the sequential copy model, which
+    resolves into the target column block by block.
     """
     n = 4_000_000
     code = (
         "import json, resource, repro; "
         "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
-        f"r = repro.generate(n={n}, x=1, ranks=2, engine='bsp', seed=1); "
+        f"r = repro.generate(n={n}, x=1, ranks={ranks}, engine={engine!r}, seed=1); "
         "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
         "print(json.dumps([base, peak, len(r.edges)]))"
     )
@@ -349,4 +353,4 @@ def test_bsp_footprint_near_output_size():
     base_kib, peak_kib, m = json.loads(out.stdout.strip().splitlines()[-1])
     assert m == n - 1
     per_edge = (peak_kib - base_kib) * 1024 / m
-    assert per_edge < 40, f"RSS grew {per_edge:.1f} B per edge"
+    assert per_edge < bound, f"RSS grew {per_edge:.1f} B per edge"

@@ -455,11 +455,13 @@ class TestSpillQueues:
 #: (engine, generator, x, ranks) — every supported out-of-core surface
 COMBOS = [
     ("sequential", "copy", 1, 1),
+    ("sequential", "copy", 2, 1),
     ("bsp", "copy", 1, 4),
     ("bsp", "copy", 2, 3),
     ("mp", "copy", 1, 2),
     ("mp", "copy", 2, 3),
     ("sequential", "commfree", 1, 1),
+    ("sequential", "commfree", 2, 1),
     ("bsp", "commfree", 1, 4),
     ("bsp", "commfree", 2, 2),
     ("mp", "commfree", 1, 3),
@@ -512,15 +514,10 @@ class TestGenerateOutOfCore:
             (dict(checkpoint_dir="ck", max_retries=0), "shard lifecycles"),
             (dict(engine="mp", checkpoint_dir="ck"), "shard lifecycles"),
             (dict(spill_budget_bytes=0), "spill_budget_bytes"),
-            (dict(engine="sequential", x=2), "streaming emitter"),
-            (
-                dict(engine="sequential", x=2, generator="commfree"),
-                "streaming emitter",
-            ),
         ],
     )
     def test_incompatible_knobs_rejected(self, tmp_path, kwargs, fragment):
-        kwargs.setdefault("ranks", 1 if kwargs.get("engine") == "sequential" else 2)
+        kwargs.setdefault("ranks", 2)
         with pytest.raises(ValueError, match=fragment):
             generate(500, seed=0, out_of_core=str(tmp_path), **kwargs)
 
