@@ -77,7 +77,7 @@ from repro.core.generator import rank_programs
 from repro.core.parallel_pa import RECORD_DTYPE
 from repro.core.partitioning import UniformPartition
 from repro.mpsim.mp_backend import MultiprocessingBSPEngine
-from repro.core.commfree import commfree_mp, commfree_x1
+from repro.core.commfree import commfree, commfree_mp
 from repro.seq.copy_model import copy_model, copy_model_x1, resolve_pointers
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -268,7 +268,7 @@ def case_commfree(sizes, repeats):
     pointer jumping) before any parallelism enters the picture.
     """
     n = sizes["x1_n"]
-    t_cf = best_of(repeats, commfree_x1, n, seed=SEED)
+    t_cf = best_of(repeats, commfree, n, seed=SEED)
     t_copy = best_of(repeats, copy_model_x1, n, seed=SEED)
     return {
         "n": n,

@@ -12,31 +12,29 @@ and the full graph is the concatenation of the slices.
 This module implements that trade (messages for recomputation) on top of
 :meth:`repro.rng.StreamFactory.counter_substream`:
 
-* :func:`commfree_x1` / :func:`commfree` — the ``x = 1`` and general
-  ``x >= 1`` copy models, sequential but fully vectorised;
-* :func:`commfree_edge_slice` — the edge slice owned by nodes ``[lo, hi)``,
-  the unit of parallel work.  A rank resolves foreign dependencies by
-  iterative *chase* (x = 1: follow the copy chain, recomputing each hop's
-  draws until it lands in a fixed prefix table; chains are ``O(log n)``
-  long by Theorem 3.3) or by demand-driven closure (general ``x``: pull in
-  the source rows a slice's copy slots reference and resolve them with the
-  same fixpoint machinery);
+* :func:`commfree_edge_slice` — the one kernel: the edge slice owned by
+  nodes ``[lo, hi)``, the unit of parallel work.  A rank resolves foreign
+  dependencies by iterative *chase* (x = 1: follow the copy chain,
+  recomputing each hop's draws until it lands in a fixed prefix table;
+  chains are ``O(log n)`` long by Theorem 3.3) or by demand-driven closure
+  (general ``x``: pull in the source rows a slice's copy slots reference
+  and resolve them with the same fixpoint machinery).  At ``x = 1`` it
+  hands its output to a sink one block at a time, so a spilling worker
+  never holds its slice;
+* :func:`commfree` — the one-slice run ``[0, n)`` into an
+  :class:`~repro.graph.edgelist.EdgeList`, the sequential baseline;
 * :func:`commfree_mp` — the trivially-parallel multiprocessing path: one
   forked worker per slice, the coordinator only concatenates.  No exchange,
-  no barriers, no checkpoints — there is no distributed state to lose;
-* :func:`stream_commfree_x1` — chunked streaming emitter speaking the same
-  block protocol as :func:`repro.core.streaming.stream_copy_model_x1`, so
-  :class:`~repro.core.streaming.StreamingDegreeAccumulator` folds the output
-  without materialising the edge list.
+  no barriers, no checkpoints — there is no distributed state to lose.
 
-Every surface consumes the identical draw protocol, so sequential, sliced,
-multiprocessing, and streaming runs are **bit-identical** for equal seeds —
-regardless of rank count, block size, or evaluation order.  At ``x = 1``
-they are also one implementation: every surface consumes the same block
-generator, whose only state is the prefix table ``F[0:_PREFIX]`` (8 MiB),
-so an x = 1 run's memory beyond its output is fixed in ``n``.  The scalar
-oracle in :mod:`repro.seq.commfree_ref` re-implements the protocol
-independently and the test-suite pins the vectorised paths to it.
+Every run consumes the identical draw protocol, so one-slice, sliced and
+multiprocessing runs, in RAM or spilled, are **bit-identical** for equal
+seeds — regardless of rank count, block size, or evaluation order.  At
+``x = 1`` every slice consumes the same block generator, whose only state
+is the prefix table ``F[0:_PREFIX]`` (8 MiB), so an x = 1 run's memory
+beyond its output is fixed in ``n``.  The scalar oracle in
+:mod:`repro.seq.commfree_ref` re-implements the protocol independently and
+the test-suite pins the vectorised paths to it.
 
 Draw protocol
 -------------
@@ -74,12 +72,10 @@ from repro.rng import CounterStream, StreamFactory
 
 __all__ = [
     "commfree",
-    "commfree_x1",
     "commfree_edge_counts",
     "commfree_edge_slice",
     "commfree_mp",
     "commfree_slices",
-    "stream_commfree_x1",
 ]
 
 #: Namespace constant for the counter substream keys ``(_NS, x, 0)``.
@@ -122,6 +118,11 @@ def _counter(seed: int | None, x: int) -> CounterStream:
 def _coin_threshold(p: float) -> np.uint64:
     """``direct`` iff the hash's low word is below this (x = 1 protocol)."""
     return np.uint64(min(round(p * 2.0 ** 32), 2 ** 32))
+
+
+def _num_edges(n: int, x: int) -> int:
+    """Edges of an ``n``-node network: the ``x``-clique, then ``x`` per node."""
+    return x * (x - 1) // 2 + (n - x) * x if x > 1 else n - 1
 
 
 def _check_params(n: int, x: int, p: float) -> None:
@@ -242,71 +243,6 @@ def _blocks_x1(
         yield ts, v
     if lead:  # hi == 2: node 1 is the whole range
         yield _ONE.copy(), _ZERO.copy()
-
-
-def commfree_x1(
-    n: int,
-    p: float = 0.5,
-    seed: int | None = None,
-    return_attachments: bool = False,
-    block_size: int = _BLOCK,
-) -> EdgeList | tuple[EdgeList, np.ndarray]:
-    """Communication-free ``x = 1`` PA network (sequential, vectorised).
-
-    Drop-in alternative to :func:`repro.seq.copy_model.copy_model_x1`: same
-    attachment law, same edge order (node order), same ``F`` contract —
-    but every variate is a pure function of ``(seed, node)``, so the same
-    graph can be produced slice-by-slice with zero communication
-    (:func:`commfree_edge_slice`, :func:`commfree_mp`).
-
-    Examples
-    --------
-    >>> el, F = commfree_x1(10, seed=1, return_attachments=True)
-    >>> len(el), F[0]
-    (9, np.int64(-1))
-    >>> bool((F[1:] < np.arange(1, 10)).all())
-    True
-    """
-    _check_params(n, 1, p)
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
-    edges = EdgeList(capacity=max(n - 1, 1))
-    for ts, v in _blocks_x1(seed, p, 0, n, block_size):
-        edges.append_arrays(ts, v)
-    if return_attachments:
-        F = np.full(n, -1, dtype=np.int64)
-        F[1:] = edges.targets
-        return edges, F
-    return edges
-
-
-def stream_commfree_x1(
-    n: int,
-    p: float = 0.5,
-    block_size: int = 65_536,
-    seed: int | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the commfree ``x = 1`` network as ``(u, v)`` edge blocks.
-
-    Speaks the same chunk protocol as
-    :func:`repro.core.streaming.stream_copy_model_x1` (node 1's
-    deterministic edge leads the first block), so
-    :class:`~repro.core.streaming.StreamingDegreeAccumulator` accumulates
-    degree statistics without materialising the edge list.  Concatenated,
-    the blocks equal :func:`commfree_x1`'s edge list bit for bit — block
-    size only changes the chunking, never the graph.  Memory stays fixed
-    in ``n``: the emitter holds only the prefix table and one block.
-
-    Examples
-    --------
-    >>> total = sum(len(u) for u, v in stream_commfree_x1(10_000, seed=0))
-    >>> total
-    9999
-    """
-    _check_params(n, 1, p)
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
-    yield from _blocks_x1(seed, p, 0, n, block_size)
 
 
 # ---------------------------------------------------------------- general x
@@ -431,33 +367,26 @@ def _general_edges(
 
 
 def commfree(
-    n: int,
-    x: int = 1,
-    p: float = 0.5,
-    seed: int | None = None,
-    return_attachments: bool = False,
-) -> EdgeList | tuple[EdgeList, np.ndarray]:
+    n: int, x: int = 1, p: float = 0.5, seed: int | None = None
+) -> EdgeList:
     """Communication-free copy-model PA network with ``x`` edges per node.
 
-    The general-``x`` analogue of :func:`commfree_x1`: same attachment law
-    as :func:`repro.seq.copy_model.copy_model` (initial ``x``-clique,
-    per-slot duplicate rejection), with every draw a pure function of
-    ``(seed, slot, attempt)``.  Returns the edge list, plus the ``(n, x)``
-    attachment table if ``return_attachments`` (clique rows are ``-1``).
+    The one-slice run: :func:`commfree_edge_slice` over ``[0, n)`` into an
+    :class:`~repro.graph.edgelist.EdgeList`.  Same attachment law as
+    :func:`repro.seq.copy_model.copy_model` (initial ``x``-clique, per-slot
+    duplicate rejection, edges in node order), with every draw a pure
+    function of ``(seed, slot, attempt)``, so the same graph comes out
+    slice by slice with zero communication (:func:`commfree_mp`).
+
+    Examples
+    --------
+    >>> el = commfree(10, seed=1)
+    >>> len(el), bool((el.targets < el.sources).all())
+    (9, True)
     """
-    if x == 1:
-        return commfree_x1(n, p=p, seed=seed, return_attachments=return_attachments)
     _check_params(n, x, p)
-    val = _resolve_general(
-        _counter(seed, x), n, x, p, np.arange(x + 1, n, dtype=np.int64)
-    )
-    u, v = _general_edges(n, x, 0, n, val)
-    edges = EdgeList.from_arrays(u, v)
-    if return_attachments:
-        F = np.full((n, x), -1, dtype=np.int64)
-        F[x:, :] = val.reshape(n - x, x)
-        return edges, F
-    return edges
+    edges = EdgeList(capacity=max(_num_edges(n, x), 1))
+    return commfree_edge_slice(n, 0, n, x=x, p=p, seed=seed, out=edges)
 
 
 # ------------------------------------------------------- slices and parallel
@@ -497,6 +426,8 @@ def commfree_edge_slice(
     at a time, so a spilling worker never holds its slice in memory.
     """
     _check_params(n, x, p)
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
     if not 0 <= lo <= hi <= n:
         raise ValueError(f"need 0 <= lo <= hi <= n, got [{lo}, {hi}) of n={n}")
     if x > 1:
@@ -645,15 +576,14 @@ def commfree_mp(
     checkpoint surface — a crashed worker simply means rerunning its pure,
     stateless slice; it raises :class:`~repro.mpsim.errors.RankFailure`
     rather than hanging the call.  Output is bit-identical to
-    :func:`commfree` / :func:`commfree_x1` for any ``ranks``.
+    :func:`commfree` for any ``ranks``.
 
     With ``spill_dir`` set the run goes out-of-core: the coordinator
     pre-sizes ``<spill_dir>/edges/{u,v}.i64`` from
     :func:`commfree_edge_counts`, each worker writes its slice straight into
     its own region and seals a manifest, and the coordinator verifies every
     region and adopts the files as a :class:`repro.core.spill.SpillEdgeList`
-    (whose in-RAM write buffer, and the verification reads, are bounded by
-    ``budget_bytes``).  Each edge is written once.  Bit-identical to the
+    (``budget_bytes`` bounds the verification reads and its read blocks).  Each edge is written once.  Bit-identical to the
     in-RAM path at every rank count.  An x = 1 worker writes its slice one
     block at a time and keeps only the prefix table besides, so its memory
     does not grow with ``n``; an x > 1 worker still holds an n-sized slot
@@ -672,8 +602,7 @@ def commfree_mp(
         return _spill.assemble_shards(
             spill_dir, ranks, budget_bytes or _spill.DEFAULT_BUDGET_BYTES
         )
-    m = x * (x - 1) // 2 + (n - x) * x if x > 1 else n - 1
-    edges = EdgeList(capacity=max(m, 1))
+    edges = EdgeList(capacity=max(_num_edges(n, x), 1))
     for u, v in parts:
         edges.append_arrays(u, v)
     return edges

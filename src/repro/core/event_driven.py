@@ -191,7 +191,7 @@ def run_event_driven_pa_x1(
     cost_model: CostModel | None = None,
     buffer_capacity: int | None = None,
     flush_on_idle: bool = True,
-    fault_injector=None,
+    fault_plan=None,
     schedule=None,
 ) -> tuple[EdgeList, Simulator]:
     """Run Algorithm 3.1 one-message-at-a-time; return (edges, simulator).
@@ -210,7 +210,7 @@ def run_event_driven_pa_x1(
     sim = Simulator(
         partition.P,
         cost_model=cost_model,
-        fault_injector=fault_injector,
+        fault_plan=fault_plan,
         schedule=schedule,
     )
     sim.run(
@@ -574,7 +574,7 @@ def run_event_driven_pa(
     cost_model: CostModel | None = None,
     buffer_capacity: int | None = None,
     flush_on_idle: bool = True,
-    fault_injector=None,
+    fault_plan=None,
     schedule=None,
     confluent: bool = True,
 ) -> tuple[EdgeList, Simulator]:
@@ -600,7 +600,7 @@ def run_event_driven_pa(
             cost_model=cost_model,
             buffer_capacity=buffer_capacity,
             flush_on_idle=flush_on_idle,
-            fault_injector=fault_injector,
+            fault_plan=fault_plan,
             schedule=schedule,
         )
     factory = StreamFactory(seed)
@@ -608,7 +608,7 @@ def run_event_driven_pa(
     sim = Simulator(
         partition.P,
         cost_model=cost_model,
-        fault_injector=fault_injector,
+        fault_plan=fault_plan,
         schedule=schedule,
     )
     sim.run(

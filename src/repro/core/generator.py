@@ -265,6 +265,11 @@ class Conflict(NamedTuple):
     reason: str
 
 
+def _integral(value: Any) -> bool:
+    """An ``int`` or NumPy integer, and not a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 #: Every :class:`RunSpec` that is rejected, in the order its construction
 #: tests them; the first matching row's reason is the error.
 CONFLICTS: tuple[Conflict, ...] = (
@@ -280,6 +285,10 @@ CONFLICTS: tuple[Conflict, ...] = (
     Conflict(
         "unknown-scheme", lambda k: str(k.scheme).lower() not in SCHEMES,
         "unknown scheme {scheme!r}; choose ucp, lcp, rrp, or ecp",
+    ),
+    Conflict(
+        "integer-knobs", lambda k: not all(map(_integral, (k.n, k.x, k.ranks))),
+        "n, x and ranks must be integers, got n={n!r}, x={x!r}, ranks={ranks!r}",
     ),
     Conflict("n", lambda k: k.n < 1, "n must be >= 1, got n={n}"),
     Conflict("x", lambda k: k.x < 1, "x must be >= 1, got x={x}"),
@@ -404,14 +413,21 @@ def generate(*args: Any, **knobs: Any) -> GenerationResult:
     plan = spec.fault_plan
     if plan is None and spec.fault_seed is not None:
         plan = FaultPlan.chaos(spec.fault_seed, nranks, crashes=1)
+    if commfree_run or (engine == "sequential" and x == 1):
+        part, scheme = None, "contig" if commfree_run else "none"
+    else:
+        part = spec.partition
+        if part is None:
+            part = make_partition(spec.scheme, n, spec.ranks)
+        scheme = part.scheme
     tel = resolve(spec.telemetry)
     if tel.enabled:
         tel.meta.update(
             {f.name: getattr(spec, f.name) for f in fields(spec) if f.metadata["flags"]},
-            ranks=nranks, scheme="contig" if commfree_run else spec.scheme,
+            ranks=nranks, scheme=scheme,
         )
 
-    if commfree_run or (engine == "sequential" and x == 1):
+    if part is None:
         if commfree_run:
             edges, sizes = _run_commfree_slices(spec, tel)
         else:
@@ -419,23 +435,19 @@ def generate(*args: Any, **knobs: Any) -> GenerationResult:
         # one-shot runs: pure compute, split perfectly over the ranks
         cost = spec.cost_model or CostModel()
         run = dict(
-            edges=edges, scheme="contig" if commfree_run else "none",
-            ranks=nranks, nodes_per_rank=sizes, supersteps=0,
+            edges=edges, ranks=nranks, nodes_per_rank=sizes, supersteps=0,
             simulated_time=cost.compute_time(n, work_items=len(edges)) / nranks,
             requests_sent=np.zeros(nranks, np.int64),
             requests_received=np.zeros(nranks, np.int64),
         )
     else:
-        part = spec.partition
-        if part is None:
-            part = make_partition(spec.scheme, n, spec.ranks)
         if engine == "event":
             from repro.core.event_driven import run_event_driven_pa
 
             with tel.span("event.run", cat="run", tid=-1, n=n, x=x) as sp:
                 edges, sim = run_event_driven_pa(
                     n, x, part, p=spec.p, seed=spec.seed,
-                    cost_model=spec.cost_model, fault_injector=plan,
+                    cost_model=spec.cost_model, fault_plan=plan,
                 )
                 sp.note(virtual_total_s=sim.makespan)
             run = dict(
@@ -446,8 +458,8 @@ def generate(*args: Any, **knobs: Any) -> GenerationResult:
             )
         else:
             run = _run_supersteps(spec, part, plan)
-        run.update(scheme=part.scheme, ranks=part.P, nodes_per_rank=part.sizes())
-    return GenerationResult(spec=spec, fault_plan=plan, **run)
+        run.update(ranks=part.P, nodes_per_rank=part.sizes())
+    return GenerationResult(spec=spec, scheme=scheme, fault_plan=plan, **run)
 
 
 def rank_programs(

@@ -6,13 +6,11 @@ container in this repository being pure in-RAM NumPy capped practical ``n``
 around 10^7.  This module moves the *edge storage* layer out of core while
 keeping every hot loop vectorised:
 
-* :class:`SpillEdgeList` — a drop-in :class:`~repro.graph.edgelist.EdgeList`
-  replacement backed by two append-only ``int64`` segment files.  Appends
-  land in a bounded in-RAM write buffer that is flushed to disk at a
-  configurable watermark, so peak heap usage is ``O(budget)`` regardless of
-  how many edges accumulate; reads come back as read-only ``np.memmap``
-  views (the OS pages them in on demand and may evict them under pressure —
-  they are file cache, not heap).
+* :class:`SpillEdgeList` — the read-only
+  :class:`~repro.graph.edgelist.EdgeList` counterpart an out-of-core run
+  returns, backed by the run's two ``int64`` column files; reads come back
+  as read-only ``np.memmap`` views (the OS pages them in on demand and may
+  evict them under pressure — they are file cache, not heap).
 * :class:`SpillArena` / :func:`spill_record_queue` — memmap-backed variants
   of the :mod:`repro.core.arena` park/pend queues, so the PA rank programs'
   wait queues can grow past RAM too.
@@ -71,7 +69,8 @@ __all__ = [
     "write_edge_shards",
 ]
 
-#: default bound on the in-RAM write buffer of a :class:`SpillEdgeList`
+#: default out-of-core budget: bounds the adoption-time verification reads
+#: and a :class:`SpillEdgeList`'s read blocks
 DEFAULT_BUDGET_BYTES = 64 << 20
 
 #: sealed-envelope magic for edge-region manifests — distinct from
@@ -85,45 +84,27 @@ _VERIFY_BLOCK = 1 << 20
 
 
 class SpillEdgeList:
-    """An :class:`EdgeList` whose storage lives in two on-disk segment files.
+    """A read-only :class:`EdgeList` whose two columns are files on disk.
 
-    Honors the EdgeList API — ``append`` / ``append_arrays`` / ``extend``,
-    ``sources`` / ``targets``, ``num_nodes``, ``as_array``, ``canonical``,
-    iteration, equality — with one memory contract change: appended edges
-    accumulate in a bounded in-RAM buffer (the *write watermark*, derived
-    from ``budget_bytes``) and are flushed to ``<dir>/u.i64`` and
-    ``<dir>/v.i64`` when it fills.  Reads flush first, then return read-only
-    ``np.memmap`` views of the segment files.
-
-    Parameters
-    ----------
-    directory:
-        Spill directory (created if missing).  The two segment files are
-        plain little-endian ``int64`` streams; sealing/corruption detection
-        is the region layer's job (:class:`EdgeShardWriter`,
-        :func:`assemble_shards`), not this one's — this is the *adopted*
-        form, analogous to the in-RAM array.
-    budget_bytes:
-        Bound on the write buffer.  Both columns share it, so the buffer
-        holds ``budget_bytes // 16`` edges before a flush.
+    The adopted form of an out-of-core run's output: :func:`assemble_shards`
+    verifies the ranks' regions of ``<dir>/u.i64`` and ``<dir>/v.i64`` and
+    then takes the files over with :meth:`adopt`, the one constructor.  It
+    honours the EdgeList read API — ``sources`` / ``targets``,
+    ``num_nodes``, ``as_array``, ``canonical``, iteration, equality — with
+    one memory contract change: the columns come back as read-only
+    ``np.memmap`` views (the OS pages them in on demand and may evict them
+    under pressure — they are file cache, not heap).  Nothing appends to it.
 
     Examples
     --------
     >>> import tempfile
-    >>> d = tempfile.mkdtemp()
-    >>> el = SpillEdgeList(d, budget_bytes=1 << 12)
-    >>> el.append_arrays(np.array([1, 2, 3]), np.array([0, 0, 1]))
-    >>> len(el), el.num_nodes
-    (3, 4)
+    >>> d = Path(tempfile.mkdtemp())
+    >>> np.array([1, 2, 3], dtype="<i8").tofile(d / "u.i64")
+    >>> np.array([0, 0, 1], dtype="<i8").tofile(d / "v.i64")
+    >>> el = SpillEdgeList.adopt(d, max_node=3)
+    >>> len(el), el.num_nodes, list(el)
+    (3, 4, [(1, 0), (2, 0), (3, 1)])
     """
-
-    def __init__(
-        self, directory: str | Path, budget_bytes: int = DEFAULT_BUDGET_BYTES
-    ) -> None:
-        self._setup(directory, budget_bytes)
-        # truncate: a SpillEdgeList owns its directory's segment files
-        self._fh_u = open(self._path_u, "wb")
-        self._fh_v = open(self._path_v, "wb")
 
     @classmethod
     def adopt(
@@ -132,150 +113,58 @@ class SpillEdgeList:
         max_node: int,
         budget_bytes: int = DEFAULT_BUDGET_BYTES,
     ) -> "SpillEdgeList":
-        """Take over complete ``u.i64``/``v.i64`` files without truncating.
+        """Take over complete ``u.i64``/``v.i64`` files under ``directory``.
 
         The files' length is the edge count; ``max_node`` is their largest
         node id (-1 when empty), which the caller already knows — e.g. from
-        the ranks' manifests in :func:`assemble_shards`.  Later appends go
-        after the adopted edges.
+        the ranks' manifests in :func:`assemble_shards`.  ``budget_bytes``
+        bounds the blocks the streaming reads (iteration,
+        :meth:`has_self_loops`) hold at once: ``budget_bytes // 16`` edges.
         """
-        el = cls.__new__(cls)
-        el._setup(directory, budget_bytes)
-        el._flushed = _column_edges((el._path_u, el._path_v))
-        el._max_node = int(max_node)
-        el._fh_u = open(el._path_u, "ab")
-        el._fh_v = open(el._path_v, "ab")
-        return el
-
-    def _setup(self, directory: str | Path, budget_bytes: int) -> None:
         if budget_bytes < 1:
             raise ValueError(f"budget_bytes must be >= 1, got {budget_bytes}")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.budget_bytes = int(budget_bytes)
-        # 16 bytes per buffered edge (one int64 per column)
-        self._watermark = max(int(budget_bytes) // 16, 1)
-        self._buf_u = np.empty(self._watermark, dtype=np.int64)
-        self._buf_v = np.empty(self._watermark, dtype=np.int64)
-        self._buffered = 0
-        self._flushed = 0  # edges already on disk
-        self._max_node = -1
-        self._path_u = self.directory / "u.i64"
-        self._path_v = self.directory / "v.i64"
-        self._closed = False
-
-    # ------------------------------------------------------------- building
-    def append(self, u: int, v: int) -> None:
-        """Append one edge (scalar path; prefer :meth:`append_arrays`)."""
-        if self._buffered == self._watermark:
-            self.flush()
-        self._buf_u[self._buffered] = u
-        self._buf_v[self._buffered] = v
-        self._buffered += 1
-        if u > self._max_node:
-            self._max_node = int(u)
-        if v > self._max_node:
-            self._max_node = int(v)
-
-    def append_arrays(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Append a batch of edges, flushing whenever the buffer fills."""
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        if u.shape != v.shape or u.ndim != 1:
-            raise ValueError("batch arrays must be equal-length and 1-D")
-        if len(u):
-            self._max_node = max(self._max_node, int(max(u.max(), v.max())))
-        off = 0
-        while off < len(u):
-            take = min(len(u) - off, self._watermark - self._buffered)
-            self._buf_u[self._buffered : self._buffered + take] = u[off : off + take]
-            self._buf_v[self._buffered : self._buffered + take] = v[off : off + take]
-            self._buffered += take
-            off += take
-            if self._buffered == self._watermark:
-                self.flush()
-
-    def extend(self, other: Any) -> None:
-        """Append all edges of another edge list (chunked, RSS-bounded)."""
-        for u, v in iter_edge_blocks(other, self._watermark):
-            self.append_arrays(u, v)
-
-    def flush(self) -> None:
-        """Write the buffered tail to the segment files (keeps the handles)."""
-        if self._buffered:
-            self._fh_u.write(
-                np.ascontiguousarray(self._buf_u[: self._buffered], dtype="<i8")
-                .tobytes()
-            )
-            self._fh_v.write(
-                np.ascontiguousarray(self._buf_v[: self._buffered], dtype="<i8")
-                .tobytes()
-            )
-            self._flushed += self._buffered
-            self._buffered = 0
-        self._fh_u.flush()
-        self._fh_v.flush()
-
-    def close(self) -> None:
-        """Flush and close the segment files (reads still work afterwards)."""
-        if self._closed:
-            return
-        self.flush()
-        self._fh_u.close()
-        self._fh_v.close()
-        self._closed = True
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter shutdown
-        try:
-            if not self._closed:
-                self.close()
-        except Exception:
-            pass
+        el = cls.__new__(cls)
+        el.directory = Path(directory)
+        el.budget_bytes = int(budget_bytes)
+        el._block = max(el.budget_bytes // 16, 1)
+        el._path_u = el.directory / "u.i64"
+        el._path_v = el.directory / "v.i64"
+        el._size = _column_edges((el._path_u, el._path_v))
+        el._max_node = int(max_node)
+        return el
 
     # -------------------------------------------------------------- viewing
-    def _column(self, path: Path, fh) -> np.ndarray:
-        if self._closed:
-            pass
-        elif self._buffered:
-            self.flush()
-        else:
-            fh.flush()
-        size = self._flushed + self._buffered
-        if size == 0:
+    def _column(self, path: Path) -> np.ndarray:
+        if self._size == 0:
             return np.empty(0, dtype=np.int64)
-        return np.memmap(path, dtype="<i8", mode="r", shape=(size,))
+        return np.memmap(path, dtype="<i8", mode="r", shape=(self._size,))
 
     @property
     def sources(self) -> np.ndarray:
         """The ``u`` endpoints as a read-only ``np.memmap`` view."""
-        return self._column(self._path_u, self._fh_u)
+        return self._column(self._path_u)
 
     @property
     def targets(self) -> np.ndarray:
         """The ``v`` endpoints as a read-only ``np.memmap`` view."""
-        return self._column(self._path_v, self._fh_v)
+        return self._column(self._path_v)
 
     def __len__(self) -> int:
-        return self._flushed + self._buffered
+        return self._size
 
     @property
     def num_edges(self) -> int:
-        return len(self)
+        return self._size
 
     @property
     def num_nodes(self) -> int:
-        """1 + max node id (0 when empty); maintained incrementally."""
-        if len(self) == 0:
+        """1 + max node id (0 when empty)."""
+        if self._size == 0:
             return 0
         return self._max_node + 1
 
-    @property
-    def spilled_bytes(self) -> int:
-        """Bytes currently resident in the segment files (both columns)."""
-        return 16 * self._flushed
-
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        for u, v in iter_edge_blocks(self, self._watermark):
+        for u, v in iter_edge_blocks(self, self._block):
             for i in range(len(u)):
                 yield int(u[i]), int(v[i])
 
@@ -289,7 +178,7 @@ class SpillEdgeList:
         )
 
     def __hash__(self) -> int:  # pragma: no cover - containers are unhashable
-        raise TypeError("SpillEdgeList is mutable and unhashable")
+        raise TypeError("SpillEdgeList is unhashable, like EdgeList")
 
     def __repr__(self) -> str:
         return (
@@ -311,7 +200,7 @@ class SpillEdgeList:
 
     def has_self_loops(self) -> bool:
         out = False
-        for u, v in iter_edge_blocks(self, self._watermark):
+        for u, v in iter_edge_blocks(self, self._block):
             if bool((u == v).any()):
                 out = True
                 break

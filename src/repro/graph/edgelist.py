@@ -78,19 +78,6 @@ class EdgeList:
             el._max_node = int(max(u.max(), v.max()))
         return el
 
-    @staticmethod
-    def spilled(directory, budget_bytes: int = 64 << 20):
-        """An API-compatible spill-to-disk edge list (out-of-core runs).
-
-        Returns a :class:`repro.core.spill.SpillEdgeList`: appends buffer in
-        at most ``budget_bytes`` of RAM and flush to segment files under
-        ``directory``; reads come back as read-only memmap views.  See
-        ``docs/performance.md`` (out-of-core section).
-        """
-        from repro.core.spill import SpillEdgeList
-
-        return SpillEdgeList(directory, budget_bytes=budget_bytes)
-
     def _grow_to(self, needed: int) -> None:
         cap = len(self._u)
         if needed <= cap:

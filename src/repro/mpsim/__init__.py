@@ -19,9 +19,6 @@ executes the *same* rank-local programs and the *same* message protocol:
   segment, descriptors in the mailbox fabric of :mod:`repro.mpsim.p2p`
   (shared-memory slots, a shared barrier, and distributed termination
   detection — no parent on the data path).
-* :mod:`repro.mpsim.collectives` — barrier / bcast / scatter / gather /
-  allgather / reduce / allreduce / alltoall(v) implemented on top of
-  point-to-point sends, as an MPI library would.
 * :mod:`repro.mpsim.faults` + :mod:`repro.mpsim.supervisor` — seeded fault
   injection (rank crashes, message drops/duplications, stragglers) for both
   engines, and a checkpoint-based supervisor that recovers crashed BSP runs

@@ -26,7 +26,7 @@ duration is the *maximum* over ranks (barrier semantics) and
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Protocol, Sequence
+from typing import Any, Protocol, Sequence
 
 import numpy as np
 
@@ -414,21 +414,3 @@ class BSPEngine:
         out["simulated_time"] = self.simulated_time
         return out
 
-
-def exchange_alltoallv(
-    outboxes: Sequence[Mapping[int, np.ndarray]],
-) -> list[list[tuple[int, np.ndarray]]]:
-    """Standalone alltoallv used by tests and the multiprocessing backend.
-
-    ``outboxes[i][j]`` is the (single, concatenated) array rank ``i`` sends to
-    rank ``j``; the result's element ``j`` lists ``(source, array)`` pairs in
-    source order — the same delivery order the in-process engine produces.
-    """
-    size = len(outboxes)
-    inboxes: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(size)]
-    for src, outbox in enumerate(outboxes):
-        for dest in sorted(outbox):
-            arr = outbox[dest]
-            if len(arr):
-                inboxes[dest].append((src, arr))
-    return inboxes

@@ -1,37 +1,28 @@
 """Rank-side communicator handle for the event-driven engine.
 
 :class:`Comm` is the object a rank program receives; it exposes an
-mpi4py-flavoured API.  Sends are immediate method calls; receives and
-barriers are *operation objects* the program must ``yield`` (blocking calls
-cannot be expressed inside a generator any other way):
+mpi4py-flavoured point-to-point API.  Sends are immediate method calls;
+receives are *operation objects* the program must ``yield`` (a blocking
+call cannot be expressed inside a generator any other way):
 
 .. code-block:: python
 
     def program(comm):
         comm.send(dest=(comm.rank + 1) % comm.size, payload="token")
         msg = yield comm.recv()
-        yield comm.barrier()
-        total = yield from comm.allreduce(comm.rank)
+        comm.charge(nodes=1)
 
-Collectives are generator helpers used via ``yield from`` — they are built
-from point-to-point messages exactly the way an MPI library layers them, so
-their traffic shows up in the per-rank statistics.
+Algorithms 3.1 and 3.2 exchange only buffered point-to-point
+``<request>``/``<resolved>`` messages (Section 3.5), so this is the whole
+surface the event engine needs.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any
 
-from repro.mpsim import collectives as _coll
 from repro.mpsim.datatypes import ANY_SOURCE, ANY_TAG, TAG_DEFAULT
-from repro.mpsim.runtime import (
-    Barrier,
-    Message,
-    Recv,
-    RecvOrQuiesce,
-    RecvRequest,
-    SendRequest,
-)
+from repro.mpsim.runtime import Recv, RecvOrQuiesce
 
 __all__ = ["Comm"]
 
@@ -43,13 +34,6 @@ class Comm:
         self._sim = simulator
         self.rank = rank
         self.size = simulator.size
-
-    # -- mpi4py-style accessors -------------------------------------------
-    def Get_rank(self) -> int:
-        return self.rank
-
-    def Get_size(self) -> int:
-        return self.size
 
     # -- point to point ----------------------------------------------------
     def send(self, dest: int, payload: Any, tag: int = TAG_DEFAULT) -> None:
@@ -68,27 +52,6 @@ class Comm:
         """Non-blocking test for a deliverable matching message."""
         return self._sim.iprobe(self.rank, source, tag)
 
-    # -- non-blocking (mpi4py isend/irecv style) ----------------------------
-    def isend(self, dest: int, payload: Any, tag: int = TAG_DEFAULT) -> SendRequest:
-        """Non-blocking send; returns an immediately-complete request.
-
-        Use as ``req = comm.isend(...); yield req.wait()``.
-        """
-        self._sim.post_send(self.rank, dest, payload, tag)
-        return SendRequest()
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
-        """Post a non-blocking receive.
-
-        ``req.test()`` probes; ``msg = yield req.wait()`` blocks until the
-        matching message arrives.
-        """
-        return RecvRequest(self, source, tag)
-
-    def barrier(self) -> Barrier:
-        """Barrier operation; use as ``yield comm.barrier()``."""
-        return Barrier()
-
     # -- cost accounting ----------------------------------------------------
     def charge(self, nodes: int = 0, work_items: int = 0) -> None:
         """Charge local computation to this rank's virtual clock."""
@@ -98,28 +61,6 @@ class Comm:
     def clock(self) -> float:
         """This rank's current virtual time."""
         return self._sim._ranks[self.rank].clock
-
-    # -- collectives (yield from) -------------------------------------------
-    def bcast(self, value: Any, root: int = 0) -> Generator[Any, Message, Any]:
-        return _coll.bcast(self, value, root)
-
-    def gather(self, value: Any, root: int = 0) -> Generator[Any, Message, list[Any] | None]:
-        return _coll.gather(self, value, root)
-
-    def scatter(self, values: list[Any] | None, root: int = 0) -> Generator[Any, Message, Any]:
-        return _coll.scatter(self, values, root)
-
-    def allgather(self, value: Any) -> Generator[Any, Message, list[Any]]:
-        return _coll.allgather(self, value)
-
-    def reduce(self, value: Any, op: Any = None, root: int = 0) -> Generator[Any, Message, Any]:
-        return _coll.reduce(self, value, op, root)
-
-    def allreduce(self, value: Any, op: Any = None) -> Generator[Any, Message, Any]:
-        return _coll.allreduce(self, value, op)
-
-    def alltoall(self, values: list[Any]) -> Generator[Any, Message, list[Any]]:
-        return _coll.alltoall(self, values)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Comm(rank={self.rank}, size={self.size})"

@@ -19,9 +19,6 @@ __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
     "TAG_DEFAULT",
-    "TAG_REQUEST",
-    "TAG_RESOLVED",
-    "TAG_COLLECTIVE",
     "Envelope",
     "payload_nbytes",
 ]
@@ -32,12 +29,6 @@ ANY_SOURCE = -1
 ANY_TAG = -1
 
 TAG_DEFAULT = 0
-#: Tag used by Algorithm 3.1/3.2 ``<request, ...>`` messages.
-TAG_REQUEST = 1
-#: Tag used by Algorithm 3.1/3.2 ``<resolved, ...>`` messages.
-TAG_RESOLVED = 2
-#: Reserved tag space for collectives built on point-to-point.
-TAG_COLLECTIVE = 1 << 20
 
 
 def payload_nbytes(payload: Any) -> int:

@@ -9,8 +9,6 @@ __all__ = [
     "RankFailure",
     "InjectedFault",
     "InvalidRankError",
-    "TruncationError",
-    "CollectiveMismatchError",
     "CorruptCheckpointError",
     "UnrecoverableError",
 ]
@@ -105,11 +103,3 @@ class UnrecoverableError(MPSimError):
 
 class InvalidRankError(MPSimError, ValueError):
     """A rank id outside ``[0, size)`` was used as a source or destination."""
-
-
-class TruncationError(MPSimError):
-    """A receive buffer was too small for the matched message."""
-
-
-class CollectiveMismatchError(MPSimError):
-    """Ranks disagreed about a collective's parameters (e.g. root or shape)."""

@@ -3,9 +3,9 @@
 The paper's target regime — hundreds of ranks generating billions of edges —
 is exactly where rank crashes, lost or duplicated messages, and stragglers
 stop being corner cases.  A :class:`FaultPlan` is a *seeded, reproducible*
-schedule of such faults, applied through hooks in
-:class:`~repro.mpsim.bsp.BSPEngine` (``fault_plan=``) and the event-driven
-:class:`~repro.mpsim.runtime.Simulator` (``fault_injector=``):
+schedule of such faults, applied through the ``fault_plan=`` hook of
+:class:`~repro.mpsim.bsp.BSPEngine` and of the event-driven
+:class:`~repro.mpsim.runtime.Simulator`:
 
 * **crashes** — a chosen rank raises
   :class:`~repro.mpsim.errors.InjectedFault` (surfaced as

@@ -37,9 +37,8 @@ Two termination-related behaviours matter for the paper's algorithms:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from repro.mpsim.costmodel import CostModel
 from repro.mpsim.datatypes import ANY_SOURCE, ANY_TAG, Envelope, payload_nbytes
@@ -50,9 +49,10 @@ from repro.mpsim.errors import (
     MPSimError,
     RankFailure,
 )
+from repro.mpsim.faults import FaultPlan
 from repro.mpsim.stats import WorldStats
 
-__all__ = ["Recv", "RecvOrQuiesce", "Barrier", "Simulator", "Message"]
+__all__ = ["Recv", "RecvOrQuiesce", "Simulator", "Message"]
 
 
 @dataclass(frozen=True)
@@ -80,51 +80,6 @@ class RecvOrQuiesce:
     tag: int = ANY_TAG
 
 
-@dataclass(frozen=True)
-class Barrier:
-    """Synchronise all ranks; every rank resumes at the max clock."""
-
-
-@dataclass(frozen=True)
-class Noop:
-    """Yieldable that resumes immediately (completed-request waits)."""
-
-
-@dataclass(frozen=True)
-class SendRequest:
-    """Handle for a non-blocking send.
-
-    Sends in the simulator are eager and buffered (as mpi4py's ``isend`` is
-    for small payloads), so the request is born complete; ``wait`` exists
-    for API symmetry.
-    """
-
-    def test(self) -> bool:
-        return True
-
-    def wait(self) -> Noop:
-        return Noop()
-
-
-@dataclass(frozen=True)
-class RecvRequest:
-    """Handle for a non-blocking receive posted with ``Comm.irecv``.
-
-    ``yield req.wait()`` blocks until the matching message arrives and
-    evaluates to it; ``req.test()`` probes without blocking.
-    """
-
-    comm: Any
-    source: int
-    tag: int
-
-    def test(self) -> bool:
-        return self.comm.iprobe(self.source, self.tag)
-
-    def wait(self) -> Recv:
-        return Recv(self.source, self.tag)
-
-
 _RankProgram = Callable[..., Generator[Any, Any, Any]]
 
 
@@ -138,7 +93,7 @@ class _RankState:
         self.gen = gen
         self.clock = 0.0
         self.mailbox: list[Envelope] = []
-        self.blocked_on: Recv | RecvOrQuiesce | Barrier | None = None
+        self.blocked_on: Recv | RecvOrQuiesce | None = None
         self.finished = False
         self.comm = comm
 
@@ -182,7 +137,7 @@ class Simulator:
         self,
         size: int,
         cost_model: CostModel | None = None,
-        fault_injector: Callable[[Envelope], bool] | None = None,
+        fault_plan: FaultPlan | None = None,
         schedule: Any = None,
     ) -> None:
         if size <= 0:
@@ -196,30 +151,18 @@ class Simulator:
         #: always being the canonical earliest-timestamp choice, so a
         #: baseline schedule reproduces the unscheduled run bit-exactly.
         self.schedule = schedule
-        #: Optional failure-injection hook.  Two forms are accepted:
-        #:
-        #: * a plain callable receiving every :class:`Envelope` at send time;
-        #:   returning False silently *drops* the message (models a lossy
-        #:   transport / crashed NIC);
-        #: * a :class:`~repro.mpsim.faults.FaultPlan` (anything with a
-        #:   ``message_fate`` method), which additionally supports message
-        #:   duplication, straggler latency inflation, and scheduled rank
-        #:   crashes (fired at the rank's next send or compute charge past
-        #:   the crash's virtual time, surfacing as :class:`RankFailure`).
-        #:
-        #: Protocol code is expected to hang on loss — which the
-        #: deadlock/quiescence machinery then surfaces — so this is a
-        #: failure-behaviour hook, not a retry layer.
-        self.fault_injector = fault_injector
-        self._fault_plan = (
-            fault_injector if hasattr(fault_injector, "message_fate") else None
-        )
+        #: Optional :class:`~repro.mpsim.faults.FaultPlan`: message drops
+        #: and duplications at send time, straggler latency and compute
+        #: inflation, and scheduled rank crashes (fired at the rank's next
+        #: send or compute charge past the crash's virtual time, surfacing
+        #: as :class:`RankFailure`).  Protocol code is expected to hang on
+        #: loss — which the deadlock/quiescence machinery then surfaces —
+        #: so this is a failure-behaviour hook, not a retry layer.
+        self.fault_plan = fault_plan
         self.dropped_messages = 0
         self.stats = WorldStats.for_size(size)
         self._seq = 0
-        self._in_flight = 0
         self._ranks: list[_RankState] = []
-        self._barrier_waiters: list[_RankState] = []
 
     # ------------------------------------------------------------------ send
     def post_send(self, source: int, dest: int, payload: Any, tag: int) -> None:
@@ -233,9 +176,9 @@ class Simulator:
         self.stats[source].record_send(1, nbytes)
         self.stats[source].busy_time = sender.clock
         latency = self.cost.alpha + self.cost.beta * nbytes
-        if self._fault_plan is not None:
+        if self.fault_plan is not None:
             # a straggler's NIC/link is slow: inflate its outgoing latency
-            latency *= self._fault_plan.straggle_multiplier(source)
+            latency *= self.fault_plan.straggle_multiplier(source)
         self._seq += 1
         env = Envelope(
             deliver_at=sender.clock + latency,
@@ -246,17 +189,14 @@ class Simulator:
             payload=payload,
             nbytes=nbytes,
         )
-        if self._fault_plan is not None:
-            copies = self._fault_plan.message_fate(source, dest)
-        elif self.fault_injector is not None:
-            copies = 1 if self.fault_injector(env) else 0
+        if self.fault_plan is not None:
+            copies = self.fault_plan.message_fate(source, dest)
         else:
             copies = 1
         if copies == 0:
             self.dropped_messages += 1
             return
         self._ranks[dest].mailbox.append(env)
-        self._in_flight += 1
         for _ in range(copies - 1):
             self._seq += 1
             dup = Envelope(
@@ -269,11 +209,10 @@ class Simulator:
                 nbytes=nbytes,
             )
             self._ranks[dest].mailbox.append(dup)
-            self._in_flight += 1
 
     def _maybe_crash(self, rank: int) -> None:
         """Fire a scheduled crash once the rank's clock passes its deadline."""
-        if self._fault_plan is not None and self._fault_plan.should_crash(
+        if self.fault_plan is not None and self.fault_plan.should_crash(
             rank, time=self._ranks[rank].clock
         ):
             raise RankFailure(
@@ -295,8 +234,8 @@ class Simulator:
         st = self._ranks[rank]
         self._maybe_crash(rank)
         t = self.cost.compute_time(nodes, work_items)
-        if self._fault_plan is not None:
-            t *= self._fault_plan.straggle_multiplier(rank)
+        if self.fault_plan is not None:
+            t *= self.fault_plan.straggle_multiplier(rank)
         st.clock += t
         self.stats[rank].nodes += nodes
         self.stats[rank].work_items += work_items
@@ -348,14 +287,10 @@ class Simulator:
                 for st in self._ranks
                 if not st.finished and isinstance(st.blocked_on, RecvOrQuiesce)
             ]
-            in_barrier = [st for st in self._ranks if isinstance(st.blocked_on, Barrier)]
-            if in_barrier and len(in_barrier) + sum(st.finished for st in self._ranks) == self.size:
-                self._release_barrier(in_barrier)
-                continue
-            if blocked_plain or in_barrier:
+            if blocked_plain:
                 raise DeadlockError(
                     "global quiescence with unsatisfied blocking receives "
-                    f"(ranks {sorted(blocked_plain)}, barrier {sorted(st.rank for st in in_barrier)})",
+                    f"(ranks {sorted(blocked_plain)})",
                     blocked_ranks=tuple(sorted(blocked_plain)),
                 )
             # All remaining ranks sit in RecvOrQuiesce: terminate them.
@@ -378,7 +313,6 @@ class Simulator:
     def _receive_env(self, st: _RankState, idx: int) -> Message:
         """Consume mailbox entry ``idx``: clock, stats, and the Message."""
         env = st.mailbox.pop(idx)
-        self._in_flight -= 1
         st.clock = max(st.clock, env.deliver_at)
         st.clock += self.cost.message_time(1, env.nbytes)
         self.stats[st.rank].record_receive(1, env.nbytes)
@@ -448,15 +382,6 @@ class Simulator:
         )
         return matches[pick]
 
-    def _release_barrier(self, waiters: list[_RankState]) -> None:
-        t = max(st.clock for st in waiters) + self.cost.round_time()
-        for st in waiters:
-            st.clock = t
-            st.blocked_on = None
-            self.stats[st.rank].rounds += 1
-        for st in waiters:
-            self._advance(st, value=None)
-
     def _advance(self, st: _RankState, value: Any = None, first: bool = False) -> None:
         """Run one rank until it blocks or finishes."""
         if st.gen is None:
@@ -466,9 +391,6 @@ class Simulator:
             while True:
                 op = st.gen.send(None if first else value) if not first else next(st.gen)
                 first = False
-                if isinstance(op, Noop):
-                    value = None
-                    continue
                 if isinstance(op, (Recv, RecvOrQuiesce)):
                     # Fast path: a matching message is already in the mailbox.
                     idx = st.find_match(op.source, op.tag)
@@ -477,9 +399,6 @@ class Simulator:
                             idx = self._pick_match(st, op)
                         value = self._receive_env(st, idx)
                         continue
-                    st.blocked_on = op
-                    return
-                if isinstance(op, Barrier):
                     st.blocked_on = op
                     return
                 raise MPSimError(f"rank {st.rank} yielded unsupported operation {op!r}")
@@ -494,11 +413,6 @@ class Simulator:
             raise RankFailure(st.rank, exc) from exc
 
     # ------------------------------------------------------------- inspection
-    @property
-    def in_flight(self) -> int:
-        """Number of messages posted but not yet received."""
-        return self._in_flight
-
     def clocks(self) -> list[float]:
         """Current virtual clock of every rank (post-run: completion times)."""
         return [st.clock for st in self._ranks]

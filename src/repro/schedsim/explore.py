@@ -164,7 +164,7 @@ def _default_runner(config: Mapping[str, Any], schedule: Schedule):
             part,
             p=p,
             seed=seed,
-            fault_injector=plan,
+            fault_plan=plan,
             schedule=schedule,
             confluent=bool(knobs.get("confluent", True)),
         )

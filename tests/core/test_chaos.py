@@ -134,7 +134,7 @@ class TestDeadlockDetectionUnderFaults:
                     seed=seed,
                     buffer_capacity=1 << 20,
                     flush_on_idle=False,
-                    fault_injector=FaultPlan(seed),
+                    fault_plan=FaultPlan(seed),
                 )
                 return False
             except DeadlockError:

@@ -1,10 +1,10 @@
 """Tests for the communication-free generator family.
 
 The load-bearing property is *evaluation-order invariance*: because every
-draw is a pure function of ``(seed, slot)``, the batch sweep, the slice
-workers, the forked mp path, and the streaming emitter must all produce the
-same graph bit for bit — and all of them must match the boring scalar
-oracle in :mod:`repro.seq.commfree_ref`.
+draw is a pure function of ``(seed, slot)``, the one-slice run, the slice
+workers, the forked mp path, and the block-by-block sink protocol must all
+produce the same graph bit for bit — and all of them must match the boring
+scalar oracle in :mod:`repro.seq.commfree_ref`.
 """
 
 import subprocess
@@ -22,8 +22,6 @@ from repro.core.commfree import (
     commfree_edge_slice,
     commfree_mp,
     commfree_slices,
-    commfree_x1,
-    stream_commfree_x1,
 )
 from repro.core.generator import generate
 from repro.graph.edgelist import EdgeList
@@ -42,11 +40,24 @@ def concat_slices(n, ranks, **kw) -> EdgeList:
     return el
 
 
-def collect_stream(n, **kw) -> EdgeList:
-    el = EdgeList()
-    for u, v in stream_commfree_x1(n, **kw):
-        el.append_arrays(u, v)
-    return el
+class BlockSink:
+    """Records the ``(u, v)`` blocks :func:`commfree_edge_slice` hands a sink."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def append_arrays(self, u, v):
+        self.blocks.append((np.array(u), np.array(v)))
+
+
+def slice_blocks(n, **kw):
+    """The blocks of the one-slice run ``[0, n)``, as a spilling worker sees them."""
+    return commfree_edge_slice(n, 0, n, out=BlockSink(), **kw).blocks
+
+
+def one_slice(n, **kw) -> EdgeList:
+    """The one-slice run ``[0, n)``, taking the slice's own ``block_size``."""
+    return commfree_edge_slice(n, 0, n, out=EdgeList(), **kw)
 
 
 class TestOracleBitIdentity:
@@ -55,7 +66,7 @@ class TestOracleBitIdentity:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 100, 2_000])
     @pytest.mark.parametrize("p", [0.1, 0.5, 1.0])
     def test_x1_batch(self, n, p):
-        assert commfree_x1(n, p=p, seed=7) == commfree_reference(n, 1, p, 7)
+        assert commfree(n, p=p, seed=7) == commfree_reference(n, 1, p, 7)
 
     @pytest.mark.parametrize("n,x", [(4, 3), (5, 4), (40, 2), (300, 4)])
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
@@ -66,19 +77,19 @@ class TestOracleBitIdentity:
            seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=30, deadline=None)
     def test_x1_batch_property(self, n, seed):
-        assert commfree_x1(n, seed=seed) == commfree_reference(n, seed=seed)
+        assert commfree(n, seed=seed) == commfree_reference(n, seed=seed)
 
 
 class TestStructure:
     def test_x1_attachments_point_backwards(self):
-        _el, F = commfree_x1(5_000, seed=3, return_attachments=True)
-        assert (F[1:] < np.arange(1, 5_000)).all()
-        assert (F[1:] >= 0).all()
-        assert F[0] == -1
+        el = commfree(5_000, seed=3)
+        assert np.array_equal(el.sources, np.arange(1, 5_000))
+        assert (el.targets < el.sources).all()
+        assert (el.targets >= 0).all()
 
     def test_x1_validates(self):
         n = 3_000
-        assert validate_pa_graph(commfree_x1(n, seed=1), n, 1).ok
+        assert validate_pa_graph(commfree(n, seed=1), n, 1).ok
 
     def test_general_validates(self):
         n, x = 800, 4
@@ -86,29 +97,32 @@ class TestStructure:
 
     def test_general_rows_distinct_and_backward(self):
         n, x = 400, 5
-        _el, F = commfree(n, x=x, p=0.4, seed=1, return_attachments=True)
-        for t in range(x + 1, n):
-            row = F[t]
+        el = commfree(n, x=x, p=0.4, seed=1)
+        start = x * (x + 1) // 2  # past the clique and node x's row
+        owners = el.sources[start:].reshape(-1, x)
+        rows = el.targets[start:].reshape(-1, x)
+        assert np.array_equal(owners[:, 0], np.arange(x + 1, n))
+        for t, row in zip(range(x + 1, n), rows):
             assert len(set(row.tolist())) == x
             assert (row >= 0).all() and (row < t).all()
 
     def test_edge_counts(self):
-        assert len(commfree_x1(100, seed=0)) == 99
+        assert len(commfree(100, seed=0)) == 99
         assert len(commfree(100, x=3, seed=0)) == 3 + 97 * 3
 
     def test_determinism_and_seed_sensitivity(self):
-        assert commfree_x1(500, seed=5) == commfree_x1(500, seed=5)
-        assert commfree_x1(500, seed=5) != commfree_x1(500, seed=6)
+        assert commfree(500, seed=5) == commfree(500, seed=5)
+        assert commfree(500, seed=5) != commfree(500, seed=6)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            commfree_x1(0)
+            commfree(0)
         with pytest.raises(ValueError):
-            commfree_x1(10, p=0.0)
+            commfree(10, p=0.0)
         with pytest.raises(ValueError):
             commfree(5, x=5)
         with pytest.raises(ValueError):
-            commfree_x1(10, block_size=0)
+            commfree_edge_slice(10, 0, 10, block_size=0)
 
     def test_degenerate_duplicate_rejection_raises(self):
         # p=1 with x>1: node x+1 can only ever draw k=x, but needs x
@@ -122,9 +136,7 @@ class TestBlockInvariance:
 
     @pytest.mark.parametrize("block", [1, 7, 64, 1 << 20])
     def test_batch_blocks(self, block):
-        assert commfree_x1(2_000, seed=3, block_size=block) == commfree_x1(
-            2_000, seed=3, block_size=1 << 16
-        )
+        assert one_slice(2_000, seed=3, block_size=block) == commfree(2_000, seed=3)
 
 
 class TestSliceIdentity:
@@ -133,7 +145,7 @@ class TestSliceIdentity:
     @pytest.mark.parametrize("n", [2, 5, 1_000, 4_999])
     @pytest.mark.parametrize("ranks", [1, 2, 3, 7])
     def test_x1(self, n, ranks):
-        assert concat_slices(n, ranks, seed=11) == commfree_x1(n, seed=11)
+        assert concat_slices(n, ranks, seed=11) == commfree(n, seed=11)
 
     @pytest.mark.parametrize("n,x", [(200, 4), (500, 3)])
     @pytest.mark.parametrize("ranks", [1, 3, 8])
@@ -172,28 +184,32 @@ class TestPrefixChase:
         u, v = commfree_edge_slice(n, lo, hi, **kw)
         assert np.array_equal(u, ref.sources[lo - 1 : hi - 1])
         assert np.array_equal(v, ref.targets[lo - 1 : hi - 1])
-        assert collect_stream(n, **kw) == ref
-        el, F = commfree_x1(n, return_attachments=True, **kw)
-        assert el == ref
-        assert F[0] == -1 and np.array_equal(F[1:], ref.targets)
+        assert one_slice(n, **kw) == ref
+        assert commfree(n, p=p, seed=19) == ref
 
     def test_real_prefix_slices(self):
         n = (1 << 20) + 3 * (1 << 16)
         assert commfree_mod._PREFIX < n
-        assert concat_slices(n, 3, seed=23) == commfree_x1(n, seed=23)
+        assert concat_slices(n, 3, seed=23) == commfree(n, seed=23)
 
 
 _FLAT_RSS = textwrap.dedent("""
     import resource, sys
     from repro import generate
-    from repro.core.commfree import stream_commfree_x1
+    from repro.core.commfree import commfree_edge_slice
 
     def peak(who):
         return resource.getrusage(who).ru_maxrss / 1024
 
+    class Count:
+        edges = 0
+
+        def append_arrays(self, u, v):
+            self.edges += len(u)
+
     stream = []
     for n in (2_000_000, 8_000_000):
-        assert sum(len(u) for u, _ in stream_commfree_x1(n, seed=1)) == n - 1
+        assert commfree_edge_slice(n, 0, n, seed=1, out=Count()).edges == n - 1
         stream.append(peak(resource.RUSAGE_SELF))
     workers = []
     for i, n in enumerate((2_000_000, 8_000_000)):
@@ -207,7 +223,7 @@ _FLAT_RSS = textwrap.dedent("""
 
 
 class TestFlatMemory:
-    """Spilled and streamed x = 1 runs hold no n-sized state."""
+    """Spilled and block-wise x = 1 runs hold no n-sized state."""
 
     def test_peak_rss_flat_in_n(self, tmp_path):
         # a fresh interpreter: RUSAGE_CHILDREN keeps the maximum of every
@@ -226,7 +242,7 @@ class TestMpIdentity:
 
     @pytest.mark.parametrize("ranks", [1, 2, 4])
     def test_x1(self, ranks):
-        assert commfree_mp(10_000, ranks=ranks, seed=13) == commfree_x1(
+        assert commfree_mp(10_000, ranks=ranks, seed=13) == commfree(
             10_000, seed=13
         )
 
@@ -237,23 +253,25 @@ class TestMpIdentity:
 
 
 class TestStreaming:
+    """At x = 1 the one-slice run hands a sink bounded blocks in node order
+    (node 1's edge leads), so it streams without materialising the list."""
+
     @pytest.mark.parametrize("block_size", [1, 7, 64, 100_000])
     def test_bit_identical_to_batch(self, block_size):
         n = 3_000
-        assert collect_stream(n, seed=5, block_size=block_size) == commfree_x1(
+        assert one_slice(n, seed=5, block_size=block_size) == commfree(
             n, seed=5
         )
 
     def test_edge_count_and_small_n(self):
-        assert list(stream_commfree_x1(1, seed=0)) == []
+        assert slice_blocks(1, seed=0) == []
         for n in (2, 3, 100):
-            assert len(collect_stream(n, seed=1)) == n - 1
+            assert len(one_slice(n, seed=1)) == n - 1
 
     def test_chunk_protocol_matches_copy_stream(self):
         # same shape contract as stream_copy_model_x1: node 1's edge leads
         # the first block, blocks stay bounded by block_size (+1 for it)
-        sizes = [len(u) for u, _ in stream_commfree_x1(1_000, seed=2,
-                                                       block_size=100)]
+        sizes = [len(u) for u, _ in slice_blocks(1_000, seed=2, block_size=100)]
         assert max(sizes) <= 101
         assert sum(sizes) == 999
 
@@ -263,16 +281,16 @@ class TestStreaming:
 
         n = 5_000
         acc = StreamingDegreeAccumulator(n)
-        for u, v in stream_commfree_x1(n, seed=3, block_size=500):
+        for u, v in slice_blocks(n, seed=3, block_size=500):
             acc.update(u, v)
-        batch = degrees_from_edges(commfree_x1(n, seed=3), n)
+        batch = degrees_from_edges(commfree(n, seed=3), n)
         assert np.array_equal(acc.degrees, batch)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            list(stream_commfree_x1(0))
+            slice_blocks(0)
         with pytest.raises(ValueError):
-            list(stream_commfree_x1(10, block_size=0))
+            slice_blocks(10, block_size=0)
 
 
 class TestGenerateFacade:

@@ -138,6 +138,8 @@ REJECTED = {
         dict(n=100, engine="quantum"), ["-n", "100", "--engine", "quantum"]
     ),
     "unknown-scheme": (dict(n=100, scheme="zcp"), ["-n", "100", "--scheme", "zcp"]),
+    # library only: the CLI parses these flags with int()
+    "integer-knobs": (dict(n=1000, x=2.5, ranks=2, out_of_core="spill"), None),
     "n": (dict(n=0), ["-n", "0"]),
     "x": (dict(n=100, x=0), ["-n", "100", "-x", "0"]),
     "p": (dict(n=100, p=1.5), ["-n", "100", "-p", "1.5"]),
@@ -309,6 +311,14 @@ class TestRunSpec:
         scalars = {f.name for f in fields(RunSpec)} - OBJECT_FIELDS
         assert scalars <= set(tel.meta)
         assert (tel.meta["n"], tel.meta["x"], tel.meta["ranks"]) == (300, 2, 3)
+        # the trace names the scheme the run executed, as its result does
+        for knobs, scheme in [
+            (dict(n=100, engine="sequential"), "none"),
+            (dict(n=200, x=2, ranks=2, partition=make_partition("ucp", 200, 2)), "ucp"),
+        ]:
+            tel = Telemetry()
+            r = generate(seed=4, telemetry=tel, **knobs)
+            assert tel.meta["scheme"] == r.scheme == scheme
 
     def test_unknown_keyword_is_a_type_error(self):
         with pytest.raises(TypeError):

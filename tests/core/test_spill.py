@@ -1,11 +1,11 @@
 """Tests for out-of-core (spill-to-disk) edge storage.
 
-Covers the :mod:`repro.core.spill` containers in isolation (watermark
-flushing, sealed rank regions and their verification on adoption, spill
-arenas), slice-worker deaths, and the property the whole layer is built on:
-a spilled generation is *bit-identical* to the in-RAM one, on every engine,
-partition scheme and rank count, even with a pathologically small budget
-that forces constant flushing.
+Covers the :mod:`repro.core.spill` containers in isolation (the adopted
+read-only edge list, sealed rank regions and their verification on
+adoption, spill arenas), slice-worker deaths, and the property the whole
+layer is built on: a spilled generation is *bit-identical* to the in-RAM
+one, on every engine, partition scheme and rank count, even with a
+pathologically small budget that shrinks every verification read.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from repro.mpsim.errors import CorruptCheckpointError, RankFailure
 
 pytestmark = pytest.mark.usefixtures("no_leftovers")
 
-#: small enough to force many flushes/shards on a few thousand edges
+#: small enough to force many read blocks on a few thousand edges
 TINY = 1 << 10
 
 
@@ -55,9 +55,18 @@ def sample_arrays(rng):
     return u, v
 
 
+def adopted(directory, u, v, budget_bytes=TINY) -> SpillEdgeList:
+    """Write ``u``/``v`` as the two column files and adopt them."""
+    directory.mkdir(parents=True, exist_ok=True)
+    np.asarray(u, dtype="<i8").tofile(directory / "u.i64")
+    np.asarray(v, dtype="<i8").tofile(directory / "v.i64")
+    max_node = int(max(np.max(u), np.max(v))) if len(u) else -1
+    return SpillEdgeList.adopt(directory, max_node, budget_bytes=budget_bytes)
+
+
 class TestSpillEdgeList:
     def test_empty(self, tmp_path):
-        el = SpillEdgeList(tmp_path)
+        el = adopted(tmp_path, [], [])
         assert len(el) == 0
         assert el.num_nodes == 0
         assert el.sources.size == 0
@@ -66,80 +75,26 @@ class TestSpillEdgeList:
     def test_matches_in_ram_edgelist(self, tmp_path, sample_arrays):
         u, v = sample_arrays
         ram = EdgeList.from_arrays(u, v)
-        spill = SpillEdgeList(tmp_path, budget_bytes=TINY)
-        spill.append_arrays(u, v)
+        spill = adopted(tmp_path, u, v)
         assert spill == ram
         assert spill.num_nodes == ram.num_nodes
+        assert list(spill) == list(ram)  # iterates in budget-sized blocks
         assert np.array_equal(spill.as_array(), ram.as_array())
         assert np.array_equal(spill.canonical(), ram.canonical())
 
-    def test_watermark_forces_disk_residency(self, tmp_path, sample_arrays):
-        u, v = sample_arrays
-        el = SpillEdgeList(tmp_path, budget_bytes=TINY)
-        el.append_arrays(u, v)
-        # the buffer holds budget//16 edges; everything else must be on disk
-        assert el.spilled_bytes >= 16 * (len(u) - TINY // 16)
-        assert (tmp_path / "u.i64").stat().st_size == 8 * el.spilled_bytes // 16
-
-    def test_scalar_append_and_iter(self, tmp_path):
-        el = SpillEdgeList(tmp_path, budget_bytes=64)  # 4-edge buffer
-        pairs = [(3, 0), (7, 1), (2, 2), (9, 0), (5, 5), (1, 0)]
-        for a, b in pairs:
-            el.append(a, b)
-        assert list(el) == pairs
-        assert el.num_nodes == 10
-
-    def test_extend_is_chunked_both_ways(self, tmp_path, sample_arrays):
-        u, v = sample_arrays
-        a = SpillEdgeList(tmp_path / "a", budget_bytes=TINY)
-        a.append_arrays(u, v)
-        b = SpillEdgeList(tmp_path / "b", budget_bytes=TINY)
-        b.extend(a)  # spill -> spill
-        ram = EdgeList()
-        ram.extend(b)  # spill -> ram
-        assert b == a
-        assert ram == a
-
-    def test_reads_reflect_unflushed_tail(self, tmp_path):
-        el = SpillEdgeList(tmp_path, budget_bytes=1 << 20)
-        el.append(4, 0)  # stays in the buffer (watermark far away)
-        assert list(el.sources) == [4]
-        el.append(5, 1)
-        assert list(el.targets) == [0, 1]
-
-    def test_close_then_read(self, tmp_path, sample_arrays):
-        u, v = sample_arrays
-        el = SpillEdgeList(tmp_path, budget_bytes=TINY)
-        el.append_arrays(u, v)
-        el.close()
-        assert np.array_equal(el.sources, u)
-        el.close()  # idempotent
-
     def test_bad_budget_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="budget_bytes"):
-            SpillEdgeList(tmp_path, budget_bytes=0)
-
-    def test_batch_shape_mismatch_rejected(self, tmp_path):
-        el = SpillEdgeList(tmp_path)
-        with pytest.raises(ValueError, match="equal-length"):
-            el.append_arrays(np.arange(3), np.arange(4))
+            adopted(tmp_path, [1], [0], budget_bytes=0)
 
     def test_unhashable(self, tmp_path):
         with pytest.raises(TypeError):
-            hash(SpillEdgeList(tmp_path))
-
-    def test_edgelist_spilled_constructor(self, tmp_path):
-        el = EdgeList.spilled(tmp_path, budget_bytes=TINY)
-        assert isinstance(el, SpillEdgeList)
-        el.append(1, 0)
-        assert len(el) == 1
+            hash(adopted(tmp_path, [1], [0]))
 
 
 class TestEdgeBlocksAndDigest:
     def test_iter_edge_blocks_covers_everything(self, sample_arrays, tmp_path):
         u, v = sample_arrays
-        el = SpillEdgeList(tmp_path, budget_bytes=TINY)
-        el.append_arrays(u, v)
+        el = adopted(tmp_path, u, v)
         got_u = np.concatenate([bu for bu, _ in iter_edge_blocks(el, 123)])
         assert np.array_equal(got_u, u)
 
@@ -152,8 +107,7 @@ class TestEdgeBlocksAndDigest:
     ):
         u, v = sample_arrays
         ram = EdgeList.from_arrays(u, v)
-        spill = SpillEdgeList(tmp_path, budget_bytes=TINY)
-        spill.append_arrays(u, v)
+        spill = adopted(tmp_path, u, v)
         d = edges_digest(ram)
         assert edges_digest(spill) == d
         assert edges_digest(spill, block_edges=17) == d

@@ -125,16 +125,16 @@ class TestAccumulator:
         assert pk.sum() == pytest.approx(3 / 4)
 
     def test_accumulates_commfree_stream(self):
-        # the accumulator is the verification path for streaming commfree
-        # output: fold blocks, compare against the materialized batch
-        from repro.core.commfree import commfree_x1, stream_commfree_x1
+        # the accumulator is the verification path for sliced commfree
+        # output: fold slices, compare against the materialized batch
+        from repro.core.commfree import commfree, commfree_edge_slice, commfree_slices
         from repro.graph.degree import degrees_from_edges
 
         n = 2_000
         acc = StreamingDegreeAccumulator(n)
-        for u, v in stream_commfree_x1(n, seed=9, block_size=128):
-            acc.update(u, v)
+        for lo, hi in commfree_slices(n, 16):
+            acc.update(*commfree_edge_slice(n, lo, hi, seed=9, block_size=128))
         assert np.array_equal(
-            acc.degrees, degrees_from_edges(commfree_x1(n, seed=9), n)
+            acc.degrees, degrees_from_edges(commfree(n, seed=9), n)
         )
         assert acc.num_edges == n - 1

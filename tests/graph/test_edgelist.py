@@ -46,12 +46,6 @@ class TestConstruction:
         u[0] = 99
         assert el.sources[0] == 3
 
-    def test_spilled_constructor(self, tmp_path):
-        from repro.core.spill import SpillEdgeList
-
-        el = EdgeList.spilled(tmp_path)
-        assert isinstance(el, SpillEdgeList)
-
 
 class TestGrowth:
     def test_scalar_append(self):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.mpsim import BSPEngine, DeadlockError
-from repro.mpsim.bsp import exchange_alltoallv
 from repro.mpsim.costmodel import CostModel
 from repro.mpsim.errors import InvalidRankError, MPSimError, RankFailure
 
@@ -226,21 +225,3 @@ class TestAccounting:
         s = eng.summary()
         for key in ("supersteps", "simulated_time", "imbalance", "total_messages"):
             assert key in s
-
-
-class TestExchangeHelper:
-    def test_alltoallv_routing(self):
-        outboxes = [
-            {1: np.array([10, 11]), 2: np.array([12])},
-            {0: np.array([20])},
-            {},
-        ]
-        inboxes = exchange_alltoallv(outboxes)
-        assert [src for src, _ in inboxes[0]] == [1]
-        assert np.array_equal(inboxes[0][0][1], [20])
-        assert [src for src, _ in inboxes[1]] == [0]
-        assert [src for src, _ in inboxes[2]] == [0]
-
-    def test_alltoallv_drops_empty(self):
-        inboxes = exchange_alltoallv([{1: np.empty(0, dtype=int)}, {}])
-        assert inboxes[1] == []

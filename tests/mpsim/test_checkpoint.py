@@ -233,40 +233,3 @@ class TestRotation:
         engine.run(_make_programs(800, 2, 4, seed=6), checkpointer=ckpt)
         assert ckpt.snapshots == 0
         assert checkpoint_chain(path) == []
-
-
-class TestNonblockingOps:
-    def test_isend_irecv_roundtrip(self):
-        from repro.mpsim import Simulator
-
-        got = {}
-
-        def prog(comm):
-            if comm.rank == 0:
-                req = comm.isend(1, {"a": 7})
-                assert req.test()
-                yield req.wait()
-            else:
-                req = comm.irecv(source=0)
-                msg = yield req.wait()
-                got["payload"] = msg.payload
-
-        Simulator(2).run(prog)
-        assert got["payload"] == {"a": 7}
-
-    def test_irecv_test_probes(self):
-        from repro.mpsim import Simulator
-
-        probes = []
-
-        def prog(comm):
-            if comm.rank == 0:
-                comm.isend(1, 1)
-            else:
-                req = comm.irecv()
-                # message needs virtual latency to arrive; wait then re-test
-                msg = yield req.wait()
-                probes.append(msg.payload)
-
-        Simulator(2).run(prog)
-        assert probes == [1]

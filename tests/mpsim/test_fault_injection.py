@@ -11,9 +11,13 @@ import pytest
 
 from repro.core.event_driven import run_event_driven_pa_x1
 from repro.core.partitioning import make_partition
-from repro.mpsim import Simulator
+from repro.mpsim import FaultPlan, Simulator
 from repro.mpsim.errors import DeadlockError
-from repro.mpsim.runtime import Recv
+
+
+def drop_first(count=1):
+    """A plan that drops the first ``count`` messages sent, then none."""
+    return FaultPlan(0).drop(count, rate=1.0)
 
 
 class TestSimulatorHook:
@@ -25,7 +29,7 @@ class TestSimulatorHook:
                 msg = yield comm.recv_or_quiesce()
                 assert msg is None  # the send was dropped
 
-        sim = Simulator(2, fault_injector=lambda env: False)
+        sim = Simulator(2, fault_plan=drop_first())
         sim.run(prog)
         assert sim.dropped_messages == 1
 
@@ -39,7 +43,7 @@ class TestSimulatorHook:
                 msg = yield comm.recv()
                 got["v"] = msg.payload
 
-        sim = Simulator(2, fault_injector=lambda env: True)
+        sim = Simulator(2, fault_plan=FaultPlan(0))
         sim.run(prog)
         assert got["v"] == 42
         assert sim.dropped_messages == 0
@@ -47,14 +51,14 @@ class TestSimulatorHook:
     def test_selective_drop_by_destination(self):
         def prog(comm):
             if comm.rank == 0:
-                comm.send(1, "a")
+                comm.send(1, "a")  # dropped: the plan's one-message budget
                 comm.send(2, "b")
             while True:
                 msg = yield comm.recv_or_quiesce()
                 if msg is None:
                     return
 
-        sim = Simulator(3, fault_injector=lambda env: env.dest != 1)
+        sim = Simulator(3, fault_plan=drop_first())
         stats = sim.run(prog)
         assert sim.dropped_messages == 1
         assert stats[2].msgs_received == 1
@@ -68,7 +72,7 @@ class TestSimulatorHook:
                 yield comm.recv()  # blocks forever: the message was dropped
 
         with pytest.raises(DeadlockError):
-            Simulator(2, fault_injector=lambda env: False).run(prog)
+            Simulator(2, fault_plan=drop_first()).run(prog)
 
 
 class TestProtocolUnderLoss:
@@ -78,17 +82,11 @@ class TestProtocolUnderLoss:
         load-bearing) completes with a full edge set."""
         n, P = 300, 4
         part = make_partition("rrp", n, P)
-        counter = {"i": 0}
-
-        def drop_fifth(env):
-            counter["i"] += 1
-            return counter["i"] != 5
-
+        plan = FaultPlan(0).drop(1, rate=0.2)
         try:
-            edges, _ = run_event_driven_pa_x1(
-                n, part, seed=0, fault_injector=drop_fifth
-            )
+            edges, _ = run_event_driven_pa_x1(n, part, seed=0, fault_plan=plan)
         except DeadlockError:
+            assert plan.counts() == {"drop": 1}
             return  # loud failure: acceptable and expected
         assert len(edges) == n - 1  # pragma: no cover - depends on which msg
 
@@ -96,7 +94,5 @@ class TestProtocolUnderLoss:
         n, P = 300, 4
         part = make_partition("rrp", n, P)
         plain, _ = run_event_driven_pa_x1(n, part, seed=1)
-        hooked, _ = run_event_driven_pa_x1(
-            n, part, seed=1, fault_injector=lambda env: True
-        )
+        hooked, _ = run_event_driven_pa_x1(n, part, seed=1, fault_plan=FaultPlan(0))
         assert np.array_equal(plain.canonical(), hooked.canonical())

@@ -95,7 +95,7 @@ class TestSimulatorFaults:
         part = make_partition("rrp", 400, 4)
         plan = FaultPlan(0).crash(1, at_time=0.0)
         with pytest.raises(RankFailure) as ei:
-            run_event_driven_pa_x1(400, part, seed=0, fault_injector=plan)
+            run_event_driven_pa_x1(400, part, seed=0, fault_plan=plan)
         assert ei.value.rank == 1
         assert isinstance(ei.value.original, InjectedFault)
 
@@ -104,7 +104,7 @@ class TestSimulatorFaults:
         part = make_partition("rrp", 400, 4)
         base, _ = run_event_driven_pa_x1(400, part, seed=1)
         plan = FaultPlan(2).duplicate(5, rate=0.05)
-        dup, sim = run_event_driven_pa_x1(400, part, seed=1, fault_injector=plan)
+        dup, sim = run_event_driven_pa_x1(400, part, seed=1, fault_plan=plan)
         assert plan.counts().get("duplicate", 0) > 0
         assert np.array_equal(base.canonical(), dup.canonical())
 
@@ -112,7 +112,7 @@ class TestSimulatorFaults:
         part = make_partition("rrp", 400, 4)
         base, base_sim = run_event_driven_pa_x1(400, part, seed=2)
         plan = FaultPlan(0).straggle(0, factor=25.0)
-        slow, slow_sim = run_event_driven_pa_x1(400, part, seed=2, fault_injector=plan)
+        slow, slow_sim = run_event_driven_pa_x1(400, part, seed=2, fault_plan=plan)
         assert np.array_equal(base.canonical(), slow.canonical())
         assert slow_sim.makespan > base_sim.makespan
 
@@ -125,22 +125,10 @@ class TestSimulatorFaults:
                 assert msg is None
 
         plan = FaultPlan(0).drop(10, rate=1.0)
-        sim = Simulator(2, fault_injector=plan)
+        sim = Simulator(2, fault_plan=plan)
         sim.run(prog)
         assert sim.dropped_messages == 1
         assert plan.counts() == {"drop": 1}
-
-    def test_legacy_callable_hook_still_works(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.send(1, 7)
-            else:
-                msg = yield comm.recv_or_quiesce()
-                assert msg is None
-
-        sim = Simulator(2, fault_injector=lambda env: False)
-        sim.run(prog)
-        assert sim.dropped_messages == 1
 
 
 class TestPlanCapabilities:
@@ -253,7 +241,7 @@ class TestUnityStragglers:
         part = make_partition("rrp", 400, 4)
         base, base_sim = run_event_driven_pa_x1(400, part, seed=2)
         unity, unity_sim = run_event_driven_pa_x1(
-            400, part, seed=2, fault_injector=FaultPlan(0).straggle(0, factor=1.0)
+            400, part, seed=2, fault_plan=FaultPlan(0).straggle(0, factor=1.0)
         )
         assert np.array_equal(base.canonical(), unity.canonical())
         assert unity_sim.makespan == base_sim.makespan

@@ -6,7 +6,7 @@ import pytest
 from repro.mpsim import DeadlockError, Simulator
 from repro.mpsim.costmodel import CostModel
 from repro.mpsim.errors import InvalidRankError, MPSimError, RankFailure
-from repro.mpsim.runtime import Barrier, Recv, RecvOrQuiesce
+from repro.mpsim.runtime import Recv, RecvOrQuiesce
 
 
 class TestPointToPoint:
@@ -162,30 +162,6 @@ class TestDeadlockAndQuiescence:
 
         Simulator(3).run(prog)
         assert hops == list(range(11))
-
-
-class TestBarrier:
-    def test_barrier_synchronises_clocks(self):
-        clocks = {}
-
-        def prog(comm):
-            comm.charge(nodes=100 * (comm.rank + 1))
-            yield comm.barrier()
-            clocks[comm.rank] = comm.clock
-
-        Simulator(4).run(prog)
-        vals = list(clocks.values())
-        assert max(vals) == pytest.approx(min(vals))
-
-    def test_barrier_with_missing_rank_deadlocks(self):
-        def prog(comm):
-            if comm.rank == 0:
-                yield comm.recv()  # never satisfied
-            else:
-                yield comm.barrier()
-
-        with pytest.raises(DeadlockError):
-            Simulator(3).run(prog)
 
 
 class TestClockAndStats:
