@@ -299,8 +299,7 @@ CONFLICTS: tuple[Conflict, ...] = (
     ),
     Conflict(
         "seed",
-        lambda k: k.seed is not None
-        and (not isinstance(k.seed, (int, np.integer)) or k.seed < 0),
+        lambda k: k.seed is not None and (not _integral(k.seed) or k.seed < 0),
         "seed must be None or a non-negative integer, got seed={seed!r}",
     ),
     Conflict(
@@ -478,8 +477,9 @@ def rank_programs(
     ``x = 1`` builds Algorithm 3.1's :class:`PAx1RankProgram`; with
     ``regions`` each resolves straight into its
     :meth:`ResultRegions.x1_region` of the output column.  Larger ``x``
-    builds Algorithm 3.2's :class:`PAGeneralRankProgram`;
-    ``canonical_inbox=False`` lets delivery order reach its arbitration (the
+    builds Algorithm 3.2's :class:`PAGeneralRankProgram`, which writes its
+    region only when done (:meth:`ResultRegions.fill`), so ``regions`` is
+    not used there; ``canonical_inbox=False`` lets delivery order reach its arbitration (the
     schedule fuzzer's injected bug).  ``queue_factory`` backs the wait
     queues (out-of-core runs pass a spill factory).
     """
@@ -509,49 +509,45 @@ def _run_supersteps(spec: RunSpec, part: Partition, plan: Any) -> dict:
     forked workers (:class:`~repro.mpsim.mp_backend.MultiprocessingBSPEngine`).
     ``checkpoint_dir`` runs under a
     :class:`~repro.mpsim.supervisor.Supervisor` that recovers crashes from
-    rotated snapshots, bit-identically.  In RAM, every rank's result lands
-    in its region of one pair of preallocated columns
-    (:class:`ResultRegions`); in-process x=1 programs resolve straight into
-    theirs.  With ``out_of_core`` the programs' wait queues are
-    memmap-backed and each rank writes its result into its region of the
-    final columns on disk, which are verified and adopted at the end.
-    Returns the run's :class:`GenerationResult` fields.
+    rotated snapshots, bit-identically.  Each finished rank writes its
+    edges into its region of the final columns through one hook,
+    ``collect(rank, program)``, run where the rank ran (inside its worker on
+    mp, so no edge array crosses a pipe).  In RAM the columns are a
+    :class:`ResultRegions` pair, shared with the workers on mp, and x=1
+    programs resolve straight into theirs.  With ``out_of_core`` the
+    programs' wait queues are memmap-backed and the columns are files on
+    disk, verified and adopted at the end.  Returns the run's
+    :class:`GenerationResult` fields.
     """
     engine, x, out_of_core, tel = spec.engine, spec.x, spec.out_of_core, spec.telemetry
-    offsets = regions = None
+    regions = None
     if out_of_core is not None:
         from repro.core import spill
 
         offsets = spill.prepare_regions(
             out_of_core, spill.rank_edge_counts(x, part.sizes(), part.owner)
         )
+
+        def collect(rank: int, prog: Any) -> dict:
+            # a small sealed manifest is all that travels back
+            return spill.write_edge_shards(out_of_core, rank, offsets, [prog.result()])
     else:
-        regions = ResultRegions(x, part)
-    # in-process x=1 ranks resolve straight into the output column
-    in_place = regions is not None and x == 1 and engine != "mp"
+        regions = ResultRegions(x, part, shared=engine == "mp")
+        collect = regions.fill
 
     def build_programs() -> list:
         qf = None
-        if offsets is not None:
+        if out_of_core is not None:
             qf = spill.SpillQueueFactory(Path(out_of_core) / "queues")
-        progs = rank_programs(
-            part, x, spec.p, spec.seed, queue_factory=qf,
-            regions=regions if in_place else None,
+        return rank_programs(
+            part, x, spec.p, spec.seed, queue_factory=qf, regions=regions,
         )
-        if offsets is None:
-            return progs
-        # each rank writes its region when asked for its result (inside its
-        # worker on mp), so only a small sealed manifest travels back
-        return [
-            spill.SpillResultProgram(prog, out_of_core, r, offsets)
-            for r, prog in enumerate(progs)
-        ]
 
     def build_engine():
         if engine == "mp":
             return MultiprocessingBSPEngine(
                 part.P, cost_model=spec.cost_model,
-                barrier_timeout=spec.barrier_timeout, telemetry=tel,
+                barrier_timeout=spec.barrier_timeout, telemetry=tel, collect=collect,
             )
         return BSPEngine(part.P, cost_model=spec.cost_model, telemetry=tel)
 
@@ -570,18 +566,15 @@ def _run_supersteps(spec: RunSpec, part: Partition, plan: Any) -> dict:
         eng.run(programs, fault_plan=plan)
 
     if engine == "mp":
-        # the final program state lives in the workers; they sent it back
-        results = eng.results
+        # the final program state lives in the workers, which collected it
         counters = [(c["requests_sent"], c["requests_received"]) for c in eng.rank_counters]
     else:
-        results = programs
+        for r, prog in enumerate(programs):
+            collect(r, prog)
         counters = [(pr.requests_sent, pr.requests_received) for pr in programs]
-    if offsets is None:
-        edges = regions.edges(results)
+    if regions is not None:
+        edges = regions.edges()
     else:
-        if engine != "mp":
-            for prog in programs:  # in-process ranks write their regions here
-                prog.result()
         edges = spill.assemble_shards(out_of_core, part.P, spec.spill_budget_bytes)
     sent, received = np.array(list(zip(*counters)), dtype=np.int64)
     return dict(

@@ -29,9 +29,10 @@ uniforms in node order; NumPy's ``Generator.random`` in chunks yields the
 values of one call, so blocking leaves every draw, record and message as
 it was.  ``F`` itself can be the output: :class:`ResultRegions` lays out the
 run's final ``(u, v)`` columns, rank ``r``'s edges at ``[offsets[r],
-offsets[r + 1])`` (:func:`repro.core.spill.rank_edge_counts`), and an
-in-process program given its region as ``out`` resolves straight into the
-target column; only the source column is filled afterwards, from the node
+offsets[r + 1])`` (:func:`repro.core.spill.rank_edge_counts`), and a
+program given its region as ``out`` resolves straight into the target
+column, in-process or in an mp worker (whose columns are shared with the
+coordinator); only the source column is filled afterwards, from the node
 ranges.
 
 Execution model: the rank program below runs on the
@@ -50,6 +51,7 @@ two engines produce bit-identical graphs (see
 
 from __future__ import annotations
 
+import mmap
 from collections import defaultdict
 
 import numpy as np
@@ -166,8 +168,17 @@ class PAx1RankProgram:
         return self.nodes[int(0 in self.nodes) :]
 
     def result(self) -> tuple[np.ndarray, np.ndarray]:
-        """Local edges ``(t, F_t)`` for owned ``t >= 1`` (mp-backend hook)."""
+        """Local edges ``(t, F_t)`` for owned ``t >= 1``."""
         return _arange(self.sources), self.F[int(0 in self.nodes) :]
+
+    def write_result(self, u: np.ndarray, v: np.ndarray) -> None:
+        """Write the local edges into the columns ``u`` and ``v``; a program
+        built on its :meth:`ResultRegions.x1_region` has its targets there
+        already and fills only the sources."""
+        _fill_range(u, self.sources)
+        targets = self.F[int(0 in self.nodes) :]
+        if not _same_memory(targets, v):
+            v[:] = targets
 
     def local_edges(self) -> EdgeList:
         t, f = self.result()
@@ -311,9 +322,14 @@ class ResultRegions:
     extra leading slot, so the region of the rank that owns node 0 can
     start with node 0's (edge-less) ``F`` slot: every x=1 program's ``F``
     then fits its region exactly (:meth:`x1_region`).
+
+    ``shared=True`` backs the columns with anonymous ``MAP_SHARED``
+    mappings, so ranks forked after construction write their regions
+    (:meth:`fill`) where the parent reads them.  Having no name, a mapping
+    is gone with the last process that maps it: a killed run leaks none.
     """
 
-    def __init__(self, x: int, partition: Partition) -> None:
+    def __init__(self, x: int, partition: Partition, shared: bool = False) -> None:
         from repro.core.spill import rank_edge_counts
 
         counts = rank_edge_counts(x, partition.sizes(), partition.owner)
@@ -322,8 +338,8 @@ class ResultRegions:
         self.offsets = np.zeros(partition.P + 1, dtype=np.int64)
         np.cumsum(counts, out=self.offsets[1:])
         m = int(self.offsets[-1])
-        self.u = np.empty(m, dtype=np.int64)
-        self._v = np.empty(m + 1, dtype=np.int64)
+        self.u = _column(m, shared)
+        self._v = _column(m + 1, shared)
         self.v = self._v[1:]
 
     def x1_region(self, rank: int) -> np.ndarray:
@@ -331,23 +347,26 @@ class ResultRegions:
         lo, hi = self.offsets[rank], self.offsets[rank + 1]
         return self._v[lo + (0 not in self.part.node_range(rank)) : hi + 1]
 
-    def edges(self, results) -> EdgeList:
-        """Fill every region and wrap the columns as one :class:`EdgeList`.
+    def fill(self, rank: int, program) -> None:
+        """Write rank ``rank``'s edges into its region, through its
+        program's ``write_result``; the mp engine runs this inside the
+        rank's worker, so no edge array travels back."""
+        lo, hi = self.offsets[rank], self.offsets[rank + 1]
+        program.write_result(self.u[lo:hi], self.v[lo:hi])
 
-        ``results[r]`` is rank ``r``'s program or its ``(u, v)`` result.  A
-        rank's edges are copied into its region unless they already live
-        there: an x=1 program built on :meth:`x1_region` leaves only its
-        sources to fill, from its node range.
-        """
-        for r, res in enumerate(results):
-            lo, hi = self.offsets[r], self.offsets[r + 1]
-            if self.x == 1 and _same_memory(getattr(res, "F", None), self.x1_region(r)):
-                _fill_range(self.u[lo:hi], res.sources)
-                continue
-            u, v = res if isinstance(res, tuple) else res.result()
-            self.u[lo:hi] = u
-            self.v[lo:hi] = v
+    def edges(self, programs=()) -> EdgeList:
+        """Fill the region of each of ``programs`` (rank order) and wrap the
+        columns as one :class:`EdgeList`."""
+        for r, prog in enumerate(programs):
+            self.fill(r, prog)
         return EdgeList.from_arrays(self.u, self.v, copy=False)
+
+
+def _column(m: int, shared: bool) -> np.ndarray:
+    """An uninitialised ``int64`` column of ``m`` values."""
+    if not shared:
+        return np.empty(m, dtype=np.int64)
+    return np.frombuffer(mmap.mmap(-1, max(8 * m, 1)), dtype=np.int64, count=m)
 
 
 def _same_memory(a: np.ndarray | None, b: np.ndarray) -> bool:

@@ -26,16 +26,42 @@ loops are queue parking/draining, which touch the (rare) unresolved tail.
 Intra-batch duplicate arbitration keeps the first record per ``(t, v)`` pair
 in batch order (:func:`repro.core.arbitration.first_wins`) — the bulk analogue
 of the sequential first-come-first-served adjacency check.
+
+Randomness protocol: the setup gives each owned node ``t > x`` its ``x``
+slots ``(t, 0) .. (t, x-1)``, in node order; with ``N`` such slots on the
+rank, slot ``s`` takes its ``k`` from stream position ``s``, its coin from
+``N + s`` and, if it copies, its ``l`` from ``2N`` plus the number of copy
+slots before it.  Direct slots that lose their assignment to a duplicate are
+redrawn, ``k`` and coin and (for copies) ``l`` together, from position ``2N
++ C`` on (``C`` copy slots in all); every later retry continues the stream
+from there.
+
+Memory: a rank's setup scratch is bounded by its draw block, not its node
+count.  The setup walks the rank's node range (never materialised as an id
+array) in blocks of :data:`_BLOCK` nodes with three cursors on the stream,
+its bit-generator states at positions ``0``, ``N`` and ``2N`` (made with
+``bit_generator.advance``), each swapped in for its block's draws; so every
+block reads exactly the values one whole-rank draw would, through the rank's
+own generator.  A slot's row ``F_t`` is only ever written by the
+slots of ``t``, so the blocks' duplicate checks see what the whole-rank
+batch saw.  The losers of all blocks are redrawn once, after the last block,
+as one batch.  ``F`` itself is allocated by the first step, inside the
+process that runs the rank, and :meth:`PAGeneralRankProgram.write_result`
+writes the rank's edges straight into the output's region
+(:class:`repro.core.parallel_pa.ResultRegions`), ``F``'s rows as the
+``(nt, x)`` shape of the target column, with no concatenated temporary.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 
 import numpy as np
 
 from repro.core.arbitration import first_wins
 from repro.core.arena import RecordQueue
+from repro.core.parallel_pa import _arange
 from repro.core.partitioning import Partition
 from repro.core.routing import route_by_dest
 from repro.graph.edgelist import EdgeList
@@ -50,6 +76,27 @@ GRECORD_DTYPE = np.dtype(
 )
 GREQ = 0
 GRES = 1
+
+#: nodes per draw block of :meth:`PAGeneralRankProgram._setup`; a block's
+#: ``x * _BLOCK`` slots of draws and index arrays are the setup's whole
+#: scratch (~20 MiB at x = 4), whatever the rank's node count
+_BLOCK = 1 << 16
+
+
+def _of_kind(records: np.ndarray, kind: int) -> np.ndarray:
+    """The records of ``kind``; a batch of that kind only, as it is."""
+    sel = records["kind"] == kind
+    return records if sel.all() else records[sel]
+
+
+def _draws_at(rng: np.random.Generator, state: dict, n: int) -> tuple[np.ndarray, dict]:
+    """``n`` uniforms of ``rng``'s stream from the bit-generator ``state``
+    on, and the state after them; ``rng`` is left where it was."""
+    bg = rng.bit_generator
+    here, bg.state = bg.state, state
+    u = rng.random(n)
+    after, bg.state = bg.state, here
+    return u, after
 
 
 def _grecords(kind: int, t: np.ndarray, e: np.ndarray, a: np.ndarray, l: np.ndarray) -> np.ndarray:
@@ -89,8 +136,10 @@ class PAGeneralRankProgram:
         # how the transport interleaved senders.  ``False`` exposes the raw
         # order — the injected bug the schedule fuzzer must catch.
         self.canonical_inbox = canonical_inbox
-        self.nodes = partition.partition_nodes(rank)
-        self.F = np.full((len(self.nodes), x), -1, dtype=np.int64)
+        self.nodes = partition.node_range(rank)
+        # ``F[i, e]``: slot ``e`` of the rank's ``i``-th node, -1 while
+        # unknown; allocated by the first step, in the process running it
+        self.F: np.ndarray | None = None
         self._started = False
         # ``queue_factory(ncols) -> RecordQueue`` swaps the queues' backing
         # (out-of-core runs pass repro.core.spill.SpillQueueFactory)
@@ -103,7 +152,7 @@ class PAGeneralRankProgram:
         # each superstep's append costs the batch, not the queue):
         # waiting slot (t, e) needs the value of local flat slot `key`.
         self._park = make(3)  # columns: (key = kidx * x + l, t, e)
-        self._unresolved = int((self.nodes >= x).sum()) * x
+        self._unresolved = (len(self.nodes) - bisect_left(self.nodes, x)) * x
         self.requests_sent = 0
         self.requests_received = 0
         self.retries = 0
@@ -114,22 +163,28 @@ class PAGeneralRankProgram:
         return self._started and self._unresolved == 0
 
     def result(self) -> tuple[np.ndarray, np.ndarray]:
-        """Local edges as ``(u, v)`` arrays: clique edges of owned clique
-        nodes plus ``(t, F_t(e))`` for owned ``t >= x``."""
-        us: list[np.ndarray] = []
-        vs: list[np.ndarray] = []
-        clique = self.nodes[(self.nodes >= 1) & (self.nodes < self.x)]
-        for j in clique.tolist():
-            us.append(np.full(j, j, dtype=np.int64))
-            vs.append(np.arange(j, dtype=np.int64))
-        mask = self.nodes >= self.x
-        t = self.nodes[mask]
-        if len(t):
-            us.append(np.repeat(t, self.x))
-            vs.append(self.F[mask].reshape(-1))
-        if not us:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        return np.concatenate(us), np.concatenate(vs)
+        """Local edges as ``(u, v)`` arrays (see :meth:`write_result`)."""
+        clique = self.nodes[: bisect_left(self.nodes, self.x)]
+        m = sum(clique) + (len(self.nodes) - len(clique)) * self.x
+        u = np.empty(m, dtype=np.int64)
+        v = np.empty(m, dtype=np.int64)
+        self.write_result(u, v)
+        return u, v
+
+    def write_result(self, u: np.ndarray, v: np.ndarray) -> None:
+        """Write the local edges into the columns ``u`` and ``v``: clique
+        edges ``(j, i)``, ``i < j``, of owned clique nodes ``j``, then
+        ``(t, F_t(e))`` for owned ``t >= x`` in node and slot order."""
+        x, nodes = self.x, self.nodes
+        c = bisect_left(nodes, x)
+        pos = 0
+        for j in nodes[:c]:
+            u[pos : pos + j] = j
+            v[pos : pos + j] = np.arange(j)
+            pos += j
+        rows = len(nodes) - c
+        u[pos:].reshape(rows, x)[:] = _arange(nodes[c:])[:, None]
+        v[pos:].reshape(rows, x)[:] = self.F[c:]
 
     def local_edges(self) -> EdgeList:
         u, v = self.result()
@@ -145,14 +200,14 @@ class PAGeneralRankProgram:
             self._setup(ctx, out)
 
         for _src, arr in inbox:
-            res = arr[arr["kind"] == GRES]
+            res = _of_kind(arr, GRES)
             if len(res):
                 self._apply_resolved(res, out, ctx)
 
         self._local_sweep(out, ctx)
 
         for _src, arr in inbox:
-            req = arr[arr["kind"] == GREQ]
+            req = _of_kind(arr, GREQ)
             if len(req):
                 self._park_requests(req, ctx)
 
@@ -161,24 +216,54 @@ class PAGeneralRankProgram:
 
     # --------------------------------------------------------------- setup
     def _setup(self, ctx: BSPRankContext, out) -> None:
-        ctx.charge(nodes=len(self.nodes))
+        """Allocate ``F``, then draw and dispatch every slot of the owned
+        nodes ``t > x`` block by block (see the module docstring)."""
+        nodes, x = self.nodes, self.x
+        ctx.charge(nodes=len(nodes))
+        self.F = np.full((len(nodes), x), -1, dtype=np.int64)
 
         # Node x: deterministic attachment to the whole clique.
-        idx_x = np.flatnonzero(self.nodes == self.x)
-        if len(idx_x):
-            ti = int(idx_x[0])
-            self.F[ti, :] = np.arange(self.x)
-            self._unresolved -= self.x
+        if x in nodes:
+            self.F[nodes.index(x)] = np.arange(x)
+            self._unresolved -= x
 
-        mask = self.nodes > self.x
-        t = self.nodes[mask]
-        if len(t) == 0:
+        first = bisect_left(nodes, x + 1)
+        slots = (len(nodes) - first) * x
+        if not slots:
             return
-        tidx = np.flatnonzero(mask).astype(np.int64)
-        T = np.repeat(t, self.x)
-        Tidx = np.repeat(tidx, self.x)
-        E = np.tile(np.arange(self.x, dtype=np.int64), len(t))
-        self._draw_and_dispatch(Tidx, T, E, out, ctx, redraw_coin=True)
+        ctx.charge(work_items=slots)
+        # cursors at stream positions 0 (k) and N (coins); the stream itself
+        # moves on to 2N, where the copy slots draw their l
+        bg = self.rng.bit_generator
+        cursors = [bg.state]
+        bg.advance(slots)
+        cursors.append(bg.state)
+        bg.advance(slots)
+        losers = [
+            self._draw_block(lo, nodes[lo : lo + _BLOCK], cursors, out)
+            for lo in range(first, len(nodes), _BLOCK)
+        ]
+        lose_idx, lose_e = (np.concatenate(cols) for cols in zip(*losers))
+        self._draw_and_dispatch(
+            lose_idx, self._node_ids(lose_idx), lose_e, out, ctx, redraw_coin=True
+        )
+
+    def _draw_block(
+        self, lo: int, block: range, cursors: list[dict], out
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw and dispatch the slots of the nodes ``block``, local rows
+        from ``lo``, advancing the ``[k, coin]`` stream ``cursors``; return
+        the ``(row, e)`` of the direct slots that lost."""
+        x = self.x
+        T = np.repeat(_arange(block), x)
+        Tidx = np.repeat(np.arange(lo, lo + len(block), dtype=np.int64), x)
+        E = np.tile(np.arange(x, dtype=np.int64), len(block))
+        u, cursors[0] = _draws_at(self.rng, cursors[0], len(T))
+        k = x + (u * (T - x)).astype(np.int64)
+        u, cursors[1] = _draws_at(self.rng, cursors[1], len(T))
+        direct = u < self.p
+        lose = self._dispatch(Tidx, T, E, k, direct, out)
+        return Tidx[lose], E[lose]
 
     # ------------------------------------------------------ draw machinery
     def _draw_and_dispatch(
@@ -190,10 +275,9 @@ class PAGeneralRankProgram:
         ctx: BSPRankContext,
         redraw_coin: bool,
     ) -> None:
-        """Draw ``(k, coin[, l])`` for the given slots and route them.
+        """Draw ``(k, coin[, l])`` for the given slots and route them,
+        redrawing direct slots that lose (Lines 6-10) until none does.
 
-        Direct slots attempt assignment immediately (redrawing on duplicates,
-        per Lines 6-10); copy slots become local pendings or remote requests.
         ``redraw_coin=False`` implements the resolve-time retry of
         Lines 27-29, which is always copy-flavoured.
         """
@@ -205,40 +289,55 @@ class PAGeneralRankProgram:
                 direct = self.rng.random(len(todo_t)) < self.p
             else:
                 direct = np.zeros(len(todo_t), dtype=bool)
-
-            # --- direct slots: try to assign v = k now -------------------
-            d_sel = np.flatnonzero(direct)
-            retry_direct = np.empty(0, dtype=np.int64)
-            if len(d_sel):
-                win = self._try_assign(todo_idx[d_sel], todo_e[d_sel], k[d_sel])
-                retry_direct = d_sel[~win]
-                self.retries += len(retry_direct)
-
-            # --- copy slots: need F_k(l) ---------------------------------
-            c_sel = np.flatnonzero(~direct)
-            if len(c_sel):
-                l = (self.rng.random(len(c_sel)) * self.x).astype(np.int64)
-                ck, ct, ce, cidx = k[c_sel], todo_t[c_sel], todo_e[c_sel], todo_idx[c_sel]
-                owners = self.part.owner(ck)
-                local = owners == self.rank
-                if local.any():
-                    kloc = np.asarray(
-                        self.part.local_index(self.rank, ck[local]), dtype=np.int64
-                    )
-                    self._pend.push(kloc * self.x + l[local], cidx[local], ce[local])
-                remote = ~local
-                if remote.any():
-                    self._route(
-                        out,
-                        _grecords(GREQ, ct[remote], ce[remote], ck[remote], l[remote]),
-                        owners[remote],
-                    )
-                    self.requests_sent += int(remote.sum())
-
-            todo_idx = todo_idx[retry_direct]
-            todo_t = todo_t[retry_direct]
-            todo_e = todo_e[retry_direct]
+            lose = self._dispatch(todo_idx, todo_t, todo_e, k, direct, out)
+            todo_idx, todo_t, todo_e = todo_idx[lose], todo_t[lose], todo_e[lose]
             redraw_coin = True  # any further retry re-flips the coin
+
+    def _dispatch(
+        self,
+        Tidx: np.ndarray,
+        T: np.ndarray,
+        E: np.ndarray,
+        k: np.ndarray,
+        direct: np.ndarray,
+        out,
+    ) -> np.ndarray:
+        """Route one batch of drawn slots; return the losing direct slots.
+
+        Direct slots attempt assignment immediately; copy slots draw ``l``
+        from the rank's stream and become local pendings or remote requests.
+        """
+        d_sel = np.flatnonzero(direct)
+        lose = np.empty(0, dtype=np.int64)
+        if len(d_sel):
+            win = self._try_assign(Tidx[d_sel], E[d_sel], k[d_sel])
+            lose = d_sel[~win]
+            self.retries += len(lose)
+
+        c_sel = np.flatnonzero(~direct)
+        if len(c_sel):
+            l = (self.rng.random(len(c_sel)) * self.x).astype(np.int64)
+            ck, ct, ce, cidx = k[c_sel], T[c_sel], E[c_sel], Tidx[c_sel]
+            owners = self.part.owner(ck)
+            local = owners == self.rank
+            if local.any():
+                kloc = np.asarray(
+                    self.part.local_index(self.rank, ck[local]), dtype=np.int64
+                )
+                self._pend.push(kloc * self.x + l[local], cidx[local], ce[local])
+            remote = ~local
+            if remote.any():
+                self._route(
+                    out,
+                    _grecords(GREQ, ct[remote], ce[remote], ck[remote], l[remote]),
+                    owners[remote],
+                )
+                self.requests_sent += int(remote.sum())
+        return lose
+
+    def _node_ids(self, idx: np.ndarray) -> np.ndarray:
+        """Node ids of the local rows ``idx``."""
+        return self.nodes.start + idx * self.nodes.step
 
     def _try_assign(self, tidx: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Assign ``F[tidx, e] = v`` where legal; return the winner mask.
@@ -282,7 +381,7 @@ class PAGeneralRankProgram:
             if lose.any():
                 self.retries += int(lose.sum())
                 self._draw_and_dispatch(
-                    rt[lose], self.nodes[rt[lose]], re_[lose], out, ctx, redraw_coin=False
+                    rt[lose], self._node_ids(rt[lose]), re_[lose], out, ctx, redraw_coin=False
                 )
 
     def _park_requests(self, req: np.ndarray, ctx: BSPRankContext) -> None:

@@ -57,7 +57,6 @@ __all__ = [
     "SpillArena",
     "SpillEdgeList",
     "SpillQueueFactory",
-    "SpillResultProgram",
     "assemble_shards",
     "edges_digest",
     "iter_edge_blocks",
@@ -613,41 +612,6 @@ def spill_record_queue(
             for i in range(ncols)
         ),
     )
-
-
-class SpillResultProgram:
-    """Wrap a rank program so its ``result()`` spills instead of returning.
-
-    For an out-of-core run a rank's result must not be its edge arrays
-    (the mp backend would ship them over the worker pipe).  This proxy
-    delegates the whole program protocol (``step``, ``done``, the Figure-7
-    counters) to the wrapped program and intercepts only ``result()``: the
-    edges are written into the rank's region of the final columns where the
-    rank runs (inside the worker process on mp) and a small sealed manifest
-    dict is returned.  The coordinator then verifies and adopts the columns
-    with :func:`assemble_shards`.
-    """
-
-    def __init__(
-        self, program: Any, directory: str | Path, rank: int, offsets: Any
-    ) -> None:
-        self._prog = program
-        self._dir = Path(directory)
-        self._rank = int(rank)
-        self._offsets = offsets
-
-    def result(self) -> dict:
-        return write_edge_shards(
-            self._dir, self._rank, self._offsets, [self._prog.result()]
-        )
-
-    def __getattr__(self, name: str):
-        if name.startswith("__") or name in ("_prog", "_dir", "_rank", "_offsets"):
-            raise AttributeError(name)
-        return getattr(self._prog, name)
-
-    def __repr__(self) -> str:
-        return f"SpillResultProgram({self._prog!r}, dir={str(self._dir)!r})"
 
 
 class SpillQueueFactory:

@@ -237,7 +237,8 @@ class _ShmWriter:
 
 
 class _ShmReader:
-    """Attachment cache for reading other ranks' segments by name."""
+    """Attachment cache for reading other ranks' segments by name; the
+    worker closes it after each superstep's reads."""
 
     def __init__(self) -> None:
         self._cache: dict[str, Any] = {}
@@ -264,18 +265,21 @@ class _ShmReader:
 
 
 # ===================================================================== worker
-def _result_of(rank: int, program: RankProgram) -> Any:
-    """Extract a rank program's result payload, if it exposes one.
+def _result_of(
+    rank: int, program: RankProgram, collect: Callable[[int, Any], Any] | None
+) -> Any:
+    """A finished rank's result payload: ``collect(rank, program)``, else
+    the program's ``result()`` if it exposes one.
 
-    A ``result()`` that raises is a *program* failure even though it happens
-    during final collection rather than mid-superstep, so it is wrapped in
+    Either raising is a *program* failure even though it happens during
+    final collection rather than mid-superstep, so it is wrapped in
     :class:`RankFailure` exactly like a failing ``step()``.
     """
     getter = getattr(program, "result", None)
-    if not callable(getter):
+    if collect is None and not callable(getter):
         return None
     try:
-        return getter()
+        return getter() if collect is None else collect(rank, program)
     except Exception as exc:
         raise RankFailure(rank, exc) from exc
 
@@ -386,6 +390,7 @@ def _run_job(
     resume: tuple[int, RankStats, list] | None = None,
     ckpt: tuple[str, int, int, float] | None = None,
     tel: Any = NOOP_TELEMETRY,
+    collect: Callable[[int, Any], Any] | None = None,
 ) -> None:
     """Worker side of one job: no parent on the data path.
 
@@ -404,7 +409,7 @@ def _run_job(
     statistics row pick up where the snapshot left off, and ``inbox0`` (the
     snapshot's in-flight messages) feeds the first step.  The final tail
     reports the superstep count (absolute) and the simulated time *delta*
-    of this job.
+    of this job; its payload is :func:`_result_of` with ``collect``.
     """
     stats = WorldStats.for_size(size)
     superstep = 0
@@ -427,8 +432,12 @@ def _run_job(
             sp.note(virtual_s=t, records=out_records)
             if tel.enabled:
                 sp.note(rss_bytes=proc_rss_bytes())
+        # the consumed inbox and, once in shared memory, the outbox are
+        # dropped here, not when the next superstep replaces them
+        inbox = []
         with tel.span("exchange.write", cat="exchange", tid=rank, superstep=superstep):
             meta = writer.write(clean, superstep)
+            del clean
             fabric.post(rank, superstep, meta)
         fabric.publish(rank, superstep, bool(program.done), out_records, t)
         # the real imbalance cost: fast ranks park here until the
@@ -451,6 +460,8 @@ def _run_job(
                 (src, reader.read(desc))
                 for src, desc in fabric.collect(rank, superstep)
             ]
+            # unmap the peers' segments: pages read stay resident while mapped
+            reader.close()
         if ckpt is not None:
             shard_dir, every, min_superstep, sim0 = ckpt
             if (
@@ -468,11 +479,14 @@ def _run_job(
                         ),
                     )
                 conn.send(("shard", superstep, str(path)))
+    # quiescence: no peer reads this rank's segments any more, so they go
+    # before the final collection adds its output pages
+    writer.close()
     conn.send(
         (
             "final",
             rs,
-            _result_of(rank, program),
+            _result_of(rank, program, collect),
             _rank_counters_of(program),
             (superstep, simulated),
         )
@@ -492,12 +506,14 @@ def _worker_main(
     resume: tuple[int, RankStats, list] | None = None,
     ckpt: tuple[str, int, int, float] | None = None,
     ring: EventRing | None = None,
+    collect: Callable[[int, Any], Any] | None = None,
 ) -> None:
     """One worker process: run its program once, send the final or error
     reply, and exit.
 
     Everything rides the fork (no pickling): the rank program, the fault
-    plan, ``resume``/``ckpt`` and ``ring``, the shared telemetry event ring.
+    plan, ``resume``/``ckpt``, ``ring``, the shared telemetry event ring,
+    and ``collect``, the engine's result hook.
     With a ring the worker publishes spans as they close and cumulative
     metric snapshots every superstep, so a crash loses at most the current
     superstep.
@@ -509,6 +525,7 @@ def _worker_main(
         _run_job(
             rank, size, program, conn, fabric, writer, reader,
             cost, fault_plan, max_supersteps, heartbeats, resume, ckpt, tel,
+            collect,
         )
         tel.flush()
     except RankFailure as exc:
@@ -865,6 +882,13 @@ class MultiprocessingBSPEngine:
         cumulative metric snapshots into it, and the parent drains them into
         the facade — including everything a crashed worker published before
         dying.  Stored as :attr:`tel`.
+    collect:
+        Optional ``collect(rank, program)``, called in each worker once its
+        program is done, in place of ``program.result()``; its return value
+        travels back as ``results[rank]``.  It rides the fork, so it may
+        write into memory the parent mapped shared before :meth:`run` (e.g.
+        :meth:`repro.core.parallel_pa.ResultRegions.fill`, which returns
+        nothing).
     """
 
     def __init__(
@@ -874,6 +898,7 @@ class MultiprocessingBSPEngine:
         cost_model: CostModel | None = None,
         barrier_timeout: float = 120.0,
         telemetry: Any = None,
+        collect: Callable[[int, Any], Any] | None = None,
     ) -> None:
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
@@ -885,6 +910,7 @@ class MultiprocessingBSPEngine:
         self.results: list[Any] = []
         self.rank_counters: list[dict] = []
         self.tel = resolve(telemetry)
+        self.collect = collect
         self.supersteps = 0
         self.simulated_time = 0.0
 
@@ -961,7 +987,7 @@ class MultiprocessingBSPEngine:
                         args=(
                             rank, self.size, child_conn, fabric, prog, fault_plan,
                             self.max_supersteps, self.cost, heartbeats, resume, ckpt,
-                            ring,
+                            ring, self.collect,
                         ),
                         daemon=True,
                     )

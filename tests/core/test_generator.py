@@ -147,6 +147,8 @@ REJECTED = {
         dict(n=100, seed=-1, out_of_core="spill"),
         ["-n", "100", "--seed", "-1", "--out-of-core", "spill"],
     ),
+    # library only: a bool is no seed, though Python counts it an int
+    "seed-bool": (dict(n=50, seed=True), None),
     "ranks": (dict(n=100, ranks=0), ["-n", "100", "-P", "0"]),
     "n-not-above-x": (dict(n=5, x=6), ["-n", "5", "-x", "6"]),
     "partition-size": (
@@ -217,19 +219,26 @@ REJECTED = {
 }
 
 
+#: REJECTED cases that exercise a further value of a row, named after it
+VARIANT_OF = {"seed-bool": "seed"}
+ROWS = {row.name: row for row in CONFLICTS}
+
+
 class TestConflictTable:
     """CONFLICTS is the oracle for rejection: each row fails generate() and
     the CLI with exactly its reason, before anything forks or is written."""
 
     def test_every_case_names_a_row(self):
-        assert set(REJECTED) == {row.name for row in CONFLICTS}
+        assert {VARIANT_OF.get(case, case) for case in REJECTED} == set(ROWS)
+        assert set(ROWS) <= set(REJECTED)
 
-    @pytest.mark.parametrize("row", CONFLICTS, ids=lambda row: row.name)
+    @pytest.mark.parametrize("case", REJECTED, ids=lambda case: case)
     def test_row_rejects_before_side_effects(
-        self, row, tmp_path, monkeypatch, capsys
+        self, case, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.chdir(tmp_path)
-        kwargs, argv = REJECTED[row.name]
+        row = ROWS[VARIANT_OF.get(case, case)]
+        kwargs, argv = REJECTED[case]
         defaults = {f.name: f.default for f in fields(RunSpec)}
         reason = row.reason.format(**{**defaults, **kwargs})
         with pytest.raises(ValueError) as exc_info:

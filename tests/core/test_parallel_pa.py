@@ -290,8 +290,8 @@ class TestDrawBlocks:
 
     @pytest.mark.parametrize("engine", ["supervised-bsp", "mp"])
     def test_blocks_on_other_result_paths(self, monkeypatch, tmp_path, engine):
-        """Restored programs and mp workers hand their result back to be
-        copied into its region instead of resolving in place."""
+        """Restored programs are copied into their region instead of
+        resolving in place; mp workers resolve in the shared columns."""
 
         def run(block, name):
             monkeypatch.setattr(parallel_pa, "_BLOCK", block)

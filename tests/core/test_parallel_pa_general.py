@@ -1,19 +1,30 @@
 """Tests for Algorithm 3.2 (x >= 1) on the BSP engine."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import generate
+from repro.core import parallel_pa_general
 from repro.core.generator import rank_programs
 from repro.core.parallel_pa import ResultRegions
 from repro.core.parallel_pa_general import PAGeneralRankProgram
 from repro.core.partitioning import make_partition
 from repro.graph.degree import degrees_from_edges
 from repro.graph.validation import validate_pa_graph
+from repro.core.spill import edges_digest
 from repro.mpsim.bsp import BSPEngine
+from repro.mpsim.faults import FaultPlan
 from repro.rng import StreamFactory
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 SCHEMES = ["ucp", "lcp", "rrp"]
 
@@ -152,3 +163,83 @@ class TestErrors:
         part = make_partition("rrp", 100, 4)
         with pytest.raises(ValueError, match="partition covers"):
             generate(50, 2, partition=part, seed=0)
+
+
+class TestDrawBlocks:
+    """Drawing the setup in blocks of ``_BLOCK`` nodes changes no draw, no
+    message and no retry: each block reads the stream positions one
+    whole-rank draw would, and the losers are redrawn after the last block."""
+
+    N = 600
+
+    @staticmethod
+    def run(n, x, p, scheme, P, seed):
+        part = make_partition(scheme, n, P)
+        programs = rank_programs(part, x, p, seed)
+        eng = BSPEngine(P)
+        eng.run(programs)
+        return (
+            edges_digest(ResultRegions(x, part).edges(programs)),
+            eng.supersteps,
+            tuple(pr.requests_sent for pr in programs),
+            tuple(pr.requests_received for pr in programs),
+            tuple(pr.retries for pr in programs),
+            eng.simulated_time,
+        )
+
+    @pytest.mark.parametrize("p", [0.2, 0.9])
+    @pytest.mark.parametrize("P", [1, 3])
+    @pytest.mark.parametrize("scheme", ["ucp", "lcp", "rrp"])
+    @pytest.mark.parametrize("x", [2, 4])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocks_match_one_draw(self, monkeypatch, block, x, scheme, P, p):
+        monkeypatch.setattr(parallel_pa_general, "_BLOCK", self.N)
+        whole = self.run(self.N, x, p, scheme, P, seed=P)
+        assert sum(whole[4]) > 0  # direct duplicates were redrawn
+        monkeypatch.setattr(parallel_pa_general, "_BLOCK", block)
+        assert self.run(self.N, x, p, scheme, P, seed=P) == whole
+
+    def test_supervised_mp_blocks_match_bsp(self, monkeypatch, tmp_path, no_leftovers):
+        """Blocked mp workers, one killed at superstep 2 and recovered,
+        write the graph of an unblocked bsp run into the shared regions."""
+        n, x, P, seed = 3000, 4, 3, 6
+        monkeypatch.setattr(parallel_pa_general, "_BLOCK", n)
+        whole = generate(n, x, ranks=P, p=0.4, seed=seed)
+        monkeypatch.setattr(parallel_pa_general, "_BLOCK", 7)
+        r = generate(
+            n, x, ranks=P, p=0.4, seed=seed, engine="mp",
+            checkpoint_dir=str(tmp_path / "ckpts"),
+            fault_plan=FaultPlan().crash(1, at_superstep=2),
+        )
+        assert r.recoveries
+        assert edges_digest(r.edges) == edges_digest(whole.edges)
+        assert r.supersteps == whole.supersteps
+        assert r.requests_sent.tolist() == whole.requests_sent.tolist()
+
+
+def test_mp_footprint_near_output_size():
+    """A two-worker x=4 mp run holds about its output, not its draws.
+
+    The output is 16 B per edge.  The run's peak, the larger of the
+    coordinator's and the biggest worker's, grows over ``import repro`` by
+    ~31 B per edge at n = 5e5 (~75 while each worker drew all its slots at
+    once and pickled its edges back to the coordinator, which copied them
+    into the output).
+    """
+    n = 500_000
+    code = (
+        "import json, resource, repro; "
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+        f"r = repro.generate(n={n}, x=4, ranks=2, engine='mp', seed=1); "
+        "peak = max(resource.getrusage(who).ru_maxrss for who in "
+        "(resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)); "
+        "print(json.dumps([base, peak, len(r.edges)]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    )
+    base_kib, peak_kib, m = json.loads(out.stdout.strip().splitlines()[-1])
+    assert m == 4 * (n - 4) + 6
+    per_edge = (peak_kib - base_kib) * 1024 / m
+    assert per_edge < 50, f"RSS grew {per_edge:.1f} B per edge"
