@@ -27,6 +27,20 @@ Intra-batch duplicate arbitration keeps the first record per ``(t, v)`` pair
 in batch order (:func:`repro.core.arbitration.first_wins`) — the bulk analogue
 of the sequential first-come-first-served adjacency check.
 
+Wire format: a rank sends each destination at most two arrays a superstep,
+one per record kind, and the kind is the array's dtype.  A request is
+:data:`REQUEST_DTYPE` ``(slot, key)``: the requester's slot ``slot = t * x +
+e`` and the slot it copies as the owner's flat index ``key = kidx * x + l``
+into ``F`` (the sender knows the owner-local ``kidx``, since the partition is
+a pure function).  A reply is :data:`REPLY_DTYPE` ``(slot, v)``; its receiver
+recovers ``(t, e) = divmod(slot, x)``.  Both are 16 B; the engines charge
+each record the paper's 40 B ``<request, t, e, k, l>`` nonetheless, which the
+dtypes declare, so simulated time and traffic statistics do not depend on
+the encoding.  A step applies the replies of every source in source order,
+sweeps its local copies, parks the requests of every source in source order
+and answers what it can, so duplicate arbitration sees the same batches
+however the records are packed.
+
 Randomness protocol: the setup gives each owned node ``t > x`` its ``x``
 slots ``(t, 0) .. (t, x-1)``, in node order; with ``N`` such slots on the
 rank, slot ``s`` takes its ``k`` from stream position ``s``, its coin from
@@ -67,26 +81,19 @@ from repro.core.routing import route_by_dest
 from repro.graph.edgelist import EdgeList
 from repro.mpsim.bsp import BSPRankContext
 
-__all__ = ["GRECORD_DTYPE", "GREQ", "GRES", "PAGeneralRankProgram"]
+__all__ = ["REPLY_DTYPE", "REQUEST_DTYPE", "PAGeneralRankProgram"]
 
-#: Wire format: for requests ``a = k`` and ``l`` is the slot of ``F_k``;
-#: for resolved records ``a = v`` and ``l`` is unused (-1).
-GRECORD_DTYPE = np.dtype(
-    [("kind", "i8"), ("t", "i8"), ("e", "i8"), ("a", "i8"), ("l", "i8")]
-)
-GREQ = 0
-GRES = 1
+#: Wire format, one dtype per kind (see the module docstring).  Each record
+#: is 16 B on the wire and charged as the paper's 40 B
+#: ``<request, t, e, k, l>`` (:func:`repro.mpsim.datatypes.charged_nbytes`).
+_CHARGED = {"charged_bytes": 40}
+REQUEST_DTYPE = np.dtype([("slot", "i8"), ("key", "i8")], metadata=_CHARGED)
+REPLY_DTYPE = np.dtype([("slot", "i8"), ("v", "i8")], metadata=_CHARGED)
 
 #: nodes per draw block of :meth:`PAGeneralRankProgram._setup`; a block's
 #: ``x * _BLOCK`` slots of draws and index arrays are the setup's whole
 #: scratch (~20 MiB at x = 4), whatever the rank's node count
 _BLOCK = 1 << 16
-
-
-def _of_kind(records: np.ndarray, kind: int) -> np.ndarray:
-    """The records of ``kind``; a batch of that kind only, as it is."""
-    sel = records["kind"] == kind
-    return records if sel.all() else records[sel]
 
 
 def _draws_at(rng: np.random.Generator, state: dict, n: int) -> tuple[np.ndarray, dict]:
@@ -99,13 +106,11 @@ def _draws_at(rng: np.random.Generator, state: dict, n: int) -> tuple[np.ndarray
     return u, after
 
 
-def _grecords(kind: int, t: np.ndarray, e: np.ndarray, a: np.ndarray, l: np.ndarray) -> np.ndarray:
-    rec = np.empty(len(t), dtype=GRECORD_DTYPE)
-    rec["kind"] = kind
-    rec["t"] = t
-    rec["e"] = e
-    rec["a"] = a
-    rec["l"] = l
+def _records(dtype: np.dtype, slot: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """One wire batch of ``dtype``: ``slot`` and its second field ``value``."""
+    rec = np.empty(len(slot), dtype=dtype)
+    rec["slot"] = slot
+    rec[dtype.names[1]] = value
     return rec
 
 
@@ -144,14 +149,14 @@ class PAGeneralRankProgram:
         # ``queue_factory(ncols) -> RecordQueue`` swaps the queues' backing
         # (out-of-core runs pass repro.core.spill.SpillQueueFactory)
         make = queue_factory or RecordQueue
-        # pending local copies: slot (t local idx, e) awaiting the value of
-        # local flat slot `key`, i.e. F[k local idx, l]
-        self._pend = make(3)  # columns: (key = kidx * x + l, t idx, e)
+        # pending local copies: local flat slot `lslot = tidx * x + e`
+        # awaiting the value of local flat slot `key`, i.e. F[k local idx, l]
+        self._pend = make(2)  # columns: (key = kidx * x + l, lslot)
         # remote requesters parked on unknown local slots (the wait queues
         # Q_{k,l} of Lines 19-20, kept in an amortised-doubling arena so
         # each superstep's append costs the batch, not the queue):
-        # waiting slot (t, e) needs the value of local flat slot `key`.
-        self._park = make(3)  # columns: (key = kidx * x + l, t, e)
+        # the requester's slot `slot = t * x + e` needs local flat slot `key`.
+        self._park = make(2)  # columns: (key = kidx * x + l, slot)
         self._unresolved = (len(self.nodes) - bisect_left(self.nodes, x)) * x
         self.requests_sent = 0
         self.requests_received = 0
@@ -200,19 +205,21 @@ class PAGeneralRankProgram:
             self._setup(ctx, out)
 
         for _src, arr in inbox:
-            res = _of_kind(arr, GRES)
-            if len(res):
-                self._apply_resolved(res, out, ctx)
+            if arr.dtype == REPLY_DTYPE:
+                self._apply_resolved(arr, out, ctx)
 
         self._local_sweep(out, ctx)
 
         for _src, arr in inbox:
-            req = _of_kind(arr, GREQ)
-            if len(req):
-                self._park_requests(req, ctx)
+            if arr.dtype == REQUEST_DTYPE:
+                self._park_requests(arr, ctx)
 
-        self._drain_parked(out, ctx)
-        return {d: [np.concatenate(b)] for d, b in out.items() if b}
+        replies: dict[int, list[np.ndarray]] = defaultdict(list)
+        self._drain_parked(replies, ctx)
+        return {
+            d: [np.concatenate(b) for b in (out.get(d), replies.get(d)) if b]
+            for d in sorted(out.keys() | replies.keys())
+        }
 
     # --------------------------------------------------------------- setup
     def _setup(self, ctx: BSPRankContext, out) -> None:
@@ -319,18 +326,15 @@ class PAGeneralRankProgram:
             l = (self.rng.random(len(c_sel)) * self.x).astype(np.int64)
             ck, ct, ce, cidx = k[c_sel], T[c_sel], E[c_sel], Tidx[c_sel]
             owners = self.part.owner(ck)
+            key = self.part.local_index(owners, ck) * self.x + l
             local = owners == self.rank
             if local.any():
-                kloc = np.asarray(
-                    self.part.local_index(self.rank, ck[local]), dtype=np.int64
-                )
-                self._pend.push(kloc * self.x + l[local], cidx[local], ce[local])
+                self._pend.push(key[local], cidx[local] * self.x + ce[local])
             remote = ~local
             if remote.any():
-                self._route(
-                    out,
-                    _grecords(GREQ, ct[remote], ce[remote], ck[remote], l[remote]),
-                    owners[remote],
+                slot = ct[remote] * self.x + ce[remote]
+                route_by_dest(
+                    out, _records(REQUEST_DTYPE, slot, key[remote]), owners[remote]
                 )
                 self.requests_sent += int(remote.sum())
         return lose
@@ -355,25 +359,27 @@ class PAGeneralRankProgram:
     # ------------------------------------------------------------ messages
     def _apply_resolved(self, res: np.ndarray, out, ctx: BSPRankContext) -> None:
         """Lines 21-29: install resolved values, retrying duplicates."""
-        tidx = np.asarray(self.part.local_index(self.rank, res["t"]), dtype=np.int64)
+        t, e = np.divmod(res["slot"], self.x)
+        tidx = np.asarray(self.part.local_index(self.rank, t), dtype=np.int64)
         ctx.charge(work_items=len(tidx))
-        win = self._try_assign(tidx, res["e"], res["a"])
+        win = self._try_assign(tidx, e, res["v"])
         lose = ~win
         if lose.any():
             self.retries += int(lose.sum())
             self._draw_and_dispatch(
-                tidx[lose], res["t"][lose], res["e"][lose], out, ctx, redraw_coin=False
+                tidx[lose], t[lose], e[lose], out, ctx, redraw_coin=False
             )
 
     def _local_sweep(self, out, ctx: BSPRankContext) -> None:
         """Resolve local copy slots whose source slot is now known."""
         while len(self._pend):
-            pend_key, pend_t, pend_e = self._pend.columns()
+            pend_key, pend_slot = self._pend.columns()
             vals = self.F.reshape(-1)[pend_key]
             ready = vals >= 0
             if not ready.any():
                 return
-            rt, re_, rv = pend_t[ready], pend_e[ready], vals[ready]
+            rt, re_ = np.divmod(pend_slot[ready], self.x)
+            rv = vals[ready]
             self._pend.keep(~ready)
             ctx.charge(work_items=len(rt))
             win = self._try_assign(rt, re_, rv)
@@ -392,30 +398,23 @@ class PAGeneralRankProgram:
         """
         self.requests_received += len(req)
         ctx.charge(work_items=len(req))
-        kidx = np.asarray(self.part.local_index(self.rank, req["a"]), dtype=np.int64)
-        self._park.push(kidx * self.x + req["l"], req["t"], req["e"])
+        self._park.push(req["key"], req["slot"])
 
     def _drain_parked(self, out, ctx: BSPRankContext) -> None:
         """Answer every parked request whose slot has resolved (Lines 17-18
         and 24-25, executed in bulk)."""
         if not len(self._park):
             return
-        park_key, park_t, park_e = self._park.columns()
+        park_key, park_slot = self._park.columns()
         vals = self.F.reshape(-1)[park_key]
         ready = vals >= 0
         if not ready.any():
             return
-        t_out = park_t[ready]
-        e_out = park_e[ready]
+        slot_out = park_slot[ready]
         v_out = vals[ready]
         self._park.keep(~ready)
-        ctx.charge(work_items=len(t_out))
-        self._route(
-            out,
-            _grecords(GRES, t_out, e_out, v_out, np.full(len(t_out), -1, dtype=np.int64)),
-            self.part.owner(t_out),
+        ctx.charge(work_items=len(slot_out))
+        route_by_dest(
+            out, _records(REPLY_DTYPE, slot_out, v_out), self.part.owner(slot_out // self.x)
         )
-
-    def _route(self, out, records: np.ndarray, dests: np.ndarray) -> None:
-        route_by_dest(out, records, dests)
 

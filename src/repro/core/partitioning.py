@@ -71,12 +71,14 @@ class Partition(ABC):
         return np.arange(r.start, r.stop, r.step, dtype=np.int64)
 
     @abstractmethod
-    def local_index(self, rank: int, u: np.ndarray | int) -> np.ndarray | int:
+    def local_index(self, rank: int | np.ndarray, u: np.ndarray | int) -> np.ndarray | int:
         """Position of node ``u`` within ``rank``'s sorted node set.
 
         The parallel algorithms store per-node state in dense local arrays;
-        this is the O(1) global-id -> local-slot map (vectorised).  Behaviour
-        is undefined when ``u`` is not owned by ``rank``.
+        this is the O(1) global-id -> local-slot map (vectorised).  ``rank``
+        may also be an array, one rank per node of ``u`` (e.g. ``owner(u)``,
+        for a batch bound for several ranks).  Behaviour is undefined when
+        ``u`` is not owned by ``rank``.
         """
 
     def partition_size(self, rank: int) -> int:
@@ -124,7 +126,7 @@ class ConsecutivePartition(Partition):
         self._check_rank(rank)
         return int(self.boundaries[rank]), int(self.boundaries[rank + 1])
 
-    def local_index(self, rank: int, u: np.ndarray | int) -> np.ndarray | int:
+    def local_index(self, rank: int | np.ndarray, u: np.ndarray | int) -> np.ndarray | int:
         idx = np.asarray(u) - self.boundaries[rank]
         if np.ndim(u) == 0:
             return int(idx)
@@ -213,7 +215,7 @@ class RoundRobinPartition(Partition):
         self._check_rank(rank)
         return range(rank, self.n, self.P)
 
-    def local_index(self, rank: int, u: np.ndarray | int) -> np.ndarray | int:
+    def local_index(self, rank: int | np.ndarray, u: np.ndarray | int) -> np.ndarray | int:
         idx = (np.asarray(u) - rank) // self.P
         if np.ndim(u) == 0:
             return int(idx)

@@ -17,8 +17,10 @@ isolation: programs communicate exclusively through the returned outboxes.
 Payloads are NumPy arrays (one array = one buffered MPI message; its length
 is the logical record count the paper's Figure 7 plots).
 
-Virtual time: each superstep, a rank is charged its recorded compute plus
-per-record message overheads plus the per-round latency; the superstep's
+Virtual time: each superstep, a rank is charged its recorded compute, its
+per-record message overheads, its per-byte costs (a payload's
+:func:`~repro.mpsim.datatypes.charged_nbytes`: the record size its dtype
+declares, else its buffer size) and the per-round latency; the superstep's
 duration is the *maximum* over ranks (barrier semantics) and
 :attr:`BSPEngine.simulated_time` accumulates those maxima.  This is the
 ``T_p`` used by the strong/weak scaling reproductions.
@@ -31,6 +33,7 @@ from typing import Any, Protocol, Sequence
 import numpy as np
 
 from repro.mpsim.costmodel import CostModel
+from repro.mpsim.datatypes import charged_nbytes
 from repro.mpsim.errors import (
     DeadlockError,
     InjectedFault,
@@ -282,7 +285,7 @@ class BSPEngine:
                 ctx = contexts[rank]
                 inbox = inboxes[rank]
                 in_records = sum(len(arr) for _, arr in inbox)
-                in_bytes = sum(arr.nbytes for _, arr in inbox)
+                in_bytes = sum(charged_nbytes(arr) for _, arr in inbox)
                 try:
                     outbox = prog.step(ctx, inbox) or {}
                 except Exception as exc:
@@ -305,9 +308,10 @@ class BSPEngine:
                         if len(arr) == 0:
                             continue
                         # sender-side costs accrue regardless of delivery fate
+                        nbytes = charged_nbytes(arr)
                         out_records += len(arr)
-                        out_bytes += arr.nbytes
-                        weighted_out_bytes += arr.nbytes * (
+                        out_bytes += nbytes
+                        weighted_out_bytes += nbytes * (
                             self._topo_mult[rank, dest]
                             if self._topo_mult is not None
                             else 1.0

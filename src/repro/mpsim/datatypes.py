@@ -4,7 +4,9 @@ The event-driven engine moves :class:`Envelope` objects between rank
 mailboxes.  Payload size accounting is centralised in :func:`payload_nbytes`
 so that the cost model and the traffic statistics agree on what a "byte" is
 regardless of whether the payload is a NumPy array, a tuple of ints, or an
-arbitrary picklable object.
+arbitrary picklable object.  The superstep engines charge their array
+payloads through :func:`charged_nbytes`, which honours a record size the
+payload's dtype declares.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "ANY_TAG",
     "TAG_DEFAULT",
     "Envelope",
+    "charged_nbytes",
     "payload_nbytes",
 ]
 
@@ -53,6 +56,20 @@ def payload_nbytes(payload: Any) -> int:
         return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
     except Exception:  # pragma: no cover - unpicklable payloads are costed flat
         return 64
+
+
+def charged_nbytes(arr: np.ndarray) -> int:
+    """Bytes the cost model and the traffic statistics charge for ``arr``.
+
+    A record dtype may declare the size the model charges per record, as
+    ``metadata={"charged_bytes": b}``, independent of its encoding: the
+    array is then charged ``len(arr) * b``.  Otherwise it is charged its
+    buffer size.
+    """
+    meta = arr.dtype.metadata
+    if meta and "charged_bytes" in meta:
+        return len(arr) * meta["charged_bytes"]
+    return int(arr.nbytes)
 
 
 @dataclass(order=True)

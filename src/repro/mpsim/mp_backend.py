@@ -80,6 +80,7 @@ from repro.mpsim.checkpoint import (
     save_shard,
 )
 from repro.mpsim.costmodel import CostModel
+from repro.mpsim.datatypes import charged_nbytes
 from repro.mpsim.errors import InvalidRankError, MPSimError, RankFailure
 from repro.mpsim.faults import CAP_CRASH_TIME, CAP_DROP, CAP_DUPLICATE
 from repro.mpsim.heartbeat import Heartbeats
@@ -327,7 +328,7 @@ def _execute_step(
         # parent must detect it from the sentinel and the silent heartbeat
         os.kill(os.getpid(), signal.SIGKILL)
     in_records = sum(len(arr) for _, arr in inbox)
-    in_bytes = sum(arr.nbytes for _, arr in inbox)
+    in_bytes = sum(charged_nbytes(arr) for _, arr in inbox)
     try:
         outbox = program.step(ctx, inbox) or {}
     except Exception as exc:
@@ -352,7 +353,7 @@ def _execute_step(
         clean[dest] = kept
         for arr in kept:
             out_records += len(arr)
-            out_bytes += arr.nbytes
+            out_bytes += charged_nbytes(arr)
 
     rs.record_send(out_records, out_bytes)
     rs.record_receive(in_records, in_bytes)

@@ -5,8 +5,9 @@ and mp graphs the same way would pass them.  These digests pin the exact
 graphs: a deliberate change to the draw protocol or to the order in which
 duplicate arbitration picks winners must re-record them.
 
-The ``x = 1`` cases pin the protocol as well as the graph: supersteps,
-per-rank ``requests_sent`` and ``simulated_time``.  Simulated time is a float
+The protocol cases pin more than the graph: supersteps, per-rank
+``requests_sent`` and ``simulated_time`` (at ``x = 1``, and at ``x > 1`` also
+``world_stats.total_bytes``, the bytes the cost model is charged).  Simulated time is a float
 sum of per-call compute charges, so regrouping the same work items into
 fewer ``ctx.charge`` calls moves it in the last bits only; it is compared to
 a relative ``1e-12``, far below one work item's share of it.
@@ -108,6 +109,39 @@ X1_PROTOCOL = {
 }
 
 
+#: ``(x, P, scheme, p) -> (edges_digest[:16], supersteps, requests_sent per
+#: rank, simulated_time, world_stats.total_bytes)`` of the bsp ``generate()``
+#: at ``n = N`` and ``seed = 100 x + 10 P + 10 p``.  ``total_bytes`` is the
+#: byte count the cost model charges: 40 B per Algorithm 3.2 request and per
+#: reply, the paper's ``<request, t, e, k, l>``, whatever the wire encoding.
+GENERAL_PROTOCOL = {
+    (2, 3, 'rrp', 0.2): ('3d4823012a74d70d', 24, (228, 240, 235), 0.0012582655999999997, 56240),
+    (2, 3, 'rrp', 0.9): ('e56deb4dfa96dad0', 5, (31, 28, 21), 0.0005423151999999997, 6400),
+    (2, 3, 'lcp', 0.2): ('4e913c7e23aace4d', 6, (0, 208, 332), 0.0015998648000000002, 43200),
+    (2, 3, 'lcp', 0.9): ('a30a3d31818a04d2', 4, (0, 31, 33), 0.0007003896, 5120),
+    (2, 4, 'rrp', 0.2): ('d857df2d396edc6b', 27, (182, 197, 205, 209), 0.0010746048, 63440),
+    (2, 4, 'rrp', 0.9): ('deae134b030f7e22', 5, (26, 16, 26, 27), 0.0004192688, 7600),
+    (2, 4, 'lcp', 0.2): ('c8eda8c8b307d773', 12, (0, 140, 220, 268), 0.0013640056000000004, 50240),
+    (2, 4, 'lcp', 0.9): ('0136457811bb38a0', 5, (0, 15, 25, 40), 0.0005762231999999999, 6400),
+    (4, 3, 'rrp', 0.2): ('8972a8afe54e1ae5', 20, (456, 464, 476), 0.0020236896000000006, 111680),
+    (4, 3, 'rrp', 0.9): ('bf27893fe6d19c39', 8, (57, 68, 64), 0.0008040495999999998, 15120),
+    (4, 3, 'lcp', 0.2): ('e2d00e6c371a2ae1', 8, (0, 398, 636), 0.0027245064, 82720),
+    (4, 3, 'lcp', 0.9): ('73c5e6ba18814d9b', 5, (0, 52, 81), 0.0010034424000000001, 10640),
+    (4, 4, 'rrp', 0.2): ('9c4db5cdf9f8fd65', 43, (383, 401, 424, 375), 0.0018378640000000003, 126640),
+    (4, 4, 'rrp', 0.9): ('416a73e1757c2e6c', 6, (46, 53, 56, 39), 0.0006075279999999999, 15520),
+    (4, 4, 'lcp', 0.2): ('3ffde6a0e59fd2ee', 11, (0, 264, 414, 547), 0.002301108, 98000),
+    (4, 4, 'lcp', 0.9): ('e355e4d846f95088', 5, (0, 32, 62, 59), 0.0008138008000000001, 12240),
+    (6, 3, 'rrp', 0.2): ('abfe20a00b1b4912', 42, (689, 706, 711), 0.003078323199999999, 168480),
+    (6, 3, 'rrp', 0.9): ('58781a1f93c462f7', 10, (77, 88, 82), 0.0010438512000000004, 19760),
+    (6, 3, 'lcp', 0.2): ('99d3605f1dc28c1e', 10, (0, 598, 968), 0.0039344104, 125280),
+    (6, 3, 'lcp', 0.9): ('4312eb537d371077', 5, (0, 76, 120), 0.0013120696000000001, 15680),
+    (6, 4, 'rrp', 0.2): ('4b81565de4367b6c', 35, (614, 584, 603, 597), 0.0024597727999999997, 191840),
+    (6, 4, 'rrp', 0.9): ('1a1d69faa14be11a', 12, (79, 80, 72, 82), 0.0008375504000000004, 25040),
+    (6, 4, 'lcp', 0.2): ('5c0dd2502b7e34fd', 13, (0, 404, 656, 872), 0.003361344799999999, 154560),
+    (6, 4, 'lcp', 0.9): ('9166c6189f02a835', 6, (0, 57, 70, 109), 0.0010800984, 18880),
+}
+
+
 def _seed(x: int, P: int, p: float) -> int:
     return x * 100 + P * 10 + int(p * 10)
 
@@ -126,6 +160,15 @@ def _check_protocol(expected, edges, supersteps, requests_sent, simulated_time):
     got = (edges_digest(edges)[:16], supersteps, tuple(int(r) for r in requests_sent))
     assert got == (digest, steps, requests)
     assert simulated_time == pytest.approx(sim, rel=1e-12)
+
+
+def _check_general_protocol(expected, result):
+    *protocol, total_bytes = expected
+    _check_protocol(
+        protocol, result.edges, result.supersteps, result.requests_sent,
+        result.simulated_time,
+    )
+    assert result.world_stats.total_bytes == total_bytes
 
 
 @pytest.mark.parametrize(
@@ -164,6 +207,33 @@ def test_x1_generate_protocol(tmp_path, engine, spill, checkpoint, seed, expecte
         expected, result.edges, result.supersteps, result.requests_sent,
         result.simulated_time,
     )
+
+
+@pytest.mark.parametrize(
+    "x,P,scheme,p",
+    list(itertools.product((2, 4, 6), (3, 4), ("rrp", "lcp"), (0.2, 0.9))),
+)
+def test_general_bsp_protocol(x, P, scheme, p):
+    r = generate(N, x, p=p, partition=make_partition(scheme, N, P), seed=_seed(x, P, p))
+    _check_general_protocol(GENERAL_PROTOCOL[(x, P, scheme, p)], r)
+
+
+@pytest.mark.parametrize(
+    "engine,spill,seed,expected",
+    [
+        ("mp", False, 41,
+         ('389c29b5eb4cefe8', 11, (1335, 1305, 1353), 0.0066245888, 319440)),
+        ("bsp", True, 42,
+         ('1e3e32381a7a072e', 17, (1324, 1316, 1369), 0.006709865600000001, 320720)),
+    ],
+    ids=["mp", "spilled-bsp"],
+)
+def test_general_generate_protocol(tmp_path, engine, spill, seed, expected):
+    kwargs = {}
+    if spill:
+        kwargs.update(out_of_core=str(tmp_path / "spill"), spill_budget_bytes=4096)
+    result = generate(3000, x=4, ranks=3, engine=engine, seed=seed, **kwargs)
+    _check_general_protocol(expected, result)
 
 
 def test_mp_digest():

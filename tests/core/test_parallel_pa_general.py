@@ -15,13 +15,20 @@ from repro import generate
 from repro.core import parallel_pa_general
 from repro.core.generator import rank_programs
 from repro.core.parallel_pa import ResultRegions
-from repro.core.parallel_pa_general import PAGeneralRankProgram
+from repro.core.parallel_pa_general import (
+    REPLY_DTYPE,
+    REQUEST_DTYPE,
+    PAGeneralRankProgram,
+)
 from repro.core.partitioning import make_partition
 from repro.graph.degree import degrees_from_edges
 from repro.graph.validation import validate_pa_graph
 from repro.core.spill import edges_digest
-from repro.mpsim.bsp import BSPEngine
+from repro.mpsim.bsp import BSPEngine, BSPRankContext
+from repro.mpsim.costmodel import CostModel
+from repro.mpsim.datatypes import charged_nbytes
 from repro.mpsim.faults import FaultPlan
+from repro.mpsim.stats import WorldStats
 from repro.rng import StreamFactory
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -165,6 +172,43 @@ class TestErrors:
             generate(50, 2, partition=part, seed=0)
 
 
+def test_wire_records_are_16_bytes_charged_40():
+    """Stepped by hand, a P=2 x=4 program pair sends each destination one
+    array per record kind, 16 B a record, and each record is charged the
+    paper's 40 B: the bsp run's traffic statistics, to the byte."""
+    n, x, P, seed = 3000, 4, 2, 5
+    part = make_partition("rrp", n, P)
+    programs = rank_programs(part, x, 0.5, seed)
+    stats, cost = WorldStats.for_size(P), CostModel()
+    ctxs = [BSPRankContext(r, P, stats, cost) for r in range(P)]
+    inboxes = [[] for _ in range(P)]
+    records = charged = 0
+    kinds = set()
+    while True:
+        sent = [[] for _ in range(P)]
+        for rank, prog in enumerate(programs):
+            for dest, arrs in prog.step(ctxs[rank], inboxes[rank]).items():
+                dtypes = [arr.dtype for arr in arrs]
+                assert len(set(dtypes)) == len(dtypes) <= 2
+                for arr in arrs:
+                    assert arr.dtype in (REQUEST_DTYPE, REPLY_DTYPE)
+                    assert arr.dtype.itemsize == 16
+                    assert charged_nbytes(arr) == 40 * len(arr)
+                    records += len(arr)
+                    charged += charged_nbytes(arr)
+                    kinds.add(arr.dtype.names)
+                    sent[dest].append((rank, arr))
+        inboxes = sent
+        if not any(sent) and all(prog.done for prog in programs):
+            break
+    assert kinds == {REQUEST_DTYPE.names, REPLY_DTYPE.names}
+
+    bsp = generate(n, x, p=0.5, partition=part, seed=seed)
+    assert [prog.requests_sent for prog in programs] == bsp.requests_sent.tolist()
+    assert records == 2 * sum(bsp.requests_sent)
+    assert charged == bsp.world_stats.total_bytes
+
+
 class TestDrawBlocks:
     """Drawing the setup in blocks of ``_BLOCK`` nodes changes no draw, no
     message and no retry: each block reads the stream positions one
@@ -222,9 +266,10 @@ def test_mp_footprint_near_output_size():
 
     The output is 16 B per edge.  The run's peak, the larger of the
     coordinator's and the biggest worker's, grows over ``import repro`` by
-    ~31 B per edge at n = 5e5 (~75 while each worker drew all its slots at
-    once and pickled its edges back to the coordinator, which copied them
-    into the output).
+    ~25 B per edge at n = 5e5: ~31.5 while requests and replies went as
+    40-byte records, ~75 while each worker drew all its slots at once and
+    pickled its edges back to the coordinator, which copied them into the
+    output.
     """
     n = 500_000
     code = (
@@ -242,4 +287,4 @@ def test_mp_footprint_near_output_size():
     base_kib, peak_kib, m = json.loads(out.stdout.strip().splitlines()[-1])
     assert m == 4 * (n - 4) + 6
     per_edge = (peak_kib - base_kib) * 1024 / m
-    assert per_edge < 50, f"RSS grew {per_edge:.1f} B per edge"
+    assert per_edge < 28, f"RSS grew {per_edge:.1f} B per edge"

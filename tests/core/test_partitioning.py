@@ -42,6 +42,14 @@ class TestPartitionContract:
             idx = np.asarray(part.local_index(r, nodes))
             assert np.array_equal(idx, np.arange(len(nodes)))
 
+    def test_local_index_of_mixed_owners(self, scheme):
+        part = make_partition(scheme, 513, 8)
+        u = np.arange(513)
+        expected = np.empty(513, dtype=np.int64)
+        for r in range(8):
+            expected[part.partition_nodes(r)] = np.arange(part.partition_size(r))
+        assert np.array_equal(part.local_index(part.owner(u), u), expected)
+
     def test_scalar_owner(self, scheme):
         part = make_partition(scheme, 100, 4)
         o = part.owner(17)
