@@ -65,8 +65,16 @@ class ArrayArena:
         return self._buf[: self._size]
 
     def keep(self, mask: np.ndarray) -> None:
-        """Compact in place, keeping rows where ``mask`` is True."""
-        kept = self._buf[: self._size][mask]
+        """Compact in place, keeping rows where ``mask`` is True.
+
+        ``np.compress`` selects without a branch per row, where ``a[mask]``
+        stalls on mispredictions at mid densities (docs/performance.md,
+        "Selecting rows").  Unlike indexing it would quietly truncate to a
+        short mask, hence the length check.
+        """
+        if len(mask) != self._size:
+            raise ValueError(f"mask has {len(mask)} entries, the arena holds {self._size}")
+        kept = np.compress(mask, self._buf[: self._size])
         self._buf[: len(kept)] = kept
         self._size = len(kept)
 
@@ -97,8 +105,8 @@ class RecordQueue:
     with one mask — the drain idiom::
 
         t, k = queue.columns()
-        ready = F[k] >= 0
-        done_t = t[ready]          # fancy indexing copies, safe after keep
+        ready = F.take(k) >= 0
+        done_t = t.take(np.flatnonzero(ready))   # a copy, safe after keep
         queue.keep(~ready)
 
     Examples

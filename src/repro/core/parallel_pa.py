@@ -192,14 +192,14 @@ class PAx1RankProgram:
             self._setup(ctx, out)
 
         for _src, arr in inbox:
-            res = arr[arr["kind"] == RES]
+            res = np.compress(arr["kind"] == RES, arr)
             if len(res):
                 self._apply_resolved(res, ctx)
 
         self._local_sweep(ctx)
 
         for _src, arr in inbox:
-            req = arr[arr["kind"] == REQ]
+            req = np.compress(arr["kind"] == REQ, arr)
             if len(req):
                 self._park_requests(req, ctx)
 
@@ -228,21 +228,26 @@ class PAx1RankProgram:
         k, direct = draw_x1(self.rng, t, self.p)
 
         d_sel = np.flatnonzero(direct)
-        self.F[lo + d_sel] = k[d_sel]
+        self.F[lo + d_sel] = k.take(d_sel)
         self._unresolved -= len(d_sel)
 
         c_sel = np.flatnonzero(~direct)
-        ck = k[c_sel]
+        ck = k.take(c_sel)
         owners = self.part.owner(ck)
-        local = np.flatnonzero(owners == self.rank)
+        is_local = owners == self.rank
+        local = np.flatnonzero(is_local)
         if len(local):
-            cidx = lo + c_sel[local]
-            kidx = np.asarray(self.part.local_index(self.rank, ck[local]), dtype=np.int64)
+            cidx = lo + c_sel.take(local)
+            kidx = np.asarray(self.part.local_index(self.rank, ck.take(local)), dtype=np.int64)
             self.F[cidx] = -2 - kidx
             self._pend.push(cidx)
-        remote = np.flatnonzero(owners != self.rank)
+        remote = np.flatnonzero(~is_local)
         if len(remote):
-            self._route(out, _records(REQ, t[c_sel[remote]], ck[remote]), owners[remote])
+            route_by_dest(
+                out,
+                _records(REQ, t.take(c_sel.take(remote)), ck.take(remote)),
+                owners.take(remote),
+            )
             self.requests_sent += len(remote)
 
     def _apply_resolved(self, res: np.ndarray, ctx: BSPRankContext) -> None:
@@ -269,11 +274,11 @@ class PAx1RankProgram:
                     "do not resume"
                 )
             (pend_t,) = self._pend.columns()
-            nxt = self.F[-2 - self.F[pend_t]]
+            nxt = self.F.take(-2 - self.F.take(pend_t))
             jump = np.flatnonzero(nxt != -1)
             if not len(jump):
                 return
-            self.F[pend_t[jump]] = nxt[jump]
+            self.F[pend_t.take(jump)] = nxt.take(jump)
             done = nxt >= 0
             n_done = int(np.count_nonzero(done))
             if n_done:
@@ -299,19 +304,15 @@ class PAx1RankProgram:
         if not len(self._park):
             return
         park_k, park_t = self._park.columns()
-        vals = self.F[park_k]
+        vals = self.F.take(park_k)
         ready = vals >= 0
         if not ready.any():
             return
-        t_out = park_t[ready]
-        v_out = vals[ready]
+        t_out = np.compress(ready, park_t)
+        v_out = np.compress(ready, vals)
         self._park.keep(~ready)
         ctx.charge(work_items=len(t_out))
-        self._route(out, _records(RES, t_out, v_out), self.part.owner(t_out))
-
-    def _route(self, out, records: np.ndarray, dests: np.ndarray) -> None:
-        """Group ``records`` by destination rank and append to the outbox."""
-        route_by_dest(out, records, dests)
+        route_by_dest(out, _records(RES, t_out, v_out), self.part.owner(t_out))
 
 
 class ResultRegions:

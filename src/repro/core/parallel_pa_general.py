@@ -59,9 +59,16 @@ block reads exactly the values one whole-rank draw would, through the rank's
 own generator.  A slot's row ``F_t`` is only ever written by the
 slots of ``t``, so the blocks' duplicate checks see what the whole-rank
 batch saw.  The losers of all blocks are redrawn once, after the last block,
-as one batch.  ``F`` itself is allocated by the first step, inside the
-process that runs the rank, and :meth:`PAGeneralRankProgram.write_result`
-writes the rank's edges straight into the output's region
+as one batch.  Every later batch is checked against ``F`` in blocks of
+:data:`_BLOCK` records as well (:meth:`PAGeneralRankProgram._in_row` gathers
+a block's rows with one ``take``), so the duplicate check never holds a
+``(batch, x)`` gather of ``F``, however many replies or local copies a
+superstep resolves.  Selections are ``take`` and ``compress`` over index
+arrays rather than boolean-mask indexing, which stalls on mispredicted
+branches at mid densities (docs/performance.md, "Selecting rows").  ``F``
+itself is allocated by the first step, inside the process that runs the
+rank, and :meth:`PAGeneralRankProgram.write_result` writes the rank's edges
+straight into the output's region
 (:class:`repro.core.parallel_pa.ResultRegions`), ``F``'s rows as the
 ``(nt, x)`` shape of the target column, with no concatenated temporary.
 """
@@ -92,7 +99,8 @@ REPLY_DTYPE = np.dtype([("slot", "i8"), ("v", "i8")], metadata=_CHARGED)
 
 #: nodes per draw block of :meth:`PAGeneralRankProgram._setup`; a block's
 #: ``x * _BLOCK`` slots of draws and index arrays are the setup's whole
-#: scratch (~20 MiB at x = 4), whatever the rank's node count
+#: scratch (~20 MiB at x = 4), whatever the rank's node count; also the
+#: records per block of the duplicate check :meth:`PAGeneralRankProgram._in_row`
 _BLOCK = 1 << 16
 
 
@@ -270,7 +278,7 @@ class PAGeneralRankProgram:
         u, cursors[1] = _draws_at(self.rng, cursors[1], len(T))
         direct = u < self.p
         lose = self._dispatch(Tidx, T, E, k, direct, out)
-        return Tidx[lose], E[lose]
+        return Tidx.take(lose), E.take(lose)
 
     # ------------------------------------------------------ draw machinery
     def _draw_and_dispatch(
@@ -297,7 +305,7 @@ class PAGeneralRankProgram:
             else:
                 direct = np.zeros(len(todo_t), dtype=bool)
             lose = self._dispatch(todo_idx, todo_t, todo_e, k, direct, out)
-            todo_idx, todo_t, todo_e = todo_idx[lose], todo_t[lose], todo_e[lose]
+            todo_idx, todo_t, todo_e = (a.take(lose) for a in (todo_idx, todo_t, todo_e))
             redraw_coin = True  # any further retry re-flips the coin
 
     def _dispatch(
@@ -309,7 +317,8 @@ class PAGeneralRankProgram:
         direct: np.ndarray,
         out,
     ) -> np.ndarray:
-        """Route one batch of drawn slots; return the losing direct slots.
+        """Route one batch of drawn slots; return the losing direct slots
+        as positions in the batch.
 
         Direct slots attempt assignment immediately; copy slots draw ``l``
         from the rank's stream and become local pendings or remote requests.
@@ -317,26 +326,29 @@ class PAGeneralRankProgram:
         d_sel = np.flatnonzero(direct)
         lose = np.empty(0, dtype=np.int64)
         if len(d_sel):
-            win = self._try_assign(Tidx[d_sel], E[d_sel], k[d_sel])
-            lose = d_sel[~win]
+            win = self._try_assign(Tidx.take(d_sel), E.take(d_sel), k.take(d_sel))
+            lose = np.compress(~win, d_sel)
             self.retries += len(lose)
 
         c_sel = np.flatnonzero(~direct)
         if len(c_sel):
             l = (self.rng.random(len(c_sel)) * self.x).astype(np.int64)
-            ck, ct, ce, cidx = k[c_sel], T[c_sel], E[c_sel], Tidx[c_sel]
+            ck, ct, ce, cidx = (a.take(c_sel) for a in (k, T, E, Tidx))
             owners = self.part.owner(ck)
             key = self.part.local_index(owners, ck) * self.x + l
-            local = owners == self.rank
-            if local.any():
-                self._pend.push(key[local], cidx[local] * self.x + ce[local])
-            remote = ~local
-            if remote.any():
-                slot = ct[remote] * self.x + ce[remote]
+            is_local = owners == self.rank
+            local = np.flatnonzero(is_local)
+            if len(local):
+                self._pend.push(key.take(local), cidx.take(local) * self.x + ce.take(local))
+            remote = np.flatnonzero(~is_local)
+            if len(remote):
+                slot = ct.take(remote) * self.x + ce.take(remote)
                 route_by_dest(
-                    out, _records(REQUEST_DTYPE, slot, key[remote]), owners[remote]
+                    out,
+                    _records(REQUEST_DTYPE, slot, key.take(remote)),
+                    owners.take(remote),
                 )
-                self.requests_sent += int(remote.sum())
+                self.requests_sent += len(remote)
         return lose
 
     def _node_ids(self, idx: np.ndarray) -> np.ndarray:
@@ -349,12 +361,30 @@ class PAGeneralRankProgram:
         A slot loses when ``v`` already sits in its row or an earlier record
         of the same batch claims the same ``(row, v)`` pair.
         """
-        dup_row = (self.F[tidx] == v[:, None]).any(axis=1)
-        win = first_wins(tidx, v, self.part.n) & ~dup_row
-        if win.any():
-            self.F[tidx[win], e[win]] = v[win]
-            self._unresolved -= int(win.sum())
+        win = first_wins(tidx, v, self.part.n)
+        win &= ~self._in_row(tidx, v)
+        w = np.flatnonzero(win)
+        if len(w):
+            self.F[tidx.take(w), e.take(w)] = v.take(w)
+            self._unresolved -= len(w)
         return win
+
+    def _in_row(self, tidx: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Mask of the records whose ``v`` already sits in row ``F[tidx]``.
+
+        Reads ``F`` as it stands, in blocks of at most :data:`_BLOCK`
+        records: each block gathers its rows with one ``take`` and compares
+        them column by column, so the scratch is one ``(_BLOCK, x)`` block
+        whatever the batch length.
+        """
+        found = np.empty(len(tidx), dtype=bool)
+        for lo in range(0, len(tidx), _BLOCK):
+            rows = self.F.take(tidx[lo : lo + _BLOCK], axis=0)
+            vb, fb = v[lo : lo + _BLOCK], found[lo : lo + _BLOCK]
+            np.equal(rows[:, 0], vb, out=fb)
+            for j in range(1, self.x):
+                fb |= rows[:, j] == vb
+        return found
 
     # ------------------------------------------------------------ messages
     def _apply_resolved(self, res: np.ndarray, out, ctx: BSPRankContext) -> None:
@@ -363,31 +393,32 @@ class PAGeneralRankProgram:
         tidx = np.asarray(self.part.local_index(self.rank, t), dtype=np.int64)
         ctx.charge(work_items=len(tidx))
         win = self._try_assign(tidx, e, res["v"])
-        lose = ~win
-        if lose.any():
-            self.retries += int(lose.sum())
+        lose = np.flatnonzero(~win)
+        if len(lose):
+            self.retries += len(lose)
             self._draw_and_dispatch(
-                tidx[lose], t[lose], e[lose], out, ctx, redraw_coin=False
+                tidx.take(lose), t.take(lose), e.take(lose), out, ctx, redraw_coin=False
             )
 
     def _local_sweep(self, out, ctx: BSPRankContext) -> None:
         """Resolve local copy slots whose source slot is now known."""
         while len(self._pend):
             pend_key, pend_slot = self._pend.columns()
-            vals = self.F.reshape(-1)[pend_key]
+            vals = self.F.take(pend_key)
             ready = vals >= 0
             if not ready.any():
                 return
-            rt, re_ = np.divmod(pend_slot[ready], self.x)
-            rv = vals[ready]
+            rt, re_ = np.divmod(np.compress(ready, pend_slot), self.x)
+            rv = np.compress(ready, vals)
             self._pend.keep(~ready)
             ctx.charge(work_items=len(rt))
             win = self._try_assign(rt, re_, rv)
-            lose = ~win
-            if lose.any():
-                self.retries += int(lose.sum())
+            lose = np.flatnonzero(~win)
+            if len(lose):
+                self.retries += len(lose)
+                lt = rt.take(lose)
                 self._draw_and_dispatch(
-                    rt[lose], self._node_ids(rt[lose]), re_[lose], out, ctx, redraw_coin=False
+                    lt, self._node_ids(lt), re_.take(lose), out, ctx, redraw_coin=False
                 )
 
     def _park_requests(self, req: np.ndarray, ctx: BSPRankContext) -> None:
@@ -406,12 +437,12 @@ class PAGeneralRankProgram:
         if not len(self._park):
             return
         park_key, park_slot = self._park.columns()
-        vals = self.F.reshape(-1)[park_key]
+        vals = self.F.take(park_key)
         ready = vals >= 0
         if not ready.any():
             return
-        slot_out = park_slot[ready]
-        v_out = vals[ready]
+        slot_out = np.compress(ready, park_slot)
+        v_out = np.compress(ready, vals)
         self._park.keep(~ready)
         ctx.charge(work_items=len(slot_out))
         route_by_dest(

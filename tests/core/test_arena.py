@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.arena import ArrayArena, RecordQueue
 from repro.core.routing import route_by_dest
+from repro.core.spill import SpillArena
 
 
 class TestArrayArena:
@@ -58,6 +59,52 @@ class TestArrayArena:
         assert len(b._buf) == 3
         b.push(np.array([9]))
         assert b.view().tolist() == [0, 1, 2, 9]
+
+
+@pytest.fixture(params=["ram", "spill"])
+def make_arena(request, tmp_path):
+    """An empty :class:`ArrayArena`, or the memmapped :class:`SpillArena`
+    that inherits its ``keep``."""
+    if request.param == "ram":
+        return lambda: ArrayArena(capacity=2)
+    return lambda: SpillArena(tmp_path / "col.i64", capacity=2)
+
+
+class TestKeep:
+    """``keep`` selects with ``np.compress``: the same rows, in the same
+    order, as ``view()[mask]``, for either backing."""
+
+    @pytest.mark.parametrize(
+        "mask",
+        [[], [False] * 5, [True] * 5, [True, False, False, True, True]],
+        ids=["empty", "all-false", "all-true", "mixed"],
+    )
+    def test_keeps_masked_rows_in_order(self, make_arena, mask):
+        a = make_arena()
+        values = np.arange(100, 100 + len(mask), dtype=np.int64)
+        a.push(values)
+        mask = np.array(mask, dtype=bool)
+        a.keep(mask)
+        assert a.view().tolist() == values[mask].tolist()
+        a.push(np.array([7]))
+        assert a.view().tolist() == values[mask].tolist() + [7]
+
+    def test_mid_density_mask_matches_indexing(self, make_arena):
+        rng = np.random.default_rng(3)
+        values = rng.integers(0, 1 << 40, 10_000)
+        mask = rng.random(len(values)) < 0.5
+        a = make_arena()
+        a.push(values)
+        a.keep(mask)
+        assert np.array_equal(a.view(), values[mask])
+
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_mask_of_another_length_raises(self, make_arena, length):
+        a = make_arena()
+        a.push(np.arange(4))
+        with pytest.raises(ValueError, match="mask has"):
+            a.keep(np.ones(length, dtype=bool))
+        assert a.view().tolist() == [0, 1, 2, 3]
 
 
 class TestRecordQueue:

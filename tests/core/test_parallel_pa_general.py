@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro import generate
 from repro.core import parallel_pa_general
+from repro.core.arbitration import first_wins
 from repro.core.generator import rank_programs
 from repro.core.parallel_pa import ResultRegions
 from repro.core.parallel_pa_general import (
@@ -207,6 +208,56 @@ def test_wire_records_are_16_bytes_charged_40():
     assert [prog.requests_sent for prog in programs] == bsp.requests_sent.tolist()
     assert records == 2 * sum(bsp.requests_sent)
     assert charged == bsp.world_stats.total_bytes
+
+
+class TestTryAssign:
+    """``_try_assign`` checks a batch for values already in their row in
+    blocks of ``_BLOCK`` records, and decides and writes as the whole-batch
+    formula ``first_wins(rows, v) & ~(F[rows] == v[:, None]).any(axis=1)``."""
+
+    ROWS, N = 40, 200
+
+    @pytest.mark.parametrize("block", [16, None], ids=["block=16", "block=default"])
+    @pytest.mark.parametrize("x", [1, 2, 4, 6])
+    def test_matches_broadcast_formula(self, monkeypatch, x, block):
+        if block is not None:
+            monkeypatch.setattr(parallel_pa_general, "_BLOCK", block)
+        block = parallel_pa_general._BLOCK
+        rng = np.random.default_rng(x)
+        rows = 4 * block + self.ROWS
+        F = np.where(rng.random((rows, x)) < 0.3, rng.integers(0, 12, (rows, x)), -1)
+        F[0] = -1
+        # a batch of 2 * block + 5 distinct free slots, values from [0, 12),
+        # but for an in-batch duplicate across the first block boundary:
+        # records block - 1 and block both claim (row 0, 150), from two
+        # slots of row 0 (for x = 1, from its one slot)
+        m = 2 * block + 5
+        pair = [0, min(1, x - 1)]
+        free = np.flatnonzero(F.reshape(-1)[x:] < 0) + x
+        slot = rng.choice(free, m, replace=False)
+        slot[block - 1 : block + 1] = pair
+        tidx, e = np.divmod(slot, x)
+        v = rng.integers(0, 12, m)
+        v[block - 1 : block + 1] = 150
+        if x > 1:  # and one record, past the boundary, claims a value its row holds
+            i = block + 1 + np.flatnonzero((F[tidx[block + 1 :]] >= 0).any(axis=1))[0]
+            v[i] = F[tidx[i]].max()
+        dup_row = (F[tidx] == v[:, None]).any(axis=1)
+        expected_win = first_wins(tidx, v, self.N) & ~dup_row
+        expected_F = F.copy()
+        expected_F[tidx[expected_win], e[expected_win]] = v[expected_win]
+        assert dup_row.any() or x == 1  # values already in the row lose
+        assert expected_win[block - 1] and not expected_win[block]
+
+        part = make_partition("ucp", self.N, 1)
+        prog = PAGeneralRankProgram(0, part, x, 0.5, np.random.default_rng(0))
+        prog.F = F.copy()
+        prog._unresolved = m
+        win = prog._try_assign(tidx, e, v)
+        assert win.dtype == bool
+        assert win.tolist() == expected_win.tolist()
+        assert np.array_equal(prog.F, expected_F)
+        assert prog._unresolved == m - int(expected_win.sum())
 
 
 class TestDrawBlocks:

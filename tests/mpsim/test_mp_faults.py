@@ -103,31 +103,27 @@ def test_detection_is_sentinel_fast_not_timeout_bound():
 
 
 # -------------------------------------------------------------- no leftovers
-def _shm_entries() -> set[str]:
-    return set(os.listdir("/dev/shm"))
-
-
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="POSIX shm not at /dev/shm")
-def test_sigkilled_workers_leave_no_shared_memory(tmp_path):
+def test_sigkilled_workers_leave_no_shared_memory(tmp_path, shm_ledger):
     """A SIGKILLed worker cannot unlink its payload segments; the parent
     does, after a supervised recovery and an unsupervised RankFailure
     alike."""
     n, P, seed = 2_000, 4, 11
-    before = _shm_entries()
     result = generate(
         n, ranks=P, seed=seed, engine="mp",
         fault_plan=FaultPlan().crash(1, at_superstep=3),
         checkpoint_dir=str(tmp_path),
     )
     assert len(result.recoveries) == 1
-    assert _shm_entries() - before == set()
+    assert shm_ledger.created()
+    assert shm_ledger.leaked() == []
 
     with pytest.raises(RankFailure):
         generate(
             n, ranks=P, seed=seed, engine="mp",
             fault_plan=FaultPlan().crash(1, at_superstep=3),
         )
-    assert _shm_entries() - before == set()
+    assert shm_ledger.leaked() == []
 
 
 # --------------------------------------------------------------- heartbeats
