@@ -74,7 +74,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import generate
 from repro.core.generator import rank_programs
-from repro.core.parallel_pa import RECORD_DTYPE
+from repro.core.parallel_pa import REQUEST_DTYPE
 from repro.core.partitioning import UniformPartition
 from repro.mpsim.mp_backend import MultiprocessingBSPEngine
 from repro.core.commfree import commfree, commfree_mp
@@ -203,10 +203,9 @@ class FloodProgram:
         self.step_no += 1
         if self.step_no > self.rounds:
             return {}
-        rec = np.empty(self.records, dtype=RECORD_DTYPE)
-        rec["kind"] = 0
+        rec = np.empty(self.records, dtype=REQUEST_DTYPE)
         rec["t"] = self.rank * 1000 + self.step_no
-        rec["a"] = np.arange(self.records, dtype=np.int64)
+        rec["kidx"] = np.arange(self.records, dtype=np.int64)
         return {d: [rec] for d in range(self.size) if d != self.rank}
 
 
@@ -229,7 +228,7 @@ def case_mp_exchange(sizes, repeats):
     t1 = best_of(repeats, _run_flood, P, records, 1)
     return {
         "P": P, "records_per_dest": records, "rounds": rounds,
-        "payload_bytes": records * RECORD_DTYPE.itemsize * (P - 1) * P * rounds,
+        "payload_bytes": records * REQUEST_DTYPE.itemsize * (P - 1) * P * rounds,
         "seconds": t,
         "superstep_latency_s": max(t - t1, 1e-9) / (rounds - 1) if rounds > 1 else t,
     }

@@ -11,7 +11,10 @@ or ``(key, t, e)`` arrays).
 
 Appends write into preallocated tail space (amortised O(1) per record);
 :meth:`RecordQueue.keep` compacts in place so a drain pass costs the number
-of *surviving* records, never the buffer capacity.
+of *surviving* records, never the buffer capacity.  A drain that leaves
+fewer survivors than a quarter of the capacity also gives the rest back,
+reallocating to twice the survivors, so a queue that once held a
+superstep's burst does not keep its peak for the rest of the run.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["ArrayArena", "RecordQueue"]
+
+#: the capacity a new arena starts with and a drained one keeps at least
+_MIN_CAPACITY = 64
 
 
 class ArrayArena:
@@ -38,7 +44,7 @@ class ArrayArena:
 
     __slots__ = ("_buf", "_size")
 
-    def __init__(self, capacity: int = 64) -> None:
+    def __init__(self, capacity: int = _MIN_CAPACITY) -> None:
         self._buf = np.empty(max(int(capacity), 1), dtype=np.int64)
         self._size = 0
 
@@ -52,6 +58,13 @@ class ArrayArena:
         new = np.empty(max(needed, cap * 2), dtype=np.int64)
         new[: self._size] = self._buf[: self._size]
         self._buf = new
+
+    def _shrink(self, kept: np.ndarray) -> None:
+        """Hold ``kept``, the survivors of a drain that left the column
+        under a quarter full, in a buffer twice their size (the hook
+        alternative backings override)."""
+        self._buf = np.empty(max(2 * len(kept), _MIN_CAPACITY), dtype=np.int64)
+        self._buf[: len(kept)] = kept
 
     def push(self, values: np.ndarray) -> None:
         """Append a batch of values (scalar-free; always an array)."""
@@ -70,13 +83,18 @@ class ArrayArena:
         ``np.compress`` selects without a branch per row, where ``a[mask]``
         stalls on mispredictions at mid densities (docs/performance.md,
         "Selecting rows").  Unlike indexing it would quietly truncate to a
-        short mask, hence the length check.
+        short mask, hence the length check.  Survivors under a quarter of
+        the capacity shrink it to twice their number (at least
+        ``_MIN_CAPACITY``), which costs the survivors, not the capacity.
         """
         if len(mask) != self._size:
             raise ValueError(f"mask has {len(mask)} entries, the arena holds {self._size}")
         kept = np.compress(mask, self._buf[: self._size])
-        self._buf[: len(kept)] = kept
         self._size = len(kept)
+        if len(self._buf) > max(4 * self._size, _MIN_CAPACITY):
+            self._shrink(kept)
+        else:
+            self._buf[: self._size] = kept
 
     def clear(self) -> None:
         self._size = 0

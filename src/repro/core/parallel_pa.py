@@ -20,7 +20,21 @@ the chain resolves in one pass.
 An owner receiving a request replies ``<resolved, t, F_k>`` if ``F_k`` is
 known and otherwise parks the requester in the wait queue ``Q_k``
 (Lines 11-15); when ``F_k`` later resolves, queued requesters are answered
-(Lines 16-19).
+(Lines 16-19).  A step first answers the parked requesters whose ``F_k``
+has resolved, then answers each arriving request whose ``F_k`` is known
+as it arrives, in source order, and parks only the rest; so the queue holds
+the requests that must wait, never a superstep's whole inbox, and the
+replies leave in the order one drain of all of them would send.
+
+Wire format: a rank sends each destination at most one array per record
+kind a superstep, and the kind is the array's dtype.  A request is
+:data:`REQUEST_DTYPE` ``(t, kidx)``: the requester ``t`` and the owner's
+local slot ``kidx`` of ``k`` (the sender knows it, since the partition is a
+pure function).  A reply is :data:`REPLY_DTYPE` ``(t, v)``.  Both are 16 B;
+the engines charge each record the paper's 24 B ``<request, t, k>``
+nonetheless, which the dtypes declare, so simulated time and traffic
+statistics do not depend on the encoding.  A record of any other dtype is
+an error, not a message to skip.
 
 Memory: a rank's scratch is bounded by its draw block, not its node count.
 The setup walks the rank's node range (never materialised as an id array)
@@ -64,18 +78,18 @@ from repro.mpsim.bsp import BSPRankContext
 from repro.seq.copy_model import draw_x1
 
 __all__ = [
-    "RECORD_DTYPE",
-    "REQ",
-    "RES",
+    "REPLY_DTYPE",
+    "REQUEST_DTYPE",
     "PAx1RankProgram",
     "ResultRegions",
 ]
 
-#: Wire format of one protocol record: ``kind`` is :data:`REQ` or
-#: :data:`RES`; for requests ``a`` is ``k``, for resolved ``a`` is ``v``.
-RECORD_DTYPE = np.dtype([("kind", "i8"), ("t", "i8"), ("a", "i8")])
-REQ = 0
-RES = 1
+#: Wire format, one dtype per kind (see the module docstring).  Each record
+#: is 16 B on the wire and charged as the paper's 24 B ``<request, t, k>``
+#: (:func:`repro.mpsim.datatypes.charged_nbytes`).
+_CHARGED = {"charged_bytes": 24}
+REQUEST_DTYPE = np.dtype([("t", "i8"), ("kidx", "i8")], metadata=_CHARGED)
+REPLY_DTYPE = np.dtype([("t", "i8"), ("v", "i8")], metadata=_CHARGED)
 
 #: nodes per draw block of :meth:`PAx1RankProgram._setup`; a block's
 #: ``2 * _BLOCK`` uniforms and index arrays are the setup's whole scratch
@@ -87,12 +101,35 @@ def _arange(nodes: range) -> np.ndarray:
     return np.arange(nodes.start, nodes.stop, nodes.step, dtype=np.int64)
 
 
-def _records(kind: int, t: np.ndarray, a: np.ndarray) -> np.ndarray:
-    rec = np.empty(len(t), dtype=RECORD_DTYPE)
-    rec["kind"] = kind
-    rec["t"] = t
-    rec["a"] = a
+def _records(dtype: np.dtype, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """One wire batch of the two-field ``dtype``, its fields in order."""
+    rec = np.empty(len(first), dtype=dtype)
+    rec[dtype.names[0]] = first
+    rec[dtype.names[1]] = second
     return rec
+
+
+def _check_wire(rank: int, inbox, kinds: tuple[np.dtype, ...]) -> None:
+    """Raise on a record of none of the dtypes ``kinds`` (e.g. an in-flight
+    inbox of a checkpoint written in an older wire format), which a step
+    that skipped it would leave unanswered."""
+    for src, arr in inbox:
+        if arr.dtype not in kinds:
+            raise ValueError(
+                f"rank {rank} got records of unknown dtype {arr.dtype} from rank {src}"
+            )
+
+
+def _pack(*outboxes: dict) -> dict[int, list[np.ndarray]]:
+    """One array per outbox per destination, destinations in first-send
+    order; a lone batch ships as is, since np.concatenate would copy it."""
+    packed: dict[int, list[np.ndarray]] = {}
+    for box in outboxes:
+        for d, batches in box.items():
+            packed.setdefault(d, []).append(
+                batches[0] if len(batches) == 1 else np.concatenate(batches)
+            )
+    return packed
 
 
 class PAx1RankProgram:
@@ -185,6 +222,7 @@ class PAx1RankProgram:
         return EdgeList.from_arrays(t, f)
 
     def step(self, ctx: BSPRankContext, inbox) -> dict[int, list[np.ndarray]]:
+        _check_wire(self.rank, inbox, (REQUEST_DTYPE, REPLY_DTYPE))
         out: dict[int, list[np.ndarray]] = defaultdict(list)
 
         if not self._started:
@@ -192,23 +230,18 @@ class PAx1RankProgram:
             self._setup(ctx, out)
 
         for _src, arr in inbox:
-            res = np.compress(arr["kind"] == RES, arr)
-            if len(res):
-                self._apply_resolved(res, ctx)
+            if arr.dtype == REPLY_DTYPE and len(arr):
+                self._apply_resolved(arr, ctx)
 
         self._local_sweep(ctx)
 
-        for _src, arr in inbox:
-            req = np.compress(arr["kind"] == REQ, arr)
-            if len(req):
-                self._park_requests(req, ctx)
-
-        self._drain_parked(out, ctx)
-        # a lone batch ships as is; np.concatenate would copy it
-        return {
-            d: [batches[0] if len(batches) == 1 else np.concatenate(batches)]
-            for d, batches in out.items()
-        }
+        replies: dict[int, list[np.ndarray]] = defaultdict(list)
+        self._answer(
+            [arr for _src, arr in inbox if arr.dtype == REQUEST_DTYPE and len(arr)],
+            replies,
+            ctx,
+        )
+        return _pack(out, replies)
 
     # ------------------------------------------------------------- phases
     def _setup(self, ctx: BSPRankContext, out) -> None:
@@ -243,17 +276,17 @@ class PAx1RankProgram:
             self._pend.push(cidx)
         remote = np.flatnonzero(~is_local)
         if len(remote):
+            dest = owners.take(remote)
+            kidx = np.asarray(self.part.local_index(dest, ck.take(remote)), dtype=np.int64)
             route_by_dest(
-                out,
-                _records(REQ, t.take(c_sel.take(remote)), ck.take(remote)),
-                owners.take(remote),
+                out, _records(REQUEST_DTYPE, t.take(c_sel.take(remote)), kidx), dest
             )
             self.requests_sent += len(remote)
 
     def _apply_resolved(self, res: np.ndarray, ctx: BSPRankContext) -> None:
         """Lines 16-17: install ``F_t <- v`` for every resolved record."""
         tidx = np.asarray(self.part.local_index(self.rank, res["t"]), dtype=np.int64)
-        self.F[tidx] = res["a"]
+        self.F[tidx] = res["v"]
         self._unresolved -= len(tidx)
         ctx.charge(work_items=len(tidx))
 
@@ -286,33 +319,51 @@ class PAx1RankProgram:
                 ctx.charge(work_items=n_done)
                 self._pend.keep(~done)
 
-    def _park_requests(self, req: np.ndarray, ctx: BSPRankContext) -> None:
-        """Lines 11-15: park arriving requests on their target node.
+    def _answer(self, requests: list[np.ndarray], out, ctx: BSPRankContext) -> None:
+        """Lines 11-19 in bulk: answer every parked request whose awaited
+        ``F_k`` has resolved, then each arriving batch's requests whose
+        ``F_k`` is known, and park the rest in ``Q_k``.
 
-        Requests whose ``F_k`` is already known are answered by
-        :meth:`_drain_parked` at the end of the same step — identical
-        messages, one vectorised code path.
+        The replies and the work charged are those of parking every arrival
+        and then draining the whole queue once: the known ``F`` is the same
+        throughout, and the queue's old rows come first.
         """
-        self.requests_received += len(req)
-        ctx.charge(work_items=len(req))
-        kidx = np.asarray(self.part.local_index(self.rank, req["a"]), dtype=np.int64)
-        self._park.push(kidx, req["t"])
+        answered = self._drain_parked(out)
+        for req in requests:
+            self.requests_received += len(req)
+            ctx.charge(work_items=len(req))
+            kidx, t = req["kidx"], req["t"]
+            vals = self.F.take(kidx)
+            ready = vals >= 0
+            n_ready = int(np.count_nonzero(ready))
+            if n_ready:
+                t_out = np.compress(ready, t)
+                route_by_dest(
+                    out, _records(REPLY_DTYPE, t_out, np.compress(ready, vals)),
+                    self.part.owner(t_out),
+                )
+                answered += n_ready
+            if n_ready < len(req):
+                wait = ~ready
+                self._park.push(np.compress(wait, kidx), np.compress(wait, t))
+        if answered:
+            ctx.charge(work_items=answered)
 
-    def _drain_parked(self, out, ctx: BSPRankContext) -> None:
-        """Lines 12-13 and 18-19 in bulk: answer every parked request whose
-        awaited ``F_k`` has resolved."""
+    def _drain_parked(self, out) -> int:
+        """Lines 18-19: answer the parked requests whose awaited ``F_k`` has
+        resolved; returns how many."""
         if not len(self._park):
-            return
+            return 0
         park_k, park_t = self._park.columns()
         vals = self.F.take(park_k)
         ready = vals >= 0
         if not ready.any():
-            return
+            return 0
         t_out = np.compress(ready, park_t)
         v_out = np.compress(ready, vals)
         self._park.keep(~ready)
-        ctx.charge(work_items=len(t_out))
-        route_by_dest(out, _records(RES, t_out, v_out), self.part.owner(t_out))
+        route_by_dest(out, _records(REPLY_DTYPE, t_out, v_out), self.part.owner(t_out))
+        return len(t_out)
 
 
 class ResultRegions:

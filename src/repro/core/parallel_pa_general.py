@@ -82,7 +82,7 @@ import numpy as np
 
 from repro.core.arbitration import first_wins
 from repro.core.arena import RecordQueue
-from repro.core.parallel_pa import _arange
+from repro.core.parallel_pa import _arange, _check_wire, _records
 from repro.core.partitioning import Partition
 from repro.core.routing import route_by_dest
 from repro.graph.edgelist import EdgeList
@@ -112,14 +112,6 @@ def _draws_at(rng: np.random.Generator, state: dict, n: int) -> tuple[np.ndarray
     u = rng.random(n)
     after, bg.state = bg.state, here
     return u, after
-
-
-def _records(dtype: np.dtype, slot: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """One wire batch of ``dtype``: ``slot`` and its second field ``value``."""
-    rec = np.empty(len(slot), dtype=dtype)
-    rec["slot"] = slot
-    rec[dtype.names[1]] = value
-    return rec
 
 
 class PAGeneralRankProgram:
@@ -204,6 +196,7 @@ class PAGeneralRankProgram:
         return EdgeList.from_arrays(u, v)
 
     def step(self, ctx: BSPRankContext, inbox) -> dict[int, list[np.ndarray]]:
+        _check_wire(self.rank, inbox, (REQUEST_DTYPE, REPLY_DTYPE))
         if self.canonical_inbox and len(inbox) > 1:
             inbox = sorted(inbox, key=lambda item: item[0])
         out: dict[int, list[np.ndarray]] = defaultdict(list)

@@ -551,7 +551,8 @@ class SpillArena(ArrayArena):
     """An :class:`ArrayArena` whose backing column is a memmapped file.
 
     Same amortised-doubling discipline; growth truncates the file to the
-    new capacity and remaps, so the data never transits the heap.  Pickling
+    new capacity and remaps, so the data never transits the heap, and a
+    draining ``keep`` compacts in the file without shrinking it.  Pickling
     (checkpoint shards) degrades gracefully to an in-RAM arena holding the
     live prefix — a restored queue is small by construction (only survivors
     are serialised) and need not stay spilled.
@@ -580,6 +581,15 @@ class SpillArena(ArrayArena):
         with open(self._path, "r+b") as fh:
             fh.truncate(8 * new_cap)
         self._buf = np.memmap(self._path, dtype=np.int64, mode="r+", shape=(new_cap,))
+
+    def _shrink(self, kept: np.ndarray) -> None:
+        if self._path is None:  # unpickled fallback: an in-RAM arena
+            super()._shrink(kept)
+            return
+        # the column stays in its file at its capacity: a heap buffer would
+        # pull the queue into RAM, and truncating the file under a live
+        # view of the old mapping would fault on that view's next read
+        self._buf[: len(kept)] = kept
 
     def __getstate__(self) -> dict:
         return {"data": np.asarray(self._buf[: self._size]).copy()}

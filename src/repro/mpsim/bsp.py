@@ -212,7 +212,10 @@ class BSPEngine:
             superstep with the state needed to resume.
         initial_inboxes:
             In-flight messages to deliver in the first superstep (used by
-            checkpoint resume; normal runs start with empty inboxes).
+            checkpoint resume; normal runs start with empty inboxes).  The
+            list is copied, not changed: the engine drops each rank's inbox
+            from its own list once the rank has stepped, so a consumed
+            inbox is freed before the superstep ends.
         tracer:
             Optional :class:`repro.mpsim.trace.Tracer`; receives per-step
             rank times and record counts for timeline analysis.
@@ -240,7 +243,7 @@ class BSPEngine:
         if initial_inboxes is not None:
             if len(initial_inboxes) != self.size:
                 raise MPSimError("initial_inboxes must have one entry per rank")
-            inboxes = initial_inboxes
+            inboxes = list(initial_inboxes)
         else:
             inboxes = [[] for _ in range(self.size)]
         pending = True  # force at least one step so programs can initialise
@@ -290,41 +293,13 @@ class BSPEngine:
                     outbox = prog.step(ctx, inbox) or {}
                 except Exception as exc:
                     raise RankFailure(rank, exc) from exc
+                # consumed: let its arrays go before the next rank steps
+                inboxes[rank] = inbox = []
 
-                out_records = 0
-                out_bytes = 0
-                weighted_out_bytes = 0.0
-                for dest, payloads in outbox.items():
-                    if not 0 <= dest < self.size:
-                        raise InvalidRankError(
-                            f"rank {rank} addressed invalid destination {dest}"
-                        )
-                    if dest == rank:
-                        raise MPSimError(
-                            f"rank {rank} attempted a self-send; local work "
-                            "must not route through the exchange"
-                        )
-                    for arr in payloads:
-                        if len(arr) == 0:
-                            continue
-                        # sender-side costs accrue regardless of delivery fate
-                        nbytes = charged_nbytes(arr)
-                        out_records += len(arr)
-                        out_bytes += nbytes
-                        weighted_out_bytes += nbytes * (
-                            self._topo_mult[rank, dest]
-                            if self._topo_mult is not None
-                            else 1.0
-                        )
-                        copies = 1
-                        if fault_plan is not None:
-                            copies = fault_plan.message_fate(
-                                rank, dest, superstep=self.supersteps
-                            )
-                        for _ in range(copies):
-                            next_inboxes[dest].append((rank, arr))
-                        if copies:
-                            any_traffic = True
+                out_records, out_bytes, weighted_out_bytes, sent = self._post(
+                    rank, outbox, next_inboxes, fault_plan
+                )
+                any_traffic = any_traffic or sent
 
                 rs = self.stats[rank]
                 rs.record_send(out_records, out_bytes)
@@ -409,6 +384,50 @@ class BSPEngine:
                 quiet_steps = 0
 
         return self.stats
+
+    def _post(
+        self,
+        rank: int,
+        outbox: Outbox,
+        next_inboxes: list[list[tuple[int, np.ndarray]]],
+        fault_plan: Any,
+    ) -> tuple[int, int, float, bool]:
+        """Queue ``rank``'s outbox for the next superstep; returns its
+        records, bytes, topology-weighted bytes and whether any payload was
+        delivered.  A method, so no loop variable of :meth:`run` holds a
+        payload past the step that consumes it."""
+        out_records = 0
+        out_bytes = 0
+        weighted_out_bytes = 0.0
+        delivered = False
+        for dest, payloads in outbox.items():
+            if not 0 <= dest < self.size:
+                raise InvalidRankError(
+                    f"rank {rank} addressed invalid destination {dest}"
+                )
+            if dest == rank:
+                raise MPSimError(
+                    f"rank {rank} attempted a self-send; local work "
+                    "must not route through the exchange"
+                )
+            for arr in payloads:
+                if len(arr) == 0:
+                    continue
+                # sender-side costs accrue regardless of delivery fate
+                nbytes = charged_nbytes(arr)
+                out_records += len(arr)
+                out_bytes += nbytes
+                weighted_out_bytes += nbytes * (
+                    self._topo_mult[rank, dest] if self._topo_mult is not None else 1.0
+                )
+                copies = 1
+                if fault_plan is not None:
+                    copies = fault_plan.message_fate(rank, dest, superstep=self.supersteps)
+                for _ in range(copies):
+                    next_inboxes[dest].append((rank, arr))
+                if copies:
+                    delivered = True
+        return out_records, out_bytes, weighted_out_bytes, delivered
 
     # ------------------------------------------------------------- reporting
     def summary(self) -> dict[str, float]:

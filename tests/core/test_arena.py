@@ -2,6 +2,7 @@
 
 import pickle
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +106,79 @@ class TestKeep:
         with pytest.raises(ValueError, match="mask has"):
             a.keep(np.ones(length, dtype=bool))
         assert a.view().tolist() == [0, 1, 2, 3]
+
+
+class TestShrink:
+    """A ``keep`` that leaves survivors under a quarter of the capacity
+    gives the rest back: the heap arena reallocates to twice the survivors,
+    the spilled one compacts inside its file."""
+
+    def test_drain_shrinks_to_twice_the_survivors(self):
+        a = ArrayArena()
+        a.push(np.arange(100_000))
+        assert len(a._buf) >= 100_000
+        mask = np.zeros(100_000, dtype=bool)
+        mask[::1000] = True
+        a.keep(mask)
+        assert a.view().tolist() == list(range(0, 100_000, 1000))
+        assert len(a._buf) == 200
+        a.push(np.array([-1]))
+        assert a.view().tolist()[-2:] == [99_000, -1]
+
+    @pytest.mark.parametrize("kept", [0, 1, 16])
+    def test_small_survivors_keep_the_minimum_capacity(self, kept):
+        a = ArrayArena()
+        a.push(np.arange(10_000))
+        a.keep(np.arange(10_000) < kept)
+        assert a.view().tolist() == list(range(kept))
+        assert len(a._buf) == 64
+
+    def test_capacity_stays_within_four_times_the_rows(self):
+        """Over drains that each keep a different share, the capacity never
+        exceeds four times the live rows (or 64), and the rows are those
+        indexing would keep."""
+        rng = np.random.default_rng(11)
+        a, ref = ArrayArena(capacity=1), np.empty(0, dtype=np.int64)
+        for _ in range(60):
+            batch = rng.integers(0, 1 << 30, int(rng.integers(0, 5_000)))
+            a.push(batch)
+            ref = np.concatenate([ref, batch])
+            mask = rng.random(len(ref)) < rng.choice([0.01, 0.2, 0.5, 0.95])
+            a.keep(mask)
+            ref = ref[mask]
+            assert np.array_equal(a.view(), ref)
+            assert len(a._buf) <= max(4 * len(ref), 64)
+
+    def test_shrunk_arena_pickles_its_live_rows(self):
+        a = ArrayArena()
+        a.push(np.arange(50_000))
+        a.keep(np.arange(50_000) % 5_000 == 0)
+        b = pickle.loads(pickle.dumps(a))
+        assert b.view().tolist() == list(range(0, 50_000, 5_000))
+        assert len(b._buf) == 10
+        b.push(np.array([1]))
+        assert b.view().tolist()[-1] == 1
+
+    def test_spilled_column_stays_in_its_file(self, tmp_path):
+        path = tmp_path / "col.i64"
+        a = SpillArena(path, capacity=2)
+        a.push(np.arange(100_000))
+        a.keep(np.arange(100_000) % 10_000 == 0)
+        assert isinstance(a._buf, np.memmap)
+        assert Path(a._buf.filename) == path
+        assert a.view().tolist() == list(range(0, 100_000, 10_000))
+        a.push(np.array([5]))
+        assert isinstance(a._buf, np.memmap)
+        assert a.view().tolist()[-2:] == [90_000, 5]
+
+    def test_unpickled_spill_arena_shrinks_in_ram(self, tmp_path):
+        a = SpillArena(tmp_path / "col.i64", capacity=2)
+        a.push(np.arange(10))
+        b = pickle.loads(pickle.dumps(a))
+        b.push(np.arange(100_000))
+        b.keep(np.arange(100_010) < 3)
+        assert not isinstance(b._buf, np.memmap)
+        assert (b.view().tolist(), len(b._buf)) == ([0, 1, 2], 64)
 
 
 class TestRecordQueue:

@@ -18,13 +18,22 @@ from repro.core import parallel_pa
 from repro.core.arena import RecordQueue
 from repro.core.chains import dependency_chain_lengths
 from repro.core.generator import rank_programs
-from repro.core.parallel_pa import RECORD_DTYPE, RES, PAx1RankProgram, ResultRegions
+from repro.core.parallel_pa import (
+    REPLY_DTYPE,
+    REQUEST_DTYPE,
+    PAx1RankProgram,
+    ResultRegions,
+)
 from repro.core.partitioning import ConsecutivePartition, make_partition
 from repro.core.spill import edges_digest
 from repro.graph.edgelist import EdgeList
 from repro.graph.validation import validate_pa_graph
-from repro.mpsim.bsp import BSPEngine
+from repro.mpsim.bsp import BSPEngine, BSPRankContext
+from repro.mpsim.costmodel import CostModel
+from repro.mpsim.datatypes import charged_nbytes
+from repro.mpsim.errors import RankFailure
 from repro.mpsim.faults import FaultPlan
+from repro.mpsim.stats import WorldStats
 from repro.rng import StreamFactory
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -225,8 +234,8 @@ class TestLocalSweep:
         assert (ctx.work_items, prog._unresolved) == (1, unresolved - 1)
         assert prog._pend.passes == 2  # one jump pass, one pass without
 
-        reply = np.zeros(1, dtype=RECORD_DTYPE)
-        reply["kind"], reply["t"], reply["a"] = RES, 5, 4
+        reply = np.zeros(1, dtype=REPLY_DTYPE)
+        reply["t"], reply["v"] = 5, 4
         prog._apply_resolved(reply, ctx)
         prog._local_sweep(ctx)
         assert prog.F.tolist() == [4, 4, 4, 3, 3]
@@ -258,6 +267,120 @@ class TestLocalSweep:
         resumed = pickle.loads(pickle.dumps(prog))
         with pytest.raises(ValueError, match="pend queue has 2 columns"):
             resumed.step(_Ctx(), [])
+
+
+class TestWire:
+    """Requests are ``(t, kidx)`` and replies ``(t, v)``, 16 B a record,
+    each charged the paper's 24 B ``<request, t, k>``."""
+
+    def test_records_are_16_bytes_charged_24(self):
+        """Stepped by hand, a P=3 trio sends each destination one array a
+        step, and the bsp run's traffic and simulated time are those the
+        24-byte ``(kind, t, a)`` records gave."""
+        n, P, seed = 3000, 3, 5
+        part = make_partition("rrp", n, P)
+        programs = rank_programs(part, 1, 0.5, seed)
+        stats, cost = WorldStats.for_size(P), CostModel()
+        ctxs = [BSPRankContext(r, P, stats, cost) for r in range(P)]
+        inboxes = [[] for _ in range(P)]
+        records = charged = 0
+        kinds = set()
+        while True:
+            sent = [[] for _ in range(P)]
+            for rank, prog in enumerate(programs):
+                for dest, arrs in prog.step(ctxs[rank], inboxes[rank]).items():
+                    assert len(arrs) == 1
+                    (arr,) = arrs
+                    assert arr.dtype in (REQUEST_DTYPE, REPLY_DTYPE)
+                    assert arr.dtype.itemsize == 16
+                    assert charged_nbytes(arr) == 24 * len(arr)
+                    if arr.dtype == REQUEST_DTYPE:
+                        assert arr["kidx"].min() >= 0
+                        assert arr["kidx"].max() < part.partition_size(dest)
+                    records += len(arr)
+                    charged += charged_nbytes(arr)
+                    kinds.add(arr.dtype.names)
+                    sent[dest].append((rank, arr))
+            inboxes = sent
+            if not any(sent) and all(prog.done for prog in programs):
+                break
+        assert kinds == {REQUEST_DTYPE.names, REPLY_DTYPE.names}
+
+        bsp = generate(n, 1, p=0.5, partition=part, seed=seed)
+        assert [prog.requests_sent for prog in programs] == bsp.requests_sent.tolist()
+        assert records == 2 * sum(bsp.requests_sent)
+        assert charged == bsp.world_stats.total_bytes == 48240
+        assert (bsp.supersteps, bsp.requests_sent.tolist()) == (10, [325, 330, 350])
+        assert bsp.simulated_time == 0.0025093179200000003
+
+    def test_old_format_records_are_rejected(self):
+        """An in-flight inbox of 24-byte ``(kind, t, a)`` records, as a
+        checkpoint written before the 16-byte format holds, fails loudly
+        instead of leaving its requesters unanswered."""
+        old = np.zeros(1, dtype=[("kind", "i8"), ("t", "i8"), ("a", "i8")])
+        part = make_partition("ucp", 10, 2)
+        prog = PAx1RankProgram(1, part, 0.5, StreamFactory(0).stream(1))
+        with pytest.raises(ValueError, match=r"rank 1 got records of unknown dtype .*'kind'"):
+            prog.step(_Ctx(), [(0, old)])
+
+        factory = StreamFactory(0)
+        programs = [PAx1RankProgram(r, part, 0.5, factory.stream(r)) for r in range(2)]
+        with pytest.raises(RankFailure) as info:
+            BSPEngine(2).run(programs, initial_inboxes=[[], [(0, old)]])
+        assert isinstance(info.value.__cause__, ValueError)
+
+
+class TestAnswerOnArrival:
+    """A step answers parked requests whose ``F_k`` resolved, then each
+    arriving request whose ``F_k`` is known, and parks only the rest."""
+
+    class _Recording(RecordQueue):
+        """A RecordQueue that records the length of every pushed batch."""
+
+        def __init__(self, ncols, capacity=64):
+            super().__init__(ncols, capacity)
+            self.pushed = []
+
+        def push(self, *batches):
+            self.pushed.append(len(batches[0]))
+            super().push(*batches)
+
+    def _program(self):
+        # rank 1 of ucp(10, 2) owns nodes 5..9 at local slots 0..4
+        part = make_partition("ucp", 10, 2)
+        prog = PAx1RankProgram(
+            1, part, 0.5, StreamFactory(0).stream(1), queue_factory=self._Recording
+        )
+        prog._started = True
+        prog.F[:] = [-1, 2, -1, 3, 0]  # slots 0 and 2 unknown
+        prog._park.push(np.array([1, 0]), np.array([2, 3]))  # t=2 on 1, t=3 on 0
+        return prog
+
+    @staticmethod
+    def _requests(t, kidx):
+        req = np.empty(len(t), dtype=REQUEST_DTYPE)
+        req["t"], req["kidx"] = t, kidx
+        return req
+
+    def test_replies_old_ready_first_then_arrivals_in_source_order(self):
+        prog, ctx = self._program(), _Ctx()
+        out = prog.step(ctx, [(0, self._requests([1, 4], [3, 2]))])
+        (replies,) = out[0]
+        assert replies.dtype == REPLY_DTYPE
+        assert replies["t"].tolist() == [2, 1]
+        assert replies["v"].tolist() == [2, 3]
+        assert [c.tolist() for c in prog._park.columns()] == [[0, 2], [3, 4]]
+        # two requests received, two answered: the work of parking both
+        # and draining the whole queue once
+        assert (ctx.work_items, prog.requests_received) == (4, 2)
+
+    def test_queue_holds_only_unanswerable_requests(self):
+        prog, ctx = self._program(), _Ctx()
+        prog.step(ctx, [(0, self._requests([0, 1], [1, 3])), (2, self._requests([4], [4]))])
+        assert prog._park.pushed == [2]  # the two rows _program parked
+        prog.step(ctx, [(0, self._requests([4, 1], [2, 4]))])
+        assert prog._park.pushed == [2, 1]
+        assert [c.tolist() for c in prog._park.columns()] == [[0, 2], [3, 4]]
 
 
 def _protocol(edges, supersteps, requests_sent, simulated_time):
@@ -327,16 +450,19 @@ def test_ranks_resolve_into_the_output_column():
 
 
 @pytest.mark.parametrize(
-    "engine,ranks,bound", [("bsp", 2, 40), ("sequential", 1, 24)]
+    "engine,ranks,bound", [("bsp", 2, 26), ("sequential", 1, 24)]
 )
 def test_bsp_footprint_near_output_size(engine, ranks, bound):
-    """An in-process x=1 run holds about one output column beyond the output.
+    """An in-process x=1 run holds little more than its output.
 
     The output is 16 B per edge; the run's RSS growth over ``import repro``
-    at n = 4e6 stays under ``bound`` B per edge: ~32 measured on bsp (~49
-    while every rank drew all its uniforms at once and the result was
-    copied out of the programs), ~17 for the sequential copy model, which
-    resolves into the target column block by block.
+    at n = 4e6 stays under ``bound`` B per edge: ~21.6 measured on bsp
+    (~32 while requests and replies went as 24-byte records, every arriving
+    request was parked, consumed inboxes lived to the end of the superstep
+    and drained queues kept their peak capacity; ~49 while every rank drew
+    all its uniforms at once and the result was copied out of the
+    programs), ~17 for the sequential copy model, which resolves into the
+    target column block by block.
     """
     n = 4_000_000
     code = (

@@ -210,6 +210,18 @@ def test_wire_records_are_16_bytes_charged_40():
     assert charged == bsp.world_stats.total_bytes
 
 
+def test_old_format_records_are_rejected():
+    """An in-flight inbox of the 40-byte ``(kind, t, e, a, l)`` records, as
+    a checkpoint written before the 16-byte format holds, fails loudly
+    instead of leaving its requesters unanswered."""
+    old = np.zeros(1, dtype=[(f, "i8") for f in ("kind", "t", "e", "a", "l")])
+    part = make_partition("rrp", 100, 2)
+    (prog, _) = rank_programs(part, 3, 0.5, 0)
+    ctx = BSPRankContext(0, 2, WorldStats.for_size(2), CostModel())
+    with pytest.raises(ValueError, match=r"rank 0 got records of unknown dtype .*'kind'"):
+        prog.step(ctx, [(1, old)])
+
+
 class TestTryAssign:
     """``_try_assign`` checks a batch for values already in their row in
     blocks of ``_BLOCK`` records, and decides and writes as the whole-batch

@@ -1,5 +1,7 @@
 """Tests for the BSP superstep engine."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,43 @@ class TestBasics:
         eng.run(progs)
         assert progs[4].value == 4
         assert eng.supersteps >= 5
+
+
+class TestInboxRelease:
+    """A rank's inbox is dropped once the rank has stepped, so the engine
+    holds no consumed payload while the later ranks of the superstep run."""
+
+    class Relay(_Base):
+        def __init__(self, rank, refs, seen):
+            super().__init__(rank)
+            self.refs, self.seen, self.kicked = refs, seen, False
+
+        def step(self, ctx, inbox):
+            # what rank 1 consumed (if anything): is it still alive?
+            self.seen.append((self.rank, [ref() is None for ref in self.refs]))
+            if self.rank == 0 and not self.kicked:
+                self.kicked = True
+                payload = np.arange(1000)
+                self.refs.append(weakref.ref(payload))
+                return {1: [payload]}
+            return None
+
+    def test_consumed_inbox_is_freed_before_the_next_rank_steps(self):
+        refs, seen = [], []
+        BSPEngine(3).run([self.Relay(r, refs, seen) for r in range(3)])
+        # superstep 2: rank 1 consumes the payload, rank 2 steps after it
+        assert seen[3:6] == [(0, [False]), (1, [False]), (2, [True])]
+
+    def test_initial_inboxes_are_not_changed(self):
+        payload = np.arange(5)
+        initial = [[], [(0, payload)], []]
+        before = [list(box) for box in initial]
+        refs, seen = [], []
+        BSPEngine(3).run(
+            [self.Relay(r, refs, seen) for r in range(3)], initial_inboxes=initial
+        )
+        assert initial == before
+        assert initial[1][0][1] is payload
 
 
 class TestTermination:
