@@ -132,6 +132,81 @@ def _pack(*outboxes: dict) -> dict[int, list[np.ndarray]]:
     return packed
 
 
+def _answer(
+    F: np.ndarray,
+    park,
+    requests: list[tuple[int, np.ndarray]],
+    fields: tuple[str, str],
+    reply_dtype: np.dtype,
+    owner,
+    out,
+    ctx: BSPRankContext,
+) -> None:
+    """Answer requests in bulk, the wait queues ``Q_k`` of Algorithms 3.1
+    (Lines 11-19) and 3.2 (Lines 16-20, 24-25): first every request parked
+    in ``park`` whose awaited slot of ``F`` has resolved, then each arriving
+    ``(source, batch)`` of ``requests`` (source order) whose slot is known;
+    the rest are parked.
+
+    ``fields`` names a request's ``(requester, key)`` fields: ``key`` is the
+    awaited slot as a flat index into ``F`` and ``requester`` goes back as
+    the first field of a ``reply_dtype`` record to its owner, the rank that
+    sent the request; a parked request's is found again as
+    ``owner(requester)``.  ``park`` holds ``(key, requester)`` rows.  The
+    replies and the work charged are those of parking every arrival and
+    then draining the whole queue once: the known ``F`` is the same
+    throughout, and the queue's old rows come first.  So the queue holds
+    only the requests that must wait, never a superstep's whole inbox.
+    """
+    who_f, key_f = fields
+    answered = _drain_parked(F, park, reply_dtype, owner, out)
+    for src, req in requests:
+        ctx.charge(work_items=len(req))
+        key, who = req[key_f], req[who_f]
+        vals = F.take(key)
+        ready = vals >= 0
+        n_ready = int(np.count_nonzero(ready))
+        if n_ready:
+            # every requester of a batch is its sender's, so are the replies
+            out[src].append(_replies(ready, n_ready, who, vals, reply_dtype))
+            answered += n_ready
+        if n_ready < len(req):
+            wait = ~ready
+            park.push(np.compress(wait, key), np.compress(wait, who))
+    if answered:
+        ctx.charge(work_items=answered)
+
+
+def _drain_parked(F: np.ndarray, park, reply_dtype: np.dtype, owner, out) -> int:
+    """Answer the requests parked in ``park`` whose awaited slot of ``F``
+    has resolved (see :func:`_answer`); returns how many."""
+    if not len(park):
+        return 0
+    park_key, park_who = park.columns()
+    vals = F.take(park_key)
+    ready = vals >= 0
+    n_ready = int(np.count_nonzero(ready))
+    if not n_ready:
+        return 0
+    records = _replies(ready, n_ready, park_who, vals, reply_dtype)
+    del vals
+    park.keep(~ready)
+    route_by_dest(out, records, owner(records[reply_dtype.names[0]]))
+    return n_ready
+
+
+def _replies(
+    ready: np.ndarray, n_ready: int, who: np.ndarray, vals: np.ndarray, reply_dtype: np.dtype
+) -> np.ndarray:
+    """The ``reply_dtype`` records ``(who, vals)`` of the ``n_ready`` rows
+    where ``ready``, compressed straight into the records' fields, so no
+    per-field temporary is built."""
+    records = np.empty(n_ready, dtype=reply_dtype)
+    for name, col in zip(reply_dtype.names, (who, vals)):
+        np.compress(ready, col, out=records[name])
+    return records
+
+
 class PAx1RankProgram:
     """One rank's state machine for Algorithm 3.1.
 
@@ -235,11 +310,12 @@ class PAx1RankProgram:
 
         self._local_sweep(ctx)
 
+        requests = [(src, arr) for src, arr in inbox if arr.dtype == REQUEST_DTYPE and len(arr)]
+        self.requests_received += sum(len(arr) for _src, arr in requests)
         replies: dict[int, list[np.ndarray]] = defaultdict(list)
-        self._answer(
-            [arr for _src, arr in inbox if arr.dtype == REQUEST_DTYPE and len(arr)],
-            replies,
-            ctx,
+        _answer(
+            self.F, self._park, requests, ("t", "kidx"), REPLY_DTYPE, self.part.owner,
+            replies, ctx,
         )
         return _pack(out, replies)
 
@@ -318,52 +394,6 @@ class PAx1RankProgram:
                 self._unresolved -= n_done
                 ctx.charge(work_items=n_done)
                 self._pend.keep(~done)
-
-    def _answer(self, requests: list[np.ndarray], out, ctx: BSPRankContext) -> None:
-        """Lines 11-19 in bulk: answer every parked request whose awaited
-        ``F_k`` has resolved, then each arriving batch's requests whose
-        ``F_k`` is known, and park the rest in ``Q_k``.
-
-        The replies and the work charged are those of parking every arrival
-        and then draining the whole queue once: the known ``F`` is the same
-        throughout, and the queue's old rows come first.
-        """
-        answered = self._drain_parked(out)
-        for req in requests:
-            self.requests_received += len(req)
-            ctx.charge(work_items=len(req))
-            kidx, t = req["kidx"], req["t"]
-            vals = self.F.take(kidx)
-            ready = vals >= 0
-            n_ready = int(np.count_nonzero(ready))
-            if n_ready:
-                t_out = np.compress(ready, t)
-                route_by_dest(
-                    out, _records(REPLY_DTYPE, t_out, np.compress(ready, vals)),
-                    self.part.owner(t_out),
-                )
-                answered += n_ready
-            if n_ready < len(req):
-                wait = ~ready
-                self._park.push(np.compress(wait, kidx), np.compress(wait, t))
-        if answered:
-            ctx.charge(work_items=answered)
-
-    def _drain_parked(self, out) -> int:
-        """Lines 18-19: answer the parked requests whose awaited ``F_k`` has
-        resolved; returns how many."""
-        if not len(self._park):
-            return 0
-        park_k, park_t = self._park.columns()
-        vals = self.F.take(park_k)
-        ready = vals >= 0
-        if not ready.any():
-            return 0
-        t_out = np.compress(ready, park_t)
-        v_out = np.compress(ready, vals)
-        self._park.keep(~ready)
-        route_by_dest(out, _records(REPLY_DTYPE, t_out, v_out), self.part.owner(t_out))
-        return len(t_out)
 
 
 class ResultRegions:

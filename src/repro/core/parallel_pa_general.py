@@ -21,8 +21,8 @@ Node ``x`` is the boundary case the pseudocode leaves implicit: its draw
 range ``[x, t-1]`` is empty, and its ``x`` distinct targets must come from
 the ``x`` existing nodes — so ``F_x = {0, .., x-1}`` deterministically.
 
-The bulk implementation vectorises every phase; the only per-record Python
-loops are queue parking/draining, which touch the (rare) unresolved tail.
+The bulk implementation vectorises every phase, queue parking and draining
+included.
 Intra-batch duplicate arbitration keeps the first record per ``(t, v)`` pair
 in batch order (:func:`repro.core.arbitration.first_wins`) — the bulk analogue
 of the sequential first-come-first-served adjacency check.
@@ -36,10 +36,16 @@ a pure function).  A reply is :data:`REPLY_DTYPE` ``(slot, v)``; its receiver
 recovers ``(t, e) = divmod(slot, x)``.  Both are 16 B; the engines charge
 each record the paper's 40 B ``<request, t, e, k, l>`` nonetheless, which the
 dtypes declare, so simulated time and traffic statistics do not depend on
-the encoding.  A step applies the replies of every source in source order,
-sweeps its local copies, parks the requests of every source in source order
-and answers what it can, so duplicate arbitration sees the same batches
-however the records are packed.
+the encoding.  A step applies the replies of every source in source order
+and sweeps its local copies, so duplicate arbitration sees the same batches
+however the records are packed.  It then answers requests on arrival, as
+the paper's ``Q_k`` protocol does (Lines 16-20, 24-25): first the parked
+requests whose slot has resolved, then each source's requests (source
+order) whose slot is known, parking only the rest
+(:func:`repro.core.parallel_pa._answer`, the one answer path of both
+algorithms).  The replies and the work charged are those of parking every
+arrival and draining once, so the wait queue holds what must wait, never a
+superstep's whole inbox.
 
 Randomness protocol: the setup gives each owned node ``t > x`` its ``x``
 slots ``(t, 0) .. (t, x-1)``, in node order; with ``N`` such slots on the
@@ -82,7 +88,7 @@ import numpy as np
 
 from repro.core.arbitration import first_wins
 from repro.core.arena import RecordQueue
-from repro.core.parallel_pa import _arange, _check_wire, _records
+from repro.core.parallel_pa import _answer, _arange, _check_wire, _pack, _records
 from repro.core.partitioning import Partition
 from repro.core.routing import route_by_dest
 from repro.graph.edgelist import EdgeList
@@ -99,7 +105,7 @@ REPLY_DTYPE = np.dtype([("slot", "i8"), ("v", "i8")], metadata=_CHARGED)
 
 #: nodes per draw block of :meth:`PAGeneralRankProgram._setup`; a block's
 #: ``x * _BLOCK`` slots of draws and index arrays are the setup's whole
-#: scratch (~20 MiB at x = 4), whatever the rank's node count; also the
+#: scratch (~18.5 MiB at x = 4), whatever the rank's node count; also the
 #: records per block of the duplicate check :meth:`PAGeneralRankProgram._in_row`
 _BLOCK = 1 << 16
 
@@ -211,16 +217,17 @@ class PAGeneralRankProgram:
 
         self._local_sweep(out, ctx)
 
-        for _src, arr in inbox:
-            if arr.dtype == REQUEST_DTYPE:
-                self._park_requests(arr, ctx)
-
+        requests = [(src, arr) for src, arr in inbox if arr.dtype == REQUEST_DTYPE]
+        self.requests_received += sum(len(arr) for _src, arr in requests)
         replies: dict[int, list[np.ndarray]] = defaultdict(list)
-        self._drain_parked(replies, ctx)
-        return {
-            d: [np.concatenate(b) for b in (out.get(d), replies.get(d)) if b]
-            for d in sorted(out.keys() | replies.keys())
-        }
+        _answer(
+            self.F, self._park, requests, ("slot", "key"), REPLY_DTYPE, self._requester_owner,
+            replies, ctx,
+        )
+        packed = _pack(out, replies)
+        # destinations in rank order: a fault plan draws a message's fate in
+        # the order the engine posts them
+        return {d: packed[d] for d in sorted(packed)}
 
     # --------------------------------------------------------------- setup
     def _setup(self, ctx: BSPRankContext, out) -> None:
@@ -252,9 +259,7 @@ class PAGeneralRankProgram:
             for lo in range(first, len(nodes), _BLOCK)
         ]
         lose_idx, lose_e = (np.concatenate(cols) for cols in zip(*losers))
-        self._draw_and_dispatch(
-            lose_idx, self._node_ids(lose_idx), lose_e, out, ctx, redraw_coin=True
-        )
+        self._draw_and_dispatch(lose_idx, lose_e, out, ctx, redraw_coin=True)
 
     def _draw_block(
         self, lo: int, block: range, cursors: list[dict], out
@@ -263,48 +268,50 @@ class PAGeneralRankProgram:
         from ``lo``, advancing the ``[k, coin]`` stream ``cursors``; return
         the ``(row, e)`` of the direct slots that lost."""
         x = self.x
-        T = np.repeat(_arange(block), x)
         Tidx = np.repeat(np.arange(lo, lo + len(block), dtype=np.int64), x)
         E = np.tile(np.arange(x, dtype=np.int64), len(block))
-        u, cursors[0] = _draws_at(self.rng, cursors[0], len(T))
-        k = x + (u * (T - x)).astype(np.int64)
-        u, cursors[1] = _draws_at(self.rng, cursors[1], len(T))
+        # k = x + floor(u * (t - x)), in place on the uniforms
+        u, cursors[0] = _draws_at(self.rng, cursors[0], len(Tidx))
+        u *= np.repeat(_arange(block) - x, x)
+        k = u.astype(np.int64)
+        k += x
+        u, cursors[1] = _draws_at(self.rng, cursors[1], len(Tidx))
         direct = u < self.p
-        lose = self._dispatch(Tidx, T, E, k, direct, out)
+        del u
+        lose = self._dispatch(Tidx, E, k, direct, out)
         return Tidx.take(lose), E.take(lose)
 
     # ------------------------------------------------------ draw machinery
     def _draw_and_dispatch(
         self,
         Tidx: np.ndarray,
-        T: np.ndarray,
         E: np.ndarray,
         out,
         ctx: BSPRankContext,
         redraw_coin: bool,
     ) -> None:
-        """Draw ``(k, coin[, l])`` for the given slots and route them,
-        redrawing direct slots that lose (Lines 6-10) until none does.
+        """Draw ``(k, coin[, l])`` for the slots ``(Tidx, E)`` and route
+        them, redrawing direct slots that lose (Lines 6-10) until none does.
 
         ``redraw_coin=False`` implements the resolve-time retry of
         Lines 27-29, which is always copy-flavoured.
         """
-        todo_idx, todo_t, todo_e = Tidx, T, E
-        while len(todo_t):
-            ctx.charge(work_items=len(todo_t))
-            k = self.x + (self.rng.random(len(todo_t)) * (todo_t - self.x)).astype(np.int64)
+        todo_idx, todo_e = Tidx, E
+        while len(todo_idx):
+            ctx.charge(work_items=len(todo_idx))
+            span = self._node_ids(todo_idx) - self.x
+            k = self.x + (self.rng.random(len(todo_idx)) * span).astype(np.int64)
             if redraw_coin:
-                direct = self.rng.random(len(todo_t)) < self.p
+                direct = self.rng.random(len(todo_idx)) < self.p
             else:
-                direct = np.zeros(len(todo_t), dtype=bool)
-            lose = self._dispatch(todo_idx, todo_t, todo_e, k, direct, out)
-            todo_idx, todo_t, todo_e = (a.take(lose) for a in (todo_idx, todo_t, todo_e))
+                direct = np.zeros(len(todo_idx), dtype=bool)
+            lose = self._dispatch(todo_idx, todo_e, k, direct, out)
+            todo_idx, todo_e = todo_idx.take(lose), todo_e.take(lose)
             redraw_coin = True  # any further retry re-flips the coin
 
     def _dispatch(
         self,
         Tidx: np.ndarray,
-        T: np.ndarray,
         E: np.ndarray,
         k: np.ndarray,
         direct: np.ndarray,
@@ -326,7 +333,7 @@ class PAGeneralRankProgram:
         c_sel = np.flatnonzero(~direct)
         if len(c_sel):
             l = (self.rng.random(len(c_sel)) * self.x).astype(np.int64)
-            ck, ct, ce, cidx = (a.take(c_sel) for a in (k, T, E, Tidx))
+            ck, ce, cidx = (a.take(c_sel) for a in (k, E, Tidx))
             owners = self.part.owner(ck)
             key = self.part.local_index(owners, ck) * self.x + l
             is_local = owners == self.rank
@@ -335,7 +342,7 @@ class PAGeneralRankProgram:
                 self._pend.push(key.take(local), cidx.take(local) * self.x + ce.take(local))
             remote = np.flatnonzero(~is_local)
             if len(remote):
-                slot = ct.take(remote) * self.x + ce.take(remote)
+                slot = self._node_ids(cidx.take(remote)) * self.x + ce.take(remote)
                 route_by_dest(
                     out,
                     _records(REQUEST_DTYPE, slot, key.take(remote)),
@@ -343,6 +350,10 @@ class PAGeneralRankProgram:
                 )
                 self.requests_sent += len(remote)
         return lose
+
+    def _requester_owner(self, slot: np.ndarray) -> np.ndarray:
+        """Ranks owning the requesters' slots ``slot = t * x + e``."""
+        return self.part.owner(slot // self.x)
 
     def _node_ids(self, idx: np.ndarray) -> np.ndarray:
         """Node ids of the local rows ``idx``."""
@@ -390,7 +401,7 @@ class PAGeneralRankProgram:
         if len(lose):
             self.retries += len(lose)
             self._draw_and_dispatch(
-                tidx.take(lose), t.take(lose), e.take(lose), out, ctx, redraw_coin=False
+                tidx.take(lose), e.take(lose), out, ctx, redraw_coin=False
             )
 
     def _local_sweep(self, out, ctx: BSPRankContext) -> None:
@@ -410,35 +421,4 @@ class PAGeneralRankProgram:
             if len(lose):
                 self.retries += len(lose)
                 lt = rt.take(lose)
-                self._draw_and_dispatch(
-                    lt, self._node_ids(lt), re_.take(lose), out, ctx, redraw_coin=False
-                )
-
-    def _park_requests(self, req: np.ndarray, ctx: BSPRankContext) -> None:
-        """Lines 16-20: park arriving requests on their target slot.
-
-        Known slots are answered in :meth:`_drain_parked` at the end of the
-        same step — identical messages, one vectorised code path.
-        """
-        self.requests_received += len(req)
-        ctx.charge(work_items=len(req))
-        self._park.push(req["key"], req["slot"])
-
-    def _drain_parked(self, out, ctx: BSPRankContext) -> None:
-        """Answer every parked request whose slot has resolved (Lines 17-18
-        and 24-25, executed in bulk)."""
-        if not len(self._park):
-            return
-        park_key, park_slot = self._park.columns()
-        vals = self.F.take(park_key)
-        ready = vals >= 0
-        if not ready.any():
-            return
-        slot_out = np.compress(ready, park_slot)
-        v_out = np.compress(ready, vals)
-        self._park.keep(~ready)
-        ctx.charge(work_items=len(slot_out))
-        route_by_dest(
-            out, _records(REPLY_DTYPE, slot_out, v_out), self.part.owner(slot_out // self.x)
-        )
-
+                self._draw_and_dispatch(lt, re_.take(lose), out, ctx, redraw_coin=False)

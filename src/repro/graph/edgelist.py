@@ -46,7 +46,9 @@ class EdgeList:
         self._u = np.empty(capacity, dtype=np.int64)
         self._v = np.empty(capacity, dtype=np.int64)
         self._size = 0
-        self._max_node = -1  # running max node id; -1 when empty
+        # running max node id, -1 when empty; None until a zero-copy list's
+        # wrapped arrays are first scanned (:meth:`_max`)
+        self._max_node: int | None = -1
 
     # ------------------------------------------------------------- building
     @classmethod
@@ -56,8 +58,11 @@ class EdgeList:
         With ``copy=False`` the list wraps the given arrays directly —
         zero-copy, which is what lets :func:`repro.graph.io.read_edges_binary`
         expose a multi-gigabyte on-disk file as memmap-backed views without
-        pulling it into RAM.  Appending to a zero-copy list falls back to an
-        ordinary in-RAM reallocation (the wrapped arrays are never mutated).
+        pulling it into RAM.  Such a list leaves its max node id unresolved
+        until the first :attr:`num_nodes` or append needs it, so wrapping
+        touches no page of the arrays.  Appending to a zero-copy list falls
+        back to an ordinary in-RAM reallocation (the wrapped arrays are never
+        mutated).
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -68,7 +73,7 @@ class EdgeList:
             if len(u):
                 el._u, el._v = u, v
                 el._size = len(u)
-                el._max_node = int(max(u.max(), v.max()))
+                el._max_node = None
             return el
         el = cls(capacity=max(len(u), 1))
         el._u[: len(u)] = u
@@ -91,8 +96,17 @@ class EdgeList:
         new_v[: self._size] = self._v[: self._size]
         self._u, self._v = new_u, new_v
 
+    def _max(self) -> int:
+        """The max node id (-1 when empty), scanning the arrays once if a
+        zero-copy wrap left it unresolved."""
+        if self._max_node is None:
+            self._max_node = int(max(self.sources.max(), self.targets.max()))
+        return self._max_node
+
     def append(self, u: int, v: int) -> None:
         """Append one edge (scalar path; prefer :meth:`append_arrays` in bulk)."""
+        if self._max_node is None:
+            self._max()
         self._grow_to(self._size + 1)
         self._u[self._size] = u
         self._v[self._size] = v
@@ -108,6 +122,8 @@ class EdgeList:
         v = np.asarray(v, dtype=np.int64)
         if u.shape != v.shape:
             raise ValueError("batch arrays must have equal length")
+        if self._max_node is None:
+            self._max()
         self._grow_to(self._size + len(u))
         self._u[self._size : self._size + len(u)] = u
         self._v[self._size : self._size + len(v)] = v
@@ -142,11 +158,12 @@ class EdgeList:
         """1 + max node id (0 for an empty list).
 
         O(1): the max node id is maintained incrementally by the append
-        paths rather than rescanned on every access.
+        paths rather than rescanned on every access; a zero-copy list scans
+        its arrays once, on first use.
         """
         if self._size == 0:
             return 0
-        return self._max_node + 1
+        return self._max() + 1
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         for i in range(self._size):

@@ -24,9 +24,12 @@ where ranks message each other with no router in between:
 
 Double buffering makes one barrier per superstep enough: superstep ``s``
 writes half ``s % 2`` while every reader of superstep ``s - 1`` data reads
-half ``(s - 1) % 2``.  The parent never touches a byte of superstep traffic:
-it forks the workers, watches their liveness, commits checkpoint cuts, and
-collects the final results.
+half ``(s - 1) % 2``.  Once the barrier of ``s`` passes, that half is dead,
+so the writer frees its pages then; a segment retired because the payload
+outgrew it is unlinked at the same point, not at shutdown.  A worker trims
+its C heap once, before its final collection.  The parent never touches a
+byte of superstep traffic: it forks the workers, watches their liveness,
+commits checkpoint cuts, and collects the final results.
 
 Statistics are accounted *worker-side* with the same formulas the in-process
 engine uses (message counts, byte volumes, virtual busy time, superstep
@@ -59,6 +62,7 @@ Fault tolerance (see ``docs/fault_tolerance.md``):
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing as mp
 import os
 import pickle
@@ -100,6 +104,14 @@ __all__ = ["MultiprocessingBSPEngine"]
 #: Smallest per-half segment size; avoids churning tiny segments while the
 #: first supersteps ramp up.
 _MIN_HALF_BYTES = 1 << 16
+
+#: payload segments one worker can create: each half at least doubles the
+#: last, from ``_MIN_HALF_BYTES`` to below 2^63 bytes a segment
+_MAX_SEGMENTS = 48
+
+#: ``madvise`` advice that frees a shared mapping's pages together with
+#: their backing (Linux); ``None`` where the platform has none
+_MADV_REMOVE = getattr(mmap, "MADV_REMOVE", None)
 
 #: wall seconds slept per superstep per unit of straggle factor above 1.0
 #: when a fault plan marks a rank as a straggler — a *real* delay, so the
@@ -153,38 +165,41 @@ def _segment_name(run: str, rank: int, seq: int) -> str:
 def _unlink_segments(run: str, rank: int) -> None:
     """Unlink whatever payload segments ``rank``'s worker left behind.
 
-    A worker creates its segments as ``seq`` 0, 1, ... and unlinks them
-    newest first on the way out, so the survivors of an interrupted
-    teardown — or of a ``SIGKILL`` — are always ``0 .. k``.  Call only once
+    A worker creates its segments as ``seq`` 0, 1, ... and unlinks each one
+    it retires after the next barrier, so a ``SIGKILL`` leaves at most its
+    two newest, whose ``seq`` the parent does not know.  Each segment's half
+    at least doubles the last one's, so no worker gets past
+    :data:`_MAX_SEGMENTS`, and the parent probes them all.  Call only once
     the worker is dead; a clean exit leaves nothing and costs one failed
-    open.
+    open per ``seq`` (~2 µs each).
     """
-    seq = 0
-    while True:
+    for seq in range(_MAX_SEGMENTS):
         try:
             seg = shared_memory.SharedMemory(name=_segment_name(run, rank, seq))
         except FileNotFoundError:
-            return
+            continue
         seg.close()
         seg.unlink()  # also drops the dead worker's tracker registration
-        seq += 1
 
 
 class _ShmWriter:
     """One worker's double-buffered shared-memory outbox arena.
 
     The segment holds two halves; superstep ``s`` writes into half ``s % 2``
-    (a bump allocator reset each superstep).  When a superstep's payload
+    (a bump allocator reset each superstep).  Once the barrier of superstep
+    ``s + 1`` passes, every reader has copied superstep ``s``'s records, and
+    :meth:`release` frees that half's pages.  When a superstep's payload
     outgrows the current half, a fresh segment (doubled) is created under
-    the next :func:`_segment_name` — the old one is kept alive until
-    shutdown because readers may still be copying last superstep's records
-    out of it.
+    the next :func:`_segment_name`; the old one holds the previous
+    superstep's records, which readers may still be copying, so it is
+    closed and unlinked by the same :meth:`release`, one barrier later.
     """
 
     def __init__(self, run: str, rank: int) -> None:
         self.run, self.rank = run, rank
         self.shm = None
         self.half = 0
+        self._seq = 0  # the next segment's number
         self._retired: list[Any] = []
 
     def _ensure(self, nbytes: int) -> None:
@@ -195,8 +210,9 @@ class _ShmWriter:
             half *= 2
         if self.shm is not None:
             self._retired.append(self.shm)
-        name = _segment_name(self.run, self.rank, len(self._retired))
+        name = _segment_name(self.run, self.rank, self._seq)
         self.shm = shared_memory.SharedMemory(name=name, create=True, size=2 * half)
+        self._seq += 1
         self.half = half
 
     def write(self, outbox: dict[int, list[np.ndarray]], superstep: int) -> dict:
@@ -226,15 +242,37 @@ class _ShmWriter:
                 meta[dest] = descs
         return meta
 
+    def release(self, superstep: int) -> None:
+        """Give back what superstep ``superstep`` wrote; call once the
+        barrier of superstep ``superstep + 1`` has passed.
+
+        Closes and unlinks the segments retired since, and frees the pages
+        of the current segment's half ``superstep % 2`` (``MADV_REMOVE``
+        punches them out of the segment; the next write there faults in
+        zeroed pages).  Where the platform lacks it the half stays resident.
+        """
+        _drop(self._retired)
+        self._retired = []
+        if self.shm is None or _MADV_REMOVE is None:
+            return
+        try:
+            self.shm._mmap.madvise(_MADV_REMOVE, (superstep % 2) * self.half, self.half)
+        except OSError:  # pragma: no cover - a filesystem without hole punching
+            pass
+
     def close(self) -> None:
-        # newest first, so an interrupted close leaves a 0..k prefix
-        for seg in reversed(self._retired + ([self.shm] if self.shm is not None else [])):
-            seg.close()
-            try:
-                seg.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+        _drop(self._retired + ([self.shm] if self.shm is not None else []))
         self._retired, self.shm, self.half = [], None, 0
+
+
+def _drop(segments: list[Any]) -> None:
+    """Close and unlink ``segments``."""
+    for seg in segments:
+        seg.close()
+        try:
+            seg.unlink()
+        except FileNotFoundError:  # pragma: no cover - already gone
+            pass
 
 
 class _ShmReader:
@@ -445,6 +483,8 @@ def _run_job(
         # slowest peer arrives (paper Section 4.6's load-balance story)
         with tel.span("barrier.wait", cat="barrier", tid=rank, superstep=superstep):
             fabric.wait(rank, superstep)
+        # every reader has copied the previous superstep's records by now
+        writer.release(superstep - 1)
         if tel.enabled:
             tel.counter(
                 "mp_worker_supersteps_total", "supersteps executed worker-side"
@@ -481,8 +521,10 @@ def _run_job(
                     )
                 conn.send(("shard", superstep, str(path)))
     # quiescence: no peer reads this rank's segments any more, so they go
-    # before the final collection adds its output pages
+    # before the final collection adds its output pages, and so does the
+    # heap the early supersteps' transients left free
     writer.close()
+    _trim_heap()
     conn.send(
         (
             "final",
@@ -492,6 +534,26 @@ def _run_job(
             (superstep, simulated),
         )
     )
+
+
+def _trim_heap() -> None:
+    """Hand the free pages of the C heap back to the OS, once per job.
+
+    Freed request batches below glibc's mmap threshold stay in the heap, so
+    without this a worker's resident size stays at its early supersteps'
+    level through the final collection, which then adds its region on top.
+    Trimming after every superstep as well saved less memory than it cost
+    time (docs/performance.md).  ``ctypes`` is imported here, not at module
+    import; on a libc without ``malloc_trim`` this does nothing.
+    """
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except AttributeError:
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
 
 
 def _worker_main(

@@ -1,5 +1,6 @@
 """Tests for Algorithm 3.2 (x >= 1) on the BSP engine."""
 
+import functools
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from repro import generate
 from repro.core import parallel_pa_general
 from repro.core.arbitration import first_wins
+from repro.core.arena import RecordQueue
 from repro.core.generator import rank_programs
 from repro.core.parallel_pa import ResultRegions
 from repro.core.parallel_pa_general import (
@@ -210,6 +212,109 @@ def test_wire_records_are_16_bytes_charged_40():
     assert charged == bsp.world_stats.total_bytes
 
 
+class TestAnswerOnArrival:
+    """A step answers the parked requests whose slot resolved, then each
+    arriving request whose slot is known, and parks only the rest: the
+    answer path Algorithm 3.1 uses too."""
+
+    class _Recording(RecordQueue):
+        """A RecordQueue that records the length of every pushed batch."""
+
+        def __init__(self, ncols, capacity=64):
+            super().__init__(ncols, capacity)
+            self.pushed = []
+
+        def push(self, *batches):
+            self.pushed.append(len(batches[0]))
+            super().push(*batches)
+
+    def _program(self):
+        # rank 1 of ucp(20, 2) owns nodes 10..19; x = 2, so a key is
+        # kidx * 2 + l and rank 0's requesters have slots t * 2 + e < 20
+        part = make_partition("ucp", 20, 2)
+        prog = PAGeneralRankProgram(
+            1, part, 2, 0.5, StreamFactory(0).stream(1), queue_factory=self._Recording
+        )
+        prog._started = True
+        prog.F = np.full((10, 2), -1, dtype=np.int64)
+        prog.F[1] = [3, 4]  # keys 2 and 3 known
+        prog.F[2, 0] = 7  # key 4 known, key 5 not
+        prog._park.push(np.array([2, 0]), np.array([10, 11]))  # key 2 known, 0 not
+        prog._park.pushed.clear()
+        return prog
+
+    @staticmethod
+    def _requests(slot, key):
+        req = np.empty(len(slot), dtype=REQUEST_DTYPE)
+        req["slot"], req["key"] = slot, key
+        return req
+
+    @staticmethod
+    def _ctx():
+        stats = WorldStats.for_size(2)
+        return BSPRankContext(1, 2, stats, CostModel()), stats
+
+    def test_replies_old_ready_first_then_arrivals_in_source_order(self):
+        prog = self._program()
+        ctx, stats = self._ctx()
+        out = prog.step(ctx, [(0, self._requests([12, 13], [5, 4]))])
+        (replies,) = out[0]
+        assert replies.dtype == REPLY_DTYPE
+        assert replies["slot"].tolist() == [10, 13]
+        assert replies["v"].tolist() == [3, 7]
+        assert [c.tolist() for c in prog._park.columns()] == [[0, 5], [11, 12]]
+        # two requests received, two answered: the work of parking both
+        # and draining the whole queue once
+        assert (stats[1].work_items, prog.requests_received) == (4, 2)
+
+    def test_queue_holds_only_unanswerable_requests(self):
+        prog = self._program()
+        ctx, _ = self._ctx()
+        prog.step(ctx, [(0, self._requests([12, 13, 14], [2, 3, 5]))])
+        assert prog._park.pushed == [1]  # only key 5 waits
+        prog.step(ctx, [(0, self._requests([15, 16], [4, 3]))])
+        assert prog._park.pushed == [1]
+        assert [c.tolist() for c in prog._park.columns()] == [[0, 5], [11, 14]]
+
+    @pytest.mark.parametrize(
+        "scheme,P,pins",
+        [
+            ("rrp", 3, (0.006720388800000001, 330320, 14, [1365, 1401, 1363])),
+            ("lcp", 4, (0.0076031904, 300560, 7, [1703, 1344, 710, 0])),
+        ],
+    )
+    def test_no_parked_request_is_answerable(self, scheme, P, pins):
+        """Stepped by hand, no rank's wait queue holds a request whose slot
+        is known after a step, and the bsp run's simulated time, traffic,
+        supersteps and requests received are those of parking every arrival
+        and draining once."""
+        n, x, seed = 3000, 4, 5
+        part = make_partition(scheme, n, P)
+        programs = rank_programs(part, x, 0.5, seed)
+        stats, cost = WorldStats.for_size(P), CostModel()
+        ctxs = [BSPRankContext(r, P, stats, cost) for r in range(P)]
+        inboxes = [[] for _ in range(P)]
+        parked = 0
+        while True:
+            sent = [[] for _ in range(P)]
+            for rank, prog in enumerate(programs):
+                for dest, arrs in prog.step(ctxs[rank], inboxes[rank]).items():
+                    sent[dest].extend((rank, arr) for arr in arrs)
+                key, _slot = prog._park.columns()
+                assert (prog.F.take(key) < 0).all()
+                parked = max(parked, len(key))
+            inboxes = sent
+            if not any(sent) and all(prog.done for prog in programs):
+                break
+        assert parked > 0
+        assert [prog.requests_received for prog in programs] == pins[3]
+
+        bsp = generate(n, x, p=0.5, partition=part, seed=seed)
+        got = (bsp.simulated_time, bsp.world_stats.total_bytes, bsp.supersteps)
+        assert got == pins[:3]
+        assert bsp.requests_received.tolist() == pins[3]
+
+
 def test_old_format_records_are_rejected():
     """An in-flight inbox of the 40-byte ``(kind, t, e, a, l)`` records, as
     a checkpoint written before the 16-byte format holds, fails loudly
@@ -324,30 +429,51 @@ class TestDrawBlocks:
         assert r.requests_sent.tolist() == whole.requests_sent.tolist()
 
 
-def test_mp_footprint_near_output_size():
-    """A two-worker x=4 mp run holds about its output, not its draws.
-
-    The output is 16 B per edge.  The run's peak, the larger of the
-    coordinator's and the biggest worker's, grows over ``import repro`` by
-    ~25 B per edge at n = 5e5: ~31.5 while requests and replies went as
-    40-byte records, ~75 while each worker drew all its slots at once and
-    pickled its edges back to the coordinator, which copied them into the
-    output.
-    """
-    n = 500_000
+@functools.lru_cache(maxsize=None)
+def _mp_footprint(n: int) -> tuple[int, int, int, int]:
+    """``(base, coordinator, worker, edges)`` of ``generate(n, x=4,
+    ranks=2, engine="mp")`` in a fresh interpreter: ``ru_maxrss`` in KiB
+    after ``import repro``, the coordinator's peak (``RUSAGE_SELF``) and the
+    biggest worker's (``RUSAGE_CHILDREN``), and the edge count."""
     code = (
         "import json, resource, repro; "
         "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
         f"r = repro.generate(n={n}, x=4, ranks=2, engine='mp', seed=1); "
-        "peak = max(resource.getrusage(who).ru_maxrss for who in "
-        "(resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)); "
-        "print(json.dumps([base, peak, len(r.edges)]))"
+        "print(json.dumps([base] + [resource.getrusage(who).ru_maxrss for who in "
+        "(resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)] + [len(r.edges)]))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
     )
-    base_kib, peak_kib, m = json.loads(out.stdout.strip().splitlines()[-1])
+    base, coordinator, worker, m = json.loads(out.stdout.strip().splitlines()[-1])
     assert m == 4 * (n - 4) + 6
-    per_edge = (peak_kib - base_kib) * 1024 / m
-    assert per_edge < 28, f"RSS grew {per_edge:.1f} B per edge"
+    return base, coordinator, worker, m
+
+
+def test_mp_footprint_near_output_size():
+    """A two-worker x=4 mp run holds about its output, not its draws.
+
+    The output is 16 B per edge.  The run's peak, the larger of the
+    coordinator's and the biggest worker's, grows over ``import repro`` by
+    ~18.2 B per edge at n = 5e5: ~21.7 while workers parked every arriving
+    request, kept dead payload halves and their early supersteps' heap, and
+    the coordinator scanned the output for its max node; ~25 when 16-byte
+    records were first measured; ~31.5 while requests and replies
+    went as 40-byte records; ~75 while each worker drew all its slots at
+    once and pickled its edges back to the coordinator, which copied them
+    into the output.
+    """
+    base, coordinator, worker, m = _mp_footprint(500_000)
+    per_edge = (max(coordinator, worker) - base) * 1024 / m
+    assert per_edge < 21, f"RSS grew {per_edge:.1f} B per edge"
+
+
+def test_mp_coordinator_never_scans_the_output():
+    """The coordinator wraps the workers' shared output columns without
+    reading them: its peak grows over ``import repro`` by ~1.4 B per edge
+    at n = 5e5, against ~17.5 (the whole 16 B per edge output paged in)
+    while wrapping computed the max node id."""
+    base, coordinator, _worker, m = _mp_footprint(500_000)
+    per_edge = (coordinator - base) * 1024 / m
+    assert per_edge < 4, f"coordinator RSS grew {per_edge:.1f} B per edge"

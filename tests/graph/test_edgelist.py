@@ -40,6 +40,36 @@ class TestConstruction:
         assert np.shares_memory(el.sources, u)  # the arrays ARE the storage
         assert el.num_nodes == 4
 
+    def test_no_copy_resolves_max_node_on_first_use(self):
+        """Wrapping scans nothing; ``num_nodes`` scans once, then caches."""
+        u = np.array([3, 7, 2], dtype=np.int64)
+        v = np.array([0, 1, 9], dtype=np.int64)
+        el = EdgeList.from_arrays(u, v, copy=False)
+        assert el._max_node is None
+        assert el.num_nodes == 10 == EdgeList.from_arrays(u, v).num_nodes
+        assert el._max_node == 9
+
+    @pytest.mark.parametrize("new", [(4, 12), (4, 1)])
+    def test_no_copy_append_resolves_max_node(self, new):
+        """Appending to an unscanned zero-copy list keeps the wrapped
+        arrays' max, whether or not the new edge exceeds it."""
+        u = np.array([3, 7], dtype=np.int64)
+        v = np.array([0, 9], dtype=np.int64)
+        scalar = EdgeList.from_arrays(u, v, copy=False)
+        scalar.append(*new)
+        bulk = EdgeList.from_arrays(u, v, copy=False)
+        bulk.append_arrays(np.array([new[0]]), np.array([new[1]]))
+        expected = max(9, *new) + 1
+        assert scalar.num_nodes == bulk.num_nodes == expected
+        assert scalar == bulk
+        assert u.tolist() == [3, 7]  # the wrapped arrays are never mutated
+
+    def test_no_copy_empty(self):
+        el = EdgeList.from_arrays(np.empty(0, np.int64), np.empty(0, np.int64), copy=False)
+        assert el.num_nodes == 0
+        el.append_arrays(np.array([2]), np.array([1]))
+        assert el.num_nodes == 3
+
     def test_from_arrays_copy_is_independent(self):
         u = np.array([3, 1], dtype=np.int64)
         el = EdgeList.from_arrays(u, np.zeros(2, np.int64))

@@ -69,6 +69,15 @@ class TestBinaryFormat:
         with pytest.raises(ValueError):  # views are read-only
             src[0] = 99
 
+    def test_mmap_leaves_max_node_unscanned(self, tmp_path, sample_edges):
+        """Opening maps the file without reading its body; the max node id
+        is read on first use and equals the eager read's."""
+        path = tmp_path / "edges.bin"
+        write_edges_binary(path, sample_edges)
+        mapped = read_edges_binary(path, mmap_mode="r")
+        assert mapped._max_node is None
+        assert mapped.num_nodes == read_edges_binary(path).num_nodes == sample_edges.num_nodes
+
     def test_mmap_empty_file(self, tmp_path):
         path = tmp_path / "empty.bin"
         write_edges_binary(path, EdgeList())
