@@ -31,14 +31,12 @@ from repro._version import __version__
 from repro.core.generator import GenerationResult, RunSpec, generate
 from repro.core.partitioning import make_partition
 from repro.core.streaming import stream_copy_model_x1
-from repro.distgraph import DistributedGraph
 from repro.graph.edgelist import EdgeList
 from repro.graph.powerlaw import fit_powerlaw
 from repro.graph.validation import validate_pa_graph
 from repro.telemetry import Telemetry
 
 __all__ = [
-    "DistributedGraph",
     "EdgeList",
     "GenerationResult",
     "RunSpec",

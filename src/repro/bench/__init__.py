@@ -5,12 +5,10 @@ here and a regenerating benchmark under ``benchmarks/``:
 
 * :mod:`repro.bench.scaling` — strong scaling (Fig. 5), weak scaling
   (Fig. 6), and the 50-billion-edge extrapolation (Section 4.5);
-* :mod:`repro.bench.harness` — run records and experiment execution;
 * :mod:`repro.bench.reporting` — fixed-width tables and log-log series in
   the shape the paper reports.
 """
 
-from repro.bench.harness import ExperimentRecord, run_generation_experiment
 from repro.bench.reporting import format_series, format_table
 from repro.bench.scaling import (
     ScalingPoint,
@@ -20,12 +18,10 @@ from repro.bench.scaling import (
 )
 
 __all__ = [
-    "ExperimentRecord",
     "ScalingPoint",
     "extrapolate_large_network",
     "format_series",
     "format_table",
-    "run_generation_experiment",
     "strong_scaling",
     "weak_scaling",
 ]

@@ -31,8 +31,6 @@ import time
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-import numpy as np
-
 __all__ = ["main", "build_parser", "run_spec"]
 
 
@@ -61,15 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--text", action="store_true")
     d.add_argument("--plot", action="store_true", help="render an ASCII log-log plot")
 
-    a = sub.add_parser("analyze", help="distributed analysis of an edge-list file")
-    a.add_argument("path", type=Path)
-    a.add_argument("-n", "--nodes", type=int, required=True)
-    a.add_argument("-P", "--ranks", type=int, default=8)
-    a.add_argument("--scheme", choices=["ucp", "lcp", "rrp", "ecp"], default="rrp")
-    a.add_argument("--text", action="store_true")
-    a.add_argument("--bfs-source", type=int, default=0)
-    a.add_argument("--pagerank-iters", type=int, default=30)
-
     v = sub.add_parser("validate", help="validate an edge-list file")
     v.add_argument("path", type=Path)
     v.add_argument("-n", "--nodes", type=int, required=True)
@@ -87,14 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--ranks", type=int, nargs="+", default=[1, 2, 4, 8, 16])
     sc.add_argument("--schemes", nargs="+", default=["ucp", "lcp", "rrp"])
     sc.add_argument("--seed", type=int, default=0)
-
-    cp = sub.add_parser("campaign", help="run a parameter-grid campaign to CSV")
-    cp.add_argument("-n", "--nodes", type=int, nargs="+", default=[10_000])
-    cp.add_argument("-x", "--edges-per-node", type=int, nargs="+", default=[4])
-    cp.add_argument("-P", "--ranks", type=int, nargs="+", default=[4, 16])
-    cp.add_argument("--schemes", nargs="+", default=["ucp", "lcp", "rrp"])
-    cp.add_argument("--seed", type=int, default=0)
-    cp.add_argument("-o", "--output", type=Path, required=True, help="CSV path")
 
     c = sub.add_parser("chains", help="dependency-chain statistics (Theorem 3.3)")
     c.add_argument("-n", "--nodes", type=int, default=1_000_000)
@@ -317,11 +298,27 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _read_edges(args: argparse.Namespace):
+    """The edge list at ``args.path`` (text with ``--text``), or ``None``
+    after a one-line stderr reason when it cannot be read."""
     from repro.graph import io as gio
+
+    try:
+        return gio.read_edges_text(args.path) if args.text else gio.read_edges_binary(args.path)
+    except OSError as exc:
+        reason = exc.strerror
+    except ValueError as exc:
+        reason = exc
+    print(f"{args.command}: cannot read {args.path}: {reason}", file=sys.stderr)
+    return None
+
+
+def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.graph.validation import validate_pa_graph
 
-    edges = gio.read_edges_text(args.path) if args.text else gio.read_edges_binary(args.path)
+    edges = _read_edges(args)
+    if edges is None:
+        return 1
     report = validate_pa_graph(edges, args.nodes, args.edges_per_node)
     if report.ok:
         print(f"ok: {report.num_edges} edges, all invariants hold")
@@ -331,16 +328,22 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.graph import io as gio
     from repro.graph.degree import degrees_from_edges
     from repro.graph.powerlaw import fit_powerlaw
 
-    edges = gio.read_edges_text(args.path) if args.text else gio.read_edges_binary(args.path)
+    edges = _read_edges(args)
+    if edges is None:
+        return 1
+    if not len(edges):
+        print(f"stats: {args.path} holds no edges", file=sys.stderr)
+        return 1
     deg = degrees_from_edges(edges)
     print(f"nodes: {edges.num_nodes}  edges: {len(edges)}")
     print(f"degree: min={deg.min()} mean={deg.mean():.2f} max={deg.max()}")
-    fit = fit_powerlaw(deg, k_min=args.k_min)
-    print(f"power-law fit: {fit}")
+    try:
+        print(f"power-law fit: {fit_powerlaw(deg, k_min=args.k_min)}")
+    except ValueError as exc:
+        print(f"power-law fit: skipped ({exc})")
     return 0
 
 
@@ -373,74 +376,16 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 def _cmd_degree_dist(args: argparse.Namespace) -> int:
     from repro.bench.reporting import ascii_loglog, format_series
-    from repro.graph import io as gio
     from repro.graph.degree import degrees_from_edges, log_binned_distribution
 
-    edges = gio.read_edges_text(args.path) if args.text else gio.read_edges_binary(args.path)
+    edges = _read_edges(args)
+    if edges is None:
+        return 1
     deg = degrees_from_edges(edges)
     centers, density = log_binned_distribution(deg)
     print(format_series("log-binned degree distribution", centers.round(1), density))
     if args.plot:
         print(ascii_loglog(centers, density, label="P(k) vs k (log-log)"))
-    return 0
-
-
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.bench.campaign import (
-        expand_grid,
-        run_campaign,
-        summarize_campaign,
-        write_csv,
-    )
-    from repro.bench.reporting import format_table
-
-    configs = expand_grid(
-        n=args.nodes, x=args.edges_per_node, ranks=args.ranks, scheme=args.schemes
-    )
-    print(f"running {len(configs)} configurations ...")
-    records = run_campaign("cli-campaign", configs, seed=args.seed)
-    path = write_csv(args.output, records)
-    print(f"wrote {len(records)} rows to {path}")
-    summary = summarize_campaign(records, by="scheme")
-    rows = [
-        (key, int(v["runs"]), v["mean_simulated_time"], v["mean_imbalance"])
-        for key, v in summary.items()
-    ]
-    print(format_table(
-        ["scheme", "runs", "mean T_p (sim s)", "mean imbalance"], rows
-    ))
-    return 0
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from repro.core.partitioning import make_partition
-    from repro.distgraph import (
-        DistributedGraph,
-        distributed_bfs,
-        distributed_components,
-        distributed_pagerank,
-    )
-    from repro.graph import io as gio
-
-    edges = gio.read_edges_text(args.path) if args.text else gio.read_edges_binary(args.path)
-    part = make_partition(args.scheme, args.nodes, args.ranks)
-    graph = DistributedGraph.from_edgelist(edges, part)
-    print(f"loaded {graph!r}")
-
-    dist, eng = distributed_bfs(graph, args.bfs_source)
-    reached = int((dist >= 0).sum())
-    print(f"BFS from {args.bfs_source}: reached {reached}/{args.nodes} nodes, "
-          f"eccentricity {int(dist.max())}, {eng.supersteps} supersteps")
-
-    labels, eng = distributed_components(graph)
-    print(f"components: {len(np.unique(labels))} ({eng.supersteps} supersteps)")
-
-    pr, eng = distributed_pagerank(graph, iterations=args.pagerank_iters)
-    top = np.argsort(pr)[-3:][::-1]
-    print("top PageRank nodes: "
-          + ", ".join(f"{int(t)} ({pr[t]:.2e})" for t in top))
     return 0
 
 
@@ -465,8 +410,6 @@ _COMMANDS = {
     "scaling": _cmd_scaling,
     "chains": _cmd_chains,
     "degree-dist": _cmd_degree_dist,
-    "analyze": _cmd_analyze,
-    "campaign": _cmd_campaign,
     "inspect": _cmd_inspect,
     "explore": _cmd_explore,
 }

@@ -6,12 +6,8 @@
   CCDFs, and logarithmic binning (what Figure 4 plots);
 * :mod:`repro.graph.powerlaw` — discrete maximum-likelihood power-law
   exponent estimation and KS distance (the γ ≈ 2.7 measurement);
-* :mod:`repro.graph.metrics` — clustering, connected components,
-  assortativity (sampled where exact computation would not scale);
 * :mod:`repro.graph.theory` — the closed-form BA degree law and the
   chi-square goodness-of-fit certifier;
-* :mod:`repro.graph.analysis` — exact k-cores, triangle counts, rich club;
-* :mod:`repro.graph.rewire` — degree-preserving null models;
 * :mod:`repro.graph.validation` — structural invariants of PA graphs
   (no self-loops, no parallel edges, exactly ``x`` smaller-id neighbours);
 * :mod:`repro.graph.io` — per-rank edge-file output and merging, mirroring

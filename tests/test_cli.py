@@ -37,6 +37,11 @@ class TestGenerate:
                    "--seed", "2"])
         assert rc == 0
 
+    def test_ecp_scheme_accepted(self, capsys):
+        rc = main(["generate", "-n", "500", "-x", "2", "-P", "4",
+                   "--scheme", "ecp", "--seed", "8", "--validate"])
+        assert rc == 0
+
 
 class TestValidateCommand:
     def test_valid_file(self, tmp_path, capsys):
@@ -66,6 +71,48 @@ class TestStats:
         cap = capsys.readouterr().out
         assert "power-law fit" in cap
         assert "edges: 11990" in cap
+
+    def test_missing_file_fails_in_one_line(self, tmp_path, capsys):
+        rc = main(["stats", str(tmp_path / "nonexist.bin")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "No such file or directory" in err
+
+    def test_empty_text_file_fails_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        rc = main(["stats", "--text", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "holds no edges" in err
+
+    def test_too_few_degrees_skips_the_fit(self, tmp_path, capsys):
+        out = tmp_path / "g.bin"
+        main(["generate", "-n", "2", "-x", "1", "--engine", "sequential",
+              "-o", str(out)])
+        capsys.readouterr()
+        rc = main(["stats", str(out)])
+        assert rc == 0
+        cap = capsys.readouterr()
+        assert "degree: min=1 mean=1.00 max=1" in cap.out
+        assert "power-law fit: skipped (need at least 10 positive degrees" in cap.out
+        assert cap.err == ""
+
+
+class TestReadEdges:
+    @pytest.mark.parametrize("command", [
+        ["validate", "-n", "3", "-x", "1"], ["degree-dist"],
+    ], ids=lambda c: c[0])
+    def test_unreadable_file_fails_in_one_line(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"garbage")
+        rc = main([command[0], str(path), *command[1:]])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "truncated header" in err
 
 
 class TestScalingCommand:
@@ -110,25 +157,6 @@ class TestDegreeDist:
         cap = capsys.readouterr().out
         assert "log-binned degree distribution" in cap
         assert "*" in cap
-
-
-class TestAnalyze:
-    def test_distributed_analysis(self, tmp_path, capsys):
-        out = tmp_path / "g.bin"
-        main(["generate", "-n", "800", "-x", "2", "-P", "4", "--seed", "7",
-              "-o", str(out)])
-        rc = main(["analyze", str(out), "-n", "800", "-P", "4",
-                   "--pagerank-iters", "10"])
-        assert rc == 0
-        cap = capsys.readouterr().out
-        assert "BFS from 0" in cap
-        assert "components: 1" in cap
-        assert "top PageRank nodes" in cap
-
-    def test_ecp_scheme_accepted(self, capsys):
-        rc = main(["generate", "-n", "500", "-x", "2", "-P", "4",
-                   "--scheme", "ecp", "--seed", "8", "--validate"])
-        assert rc == 0
 
 
 class TestTelemetryCLI:

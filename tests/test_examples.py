@@ -23,5 +23,5 @@ def test_example_runs(script):
 
 def test_expected_examples_present():
     names = {p.stem for p in EXAMPLES}
-    assert {"quickstart", "social_network_analysis", "partitioning_study",
-            "epidemic_simulation", "scaling_study"} <= names
+    assert {"quickstart", "partitioning_study", "scaling_study",
+            "streaming_generation"} <= names
