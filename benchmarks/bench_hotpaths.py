@@ -17,9 +17,11 @@ machine-readable ``BENCH_hotpaths.json`` at the repository root:
   (:mod:`repro.core.commfree`) on one core vs ``copy_model_x1`` — the
   recompute-instead-of-message algorithm must win before parallelism even
   starts;
-* ``commfree_endtoend`` — the same generator on forked slice workers at the
-  ``mp_endtoend`` scale; the derived ``speedup_vs_copy_p2p`` compares it
-  against the copy-model pipeline at equal n and P;
+* ``commfree_endtoend`` — the same generator on the mp engine (one
+  message-free superstep per rank, each worker writing its slice into the
+  shared output) at the ``mp_endtoend`` scale; the derived
+  ``speedup_vs_copy_p2p`` compares it against the copy-model pipeline at
+  equal n and P;
 * ``telemetry_overhead`` — end-to-end BSP generation with telemetry
   disabled (the default no-op path) vs enabled, the observability tax;
 * ``out_of_core`` — spilled (``out_of_core=``) vs in-RAM mp generation in
@@ -279,11 +281,11 @@ def case_commfree(sizes, repeats):
 
 
 def case_commfree_endtoend(sizes, repeats):
-    """Parallel x=1 generation with zero communication: forked slice
-    workers, coordinator concatenates.  ``main()`` derives
-    ``speedup_vs_copy_p2p`` against the ``mp_endtoend`` case (same n, same
-    P, same fork-based process model — the only difference is the
-    algorithm)."""
+    """Parallel x=1 generation with zero communication: the slice programs
+    on the mp engine, each worker writing its slice into the shared output
+    columns.  ``main()`` derives ``speedup_vs_copy_p2p`` against the
+    ``mp_endtoend`` case (same n, same P, same engine — the only difference
+    is the algorithm)."""
     n, P = sizes["endtoend_n"], sizes["mp_P"]
     t = best_of(repeats, commfree_mp, n, ranks=P, seed=SEED)
     return {

@@ -23,9 +23,13 @@ This module implements that trade (messages for recomputation) on top of
   never holds its slice;
 * :func:`commfree` — the one-slice run ``[0, n)`` into an
   :class:`~repro.graph.edgelist.EdgeList`, the sequential baseline;
-* :func:`commfree_mp` — the trivially-parallel multiprocessing path: one
-  forked worker per slice, the coordinator only concatenates.  No exchange,
-  no barriers, no checkpoints — there is no distributed state to lose.
+* :class:`CommfreeSliceProgram` — a slice as a zero-message rank program:
+  one superstep that sends nothing, then the slice streamed into the
+  rank's output through the run's result hook;
+* :func:`commfree_mp` — the trivially-parallel multiprocessing path: the
+  slice programs on the one mp engine, each worker writing its slice into
+  its region of the output.  No messages and no checkpoints — there is no
+  distributed state to lose.
 
 Every run consumes the identical draw protocol, so one-slice, sliced and
 multiprocessing runs, in RAM or spilled, are **bit-identical** for equal
@@ -62,19 +66,21 @@ Algorithm 3.2.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from typing import Iterator
 
 import numpy as np
 
 from repro.graph.edgelist import EdgeList
+from repro.mpsim.mp_backend import MultiprocessingBSPEngine
 from repro.rng import CounterStream, StreamFactory
 
 __all__ = [
+    "CommfreeSliceProgram",
     "commfree",
     "commfree_edge_counts",
     "commfree_edge_slice",
     "commfree_mp",
+    "commfree_programs",
     "commfree_slices",
 ]
 
@@ -463,99 +469,54 @@ def commfree_edge_counts(n: int, x: int, ranks: int) -> np.ndarray:
     return rank_edge_counts(x, sizes, lambda t: np.searchsorted(his, t, side="right"))
 
 
-def _slice_worker(args):
-    """One rank's job: compute a slice, and (out-of-core) write it in place.
+class CommfreeSliceProgram:
+    """Slice ``[lo, hi)`` as a zero-message rank program.
 
-    Jobs are 7-tuples ``(n, x, p, seed, lo, hi, block_size)``; out-of-core
-    jobs append ``(spill_dir, rank, offsets)``.  A spilling worker appends
-    the slice block by block into its region of the final columns and
-    returns the sealed manifest (a small dict) instead of the edge arrays.
+    Its one :meth:`step` charges the slice's nodes, sends nothing and is
+    done.  The run's result hook (:func:`repro.core.parallel_pa.run_output`)
+    then has it stream the slice into the rank's region, inside its worker
+    on mp: :meth:`write_result` into the in-RAM columns, :meth:`write_edges`
+    into an out-of-core region writer, so an x = 1 rank never holds its
+    slice besides.
     """
-    n, x, p, seed, lo, hi, block_size = args[:7]
-    if len(args) == 7:
-        return commfree_edge_slice(
-            n, lo, hi, x=x, p=p, seed=seed, block_size=block_size
+
+    def __init__(self, n: int, lo: int, hi: int, x: int, p: float, seed) -> None:
+        self.n, self.lo, self.hi, self.x, self.p, self.seed = n, lo, hi, x, p, seed
+        self.done = False
+
+    def step(self, ctx, inbox) -> None:
+        ctx.charge(nodes=self.hi - self.lo)
+        self.done = True
+
+    def write_edges(self, sink) -> None:
+        """Append the slice's edges to ``sink`` (anything with ``append_arrays``)."""
+        commfree_edge_slice(
+            self.n, self.lo, self.hi, x=self.x, p=self.p, seed=self.seed, out=sink
         )
-    from repro.core.spill import EdgeShardWriter
 
-    writer = EdgeShardWriter(*args[7:])
-    commfree_edge_slice(
-        n, lo, hi, x=x, p=p, seed=seed, block_size=block_size, out=writer
-    )
-    return writer.seal()
-
-
-def _slice_main(conn, job) -> None:
-    """Forked worker body: run one job and send ``(ok, payload)`` back."""
-    try:
-        reply = (True, _slice_worker(job))
-    except Exception as exc:  # re-raised by the parent
-        reply = (False, exc)
-    conn.send(reply)
-    conn.close()
+    def write_result(self, u: np.ndarray, v: np.ndarray) -> None:
+        """Write the slice's edges into its region, the columns ``u`` and ``v``."""
+        sink = _ColumnSink(u, v)
+        self.write_edges(sink)
+        if sink.end != len(u):
+            raise ValueError(f"slice [{self.lo}, {self.hi}) filled {sink.end} of {len(u)}")
 
 
-def _run_slice_workers(jobs: list) -> list:
-    """Fork one worker per job and collect the replies in job order.
+class _ColumnSink:
+    """Appends ``(u, v)`` batches into two fixed columns, front to back."""
 
-    Waits on the reply pipes and the workers' process sentinels together
-    (like :func:`repro.mpsim.mp_backend._recv_all`), so a worker that dies
-    without replying — killed, OOM-reaped — surfaces at once as
-    :class:`~repro.mpsim.errors.RankFailure` naming its rank instead of
-    blocking forever.  A worker's own exception is re-raised as is.  On any
-    failure the surviving workers are terminated before the error
-    propagates.
-    """
-    from multiprocessing.connection import wait
+    def __init__(self, u: np.ndarray, v: np.ndarray) -> None:
+        self.u, self.v, self.end = u, v, 0
 
-    from repro.mpsim.errors import RankFailure
+    def append_arrays(self, u: np.ndarray, v: np.ndarray) -> None:
+        start, self.end = self.end, self.end + len(u)
+        self.u[start : self.end] = u
+        self.v[start : self.end] = v
 
-    methods = mp.get_all_start_methods()
-    ctx = mp.get_context("fork" if "fork" in methods else None)
-    procs, conns = [], []
-    try:
-        for job in jobs:
-            parent, child = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_slice_main, args=(child, job), daemon=True)
-            proc.start()
-            child.close()
-            procs.append(proc)
-            conns.append(parent)
-        rank_of = {c: r for r, c in enumerate(conns)}
-        rank_of.update({proc.sentinel: r for r, proc in enumerate(procs)})
-        replies: dict[int, object] = {}
-        while len(replies) < len(jobs):
-            pending = [r for r in range(len(jobs)) if r not in replies]
-            ready = wait(
-                [conns[r] for r in pending] + [procs[r].sentinel for r in pending]
-            )
-            for rank in dict.fromkeys(rank_of[obj] for obj in ready):
-                try:
-                    # a dead worker's pipe reads as EOF, never as silence
-                    if not conns[rank].poll():
-                        raise EOFError
-                    ok, payload = conns[rank].recv()
-                except (EOFError, OSError):
-                    procs[rank].join(1.0)
-                    raise RankFailure(
-                        rank,
-                        RuntimeError(
-                            f"slice worker died before replying (exit code "
-                            f"{procs[rank].exitcode})"
-                        ),
-                    ) from None
-                if not ok:
-                    raise payload
-                replies[rank] = payload
-        return [replies[r] for r in range(len(jobs))]
-    finally:
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in procs:
-            proc.join()
-        for conn in conns:
-            conn.close()
+
+def commfree_programs(n: int, x: int, p: float, ranks: int, seed) -> list:
+    """One :class:`CommfreeSliceProgram` per slice of :func:`commfree_slices`."""
+    return [CommfreeSliceProgram(n, lo, hi, x, p, seed) for lo, hi in commfree_slices(n, ranks)]
 
 
 def commfree_mp(
@@ -564,45 +525,33 @@ def commfree_mp(
     p: float = 0.5,
     ranks: int = 2,
     seed: int | None = None,
-    block_size: int = _BLOCK,
     spill_dir: str | None = None,
     budget_bytes: int | None = None,
 ) -> EdgeList:
     """Trivially-parallel commfree generation on real OS processes.
 
-    Forks ``ranks`` workers, each computing one contiguous edge slice with
-    no inter-worker traffic of any kind; the coordinator concatenates the
-    slices in rank order.  There is no exchange, no barrier, and no
-    checkpoint surface — a crashed worker simply means rerunning its pure,
-    stateless slice; it raises :class:`~repro.mpsim.errors.RankFailure`
-    rather than hanging the call.  Output is bit-identical to
-    :func:`commfree` for any ``ranks``.
-
-    With ``spill_dir`` set the run goes out-of-core: the coordinator
-    pre-sizes ``<spill_dir>/edges/{u,v}.i64`` from
-    :func:`commfree_edge_counts`, each worker writes its slice straight into
-    its own region and seals a manifest, and the coordinator verifies every
-    region and adopts the files as a :class:`repro.core.spill.SpillEdgeList`
-    (``budget_bytes`` bounds the verification reads and its read blocks).  Each edge is written once.  Bit-identical to the
-    in-RAM path at every rank count.  An x = 1 worker writes its slice one
-    block at a time and keeps only the prefix table besides, so its memory
-    does not grow with ``n``; an x > 1 worker still holds an n-sized slot
+    The slice programs run on
+    :class:`~repro.mpsim.mp_backend.MultiprocessingBSPEngine`, one rank
+    each: one superstep, no messages.  Each worker writes its slice into
+    its region of the run's output through the engine's ``collect`` hook
+    (:func:`repro.core.parallel_pa.run_output`): shared columns in RAM, or
+    with ``spill_dir`` the ``<spill_dir>/edges/{u,v}.i64`` files pre-sized
+    from :func:`commfree_edge_counts`, each region sealed by its worker and
+    verified and adopted by the coordinator as a
+    :class:`repro.core.spill.SpillEdgeList` (``budget_bytes`` bounds the
+    verification reads and its read blocks).  No edge crosses a pipe, and
+    each is written once.  A dead or failing worker raises
+    :class:`~repro.mpsim.errors.RankFailure` naming its rank.  Output is
+    bit-identical to :func:`commfree` for any ``ranks``.  An x = 1 worker
+    keeps only the prefix table besides its output, so out of core its
+    memory does not grow with ``n``; an x > 1 worker holds an n-sized slot
     table.
     """
-    _check_params(n, x, p)
-    slices = commfree_slices(n, ranks)
-    jobs = [(n, x, p, seed, lo, hi, block_size) for lo, hi in slices]
-    if spill_dir is not None:
-        from repro.core import spill as _spill
+    from repro.core.parallel_pa import run_output
 
-        offsets = _spill.prepare_regions(spill_dir, commfree_edge_counts(n, x, ranks))
-        jobs = [job + (spill_dir, r, offsets) for r, job in enumerate(jobs)]
-    parts = [_slice_worker(jobs[0])] if ranks == 1 else _run_slice_workers(jobs)
-    if spill_dir is not None:
-        return _spill.assemble_shards(
-            spill_dir, ranks, budget_bytes or _spill.DEFAULT_BUDGET_BYTES
-        )
-    edges = EdgeList(capacity=max(_num_edges(n, x), 1))
-    for u, v in parts:
-        edges.append_arrays(u, v)
-    return edges
+    _check_params(n, x, p)
+    out = run_output(commfree_edge_counts(n, x, ranks), spill_dir, budget_bytes, shared=True)
+    MultiprocessingBSPEngine(ranks, collect=out.collect).run(
+        commfree_programs(n, x, p, ranks, seed)
+    )
+    return out.edges()

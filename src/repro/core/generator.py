@@ -31,10 +31,10 @@ Engines:
 Orthogonally to the engine, ``generator="commfree"`` swaps the copy-model
 message pipeline for the communication-free family
 (:mod:`repro.core.commfree`): ranks recompute foreign endpoints from
-counter-based randomness instead of requesting them, so the ``mp`` surface
-degenerates to embarrassingly-parallel slice workers with no exchange at
-all.  It has the copy model's attachment statistics but draws a different
-graph at equal seeds.
+counter-based randomness instead of requesting them, so on every engine a
+rank is one message-free superstep that writes its slice into its region
+of the output.  It has the copy model's attachment statistics but draws a
+different graph at equal seeds.
 
 A run is described by one :class:`RunSpec`, whose fields are
 :func:`generate`'s keywords and ``repro-pa generate``'s flags.  Which knobs
@@ -51,13 +51,8 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from repro.core.commfree import (
-    commfree_edge_counts,
-    commfree_edge_slice,
-    commfree_mp,
-    commfree_slices,
-)
-from repro.core.parallel_pa import PAx1RankProgram, ResultRegions
+from repro.core.commfree import commfree_edge_counts, commfree_mp, commfree_programs
+from repro.core.parallel_pa import PAx1RankProgram, ResultRegions, run_output
 from repro.core.parallel_pa_general import PAGeneralRankProgram
 from repro.core.partitioning import SCHEMES, Partition, make_partition
 from repro.core.streaming import stream_copy_model_x1
@@ -488,7 +483,7 @@ def rank_programs(
         return [
             PAx1RankProgram(
                 r, part, p, rngs.stream(r), queue_factory=queue_factory,
-                out=None if regions is None else regions.x1_region(r),
+                out=None if regions is None else regions.x1_region(r, part.node_range(r)),
             )
             for r in range(part.P)
         ]
@@ -510,44 +505,37 @@ def _run_supersteps(spec: RunSpec, part: Partition, plan: Any) -> dict:
     ``checkpoint_dir`` runs under a
     :class:`~repro.mpsim.supervisor.Supervisor` that recovers crashes from
     rotated snapshots, bit-identically.  Each finished rank writes its
-    edges into its region of the final columns through one hook,
-    ``collect(rank, program)``, run where the rank ran (inside its worker on
-    mp, so no edge array crosses a pipe).  In RAM the columns are a
-    :class:`ResultRegions` pair, shared with the workers on mp, and x=1
+    edges into its region of the run's output
+    (:func:`~repro.core.parallel_pa.run_output`) through its one
+    ``collect(rank, program)`` hook, run where the rank ran (inside its
+    worker on mp, so no edge array crosses a pipe).  In RAM the columns are
+    a :class:`ResultRegions` pair, shared with the workers on mp, and x=1
     programs resolve straight into theirs.  With ``out_of_core`` the
     programs' wait queues are memmap-backed and the columns are files on
     disk, verified and adopted at the end.  Returns the run's
     :class:`GenerationResult` fields.
     """
     engine, x, out_of_core, tel = spec.engine, spec.x, spec.out_of_core, spec.telemetry
-    regions = None
-    if out_of_core is not None:
-        from repro.core import spill
+    from repro.core import spill
 
-        offsets = spill.prepare_regions(
-            out_of_core, spill.rank_edge_counts(x, part.sizes(), part.owner)
-        )
-
-        def collect(rank: int, prog: Any) -> dict:
-            # a small sealed manifest is all that travels back
-            return spill.write_edge_shards(out_of_core, rank, offsets, [prog.result()])
-    else:
-        regions = ResultRegions(x, part, shared=engine == "mp")
-        collect = regions.fill
+    out = run_output(
+        spill.rank_edge_counts(x, part.sizes(), part.owner), out_of_core,
+        spec.spill_budget_bytes, shared=engine == "mp",
+    )
 
     def build_programs() -> list:
         qf = None
         if out_of_core is not None:
             qf = spill.SpillQueueFactory(Path(out_of_core) / "queues")
         return rank_programs(
-            part, x, spec.p, spec.seed, queue_factory=qf, regions=regions,
+            part, x, spec.p, spec.seed, queue_factory=qf, regions=out.regions,
         )
 
     def build_engine():
         if engine == "mp":
             return MultiprocessingBSPEngine(
                 part.P, cost_model=spec.cost_model,
-                barrier_timeout=spec.barrier_timeout, telemetry=tel, collect=collect,
+                barrier_timeout=spec.barrier_timeout, telemetry=tel, collect=out.collect,
             )
         return BSPEngine(part.P, cost_model=spec.cost_model, telemetry=tel)
 
@@ -570,15 +558,11 @@ def _run_supersteps(spec: RunSpec, part: Partition, plan: Any) -> dict:
         counters = [(c["requests_sent"], c["requests_received"]) for c in eng.rank_counters]
     else:
         for r, prog in enumerate(programs):
-            collect(r, prog)
+            out.collect(r, prog)
         counters = [(pr.requests_sent, pr.requests_received) for pr in programs]
-    if regions is not None:
-        edges = regions.edges()
-    else:
-        edges = spill.assemble_shards(out_of_core, part.P, spec.spill_budget_bytes)
     sent, received = np.array(list(zip(*counters)), dtype=np.int64)
     return dict(
-        edges=edges, simulated_time=eng.simulated_time,
+        edges=out.edges(), simulated_time=eng.simulated_time,
         supersteps=eng.supersteps, requests_sent=sent,
         requests_received=received, world_stats=eng.stats,
         recoveries=list(eng.stats.recoveries),
@@ -606,19 +590,20 @@ def _run_sequential(spec: RunSpec, tel: Any):
 
 
 def _run_commfree_slices(spec: RunSpec, tel: Any):
-    """Compute the commfree slices in-process (``bsp``; ``sequential`` is the
-    one-slice case) or in forked workers (``mp``); return the edges and each
-    slice's node count.
+    """Run the commfree slice programs in-process (``bsp``; ``sequential`` is
+    the one-slice case) or on the mp engine (:func:`commfree_mp`); return
+    the edges and each slice's node count.
 
     Every surface produces the same edge list bit for bit (the point of
-    counter-based randomness).  With ``out_of_core`` each slice is written
-    into its region of the final columns and the columns are adopted as a
+    counter-based randomness), and all of them write each slice into its
+    region of the one :func:`~repro.core.parallel_pa.run_output`: in RAM,
+    or out of core as the sealed columns of a
     :class:`repro.core.spill.SpillEdgeList`.
     """
     n, x, p, ranks, seed = spec.n, spec.x, spec.p, spec.ranks, spec.seed
     out_of_core, budget = spec.out_of_core, spec.spill_budget_bytes
-    slices = commfree_slices(n, ranks)
-    sizes = np.array([hi - lo for lo, hi in slices], dtype=np.int64)
+    programs = commfree_programs(n, x, p, ranks, seed)
+    sizes = np.array([prog.hi - prog.lo for prog in programs], dtype=np.int64)
     if spec.engine == "mp":
         with tel.span("commfree.mp", cat="run", tid=-1, n=n, x=x, P=ranks):
             edges = commfree_mp(
@@ -627,25 +612,10 @@ def _run_commfree_slices(spec: RunSpec, tel: Any):
             )
         return edges, sizes
 
-    # bsp: slice-at-a-time on one core, the same work the mp workers do;
-    # each slice appends straight into its sink (a region writer out of core)
-    counts = commfree_edge_counts(n, x, ranks)
-    if out_of_core is not None:
-        from repro.core import spill
-
-        offsets = spill.prepare_regions(out_of_core, counts)
-    else:
-        edges = EdgeList(capacity=max(int(counts.sum()), 1))
-
+    # bsp: slice-at-a-time on one core, the same work the mp workers do
+    out = run_output(commfree_edge_counts(n, x, ranks), out_of_core, budget)
     with tel.span("commfree.slices", cat="compute", tid=0, n=n, x=x):
-        for r, (lo, hi) in enumerate(slices):
-            with tel.span("commfree.slice", cat="compute", tid=r, lo=lo, hi=hi):
-                if out_of_core is None:
-                    commfree_edge_slice(n, lo, hi, x=x, p=p, seed=seed, out=edges)
-                else:
-                    writer = spill.EdgeShardWriter(out_of_core, r, offsets)
-                    commfree_edge_slice(n, lo, hi, x=x, p=p, seed=seed, out=writer)
-                    writer.seal()
-    if out_of_core is not None:
-        edges = spill.assemble_shards(out_of_core, ranks, budget)
-    return edges, sizes
+        for r, prog in enumerate(programs):
+            with tel.span("commfree.slice", cat="compute", tid=r, lo=prog.lo, hi=prog.hi):
+                out.collect(r, prog)
+    return out.edges(), sizes

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import mmap
 from collections import defaultdict
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -82,6 +83,8 @@ __all__ = [
     "REQUEST_DTYPE",
     "PAx1RankProgram",
     "ResultRegions",
+    "RunOutput",
+    "run_output",
 ]
 
 #: Wire format, one dtype per kind (see the module docstring).  Each record
@@ -292,6 +295,10 @@ class PAx1RankProgram:
         if not _same_memory(targets, v):
             v[:] = targets
 
+    def write_edges(self, sink) -> None:
+        """Append the local edges to ``sink`` (anything with ``append_arrays``)."""
+        sink.append_arrays(*self.result())
+
     def local_edges(self) -> EdgeList:
         t, f = self.result()
         return EdgeList.from_arrays(t, f)
@@ -400,10 +407,11 @@ class ResultRegions:
     """A run's output columns, rank ``r``'s edges at ``[offsets[r], offsets[r + 1])``.
 
     The offsets come from :func:`repro.core.spill.rank_edge_counts`, the
-    layout the spilled runs use on disk.  The target column carries one
-    extra leading slot, so the region of the rank that owns node 0 can
-    start with node 0's (edge-less) ``F`` slot: every x=1 program's ``F``
-    then fits its region exactly (:meth:`x1_region`).
+    layout the spilled runs use on disk, or from any per-rank edge counts
+    (:meth:`from_counts`).  The target column carries one extra leading
+    slot, so the region of the rank that owns node 0 can start with node
+    0's (edge-less) ``F`` slot: every x=1 program's ``F`` then fits its
+    region exactly (:meth:`x1_region`).
 
     ``shared=True`` backs the columns with anonymous ``MAP_SHARED``
     mappings, so ranks forked after construction write their regions
@@ -414,20 +422,27 @@ class ResultRegions:
     def __init__(self, x: int, partition: Partition, shared: bool = False) -> None:
         from repro.core.spill import rank_edge_counts
 
-        counts = rank_edge_counts(x, partition.sizes(), partition.owner)
-        self.x = x
-        self.part = partition
-        self.offsets = np.zeros(partition.P + 1, dtype=np.int64)
+        self._lay_out(rank_edge_counts(x, partition.sizes(), partition.owner), shared)
+
+    @classmethod
+    def from_counts(cls, counts, shared: bool = False) -> "ResultRegions":
+        """The regions of ranks emitting ``counts[r]`` edges each."""
+        regions = cls.__new__(cls)
+        regions._lay_out(counts, shared)
+        return regions
+
+    def _lay_out(self, counts, shared: bool) -> None:
+        self.offsets = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=self.offsets[1:])
         m = int(self.offsets[-1])
         self.u = _column(m, shared)
         self._v = _column(m + 1, shared)
         self.v = self._v[1:]
 
-    def x1_region(self, rank: int) -> np.ndarray:
-        """Rank ``rank``'s slots of the target column, one per owned node."""
+    def x1_region(self, rank: int, nodes: range) -> np.ndarray:
+        """Rank ``rank``'s slots of the target column, one per node of ``nodes``."""
         lo, hi = self.offsets[rank], self.offsets[rank + 1]
-        return self._v[lo + (0 not in self.part.node_range(rank)) : hi + 1]
+        return self._v[lo + (0 not in nodes) : hi + 1]
 
     def fill(self, rank: int, program) -> None:
         """Write rank ``rank``'s edges into its region, through its
@@ -442,6 +457,50 @@ class ResultRegions:
         for r, prog in enumerate(programs):
             self.fill(r, prog)
         return EdgeList.from_arrays(self.u, self.v, copy=False)
+
+
+class RunOutput(NamedTuple):
+    """A run's output (:func:`run_output`)."""
+
+    regions: ResultRegions | None
+    collect: Callable[[int, Any], Any]
+    edges: Callable[[], Any]
+
+
+def run_output(
+    counts, out_of_core: str | None = None, budget_bytes: int | None = None,
+    shared: bool = False,
+) -> RunOutput:
+    """The one output path of a run whose rank ``r`` emits ``counts[r]`` edges.
+
+    ``collect(rank, program)`` is the engines' result hook and runs where
+    the rank ran (in its worker on mp, so no edge array crosses a pipe);
+    ``edges()`` returns the finished edge list.  In RAM the edges go into
+    ``regions`` (``shared`` for ranks forked after this call) through
+    :meth:`ResultRegions.fill`.  Out of core, ``regions`` is ``None``: the
+    columns are files :func:`repro.core.spill.prepare_regions` lays out,
+    ``collect`` hands the program an
+    :class:`~repro.core.spill.EdgeShardWriter` over its region
+    (``program.write_edges``) and returns the sealed manifest, and
+    ``edges()`` verifies and adopts the files within ``budget_bytes``.
+    """
+    if out_of_core is None:
+        regions = ResultRegions.from_counts(counts, shared)
+        return RunOutput(regions, regions.fill, regions.edges)
+    from repro.core import spill
+
+    offsets = spill.prepare_regions(out_of_core, counts)
+
+    def collect(rank: int, program) -> dict:
+        writer = spill.EdgeShardWriter(out_of_core, rank, offsets)
+        program.write_edges(writer)
+        return writer.seal()
+
+    def edges():
+        budget = budget_bytes or spill.DEFAULT_BUDGET_BYTES
+        return spill.assemble_shards(out_of_core, len(counts), budget)
+
+    return RunOutput(None, collect, edges)
 
 
 def _column(m: int, shared: bool) -> np.ndarray:

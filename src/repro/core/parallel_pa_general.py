@@ -197,6 +197,10 @@ class PAGeneralRankProgram:
         u[pos:].reshape(rows, x)[:] = _arange(nodes[c:])[:, None]
         v[pos:].reshape(rows, x)[:] = self.F[c:]
 
+    def write_edges(self, sink) -> None:
+        """Append the local edges to ``sink`` (anything with ``append_arrays``)."""
+        sink.append_arrays(*self.result())
+
     def local_edges(self) -> EdgeList:
         u, v = self.result()
         return EdgeList.from_arrays(u, v)

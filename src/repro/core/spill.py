@@ -432,8 +432,8 @@ def write_edge_shards(
     blocks: Iterator[tuple[np.ndarray, np.ndarray]],
 ) -> dict:
     """Drain ``blocks`` into rank ``rank``'s region and seal it; returns the
-    manifest.  The convenience wrapper the slice workers and streaming
-    emitters use."""
+    manifest.  The convenience wrapper streaming emitters such as the
+    sequential copy model use."""
     writer = EdgeShardWriter(directory, rank, offsets)
     for u, v in blocks:
         writer.append_arrays(u, v)

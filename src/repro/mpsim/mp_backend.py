@@ -123,6 +123,10 @@ _STRAGGLE_SLEEP = 1e-3
 #: only the re-arm period of the wait
 _LIVENESS_POLL = 0.25
 
+#: wall seconds a failed job's survivors get to exit before they are
+#: terminated (one busy in its own compute would hold the failure back)
+_FAILED_JOB_GRACE = 1.0
+
 
 def _attach(name: str):
     """Attach to an existing segment without resource-tracker ownership.
@@ -1036,6 +1040,7 @@ class MultiprocessingBSPEngine:
         collector = RingCollector(ring) if ring is not None else None
         parents: list[Any] = []
         procs: list[Any] = []
+        failed = True
         try:
             with self.tel.span("mp.run", cat="run", tid=-1, size=self.size):
                 for rank, prog in enumerate(programs):
@@ -1081,16 +1086,18 @@ class MultiprocessingBSPEngine:
                 ).set(self.simulated_time)
                 self.tel.meta.setdefault("engine", "mp")
                 self.tel.meta["size"] = self.size
+            failed = False
         finally:
             # clean up on *every* path.  Each worker exits after its one
             # reply; the abort releases any still parked at a barrier when
-            # the parent itself failed mid-run
+            # the job failed, and what is left after the grace is terminated
             fabric.abort()
             for conn in parents:
                 conn.close()
+            deadline = time.monotonic() + (_FAILED_JOB_GRACE if failed else 10.0)
             for rank, proc in enumerate(procs):
-                proc.join(timeout=10)
-                if proc.is_alive():  # pragma: no cover - hung worker
+                proc.join(timeout=max(deadline - time.monotonic(), 0.0))
+                if proc.is_alive():
                     proc.terminate()
                     proc.join(timeout=1)
                 _unlink_segments(fabric.name, rank)

@@ -1,12 +1,13 @@
 """Tests for the communication-free generator family.
 
 The load-bearing property is *evaluation-order invariance*: because every
-draw is a pure function of ``(seed, slot)``, the one-slice run, the slice
-workers, the forked mp path, and the block-by-block sink protocol must all
-produce the same graph bit for bit — and all of them must match the boring
-scalar oracle in :mod:`repro.seq.commfree_ref`.
+draw is a pure function of ``(seed, slot)``, the one-slice run, the
+in-process slice loop, the mp engine, and the block-by-block sink protocol
+must all produce the same graph bit for bit — and all of them must match
+the boring scalar oracle in :mod:`repro.seq.commfree_ref`.
 """
 
+import json
 import subprocess
 import sys
 import textwrap
@@ -194,7 +195,7 @@ class TestPrefixChase:
 
 
 _FLAT_RSS = textwrap.dedent("""
-    import resource, sys
+    import resource, shutil, sys
     from repro import generate
     from repro.core.commfree import commfree_edge_slice
 
@@ -218,7 +219,21 @@ _FLAT_RSS = textwrap.dedent("""
         assert len(r.edges) == n - 1
         del r
         workers.append(peak(resource.RUSAGE_CHILDREN))
+        # gone now, not when pytest prunes old temp dirs at a later exit
+        shutil.rmtree(f"{sys.argv[1]}/run{i}")
     print(stream[1] - stream[0], workers[1] - workers[0])
+""")
+
+_COORDINATOR_RSS = textwrap.dedent("""
+    import json, resource
+    from repro import generate
+    from repro.core.spill import edges_digest
+
+    base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    r = generate({n}, x=1, ranks=2, engine="mp", generator="commfree", seed=1)
+    edges_digest(r.edges)  # page the whole output in
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(json.dumps([base, peak, len(r.edges)]))
 """)
 
 
@@ -236,9 +251,24 @@ class TestFlatMemory:
         assert stream_growth < 16, f"stream peak grew {stream_growth:.1f} MiB"
         assert worker_growth < 16, f"worker peak grew {worker_growth:.1f} MiB"
 
+    def test_mp_coordinator_holds_only_the_output(self):
+        """In RAM the mp workers write their slices into shared columns, so
+        the coordinator grows over ``import repro`` by the 16 B/edge output
+        plus slack: ~17.1 B/edge at n = 8e6, against ~32 while the slices
+        came back through pipes and were concatenated."""
+        n = 8_000_000
+        out = subprocess.run(
+            [sys.executable, "-c", _COORDINATOR_RSS.format(n=n)],
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        base_kib, peak_kib, m = json.loads(out.strip().splitlines()[-1])
+        assert m == n - 1
+        per_edge = (peak_kib - base_kib) * 1024 / m
+        assert per_edge <= 18, f"coordinator RSS grew {per_edge:.1f} B per edge"
+
 
 class TestMpIdentity:
-    """The forked-worker path is bit-identical to sequential, any P."""
+    """The mp engine path is bit-identical to sequential, any P."""
 
     @pytest.mark.parametrize("ranks", [1, 2, 4])
     def test_x1(self, ranks):

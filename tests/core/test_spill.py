@@ -2,8 +2,8 @@
 
 Covers the :mod:`repro.core.spill` containers in isolation (the adopted
 read-only edge list, sealed rank regions and their verification on
-adoption, spill arenas), slice-worker deaths, and the property the whole
-layer is built on: a spilled generation is *bit-identical* to the in-RAM
+adoption, spill arenas), commfree mp-worker deaths, and the property the
+whole layer is built on: a spilled generation is *bit-identical* to the in-RAM
 one, on every engine, partition scheme and rank count, even with a
 pathologically small budget that shrinks every verification read.
 """
@@ -328,7 +328,7 @@ class TestEdgeCounts:
 
 
 class TestWorkerDeath:
-    """A dead slice worker fails the call fast instead of hanging it."""
+    """A dead commfree mp worker fails the call fast instead of hanging it."""
 
     @pytest.fixture
     def deadline(self):
@@ -367,8 +367,11 @@ class TestWorkerDeath:
                 assemble_shards(tmp_path, 2)
 
     def test_worker_exception_propagates(self):
-        with pytest.raises(RuntimeError, match="retries"):
+        # a slice's own exception names its rank, as on the copy model
+        with pytest.raises(RankFailure, match="retries") as info:
             commfree_mp(10, x=2, p=1.0, ranks=2, seed=0)
+        assert type(info.value.original) is RuntimeError
+        assert "retries" in str(info.value.original)
 
 
 class TestSpillQueues:
