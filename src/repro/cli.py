@@ -50,9 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record telemetry and write a Chrome trace-event "
                         "JSON here (open in chrome://tracing / Perfetto, "
                         "or summarize with 'repro-pa inspect')")
-    g.add_argument("--metrics-out", type=Path, default=None,
-                   help="record telemetry and write Prometheus text-format "
-                        "metrics here")
 
     d = sub.add_parser("degree-dist", help="log-binned degree distribution of a file")
     d.add_argument("path", type=Path)
@@ -155,7 +152,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     from repro.graph import io as gio
 
     tel = None
-    if args.trace_out is not None or args.metrics_out is not None:
+    if args.trace_out is not None:
         from repro.telemetry import Telemetry
 
         tel = Telemetry()
@@ -192,18 +189,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             gio.write_edges_binary(args.output, result.edges)
         print(f"wrote {args.output}")
     if tel is not None:
-        if args.trace_out is not None:
-            from repro.telemetry.export import write_chrome_trace
-
-            trace = tel.to_chrome_trace()
-            write_chrome_trace(args.trace_out, trace)
-            dropped = trace.get("metadata", {}).get("dropped_events", 0)
-            note = f" ({dropped} events dropped)" if dropped else ""
-            print(f"wrote trace {args.trace_out}: "
-                  f"{len(trace['traceEvents'])} events{note}")
-        if args.metrics_out is not None:
-            args.metrics_out.write_text(tel.to_prometheus())
-            print(f"wrote metrics {args.metrics_out}")
+        trace = tel.to_chrome_trace(args.trace_out)
+        dropped = trace["metadata"]["dropped_events"]
+        note = f" ({dropped} events dropped)" if dropped else ""
+        print(f"wrote trace {args.trace_out}: "
+              f"{len(trace['traceEvents'])} events{note}")
     return 0
 
 

@@ -66,7 +66,7 @@ Algorithm 3.2.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -527,6 +527,8 @@ def commfree_mp(
     seed: int | None = None,
     spill_dir: str | None = None,
     budget_bytes: int | None = None,
+    barrier_timeout: float = 120.0,
+    telemetry: Any = None,
 ) -> EdgeList:
     """Trivially-parallel commfree generation on real OS processes.
 
@@ -545,13 +547,14 @@ def commfree_mp(
     bit-identical to :func:`commfree` for any ``ranks``.  An x = 1 worker
     keeps only the prefix table besides its output, so out of core its
     memory does not grow with ``n``; an x > 1 worker holds an n-sized slot
-    table.
+    table.  ``barrier_timeout`` and ``telemetry`` go to the engine, so a
+    traced run records each worker's ``compute`` span on its rank's lane.
     """
     from repro.core.parallel_pa import run_output
 
     _check_params(n, x, p)
     out = run_output(commfree_edge_counts(n, x, ranks), spill_dir, budget_bytes, shared=True)
-    MultiprocessingBSPEngine(ranks, collect=out.collect).run(
-        commfree_programs(n, x, p, ranks, seed)
-    )
+    MultiprocessingBSPEngine(
+        ranks, barrier_timeout=barrier_timeout, telemetry=telemetry, collect=out.collect,
+    ).run(commfree_programs(n, x, p, ranks, seed))
     return out.edges()

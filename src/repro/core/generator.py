@@ -151,7 +151,7 @@ class RunSpec:
                "catches wedged ranks, dead ones are detected within a poll",
         "--barrier-timeout", parse=float,
     )
-    telemetry: Any = _knob(None, "Telemetry that collects the run's spans and metrics "
+    telemetry: Any = _knob(None, "Telemetry that collects the run's spans and marks "
                                  "(observation only)")
     generator: str = _knob(
         "copy", "copy (the paper's message-resolving copy model) or commfree "
@@ -609,6 +609,7 @@ def _run_commfree_slices(spec: RunSpec, tel: Any):
             edges = commfree_mp(
                 n, x=x, p=p, ranks=ranks, seed=seed,
                 spill_dir=out_of_core, budget_bytes=budget,
+                barrier_timeout=spec.barrier_timeout, telemetry=tel,
             )
         return edges, sizes
 

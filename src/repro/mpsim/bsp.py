@@ -43,7 +43,7 @@ from repro.mpsim.errors import (
 )
 from repro.mpsim.stats import WorldStats
 from repro.telemetry.collector import resolve
-from repro.telemetry.metrics import proc_rss_bytes
+from repro.telemetry.spans import proc_rss_bytes
 
 __all__ = ["BSPEngine", "BSPRankContext", "RankProgram", "Outbox"]
 
@@ -339,23 +339,9 @@ class BSPEngine:
             )
             if self.tel.enabled:
                 # memory trajectory: one sample per superstep, on the span
-                # (for `repro inspect`) and as a gauge (for Prometheus)
-                rss = proc_rss_bytes()
-                step_span.note(rss_bytes=rss)
+                # (for `repro inspect`)
+                step_span.note(rss_bytes=proc_rss_bytes())
             step_span.__exit__(None, None, None)
-            if self.tel.enabled:
-                self.tel.counter(
-                    "bsp_supersteps_total", "supersteps executed by BSPEngine"
-                ).inc()
-                self.tel.counter(
-                    "bsp_records_total", "records exchanged (paper Fig. 7 metric)"
-                ).inc(int(step_records.sum()))
-                self.tel.gauge(
-                    "bsp_simulated_time_seconds", "virtual T_p accumulated so far"
-                ).set(self.simulated_time)
-                self.tel.gauge(
-                    "proc_rss_bytes", "resident set size, sampled per superstep"
-                ).set(float(rss), rank=-1)
             if tracer is not None:
                 tracer.record(step_times, step_records)
             inboxes = next_inboxes

@@ -118,8 +118,8 @@ class Checkpointer:
         the pre-rotation behaviour).
     telemetry:
         Optional :class:`repro.telemetry.Telemetry`; committed snapshots get
-        ``checkpoint.save`` spans and a ``checkpoint_snapshots_total``
-        counter, so checkpoint cost shows up on the run timeline.
+        ``checkpoint.save`` spans, so checkpoint cost shows up on the run
+        timeline (:attr:`snapshots` counts them).
     """
 
     def __init__(
@@ -199,10 +199,6 @@ class Checkpointer:
                     chain[i - 1].replace(chain[i])
             Path(tmp_name).replace(self.path)
         self.snapshots += 1
-        if self.tel.enabled:
-            self.tel.counter(
-                "checkpoint_snapshots_total", "checkpoint manifests committed"
-            ).inc()
         return True
 
 

@@ -96,8 +96,8 @@ from repro.telemetry.collector import (
     Telemetry,
     resolve,
 )
-from repro.telemetry.metrics import proc_rss_bytes
 from repro.telemetry.ringbuf import EventRing
+from repro.telemetry.spans import proc_rss_bytes
 
 __all__ = ["MultiprocessingBSPEngine"]
 
@@ -489,14 +489,6 @@ def _run_job(
             fabric.wait(rank, superstep)
         # every reader has copied the previous superstep's records by now
         writer.release(superstep - 1)
-        if tel.enabled:
-            tel.counter(
-                "mp_worker_supersteps_total", "supersteps executed worker-side"
-            ).inc(rank=rank)
-            tel.gauge(
-                "proc_rss_bytes", "resident set size, sampled per superstep"
-            ).set(float(proc_rss_bytes()), rank=rank)
-            tel.flush()
         simulated += fabric.max_step_time(superstep)
         if fabric.quiescent(superstep):
             break
@@ -581,9 +573,8 @@ def _worker_main(
     Everything rides the fork (no pickling): the rank program, the fault
     plan, ``resume``/``ckpt``, ``ring``, the shared telemetry event ring,
     and ``collect``, the engine's result hook.
-    With a ring the worker publishes spans as they close and cumulative
-    metric snapshots every superstep, so a crash loses at most the current
-    superstep.
+    With a ring the worker publishes spans as they close, so a crash loses
+    at most the span still open.
     """
     writer = _ShmWriter(fabric.name, rank)
     reader = _ShmReader()
@@ -594,7 +585,6 @@ def _worker_main(
             cost, fault_plan, max_supersteps, heartbeats, resume, ckpt, tel,
             collect,
         )
-        tel.flush()
     except RankFailure as exc:
         # exc.rank may name a *peer* (barrier attribution), not the
         # reporter — carry it so the parent raises for the victim
@@ -846,11 +836,7 @@ def _drive_job(
         )
         if tel.enabled:
             # the coordinator lane's footprint, once the finals are in
-            rss = proc_rss_bytes()
-            sp.note(rss_bytes=rss)
-            tel.gauge(
-                "proc_rss_bytes", "resident set size, sampled per superstep"
-            ).set(float(rss), rank=-1)
+            sp.note(rss_bytes=proc_rss_bytes())
     # a worker may also fail *during* final collection (e.g. its
     # ``result()`` raises); that surfaces here like any mid-run failure
     _raise_job_errors(msgs)
@@ -945,10 +931,10 @@ class MultiprocessingBSPEngine:
     telemetry:
         Optional :class:`repro.telemetry.Telemetry`.  When enabled, a
         shared-memory event ring is created before forking; workers publish
-        compute / exchange / barrier-wait spans (``tid`` = rank) and
-        cumulative metric snapshots into it, and the parent drains them into
-        the facade — including everything a crashed worker published before
-        dying.  Stored as :attr:`tel`.
+        compute / exchange / barrier-wait spans (``tid`` = rank) and marks
+        into it, and the parent drains them into the facade — including
+        everything a crashed worker published before dying.  Stored as
+        :attr:`tel`.
     collect:
         Optional ``collect(rank, program)``, called in each worker once its
         program is done, in place of ``program.result()``; its return value
@@ -1071,19 +1057,11 @@ class MultiprocessingBSPEngine:
                     collector=collector, tel=self.tel,
                 )
             self.results, self.rank_counters = results, counters
-            steps_this_job = supersteps - self.supersteps
             self.supersteps = supersteps
             # accumulate like the in-process engine: the supervisor charges
             # restart backoff onto the clock between attempts
             self.simulated_time += simulated
             if self.tel.enabled:
-                if steps_this_job > 0:
-                    self.tel.counter(
-                        "mp_supersteps_total", "supersteps completed by the mp engine"
-                    ).inc(steps_this_job)
-                self.tel.gauge(
-                    "mp_simulated_time_seconds", "virtual T_p accumulated so far"
-                ).set(self.simulated_time)
                 self.tel.meta.setdefault("engine", "mp")
                 self.tel.meta["size"] = self.size
             failed = False

@@ -103,9 +103,9 @@ class Supervisor:
     telemetry:
         Optional :class:`repro.telemetry.Telemetry`.  Each attempt gets an
         ``attempt`` span, each recovery a timeline mark (with the superstep
-        resumed from) and a ``supervisor_recoveries_total`` increment, and
-        checkpoint reloads a ``checkpoint.load`` span — so a crashed-and-
-        recovered run renders as one continuous annotated trace.
+        resumed from), and checkpoint reloads a ``checkpoint.load`` span —
+        so a crashed-and-recovered run renders as one continuous annotated
+        trace.
 
     Examples
     --------
@@ -230,10 +230,6 @@ class Supervisor:
                     tracer.mark(event.superstep, label)
                 if self.tel.enabled:
                     self.tel.mark(label, superstep=event.superstep)
-                    self.tel.counter(
-                        "supervisor_recoveries_total",
-                        "recovery attempts the supervisor performed",
-                    ).inc(scratch=event.checkpoint is None)
                 continue
             break
 

@@ -414,22 +414,11 @@ def explore(
             sig = schedule.signature()
             if sig in seen_classes:
                 deduped += 1
-                if tel.enabled:
-                    tel.counter(
-                        "schedules_deduped",
-                        "trials skipped as an already-seen Mazurkiewicz class",
-                    ).inc()
                 continue
             seen_classes.add(sig)
         explored += 1
-        if tel.enabled:
-            tel.counter("schedules_explored", "schedules executed by explore()").inc()
         if outcome.same_as(baseline):
             continue
-        if tel.enabled:
-            tel.counter(
-                "schedules_divergent", "schedules whose outcome differed"
-            ).inc()
 
         deviations = dict(outcome.deviations)
 

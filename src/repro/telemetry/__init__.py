@@ -1,23 +1,23 @@
-"""repro.telemetry — cross-process metrics, spans, and trace export.
+"""repro.telemetry — cross-process spans, marks, and trace export.
 
-The repo's unified observability subsystem.  The paper's evaluation is
-built on per-rank load and message accounting (Section 4.6, Figure 7);
-related generators report that communication *imbalance*, not compute, is
-what kills scaling — so this package makes every engine's time visible:
+The repo's observability subsystem.  The paper's evaluation is built on
+per-rank load and message accounting (Section 4.6, Figure 7); those counts
+are on :class:`~repro.core.generator.GenerationResult`.  This package shows
+*when* each rank spent its time — related generators report that
+communication *imbalance*, not compute, is what kills scaling:
 
-* :mod:`~repro.telemetry.metrics` — label-aware Counters / Gauges /
-  Histograms in a :class:`MetricsRegistry` that snapshots and merges like
-  :class:`~repro.mpsim.stats.WorldStats`;
 * :mod:`~repro.telemetry.spans` — nestable wall-clock spans with a
-  zero-overhead no-op path when telemetry is disabled;
+  zero-overhead no-op path when telemetry is disabled, and the
+  ``proc_rss_bytes`` sampler the engines note on their spans;
 * :mod:`~repro.telemetry.ringbuf` — a fixed-slot shared-memory event ring
   with drop-oldest-and-count semantics, so mp workers publish without ever
   blocking the hot path;
-* :mod:`~repro.telemetry.collector` — the :class:`Telemetry` facade and
-  the coordinator-side drain that merges worker data into one run record,
+* :mod:`~repro.telemetry.collector` — the :class:`Telemetry` facade (spans,
+  instants and marks, ``meta``, ``dropped_events``) and the
+  coordinator-side drain that merges worker spans into one run record,
   surviving worker crashes mid-run;
-* :mod:`~repro.telemetry.export` — Chrome trace-event JSON, Prometheus
-  text exposition, JSONL run records, and the ``repro inspect`` summary.
+* :mod:`~repro.telemetry.export` — Chrome trace-event JSON and the
+  ``repro inspect`` summary.
 
 Quick start::
 
@@ -26,7 +26,6 @@ Quick start::
     tel = Telemetry()
     result = generate(n=100_000, ranks=8, seed=42, engine="mp", telemetry=tel)
     tel.to_chrome_trace("run.trace.json")     # open in chrome://tracing
-    print(tel.to_prometheus())                # scrapeable metrics
 
 or from the CLI::
 
@@ -43,35 +42,26 @@ from repro.telemetry.collector import (
     Telemetry,
 )
 from repro.telemetry.export import (
-    append_jsonl,
     chrome_trace,
     inspect_summary,
     load_chrome_trace,
-    prometheus_text,
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.ringbuf import EventRing
 from repro.telemetry.spans import Span, SpanRecorder
 
 __all__ = [
-    "Counter",
     "EventRing",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "NOOP_TELEMETRY",
     "NullTelemetry",
     "RingCollector",
     "Span",
     "SpanRecorder",
     "Telemetry",
-    "append_jsonl",
     "chrome_trace",
     "inspect_summary",
     "load_chrome_trace",
-    "prometheus_text",
     "validate_chrome_trace",
     "write_chrome_trace",
 ]

@@ -1,34 +1,37 @@
 """The :class:`Telemetry` facade and the cross-process collector.
 
-One :class:`Telemetry` object represents one *observed run*: a metrics
-registry, a span recorder, recovery marks, and a drop counter.  The
-coordinator (or any in-process engine) writes into it directly; mp workers
-get a derived instance (:meth:`Telemetry.for_worker`) whose spans and
-cumulative metric snapshots are published into a shared-memory
+One :class:`Telemetry` object represents one *observed run*: a span
+recorder (spans and instants), recovery marks, run metadata, and a drop
+counter.  The coordinator (or any in-process engine) writes into it
+directly; mp workers get a derived instance (:meth:`Telemetry.for_worker`)
+whose spans and instants are published into a shared-memory
 :class:`~repro.telemetry.ringbuf.EventRing` the moment they happen, and a
 :class:`RingCollector` on the coordinator side drains the ring — during the
 run and after it — and folds everything back into the master object.
 
-Crash-robustness falls out of the layering: the coordinator owns the ring,
-workers publish *cumulative* metric snapshots (so latest-wins per source,
-no double counting, and a lost snapshot only costs freshness), and spans are
-published as they close — a ``SIGKILL``-ed worker's timeline survives up to
-its last completed span.
+Crash-robustness falls out of the layering: the coordinator owns the ring
+and spans are published as they close, so a ``SIGKILL``-ed worker's
+timeline survives up to its last completed span.
+
+Counts a run's reader needs (supersteps, simulated time, recoveries) live
+on :class:`~repro.core.generator.GenerationResult`; telemetry records
+*when* things happened and how long they took.
 
 Everything here is observation-only by construction: no RNG is touched, no
 message content inspected, no scheduling decision taken.  The test-suite
 asserts generation output is bit-identical with telemetry on and off on
-every engine and every exchange.
+every engine.
 
 Examples
 --------
 >>> tel = Telemetry()
->>> with tel.span("superstep", cat="superstep", step=1):
-...     tel.counter("supersteps_total").inc()
->>> tel.counter("supersteps_total").total()
-1.0
->>> len(tel.spans.spans)
-1
+>>> with tel.span("superstep", cat="superstep", step=1) as sp:
+...     sp.note(records=3)
+>>> tel.mark("recovery #1", superstep=1)
+>>> [(s.name, s.args) for s in tel.spans.spans]
+[('superstep', {'step': 1, 'records': 3})]
+>>> tel.marks
+[(1, 'recovery #1')]
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from __future__ import annotations
 import pickle
 from typing import Any
 
-from repro.telemetry.metrics import DEFAULT_BUCKETS, MetricsRegistry
 from repro.telemetry.ringbuf import EventRing
 from repro.telemetry.spans import NULL_SPAN, NullSpanRecorder, Span, SpanRecorder
 
@@ -48,16 +50,14 @@ class Telemetry:
 
     Pass an instance to :func:`repro.generate` (``telemetry=``), an engine
     constructor, or a :class:`~repro.mpsim.supervisor.Supervisor`; after the
-    run it holds the merged spans and metrics of every participating process
-    and can export them (:meth:`to_chrome_trace`, :meth:`to_prometheus`,
-    :meth:`to_jsonl`).
+    run it holds the merged spans, instants and marks of every participating
+    process and exports them as a Chrome trace (:meth:`to_chrome_trace`).
     """
 
     enabled = True
 
     def __init__(self, source: str = "coordinator") -> None:
         self.source = source
-        self.registry = MetricsRegistry()
         self.spans = SpanRecorder(source=source)
         #: recovery / lifecycle annotations: ``(superstep, label)`` pairs
         self.marks: list[tuple[int, str]] = []
@@ -81,23 +81,13 @@ class Telemetry:
         self.marks.append((int(superstep), str(label)))
         self.instant(label, superstep=int(superstep), mark=True)
 
-    def counter(self, name: str, help: str = ""):
-        return self.registry.counter(name, help)
-
-    def gauge(self, name: str, help: str = ""):
-        return self.registry.gauge(name, help)
-
-    def histogram(self, name: str, help: str = "", buckets=DEFAULT_BUCKETS):
-        return self.registry.histogram(name, help, buckets)
-
     # ------------------------------------------------------- worker publishing
     @classmethod
     def for_worker(cls, ring: EventRing, rank: int) -> "Telemetry":
         """A worker-process instance publishing into ``ring``.
 
         Spans are shipped as they close (and not retained locally, so a
-        long job cannot grow worker memory); metrics stay in the worker's
-        registry and travel as cumulative snapshots on :meth:`flush`.
+        long job cannot grow worker memory); instants as they happen.
         """
         tel = cls(source=f"rank{rank}")
         tel._ring = ring
@@ -116,26 +106,7 @@ class Telemetry:
         except Exception:  # pragma: no cover - ring torn down under us
             pass
 
-    def flush(self) -> None:
-        """Publish this process's cumulative metric snapshot (workers only)."""
-        if self._ring is not None:
-            self._publish(("metrics", self.source, self.registry.snapshot()))
-
     # ------------------------------------------------------------- reporting
-    def record(self) -> dict:
-        """One merged, JSON-able run record (used by the JSONL exporter)."""
-        from repro.telemetry.export import _jsonable, spans_to_events
-
-        return {
-            "schema": "repro-telemetry/v1",
-            "source": self.source,
-            "meta": dict(self.meta),
-            "dropped_events": int(self.dropped_events),
-            "marks": [[s, label] for s, label in self.marks],
-            "metrics": _jsonable(self.registry.snapshot()),
-            "events": spans_to_events(self.spans.spans, self.spans.instants),
-        }
-
     def to_chrome_trace(self, path: str | None = None) -> dict:
         """Chrome ``chrome://tracing`` / Perfetto trace-event JSON."""
         from repro.telemetry.export import chrome_trace, write_chrome_trace
@@ -153,52 +124,6 @@ class Telemetry:
         if path is not None:
             write_chrome_trace(path, trace)
         return trace
-
-    def to_prometheus(self, path: str | None = None) -> str:
-        """Prometheus text exposition of the merged metrics."""
-        from repro.telemetry.export import prometheus_text
-
-        text = prometheus_text(self.registry.snapshot())
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
-
-    def to_jsonl(self, path: str) -> None:
-        """Append this run's record as one JSON line."""
-        from repro.telemetry.export import append_jsonl
-
-        append_jsonl(path, self.record())
-
-
-class _NullMetric:
-    """Accepts every metric operation and does nothing."""
-
-    __slots__ = ()
-
-    def inc(self, value: float = 1.0, **labels: Any) -> None:
-        return None
-
-    def set(self, value: float, **labels: Any) -> None:
-        return None
-
-    def add(self, delta: float, **labels: Any) -> None:
-        return None
-
-    def observe(self, value: float, **labels: Any) -> None:
-        return None
-
-    def value(self, **labels: Any) -> float:
-        return 0.0
-
-    def total(self) -> float:
-        return 0.0
-
-    def count(self, **labels: Any) -> int:
-        return 0
-
-
-_NULL_METRIC = _NullMetric()
 
 
 class NullTelemetry:
@@ -223,18 +148,6 @@ class NullTelemetry:
         return None
 
     def mark(self, label: str, superstep: int = 0) -> None:
-        return None
-
-    def counter(self, name: str, help: str = "") -> _NullMetric:
-        return _NULL_METRIC
-
-    def gauge(self, name: str, help: str = "") -> _NullMetric:
-        return _NULL_METRIC
-
-    def histogram(self, name: str, help: str = "", buckets=DEFAULT_BUCKETS) -> _NullMetric:
-        return _NULL_METRIC
-
-    def flush(self) -> None:
         return None
 
 
@@ -263,9 +176,6 @@ class RingCollector:
         self.ring = ring
         self._spans: list[Span] = []
         self._instants: list[tuple[float, int, str, dict]] = []
-        #: latest cumulative metrics snapshot per source (rank), so re-merges
-        #: cannot double-count
-        self._metrics: dict[str, dict] = {}
         self._undecodable = 0
         self._dropped_seen = 0
 
@@ -277,8 +187,6 @@ class RingCollector:
                 kind, *rest = pickle.loads(blob)
                 if kind == "span":
                     self._spans.append(rest[0])
-                elif kind == "metrics":
-                    self._metrics[rest[0]] = rest[1]
                 elif kind == "instant":
                     self._instants.append(rest[0])
                 else:
@@ -299,16 +207,8 @@ class RingCollector:
         telemetry.spans.instants.extend(self._instants)
         self._spans = []
         self._instants = []
-        for snapshot in self._metrics.values():
-            telemetry.registry.merge(snapshot)
-        self._metrics.clear()
         dropped = self.ring.dropped
         new_drops = (dropped - self._dropped_seen) + self._undecodable
         self._dropped_seen = dropped
         self._undecodable = 0
-        if new_drops:
-            telemetry.dropped_events += new_drops
-            telemetry.counter(
-                "telemetry_dropped_events_total",
-                "ring events lost to overflow, oversize, or torn writes",
-            ).inc(new_drops)
+        telemetry.dropped_events += new_drops

@@ -1,17 +1,11 @@
-"""Trace and metrics exporters: Chrome trace-event JSON, Prometheus, JSONL.
+"""Trace export: Chrome trace-event JSON and its ``repro inspect`` summary.
 
-Three formats, three audiences:
-
-* **Chrome trace-event JSON** (:func:`chrome_trace`) — open in
-  ``chrome://tracing`` or `Perfetto <https://ui.perfetto.dev>`_ for an
-  interactive per-rank timeline.  Both the real engines' wall-clock spans
-  and the simulated engine's virtual-time
-  :meth:`~repro.mpsim.trace.Tracer.to_chrome_trace` emit this same schema,
-  so simulated and real runs open in the same viewer.
-* **Prometheus text exposition** (:func:`prometheus_text`) — scrapeable
-  counters/gauges/histograms for a service deployment.
-* **JSONL run records** (:func:`append_jsonl`) — one line per run, for
-  longitudinal analysis across a campaign.
+:func:`chrome_trace` builds the trace-event JSON — open it in
+``chrome://tracing`` or `Perfetto <https://ui.perfetto.dev>`_ for an
+interactive per-rank timeline.  Both the real engines' wall-clock spans and
+the simulated engine's virtual-time
+:meth:`~repro.mpsim.trace.Tracer.to_chrome_trace` emit this same schema, so
+simulated and real runs open in the same viewer.
 
 :func:`inspect_summary` renders the per-rank utilisation / barrier-wait
 table behind the ``repro inspect <trace>`` CLI subcommand, and
@@ -33,8 +27,6 @@ __all__ = [
     "write_chrome_trace",
     "load_chrome_trace",
     "validate_chrome_trace",
-    "prometheus_text",
-    "append_jsonl",
     "inspect_summary",
 ]
 
@@ -144,68 +136,6 @@ def validate_chrome_trace(trace: Mapping[str, Any]) -> list[str]:
     return errors
 
 
-# ------------------------------------------------------------------ prometheus
-def _fmt_labels(key: Sequence[tuple], extra: Sequence[tuple] = ()) -> str:
-    pairs = list(key) + list(extra)
-    if not pairs:
-        return ""
-    inner = ",".join(f'{name}="{value}"' for name, value in pairs)
-    return "{" + inner + "}"
-
-
-def prometheus_text(snapshot: Mapping[str, Mapping]) -> str:
-    """Render a :meth:`MetricsRegistry.snapshot` in text exposition format."""
-    lines: list[str] = []
-    for name in sorted(snapshot):
-        entry = snapshot[name]
-        kind = entry["kind"]
-        if entry.get("help"):
-            lines.append(f"# HELP {name} {entry['help']}")
-        lines.append(f"# TYPE {name} {kind}")
-        for key in sorted(entry["values"]):
-            cell = entry["values"][key]
-            key = tuple(key)
-            if kind == "histogram":
-                cumulative = 0
-                for bound, count in zip(entry["buckets"], cell["counts"]):
-                    cumulative += count
-                    lines.append(
-                        f"{name}_bucket{_fmt_labels(key, [('le', repr(float(bound)))])}"
-                        f" {cumulative}"
-                    )
-                cumulative += cell["counts"][-1]
-                lines.append(
-                    f"{name}_bucket{_fmt_labels(key, [('le', '+Inf')])} {cumulative}"
-                )
-                lines.append(f"{name}_sum{_fmt_labels(key)} {cell['sum']:.9g}")
-                lines.append(f"{name}_count{_fmt_labels(key)} {cell['count']}")
-            else:
-                lines.append(f"{name}{_fmt_labels(key)} {float(cell):.9g}")
-    return "\n".join(lines) + "\n"
-
-
-# ----------------------------------------------------------------------- jsonl
-def append_jsonl(path: str | Path, record: Mapping[str, Any]) -> Path:
-    """Append one run record as a single JSON line."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a") as fh:
-        fh.write(json.dumps(_jsonable(record), default=_json_default) + "\n")
-    return path
-
-
-def _jsonable(obj: Any) -> Any:
-    """Recursively coerce tuple-keyed metric dicts into JSON-safe shapes."""
-    if isinstance(obj, Mapping):
-        return {
-            (k if isinstance(k, str) else json.dumps(_jsonable(k))): _jsonable(v)
-            for k, v in obj.items()
-        }
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 # --------------------------------------------------------------------- inspect
 def inspect_summary(trace: Mapping[str, Any]) -> str:
     """Per-rank utilisation / barrier-wait summary of a trace-event file.
@@ -266,7 +196,7 @@ def inspect_summary(trace: Mapping[str, Any]) -> str:
             "of busy+wait time (imbalance cost)"
         )
     # memory trajectory: spans annotated with rss_bytes (one sample per
-    # superstep from every engine process — see telemetry.metrics.proc_rss_bytes)
+    # superstep from every engine process — see telemetry.spans.proc_rss_bytes)
     rss_by_lane: dict[int, tuple[float, float]] = {}
     for ev in xs:
         rss = ev.get("args", {}).get("rss_bytes")

@@ -37,7 +37,30 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-__all__ = ["Span", "SpanRecorder", "NullSpanRecorder", "NULL_SPAN"]
+__all__ = ["Span", "SpanRecorder", "NullSpanRecorder", "NULL_SPAN", "proc_rss_bytes"]
+
+
+def proc_rss_bytes() -> int:
+    """Current resident-set size of this process, in bytes.
+
+    Reads ``/proc/self/statm`` (Linux; one small read, no allocation worth
+    naming) and falls back to ``ru_maxrss`` — the *peak*, the closest
+    portable notion — elsewhere.  The engines note it as ``rss_bytes`` on
+    one span per superstep (bsp ``superstep``, mp worker ``compute``) and
+    on the mp coordinator's ``job.collect``, which is how ``repro inspect``
+    shows a run's memory trajectory per lane.
+    """
+    try:
+        with open("/proc/self/statm", "rb") as fh:
+            resident_pages = int(fh.read().split()[1])
+        return resident_pages * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, IndexError):
+        import resource
+        import sys
+
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        # Linux reports KiB, macOS reports bytes
+        return peak if sys.platform == "darwin" else peak * 1024
 
 
 @dataclass

@@ -281,6 +281,30 @@ class TestMpIdentity:
             300, x=4, seed=13
         )
 
+    def test_spec_telemetry_and_barrier_timeout_reach_the_engine(self, monkeypatch):
+        from repro.telemetry import Telemetry
+
+        seen = []
+        engine_cls = commfree_mod.MultiprocessingBSPEngine
+
+        class Spy(engine_cls):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen.append(self)
+
+        monkeypatch.setattr(commfree_mod, "MultiprocessingBSPEngine", Spy)
+        tel = Telemetry()
+        r = generate(20_000, generator="commfree", engine="mp", ranks=2,
+                     seed=4, barrier_timeout=5.0, telemetry=tel)
+        assert r.edges == commfree(20_000, seed=4)
+        (eng,) = seen
+        assert eng.barrier_timeout == 5.0
+        assert eng.tel is tel
+        # the coordinator's lane and one compute span per worker lane
+        assert {s.tid for s in tel.spans.spans} == {-1, 0, 1}
+        computes = [s for s in tel.spans.spans if s.name == "compute"]
+        assert sorted(s.tid for s in computes) == [0, 1]
+
 
 class TestStreaming:
     """At x = 1 the one-slice run hands a sink bounded blocks in node order

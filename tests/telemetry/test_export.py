@@ -1,14 +1,10 @@
-"""Unit tests for the exporters: Chrome trace, Prometheus, JSONL, inspect."""
-
-import json
+"""Unit tests for the Chrome trace exporter, inspect, and the collector."""
 
 from repro.telemetry.collector import RingCollector, Telemetry
 from repro.telemetry.export import (
-    append_jsonl,
     chrome_trace,
     inspect_summary,
     load_chrome_trace,
-    prometheus_text,
     spans_to_events,
     validate_chrome_trace,
     write_chrome_trace,
@@ -73,48 +69,6 @@ def test_numpy_args_serialize(tmp_path):
     assert args["records"] == 7
 
 
-# --------------------------------------------------------------- prometheus
-def test_prometheus_text_exposition():
-    tel = Telemetry()
-    tel.counter("reqs_total", "requests").inc(3, rank=0)
-    tel.gauge("depth").set(2.5)
-    tel.histogram("lat_s", buckets=(0.1, 1.0)).observe(0.05)
-    tel.histogram("lat_s", buckets=(0.1, 1.0)).observe(5.0)
-    text = tel.to_prometheus()
-    assert "# HELP reqs_total requests" in text
-    assert "# TYPE reqs_total counter" in text
-    assert 'reqs_total{rank="0"} 3' in text
-    assert "depth 2.5" in text
-    assert 'lat_s_bucket{le="0.1"} 1' in text
-    assert 'lat_s_bucket{le="+Inf"} 2' in text
-    assert "lat_s_count 2" in text
-
-
-# -------------------------------------------------------------------- jsonl
-def test_append_jsonl_accumulates_json_parsable_lines(tmp_path):
-    tel = Telemetry()
-    tel.counter("c").inc(1, rank=0)
-    with tel.span("s", cat="compute", tid=1):
-        pass
-    tel.mark("recovered", superstep=2)
-    path = tmp_path / "runs.jsonl"
-    tel.to_jsonl(path)
-    tel.to_jsonl(path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 2
-    rec = json.loads(lines[0])
-    assert rec["schema"] == "repro-telemetry/v1"
-    assert rec["marks"] == [[2, "recovered"]]
-    assert any(e["name"] == "s" for e in rec["events"])
-
-
-def test_append_jsonl_plain_record(tmp_path):
-    path = append_jsonl(tmp_path / "r.jsonl", {"a": 1, ("b", 2): [3]})
-    rec = json.loads(path.read_text())
-    assert rec["a"] == 1  # tuple key coerced to a JSON string key
-    assert rec['["b", 2]'] == [3]
-
-
 # ------------------------------------------------------------------ inspect
 def test_inspect_summary_buckets_and_warns():
     trace = chrome_trace(
@@ -163,22 +117,23 @@ def test_collector_merges_ring_events_once():
     ring = EventRing(slots=64, slot_bytes=2048)
     try:
         worker = Telemetry.for_worker(ring, rank=2)
-        with worker.span("compute", cat="compute", tid=2):
+        with worker.span("compute", cat="compute", tid=2, superstep=1):
             pass
-        worker.counter("c").inc(3)
-        worker.flush()
-        worker.counter("c").inc(4)
-        worker.flush()  # cumulative snapshot: 7, not 3+7
+        worker.mark("respawned", superstep=1)
+        assert worker.spans.spans == []  # shipped, not kept worker-side
 
         master = Telemetry()
         col = RingCollector(ring)
         col.drain()
         col.merge_into(master)
-        assert master.counter("c").value() == 7.0
-        assert [s.name for s in master.spans.spans] == ["compute"]
+        assert [(s.name, s.tid, s.args) for s in master.spans.spans] == [
+            ("compute", 2, {"superstep": 1})
+        ]
+        assert [name for _, _, name, _ in master.spans.instants] == ["respawned"]
         col.merge_into(master)  # idempotent: nothing left to fold
-        assert master.counter("c").value() == 7.0
         assert len(master.spans.spans) == 1
+        assert len(master.spans.instants) == 1
+        assert master.dropped_events == 0
     finally:
         ring.close(unlink=True)
 
@@ -194,6 +149,6 @@ def test_collector_counts_drops_and_torn_cells():
         RingCollector(ring).merge_into(master)
         assert master.dropped_events == 4  # 3 evicted + 1 undecodable
         assert len(master.spans.instants) == 3
-        assert master.counter("telemetry_dropped_events_total").total() == 4.0
+        assert master.to_chrome_trace()["metadata"]["dropped_events"] == 4
     finally:
         ring.close(unlink=True)

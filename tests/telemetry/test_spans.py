@@ -2,7 +2,13 @@
 
 import time
 
-from repro.telemetry.spans import NULL_SPAN, NullSpanRecorder, Span, SpanRecorder
+from repro.telemetry.spans import (
+    NULL_SPAN,
+    NullSpanRecorder,
+    Span,
+    SpanRecorder,
+    proc_rss_bytes,
+)
 
 
 def test_span_records_name_cat_tid_args():
@@ -118,3 +124,14 @@ def test_null_recorder_accumulates_nothing():
     assert rec.total() == 0.0
     assert rec.by_cat() == {}
     assert rec.enabled is False
+
+
+# ------------------------------------------------------------- process rss
+def test_proc_rss_bytes_is_plausible_and_monotone_under_allocation():
+    before = proc_rss_bytes()
+    assert 1 << 20 < before < 1 << 42  # more than 1 MB, less than 4 TB
+    ballast = bytearray(32 << 20)  # touch 32 MB so it is actually resident
+    ballast[::4096] = b"x" * len(ballast[::4096])
+    after = proc_rss_bytes()
+    del ballast
+    assert after >= before

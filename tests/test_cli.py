@@ -160,25 +160,28 @@ class TestDegreeDist:
 
 
 class TestTelemetryCLI:
-    def test_trace_and_metrics_out_then_inspect(self, tmp_path, capsys):
+    def test_trace_out_then_inspect(self, tmp_path, capsys):
         trace = tmp_path / "run.trace.json"
-        prom = tmp_path / "run.prom"
         rc = main(["generate", "-n", "1500", "-P", "4", "--engine", "mp",
-                   "--seed", "5", "--trace-out", str(trace),
-                   "--metrics-out", str(prom)])
+                   "--seed", "5", "--trace-out", str(trace)])
         assert rc == 0
-        cap = capsys.readouterr().out
-        assert "wrote trace" in cap and "wrote metrics" in cap
+        assert "wrote trace" in capsys.readouterr().out
 
         from repro.telemetry.export import load_chrome_trace, validate_chrome_trace
 
         assert validate_chrome_trace(load_chrome_trace(trace)) == []
-        assert "mp_supersteps_total" in prom.read_text()
 
         rc = main(["inspect", str(trace)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "lane" in out and "barrier" in out
+        assert "rss per lane (first->peak): -1: " in out
+
+    def test_metrics_out_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "-n", "200", "--metrics-out", str(tmp_path / "m.prom")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "m.prom").exists()
 
     def test_plain_generate_records_no_telemetry(self, capsys):
         rc = main(["generate", "-n", "200", "-P", "2", "--seed", "1"])
