@@ -59,13 +59,6 @@ class ArrayArena:
         new[: self._size] = self._buf[: self._size]
         self._buf = new
 
-    def _shrink(self, kept: np.ndarray) -> None:
-        """Hold ``kept``, the survivors of a drain that left the column
-        under a quarter full, in a buffer twice their size (the hook
-        alternative backings override)."""
-        self._buf = np.empty(max(2 * len(kept), _MIN_CAPACITY), dtype=np.int64)
-        self._buf[: len(kept)] = kept
-
     def push(self, values: np.ndarray) -> None:
         """Append a batch of values (scalar-free; always an array)."""
         values = np.asarray(values, dtype=np.int64)
@@ -92,9 +85,8 @@ class ArrayArena:
         kept = np.compress(mask, self._buf[: self._size])
         self._size = len(kept)
         if len(self._buf) > max(4 * self._size, _MIN_CAPACITY):
-            self._shrink(kept)
-        else:
-            self._buf[: self._size] = kept
+            self._buf = np.empty(max(2 * self._size, _MIN_CAPACITY), dtype=np.int64)
+        self._buf[: self._size] = kept
 
     def clear(self) -> None:
         self._size = 0
@@ -139,22 +131,10 @@ class RecordQueue:
 
     __slots__ = ("_cols",)
 
-    def __init__(
-        self,
-        ncols: int,
-        capacity: int = 64,
-        arenas: tuple[ArrayArena, ...] | None = None,
-    ) -> None:
+    def __init__(self, ncols: int, capacity: int = 64) -> None:
         if ncols < 1:
             raise ValueError(f"ncols must be >= 1, got {ncols}")
-        if arenas is not None:
-            # injection point for alternative backings (e.g. the memmapped
-            # :class:`repro.core.spill.SpillArena` of out-of-core runs)
-            if len(arenas) != ncols:
-                raise ValueError(f"expected {ncols} arenas, got {len(arenas)}")
-            self._cols = tuple(arenas)
-        else:
-            self._cols = tuple(ArrayArena(capacity) for _ in range(ncols))
+        self._cols = tuple(ArrayArena(capacity) for _ in range(ncols))
 
     def __len__(self) -> int:
         return len(self._cols[0])

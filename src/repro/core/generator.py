@@ -162,9 +162,9 @@ class RunSpec:
               "under DIR instead of RAM", "--out-of-core", metavar="DIR",
     )
     spill_budget_bytes: int = _knob(
-        64 << 20, "out-of-core budget for the write buffer and the "
-                  "verification reads (flag in MiB)", "--spill-budget-mb", parse=_mib,
-        metavar="MIB",
+        64 << 20, "out-of-core budget for the verification reads and the "
+                  "SpillEdgeList read blocks (flag in MiB)", "--spill-budget-mb",
+        parse=_mib, metavar="MIB",
     )
 
     def __post_init__(self) -> None:
@@ -462,7 +462,6 @@ def rank_programs(
     p: float,
     seed: int | None,
     *,
-    queue_factory: Any = None,
     regions: ResultRegions | None = None,
     canonical_inbox: bool = True,
 ) -> list:
@@ -475,14 +474,13 @@ def rank_programs(
     builds Algorithm 3.2's :class:`PAGeneralRankProgram`, which writes its
     region only when done (:meth:`ResultRegions.fill`), so ``regions`` is
     not used there; ``canonical_inbox=False`` lets delivery order reach its arbitration (the
-    schedule fuzzer's injected bug).  ``queue_factory`` backs the wait
-    queues (out-of-core runs pass a spill factory).
+    schedule fuzzer's injected bug).
     """
     rngs = StreamFactory(seed)
     if x == 1:
         return [
             PAx1RankProgram(
-                r, part, p, rngs.stream(r), queue_factory=queue_factory,
+                r, part, p, rngs.stream(r),
                 out=None if regions is None else regions.x1_region(r, part.node_range(r)),
             )
             for r in range(part.P)
@@ -490,7 +488,7 @@ def rank_programs(
     return [
         PAGeneralRankProgram(
             r, part, x, p, rngs.stream(r),
-            canonical_inbox=canonical_inbox, queue_factory=queue_factory,
+            canonical_inbox=canonical_inbox,
         )
         for r in range(part.P)
     ]
@@ -511,8 +509,8 @@ def _run_supersteps(spec: RunSpec, part: Partition, plan: Any) -> dict:
     worker on mp, so no edge array crosses a pipe).  In RAM the columns are
     a :class:`ResultRegions` pair, shared with the workers on mp, and x=1
     programs resolve straight into theirs.  With ``out_of_core`` the
-    programs' wait queues are memmap-backed and the columns are files on
-    disk, verified and adopted at the end.  Returns the run's
+    columns are files on disk, verified and adopted at the end; the
+    programs' ``F`` and wait queues stay in RAM.  Returns the run's
     :class:`GenerationResult` fields.
     """
     engine, x, out_of_core, tel = spec.engine, spec.x, spec.out_of_core, spec.telemetry
@@ -524,12 +522,7 @@ def _run_supersteps(spec: RunSpec, part: Partition, plan: Any) -> dict:
     )
 
     def build_programs() -> list:
-        qf = None
-        if out_of_core is not None:
-            qf = spill.SpillQueueFactory(Path(out_of_core) / "queues")
-        return rank_programs(
-            part, x, spec.p, spec.seed, queue_factory=qf, regions=out.regions,
-        )
+        return rank_programs(part, x, spec.p, spec.seed, regions=out.regions)
 
     def build_engine():
         if engine == "mp":

@@ -255,9 +255,8 @@ class PAx1RankProgram:
             out.fill(-1)
             self.F = out
         self._started = False
-        # ``queue_factory(ncols) -> RecordQueue`` swaps the queues' backing;
-        # out-of-core runs pass repro.core.spill.SpillQueueFactory so the
-        # wait queues live in memmapped files instead of the heap
+        # ``queue_factory(ncols) -> RecordQueue`` is a test seam that
+        # observes the queues; runs use the plain RecordQueue
         make = queue_factory or RecordQueue
         # local copy-chain waits: t (local idx) whose F[t] = -2 - kidx points
         # at another local slot; the sweep pointer-jumps those pointers

@@ -152,8 +152,8 @@ class PAGeneralRankProgram:
         # unknown; allocated by the first step, in the process running it
         self.F: np.ndarray | None = None
         self._started = False
-        # ``queue_factory(ncols) -> RecordQueue`` swaps the queues' backing
-        # (out-of-core runs pass repro.core.spill.SpillQueueFactory)
+        # ``queue_factory(ncols) -> RecordQueue`` is a test seam that
+        # observes the queues; runs use the plain RecordQueue
         make = queue_factory or RecordQueue
         # pending local copies: local flat slot `lslot = tidx * x + e`
         # awaiting the value of local flat slot `key`, i.e. F[k local idx, l]

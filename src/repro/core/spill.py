@@ -11,9 +11,6 @@ keeping every hot loop vectorised:
   returns, backed by the run's two ``int64`` column files; reads come back
   as read-only ``np.memmap`` views (the OS pages them in on demand and may
   evict them under pressure — they are file cache, not heap).
-* :class:`SpillArena` / :func:`spill_record_queue` — memmap-backed variants
-  of the :mod:`repro.core.arena` park/pend queues, so the PA rank programs'
-  wait queues can grow past RAM too.
 * :func:`prepare_regions` / :class:`EdgeShardWriter` /
   :func:`assemble_shards` — each edge is written once, into its final
   place.  The coordinator pre-sizes the run's two columns from the ranks'
@@ -45,7 +42,6 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from repro.core.arena import ArrayArena, RecordQueue
 from repro.graph.edgelist import EdgeList
 from repro.mpsim.checkpoint import load_sealed, save_sealed
 from repro.mpsim.errors import CorruptCheckpointError
@@ -54,9 +50,7 @@ __all__ = [
     "DEFAULT_BUDGET_BYTES",
     "EDGE_SHARD_MAGIC",
     "EdgeShardWriter",
-    "SpillArena",
     "SpillEdgeList",
-    "SpillQueueFactory",
     "assemble_shards",
     "edges_digest",
     "iter_edge_blocks",
@@ -64,7 +58,6 @@ __all__ = [
     "prepare_regions",
     "rank_edge_counts",
     "rank_shard_dir",
-    "spill_record_queue",
     "write_edge_shards",
 ]
 
@@ -541,108 +534,3 @@ def assemble_shards(
     max_node = max((man["max_node"] for man in manifests), default=-1)
     return SpillEdgeList.adopt(paths[0].parent, max_node, budget_bytes=budget_bytes)
 
-
-# --------------------------------------------------------------------------
-# spill-capable arenas — the rank programs' wait queues, past RAM
-# --------------------------------------------------------------------------
-
-
-class SpillArena(ArrayArena):
-    """An :class:`ArrayArena` whose backing column is a memmapped file.
-
-    Same amortised-doubling discipline; growth truncates the file to the
-    new capacity and remaps, so the data never transits the heap, and a
-    draining ``keep`` compacts in the file without shrinking it.  Pickling
-    (checkpoint shards) degrades gracefully to an in-RAM arena holding the
-    live prefix — a restored queue is small by construction (only survivors
-    are serialised) and need not stay spilled.
-    """
-
-    __slots__ = ("_path",)
-
-    def __init__(self, path: str | Path, capacity: int = 64) -> None:
-        self._path = Path(path)
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        capacity = max(int(capacity), 1)
-        self._buf = np.memmap(self._path, dtype=np.int64, mode="w+", shape=(capacity,))
-        self._size = 0
-
-    def _grow_to(self, needed: int) -> None:
-        if self._path is None:  # unpickled fallback: plain in-RAM doubling
-            super()._grow_to(needed)
-            return
-        cap = len(self._buf)
-        if needed <= cap:
-            return
-        new_cap = max(needed, cap * 2)
-        # flush, grow the file, remap — the live prefix is already on disk
-        self._buf.flush()
-        del self._buf
-        with open(self._path, "r+b") as fh:
-            fh.truncate(8 * new_cap)
-        self._buf = np.memmap(self._path, dtype=np.int64, mode="r+", shape=(new_cap,))
-
-    def _shrink(self, kept: np.ndarray) -> None:
-        if self._path is None:  # unpickled fallback: an in-RAM arena
-            super()._shrink(kept)
-            return
-        # the column stays in its file at its capacity: a heap buffer would
-        # pull the queue into RAM, and truncating the file under a live
-        # view of the old mapping would fault on that view's next read
-        self._buf[: len(kept)] = kept
-
-    def __getstate__(self) -> dict:
-        return {"data": np.asarray(self._buf[: self._size]).copy()}
-
-    def __setstate__(self, state: dict) -> None:
-        self._path = None
-        data = state["data"]
-        self._buf = np.empty(max(len(data), 1), dtype=np.int64)
-        self._buf[: len(data)] = data
-        self._size = len(data)
-
-    def __repr__(self) -> str:
-        where = "ram" if self._path is None else str(self._path)
-        return f"SpillArena(size={self._size}, capacity={len(self._buf)}, file={where!r})"
-
-
-def spill_record_queue(
-    ncols: int, directory: str | Path, prefix: str, capacity: int = 64
-) -> RecordQueue:
-    """A :class:`RecordQueue` whose columns are :class:`SpillArena` files.
-
-    Column ``i`` lives at ``<directory>/<prefix>.col<i>.i64``.  Drop-in for
-    the rank programs' park/pend queues when a generation runs out-of-core.
-    """
-    directory = Path(directory)
-    return RecordQueue(
-        ncols,
-        arenas=tuple(
-            SpillArena(directory / f"{prefix}.col{i}.i64", capacity=capacity)
-            for i in range(ncols)
-        ),
-    )
-
-
-class SpillQueueFactory:
-    """Picklable factory handing each rank program spill-backed queues.
-
-    Rank programs call it like ``RecordQueue``: ``factory(ncols)``.  Each
-    call gets fresh files (a per-factory counter disambiguates), and the
-    factory survives ``fork`` into mp workers — the files are only ever
-    written by the rank that owns the program.
-    """
-
-    def __init__(self, directory: str | Path, tag: str = "q") -> None:
-        self.directory = Path(directory)
-        self.tag = tag
-        self._count = 0
-
-    def __call__(self, ncols: int, capacity: int = 64) -> RecordQueue:
-        self._count += 1
-        return spill_record_queue(
-            ncols,
-            self.directory,
-            f"{self.tag}.pid{os.getpid()}.{self._count}",
-            capacity=capacity,
-        )

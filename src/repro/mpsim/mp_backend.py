@@ -29,7 +29,8 @@ so the writer frees its pages then; a segment retired because the payload
 outgrew it is unlinked at the same point, not at shutdown.  A worker trims
 its C heap once, before its final collection.  The parent never touches a
 byte of superstep traffic: it forks the workers, watches their liveness,
-commits checkpoint cuts, and collects the final results.
+collects the final results, and commits checkpoint cuts once the workers
+have exited.
 
 Statistics are accounted *worker-side* with the same formulas the in-process
 engine uses (message counts, byte volumes, virtual busy time, superstep
@@ -53,11 +54,12 @@ Fault tolerance (see ``docs/fault_tolerance.md``):
   so the parent unlinks them itself (their names derive from the fabric and
   the rank).
 * With a :class:`~repro.mpsim.checkpoint.Checkpointer` attached, workers
-  write per-rank state *shards* at checkpoint supersteps and the parent
-  assembles each complete cut into an ordinary checkpoint manifest — so a
-  supervised run (:class:`~repro.mpsim.supervisor.Supervisor`) can reload
-  the newest valid snapshot, respawn the ranks, resume, and still produce a
-  bit-identical graph.
+  write per-rank state *shards* at checkpoint supersteps; once they have
+  exited, the parent assembles each complete cut on disk into an ordinary
+  checkpoint manifest — so a supervised run
+  (:class:`~repro.mpsim.supervisor.Supervisor`) can reload the newest valid
+  snapshot, respawn the ranks, resume, and still produce a bit-identical
+  graph.
 """
 
 from __future__ import annotations
@@ -515,7 +517,6 @@ def _run_job(
                             list(inbox), rs,
                         ),
                     )
-                conn.send(("shard", superstep, str(path)))
     # quiescence: no peer reads this rank's segments any more, so they go
     # before the final collection adds its output pages, and so does the
     # heap the early supersteps' transients left free
@@ -657,7 +658,6 @@ def _recv_all(
     fabric: P2PFabric,
     heartbeats: Heartbeats,
     fault_plan: Any,
-    on_shard: Callable[[int, int, str], None],
     tick: Callable[[], Any] | None,
 ) -> dict[int, tuple]:
     """Collect exactly one reply per worker, draining in *arrival* order.
@@ -671,31 +671,12 @@ def _recv_all(
     Dead workers surface as :class:`RankFailure` with heartbeat-attributed
     rank and superstep (see :func:`_attribute_death`).
 
-    ``("shard", cut, path)`` checkpoint notifications are routed to
-    ``on_shard`` without consuming the worker's pending reply slot; before
-    a death is raised, every buffered shard notification is drained so the
-    newest complete cut can still be committed.
-
     ``tick`` is invoked once per wait cycle — the telemetry ring drain rides
     the liveness poll here, so long jobs cannot overflow the ring while the
     parent sits waiting for finals.
     """
     msgs: dict[int, tuple] = {}
     pending: dict[Any, int] = {conn: rank for rank, conn in enumerate(parents)}
-
-    def _died(rank: int) -> None:
-        # the victim (and its peers) may have flushed shard notifications
-        # before the death; keep them — the cut they complete is exactly the
-        # recovery point the supervisor wants
-        for conn2, rank2 in pending.items():
-            try:
-                while conn2.poll(0):
-                    m = conn2.recv()
-                    if m[0] == "shard":
-                        on_shard(rank2, m[1], m[2])
-            except (EOFError, OSError):
-                pass
-        _attribute_death(rank, fabric, heartbeats, fault_plan)
 
     while pending:
         if tick is not None:
@@ -707,10 +688,7 @@ def _recv_all(
             try:
                 msg = conn.recv()
             except (EOFError, OSError):
-                _died(rank)
-            if msg[0] == "shard":
-                on_shard(rank, msg[1], msg[2])
-                continue  # still owed this worker's real reply
+                _attribute_death(rank, fabric, heartbeats, fault_plan)
             msgs[rank] = msg
             del pending[conn]
         for obj in ready:
@@ -722,7 +700,7 @@ def _recv_all(
                 continue  # reply already collected; death surfaces later
             if conn.poll(0):
                 continue  # buffered data first; re-check on the next pass
-            _died(rank)
+            _attribute_death(rank, fabric, heartbeats, fault_plan)
     return msgs
 
 
@@ -794,6 +772,30 @@ def _commit_cut(
     return saved
 
 
+def _commit_cuts(
+    checkpointer: Checkpointer,
+    shard_dir: Path,
+    size: int,
+    cost: CostModel,
+    max_supersteps: int,
+) -> None:
+    """Commit every complete cut the workers left in ``shard_dir``, oldest
+    first.
+
+    Runs once the workers have exited, so the files are the whole record:
+    a cut whose every rank sealed its shard is committed whether the job
+    finished or died after it, and a cut missing a shard, or holding an
+    invalid one, is skipped (:func:`_commit_cut`).
+    """
+    cuts: dict[int, dict[int, str]] = {}
+    for path in shard_dir.glob("cut*.rank*.shard"):
+        cut, rank = path.name.split(".")[:2]
+        cuts.setdefault(int(cut[3:]), {})[int(rank[4:])] = str(path)
+    for cut in sorted(cuts):
+        if len(cuts[cut]) == size:
+            _commit_cut(checkpointer, size, cost, max_supersteps, cut, cuts[cut])
+
+
 def _drive_job(
     parents: Sequence[Any],
     procs: Sequence[Any],
@@ -801,19 +803,15 @@ def _drive_job(
     fabric: P2PFabric,
     fault_plan: Any,
     stats: WorldStats,
-    max_supersteps: int,
     heartbeats: Heartbeats,
-    cost: CostModel,
-    checkpointer: Checkpointer | None = None,
     step0: int = 0,
     collector: RingCollector | None = None,
     tel: Any = NOOP_TELEMETRY,
 ) -> tuple[list[Any], list[dict], int, float]:
     """Parent side of one job, once the workers are forked.
 
-    The workers run to quiescence on their own; the parent only commits
-    checkpoint cuts as their shard notifications arrive and collects the
-    finals.  ``step0`` is the superstep the job resumes from (0 for fresh
+    The workers run to quiescence on their own; the parent only collects
+    the finals.  ``step0`` is the superstep the job resumes from (0 for fresh
     runs).  ``collector`` drains the telemetry event ring once per
     liveness-poll cycle and ``tel`` records the parent's own collection
     span.  Returns ``(results, rank_counters, supersteps, simulated_delta)``
@@ -821,19 +819,9 @@ def _drive_job(
     increment — and writes the workers' final :class:`RankStats` into
     ``stats``.
     """
-    shards: dict[int, dict[int, str]] = {}
-
-    def _on_shard(rank: int, cut: int, path: str) -> None:
-        got = shards.setdefault(cut, {})
-        got[rank] = path
-        if len(got) == size and checkpointer is not None:
-            _commit_cut(checkpointer, size, cost, max_supersteps, cut, shards.pop(cut))
-
     tick = collector.drain if collector is not None else None
     with tel.span("job.collect", cat="run", tid=-1) as sp:
-        msgs = _recv_all(
-            parents, procs, fabric, heartbeats, fault_plan, _on_shard, tick,
-        )
+        msgs = _recv_all(parents, procs, fabric, heartbeats, fault_plan, tick)
         if tel.enabled:
             # the coordinator lane's footprint, once the finals are in
             sp.note(rss_bytes=proc_rss_bytes())
@@ -984,9 +972,11 @@ class MultiprocessingBSPEngine:
 
         ``checkpointer`` enables cross-process snapshots: workers write
         per-rank shards at checkpoint supersteps (into a ``<path>.shards/``
-        sibling directory) and the parent commits each complete cut as an
-        ordinary checkpoint manifest, loadable by either engine.  A cut is
-        snapshotted only if its exchange carried traffic.
+        sibling directory).  Once the workers have exited, on success and
+        on failure alike, the parent commits each complete cut there, in
+        ascending order, as an ordinary checkpoint manifest loadable by
+        either engine.  A cut is snapshotted only if its exchange carried
+        traffic.
 
         ``initial_inboxes`` switches the run into *resume* mode (used by the
         supervisor): the engine's ``stats``/``supersteps``/``simulated_time``
@@ -1004,7 +994,7 @@ class MultiprocessingBSPEngine:
             self.stats = WorldStats.for_size(self.size)
             self.supersteps = 0
         heartbeats = Heartbeats(self.size)
-        ckpt = None
+        ckpt = shards_path = None
         if checkpointer is not None:
             shards_path = checkpointer.path.parent / (checkpointer.path.name + ".shards")
             shards_path.mkdir(parents=True, exist_ok=True)
@@ -1052,8 +1042,7 @@ class MultiprocessingBSPEngine:
 
                 results, counters, supersteps, simulated = _drive_job(
                     parents, procs, self.size, fabric, fault_plan,
-                    self.stats, self.max_supersteps, heartbeats, self.cost,
-                    checkpointer=checkpointer, step0=self.supersteps,
+                    self.stats, heartbeats, step0=self.supersteps,
                     collector=collector, tel=self.tel,
                 )
             self.results, self.rank_counters = results, counters
@@ -1085,4 +1074,10 @@ class MultiprocessingBSPEngine:
                 # exactly what the post-mortem trace needs
                 collector.merge_into(self.tel)
                 ring.close(unlink=True)
+            if checkpointer is not None:
+                # every worker has exited, so no shard is still in flight
+                _commit_cuts(
+                    checkpointer, shards_path, self.size, self.cost,
+                    self.max_supersteps,
+                )
         return self.stats

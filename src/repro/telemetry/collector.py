@@ -1,9 +1,9 @@
 """The :class:`Telemetry` facade and the cross-process collector.
 
 One :class:`Telemetry` object represents one *observed run*: a span
-recorder (spans and instants), recovery marks, run metadata, and a drop
-counter.  The coordinator (or any in-process engine) writes into it
-directly; mp workers get a derived instance (:meth:`Telemetry.for_worker`)
+recorder (spans and instants, recovery marks among the instants), run
+metadata, and a drop counter.  The coordinator (or any in-process engine)
+writes into it directly; mp workers get a derived instance (:meth:`Telemetry.for_worker`)
 whose spans and instants are published into a shared-memory
 :class:`~repro.telemetry.ringbuf.EventRing` the moment they happen, and a
 :class:`RingCollector` on the coordinator side drains the ring — during the
@@ -59,8 +59,6 @@ class Telemetry:
     def __init__(self, source: str = "coordinator") -> None:
         self.source = source
         self.spans = SpanRecorder(source=source)
-        #: recovery / lifecycle annotations: ``(superstep, label)`` pairs
-        self.marks: list[tuple[int, str]] = []
         #: events lost in the cross-process ring (overflow/oversize)
         self.dropped_events = 0
         #: free-form run metadata stamped into exports
@@ -78,8 +76,18 @@ class Telemetry:
 
     def mark(self, label: str, superstep: int = 0) -> None:
         """Annotate the run timeline (recoveries, respawns, phase changes)."""
-        self.marks.append((int(superstep), str(label)))
-        self.instant(label, superstep=int(superstep), mark=True)
+        self.instant(str(label), superstep=int(superstep), mark=True)
+
+    @property
+    def marks(self) -> list[tuple[int, str]]:
+        """``(superstep, label)`` of every :meth:`mark`, read off the
+        instants — so a worker's marks arrive through the ring like its
+        other instants."""
+        return [
+            (args["superstep"], name)
+            for _, _, name, args in self.spans.instants
+            if args.get("mark")
+        ]
 
     # ------------------------------------------------------- worker publishing
     @classmethod

@@ -2,14 +2,11 @@
 
 import pickle
 from collections import defaultdict
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from repro.core.arena import ArrayArena, RecordQueue
 from repro.core.routing import route_by_dest
-from repro.core.spill import SpillArena
 
 
 class TestArrayArena:
@@ -62,18 +59,15 @@ class TestArrayArena:
         assert b.view().tolist() == [0, 1, 2, 9]
 
 
-@pytest.fixture(params=["ram", "spill"])
-def make_arena(request, tmp_path):
-    """An empty :class:`ArrayArena`, or the memmapped :class:`SpillArena`
-    that inherits its ``keep``."""
-    if request.param == "ram":
-        return lambda: ArrayArena(capacity=2)
-    return lambda: SpillArena(tmp_path / "col.i64", capacity=2)
+@pytest.fixture(params=["ram"])
+def make_arena():
+    """An empty :class:`ArrayArena` (one param, so the case ids name it)."""
+    return lambda: ArrayArena(capacity=2)
 
 
 class TestKeep:
     """``keep`` selects with ``np.compress``: the same rows, in the same
-    order, as ``view()[mask]``, for either backing."""
+    order, as ``view()[mask]``."""
 
     @pytest.mark.parametrize(
         "mask",
@@ -110,8 +104,7 @@ class TestKeep:
 
 class TestShrink:
     """A ``keep`` that leaves survivors under a quarter of the capacity
-    gives the rest back: the heap arena reallocates to twice the survivors,
-    the spilled one compacts inside its file."""
+    gives the rest back, reallocating to twice the survivors."""
 
     def test_drain_shrinks_to_twice_the_survivors(self):
         a = ArrayArena()
@@ -158,27 +151,6 @@ class TestShrink:
         assert len(b._buf) == 10
         b.push(np.array([1]))
         assert b.view().tolist()[-1] == 1
-
-    def test_spilled_column_stays_in_its_file(self, tmp_path):
-        path = tmp_path / "col.i64"
-        a = SpillArena(path, capacity=2)
-        a.push(np.arange(100_000))
-        a.keep(np.arange(100_000) % 10_000 == 0)
-        assert isinstance(a._buf, np.memmap)
-        assert Path(a._buf.filename) == path
-        assert a.view().tolist() == list(range(0, 100_000, 10_000))
-        a.push(np.array([5]))
-        assert isinstance(a._buf, np.memmap)
-        assert a.view().tolist()[-2:] == [90_000, 5]
-
-    def test_unpickled_spill_arena_shrinks_in_ram(self, tmp_path):
-        a = SpillArena(tmp_path / "col.i64", capacity=2)
-        a.push(np.arange(10))
-        b = pickle.loads(pickle.dumps(a))
-        b.push(np.arange(100_000))
-        b.keep(np.arange(100_010) < 3)
-        assert not isinstance(b._buf, np.memmap)
-        assert (b.view().tolist(), len(b._buf)) == ([0, 1, 2], 64)
 
 
 class TestRecordQueue:

@@ -2,7 +2,7 @@
 
 Covers the :mod:`repro.core.spill` containers in isolation (the adopted
 read-only edge list, sealed rank regions and their verification on
-adoption, spill arenas), commfree mp-worker deaths, and the property the
+adoption), commfree mp-worker deaths, and the property the
 whole layer is built on: a spilled generation is *bit-identical* to the in-RAM
 one, on every engine, partition scheme and rank count, even with a
 pathologically small budget that shrinks every verification read.
@@ -11,11 +11,15 @@ pathologically small budget that shrinks every verification read.
 from __future__ import annotations
 
 import errno
+import json
 import multiprocessing as mp
 import os
-import pickle
+import shutil
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +30,7 @@ from repro.core.generator import generate
 from repro.core.partitioning import make_partition
 from repro.core.spill import (
     EdgeShardWriter,
-    SpillArena,
     SpillEdgeList,
-    SpillQueueFactory,
     assemble_shards,
     edges_digest,
     iter_edge_blocks,
@@ -36,7 +38,6 @@ from repro.core.spill import (
     prepare_regions,
     rank_edge_counts,
     rank_shard_dir,
-    spill_record_queue,
     write_edge_shards,
 )
 from repro.graph.edgelist import EdgeList
@@ -46,6 +47,8 @@ pytestmark = pytest.mark.usefixtures("no_leftovers")
 
 #: small enough to force many read blocks on a few thousand edges
 TINY = 1 << 10
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture
@@ -374,41 +377,6 @@ class TestWorkerDeath:
         assert "retries" in str(info.value.original)
 
 
-class TestSpillQueues:
-    def test_queue_parity_with_in_ram(self, tmp_path, rng):
-        from repro.core.arena import RecordQueue
-
-        spill = spill_record_queue(2, tmp_path, "t", capacity=4)
-        ram = RecordQueue(2, capacity=4)
-        cols = (
-            rng.integers(0, 100, 500).astype(np.int64),
-            rng.integers(0, 100, 500).astype(np.int64),
-        )
-        spill.push(*cols)  # growth crosses several remaps
-        ram.push(*cols)
-        a0, a1 = spill.columns()
-        b0, b1 = ram.columns()
-        assert np.array_equal(a0, b0) and np.array_equal(a1, b1)
-        assert (tmp_path / "t.col0.i64").exists()
-
-    def test_arena_pickle_degrades_to_ram(self, tmp_path):
-        arena = SpillArena(tmp_path / "a.i64", capacity=2)
-        arena.push(np.arange(10, dtype=np.int64))
-        clone = pickle.loads(pickle.dumps(arena))
-        assert np.array_equal(clone.view(), arena.view())
-        clone.push(np.arange(3, dtype=np.int64))  # growth works post-restore
-        assert len(clone.view()) == 13
-
-    def test_factory_hands_out_distinct_files(self, tmp_path):
-        factory = SpillQueueFactory(tmp_path)
-        q1, q2 = factory(2), factory(2)
-        q1.push(np.array([1]), np.array([2]))
-        q2.push(np.array([3]), np.array([4]))
-        assert np.array_equal(q1.columns()[0], [1])
-        assert np.array_equal(q2.columns()[0], [3])
-        assert pickle.loads(pickle.dumps(factory)).directory == factory.directory
-
-
 #: (engine, generator, x, ranks) — every supported out-of-core surface
 COMBOS = [
     ("sequential", "copy", 1, 1),
@@ -494,3 +462,46 @@ class TestGenerateOutOfCore:
         assert end == len(result.edges) == 599
         # each edge is written once: the two columns are the whole spill
         assert (tmp_path / "edges" / "u.i64").stat().st_size == 8 * end
+
+    @pytest.mark.parametrize("engine", ["bsp", "mp"])
+    @pytest.mark.parametrize("x", [1, 3])
+    def test_copy_model_writes_only_the_columns(self, tmp_path, engine, x):
+        """An out-of-core copy-model run leaves its output columns and
+        their manifests and nothing else: the rank programs' ``F`` and wait
+        queues stay in RAM."""
+        generate(
+            1_200, x=x, ranks=2, seed=5, engine=engine, out_of_core=str(tmp_path)
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["edges", "shards"]
+        assert sorted(p.name for p in (tmp_path / "edges").iterdir()) == [
+            "u.i64", "v.i64"
+        ]
+
+
+def test_copy_x4_bsp_footprint(tmp_path):
+    """An out-of-core x=4 bsp run holds its ranks' ``F`` and wait queues,
+    not its output.
+
+    The run's RSS growth over ``import repro`` at n = 1.5e6 (6e6 edges)
+    is ~24.4 B per edge (~24.6 while the wait queues were memmapped
+    files): ``F`` alone is 8 B per edge, and the columns are written with
+    ``pwrite`` and never paged in.
+    """
+    n = 1_500_000
+    code = (
+        "import json, resource, repro; "
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+        f"r = repro.generate(n={n}, x=4, ranks=2, engine='bsp', seed=1, "
+        f"out_of_core={str(tmp_path)!r}); "
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+        "print(json.dumps([base, peak, len(r.edges)]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    )
+    shutil.rmtree(tmp_path / "edges")  # 96 MB pytest would keep for three sessions
+    base_kib, peak_kib, m = json.loads(out.stdout.strip().splitlines()[-1])
+    assert m == 4 * (n - 4) + 6
+    per_edge = (peak_kib - base_kib) * 1024 / m
+    assert per_edge < 27, f"RSS grew {per_edge:.1f} B per edge"

@@ -73,6 +73,21 @@ def test_two_crashes_across_retries_still_recover(tmp_path):
     assert plan.counts() == {"crash": 2}
 
 
+def test_recovery_resumes_from_the_newest_complete_cut(tmp_path):
+    """Rank 1 dies just before superstep 2, after every rank sealed its cut-1
+    shard, so the recovery resumes from cut 1 on every run.  The cuts are
+    committed from the shard files once the workers have exited, so no
+    shard can be lost between a worker's write and the coordinator's
+    read."""
+    for i in range(10):
+        result = generate(
+            3_000, x=2, ranks=3, seed=5, engine="mp",
+            fault_plan=FaultPlan().crash(1, at_superstep=2),
+            checkpoint_dir=str(tmp_path / str(i)),
+        )
+        assert [e.superstep for e in result.recoveries] == [1], f"run {i}"
+
+
 # --------------------------------------------------------- death attribution
 def test_unsupervised_crash_names_rank_and_superstep():
     """Without a supervisor, the kill surfaces as RankFailure naming the

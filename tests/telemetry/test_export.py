@@ -130,6 +130,7 @@ def test_collector_merges_ring_events_once():
             ("compute", 2, {"superstep": 1})
         ]
         assert [name for _, _, name, _ in master.spans.instants] == ["respawned"]
+        assert master.marks == [(1, "respawned")]
         col.merge_into(master)  # idempotent: nothing left to fold
         assert len(master.spans.spans) == 1
         assert len(master.spans.instants) == 1
