@@ -391,7 +391,10 @@ def generate(*args: Any, **knobs: Any) -> GenerationResult:
     Takes :class:`RunSpec`'s fields — ``n`` and ``x`` may be positional, in
     that order — whose defaults and one-line docs live there.  A spec that
     :data:`CONFLICTS` rejects raises a one-line :class:`ValueError` before
-    anything forks or is written.  The run's spec is ``result.spec``.
+    anything forks or is written.  A run that raises out of core removes
+    the ``edges/`` and ``shards/`` it laid out
+    (:func:`repro.core.spill.discard_regions`).  The run's spec is
+    ``result.spec``.
 
     Examples
     --------
@@ -421,38 +424,45 @@ def generate(*args: Any, **knobs: Any) -> GenerationResult:
             ranks=nranks, scheme=scheme,
         )
 
-    if part is None:
-        if commfree_run:
-            edges, sizes = _run_commfree_slices(spec, tel)
-        else:
-            edges, sizes = _run_sequential(spec, tel), np.array([n], np.int64)
-        # one-shot runs: pure compute, split perfectly over the ranks
-        cost = spec.cost_model or CostModel()
-        run = dict(
-            edges=edges, ranks=nranks, nodes_per_rank=sizes, supersteps=0,
-            simulated_time=cost.compute_time(n, work_items=len(edges)) / nranks,
-            requests_sent=np.zeros(nranks, np.int64),
-            requests_received=np.zeros(nranks, np.int64),
-        )
-    else:
-        if engine == "event":
-            from repro.core.event_driven import run_event_driven_pa
-
-            with tel.span("event.run", cat="run", tid=-1, n=n, x=x) as sp:
-                edges, sim = run_event_driven_pa(
-                    n, x, part, p=spec.p, seed=spec.seed,
-                    cost_model=spec.cost_model, fault_plan=plan,
-                )
-                sp.note(virtual_total_s=sim.makespan)
+    try:
+        if part is None:
+            if commfree_run:
+                edges, sizes = _run_commfree_slices(spec, tel)
+            else:
+                edges, sizes = _run_sequential(spec, tel), np.array([n], np.int64)
+            # one-shot runs: pure compute, split perfectly over the ranks
+            cost = spec.cost_model or CostModel()
             run = dict(
-                edges=edges, simulated_time=sim.makespan, supersteps=0,
-                requests_sent=np.zeros(part.P, np.int64),
-                requests_received=np.zeros(part.P, np.int64),
-                world_stats=sim.stats,
+                edges=edges, ranks=nranks, nodes_per_rank=sizes, supersteps=0,
+                simulated_time=cost.compute_time(n, work_items=len(edges)) / nranks,
+                requests_sent=np.zeros(nranks, np.int64),
+                requests_received=np.zeros(nranks, np.int64),
             )
         else:
-            run = _run_supersteps(spec, part, plan)
-        run.update(ranks=part.P, nodes_per_rank=part.sizes())
+            if engine == "event":
+                from repro.core.event_driven import run_event_driven_pa
+
+                with tel.span("event.run", cat="run", tid=-1, n=n, x=x) as sp:
+                    edges, sim = run_event_driven_pa(
+                        n, x, part, p=spec.p, seed=spec.seed,
+                        cost_model=spec.cost_model, fault_plan=plan,
+                    )
+                    sp.note(virtual_total_s=sim.makespan)
+                run = dict(
+                    edges=edges, simulated_time=sim.makespan, supersteps=0,
+                    requests_sent=np.zeros(part.P, np.int64),
+                    requests_received=np.zeros(part.P, np.int64),
+                    world_stats=sim.stats,
+                )
+            else:
+                run = _run_supersteps(spec, part, plan)
+            run.update(ranks=part.P, nodes_per_rank=part.sizes())
+    except BaseException:
+        if spec.out_of_core is not None:
+            from repro.core import spill
+
+            spill.discard_regions(spec.out_of_core)
+        raise
     return GenerationResult(spec=spec, scheme=scheme, fault_plan=plan, **run)
 
 

@@ -317,6 +317,14 @@ def prepare_regions(directory: str | Path, counts: Any) -> np.ndarray:
     return offsets
 
 
+def discard_regions(directory: str | Path) -> None:
+    """Remove what :func:`prepare_regions` and the ranks wrote under
+    ``directory``: the ``edges/`` columns and the ``shards/`` manifests of
+    a run that failed."""
+    for sub in (_EDGES_DIR, _SHARDS_DIR):
+        shutil.rmtree(Path(directory) / sub, ignore_errors=True)
+
+
 def rank_shard_dir(directory: str | Path, rank: int, size: int) -> Path:
     """Canonical per-rank manifest directory within an out-of-core run dir."""
     width = max(len(str(size - 1)), 1)

@@ -54,8 +54,9 @@ class RankFailure(MPSimError):
 
     Raised for program exceptions on any engine, and — on the real-process
     backend — for worker deaths (a killed or crashed OS process).  When the
-    failure superstep is known (e.g. from the dead worker's last heartbeat),
-    it is carried in :attr:`superstep` so recovery and operators can see
+    failure superstep is known (e.g. from the dead worker's last heartbeat
+    in the exchange fabric, :meth:`repro.mpsim.p2p.P2PFabric.beat`), it is
+    carried in :attr:`superstep` so recovery and operators can see
     *where* in the run the rank was lost, not just which rank.
     """
 

@@ -12,7 +12,9 @@ where ranks message each other with no router in between:
 
 * every worker owns a double-buffered ``multiprocessing.shared_memory``
   payload segment and writes its outbox arrays into the half assigned to the
-  current superstep's parity;
+  current superstep's parity (the only named shared memory of a run: the
+  fabric, the telemetry ring and the result regions are anonymous mappings
+  made before the fork);
 * it posts small ``(segment, offset, count, dtype)`` descriptors into its
   receivers' slots of the shared mailbox matrix
   (:class:`repro.mpsim.p2p.P2PFabric`);
@@ -46,17 +48,19 @@ Fault tolerance (see ``docs/fault_tolerance.md``):
 * The parent detects any worker death within one liveness poll
   (:data:`_LIVENESS_POLL` seconds) by waiting on the process *sentinels*
   alongside the reply pipes, and attributes it to a rank and superstep via
-  the shared :class:`~repro.mpsim.heartbeat.Heartbeats` board; the fabric's
-  barrier is aborted so surviving ranks fail fast instead of waiting out the
-  barrier timeout.  Deaths surface as
+  the heartbeat row of the fabric (:meth:`~repro.mpsim.p2p.P2PFabric.beat`);
+  the fabric's barrier is aborted so surviving ranks fail fast instead of
+  waiting out the barrier timeout.  Deaths surface as
   :class:`~repro.mpsim.errors.RankFailure` with the victim's rank and last
   superstep attached.  A killed worker cannot unlink its payload segments,
   so the parent unlinks them itself (their names derive from the fabric and
-  the rank).
+  the rank).  No segment is registered with Python's resource tracker
+  (:func:`_segment`), so the engine's own unlinks are the only cleanup path
+  and no run starts the tracker process.
 * With a :class:`~repro.mpsim.checkpoint.Checkpointer` attached, workers
   write per-rank state *shards* at checkpoint supersteps; once they have
-  exited, the parent assembles each complete cut on disk into an ordinary
-  checkpoint manifest — so a supervised run
+  exited, the parent assembles the newest complete cuts on disk into
+  ordinary checkpoint manifests — so a supervised run
   (:class:`~repro.mpsim.supervisor.Supervisor`) can reload the newest valid
   snapshot, respawn the ranks, resume, and still produce a bit-identical
   graph.
@@ -64,11 +68,13 @@ Fault tolerance (see ``docs/fault_tolerance.md``):
 
 from __future__ import annotations
 
+import contextlib
 import mmap
 import multiprocessing as mp
 import os
 import pickle
 import signal
+import sys
 import time
 from multiprocessing import connection as _mpc
 from multiprocessing import resource_tracker, shared_memory
@@ -89,7 +95,6 @@ from repro.mpsim.costmodel import CostModel
 from repro.mpsim.datatypes import charged_nbytes
 from repro.mpsim.errors import InvalidRankError, MPSimError, RankFailure
 from repro.mpsim.faults import CAP_CRASH_TIME, CAP_DROP, CAP_DUPLICATE
-from repro.mpsim.heartbeat import Heartbeats
 from repro.mpsim.p2p import P2PFabric
 from repro.mpsim.stats import RankStats, WorldStats
 from repro.telemetry.collector import (
@@ -130,33 +135,30 @@ _LIVENESS_POLL = 0.25
 _FAILED_JOB_GRACE = 1.0
 
 
-def _attach(name: str):
-    """Attach to an existing segment without resource-tracker ownership.
+def _segment(name: str, size: int = 0) -> shared_memory.SharedMemory:
+    """Create (``size > 0``) or attach the payload segment ``name``, untracked.
 
-    Before Python 3.13 every attach registers the segment with the resource
-    tracker.  The parent creates shared memory of its own (the fabric)
-    before forking, so every child inherits the *same* tracker process — and
-    the old register-then-``unregister`` dance removes the creating rank's
-    registration, producing double-unregister errors when several ranks
-    attach the same segment.  So the attach must not register at all: the
-    registration is suppressed for the duration of the constructor, leaving
-    the creator's registration as the single tracked owner.  Python 3.13+
-    has ``track=False`` for exactly this.
+    Python's resource tracker would be a second cleanup path beside the
+    engine's own unlinks, and its process outlives the run; so no payload
+    segment is registered with it.  Python 3.13+ says so with
+    ``track=False``; before, the registration is suppressed for the
+    constructor, and :func:`_drop` suppresses the unregistration.
     """
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name, create=size > 0, size=size, track=False)
+    with _untracked():
+        return shared_memory.SharedMemory(name, create=size > 0, size=size)
+
+
+@contextlib.contextmanager
+def _untracked():
+    """Make this process's resource-tracker calls no-ops meanwhile."""
+    register, unregister = resource_tracker.register, resource_tracker.unregister
+    resource_tracker.register = resource_tracker.unregister = lambda name, rtype: None
     try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13
-        original = resource_tracker.register
-
-        def _skip_shm(rname: str, rtype: str) -> None:
-            if rtype != "shared_memory":  # pragma: no cover - not hit today
-                original(rname, rtype)
-
-        resource_tracker.register = _skip_shm
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
+        yield
+    finally:
+        resource_tracker.register, resource_tracker.unregister = register, unregister
 
 
 def _segment_name(run: str, rank: int, seq: int) -> str:
@@ -181,11 +183,10 @@ def _unlink_segments(run: str, rank: int) -> None:
     """
     for seq in range(_MAX_SEGMENTS):
         try:
-            seg = shared_memory.SharedMemory(name=_segment_name(run, rank, seq))
+            seg = _segment(_segment_name(run, rank, seq))
         except FileNotFoundError:
             continue
-        seg.close()
-        seg.unlink()  # also drops the dead worker's tracker registration
+        _drop([seg])
 
 
 class _ShmWriter:
@@ -216,8 +217,7 @@ class _ShmWriter:
             half *= 2
         if self.shm is not None:
             self._retired.append(self.shm)
-        name = _segment_name(self.run, self.rank, self._seq)
-        self.shm = shared_memory.SharedMemory(name=name, create=True, size=2 * half)
+        self.shm = _segment(_segment_name(self.run, self.rank, self._seq), 2 * half)
         self._seq += 1
         self.half = half
 
@@ -272,11 +272,12 @@ class _ShmWriter:
 
 
 def _drop(segments: list[Any]) -> None:
-    """Close and unlink ``segments``."""
+    """Close and unlink the payload ``segments`` (:func:`_segment`)."""
     for seg in segments:
         seg.close()
         try:
-            seg.unlink()
+            with _untracked():  # track=False segments (3.13+) need none
+                seg.unlink()
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
 
@@ -292,7 +293,7 @@ class _ShmReader:
         name, off, count, dtype = desc
         shm = self._cache.get(name)
         if shm is None:
-            shm = _attach(name)
+            shm = _segment(name)
             self._cache[name] = shm
         # private byte copy (the source half is reused two supersteps later),
         # then reinterpret: memcpy-speed, unlike structured-dtype .copy()
@@ -351,22 +352,20 @@ def _execute_step(
     cost: CostModel,
     fault_plan: Any,
     superstep: int,
-    heartbeats: Heartbeats,
 ) -> tuple[dict[int, list[np.ndarray]], int, float]:
     """Run one superstep of ``program`` and account it like the in-process
     engine does.
 
-    Beats the heartbeat first (so a death is attributable to this
-    superstep), then fires any scheduled crash as a real fail-stop death:
-    the worker ``SIGKILL``\\ s itself before stepping — the same pre-step
-    timing the in-process engine uses, which is what keeps recovery cuts
-    aligned between engines.
+    Fires any scheduled crash first, as a real fail-stop death: the worker
+    ``SIGKILL``\\ s itself before stepping — the same pre-step timing the
+    in-process engine uses, which is what keeps recovery cuts aligned
+    between engines.  The caller has beaten the heartbeat by then, so the
+    death is attributable to this superstep.
 
     Returns the cleaned outbox (contiguous, non-empty arrays only), the
     outgoing record count, and the superstep's virtual duration for this
     rank.  Program exceptions surface as :class:`RankFailure`.
     """
-    heartbeats.beat(rank, superstep)
     if fault_plan is not None and fault_plan.should_crash(rank, superstep=superstep):
         # a *real* fail-stop death: no cleanup, no goodbye message — the
         # parent must detect it from the sentinel and the silent heartbeat
@@ -431,7 +430,6 @@ def _run_job(
     cost: CostModel,
     fault_plan: Any,
     max_supersteps: int,
-    heartbeats: Heartbeats,
     resume: tuple[int, RankStats, list] | None = None,
     ckpt: tuple[str, int, int, float] | None = None,
     tel: Any = NOOP_TELEMETRY,
@@ -469,10 +467,10 @@ def _run_job(
         if superstep >= max_supersteps:
             raise MPSimError(f"exceeded max_supersteps={max_supersteps}")
         superstep += 1
+        fabric.beat(rank, superstep)
         with tel.span("compute", cat="compute", tid=rank, superstep=superstep) as sp:
             clean, out_records, t = _execute_step(
-                rank, size, program, ctx, rs, inbox, cost, fault_plan,
-                superstep, heartbeats,
+                rank, size, program, ctx, rs, inbox, cost, fault_plan, superstep,
             )
             sp.note(virtual_s=t, records=out_records)
             if tel.enabled:
@@ -562,7 +560,6 @@ def _worker_main(
     fault_plan: Any,
     max_supersteps: int,
     cost: CostModel,
-    heartbeats: Heartbeats,
     resume: tuple[int, RankStats, list] | None = None,
     ckpt: tuple[str, int, int, float] | None = None,
     ring: EventRing | None = None,
@@ -583,8 +580,7 @@ def _worker_main(
     try:
         _run_job(
             rank, size, program, conn, fabric, writer, reader,
-            cost, fault_plan, max_supersteps, heartbeats, resume, ckpt, tel,
-            collect,
+            cost, fault_plan, max_supersteps, resume, ckpt, tel, collect,
         )
     except RankFailure as exc:
         # exc.rank may name a *peer* (barrier attribution), not the
@@ -625,20 +621,19 @@ def _report_error(
 def _attribute_death(
     rank: int,
     fabric: P2PFabric,
-    heartbeats: Heartbeats,
     fault_plan: Any,
 ) -> None:
     """Raise the :class:`RankFailure` for a worker the parent saw die.
 
-    The death superstep comes from the rank's last heartbeat; if the fault
-    plan had an unfired crash scheduled for this rank the death is
-    acknowledged on the *parent's* copy of the plan (the worker's forked
-    copy died with it) — which is what stops a supervised retry from
-    re-killing the respawned rank forever.  The barrier is aborted first so
+    The death superstep comes from the rank's last heartbeat in the
+    fabric; if the fault plan had an unfired crash scheduled for this rank
+    the death is acknowledged on the *parent's* copy of the plan (the
+    worker's forked copy died with it) — which is what stops a supervised
+    retry from re-killing the respawned rank forever.  The barrier is aborted first so
     surviving peers fail fast too.
     """
     fabric.abort()
-    superstep = heartbeats.last_superstep(rank)
+    superstep = fabric.last_superstep(rank)
     injected = (
         fault_plan is not None
         and callable(getattr(fault_plan, "consume_crash", None))
@@ -656,7 +651,6 @@ def _recv_all(
     parents: Sequence[Any],
     procs: Sequence[Any],
     fabric: P2PFabric,
-    heartbeats: Heartbeats,
     fault_plan: Any,
     tick: Callable[[], Any] | None,
 ) -> dict[int, tuple]:
@@ -688,7 +682,7 @@ def _recv_all(
             try:
                 msg = conn.recv()
             except (EOFError, OSError):
-                _attribute_death(rank, fabric, heartbeats, fault_plan)
+                _attribute_death(rank, fabric, fault_plan)
             msgs[rank] = msg
             del pending[conn]
         for obj in ready:
@@ -700,7 +694,7 @@ def _recv_all(
                 continue  # reply already collected; death surfaces later
             if conn.poll(0):
                 continue  # buffered data first; re-check on the next pass
-            _attribute_death(rank, fabric, heartbeats, fault_plan)
+            _attribute_death(rank, fabric, fault_plan)
     return msgs
 
 
@@ -731,29 +725,19 @@ def _raise_job_errors(msgs: dict[int, tuple]) -> None:
     raise MPSimError(f"rank {rank}: {exc!r}") from exc
 
 
-def _commit_cut(
-    checkpointer: Checkpointer,
-    size: int,
-    cost: CostModel,
-    max_supersteps: int,
-    cut: int,
-    paths: dict[int, str],
-) -> bool:
-    """Assemble one complete cut's shards into a checkpoint manifest.
-
-    Loads and validates all ``size`` shards (any invalid shard voids the
-    cut — an older manifest remains the recovery point), builds an ordinary
-    :class:`CheckpointData`, and commits it through the checkpointer's
-    atomic-write/rotation path.  Consumed shard files are deleted.
-    """
+def _load_cut(
+    size: int, cost: CostModel, max_supersteps: int, cut: int, paths: dict[int, str]
+) -> CheckpointData | None:
+    """One complete cut's ``size`` shards as an ordinary
+    :class:`CheckpointData`, or None if any shard is invalid."""
     try:
         shards = [load_shard(paths[r]) for r in range(size)]
     except MPSimError:
-        return False
+        return None
     world = WorldStats.for_size(size)
     for s in shards:
         world.ranks[s.rank] = s.rank_stats
-    data = CheckpointData(
+    return CheckpointData(
         size=size,
         cost=cost,
         max_supersteps=max_supersteps,
@@ -763,13 +747,6 @@ def _commit_cut(
         programs=[s.program for s in shards],
         inboxes=[list(s.inbox) for s in shards],
     )
-    saved = checkpointer.commit(data)
-    for p in paths.values():
-        try:
-            Path(p).unlink()
-        except OSError:  # pragma: no cover - already gone
-            pass
-    return saved
 
 
 def _commit_cuts(
@@ -779,21 +756,30 @@ def _commit_cuts(
     cost: CostModel,
     max_supersteps: int,
 ) -> None:
-    """Commit every complete cut the workers left in ``shard_dir``, oldest
-    first.
+    """Commit the newest ``checkpointer.keep`` valid cuts the workers left
+    in ``shard_dir``, oldest first, and delete every shard.
 
     Runs once the workers have exited, so the files are the whole record:
-    a cut whose every rank sealed its shard is committed whether the job
-    finished or died after it, and a cut missing a shard, or holding an
-    invalid one, is skipped (:func:`_commit_cut`).
+    a cut whose every rank sealed its shard counts whether the job finished
+    or died after it, and a cut missing a shard, or holding an invalid one,
+    is skipped.  The checkpointer's rotation keeps only the newest ``keep``
+    manifests, so the cuts older than those are deleted unread rather than
+    committed and rotated away.
     """
     cuts: dict[int, dict[int, str]] = {}
     for path in shard_dir.glob("cut*.rank*.shard"):
         cut, rank = path.name.split(".")[:2]
         cuts.setdefault(int(cut[3:]), {})[int(rank[4:])] = str(path)
-    for cut in sorted(cuts):
-        if len(cuts[cut]) == size:
-            _commit_cut(checkpointer, size, cost, max_supersteps, cut, cuts[cut])
+    kept: list[CheckpointData] = []
+    for cut in sorted(cuts, reverse=True):
+        if len(kept) < checkpointer.keep and len(cuts[cut]) == size:
+            data = _load_cut(size, cost, max_supersteps, cut, cuts[cut])
+            if data is not None:
+                kept.append(data)
+        for path in cuts[cut].values():
+            Path(path).unlink(missing_ok=True)
+    for data in reversed(kept):
+        checkpointer.commit(data)
 
 
 def _drive_job(
@@ -803,7 +789,6 @@ def _drive_job(
     fabric: P2PFabric,
     fault_plan: Any,
     stats: WorldStats,
-    heartbeats: Heartbeats,
     step0: int = 0,
     collector: RingCollector | None = None,
     tel: Any = NOOP_TELEMETRY,
@@ -821,7 +806,7 @@ def _drive_job(
     """
     tick = collector.drain if collector is not None else None
     with tel.span("job.collect", cat="run", tid=-1) as sp:
-        msgs = _recv_all(parents, procs, fabric, heartbeats, fault_plan, tick)
+        msgs = _recv_all(parents, procs, fabric, fault_plan, tick)
         if tel.enabled:
             # the coordinator lane's footprint, once the finals are in
             sp.note(rss_bytes=proc_rss_bytes())
@@ -878,7 +863,7 @@ def _check_mp_fault_plan(fault_plan: Any) -> None:
     if CAP_DROP in caps or CAP_DUPLICATE in caps:
         raise ValueError(
             "mp backend cannot inject message drops/duplications: payloads "
-            "travel real pipes and shared memory and cannot be un-sent; "
+            "travel real shared memory and cannot be un-sent; "
             "run drop/duplicate plans on the in-process engines "
             "(engine='bsp'/'event')"
         )
@@ -973,9 +958,9 @@ class MultiprocessingBSPEngine:
         ``checkpointer`` enables cross-process snapshots: workers write
         per-rank shards at checkpoint supersteps (into a ``<path>.shards/``
         sibling directory).  Once the workers have exited, on success and
-        on failure alike, the parent commits each complete cut there, in
-        ascending order, as an ordinary checkpoint manifest loadable by
-        either engine.  A cut is snapshotted only if its exchange carried
+        on failure alike, the parent commits the newest complete cuts there
+        (as many as the checkpointer keeps), in ascending order, as
+        ordinary checkpoint manifests loadable by either engine.  A cut is snapshotted only if its exchange carried
         traffic.
 
         ``initial_inboxes`` switches the run into *resume* mode (used by the
@@ -993,7 +978,6 @@ class MultiprocessingBSPEngine:
         if not resume_mode:
             self.stats = WorldStats.for_size(self.size)
             self.supersteps = 0
-        heartbeats = Heartbeats(self.size)
         ckpt = shards_path = None
         if checkpointer is not None:
             shards_path = checkpointer.path.parent / (checkpointer.path.name + ".shards")
@@ -1030,8 +1014,8 @@ class MultiprocessingBSPEngine:
                         target=_worker_main,
                         args=(
                             rank, self.size, child_conn, fabric, prog, fault_plan,
-                            self.max_supersteps, self.cost, heartbeats, resume, ckpt,
-                            ring, self.collect,
+                            self.max_supersteps, self.cost, resume, ckpt, ring,
+                            self.collect,
                         ),
                         daemon=True,
                     )
@@ -1042,7 +1026,7 @@ class MultiprocessingBSPEngine:
 
                 results, counters, supersteps, simulated = _drive_job(
                     parents, procs, self.size, fabric, fault_plan,
-                    self.stats, heartbeats, step0=self.supersteps,
+                    self.stats, step0=self.supersteps,
                     collector=collector, tel=self.tel,
                 )
             self.results, self.rank_counters = results, counters
@@ -1073,7 +1057,7 @@ class MultiprocessingBSPEngine:
                 # merge on every path: a crashed run's published history is
                 # exactly what the post-mortem trace needs
                 collector.merge_into(self.tel)
-                ring.close(unlink=True)
+                ring.close()
             if checkpointer is not None:
                 # every worker has exited, so no shard is still in flight
                 _commit_cuts(

@@ -4,14 +4,16 @@ The paper's ranks message each other directly; so do the workers of
 :mod:`repro.mpsim.mp_backend`.  :class:`P2PFabric` is the shared state that
 makes that possible with no parent on the data path.  It is created
 *before* the workers fork and inherited by all of them, and provides three
-shared facilities:
+shared facilities.  Its memory is anonymous ``MAP_SHARED`` mappings, like
+:class:`repro.core.parallel_pa.ResultRegions`: they have no name, so they
+are gone with the last process that maps them and a killed run leaks none.
 
-**Mailbox matrix.**  A single ``multiprocessing.shared_memory`` segment
-holds one fixed-size slot (:data:`SLOT_BYTES`) per ``(src, dst, parity)``
-triple.  In superstep ``s`` rank ``src`` writes, for every ``dst``, a small
-pickled list of payload descriptors (produced by the shm payload writer)
-into slot ``(src, dst, s % 2)``; after the barrier, rank ``dst`` reads
-column ``(*, dst, s % 2)`` in source order.  Slots are double-buffered by
+**Mailbox matrix.**  One mapping holds one fixed-size slot
+(:data:`SLOT_BYTES`) per ``(src, dst, parity)`` triple.  In superstep ``s``
+rank ``src`` writes, for every ``dst``, a small pickled list of payload
+descriptors (produced by the shm payload writer) into slot
+``(src, dst, s % 2)``; after the barrier, rank ``dst`` reads column
+``(*, dst, s % 2)`` in source order.  Slots are double-buffered by
 superstep parity exactly like the payload segments: superstep ``s + 1``
 writes the other parity, and parity ``s % 2`` is not rewritten until
 superstep ``s + 2`` — by which time every reader of superstep ``s`` has
@@ -22,7 +24,10 @@ sufficient.
 counters, and virtual step times.  Every rank publishes its triple before
 the barrier and reads everyone's after it, so all ranks take the same
 termination decision on the same superstep — distributed termination
-detection with shared counters instead of a coordinator round.
+detection with shared counters instead of a coordinator round.  Two more
+per-rank rows record progress: the superstep whose barrier each rank last
+reached, and the superstep each rank last entered (its heartbeat,
+:meth:`P2PFabric.beat`), which tells the parent where a dead worker died.
 
 **Barrier.**  A ``multiprocessing.Barrier`` (semaphore-backed, so waiting
 ranks *block* instead of spinning — essential on oversubscribed hosts where
@@ -33,9 +38,10 @@ waiting out the timeout.
 
 from __future__ import annotations
 
+import mmap
 import pickle
+import secrets
 import struct
-from multiprocessing import shared_memory
 from typing import Any
 
 import numpy as np
@@ -69,9 +75,8 @@ class P2PFabric:
 
     Create in the parent before forking; every worker uses the inherited
     object directly.  The parent calls :meth:`close` once after the workers
-    are gone.  :attr:`name` (the mailbox segment's
-    name) is unique to the fabric, so the backend derives its workers'
-    payload-segment names from it.
+    are gone.  :attr:`name` is a random token unique to the fabric; the
+    backend prefixes its workers' payload-segment names with it.
 
     Parameters
     ----------
@@ -90,30 +95,28 @@ class P2PFabric:
         self.size = size
         self.timeout = timeout
         self._slot = _HEADER + SLOT_BYTES
-        self._mail = shared_memory.SharedMemory(
-            create=True, size=max(size * size * 2 * self._slot, 1)
-        )
-        self.name = self._mail.name
+        self.name = f"repro_{secrets.token_hex(4)}"
+        self._mail = mmap.mmap(-1, max(size * size * 2 * self._slot, 1))
         # control block: done flags, sent-record counters, virtual step
-        # times — each [2][size], indexed by superstep parity — plus one
-        # [size] barrier-progress row (highest superstep whose barrier each
-        # rank has *reached*, for attributing a broken barrier to the
-        # rank(s) that never arrived)
-        self._ctl = shared_memory.SharedMemory(create=True, size=2 * size * 8 * 3 + size * 8)
-        self._done = np.frombuffer(self._ctl.buf, np.int64, 2 * size, 0).reshape(2, size)
+        # times — each [2][size], indexed by superstep parity — then two
+        # [size] rows: barrier progress (highest superstep whose barrier
+        # each rank has *reached*, for attributing a broken barrier to the
+        # rank(s) that never arrived) and heartbeats (the superstep each
+        # rank last entered, for attributing a dead worker)
+        self._ctl = mmap.mmap(-1, 8 * size * 8)
+        self._done = np.frombuffer(self._ctl, np.int64, 2 * size, 0).reshape(2, size)
         self._traffic = np.frombuffer(
-            self._ctl.buf, np.int64, 2 * size, 2 * size * 8
+            self._ctl, np.int64, 2 * size, 2 * size * 8
         ).reshape(2, size)
         self._times = np.frombuffer(
-            self._ctl.buf, np.float64, 2 * size, 4 * size * 8
+            self._ctl, np.float64, 2 * size, 4 * size * 8
         ).reshape(2, size)
-        self._progress = np.frombuffer(
-            self._ctl.buf, np.int64, size, 6 * size * 8
-        )
-        self._done[:] = 0
-        self._traffic[:] = 0
-        self._times[:] = 0.0
+        self._progress = np.frombuffer(self._ctl, np.int64, size, 6 * size * 8)
+        self._entered = np.frombuffer(self._ctl, np.int64, size, 7 * size * 8)
+        # anonymous mappings start zeroed; only the progress rows start at
+        # "no superstep yet"
         self._progress[:] = -1
+        self._entered[:] = -1
         self.barrier = mp.get_context("fork").Barrier(size)
 
     # ------------------------------------------------------------- mailboxes
@@ -129,7 +132,7 @@ class P2PFabric:
         data.
         """
         parity = superstep % 2
-        buf = self._mail.buf
+        buf = self._mail
         for dst in range(self.size):
             if dst == src:
                 continue
@@ -155,7 +158,7 @@ class P2PFabric:
         which is what keeps the two engines bit-identical.
         """
         parity = superstep % 2
-        buf = self._mail.buf
+        buf = self._mail
         inbox: list[tuple[int, Any]] = []
         for src in range(self.size):
             if src == dst:
@@ -164,7 +167,7 @@ class P2PFabric:
             (length,) = _LEN.unpack_from(buf, off)
             if length == 0:
                 continue
-            descs = pickle.loads(bytes(buf[off + _HEADER : off + _HEADER + length]))
+            descs = pickle.loads(buf[off + _HEADER : off + _HEADER + length])
             inbox.extend((src, desc) for desc in descs)
         return inbox
 
@@ -195,6 +198,21 @@ class P2PFabric:
     def traffic(self, superstep: int) -> int:
         """Post-barrier: total records sent world-wide in ``superstep``."""
         return int(self._traffic[superstep % 2].sum())
+
+    # ------------------------------------------------------------ heartbeats
+    def beat(self, rank: int, superstep: int) -> None:
+        """Record that ``rank`` is alive and entering ``superstep``.
+
+        Lock-free: each rank writes only its own slot and the parent only
+        reads, so a torn read costs at most an off-by-one superstep in an
+        error message.
+        """
+        self._entered[rank] = superstep
+
+    def last_superstep(self, rank: int) -> int | None:
+        """The last superstep ``rank`` reported entering, or None if never."""
+        s = int(self._entered[rank])
+        return None if s < 0 else s
 
     # --------------------------------------------------------------- barrier
     def wait(self, rank: int, superstep: int) -> None:
@@ -235,16 +253,13 @@ class P2PFabric:
 
     # --------------------------------------------------------------- cleanup
     def close(self) -> None:
-        """Detach and destroy the shared segments (parent only)."""
-        # drop the numpy views first: SharedMemory.close() refuses while
-        # exported buffers exist
-        self._done = self._traffic = self._times = self._progress = None
-        for seg in (self._mail, self._ctl):
-            if seg is None:
-                continue
-            try:
-                seg.close()
-                seg.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._mail = self._ctl = None
+        """Unmap the fabric in this process (parent only, workers gone).
+
+        The mappings have no name, so there is nothing to unlink.
+        """
+        # drop the numpy views first: mmap.close() refuses while exported
+        # buffers exist
+        self._done = self._traffic = self._times = None
+        self._progress = self._entered = None
+        self._mail.close()
+        self._ctl.close()

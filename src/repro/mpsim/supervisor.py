@@ -9,8 +9,9 @@ engine-agnostic: any object satisfying the BSP engine protocol works —
 (and ``tracer=...`` when one is passed) — which covers both the simulated
 :class:`~repro.mpsim.bsp.BSPEngine` and the real-process
 :class:`~repro.mpsim.mp_backend.MultiprocessingBSPEngine` (whose failures
-are real ``SIGKILL``-ed workers, detected by sentinel/heartbeat and
-resumed from cross-process checkpoint shards).  The loop:
+are real ``SIGKILL``-ed workers, detected by their sentinels, placed by the
+exchange fabric's heartbeat row, and resumed from cross-process checkpoint
+shards).  The loop:
 
 1. run the job under a :class:`~repro.mpsim.checkpoint.Checkpointer`;
 2. on :class:`~repro.mpsim.errors.RankFailure` (or

@@ -4,9 +4,10 @@ The mp workers live in their own address spaces; their telemetry has to
 cross a process boundary to reach the coordinator.  Sending it down the job
 pipes would put observability on the critical path (and lose everything a
 ``SIGKILL``-ed worker had buffered).  :class:`EventRing` is the alternative:
-a single ``multiprocessing.shared_memory`` segment holding ``slots``
-fixed-size cells plus a tiny header, created by the coordinator *before*
-forking and inherited by every worker.
+one anonymous ``MAP_SHARED`` mapping holding ``slots`` fixed-size cells plus
+a tiny header, created by the coordinator *before* forking and inherited by
+every worker.  The mapping has no name, so it is gone with the last process
+that maps it: a killed run leaks none.
 
 Semantics — chosen for the hot path, in this order:
 
@@ -15,8 +16,8 @@ Semantics — chosen for the hot path, in this order:
    advances) and the shared ``dropped`` counter increments.  Telemetry
    degrades by forgetting history, never by stalling a superstep.
 2. **A crashed writer loses only its unwritten events.**  Slots are written
-   under a short mutex held for one memcpy; the coordinator owns the
-   segment, so everything published before a death remains drainable.
+   under a short mutex held for one memcpy; the coordinator maps the
+   ring too, so everything published before a death remains drainable.
 3. **Bounded everything.**  Events larger than ``slot_bytes`` are counted
    dropped and skipped (no resizing, no spillover); mutex acquisition is
    bounded by ``timeout`` so a pathologically wedged peer costs a dropped
@@ -32,21 +33,15 @@ Examples
 True
 >>> [b[0] for b in ring.drain()], ring.dropped
 ([2, 3, 4, 5], 2)
->>> ring.close(unlink=True)
+>>> ring.close()
 """
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing as mp
 import struct
 from typing import Any
-
-from repro.mpsim.errors import MPSimError
-
-try:  # pragma: no cover - import guard exercised only on exotic platforms
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None
 
 __all__ = ["EventRing"]
 
@@ -61,8 +56,7 @@ class EventRing:
 
     Create in the coordinator before forking workers; the inherited object
     is shared.  Producers call :meth:`put`, the coordinator :meth:`drain`.
-    The coordinator calls :meth:`close` with ``unlink=True`` once the
-    workers are gone.
+    The coordinator calls :meth:`close` once the workers are gone.
 
     Parameters
     ----------
@@ -78,8 +72,6 @@ class EventRing:
     def __init__(
         self, slots: int = 8192, slot_bytes: int = 2048, timeout: float = 0.25
     ) -> None:
-        if _shared_memory is None:  # pragma: no cover - platform guard
-            raise MPSimError("EventRing requires multiprocessing.shared_memory")
         if slots <= 0:
             raise ValueError(f"slots must be positive, got {slots}")
         if slot_bytes <= 0:
@@ -88,18 +80,16 @@ class EventRing:
         self.slot_bytes = int(slot_bytes)
         self.timeout = timeout
         self._cell = _SLOT_LEN.size + self.slot_bytes
-        self._shm = _shared_memory.SharedMemory(
-            create=True, size=_HEADER.size + self.slots * self._cell
-        )
-        self._shm.buf[: _HEADER.size] = _HEADER.pack(0, 0, 0)
+        # anonymous mappings start zeroed: head, tail and dropped are 0
+        self._buf = mmap.mmap(-1, _HEADER.size + self.slots * self._cell)
         self._lock = mp.get_context("fork").Lock()
 
     # -------------------------------------------------------------- internal
     def _read_header(self) -> tuple[int, int, int]:
-        return _HEADER.unpack_from(self._shm.buf, 0)
+        return _HEADER.unpack_from(self._buf, 0)
 
     def _write_header(self, head: int, tail: int, dropped: int) -> None:
-        _HEADER.pack_into(self._shm.buf, 0, head, tail, dropped)
+        _HEADER.pack_into(self._buf, 0, head, tail, dropped)
 
     def _slot_offset(self, seq: int) -> int:
         return _HEADER.size + (seq % self.slots) * self._cell
@@ -124,9 +114,9 @@ class EventRing:
                 tail += 1  # drop-oldest: the reader will simply never see it
                 dropped += 1
             off = self._slot_offset(head)
-            _SLOT_LEN.pack_into(self._shm.buf, off, len(payload))
+            _SLOT_LEN.pack_into(self._buf, off, len(payload))
             start = off + _SLOT_LEN.size
-            self._shm.buf[start : start + len(payload)] = payload
+            self._buf[start : start + len(payload)] = payload
             self._write_header(head + 1, tail, dropped)
             return True
         finally:
@@ -145,9 +135,9 @@ class EventRing:
             out: list[bytes] = []
             for i in range(n):
                 off = self._slot_offset(tail + i)
-                (length,) = _SLOT_LEN.unpack_from(self._shm.buf, off)
+                (length,) = _SLOT_LEN.unpack_from(self._buf, off)
                 start = off + _SLOT_LEN.size
-                out.append(bytes(self._shm.buf[start : start + length]))
+                out.append(self._buf[start : start + length])
             self._write_header(head, tail + n, dropped)
             return out
         finally:
@@ -164,20 +154,12 @@ class EventRing:
         return self._read_header()[2]
 
     # --------------------------------------------------------------- cleanup
-    def close(self, unlink: bool = False) -> None:
-        """Detach (and with ``unlink=True``, destroy) the shared segment."""
-        if self._shm is None:
-            return
-        try:
-            self._shm.close()
-            if unlink:
-                self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-        self._shm = None
+    def close(self) -> None:
+        """Unmap the ring in this process; a second call does nothing."""
+        self._buf.close()
 
     def __reduce__(self) -> Any:  # pragma: no cover - guard, not a feature
         raise TypeError(
             "EventRing cannot be pickled; create it before forking so "
-            "workers inherit the segment"
+            "workers inherit the mapping"
         )

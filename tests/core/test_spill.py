@@ -42,6 +42,7 @@ from repro.core.spill import (
 )
 from repro.graph.edgelist import EdgeList
 from repro.mpsim.errors import CorruptCheckpointError, RankFailure
+from repro.mpsim.faults import FaultPlan
 
 pytestmark = pytest.mark.usefixtures("no_leftovers")
 
@@ -476,6 +477,17 @@ class TestGenerateOutOfCore:
         assert sorted(p.name for p in (tmp_path / "edges").iterdir()) == [
             "u.i64", "v.i64"
         ]
+
+    @pytest.mark.parametrize("engine", ["bsp", "mp"])
+    def test_failed_run_leaves_no_region_file(self, tmp_path, engine):
+        """A run that raises removes the columns it laid out and any
+        manifests its ranks sealed: no half-written region survives it."""
+        with pytest.raises(RankFailure):
+            generate(
+                20_000, x=2, ranks=2, engine=engine, seed=1, out_of_core=str(tmp_path),
+                fault_plan=FaultPlan().crash(1, at_superstep=2),
+            )
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_copy_x4_bsp_footprint(tmp_path):

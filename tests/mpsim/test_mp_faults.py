@@ -11,16 +11,20 @@ itself, so the parent must: no run leaves shared memory behind.
 """
 
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.core.generator import generate
+import repro
+from repro.core.generator import generate, rank_programs
 from repro.core.parallel_pa import PAx1RankProgram
 from repro.core.partitioning import make_partition
+from repro.mpsim.checkpoint import Checkpointer, load_checkpoint
 from repro.mpsim.errors import RankFailure
 from repro.mpsim.faults import FaultPlan
-from repro.mpsim.heartbeat import Heartbeats
 from repro.mpsim.mp_backend import MultiprocessingBSPEngine
 from repro.rng import StreamFactory
 
@@ -88,6 +92,18 @@ def test_recovery_resumes_from_the_newest_complete_cut(tmp_path):
         assert [e.superstep for e in result.recoveries] == [1], f"run {i}"
 
 
+def test_checkpointed_run_commits_only_the_kept_cuts(tmp_path):
+    """The run seals 13 cuts; the coordinator commits only the newest 3,
+    which are all ``keep=3`` retains, and deletes the other cuts' shards
+    unread instead of committing and rotating them away."""
+    ckpt = Checkpointer(tmp_path / "run.ckpt", keep=3)
+    eng = MultiprocessingBSPEngine(3)
+    eng.run(rank_programs(make_partition("rrp", 3_000, 3), 2, 0.5, 5), checkpointer=ckpt)
+    assert ckpt.snapshots == 3
+    assert [load_checkpoint(p).supersteps for p in ckpt.history()] == [13, 12, 11]
+    assert list((tmp_path / "run.ckpt.shards").iterdir()) == []
+
+
 # --------------------------------------------------------- death attribution
 def test_unsupervised_crash_names_rank_and_superstep():
     """Without a supervisor, the kill surfaces as RankFailure naming the
@@ -141,21 +157,57 @@ def test_sigkilled_workers_leave_no_shared_memory(tmp_path, shm_ledger):
     assert shm_ledger.leaked() == []
 
 
+#: one interpreter's mp runs: the copy model, commfree, a traced run and a
+#: crashed one; prints whether the resource tracker was ever started
+_MP_RUNS = """
+import sys
+from multiprocessing import resource_tracker
+
+from repro import Telemetry, generate
+from repro.mpsim.errors import RankFailure
+from repro.mpsim.faults import FaultPlan
+
+generate(20_000, x=4, ranks=2, seed=1, engine="mp")
+generate(20_000, x=1, ranks=2, seed=1, engine="mp", generator="commfree")
+generate(20_000, x=2, ranks=2, seed=1, engine="mp", telemetry=Telemetry())
+try:
+    generate(20_000, x=2, ranks=2, seed=1, engine="mp",
+             fault_plan=FaultPlan().crash(1, at_superstep=2))
+except RankFailure:
+    pass
+else:
+    sys.exit("the crashed run did not raise RankFailure")
+print(resource_tracker._resource_tracker._pid)
+"""
+
+
+def test_mp_runs_start_no_resource_tracker_and_leave_no_process(tmp_path):
+    """No mp run, healthy or failed, starts Python's resource tracker, so
+    nothing of an mp program outlives it: its process group is gone as
+    soon as it exits.  Output goes to files, not pipes, so a lingering
+    process that inherited them cannot hold up the wait."""
+    out, err = tmp_path / "out", tmp_path / "err"
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    with open(out, "w") as fo, open(err, "w") as fe:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _MP_RUNS], stdout=fo, stderr=fe, env=env,
+            start_new_session=True,
+        )
+        code = proc.wait(timeout=120)
+    exited = time.monotonic()
+    while True:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        lingered = time.monotonic() - exited
+        assert lingered < 0.2, f"the child's process group outlived it by {lingered:.2f} s"
+        time.sleep(0.005)
+    assert code == 0, err.read_text()
+    assert out.read_text().split() == ["None"]
+
+
 # --------------------------------------------------------------- heartbeats
-def test_heartbeat_board_tracks_progress():
-    hb = Heartbeats(3)
-    assert hb.last_superstep(0) is None  # never beat
-    hb.beat(0, 1)
-    hb.beat(0, 2)
-    hb.beat(1, 7)
-    assert hb.last_superstep(0) == 2
-    assert hb.last_superstep(1) == 7
-    assert hb.last_superstep(2) is None
-    assert hb.age(0) < 1.0
-    with pytest.raises(ValueError):
-        Heartbeats(0)
-
-
 def test_heartbeat_attribution_marks_coordinator_plan_copy():
     """The killed worker's forked plan copy dies with it; the coordinator
     marks the crash fired on ITS copy, so a supervised retry of the same

@@ -1,0 +1,71 @@
+"""Unit tests for the exchange fabric's heartbeat row.
+
+The mp backend's workers beat the fabric at the top of every superstep;
+when one dies, the parent reads the row to attribute the death to the
+superstep the rank last entered.
+"""
+
+from __future__ import annotations
+
+import multiprocessing as mp
+
+import pytest
+
+from repro.mpsim.p2p import P2PFabric
+
+
+@pytest.fixture
+def fabric():
+    f = P2PFabric(3)
+    yield f
+    f.close()
+
+
+def test_size_must_be_positive():
+    with pytest.raises(ValueError):
+        P2PFabric(0)
+    with pytest.raises(ValueError):
+        P2PFabric(-3)
+
+
+def test_never_beaten_rank_reports_none(fabric):
+    assert [fabric.last_superstep(r) for r in range(3)] == [None, None, None]
+
+
+def test_beat_records_superstep_per_rank(fabric):
+    fabric.beat(0, 5)
+    fabric.beat(2, 9)
+    assert [fabric.last_superstep(r) for r in range(3)] == [5, None, 9]
+
+
+def test_last_beat_wins(fabric):
+    for superstep in (1, 2, 7):
+        fabric.beat(0, superstep)
+    assert fabric.last_superstep(0) == 7
+
+
+def test_superstep_zero_counts_as_beaten(fabric):
+    fabric.beat(1, 0)
+    assert fabric.last_superstep(1) == 0
+
+
+def test_beats_are_not_barrier_progress(fabric):
+    # the two rows answer different questions: where a rank died, and
+    # which ranks reached a barrier
+    fabric.beat(0, 4)
+    assert int(fabric._progress[0]) == -1
+
+
+def _child_beats(fabric: P2PFabric, rank: int, superstep: int) -> None:
+    fabric.beat(rank, superstep)
+
+
+def test_beats_cross_process_via_fork_inheritance(fabric):
+    # the fabric is created pre-fork and inherited, exactly as the mp
+    # backend uses it; the parent must observe the child's beat
+    proc = mp.get_context("fork").Process(target=_child_beats, args=(fabric, 1, 42))
+    proc.start()
+    proc.join(timeout=10)
+    assert proc.exitcode == 0
+    assert fabric.last_superstep(1) == 42
+    assert fabric.last_superstep(0) is None

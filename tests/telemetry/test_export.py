@@ -136,7 +136,7 @@ def test_collector_merges_ring_events_once():
         assert len(master.spans.instants) == 1
         assert master.dropped_events == 0
     finally:
-        ring.close(unlink=True)
+        ring.close()
 
 
 def test_collector_counts_drops_and_torn_cells():
@@ -152,4 +152,4 @@ def test_collector_counts_drops_and_torn_cells():
         assert len(master.spans.instants) == 3
         assert master.to_chrome_trace()["metadata"]["dropped_events"] == 4
     finally:
-        ring.close(unlink=True)
+        ring.close()

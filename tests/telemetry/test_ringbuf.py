@@ -20,7 +20,7 @@ from repro.telemetry.ringbuf import EventRing
 def ring():
     r = EventRing(slots=8, slot_bytes=64)
     yield r
-    r.close(unlink=True)
+    r.close()
 
 
 def test_put_drain_round_trip(ring):
@@ -67,13 +67,13 @@ def test_ring_refuses_pickling():
         with pytest.raises(TypeError):
             pickle.dumps(ring)
     finally:
-        ring.close(unlink=True)
+        ring.close()
 
 
 def test_close_is_idempotent():
     ring = EventRing(slots=4, slot_bytes=16)
-    ring.close(unlink=True)
-    ring.close(unlink=True)
+    ring.close()
+    ring.close()
 
 
 @settings(max_examples=25, deadline=None)
@@ -91,7 +91,7 @@ def test_property_drained_plus_dropped_equals_put(slots, puts):
         # survivors are exactly the newest `pending` puts, in order
         assert [b[0] for b in drained] == puts[len(puts) - len(drained):]
     finally:
-        ring.close(unlink=True)
+        ring.close()
 
 
 # ----------------------------------------------------- concurrent producers
@@ -128,7 +128,7 @@ def test_concurrent_writers_account_for_every_event():
             seqs = [int.from_bytes(b[1:], "little") for b in drained if b[0] == w]
             assert seqs == sorted(seqs)  # per-writer order preserved
     finally:
-        ring.close(unlink=True)
+        ring.close()
 
 
 def test_worker_events_survive_a_sigkill():
@@ -152,4 +152,4 @@ def test_worker_events_survive_a_sigkill():
         assert p.exitcode == -signal.SIGKILL
         assert [b[1] for b in ring.drain()] == list(range(10))
     finally:
-        ring.close(unlink=True)
+        ring.close()
