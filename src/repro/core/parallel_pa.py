@@ -306,15 +306,22 @@ class PAx1RankProgram:
         _check_wire(self.rank, inbox, (REQUEST_DTYPE, REPLY_DTYPE))
         out: dict[int, list[np.ndarray]] = defaultdict(list)
 
-        if not self._started:
+        # only the setup and a reply can give a pending row somewhere to
+        # move: after a sweep each one points at an anchor, and only
+        # ``_apply_resolved`` writes an anchor
+        sweep = not self._started
+        if sweep:
             self._started = True
             self._setup(ctx, out)
 
         for _src, arr in inbox:
             if arr.dtype == REPLY_DTYPE and len(arr):
                 self._apply_resolved(arr, ctx)
+                sweep = True
 
-        self._local_sweep(ctx)
+        _check_pend(self._pend)
+        if sweep:
+            self._local_sweep(ctx)
 
         requests = [(src, arr) for src, arr in inbox if arr.dtype == REQUEST_DTYPE and len(arr)]
         self.requests_received += sum(len(arr) for _src, arr in requests)
@@ -375,31 +382,58 @@ class PAx1RankProgram:
     def _local_sweep(self, ctx: BSPRankContext) -> None:
         """Resolve local copy chains by pointer jumping inside ``F``.
 
-        Each pass gathers ``F[-2 - F[t]]`` for every pending ``t`` and
-        installs it unless it is ``-1``: a value resolves ``t``, a pointer
-        moves ``t`` one hop farther along its chain.  The sweep stops after
-        a pass that made no jump, which leaves every pending ``t`` pointing
-        at its chain's anchor, a node waiting on a remote reply.
+        A pass hops each of its rows ``t`` to ``F[-2 - F[t]]`` (:func:`_hop`)
+        unless that is ``-1``: a value resolves ``t`` and a pointer moves
+        ``t`` one hop farther along its chain.  The first pass takes the
+        whole pend queue; each later pass takes only the rows the pass
+        before moved onto a pointer, the active-set rule of
+        :func:`repro.seq.copy_model.resolve_pointers`, since a row that hit
+        ``-1`` points at its chain's anchor, a node waiting on a remote
+        reply, and nothing in the sweep writes one.  The queue is compacted
+        once, after the last pass, and every row left points at its anchor.
         """
-        while len(self._pend):
-            if self._pend.ncols != 1:
-                raise ValueError(
-                    f"x=1 pend queue has {self._pend.ncols} columns, expected "
-                    "1; checkpoints written before local waits moved into F "
-                    "do not resume"
-                )
-            (pend_t,) = self._pend.columns()
-            nxt = self.F.take(-2 - self.F.take(pend_t))
+        if not len(self._pend):
+            return
+        (pend_t,) = self._pend.columns()
+        F = self.F
+        t = pend_t
+        n_done = 0
+        while True:
+            nxt = _hop(F, t)
             jump = np.flatnonzero(nxt != -1)
-            if not len(jump):
-                return
-            self.F[pend_t.take(jump)] = nxt.take(jump)
-            done = nxt >= 0
-            n_done = int(np.count_nonzero(done))
-            if n_done:
-                self._unresolved -= n_done
-                ctx.charge(work_items=n_done)
-                self._pend.keep(~done)
+            if len(jump) < len(t):
+                if not len(jump):
+                    break
+                t, nxt = t.take(jump), nxt.take(jump)
+            F[t] = nxt
+            more = np.flatnonzero(nxt < -1)
+            n_done += len(t) - len(more)
+            if not len(more):
+                break
+            if len(more) < len(t):
+                t = t.take(more)
+        if not n_done:
+            return
+        self._unresolved -= n_done
+        ctx.charge(work_items=n_done)
+        if n_done == len(pend_t):
+            self._pend.clear()
+        else:
+            self._pend.keep(F.take(pend_t) < -1)
+
+
+def _hop(F: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """One pointer jump of the pending slots ``t``: ``F[-2 - F[t]]``."""
+    return F.take(-2 - F.take(t))
+
+
+def _check_pend(pend) -> None:
+    """Raise on a pend queue of another shape than ``(t idx,)``."""
+    if len(pend) and pend.ncols != 1:
+        raise ValueError(
+            f"x=1 pend queue has {pend.ncols} columns, expected 1; "
+            "checkpoints written before local waits moved into F do not resume"
+        )
 
 
 class ResultRegions:

@@ -53,8 +53,10 @@ Fault tolerance (see ``docs/fault_tolerance.md``):
   waiting out the barrier timeout.  Deaths surface as
   :class:`~repro.mpsim.errors.RankFailure` with the victim's rank and last
   superstep attached.  A killed worker cannot unlink its payload segments,
-  so the parent unlinks them itself (their names derive from the fabric and
-  the rank).  No segment is registered with Python's resource tracker
+  and a failed job's survivors leave theirs linked, since a peer woken late
+  from the aborted barrier may still read them; the parent unlinks every
+  rank's once all workers have exited (their names derive from the fabric
+  and the rank).  No segment is registered with Python's resource tracker
   (:func:`_segment`), so the engine's own unlinks are the only cleanup path
   and no run starts the tracker process.
 * With a :class:`~repro.mpsim.checkpoint.Checkpointer` attached, workers
@@ -178,8 +180,8 @@ def _unlink_segments(run: str, rank: int) -> None:
     two newest, whose ``seq`` the parent does not know.  Each segment's half
     at least doubles the last one's, so no worker gets past
     :data:`_MAX_SEGMENTS`, and the parent probes them all.  Call only once
-    the worker is dead; a clean exit leaves nothing and costs one failed
-    open per ``seq`` (~2 µs each).
+    every worker has exited; a clean exit leaves nothing and costs one
+    failed open per ``seq`` (~2 µs each).
     """
     for seq in range(_MAX_SEGMENTS):
         try:
@@ -589,8 +591,10 @@ def _worker_main(
     except Exception as exc:
         _report_error(conn, fabric, "mpsim", exc, rank, None)
     finally:
+        # a clean run closed the writer at quiescence; a failed one leaves
+        # its segments linked for a peer still reading them, and the parent
+        # unlinks them once every worker has exited
         reader.close()
-        writer.close()
 
 
 def _report_error(
@@ -1046,11 +1050,14 @@ class MultiprocessingBSPEngine:
             for conn in parents:
                 conn.close()
             deadline = time.monotonic() + (_FAILED_JOB_GRACE if failed else 10.0)
-            for rank, proc in enumerate(procs):
+            for proc in procs:
                 proc.join(timeout=max(deadline - time.monotonic(), 0.0))
                 if proc.is_alive():
                     proc.terminate()
                     proc.join(timeout=1)
+            # only now: a rank woken late from the aborted barrier reads its
+            # peers' segments, dead or not, before it saves its cut
+            for rank in range(len(procs)):
                 _unlink_segments(fabric.name, rank)
             fabric.close()
             if collector is not None:

@@ -222,9 +222,11 @@ class P2PFabric:
         waiting, so a broken barrier can be attributed: the raised
         :class:`~repro.mpsim.errors.RankFailure` names the lowest rank whose
         progress never reached this superstep's barrier — the casualty, not
-        the survivor that noticed.  When all ranks did arrive and the
-        barrier was aborted externally, a plain :class:`MPSimError` is
-        raised.
+        the survivor that noticed.  A broken barrier that every rank's
+        progress reached counts as passed: the rank woke late from a
+        barrier all ranks had arrived at, and the abort came after (a peer
+        died in the next superstep), so this cut is whole and the next
+        ``wait`` raises and attributes the death.
         """
         import threading
 
@@ -242,7 +244,6 @@ class P2PFabric:
                     ),
                     superstep=superstep,
                 )
-            raise MPSimError("p2p barrier broken (a peer rank aborted or timed out)")
 
     def abort(self) -> None:
         """Break the barrier so peer ranks fail fast instead of waiting."""

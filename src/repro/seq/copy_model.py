@@ -98,13 +98,16 @@ def _resolve_x1(
         t = np.arange(max(lo, 2), hi, dtype=np.int64)
         k, direct = draw_x1(rng, t, p)
         seg, slot = F[lo:hi], t - lo
-        seg[slot[direct]] = k[direct]
-        earlier = ~direct & (k < lo)
-        seg[slot[earlier]] = F[k[earlier]]
+        # index arrays, not boolean masks: a mask selection branches per row
+        # (docs/performance.md, "Selecting rows")
+        sel = np.flatnonzero(direct)
+        seg[slot.take(sel)] = k.take(sel)
+        sel = np.flatnonzero(~direct & (k < lo))
+        seg[slot.take(sel)] = F.take(k.take(sel))
         # in-block copies point at their source's slot, the rest at themselves
         ptr = np.arange(hi - lo, dtype=np.int64)
-        inner = ~direct & (k >= lo)
-        ptr[slot[inner]] = k[inner] - lo
+        sel = np.flatnonzero(~direct & (k >= lo))
+        ptr[slot.take(sel)] = k.take(sel) - lo
         seg[:] = seg[resolve_pointers(ptr)]
         yield lo, hi
 

@@ -137,15 +137,29 @@ class TestErrors:
 
 
 class _CountingQueue(RecordQueue):
-    """A RecordQueue that counts ``columns()`` calls: one per sweep pass."""
+    """A RecordQueue that counts ``columns()`` calls, each one gather of
+    the whole queue (a sweep gathers the pend queue once)."""
 
     def __init__(self, ncols, capacity=64):
         super().__init__(ncols, capacity)
-        self.passes = 0
+        self.gathers = 0
 
     def columns(self):
-        self.passes += 1
+        self.gathers += 1
         return super().columns()
+
+
+@pytest.fixture
+def hops(monkeypatch):
+    """The rows each pointer-jump pass of the x=1 sweep gathers, in order."""
+    rows, hop = [], parallel_pa._hop
+
+    def counted(F, t):
+        rows.append(len(t))
+        return hop(F, t)
+
+    monkeypatch.setattr(parallel_pa, "_hop", counted)
+    return rows
 
 
 class _Ctx:
@@ -174,16 +188,22 @@ class TestLocalSweep:
     """The pend queue pointer-jumps through ``F`` (``F[t] = -2 - kidx``)."""
 
     @pytest.mark.parametrize("n,p,seed", [(20_000, 0.2, 1), (5_000, 0.05, 2), (3_000, 0.5, 3)])
-    def test_all_local_chains_resolve_in_log_passes(self, n, p, seed):
+    def test_all_local_chains_resolve_in_log_passes(self, n, p, seed, hops):
         part = make_partition("ucp", n, 1)
         prog = PAx1RankProgram(
             0, part, p, StreamFactory(seed).stream(0), queue_factory=_CountingQueue
         )
         BSPEngine(1).run([prog])
         assert prog.done
-        l_max = int(dependency_chain_lengths(*_x1_draws(n, p, seed)).max())
+        k, direct = _x1_draws(n, p, seed)
+        l_max = int(dependency_chain_lengths(k, direct).max())
         assert l_max >= 8  # long enough that one pass per level would fail
-        assert prog._pend.passes <= math.ceil(math.log2(l_max)) + 2
+        assert len(hops) <= math.ceil(math.log2(l_max)) + 2
+        # one rank sweeps once, in the setup step: its first pass takes
+        # every copy and each later pass fewer rows, the ones still moving
+        assert prog._pend.gathers == 1
+        assert hops[0] == int(np.count_nonzero(~direct[1:]))
+        assert all(a > b for a, b in zip(hops, hops[1:]))
 
         edges = generate(n, partition=part, p=p, seed=seed).edges
         assert prog.local_edges() == edges
@@ -214,7 +234,7 @@ class TestLocalSweep:
         got = [np.concatenate(cols) for cols in zip(*(pr.result() for pr in progs))]
         assert EdgeList.from_arrays(*got) == edges
 
-    def test_hand_built_chains(self):
+    def test_hand_built_chains(self, hops):
         # rank 1 of ucp(10, 2) owns nodes 5..9 at local slots 0..4
         part = make_partition("ucp", 10, 2)
         prog = PAx1RankProgram(
@@ -232,7 +252,9 @@ class TestLocalSweep:
         assert prog.F.tolist() == [-1, -2, -2, 3, 3]
         assert prog._pend.column(0).tolist() == [1, 2]
         assert (ctx.work_items, prog._unresolved) == (1, unresolved - 1)
-        assert prog._pend.passes == 2  # one jump pass, one pass without
+        # the first pass takes all three rows; 9 resolves, 5 stops at the
+        # anchor, and only 7 (now pointing at 5) goes into a second pass
+        assert (hops, prog._pend.gathers) == ([3, 1], 1)
 
         reply = np.zeros(1, dtype=REPLY_DTYPE)
         reply["t"], reply["v"] = 5, 4
@@ -240,18 +262,50 @@ class TestLocalSweep:
         prog._local_sweep(ctx)
         assert prog.F.tolist() == [4, 4, 4, 3, 3]
         assert len(prog._pend) == 0
-        assert prog._pend.passes == 3
+        assert (hops, prog._pend.gathers) == ([3, 1, 2], 2)
         assert (ctx.work_items, prog._unresolved) == (4, unresolved - 4)
 
-    def test_empty_pend_queue(self):
+    def test_empty_pend_queue(self, hops):
         part = make_partition("ucp", 10, 2)
         prog = PAx1RankProgram(
             1, part, 0.5, StreamFactory(0).stream(1), queue_factory=_CountingQueue
         )
         ctx = _Ctx()
         prog._local_sweep(ctx)
-        assert (prog._pend.passes, ctx.work_items) == (0, 0)
+        assert (hops, prog._pend.gathers, ctx.work_items) == ([], 0, 0)
         assert (prog.F == -1).all()
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_only_the_setup_and_replies_start_a_sweep(self, scheme):
+        """A step whose inbox holds no reply gathers nothing, and a sweep
+        gathers the pend queue once, however many passes it makes."""
+        n, p, seed, P = 3_000, 0.2, 11, 2
+        part = make_partition(scheme, n, P)
+        idle, swept = [], []
+
+        class Counted(PAx1RankProgram):
+            def step(self, ctx, inbox):
+                setup = not self._started
+                replied = any(a.dtype == REPLY_DTYPE and len(a) for _s, a in inbox)
+                pend, gathers = len(self._pend), self._pend.gathers
+                out = super().step(ctx, inbox)
+                gathers = self._pend.gathers - gathers
+                (swept if setup or replied else idle).append((pend, gathers))
+                return out
+
+        factory = StreamFactory(seed)
+        progs = [
+            Counted(r, part, p, factory.stream(r), queue_factory=_CountingQueue)
+            for r in range(P)
+        ]
+        BSPEngine(P).run(progs)
+        assert any(pend for pend, _g in idle)  # waits sat out a step
+        assert all(gathers == 0 for _pend, gathers in idle)
+        assert sum(gathers for _pend, gathers in swept) > len(progs)
+        assert all(gathers <= 1 for _pend, gathers in swept)
+        edges = generate(n, partition=part, p=p, seed=seed).edges
+        got = [np.concatenate(cols) for cols in zip(*(pr.result() for pr in progs))]
+        assert EdgeList.from_arrays(*got) == edges
 
     def test_two_column_pend_queue_fails_loudly(self):
         """A checkpoint from before local waits moved into ``F`` held a

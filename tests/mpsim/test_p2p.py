@@ -1,8 +1,9 @@
-"""Unit tests for the exchange fabric's heartbeat row.
+"""Unit tests for the exchange fabric's heartbeat row and barrier.
 
 The mp backend's workers beat the fabric at the top of every superstep;
 when one dies, the parent reads the row to attribute the death to the
-superstep the rank last entered.
+superstep the rank last entered.  A broken barrier is attributed from the
+barrier-progress row instead.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import multiprocessing as mp
 
 import pytest
 
+from repro.mpsim.errors import RankFailure
 from repro.mpsim.p2p import P2PFabric
 
 
@@ -69,3 +71,31 @@ def test_beats_cross_process_via_fork_inheritance(fabric):
     assert proc.exitcode == 0
     assert fabric.last_superstep(1) == 42
     assert fabric.last_superstep(0) is None
+
+
+def test_broken_barrier_every_rank_reached_counts_as_passed():
+    # rank 0 wakes late from barrier 3, which rank 1 also reached; rank 1
+    # then died in superstep 4 and the parent aborted the barrier.  Cut 3
+    # is whole, so rank 0 goes on, and its next barrier names rank 1.
+    fabric = P2PFabric(2)
+    try:
+        fabric._progress[1] = 3
+        fabric.abort()
+        fabric.wait(0, 3)
+        with pytest.raises(RankFailure) as err:
+            fabric.wait(0, 4)
+        assert (err.value.rank, err.value.superstep) == (1, 4)
+    finally:
+        fabric.close()
+
+
+def test_broken_barrier_a_rank_never_reached_names_it():
+    fabric = P2PFabric(2)
+    try:
+        fabric._progress[1] = 2
+        fabric.abort()
+        with pytest.raises(RankFailure) as err:
+            fabric.wait(0, 3)
+        assert (err.value.rank, err.value.superstep) == (1, 3)
+    finally:
+        fabric.close()
