@@ -258,14 +258,18 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         config["fault"] = {"crashes": [crash]}
 
     t0 = time.perf_counter()
-    report = explore(
-        config,
-        policy=args.policy,
-        schedules=args.schedules,
-        policy_seed=args.policy_seed,
-        watchdog_factor=args.watchdog_factor,
-        artifact_dir=str(args.artifact_dir) if args.artifact_dir else None,
-    )
+    try:
+        report = explore(
+            config,
+            policy=args.policy,
+            schedules=args.schedules,
+            policy_seed=args.policy_seed,
+            watchdog_factor=args.watchdog_factor,
+            artifact_dir=str(args.artifact_dir) if args.artifact_dir else None,
+        )
+    except ValueError as exc:  # the config's one-line RunSpec rejection
+        print(exc, file=sys.stderr)
+        return 2
     wall = time.perf_counter() - t0
     base = report.baseline
     base_desc = base.error or f"digest {base.digest[:12]}"

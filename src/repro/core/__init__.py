@@ -13,8 +13,9 @@
 * :mod:`repro.core.parallel_pa_general` — Algorithm 3.2 (``x >= 1``);
 * :mod:`repro.core.arbitration` — Algorithm 3.2's first-wins duplicate
   arbitration, shared with the vectorised sequential copy model;
-* :mod:`repro.core.event_driven` — the literal per-message pseudocode on the
-  event-driven engine (small n, used for cross-validation);
+* :mod:`repro.core.event_driven` — Algorithm 3.1's literal per-message
+  pseudocode on the event-driven engine (``x = 1`` only; the Section 3.5
+  buffering demonstrations and cross-validation);
 * :mod:`repro.core.commfree` — the communication-free generator family
   (Sanders & Schulz): counter-based randomness makes every endpoint
   recomputable locally, so parallel ranks exchange nothing;

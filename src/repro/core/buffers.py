@@ -14,7 +14,7 @@ matter:
   the resolved record the other needs — circular waiting, i.e. deadlock
   (Section 3.5.2).
 
-The event-driven Algorithm 3.1/3.2 implementation uses this class directly;
+The event-driven Algorithm 3.1 implementation uses this class directly;
 ``tests/core/test_deadlock.py`` demonstrates that disabling the every-group
 flush under RRP reproduces the deadlock the paper warns about.
 """

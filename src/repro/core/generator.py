@@ -17,8 +17,9 @@ Engines:
     the production bulk-synchronous implementation (Algorithms 3.1/3.2 with
     the paper's message buffering taken to its superstep conclusion);
 ``"event"``
-    the literal per-message pseudocode on the event-driven simulator (small
-    ``n`` — used for demonstrations and cross-validation);
+    Algorithm 3.1's literal per-message pseudocode on the event-driven
+    simulator (``x = 1`` only — used for the Section 3.5 buffering
+    demonstrations and cross-validation, bit-identical to ``"bsp"``);
 ``"sequential"``
     one rank (``ranks`` must be 1), the ``T_s`` baseline: the blocked copy
     model (:func:`~repro.seq.copy_model.copy_model_x1`) at ``x = 1``, the
@@ -125,8 +126,8 @@ class RunSpec:
     scheme: str = _knob("rrp", "partitioning scheme: ucp, lcp, rrp, or ecp", "--scheme")
     seed: int | None = _knob(None, "root seed; the same spec reproduces the same graph",
                              "--seed", parse=int)
-    engine: str = _knob("bsp", "bsp, event, sequential (ranks=1; at x>1 the ranks=1 "
-                               "bsp run), or mp", "--engine")
+    engine: str = _knob("bsp", "bsp, event (x=1), sequential (ranks=1; at x>1 the "
+                               "ranks=1 bsp run), or mp", "--engine")
     partition: Partition | None = _knob(None, "pre-built partition; overrides ranks "
                                               "and scheme")
     cost_model: CostModel | None = _knob(None, "virtual-time charges of the simulated "
@@ -365,6 +366,11 @@ CONFLICTS: tuple[Conflict, ...] = (
         "to simulate — use engine 'sequential', 'bsp', or 'mp'",
     ),
     Conflict(
+        "event-x", lambda k: k.engine == "event" and k.x > 1,
+        "the event engine runs Algorithm 3.1 (x=1) only, got x={x} — use "
+        "engine='bsp'",
+    ),
+    Conflict(
         "barrier-timeout", lambda k: not k.barrier_timeout > 0,
         "barrier_timeout must be > 0 seconds, got {barrier_timeout}",
     ),
@@ -440,11 +446,11 @@ def generate(*args: Any, **knobs: Any) -> GenerationResult:
             )
         else:
             if engine == "event":
-                from repro.core.event_driven import run_event_driven_pa
+                from repro.core.event_driven import run_event_driven_pa_x1
 
                 with tel.span("event.run", cat="run", tid=-1, n=n, x=x) as sp:
-                    edges, sim = run_event_driven_pa(
-                        n, x, part, p=spec.p, seed=spec.seed,
+                    edges, sim = run_event_driven_pa_x1(
+                        n, part, p=spec.p, seed=spec.seed,
                         cost_model=spec.cost_model, fault_plan=plan,
                     )
                     sp.note(virtual_total_s=sim.makespan)

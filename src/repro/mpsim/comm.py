@@ -12,16 +12,17 @@ call cannot be expressed inside a generator any other way):
         msg = yield comm.recv()
         comm.charge(nodes=1)
 
-Algorithms 3.1 and 3.2 exchange only buffered point-to-point
-``<request>``/``<resolved>`` messages (Section 3.5), so this is the whole
-surface the event engine needs.
+Algorithm 3.1 exchanges only buffered point-to-point
+``<request>``/``<resolved>`` messages (Section 3.5) and receives whichever
+arrives first, so this is the whole surface the event engine needs: a
+receive takes the rank's next message, from any source, with any tag.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.mpsim.datatypes import ANY_SOURCE, ANY_TAG, TAG_DEFAULT
+from repro.mpsim.datatypes import TAG_DEFAULT
 from repro.mpsim.runtime import Recv, RecvOrQuiesce
 
 __all__ = ["Comm"]
@@ -40,17 +41,17 @@ class Comm:
         """Eager buffered send (returns immediately, like ``MPI_Bsend``)."""
         self._sim.post_send(self.rank, dest, payload, tag)
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Recv:
+    def recv(self) -> Recv:
         """Blocking-receive operation; use as ``msg = yield comm.recv()``."""
-        return Recv(source, tag)
+        return Recv()
 
-    def recv_or_quiesce(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvOrQuiesce:
+    def recv_or_quiesce(self) -> RecvOrQuiesce:
         """Receive that returns ``None`` at global quiescence (termination)."""
-        return RecvOrQuiesce(source, tag)
+        return RecvOrQuiesce()
 
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """Non-blocking test for a deliverable matching message."""
-        return self._sim.iprobe(self.rank, source, tag)
+    def iprobe(self) -> bool:
+        """Non-blocking test for a deliverable message."""
+        return self._sim.iprobe(self.rank)
 
     # -- cost accounting ----------------------------------------------------
     def charge(self, nodes: int = 0, work_items: int = 0) -> None:

@@ -18,18 +18,11 @@ from typing import Any
 import numpy as np
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
     "TAG_DEFAULT",
     "Envelope",
     "charged_nbytes",
     "payload_nbytes",
 ]
-
-#: Wildcard source for receives, mirroring ``MPI.ANY_SOURCE``.
-ANY_SOURCE = -1
-#: Wildcard tag for receives, mirroring ``MPI.ANY_TAG``.
-ANY_TAG = -1
 
 TAG_DEFAULT = 0
 
@@ -76,8 +69,8 @@ def charged_nbytes(arr: np.ndarray) -> int:
 class Envelope:
     """A message in flight.
 
-    Envelopes sort by ``(deliver_at, seq)`` so the event queue is a plain
-    heap; ``seq`` breaks ties deterministically in send order.
+    Envelopes sort by ``(deliver_at, seq)`` so each rank's mailbox is a
+    plain heap; ``seq`` breaks ties deterministically in send order.
     """
 
     deliver_at: float
@@ -87,7 +80,3 @@ class Envelope:
     tag: int = field(compare=False)
     payload: Any = field(compare=False)
     nbytes: int = field(compare=False, default=0)
-
-    def matches(self, source: int, tag: int) -> bool:
-        """Does this envelope match a receive posted for ``(source, tag)``?"""
-        return (source in (ANY_SOURCE, self.source)) and (tag in (ANY_TAG, self.tag))

@@ -20,12 +20,14 @@ The scheduler is a conservative discrete-event simulation:
   :class:`~repro.mpsim.costmodel.CostModel` charges of the work it does;
 * a send at sender-time ``s`` is deliverable at ``s + alpha + beta*nbytes``;
 * a blocked receiver resumes at ``max(receiver clock, delivery time)``;
+* each rank's mailbox is a heap keyed ``(delivery time, send order)``, and a
+  receive takes its top;
 * among runnable events the scheduler always picks the globally smallest
   timestamp (ties broken by send order), so runs are fully deterministic.
 
 Two termination-related behaviours matter for the paper's algorithms:
 
-* :class:`Recv` with no matching message and no possibility of one is a
+* :class:`Recv` with no message and no possibility of one is a
   *deadlock*; the runtime detects global quiescence with unsatisfied plain
   receives and raises :class:`~repro.mpsim.errors.DeadlockError`.  This is
   how the test-suite demonstrates the RRP buffering hazard of Section 3.5.2.
@@ -37,11 +39,13 @@ Two termination-related behaviours matter for the paper's algorithms:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Generator
 
 from repro.mpsim.costmodel import CostModel
-from repro.mpsim.datatypes import ANY_SOURCE, ANY_TAG, Envelope, payload_nbytes
+from repro.mpsim.datatypes import Envelope, payload_nbytes
 from repro.mpsim.errors import (
     DeadlockError,
     InjectedFault,
@@ -66,21 +70,18 @@ class Message:
 
 @dataclass(frozen=True)
 class Recv:
-    """Blocking receive for ``(source, tag)``; wildcards allowed."""
-
-    source: int = ANY_SOURCE
-    tag: int = ANY_TAG
+    """Blocking receive of the rank's next message."""
 
 
 @dataclass(frozen=True)
 class RecvOrQuiesce:
     """Receive like :class:`Recv`, but yield ``None`` on global quiescence."""
 
-    source: int = ANY_SOURCE
-    tag: int = ANY_TAG
-
 
 _RankProgram = Callable[..., Generator[Any, Any, Any]]
+
+#: an envelope's heap order, as a key (cheaper to sort by than its ``__lt__``)
+_ORDER = attrgetter("deliver_at", "seq")
 
 
 class _RankState:
@@ -92,21 +93,11 @@ class _RankState:
         self.rank = rank
         self.gen = gen
         self.clock = 0.0
+        #: heap of undelivered envelopes, earliest ``(deliver_at, seq)`` first
         self.mailbox: list[Envelope] = []
         self.blocked_on: Recv | RecvOrQuiesce | None = None
         self.finished = False
         self.comm = comm
-
-    def find_match(self, source: int, tag: int) -> int | None:
-        """Index of the earliest-deliverable matching envelope, or ``None``."""
-        best = None
-        best_key = None
-        for idx, env in enumerate(self.mailbox):
-            if env.matches(source, tag):
-                key = (env.deliver_at, env.seq)
-                if best_key is None or key < best_key:
-                    best, best_key = idx, key
-        return best
 
 
 class Simulator:
@@ -145,11 +136,11 @@ class Simulator:
         self.size = size
         self.cost = cost_model or CostModel()
         #: Optional :class:`repro.schedsim.Schedule`.  When set, every
-        #: delivery pick (which blocked rank resumes, which matching
-        #: envelope it consumes), the initial rank kick order, and the
-        #: quiescence release order become explicit choice points — index 0
-        #: always being the canonical earliest-timestamp choice, so a
-        #: baseline schedule reproduces the unscheduled run bit-exactly.
+        #: delivery pick (which blocked rank resumes, which envelope it
+        #: consumes), the initial rank kick order, and the quiescence
+        #: release order become explicit choice points — index 0 always
+        #: being the unscheduled run's choice, so a baseline schedule
+        #: reproduces the unscheduled run bit-exactly.
         self.schedule = schedule
         #: Optional :class:`~repro.mpsim.faults.FaultPlan`: message drops
         #: and duplications at send time, straggler latency and compute
@@ -196,7 +187,7 @@ class Simulator:
         if copies == 0:
             self.dropped_messages += 1
             return
-        self._ranks[dest].mailbox.append(env)
+        heapq.heappush(self._ranks[dest].mailbox, env)
         for _ in range(copies - 1):
             self._seq += 1
             dup = Envelope(
@@ -208,7 +199,7 @@ class Simulator:
                 payload=payload,
                 nbytes=nbytes,
             )
-            self._ranks[dest].mailbox.append(dup)
+            heapq.heappush(self._ranks[dest].mailbox, dup)
 
     def _maybe_crash(self, rank: int) -> None:
         """Fire a scheduled crash once the rank's clock passes its deadline."""
@@ -223,11 +214,10 @@ class Simulator:
                 ),
             )
 
-    def iprobe(self, rank: int, source: int, tag: int) -> bool:
-        """Non-blocking probe: is a matching message already deliverable?"""
+    def iprobe(self, rank: int) -> bool:
+        """Non-blocking probe: is a message already deliverable?"""
         st = self._ranks[rank]
-        idx = st.find_match(source, tag)
-        return idx is not None and st.mailbox[idx].deliver_at <= st.clock
+        return bool(st.mailbox) and st.mailbox[0].deliver_at <= st.clock
 
     def charge(self, rank: int, nodes: int = 0, work_items: int = 0) -> None:
         """Advance a rank's clock by a compute charge (called via Comm)."""
@@ -310,9 +300,14 @@ class Simulator:
         return self.stats
 
     # -------------------------------------------------------------- internal
-    def _receive_env(self, st: _RankState, idx: int) -> Message:
-        """Consume mailbox entry ``idx``: clock, stats, and the Message."""
-        env = st.mailbox.pop(idx)
+    def _receive_env(self, st: _RankState, env: Envelope) -> Message:
+        """Consume ``env`` from the rank's mailbox: clock, stats, and the Message."""
+        box = st.mailbox
+        if env is box[0]:
+            heapq.heappop(box)
+        else:  # a scheduled out-of-order pick; a sorted list is a heap
+            del box[next(i for i, e in enumerate(box) if e is env)]
+            box.sort(key=_ORDER)
         st.clock = max(st.clock, env.deliver_at)
         st.clock += self.cost.message_time(1, env.nbytes)
         self.stats[st.rank].record_receive(1, env.nbytes)
@@ -320,67 +315,54 @@ class Simulator:
         return Message(env.source, env.tag, env.payload)
 
     def _deliver_one(self) -> bool:
-        """Resume the blocked rank with the earliest matching delivery."""
-        if self.schedule is not None:
-            return self._deliver_one_scheduled()
+        """Resume the blocked rank whose earliest envelope is ready first
+        (ready time ``max(deliver_at, clock)``, ties broken by send order)."""
         best: tuple[float, int] | None = None
         best_st: _RankState | None = None
-        best_idx: int | None = None
         for st in self._ranks:
-            if st.finished or not isinstance(st.blocked_on, (Recv, RecvOrQuiesce)):
+            if st.blocked_on is None or not st.mailbox:
                 continue
-            idx = st.find_match(st.blocked_on.source, st.blocked_on.tag)
-            if idx is None:
-                continue
-            env = st.mailbox[idx]
+            env = st.mailbox[0]
             key = (max(env.deliver_at, st.clock), env.seq)
             if best is None or key < best:
-                best, best_st, best_idx = key, st, idx
+                best, best_st = key, st
         if best_st is None:
             return False
-        msg = self._receive_env(best_st, best_idx)  # type: ignore[arg-type]
-        best_st.blocked_on = None
-        self._advance(best_st, value=msg)
-        return True
-
-    def _deliver_one_scheduled(self) -> bool:
-        """Schedule-driven delivery pick over *every* matching envelope.
-
-        Candidates are presented in canonical ``(ready time, seq)`` order so
-        index 0 is exactly the choice :meth:`_deliver_one` would make — a
-        baseline schedule reproduces the unscheduled run bit-exactly, while
-        any other index models one message arriving (or one receiver being
-        serviced) out of order.
-        """
-        cands: list[tuple[tuple[float, int], _RankState, int]] = []
-        for st in self._ranks:
-            if st.finished or not isinstance(st.blocked_on, (Recv, RecvOrQuiesce)):
-                continue
-            for idx, env in enumerate(st.mailbox):
-                if env.matches(st.blocked_on.source, st.blocked_on.tag):
-                    cands.append(((max(env.deliver_at, st.clock), env.seq), st, idx))
-        if not cands:
-            return False
-        cands.sort(key=lambda c: c[0])
-        pick = self.schedule.choose(
-            "deliver", [(st.rank, st.mailbox[idx].source) for _, st, idx in cands]
-        )
-        _, st, idx = cands[pick]
-        msg = self._receive_env(st, idx)
+        st, env = best_st, best_st.mailbox[0]
+        if self.schedule is not None:
+            st, env = self._pick_delivery(env)
+        msg = self._receive_env(st, env)
         st.blocked_on = None
         self._advance(st, value=msg)
         return True
 
-    def _pick_match(self, st: _RankState, op: Recv | RecvOrQuiesce) -> int:
-        """Schedule-driven pick among a rank's matching envelopes."""
-        matches = [
-            i for i, env in enumerate(st.mailbox) if env.matches(op.source, op.tag)
+    def _pick_delivery(self, canonical: Envelope) -> tuple[_RankState, Envelope]:
+        """Schedule-driven delivery pick over *every* blocked rank's envelopes.
+
+        Index 0 is ``canonical``, the choice :meth:`_deliver_one` makes
+        unscheduled, so a baseline schedule reproduces the unscheduled run
+        bit-exactly; the others follow in ``(ready time, seq)`` order, and
+        picking one models a message arriving (or a receiver being
+        serviced) out of order.
+        """
+        cands = [
+            (st, env) for st in self._ranks if st.blocked_on is not None
+            for env in st.mailbox
         ]
-        matches.sort(key=lambda i: (st.mailbox[i].deliver_at, st.mailbox[i].seq))
+        cands.sort(key=lambda c: (
+            c[1] is not canonical, max(c[1].deliver_at, c[0].clock), c[1].seq,
+        ))
         pick = self.schedule.choose(
-            "deliver", [(st.rank, st.mailbox[i].source) for i in matches]
+            "deliver", [(st.rank, env.source) for st, env in cands]
         )
-        return matches[pick]
+        return cands[pick]
+
+    def _pick_own(self, st: _RankState) -> Envelope:
+        """Schedule-driven pick among a running rank's envelopes, in
+        ``(deliver_at, seq)`` order (index 0 is the heap's top)."""
+        cands = sorted(st.mailbox, key=_ORDER)
+        pick = self.schedule.choose("deliver", [(st.rank, env.source) for env in cands])
+        return cands[pick]
 
     def _advance(self, st: _RankState, value: Any = None, first: bool = False) -> None:
         """Run one rank until it blocks or finishes."""
@@ -392,12 +374,12 @@ class Simulator:
                 op = st.gen.send(None if first else value) if not first else next(st.gen)
                 first = False
                 if isinstance(op, (Recv, RecvOrQuiesce)):
-                    # Fast path: a matching message is already in the mailbox.
-                    idx = st.find_match(op.source, op.tag)
-                    if idx is not None:
+                    # Fast path: a message is already in the mailbox.
+                    if st.mailbox:
+                        env = st.mailbox[0]
                         if self.schedule is not None:
-                            idx = self._pick_match(st, op)
-                        value = self._receive_env(st, idx)
+                            env = self._pick_own(st)
+                        value = self._receive_env(st, env)
                         continue
                     st.blocked_on = op
                     return

@@ -194,11 +194,9 @@ class StreamFactory:
         """Return a generator keyed by an arbitrary integer tuple.
 
         Used for draws that must be reproducible *per logical entity* rather
-        than per rank — e.g. the event-driven general-case retry of edge slot
-        ``(t, e)`` at attempt ``a`` draws from ``substream(NS, t, e, a)``, so
-        the redraw sequence is a function of the slot alone and not of the
-        message arrival order that triggered it (the property the schedule
-        fuzzer asserts).
+        than per rank — e.g. a retry of edge slot ``(t, e)`` at attempt ``a``
+        drawing from ``substream(NS, t, e, a)`` is a function of the slot
+        alone, not of the message arrival order that triggered it.
 
         Keys of length 2 are rejected: they would collide with the
         ``(rank, purpose)`` spawn keys of :meth:`stream`.  Callers namespace

@@ -130,48 +130,49 @@ def _canon_error(exc: BaseException) -> str:
 
 
 def _default_runner(config: Mapping[str, Any], schedule: Schedule):
-    """Run the configured generator under ``schedule``; return the EdgeList."""
+    """Run the configured generator under ``schedule``; return the EdgeList.
+
+    The config is validated as a :class:`~repro.core.generator.RunSpec`
+    first, so a combination :data:`~repro.core.generator.CONFLICTS` rejects
+    raises its one-line :class:`ValueError` before any engine runs.
+    """
+    from repro.core.generator import RunSpec
     from repro.core.partitioning import make_partition
 
-    n = int(config["n"])
-    x = int(config.get("x", 1))
-    p = float(config.get("p", 0.5))
-    ranks = int(config.get("ranks", 4))
-    scheme = str(config.get("scheme", "ecp"))
-    seed = config.get("seed", 0)
-    engine = str(config.get("engine", "bsp"))
+    spec = RunSpec(
+        n=int(config["n"]),
+        x=int(config.get("x", 1)),
+        p=float(config.get("p", 0.5)),
+        ranks=int(config.get("ranks", 4)),
+        scheme=str(config.get("scheme", "ecp")),
+        seed=config.get("seed", 0),
+        engine=str(config.get("engine", "bsp")),
+    )
     knobs = dict(config.get("knobs") or {})
-    part = make_partition(scheme, n, ranks)
+    part = make_partition(spec.scheme, spec.n, spec.ranks)
     plan = make_fault_plan(config.get("fault"))
-    if engine == "bsp":
+    if spec.engine == "bsp":
         from repro.core.generator import rank_programs
         from repro.core.parallel_pa import ResultRegions
         from repro.mpsim.bsp import BSPEngine
 
-        regions = ResultRegions(x, part)
+        regions = ResultRegions(spec.x, part)
         programs = rank_programs(
-            part, x, p, seed, regions=regions,
+            part, spec.x, spec.p, spec.seed, regions=regions,
             canonical_inbox=bool(knobs.get("canonical_inbox", True)),
         )
         BSPEngine(part.P).run(programs, fault_plan=plan, schedule=schedule)
         edges = regions.edges(programs)
-    elif engine == "event":
-        from repro.core.event_driven import run_event_driven_pa
+    elif spec.engine == "event":
+        from repro.core.event_driven import run_event_driven_pa_x1
 
-        edges, _ = run_event_driven_pa(
-            n,
-            x,
-            part,
-            p=p,
-            seed=seed,
-            fault_plan=plan,
-            schedule=schedule,
-            confluent=bool(knobs.get("confluent", True)),
+        edges, _ = run_event_driven_pa_x1(
+            spec.n, part, p=spec.p, seed=spec.seed, fault_plan=plan, schedule=schedule,
         )
     else:
         raise ValueError(
             "schedule exploration drives the in-process engines only; "
-            f"engine must be 'bsp' or 'event', got {engine!r}"
+            f"engine must be 'bsp' or 'event', got {spec.engine!r}"
         )
     return edges
 

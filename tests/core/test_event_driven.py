@@ -1,9 +1,8 @@
-"""Tests for the literal per-message Algorithm 3.1/3.2 implementation."""
+"""Tests for the literal per-message Algorithm 3.1 implementation."""
 
-import numpy as np
 import pytest
 
-from repro.core.event_driven import run_event_driven_pa, run_event_driven_pa_x1
+from repro.core.event_driven import run_event_driven_pa_x1
 from repro.core.partitioning import make_partition
 from repro.graph.validation import validate_pa_graph
 
@@ -35,29 +34,6 @@ class TestX1:
             run_event_driven_pa_x1(50, part, seed=0)
 
 
-class TestGeneral:
-    @pytest.mark.parametrize("scheme", ["ucp", "rrp"])
-    @pytest.mark.parametrize("x", [2, 4])
-    def test_valid(self, scheme, x):
-        n, P = 150, 5
-        part = make_partition(scheme, n, P)
-        edges, _ = run_event_driven_pa(n, x, part, seed=3)
-        report = validate_pa_graph(edges, n, x)
-        assert report.ok, report.errors
-
-    def test_x1_dispatches(self):
-        part = make_partition("rrp", 100, 3)
-        a, _ = run_event_driven_pa(100, 1, part, seed=4)
-        b, _ = run_event_driven_pa_x1(100, part, seed=4)
-        assert a == b
-
-    def test_deterministic(self):
-        part = make_partition("rrp", 120, 4)
-        a, _ = run_event_driven_pa(120, 3, part, seed=5)
-        b, _ = run_event_driven_pa(120, 3, part, seed=5)
-        assert np.array_equal(a.canonical(), b.canonical())
-
-
 class TestBuffered:
     @pytest.mark.parametrize("capacity", [1, 4, 64])
     def test_buffered_same_graph_as_unbuffered(self, capacity):
@@ -79,10 +55,22 @@ class TestBuffered:
         )
         assert sim_buf.stats.total_messages < sim_plain.stats.total_messages / 4
 
-    def test_buffered_general_case_valid(self):
-        n, x, P = 200, 3, 4
-        part = make_partition("rrp", n, P)
-        edges, _ = run_event_driven_pa(
-            n, x, part, seed=8, buffer_capacity=16, flush_on_idle=True
+
+class TestSchedule:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("P", [2, 4, 8])
+    @pytest.mark.parametrize("scheme", ["rrp", "ucp", "ecp"])
+    def test_baseline_schedule_reproduces_unscheduled_run(self, scheme, P, seed):
+        """Index 0 of every choice point is the unscheduled run's pick, so the
+        baseline schedule replays its clocks, not only its graph."""
+        from repro.schedsim import BaselinePolicy, Schedule
+
+        part = make_partition(scheme, 600, P)
+        plain_edges, plain = run_event_driven_pa_x1(600, part, seed=seed)
+        base_edges, base = run_event_driven_pa_x1(
+            600, part, seed=seed, schedule=Schedule(BaselinePolicy())
         )
-        assert validate_pa_graph(edges, n, x).ok
+        assert base.clocks() == plain.clocks()
+        assert base.stats.total_messages == plain.stats.total_messages
+        assert base.makespan == plain.makespan
+        assert base_edges == plain_edges

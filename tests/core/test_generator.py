@@ -23,7 +23,8 @@ class TestFacade:
     @pytest.mark.parametrize("engine", ["bsp", "event", "sequential"])
     def test_engines_produce_valid_graphs(self, engine):
         ranks = 1 if engine == "sequential" else 4
-        r = generate(300, x=2, ranks=ranks, engine=engine, seed=0)
+        x = 1 if engine == "event" else 2
+        r = generate(300, x=x, ranks=ranks, engine=engine, seed=0)
         assert r.validate().ok
         assert r.engine == engine
 
@@ -199,6 +200,10 @@ REJECTED = {
     "commfree-event": (
         dict(n=100, generator="commfree", engine="event"),
         ["-n", "100", "--generator", "commfree", "--engine", "event"],
+    ),
+    "event-x": (
+        dict(n=100, x=3, ranks=2, engine="event"),
+        ["-n", "100", "-x", "3", "-P", "2", "--engine", "event"],
     ),
     "barrier-timeout": (
         dict(n=100, ranks=2, engine="mp", barrier_timeout=0.0),

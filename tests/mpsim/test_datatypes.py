@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.mpsim.datatypes import ANY_SOURCE, ANY_TAG, Envelope, payload_nbytes
+from repro.mpsim.datatypes import Envelope, payload_nbytes
 
 
 class TestPayloadNbytes:
@@ -28,27 +28,6 @@ class TestPayloadNbytes:
 
 
 class TestEnvelope:
-    def _env(self, source=0, tag=5):
-        return Envelope(
-            deliver_at=1.0, seq=1, source=source, dest=1, tag=tag, payload="x"
-        )
-
-    def test_exact_match(self):
-        assert self._env().matches(0, 5)
-
-    def test_wildcard_source(self):
-        assert self._env().matches(ANY_SOURCE, 5)
-
-    def test_wildcard_tag(self):
-        assert self._env().matches(0, ANY_TAG)
-
-    def test_full_wildcard(self):
-        assert self._env().matches(ANY_SOURCE, ANY_TAG)
-
-    def test_mismatch(self):
-        assert not self._env().matches(1, 5)
-        assert not self._env().matches(0, 6)
-
     def test_ordering_by_time_then_seq(self):
         early = Envelope(deliver_at=1.0, seq=2, source=0, dest=0, tag=0, payload=None)
         late = Envelope(deliver_at=2.0, seq=1, source=0, dest=0, tag=0, payload=None)

@@ -41,37 +41,6 @@ class TestPointToPoint:
         assert (0, 5) in order
         assert len(order) == 6
 
-    def test_tag_matching(self):
-        got = []
-
-        def prog(comm):
-            if comm.rank == 0:
-                comm.send(1, "a", tag=5)
-                comm.send(1, "b", tag=9)
-            else:
-                msg = yield comm.recv(tag=9)
-                got.append(msg.payload)
-                msg = yield comm.recv(tag=5)
-                got.append(msg.payload)
-
-        Simulator(2).run(prog)
-        assert got == ["b", "a"]
-
-    def test_source_matching(self):
-        got = []
-
-        def prog(comm):
-            if comm.rank in (0, 1):
-                comm.send(2, f"from{comm.rank}")
-            else:
-                msg = yield comm.recv(source=1)
-                got.append(msg.payload)
-                msg = yield comm.recv(source=0)
-                got.append(msg.payload)
-
-        Simulator(3).run(prog)
-        assert got == ["from1", "from0"]
-
     def test_fifo_order_same_source_tag(self):
         got = []
 
@@ -86,6 +55,24 @@ class TestPointToPoint:
 
         Simulator(2).run(prog)
         assert got == list(range(10))
+
+    def test_earliest_delivery_first(self):
+        """The mailbox is a heap on delivery time: a small message sent after
+        a large one overtakes it."""
+        cost = CostModel(alpha=1e-6, beta=1e-9, per_message=0.0)
+        got = []
+
+        def prog(comm):
+            if comm.rank == 0:
+                comm.send(1, np.zeros(100))
+                comm.send(1, 7)
+            else:
+                for _ in range(2):
+                    msg = yield comm.recv()
+                    got.append(type(msg.payload).__name__)
+
+        Simulator(2, cost_model=cost).run(prog)
+        assert got == ["int", "ndarray"]
 
     def test_send_to_invalid_rank_raises(self):
         def prog(comm):

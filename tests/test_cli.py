@@ -28,7 +28,7 @@ class TestGenerate:
         assert len(out.read_text().splitlines()) == 99
 
     def test_generate_event_engine(self, capsys):
-        rc = main(["generate", "-n", "80", "-x", "2", "-P", "3",
+        rc = main(["generate", "-n", "80", "-x", "1", "-P", "3",
                    "--engine", "event", "--seed", "2"])
         assert rc == 0
 
@@ -234,6 +234,21 @@ class TestExploreCLI:
         rc = main(["explore", "--replay", str(tmp_path / "gone.json")])
         assert rc == 1
         assert "no such artifact" in capsys.readouterr().err
+
+    def test_conflicting_config_rejected_before_any_run(self, monkeypatch, capsys):
+        from repro.core import event_driven
+        from repro.core.generator import CONFLICTS
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a rejected config must not run")
+
+        monkeypatch.setattr(event_driven, "run_event_driven_pa_x1", no_run)
+        rc = main(["explore", "-n", "200", "-x", "3", "--engine", "event"])
+        assert rc == 2
+        row = next(row for row in CONFLICTS if row.name == "event-x")
+        cap = capsys.readouterr()
+        assert cap.err == row.reason.format(x=3) + "\n"
+        assert cap.out == ""
 
     def test_crash_rank_requires_trigger(self, capsys):
         rc = main(["explore", "-n", "200", "-x", "1", "--crash-rank", "1"])
