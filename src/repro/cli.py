@@ -104,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compose a FaultPlan crash of this rank into the sweep")
     e.add_argument("--crash-superstep", type=int, default=None,
                    help="crash superstep (--engine bsp)")
-    e.add_argument("--crash-time", type=float, default=None,
-                   help="crash virtual time in seconds (--engine event)")
     e.add_argument("--watchdog-factor", type=int, default=10,
                    help="no-progress budget = max(1000, factor x baseline ticks)")
     e.add_argument("--artifact-dir", type=Path, default=None,
@@ -246,16 +244,12 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         "engine": args.engine,
     }
     if args.crash_rank is not None:
-        crash = {"rank": args.crash_rank}
-        if args.crash_superstep is not None:
-            crash["at_superstep"] = args.crash_superstep
-        if args.crash_time is not None:
-            crash["at_time"] = args.crash_time
-        if len(crash) == 1:
-            print("--crash-rank needs --crash-superstep or --crash-time",
-                  file=sys.stderr)
+        if args.crash_superstep is None:
+            print("--crash-rank needs --crash-superstep", file=sys.stderr)
             return 2
-        config["fault"] = {"crashes": [crash]}
+        config["fault"] = {"crashes": [
+            {"rank": args.crash_rank, "at_superstep": args.crash_superstep}
+        ]}
 
     t0 = time.perf_counter()
     try:

@@ -191,7 +191,6 @@ def run_event_driven_pa_x1(
     cost_model: CostModel | None = None,
     buffer_capacity: int | None = None,
     flush_on_idle: bool = True,
-    fault_plan=None,
     schedule=None,
 ) -> tuple[EdgeList, Simulator]:
     """Run Algorithm 3.1 one-message-at-a-time; return (edges, simulator).
@@ -207,12 +206,7 @@ def run_event_driven_pa_x1(
         raise ValueError(f"partition covers n={partition.n}, requested n={n}")
     factory = StreamFactory(seed)
     results: list = [None] * partition.P
-    sim = Simulator(
-        partition.P,
-        cost_model=cost_model,
-        fault_plan=fault_plan,
-        schedule=schedule,
-    )
+    sim = Simulator(partition.P, cost_model=cost_model, schedule=schedule)
     sim.run(
         _pa_x1_program,
         partition,

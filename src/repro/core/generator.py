@@ -64,7 +64,7 @@ from repro.mpsim.bsp import BSPEngine
 from repro.mpsim.checkpoint import CHECKPOINT_NAME, Checkpointer
 from repro.mpsim.costmodel import CostModel
 from repro.mpsim.faults import FaultPlan
-from repro.mpsim.mp_backend import MultiprocessingBSPEngine, _check_mp_fault_plan
+from repro.mpsim.mp_backend import MultiprocessingBSPEngine
 from repro.mpsim.supervisor import Supervisor
 from repro.rng import StreamFactory
 from repro.seq.copy_model import copy_model_x1
@@ -99,15 +99,14 @@ class RunSpec:
 
     Each field carries its default and one line of help; the scalar ones
     also carry their ``repro-pa generate`` flags, from which the CLI builds
-    its parser.  Construction applies :data:`CONFLICTS` (and, on
-    ``engine="mp"``, rejects fault plans real processes cannot realise), so
-    an invalid spec raises one :class:`ValueError` before any process forks
-    or any file is written.
+    its parser.  Construction applies :data:`CONFLICTS`, so an invalid spec
+    raises one :class:`ValueError` before any process forks or any file is
+    written.
 
     ``checkpoint_dir`` runs the job under a
     :class:`~repro.mpsim.supervisor.Supervisor`: snapshots rotate through
-    ``checkpoint_keep`` generations there, and rank crashes and deadlocks
-    (on ``mp``, real ``SIGKILL``-ed workers) are recovered bit-identically
+    ``checkpoint_keep`` generations there, and rank crashes (on ``mp``,
+    real ``SIGKILL``-ed workers) are recovered bit-identically
     up to ``max_retries`` times.  With ``max_retries=0`` the first failure
     raises, and :func:`repro.mpsim.checkpoint.resume` finishes the run from
     the directory.  ``out_of_core`` writes the edges once, in place, into
@@ -142,8 +141,9 @@ class RunSpec:
                                  "--checkpoint-keep", parse=int)
     fault_plan: Any = _knob(None, "FaultPlan to inject")
     fault_seed: int | None = _knob(
-        None, "inject a one-crash chaos plan seeded here (recovered with "
-              "--checkpoint-dir)", "--inject-faults", parse=int, metavar="SEED",
+        None, "inject a one-crash chaos plan seeded here (engines bsp and mp; "
+              "recovered with --checkpoint-dir)", "--inject-faults", parse=int,
+        metavar="SEED",
     )
     max_retries: int = _knob(3, "recoveries a --checkpoint-dir run attempts before "
                                 "giving up (0: resume by hand)", "--max-retries", parse=int)
@@ -173,8 +173,6 @@ class RunSpec:
             if row.when(self):
                 knobs = {f.name: getattr(self, f.name) for f in fields(self)}
                 raise ValueError(row.reason.format(**knobs))
-        if self.engine == "mp":
-            _check_mp_fault_plan(self.fault_plan)
 
     @property
     def nranks(self) -> int:
@@ -379,8 +377,9 @@ CONFLICTS: tuple[Conflict, ...] = (
         "sequential engine requires ranks=1 and no multi-rank partition",
     ),
     Conflict(
-        "sequential-faults", lambda k: k.engine == "sequential" and k.faults,
-        "fault injection requires a parallel engine",
+        "faults-engine", lambda k: k.faults and k.engine in ("sequential", "event"),
+        "injected crashes fire at superstep boundaries and engine={engine!r} "
+        "has none — use engine='bsp' or 'mp'",
     ),
     Conflict(
         "checkpoint-engine",
@@ -451,7 +450,7 @@ def generate(*args: Any, **knobs: Any) -> GenerationResult:
                 with tel.span("event.run", cat="run", tid=-1, n=n, x=x) as sp:
                     edges, sim = run_event_driven_pa_x1(
                         n, part, p=spec.p, seed=spec.seed,
-                        cost_model=spec.cost_model, fault_plan=plan,
+                        cost_model=spec.cost_model,
                     )
                     sp.note(virtual_total_s=sim.makespan)
                 run = dict(

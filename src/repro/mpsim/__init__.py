@@ -19,10 +19,9 @@ executes the *same* rank-local programs and the *same* message protocol:
   segment, descriptors in the mailbox fabric of :mod:`repro.mpsim.p2p`
   (shared-memory slots, a shared barrier, and distributed termination
   detection — no parent on the data path).
-* :mod:`repro.mpsim.faults` + :mod:`repro.mpsim.supervisor` — seeded fault
-  injection (rank crashes, message drops/duplications, stragglers) for both
-  engines, and a checkpoint-based supervisor that recovers crashed BSP runs
-  bit-identically.
+* :mod:`repro.mpsim.faults` + :mod:`repro.mpsim.supervisor` — seeded rank
+  crashes at superstep boundaries for both superstep engines, and a
+  checkpoint-based supervisor that recovers crashed runs bit-identically.
 
 All engines account traffic in :class:`~repro.mpsim.stats.RankStats`, which is
 exactly the data the paper's load-balance evaluation (Figure 7) plots.

@@ -220,10 +220,9 @@ class BSPEngine:
             Optional :class:`repro.mpsim.trace.Tracer`; receives per-step
             rank times and record counts for timeline analysis.
         fault_plan:
-            Optional :class:`repro.mpsim.faults.FaultPlan`; scheduled rank
-            crashes surface as :class:`RankFailure`, message drops and
-            duplications are applied at exchange time, and straggler ranks
-            have their per-step time inflated.
+            Optional :class:`repro.mpsim.faults.FaultPlan`; a rank scheduled
+            to crash raises :class:`RankFailure` just before its ``step()``
+            of that superstep.
         schedule:
             Optional :class:`repro.schedsim.Schedule`.  Each superstep's
             rank activation order and each destination's inbox assembly
@@ -276,7 +275,7 @@ class BSPEngine:
             for rank in rank_order:
                 prog = programs[rank]
                 if fault_plan is not None and fault_plan.should_crash(
-                    rank, superstep=self.supersteps, time=self.simulated_time
+                    rank, self.supersteps
                 ):
                     raise RankFailure(
                         rank,
@@ -296,10 +295,10 @@ class BSPEngine:
                 # consumed: let its arrays go before the next rank steps
                 inboxes[rank] = inbox = []
 
-                out_records, out_bytes, weighted_out_bytes, sent = self._post(
-                    rank, outbox, next_inboxes, fault_plan
+                out_records, out_bytes, weighted_out_bytes = self._post(
+                    rank, outbox, next_inboxes
                 )
-                any_traffic = any_traffic or sent
+                any_traffic = any_traffic or out_records > 0
 
                 rs = self.stats[rank]
                 rs.record_send(out_records, out_bytes)
@@ -313,8 +312,6 @@ class BSPEngine:
                     + self.cost.beta * (weighted_out_bytes + in_bytes)
                     + self.cost.round_time()
                 )
-                if fault_plan is not None:
-                    t *= fault_plan.straggle_multiplier(rank)
                 rs.busy_time += t
                 step_times[rank] = t
                 step_records[rank] = out_records
@@ -376,16 +373,14 @@ class BSPEngine:
         rank: int,
         outbox: Outbox,
         next_inboxes: list[list[tuple[int, np.ndarray]]],
-        fault_plan: Any,
-    ) -> tuple[int, int, float, bool]:
+    ) -> tuple[int, int, float]:
         """Queue ``rank``'s outbox for the next superstep; returns its
-        records, bytes, topology-weighted bytes and whether any payload was
-        delivered.  A method, so no loop variable of :meth:`run` holds a
-        payload past the step that consumes it."""
+        records, bytes and topology-weighted bytes.  A method, so no loop
+        variable of :meth:`run` holds a payload past the step that consumes
+        it."""
         out_records = 0
         out_bytes = 0
         weighted_out_bytes = 0.0
-        delivered = False
         for dest, payloads in outbox.items():
             if not 0 <= dest < self.size:
                 raise InvalidRankError(
@@ -399,21 +394,14 @@ class BSPEngine:
             for arr in payloads:
                 if len(arr) == 0:
                     continue
-                # sender-side costs accrue regardless of delivery fate
                 nbytes = charged_nbytes(arr)
                 out_records += len(arr)
                 out_bytes += nbytes
                 weighted_out_bytes += nbytes * (
                     self._topo_mult[rank, dest] if self._topo_mult is not None else 1.0
                 )
-                copies = 1
-                if fault_plan is not None:
-                    copies = fault_plan.message_fate(rank, dest, superstep=self.supersteps)
-                for _ in range(copies):
-                    next_inboxes[dest].append((rank, arr))
-                if copies:
-                    delivered = True
-        return out_records, out_bytes, weighted_out_bytes, delivered
+                next_inboxes[dest].append((rank, arr))
+        return out_records, out_bytes, weighted_out_bytes
 
     # ------------------------------------------------------------- reporting
     def summary(self) -> dict[str, float]:

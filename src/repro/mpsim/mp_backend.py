@@ -96,7 +96,6 @@ from repro.mpsim.checkpoint import (
 from repro.mpsim.costmodel import CostModel
 from repro.mpsim.datatypes import charged_nbytes
 from repro.mpsim.errors import InvalidRankError, MPSimError, RankFailure
-from repro.mpsim.faults import CAP_CRASH_TIME, CAP_DROP, CAP_DUPLICATE
 from repro.mpsim.p2p import P2PFabric
 from repro.mpsim.stats import RankStats, WorldStats
 from repro.telemetry.collector import (
@@ -121,11 +120,6 @@ _MAX_SEGMENTS = 48
 #: ``madvise`` advice that frees a shared mapping's pages together with
 #: their backing (Linux); ``None`` where the platform has none
 _MADV_REMOVE = getattr(mmap, "MADV_REMOVE", None)
-
-#: wall seconds slept per superstep per unit of straggle factor above 1.0
-#: when a fault plan marks a rank as a straggler — a *real* delay, so the
-#: determinism tests exercise genuinely skewed arrival timings
-_STRAGGLE_SLEEP = 1e-3
 
 #: how often the parent re-checks worker liveness while waiting on pipes;
 #: with sentinel watching a death is usually noticed immediately, this is
@@ -368,7 +362,7 @@ def _execute_step(
     outgoing record count, and the superstep's virtual duration for this
     rank.  Program exceptions surface as :class:`RankFailure`.
     """
-    if fault_plan is not None and fault_plan.should_crash(rank, superstep=superstep):
+    if fault_plan is not None and fault_plan.should_crash(rank, superstep):
         # a *real* fail-stop death: no cleanup, no goodbye message — the
         # parent must detect it from the sentinel and the silent heartbeat
         os.kill(os.getpid(), signal.SIGKILL)
@@ -410,13 +404,6 @@ def _execute_step(
         + cost.beta * (out_bytes + in_bytes)
         + cost.round_time()
     )
-    if fault_plan is not None:
-        mult = fault_plan.straggle_multiplier(rank)
-        if mult > 1.0:
-            t *= mult
-            # a *real* wall-clock delay so exchange-arrival orderings are
-            # genuinely perturbed, not just virtually charged
-            time.sleep(_STRAGGLE_SLEEP * (mult - 1.0))
     rs.busy_time += t
     return clean, out_records, t
 
@@ -638,11 +625,7 @@ def _attribute_death(
     """
     fabric.abort()
     superstep = fabric.last_superstep(rank)
-    injected = (
-        fault_plan is not None
-        and callable(getattr(fault_plan, "consume_crash", None))
-        and fault_plan.consume_crash(rank, superstep)
-    )
+    injected = fault_plan is not None and fault_plan.consume_crash(rank, superstep)
     why = (
         "worker killed by injected crash"
         if injected
@@ -841,44 +824,6 @@ def _install_rank_stats(stats: WorldStats, rank: int, rank_stats: Any) -> None:
     stats.ranks[rank] = rank_stats
 
 
-def _check_mp_fault_plan(fault_plan: Any) -> None:
-    """Reject fault kinds the real-process backend cannot realise.
-
-    Checked via the public :meth:`~repro.mpsim.faults.FaultPlan.capabilities`
-    API (plans without it are trusted to only use hooks the engine calls):
-
-    * superstep-scheduled **crashes** are supported — realised as real
-      worker ``SIGKILL`` deaths;
-    * **stragglers** are supported — realised as real sleeps;
-    * **drops/duplications** are rejected: payload bytes travel real shared
-      memory, and a sent message cannot be un-sent or doubled without
-      putting the engine back on the data path (use the in-process engine
-      to exercise those);
-    * **time-scheduled crashes** are rejected: workers share no global
-      virtual clock, so a wall-time trigger would fire non-deterministically
-      (schedule with ``crash(rank, at_superstep=...)`` instead).
-    """
-    if fault_plan is None:
-        return
-    get_caps = getattr(fault_plan, "capabilities", None)
-    if not callable(get_caps):
-        return
-    caps = get_caps()
-    if CAP_DROP in caps or CAP_DUPLICATE in caps:
-        raise ValueError(
-            "mp backend cannot inject message drops/duplications: payloads "
-            "travel real shared memory and cannot be un-sent; "
-            "run drop/duplicate plans on the in-process engines "
-            "(engine='bsp'/'event')"
-        )
-    if CAP_CRASH_TIME in caps:
-        raise ValueError(
-            "mp backend cannot schedule crashes by virtual time: workers "
-            "share no global virtual clock; schedule deterministically with "
-            "crash(rank, at_superstep=...)"
-        )
-
-
 class MultiprocessingBSPEngine:
     """Drive :class:`~repro.mpsim.bsp.RankProgram` objects in real processes.
 
@@ -953,11 +898,9 @@ class MultiprocessingBSPEngine:
     ) -> WorldStats:
         """Fork one worker per rank, run ``programs`` to quiescence, collect.
 
-        ``fault_plan`` may schedule stragglers (real sleeps) and
-        superstep-scheduled crashes (real worker ``SIGKILL`` deaths,
+        ``fault_plan``'s crashes are real worker ``SIGKILL`` deaths,
         surfaced as :class:`RankFailure` with the victim's rank and
-        heartbeat-attributed superstep); message drop/duplication and
-        time-scheduled crashes are rejected — see :func:`_check_mp_fault_plan`.
+        heartbeat-attributed superstep.
 
         ``checkpointer`` enables cross-process snapshots: workers write
         per-rank shards at checkpoint supersteps (into a ``<path>.shards/``
@@ -975,7 +918,6 @@ class MultiprocessingBSPEngine:
         """
         if len(programs) != self.size:
             raise MPSimError(f"expected {self.size} rank programs, got {len(programs)}")
-        _check_mp_fault_plan(fault_plan)
         resume_mode = initial_inboxes is not None
         if resume_mode and len(initial_inboxes) != self.size:
             raise MPSimError("initial_inboxes must have one entry per rank")

@@ -35,6 +35,10 @@ Two termination-related behaviours matter for the paper's algorithms:
   blocked in :class:`RecvOrQuiesce` and no messages are in flight — a
   built-in termination detector, standing in for the termination protocol a
   real MPI implementation of Algorithm 3.1 would run.
+
+The simulator injects no faults: a :class:`~repro.mpsim.faults.FaultPlan`
+crashes ranks at superstep boundaries, which only the superstep engines
+have.
 """
 
 from __future__ import annotations
@@ -48,12 +52,10 @@ from repro.mpsim.costmodel import CostModel
 from repro.mpsim.datatypes import Envelope, payload_nbytes
 from repro.mpsim.errors import (
     DeadlockError,
-    InjectedFault,
     InvalidRankError,
     MPSimError,
     RankFailure,
 )
-from repro.mpsim.faults import FaultPlan
 from repro.mpsim.stats import WorldStats
 
 __all__ = ["Recv", "RecvOrQuiesce", "Simulator", "Message"]
@@ -128,7 +130,6 @@ class Simulator:
         self,
         size: int,
         cost_model: CostModel | None = None,
-        fault_plan: FaultPlan | None = None,
         schedule: Any = None,
     ) -> None:
         if size <= 0:
@@ -142,15 +143,6 @@ class Simulator:
         #: being the unscheduled run's choice, so a baseline schedule
         #: reproduces the unscheduled run bit-exactly.
         self.schedule = schedule
-        #: Optional :class:`~repro.mpsim.faults.FaultPlan`: message drops
-        #: and duplications at send time, straggler latency and compute
-        #: inflation, and scheduled rank crashes (fired at the rank's next
-        #: send or compute charge past the crash's virtual time, surfacing
-        #: as :class:`RankFailure`).  Protocol code is expected to hang on
-        #: loss — which the deadlock/quiescence machinery then surfaces —
-        #: so this is a failure-behaviour hook, not a retry layer.
-        self.fault_plan = fault_plan
-        self.dropped_messages = 0
         self.stats = WorldStats.for_size(size)
         self._seq = 0
         self._ranks: list[_RankState] = []
@@ -161,15 +153,11 @@ class Simulator:
         if not 0 <= dest < self.size:
             raise InvalidRankError(f"destination rank {dest} outside [0, {self.size})")
         sender = self._ranks[source]
-        self._maybe_crash(source)
         nbytes = payload_nbytes(payload)
         sender.clock += self.cost.message_time(1, nbytes)
         self.stats[source].record_send(1, nbytes)
         self.stats[source].busy_time = sender.clock
         latency = self.cost.alpha + self.cost.beta * nbytes
-        if self.fault_plan is not None:
-            # a straggler's NIC/link is slow: inflate its outgoing latency
-            latency *= self.fault_plan.straggle_multiplier(source)
         self._seq += 1
         env = Envelope(
             deliver_at=sender.clock + latency,
@@ -180,39 +168,7 @@ class Simulator:
             payload=payload,
             nbytes=nbytes,
         )
-        if self.fault_plan is not None:
-            copies = self.fault_plan.message_fate(source, dest)
-        else:
-            copies = 1
-        if copies == 0:
-            self.dropped_messages += 1
-            return
         heapq.heappush(self._ranks[dest].mailbox, env)
-        for _ in range(copies - 1):
-            self._seq += 1
-            dup = Envelope(
-                deliver_at=env.deliver_at,
-                seq=self._seq,
-                source=source,
-                dest=dest,
-                tag=tag,
-                payload=payload,
-                nbytes=nbytes,
-            )
-            heapq.heappush(self._ranks[dest].mailbox, dup)
-
-    def _maybe_crash(self, rank: int) -> None:
-        """Fire a scheduled crash once the rank's clock passes its deadline."""
-        if self.fault_plan is not None and self.fault_plan.should_crash(
-            rank, time=self._ranks[rank].clock
-        ):
-            raise RankFailure(
-                rank,
-                InjectedFault(
-                    f"injected crash of rank {rank} at virtual time "
-                    f"{self._ranks[rank].clock:.6f}"
-                ),
-            )
 
     def iprobe(self, rank: int) -> bool:
         """Non-blocking probe: is a message already deliverable?"""
@@ -222,11 +178,7 @@ class Simulator:
     def charge(self, rank: int, nodes: int = 0, work_items: int = 0) -> None:
         """Advance a rank's clock by a compute charge (called via Comm)."""
         st = self._ranks[rank]
-        self._maybe_crash(rank)
-        t = self.cost.compute_time(nodes, work_items)
-        if self.fault_plan is not None:
-            t *= self.fault_plan.straggle_multiplier(rank)
-        st.clock += t
+        st.clock += self.cost.compute_time(nodes, work_items)
         self.stats[rank].nodes += nodes
         self.stats[rank].work_items += work_items
         self.stats[rank].busy_time = st.clock

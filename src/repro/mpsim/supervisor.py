@@ -1,7 +1,7 @@
 """Supervised execution of BSP jobs with crash recovery.
 
 The paper's algorithms run for hours on hundreds of ranks; at that scale a
-rank crash or a poisoned exchange must not cost the whole run.
+rank crash must not cost the whole run.
 :class:`Supervisor` wraps an engine's ``run`` in a restart loop.  It is
 engine-agnostic: any object satisfying the BSP engine protocol works —
 ``size``/``stats``/``supersteps``/``simulated_time`` attributes plus
@@ -14,17 +14,19 @@ exchange fabric's heartbeat row, and resumed from cross-process checkpoint
 shards).  The loop:
 
 1. run the job under a :class:`~repro.mpsim.checkpoint.Checkpointer`;
-2. on :class:`~repro.mpsim.errors.RankFailure` (or
-   :class:`~repro.mpsim.errors.DeadlockError`), reload the newest *valid*
+2. on :class:`~repro.mpsim.errors.RankFailure`, reload the newest *valid*
    snapshot — skipping corrupted generations, and skipping snapshots that a
-   previous retry already failed from (they may capture the fault itself,
-   e.g. a duplicated message sitting in a checkpointed inbox);
+   previous retry already failed from;
 3. rebuild a fresh engine from the snapshot, charge a simulated-time
    restart backoff (exponential per attempt), and continue;
 4. if no usable snapshot remains, restart from scratch via the program
    factory — determinism makes even a full replay bit-identical;
 5. after ``max_retries`` failed recoveries, raise
    :class:`~repro.mpsim.errors.UnrecoverableError`.
+
+Any other error propagates at once.  A
+:class:`~repro.mpsim.errors.DeadlockError` in particular is deterministic:
+replaying it would only deadlock again.
 
 During a retry the checkpointer is told not to overwrite snapshots for
 ground the replay has already covered (``min_superstep``), so a failing
@@ -47,12 +49,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.mpsim.checkpoint import CheckpointData, Checkpointer, load_checkpoint
-from repro.mpsim.errors import (
-    DeadlockError,
-    MPSimError,
-    RankFailure,
-    UnrecoverableError,
-)
+from repro.mpsim.errors import MPSimError, RankFailure, UnrecoverableError
 from repro.mpsim.stats import WorldStats
 from repro.telemetry.collector import resolve
 
@@ -98,9 +95,6 @@ class Supervisor:
         Simulated-time restart cost: attempt ``k`` charges
         ``backoff * backoff_factor**(k-1)`` seconds to the resumed run's
         virtual clock (modelling failure detection + rank replacement).
-    recover_on:
-        Exception types that trigger recovery; anything else propagates
-        immediately.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry`.  Each attempt gets an
         ``attempt`` span, each recovery a timeline mark (with the superstep
@@ -136,7 +130,6 @@ class Supervisor:
         max_retries: int = 3,
         backoff: float = 1.0,
         backoff_factor: float = 2.0,
-        recover_on: tuple[type[BaseException], ...] = (RankFailure, DeadlockError),
         telemetry: Any = None,
     ) -> None:
         if max_retries < 0:
@@ -147,7 +140,6 @@ class Supervisor:
         self.max_retries = max_retries
         self.backoff = backoff
         self.backoff_factor = backoff_factor
-        self.recover_on = recover_on
         self.tel = resolve(telemetry)
         #: RecoveryEvents of the most recent :meth:`run`
         self.recoveries: list[RecoveryEvent] = []
@@ -186,7 +178,7 @@ class Supervisor:
                         fault_plan=fault_plan,
                         **traced,
                     )
-            except self.recover_on as exc:
+            except RankFailure as exc:
                 attempt += 1
                 if attempt > self.max_retries:
                     raise UnrecoverableError(

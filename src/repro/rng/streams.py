@@ -58,9 +58,9 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 class CounterStream:
     """Counter-based, O(1)-seekable stream of uniforms.
 
-    Where :meth:`StreamFactory.substream` returns a *sequential* generator (a
-    fresh PCG64 positioned at slot 0 — reaching draw ``i`` means generating
-    draws ``0..i-1`` first), a counter stream is a pure function
+    Where :meth:`StreamFactory.stream` returns a *sequential* generator (a
+    fresh PCG64 positioned at its start — reaching draw ``i`` means
+    generating draws ``0..i-1`` first), a counter stream is a pure function
     ``(slot, draw) -> uniform``: any draw is recomputable in O(1) without
     touching its predecessors, and the evaluation is vectorised over whole
     slot arrays.  This is the primitive the communication-free generators
@@ -190,42 +190,17 @@ class StreamFactory:
         """Vector form of :meth:`stream`."""
         return [self.stream(r, purpose) for r in ranks]
 
-    def substream(self, *key: int) -> np.random.Generator:
-        """Return a generator keyed by an arbitrary integer tuple.
-
-        Used for draws that must be reproducible *per logical entity* rather
-        than per rank — e.g. a retry of edge slot ``(t, e)`` at attempt ``a``
-        drawing from ``substream(NS, t, e, a)`` is a function of the slot
-        alone, not of the message arrival order that triggered it.
-
-        Keys of length 2 are rejected: they would collide with the
-        ``(rank, purpose)`` spawn keys of :meth:`stream`.  Callers namespace
-        their keys with a leading constant.
-        """
-        if len(key) == 2:
-            raise ValueError(
-                "2-element substream keys collide with (rank, purpose) "
-                "stream keys; prepend a namespace constant"
-            )
-        child = np.random.SeedSequence(
-            entropy=self._root.entropy,
-            spawn_key=tuple(int(k) for k in key),
-        )
-        return np.random.Generator(np.random.PCG64(child))
-
     def counter_substream(self, *key: int) -> CounterStream:
         """Return the counter-based, O(1)-seekable substream for ``key``.
 
-        The sequential :meth:`substream` answers "give me slot ``k``'s
-        private stream"; this answers the stronger question the
-        communication-free generators need — "give me draw ``(slot, d)``
+        The communication-free generators ask "give me draw ``(slot, d)``
         of the keyed stream, for a whole *array* of slots, without
-        generating anything that came before".  Same key rules as
-        :meth:`substream` (2-element keys are rejected: they would collide
-        with ``(rank, purpose)`` stream keys), and the same reproducibility
-        contract: equal ``(seed, key)`` yield bit-identical draws in any
-        process, which is what makes every rank able to recompute any
-        other rank's variates locally.
+        generating anything that came before".  Callers namespace ``key``
+        with a leading constant; 2-element keys are rejected, since they
+        would collide with the ``(rank, purpose)`` keys of :meth:`stream`.
+        Equal ``(seed, key)`` yield bit-identical draws in any process,
+        which is what makes every rank able to recompute any other rank's
+        variates locally.
         """
         if len(key) == 2:
             raise ValueError(

@@ -15,9 +15,9 @@ reproducer and dumped as a JSON artifact that :func:`replay` — or
 
 Fault composition: a fault *spec* (plain dict, JSON-serialisable) is
 rebuilt into a fresh :class:`~repro.mpsim.faults.FaultPlan` for every trial,
-so crash timing becomes part of the explored space.  Drop/duplicate fates
-and multi-crash plans are rejected: their RNG draws happen in delivery
-order, so which message dies (or which crash fires first) would itself be a
+so crash timing becomes part of the explored space.  Crashes fire at
+superstep boundaries, so only ``engine="bsp"`` composes with them.
+Multi-crash plans are rejected: which crash fires first would itself be a
 function of the schedule and every comparison would be vacuously divergent.
 """
 
@@ -64,23 +64,14 @@ def make_fault_plan(spec: Mapping[str, Any] | None) -> FaultPlan | None:
 
     Spec shape::
 
-        {"crashes": [{"rank": 1, "at_superstep": 2}],   # or "at_time": 0.5
-         "stragglers": [{"rank": 0, "factor": 4.0}]}
+        {"crashes": [{"rank": 1, "at_superstep": 2}], "seed": 0}
 
-    At most one crash is allowed (with several pending crashes, *which* fires
-    first depends on the schedule, so outcomes could not be compared), and
-    drop/duplicate fates are rejected outright (their per-message RNG draws
-    happen in delivery order — not schedule-stable).
+    At most one crash is allowed: with several pending crashes, *which*
+    fires first depends on the schedule, so outcomes could not be compared.
     """
     if not spec:
         return None
-    if "drops" in spec or "duplicates" in spec:
-        raise ValueError(
-            "drop/duplicate fates draw from the plan RNG in delivery order, "
-            "so they are not schedule-stable; explore() supports crashes "
-            "and stragglers only"
-        )
-    unknown = set(spec) - {"crashes", "stragglers", "seed"}
+    unknown = set(spec) - {"crashes", "seed"}
     if unknown:
         raise ValueError(f"unknown fault spec keys: {sorted(unknown)}")
     crashes = list(spec.get("crashes") or [])
@@ -91,13 +82,9 @@ def make_fault_plan(spec: Mapping[str, Any] | None) -> FaultPlan | None:
         )
     plan = FaultPlan(seed=spec.get("seed", 0))
     for c in crashes:
-        plan.crash(
-            int(c["rank"]),
-            at_superstep=c.get("at_superstep"),
-            at_time=c.get("at_time"),
-        )
-    for s in spec.get("stragglers") or []:
-        plan.straggle(int(s["rank"]), factor=float(s["factor"]))
+        if set(c) != {"rank", "at_superstep"}:
+            raise ValueError(f"a crash has keys rank and at_superstep, got {sorted(c)}")
+        plan.crash(int(c["rank"]), at_superstep=int(c["at_superstep"]))
     return plan
 
 
@@ -139,6 +126,7 @@ def _default_runner(config: Mapping[str, Any], schedule: Schedule):
     from repro.core.generator import RunSpec
     from repro.core.partitioning import make_partition
 
+    plan = make_fault_plan(config.get("fault"))
     spec = RunSpec(
         n=int(config["n"]),
         x=int(config.get("x", 1)),
@@ -147,10 +135,10 @@ def _default_runner(config: Mapping[str, Any], schedule: Schedule):
         scheme=str(config.get("scheme", "ecp")),
         seed=config.get("seed", 0),
         engine=str(config.get("engine", "bsp")),
+        fault_plan=plan,
     )
     knobs = dict(config.get("knobs") or {})
     part = make_partition(spec.scheme, spec.n, spec.ranks)
-    plan = make_fault_plan(config.get("fault"))
     if spec.engine == "bsp":
         from repro.core.generator import rank_programs
         from repro.core.parallel_pa import ResultRegions
@@ -167,7 +155,7 @@ def _default_runner(config: Mapping[str, Any], schedule: Schedule):
         from repro.core.event_driven import run_event_driven_pa_x1
 
         edges, _ = run_event_driven_pa_x1(
-            spec.n, part, p=spec.p, seed=spec.seed, fault_plan=plan, schedule=schedule,
+            spec.n, part, p=spec.p, seed=spec.seed, schedule=schedule,
         )
     else:
         raise ValueError(

@@ -213,9 +213,13 @@ REJECTED = {
         dict(n=100, ranks=2, engine="sequential"),
         ["-n", "100", "-P", "2", "--engine", "sequential"],
     ),
-    "sequential-faults": (
+    "faults-engine": (
         dict(n=100, engine="sequential", fault_seed=1),
         ["-n", "100", "--engine", "sequential", "--inject-faults", "1"],
+    ),
+    "faults-engine-event": (
+        dict(n=2000, ranks=4, engine="event", fault_seed=11),
+        ["-n", "2000", "-P", "4", "--engine", "event", "--inject-faults", "11"],
     ),
     "checkpoint-engine": (
         dict(n=100, ranks=2, engine="event", checkpoint_dir="ck"),
@@ -225,7 +229,7 @@ REJECTED = {
 
 
 #: REJECTED cases that exercise a further value of a row, named after it
-VARIANT_OF = {"seed-bool": "seed"}
+VARIANT_OF = {"seed-bool": "seed", "faults-engine-event": "faults-engine"}
 ROWS = {row.name: row for row in CONFLICTS}
 
 
@@ -254,14 +258,6 @@ class TestConflictTable:
             assert capsys.readouterr().err == reason + "\n"
         assert multiprocessing.active_children() == []
         assert list(tmp_path.iterdir()) == []
-
-    def test_rejected_mp_fault_plan_writes_nothing(self, tmp_path):
-        spill = tmp_path / "spill"
-        with pytest.raises(ValueError, match="drop.*'bsp'/'event'"):
-            generate(1000, ranks=2, engine="mp", out_of_core=str(spill),
-                     fault_plan=FaultPlan(0).drop(5))
-        assert not spill.exists()
-        assert multiprocessing.active_children() == []
 
 
 class TestPartitionRankCount:

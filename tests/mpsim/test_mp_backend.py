@@ -5,6 +5,7 @@ programs produce the same graph whether they share an address space or not.
 """
 
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from repro import generate
 from repro.core.generator import rank_programs
+from repro.core.parallel_pa import PAx1RankProgram
 from repro.core.parallel_pa_general import PAGeneralRankProgram
 from repro.core.partitioning import make_partition
 from repro.graph.edgelist import EdgeList
@@ -90,41 +92,38 @@ def test_stats_summary_agrees_with_in_process():
         assert got[key] == pytest.approx(val, abs=1e-9), key
 
 
-# ----------------------------------------------------------------- stragglers
+# ------------------------------------------------------------ skewed timing
+class _Sleepy(PAx1RankProgram):
+    """Algorithm 3.1's rank program, sleeping ``delay`` wall seconds per step."""
+
+    delay = 0.0
+
+    def step(self, ctx, inbox):
+        time.sleep(self.delay)
+        return super().step(ctx, inbox)
+
+
 def test_straggler_determinism():
     """Randomly skewed per-worker delays must not change the graph.
 
-    Stragglers sleep for *real* wall time in their worker processes, so the
-    arrival order at the barrier is genuinely
+    Each worker sleeps a seeded per-rank delay for *real* wall time every
+    superstep, so the arrival order at the barrier is genuinely
     perturbed — the output must still be bit-identical to a healthy
     in-process run.
     """
     n, P, seed = 600, 4, 17
     part = make_partition("rrp", n, P)
     rng = np.random.default_rng(99)
-    plan = FaultPlan(seed=99)
-    for rank in range(P):
-        plan.straggle(rank, factor=float(1.0 + 4.0 * rng.random()))
+    streams = StreamFactory(seed)
+    programs = [_Sleepy(r, part, 0.5, streams.stream(r)) for r in range(P)]
+    for prog in programs:
+        prog.delay = float(4e-3 * rng.random())
     in_proc = generate(n, partition=part, seed=seed).edges
-    edges, eng = _run_mp_x1(n, part, seed, fault_plan=plan)
-    assert np.array_equal(in_proc.canonical(), edges.canonical())
-    # the straggle factors inflate virtual time, never the structure
+    eng = MultiprocessingBSPEngine(P)
+    eng.run(programs)
+    assert np.array_equal(in_proc.canonical(), _collect_edges(eng.results).canonical())
     healthy = _run_mp_x1(n, part, seed)[1]
     assert eng.supersteps == healthy.supersteps
-    assert eng.simulated_time > healthy.simulated_time
-
-
-def test_unrealizable_plans_rejected_with_reason():
-    """Drops/dups and virtual-time crashes cannot fire on real processes."""
-    part = make_partition("rrp", 100, 2)
-    programs = _x1_programs(part, 0)
-    eng = MultiprocessingBSPEngine(2)
-    with pytest.raises(ValueError, match="drop"):
-        eng.run(programs, fault_plan=FaultPlan().drop(3))
-    with pytest.raises(ValueError, match="duplicat"):
-        eng.run(programs, fault_plan=FaultPlan().duplicate(3))
-    with pytest.raises(ValueError, match="virtual time"):
-        eng.run(programs, fault_plan=FaultPlan().crash(0, at_time=1.5))
 
 
 def test_superstep_crash_plans_accepted_and_fire():

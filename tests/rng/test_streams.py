@@ -66,66 +66,6 @@ class TestStreamFactory:
         assert np.array_equal(a, b)
 
 
-def _child_draws(factory_seed, key, conn):
-    """Fork target: draw from a freshly keyed substream and one received
-    over the pipe, send both back."""
-    fresh = StreamFactory(factory_seed).substream(*key).random(8)
-    pickled = conn.recv().random(8)
-    conn.send((fresh, pickled))
-    conn.close()
-
-
-class TestSubstream:
-    def test_deterministic_across_calls(self):
-        f = StreamFactory(7)
-        a = f.substream(9, 3, 1).random(16)
-        b = f.substream(9, 3, 1).random(16)
-        assert np.array_equal(a, b)
-
-    def test_distinct_across_keys(self):
-        f = StreamFactory(7)
-        keys = [(9, 0, 0), (9, 0, 1), (9, 1, 0), (10, 0, 0), (9, 0, 0, 0)]
-        outs = [f.substream(*k).random(16) for k in keys]
-        for i in range(len(outs)):
-            for j in range(i + 1, len(outs)):
-                assert not np.array_equal(outs[i], outs[j]), (keys[i], keys[j])
-
-    def test_independent_of_call_order(self):
-        f1, f2 = StreamFactory(3), StreamFactory(3)
-        a_first = f1.substream(5, 0, 0).random(8)
-        _ = f1.substream(5, 9, 9).random(100)  # interleaved other draws
-        a_again = f1.substream(5, 0, 0).random(8)
-        b = f2.substream(5, 0, 0).random(8)
-        assert np.array_equal(a_first, a_again)
-        assert np.array_equal(a_first, b)
-
-    def test_two_element_keys_rejected(self):
-        with pytest.raises(ValueError, match="namespace"):
-            StreamFactory(0).substream(1, 2)
-
-    def test_does_not_collide_with_rank_streams(self):
-        f = StreamFactory(11)
-        a = f.stream(4, purpose=2).random(8)
-        b = f.substream(4, 2, 0).random(8)
-        assert not np.array_equal(a, b)
-
-    def test_pickles_across_fork(self):
-        """A substream generator survives fork + pickling bit-identically."""
-        key = (17, 4, 0)
-        parent = StreamFactory(42).substream(*key).random(8)
-        to_ship = StreamFactory(42).substream(*key)
-        ctx = mp.get_context("fork")
-        here, there = ctx.Pipe()
-        proc = ctx.Process(target=_child_draws, args=(42, key, there))
-        proc.start()
-        here.send(to_ship)
-        fresh, pickled = here.recv()
-        proc.join(timeout=30)
-        assert proc.exitcode == 0
-        assert np.array_equal(parent, fresh)
-        assert np.array_equal(parent, pickled)
-
-
 class TestCounterStream:
     def test_matches_factory_and_is_deterministic(self):
         f = StreamFactory(7)

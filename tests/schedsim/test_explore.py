@@ -102,7 +102,7 @@ class TestInjectedBugs:
 
 
 class TestFaultComposition:
-    """Crash/straggler plans join the explored space; unstable fates do not."""
+    """Superstep crashes join the explored space on bsp; nothing else does."""
 
     def test_bsp_crash_attribution_is_schedule_stable(self):
         rep = explore(
@@ -113,26 +113,23 @@ class TestFaultComposition:
         assert rep.baseline.error == "RankFailure(rank=2)"
         assert rep.baseline.digest is None
 
-    def test_event_crash_attribution_is_schedule_stable(self):
-        rep = explore(
-            _config("event", x=1, fault={"crashes": [{"rank": 2, "at_time": 2e-5}]}),
-            policy="random", schedules=8,
-        )
-        assert rep.ok
-        assert rep.baseline.error == "RankFailure(rank=2)"
-
-    def test_stragglers_compose(self):
-        rep = explore(
-            _config("bsp", fault={"stragglers": [{"rank": 1, "factor": 8.0}]}),
-            policy="straggler", schedules=8,
-        )
-        assert rep.ok
+    def test_event_crash_rejected_before_any_run(self):
+        """The event engine has no superstep for a crash to fire at."""
+        fault = {"crashes": [{"rank": 1, "at_superstep": 2}]}
+        with pytest.raises(ValueError, match="engine='event' has none"):
+            explore(_config("event", x=1, fault=fault), schedules=4)
 
     def test_drop_and_duplicate_fates_rejected(self):
-        with pytest.raises(ValueError, match="not schedule-stable"):
+        with pytest.raises(ValueError, match="unknown fault spec keys"):
             make_fault_plan({"drops": 3})
-        with pytest.raises(ValueError, match="not schedule-stable"):
+        with pytest.raises(ValueError, match="unknown fault spec keys"):
             make_fault_plan({"duplicates": 2})
+        with pytest.raises(ValueError, match="unknown fault spec keys"):
+            make_fault_plan({"stragglers": [{"rank": 1, "factor": 8.0}]})
+
+    def test_crash_needs_rank_and_superstep_only(self):
+        with pytest.raises(ValueError, match="rank and at_superstep"):
+            make_fault_plan({"crashes": [{"rank": 2, "at_time": 2e-5}]})
 
     def test_multiple_pending_crashes_rejected(self):
         with pytest.raises(ValueError, match="at most one pending crash"):
@@ -238,21 +235,3 @@ class TestArtifacts:
         bad.write_text('{"kind": "something-else", "version": 1}')
         with pytest.raises(ValueError, match="not a repro-schedule artifact"):
             load_artifact(str(bad))
-
-
-class TestSubstream:
-    def test_two_element_keys_rejected(self):
-        from repro.rng import StreamFactory
-
-        with pytest.raises(ValueError, match="namespace"):
-            StreamFactory(0).substream(1, 2)
-
-    def test_substream_is_key_deterministic(self):
-        from repro.rng import StreamFactory
-
-        f = StreamFactory(5)
-        a = f.substream(101, 7, 2, 1).random(4)
-        b = StreamFactory(5).substream(101, 7, 2, 1).random(4)
-        c = f.substream(101, 7, 2, 2).random(4)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)

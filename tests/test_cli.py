@@ -253,7 +253,23 @@ class TestExploreCLI:
     def test_crash_rank_requires_trigger(self, capsys):
         rc = main(["explore", "-n", "200", "-x", "1", "--crash-rank", "1"])
         assert rc == 2
-        assert "--crash-superstep or --crash-time" in capsys.readouterr().err
+        assert "--crash-rank needs --crash-superstep" in capsys.readouterr().err
+
+    def test_event_crash_rejected_before_any_run(self, monkeypatch, capsys):
+        from repro.core import event_driven
+        from repro.core.generator import CONFLICTS
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a rejected config must not run")
+
+        monkeypatch.setattr(event_driven, "run_event_driven_pa_x1", no_run)
+        rc = main(["explore", "-n", "200", "-x", "1", "--engine", "event",
+                   "--crash-rank", "1", "--crash-superstep", "2"])
+        assert rc == 2
+        row = next(row for row in CONFLICTS if row.name == "faults-engine")
+        cap = capsys.readouterr()
+        assert cap.err == row.reason.format(engine="event") + "\n"
+        assert cap.out == ""
 
     def test_crash_plan_sweep(self, capsys):
         rc = main(["explore", "-n", "200", "-x", "1", "-P", "4",
