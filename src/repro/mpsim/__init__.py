@@ -15,10 +15,11 @@ executes the *same* rank-local programs and the *same* message protocol:
 * :mod:`repro.mpsim.mp_backend` — an optional backend that runs the same BSP
   rank-step functions in real OS processes, proving the rank code is
   genuinely shared-nothing.  Superstep traffic moves peer to peer, as the
-  paper's ranks message each other: payloads in each sender's shared-memory
-  segment, descriptors in the mailbox fabric of :mod:`repro.mpsim.p2p`
-  (shared-memory slots, a shared barrier, and distributed termination
-  detection — no parent on the data path).
+  paper's ranks message each other, through the fabric of
+  :mod:`repro.mpsim.p2p`: payloads in each sender's memfds, descriptors in
+  shared mailbox slots, a shared barrier, and distributed termination
+  detection — no parent on the data path, and nothing with a name.  It
+  needs Linux (``os.memfd_create``).
 * :mod:`repro.mpsim.faults` + :mod:`repro.mpsim.supervisor` — seeded rank
   crashes at superstep boundaries for both superstep engines, and a
   checkpoint-based supervisor that recovers crashed runs bit-identically.

@@ -202,8 +202,9 @@ class Checkpointer:
         return True
 
 
-def _atomic_dump(magic: str, data: Any, path: Path) -> str:
-    """Write ``(magic, version, sha256, blob)`` to a fsync'd temp file.
+def _atomic_dump(magic: str, data: Any, path: Path, sync: bool = True) -> str:
+    """Write ``(magic, version, sha256, blob)`` to a temp file, fsync'd
+    unless ``sync`` is false.
 
     Returns the temp file's name; the caller renames it into place (the
     rename is what makes the write atomic — readers either see the old
@@ -219,8 +220,9 @@ def _atomic_dump(magic: str, data: Any, path: Path) -> str:
     try:
         with fh:
             pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            fh.flush()
-            os.fsync(fh.fileno())
+            if sync:
+                fh.flush()
+                os.fsync(fh.fileno())
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(fh.name)
@@ -255,8 +257,8 @@ def save_sealed(path: str | Path, magic: str, payload: Any) -> None:
 
     The envelope is ``(magic, version, sha256, blob)`` with an fsync'd
     write-then-rename, so a process killed mid-write can never leave a torn
-    file that a reader would trust.  This is the public face of the shard
-    discipline — the out-of-core edge spill
+    file that a reader would trust.  This is the public face of the
+    checkpoint envelope — the out-of-core edge spill
     (:mod:`repro.core.spill`) reuses it with its own ``magic`` so edge
     shards and checkpoint shards share one corruption story.
     """
@@ -282,8 +284,14 @@ def save_shard(path: str | Path, shard: ShardData) -> None:
     Called *inside* a worker process; uses the same checksum envelope and
     write-then-rename discipline as full checkpoints so a worker killed
     mid-write can never leave a torn shard that the coordinator would trust.
+    Unlike them it is not fsync'd: a shard only has to outlive its worker,
+    which the page cache guarantees, and the coordinator either re-commits
+    its cut as an fsync'd manifest or deletes it.  A host crash takes the
+    coordinator down too, and the next run deletes the stale shards.
     """
-    save_sealed(path, _SHARD_MAGIC, shard)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    Path(_atomic_dump(_SHARD_MAGIC, shard, path, sync=False)).replace(path)
 
 
 def load_shard(path: str | Path) -> ShardData:

@@ -8,31 +8,27 @@ state would produce a different graph here than under the in-process engine,
 and the test-suite compares the two bit-for-bit.
 
 Superstep traffic moves peer to peer, as in the paper's Algorithms 3.1/3.2,
-where ranks message each other with no router in between:
+where ranks message each other with no router in between, through the
+exchange fabric (:class:`repro.mpsim.p2p.P2PFabric`) made before the fork:
 
-* every worker owns a double-buffered ``multiprocessing.shared_memory``
-  payload segment and writes its outbox arrays into the half assigned to the
-  current superstep's parity (the only named shared memory of a run: the
-  fabric, the telemetry ring and the result regions are anonymous mappings
-  made before the fork);
-* it posts small ``(segment, offset, count, dtype)`` descriptors into its
-  receivers' slots of the shared mailbox matrix
-  (:class:`repro.mpsim.p2p.P2PFabric`);
+* every worker writes its outbox arrays into its own payload file (a memfd)
+  of the current superstep's parity and posts small
+  ``(offset, count, dtype)`` descriptors into its receivers' mailbox slots;
 * a shared barrier paces the supersteps, and every rank takes the same
   termination decision from the fabric's shared counters;
 * after the barrier each receiver copies its inbox straight out of the
-  senders' segments, in (source rank, send) order — the in-process engine's
-  delivery order, so the graph is bit-identical.
+  senders' payload files, in (source rank, send) order — the in-process
+  engine's delivery order, so the graph is bit-identical.
 
 Double buffering makes one barrier per superstep enough: superstep ``s``
-writes half ``s % 2`` while every reader of superstep ``s - 1`` data reads
-half ``(s - 1) % 2``.  Once the barrier of ``s`` passes, that half is dead,
-so the writer frees its pages then; a segment retired because the payload
-outgrew it is unlinked at the same point, not at shutdown.  A worker trims
-its C heap once, before its final collection.  The parent never touches a
-byte of superstep traffic: it forks the workers, watches their liveness,
-collects the final results, and commits checkpoint cuts once the workers
-have exited.
+writes file ``s % 2`` while every reader of superstep ``s - 1`` data reads
+file ``(s - 1) % 2``.  Once the barrier of ``s`` passes, that file is dead,
+so the writer truncates it then.  Nothing in a run has a name: the fabric,
+its payload files, the telemetry ring and the in-RAM result regions are
+all gone with the last process that holds them.  A worker trims its C heap once,
+before its final collection.  The parent never touches a byte of superstep
+traffic: it forks the workers, watches their liveness, collects the final
+results, and commits checkpoint cuts once the workers have exited.
 
 Statistics are accounted *worker-side* with the same formulas the in-process
 engine uses (message counts, byte volumes, virtual busy time, superstep
@@ -52,13 +48,9 @@ Fault tolerance (see ``docs/fault_tolerance.md``):
   the fabric's barrier is aborted so surviving ranks fail fast instead of
   waiting out the barrier timeout.  Deaths surface as
   :class:`~repro.mpsim.errors.RankFailure` with the victim's rank and last
-  superstep attached.  A killed worker cannot unlink its payload segments,
-  and a failed job's survivors leave theirs linked, since a peer woken late
-  from the aborted barrier may still read them; the parent unlinks every
-  rank's once all workers have exited (their names derive from the fabric
-  and the rank).  No segment is registered with Python's resource tracker
-  (:func:`_segment`), so the engine's own unlinks are the only cleanup path
-  and no run starts the tracker process.
+  superstep attached.  A killed worker, or a killed coordinator, leaves
+  nothing to clean up: the kernel frees each payload file once its last
+  holder is gone, and no run starts Python's resource tracker.
 * With a :class:`~repro.mpsim.checkpoint.Checkpointer` attached, workers
   write per-rank state *shards* at checkpoint supersteps; once they have
   exited, the parent assembles the newest complete cuts on disk into
@@ -70,16 +62,12 @@ Fault tolerance (see ``docs/fault_tolerance.md``):
 
 from __future__ import annotations
 
-import contextlib
-import mmap
 import multiprocessing as mp
 import os
 import pickle
 import signal
-import sys
 import time
 from multiprocessing import connection as _mpc
-from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -109,18 +97,6 @@ from repro.telemetry.spans import proc_rss_bytes
 
 __all__ = ["MultiprocessingBSPEngine"]
 
-#: Smallest per-half segment size; avoids churning tiny segments while the
-#: first supersteps ramp up.
-_MIN_HALF_BYTES = 1 << 16
-
-#: payload segments one worker can create: each half at least doubles the
-#: last, from ``_MIN_HALF_BYTES`` to below 2^63 bytes a segment
-_MAX_SEGMENTS = 48
-
-#: ``madvise`` advice that frees a shared mapping's pages together with
-#: their backing (Linux); ``None`` where the platform has none
-_MADV_REMOVE = getattr(mmap, "MADV_REMOVE", None)
-
 #: how often the parent re-checks worker liveness while waiting on pipes;
 #: with sentinel watching a death is usually noticed immediately, this is
 #: only the re-arm period of the wait
@@ -129,181 +105,6 @@ _LIVENESS_POLL = 0.25
 #: wall seconds a failed job's survivors get to exit before they are
 #: terminated (one busy in its own compute would hold the failure back)
 _FAILED_JOB_GRACE = 1.0
-
-
-def _segment(name: str, size: int = 0) -> shared_memory.SharedMemory:
-    """Create (``size > 0``) or attach the payload segment ``name``, untracked.
-
-    Python's resource tracker would be a second cleanup path beside the
-    engine's own unlinks, and its process outlives the run; so no payload
-    segment is registered with it.  Python 3.13+ says so with
-    ``track=False``; before, the registration is suppressed for the
-    constructor, and :func:`_drop` suppresses the unregistration.
-    """
-    if sys.version_info >= (3, 13):
-        return shared_memory.SharedMemory(name, create=size > 0, size=size, track=False)
-    with _untracked():
-        return shared_memory.SharedMemory(name, create=size > 0, size=size)
-
-
-@contextlib.contextmanager
-def _untracked():
-    """Make this process's resource-tracker calls no-ops meanwhile."""
-    register, unregister = resource_tracker.register, resource_tracker.unregister
-    resource_tracker.register = resource_tracker.unregister = lambda name, rtype: None
-    try:
-        yield
-    finally:
-        resource_tracker.register, resource_tracker.unregister = register, unregister
-
-
-def _segment_name(run: str, rank: int, seq: int) -> str:
-    """Name of ``rank``'s ``seq``-th payload segment in the world ``run``.
-
-    ``run`` is the fabric's name, so the parent can derive the names of the
-    segments a killed worker left behind (:func:`_unlink_segments`).
-    """
-    return f"{run}_{rank}_{seq}"
-
-
-def _unlink_segments(run: str, rank: int) -> None:
-    """Unlink whatever payload segments ``rank``'s worker left behind.
-
-    A worker creates its segments as ``seq`` 0, 1, ... and unlinks each one
-    it retires after the next barrier, so a ``SIGKILL`` leaves at most its
-    two newest, whose ``seq`` the parent does not know.  Each segment's half
-    at least doubles the last one's, so no worker gets past
-    :data:`_MAX_SEGMENTS`, and the parent probes them all.  Call only once
-    every worker has exited; a clean exit leaves nothing and costs one
-    failed open per ``seq`` (~2 µs each).
-    """
-    for seq in range(_MAX_SEGMENTS):
-        try:
-            seg = _segment(_segment_name(run, rank, seq))
-        except FileNotFoundError:
-            continue
-        _drop([seg])
-
-
-class _ShmWriter:
-    """One worker's double-buffered shared-memory outbox arena.
-
-    The segment holds two halves; superstep ``s`` writes into half ``s % 2``
-    (a bump allocator reset each superstep).  Once the barrier of superstep
-    ``s + 1`` passes, every reader has copied superstep ``s``'s records, and
-    :meth:`release` frees that half's pages.  When a superstep's payload
-    outgrows the current half, a fresh segment (doubled) is created under
-    the next :func:`_segment_name`; the old one holds the previous
-    superstep's records, which readers may still be copying, so it is
-    closed and unlinked by the same :meth:`release`, one barrier later.
-    """
-
-    def __init__(self, run: str, rank: int) -> None:
-        self.run, self.rank = run, rank
-        self.shm = None
-        self.half = 0
-        self._seq = 0  # the next segment's number
-        self._retired: list[Any] = []
-
-    def _ensure(self, nbytes: int) -> None:
-        if self.shm is not None and nbytes <= self.half:
-            return
-        half = _MIN_HALF_BYTES
-        while half < nbytes:
-            half *= 2
-        if self.shm is not None:
-            self._retired.append(self.shm)
-        self.shm = _segment(_segment_name(self.run, self.rank, self._seq), 2 * half)
-        self._seq += 1
-        self.half = half
-
-    def write(self, outbox: dict[int, list[np.ndarray]], superstep: int) -> dict:
-        """Copy ``outbox`` arrays into shared memory; return the descriptor
-        outbox ``{dest: [(name, offset, count, dtype), ...]}``."""
-        total = sum(
-            arr.nbytes for arrs in outbox.values() for arr in arrs if len(arr)
-        )
-        self._ensure(total)
-        off = (superstep % 2) * self.half
-        meta: dict[int, list[tuple[str, int, int, np.dtype]]] = {}
-        for dest, arrs in outbox.items():
-            descs = []
-            for arr in arrs:
-                if len(arr) == 0:
-                    continue
-                arr = np.ascontiguousarray(arr)
-                # byte-level copy: structured-dtype fancy assignment is ~20x
-                # slower than a plain memcpy, so move raw bytes and let the
-                # receiver reinterpret them with the dtype from the descriptor
-                dst = np.frombuffer(self.shm.buf, np.uint8, count=arr.nbytes, offset=off)
-                dst[:] = arr.view(np.uint8)
-                del dst  # release the buffer export before any close()
-                descs.append((self.shm.name, off, len(arr), arr.dtype))
-                off += arr.nbytes
-            if descs:
-                meta[dest] = descs
-        return meta
-
-    def release(self, superstep: int) -> None:
-        """Give back what superstep ``superstep`` wrote; call once the
-        barrier of superstep ``superstep + 1`` has passed.
-
-        Closes and unlinks the segments retired since, and frees the pages
-        of the current segment's half ``superstep % 2`` (``MADV_REMOVE``
-        punches them out of the segment; the next write there faults in
-        zeroed pages).  Where the platform lacks it the half stays resident.
-        """
-        _drop(self._retired)
-        self._retired = []
-        if self.shm is None or _MADV_REMOVE is None:
-            return
-        try:
-            self.shm._mmap.madvise(_MADV_REMOVE, (superstep % 2) * self.half, self.half)
-        except OSError:  # pragma: no cover - a filesystem without hole punching
-            pass
-
-    def close(self) -> None:
-        _drop(self._retired + ([self.shm] if self.shm is not None else []))
-        self._retired, self.shm, self.half = [], None, 0
-
-
-def _drop(segments: list[Any]) -> None:
-    """Close and unlink the payload ``segments`` (:func:`_segment`)."""
-    for seg in segments:
-        seg.close()
-        try:
-            with _untracked():  # track=False segments (3.13+) need none
-                seg.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
-class _ShmReader:
-    """Attachment cache for reading other ranks' segments by name; the
-    worker closes it after each superstep's reads."""
-
-    def __init__(self) -> None:
-        self._cache: dict[str, Any] = {}
-
-    def read(self, desc: tuple[str, int, int, np.dtype]) -> np.ndarray:
-        name, off, count, dtype = desc
-        shm = self._cache.get(name)
-        if shm is None:
-            shm = _segment(name)
-            self._cache[name] = shm
-        # private byte copy (the source half is reused two supersteps later),
-        # then reinterpret: memcpy-speed, unlike structured-dtype .copy()
-        nbytes = count * dtype.itemsize
-        raw = np.empty(nbytes, np.uint8)
-        src = np.frombuffer(shm.buf, np.uint8, count=nbytes, offset=off)
-        raw[:] = src
-        del src
-        return raw.view(dtype)
-
-    def close(self) -> None:
-        for shm in self._cache.values():
-            shm.close()
-        self._cache.clear()
 
 
 # ===================================================================== worker
@@ -358,7 +159,7 @@ def _execute_step(
     between engines.  The caller has beaten the heartbeat by then, so the
     death is attributable to this superstep.
 
-    Returns the cleaned outbox (contiguous, non-empty arrays only), the
+    Returns the cleaned outbox (non-empty arrays only), the
     outgoing record count, and the superstep's virtual duration for this
     rank.  Program exceptions surface as :class:`RankFailure`.
     """
@@ -386,7 +187,7 @@ def _execute_step(
                 f"rank {rank} attempted a self-send; local work "
                 "must not route through the exchange"
             )
-        kept = [np.ascontiguousarray(arr) for arr in payloads if len(arr)]
+        kept = [arr for arr in payloads if len(arr)]
         if not kept:
             continue
         clean[dest] = kept
@@ -414,8 +215,6 @@ def _run_job(
     program: RankProgram,
     conn: Any,
     fabric: P2PFabric,
-    writer: _ShmWriter,
-    reader: _ShmReader,
     cost: CostModel,
     fault_plan: Any,
     max_supersteps: int,
@@ -426,11 +225,11 @@ def _run_job(
 ) -> None:
     """Worker side of one job: no parent on the data path.
 
-    Each superstep: step the program, write payloads into this rank's
-    shared-memory arena, post the descriptors into every peer's mailbox,
-    publish the (done, traffic, time) triple, hit the barrier, then take the
-    global termination decision from the shared counters and read the inbox
-    straight out of the peers' segments.
+    Each superstep: step the program, send the outbox through the fabric
+    (payloads into this rank's payload file, descriptors into every peer's
+    mailbox), publish the (done, traffic, time) triple, hit the barrier,
+    then take the global termination decision from the shared counters and
+    copy the inbox straight out of the peers' payload files.
 
     Checkpointing is decided *distributedly*: ``ckpt = (shard_dir, every,
     min_superstep, sim0)`` gives every rank the same schedule, and the shared
@@ -464,30 +263,24 @@ def _run_job(
             sp.note(virtual_s=t, records=out_records)
             if tel.enabled:
                 sp.note(rss_bytes=proc_rss_bytes())
-        # the consumed inbox and, once in shared memory, the outbox are
-        # dropped here, not when the next superstep replaces them
+        # the consumed inbox and, once written out, the outbox are dropped
+        # here, not when the next superstep replaces them
         inbox = []
         with tel.span("exchange.write", cat="exchange", tid=rank, superstep=superstep):
-            meta = writer.write(clean, superstep)
+            fabric.send(rank, superstep, clean)
             del clean
-            fabric.post(rank, superstep, meta)
         fabric.publish(rank, superstep, bool(program.done), out_records, t)
         # the real imbalance cost: fast ranks park here until the
         # slowest peer arrives (paper Section 4.6's load-balance story)
         with tel.span("barrier.wait", cat="barrier", tid=rank, superstep=superstep):
             fabric.wait(rank, superstep)
         # every reader has copied the previous superstep's records by now
-        writer.release(superstep - 1)
+        fabric.release(rank, superstep - 1)
         simulated += fabric.max_step_time(superstep)
         if fabric.quiescent(superstep):
             break
         with tel.span("exchange.read", cat="exchange", tid=rank, superstep=superstep):
-            inbox = [
-                (src, reader.read(desc))
-                for src, desc in fabric.collect(rank, superstep)
-            ]
-            # unmap the peers' segments: pages read stay resident while mapped
-            reader.close()
+            inbox = fabric.receive(rank, superstep)
         if ckpt is not None:
             shard_dir, every, min_superstep, sim0 = ckpt
             if (
@@ -504,10 +297,9 @@ def _run_job(
                             list(inbox), rs,
                         ),
                     )
-    # quiescence: no peer reads this rank's segments any more, so they go
-    # before the final collection adds its output pages, and so does the
-    # heap the early supersteps' transients left free
-    writer.close()
+    # quiescence: both payload files are empty already (the last superstep
+    # sent nothing); give back the heap the early supersteps' transients
+    # left free before the final collection adds its output pages
     _trim_heap()
     conn.send(
         (
@@ -563,12 +355,10 @@ def _worker_main(
     With a ring the worker publishes spans as they close, so a crash loses
     at most the span still open.
     """
-    writer = _ShmWriter(fabric.name, rank)
-    reader = _ShmReader()
     tel = Telemetry.for_worker(ring, rank) if ring is not None else NOOP_TELEMETRY
     try:
         _run_job(
-            rank, size, program, conn, fabric, writer, reader,
+            rank, size, program, conn, fabric,
             cost, fault_plan, max_supersteps, resume, ckpt, tel, collect,
         )
     except RankFailure as exc:
@@ -577,11 +367,6 @@ def _worker_main(
         _report_error(conn, fabric, "rank", exc.original, exc.rank, exc.superstep)
     except Exception as exc:
         _report_error(conn, fabric, "mpsim", exc, rank, None)
-    finally:
-        # a clean run closed the writer at quiescence; a failed one leaves
-        # its segments linked for a peer still reading them, and the parent
-        # unlinks them once every worker has exited
-        reader.close()
 
 
 def _report_error(
@@ -997,10 +782,6 @@ class MultiprocessingBSPEngine:
                 if proc.is_alive():
                     proc.terminate()
                     proc.join(timeout=1)
-            # only now: a rank woken late from the aborted barrier reads its
-            # peers' segments, dead or not, before it saves its cut
-            for rank in range(len(procs)):
-                _unlink_segments(fabric.name, rank)
             fabric.close()
             if collector is not None:
                 # merge on every path: a crashed run's published history is

@@ -3,22 +3,34 @@
 The paper's ranks message each other directly; so do the workers of
 :mod:`repro.mpsim.mp_backend`.  :class:`P2PFabric` is the shared state that
 makes that possible with no parent on the data path.  It is created
-*before* the workers fork and inherited by all of them, and provides three
-shared facilities.  Its memory is anonymous ``MAP_SHARED`` mappings, like
-:class:`repro.core.parallel_pa.ResultRegions`: they have no name, so they
-are gone with the last process that maps them and a killed run leaks none.
+*before* the workers fork and inherited by all of them, and provides four
+shared facilities.  None of it has a name: the mailbox and control block
+are anonymous ``MAP_SHARED`` mappings, like
+:class:`repro.core.parallel_pa.ResultRegions`, and the payload files are
+memfds (``os.memfd_create``, so the backend is Linux-only).  The kernel
+frees each one with the last process that holds it, so a killed run, its
+coordinator included, leaks none.
+
+**Payload files.**  Two memfds per rank, one per superstep parity.  In
+superstep ``s`` rank ``src`` writes its outbox arrays back to back into
+file ``(src, s % 2)`` with ``pwritev`` (:meth:`P2PFabric.send`); after the
+barrier each receiver copies its records out with ``preadv`` into arrays
+of its own (:meth:`P2PFabric.receive`), so nothing is mapped.  Once the
+barrier of ``s + 1`` passes, every reader has copied superstep ``s``'s
+records, and the writer truncates that file to zero bytes
+(:meth:`P2PFabric.release`), which frees its pages.
 
 **Mailbox matrix.**  One mapping holds one fixed-size slot
 (:data:`SLOT_BYTES`) per ``(src, dst, parity)`` triple.  In superstep ``s``
 rank ``src`` writes, for every ``dst``, a small pickled list of payload
-descriptors (produced by the shm payload writer) into slot
-``(src, dst, s % 2)``; after the barrier, rank ``dst`` reads column
-``(*, dst, s % 2)`` in source order.  Slots are double-buffered by
-superstep parity exactly like the payload segments: superstep ``s + 1``
-writes the other parity, and parity ``s % 2`` is not rewritten until
-superstep ``s + 2`` — by which time every reader of superstep ``s`` has
-passed the ``s + 1`` barrier, so a single barrier per superstep is
-sufficient.
+descriptors ``(offset, count, dtype)`` into slot ``(src, dst, s % 2)``;
+the source rank and the parity name the payload file.  After the barrier,
+rank ``dst`` reads column ``(*, dst, s % 2)`` in source order.  Slots are
+double-buffered by superstep parity exactly like the payload files:
+superstep ``s + 1`` writes the other parity, and parity ``s % 2`` is not
+rewritten until superstep ``s + 2`` — by which time every reader of
+superstep ``s`` has passed the ``s + 1`` barrier, so a single barrier per
+superstep is sufficient.
 
 **Control arrays.**  Parity-indexed per-rank ``done`` flags, sent-record
 counters, and virtual step times.  Every rank publishes its triple before
@@ -39,10 +51,9 @@ waiting out the timeout.
 from __future__ import annotations
 
 import mmap
+import os
 import pickle
-import secrets
 import struct
-from typing import Any
 
 import numpy as np
 
@@ -59,13 +70,16 @@ SLOT_BYTES = 8192
 _HEADER = 8
 _LEN = struct.Struct("<q")
 
+#: most arrays one ``pwritev`` call takes (the kernel's ``IOV_MAX``)
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
+
 
 class MailboxOverflow(MPSimError):
     """A superstep's descriptor blob outgrew its fixed mailbox slot.
 
-    Descriptors are tiny (a segment name, offset, count, and dtype per
-    payload array), so a slot (:data:`SLOT_BYTES`) fits a few hundred arrays
-    per destination per superstep; a program that exceeds it should send
+    Descriptors are tiny (an offset, count, and dtype per payload array),
+    so a slot (:data:`SLOT_BYTES`) fits a few hundred arrays per
+    destination per superstep; a program that exceeds it should send
     fewer, larger arrays.
     """
 
@@ -75,8 +89,7 @@ class P2PFabric:
 
     Create in the parent before forking; every worker uses the inherited
     object directly.  The parent calls :meth:`close` once after the workers
-    are gone.  :attr:`name` is a random token unique to the fabric; the
-    backend prefixes its workers' payload-segment names with it.
+    are gone.
 
     Parameters
     ----------
@@ -95,7 +108,11 @@ class P2PFabric:
         self.size = size
         self.timeout = timeout
         self._slot = _HEADER + SLOT_BYTES
-        self.name = f"repro_{secrets.token_hex(4)}"
+        # payload files, [rank][parity]
+        self._payload = [
+            tuple(os.memfd_create(f"repro-payload-{r}-{parity}") for parity in (0, 1))
+            for r in range(size)
+        ]
         self._mail = mmap.mmap(-1, max(size * size * 2 * self._slot, 1))
         # control block: done flags, sent-record counters, virtual step
         # times — each [2][size], indexed by superstep parity — then two
@@ -119,28 +136,37 @@ class P2PFabric:
         self._entered[:] = -1
         self.barrier = mp.get_context("fork").Barrier(size)
 
-    # ------------------------------------------------------------- mailboxes
+    # ------------------------------------------------------------- exchange
     def _offset(self, src: int, dst: int, parity: int) -> int:
         return ((src * self.size + dst) * 2 + parity) * self._slot
 
-    def post(self, src: int, superstep: int, meta: dict[int, list[Any]]) -> None:
-        """Publish rank ``src``'s outbox descriptors for ``superstep``.
+    def send(self, src: int, superstep: int, outbox: dict[int, list[np.ndarray]]) -> None:
+        """Publish rank ``src``'s ``outbox`` for ``superstep``.
 
-        ``meta`` maps destination rank to a list of payload descriptors.
-        Every slot in the row is (re)written — destinations absent from
-        ``meta`` get an empty marker — so readers never see stale parity
-        data.
+        ``outbox`` maps destination rank to non-empty one-dimensional arrays.
+        Their bytes go back to back into ``src``'s payload file of the
+        superstep's parity, and one ``(offset, count, dtype)`` descriptor
+        per array into the slot ``(src, dst, parity)``.  Every slot in the
+        row is (re)written — destinations absent from ``outbox`` get an
+        empty marker — so readers never see stale parity data.
         """
         parity = superstep % 2
         buf = self._mail
+        arrays: list[np.ndarray] = []
+        end = 0
         for dst in range(self.size):
             if dst == src:
                 continue
             off = self._offset(src, dst, parity)
-            descs = meta.get(dst)
-            if not descs:
+            arrs = outbox.get(dst)
+            if not arrs:
                 _LEN.pack_into(buf, off, 0)
                 continue
+            descs = []
+            for arr in arrs:
+                descs.append((end, len(arr), arr.dtype))
+                end += arr.nbytes
+            arrays += arrs
             blob = pickle.dumps(descs, protocol=pickle.HIGHEST_PROTOCOL)
             if len(blob) > SLOT_BYTES:
                 raise MailboxOverflow(
@@ -149,17 +175,20 @@ class P2PFabric:
                 )
             _LEN.pack_into(buf, off, len(blob))
             buf[off + _HEADER : off + _HEADER + len(blob)] = blob
+        _pwrite_all(self._payload[src][parity], arrays)
 
-    def collect(self, dst: int, superstep: int) -> list[tuple[int, Any]]:
-        """Read rank ``dst``'s inbox descriptors for ``superstep``.
+    def receive(self, dst: int, superstep: int) -> list[tuple[int, np.ndarray]]:
+        """Copy rank ``dst``'s inbox for ``superstep`` out of the senders'
+        payload files; call after the superstep's barrier.
 
-        Returns ``(source, descriptor)`` pairs ordered by source rank then
-        send order — the delivery order the in-process engine produces,
-        which is what keeps the two engines bit-identical.
+        Returns ``(source, array)`` pairs ordered by source rank then send
+        order — the delivery order the in-process engine produces, which is
+        what keeps the two engines bit-identical.  Each array is this
+        process's own: the file is reused two supersteps later.
         """
         parity = superstep % 2
         buf = self._mail
-        inbox: list[tuple[int, Any]] = []
+        inbox: list[tuple[int, np.ndarray]] = []
         for src in range(self.size):
             if src == dst:
                 continue
@@ -167,9 +196,19 @@ class P2PFabric:
             (length,) = _LEN.unpack_from(buf, off)
             if length == 0:
                 continue
+            fd = self._payload[src][parity]
             descs = pickle.loads(buf[off + _HEADER : off + _HEADER + length])
-            inbox.extend((src, desc) for desc in descs)
+            for offset, count, dtype in descs:
+                arr = np.empty(count, dtype)
+                _pread_all(fd, arr, offset)
+                inbox.append((src, arr))
         return inbox
+
+    def release(self, src: int, superstep: int) -> None:
+        """Free what rank ``src`` wrote in ``superstep``; call once the
+        barrier of superstep ``superstep + 1`` has passed, when every reader
+        has copied it.  Truncating the file frees its pages."""
+        os.ftruncate(self._payload[src][superstep % 2], 0)
 
     # ----------------------------------------------------- termination state
     def publish(
@@ -254,9 +293,10 @@ class P2PFabric:
 
     # --------------------------------------------------------------- cleanup
     def close(self) -> None:
-        """Unmap the fabric in this process (parent only, workers gone).
+        """Unmap the fabric and close the payload files in this process
+        (parent only, workers gone).
 
-        The mappings have no name, so there is nothing to unlink.
+        Nothing has a name, so there is nothing to unlink.
         """
         # drop the numpy views first: mmap.close() refuses while exported
         # buffers exist
@@ -264,3 +304,36 @@ class P2PFabric:
         self._progress = self._entered = None
         self._mail.close()
         self._ctl.close()
+        for fds in self._payload:
+            for fd in fds:
+                os.close(fd)
+        self._payload = []
+
+
+def _pwrite_all(fd: int, arrays: list[np.ndarray]) -> None:
+    """Write ``arrays`` back to back from offset 0 of ``fd``.
+
+    ``pwritev`` takes at most :data:`_IOV_MAX` buffers and may write fewer
+    bytes than asked (Linux moves at most ~2 GiB a call), so this loops.
+    """
+    bufs = [np.ascontiguousarray(arr).view(np.uint8) for arr in arrays]
+    i = offset = 0
+    while i < len(bufs):
+        n = os.pwritev(fd, bufs[i : i + _IOV_MAX], offset)
+        offset += n
+        while i < len(bufs) and n >= len(bufs[i]):
+            n -= len(bufs[i])
+            i += 1
+        if n:
+            bufs[i] = bufs[i][n:]
+
+
+def _pread_all(fd: int, arr: np.ndarray, offset: int) -> None:
+    """Fill ``arr`` with the bytes of ``fd`` from ``offset`` on."""
+    buf = arr.view(np.uint8)
+    got = 0
+    while got < len(buf):
+        n = os.preadv(fd, [buf[got:]], offset + got)
+        if n == 0:
+            raise MPSimError(f"payload file ends {len(buf) - got} bytes short")
+        got += n

@@ -25,6 +25,7 @@ from repro.core.commfree import (
     commfree_slices,
 )
 from repro.core.generator import generate
+from repro.core.spill import edges_digest
 from repro.graph.edgelist import EdgeList
 from repro.graph.validation import validate_pa_graph
 from repro.mpsim.faults import FaultPlan
@@ -304,6 +305,15 @@ class TestMpIdentity:
         assert {s.tid for s in tel.spans.spans} == {-1, 0, 1}
         computes = [s for s in tel.spans.spans if s.name == "compute"]
         assert sorted(s.tid for s in computes) == [0, 1]
+
+
+    @pytest.mark.parametrize("x", [1, 3])
+    def test_out_of_core_at_seven_ranks_matches_in_ram(self, tmp_path, x):
+        """commfree x out of core x mp at P=7: the spilled edge stream is
+        the in-RAM run's, digest for digest."""
+        kw = dict(x=x, ranks=7, seed=13, engine="mp", generator="commfree")
+        spilled = generate(5_000, out_of_core=str(tmp_path / "run"), **kw)
+        assert edges_digest(spilled.edges) == edges_digest(generate(5_000, **kw).edges)
 
 
 class TestStreaming:

@@ -6,7 +6,6 @@ programs produce the same graph whether they share an address space or not.
 
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,13 +19,8 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.validation import validate_pa_graph
 from repro.mpsim.errors import MPSimError, RankFailure
 from repro.mpsim.faults import FaultPlan
-from repro.mpsim.mp_backend import (
-    _MIN_HALF_BYTES,
-    MultiprocessingBSPEngine,
-    _ShmReader,
-    _ShmWriter,
-)
-from repro.mpsim.p2p import MailboxOverflow
+from repro.mpsim.mp_backend import MultiprocessingBSPEngine
+from repro.mpsim.p2p import MailboxOverflow, P2PFabric
 from repro.rng import StreamFactory
 
 pytestmark = pytest.mark.usefixtures("no_leftovers")
@@ -210,85 +204,34 @@ def test_victims_own_error_wins_over_barrier_attribution():
 
 
 # ------------------------------------------------------ payload lifetimes
-SHM_DIR = Path("/dev/shm")
-needs_dev_shm = pytest.mark.skipif(not SHM_DIR.is_dir(), reason="POSIX shm not at /dev/shm")
-
-
-@needs_dev_shm
-def test_writer_releases_dead_halves_and_retired_segments():
-    """A half is freed once its readers are past the next barrier and reads
-    as zeros after; a segment retired by growth is unlinked at that point."""
-    writer, reader = _ShmWriter(f"pytest_release_{os.getpid()}", 0), _ShmReader()
-    small = np.arange(1, 11, dtype=np.int64)
-    big = np.arange(_MIN_HALF_BYTES // 8 + 1, dtype=np.int64)  # outgrows a half
+def test_payload_reads_back_until_the_release_after_the_next_barrier():
+    """Superstep 3's payload reads back intact while superstep 4 writes the
+    other parity's file; the writer's release after barrier 4 empties its
+    file, and a read of it then fails loudly instead of returning junk."""
+    fabric = P2PFabric(2)
+    record = np.dtype([("t", "<i8"), ("k", "<i4")])
+    first = np.zeros(10, record)
+    first["t"], first["k"] = np.arange(10), np.arange(10, 20)
+    second = np.arange(5, dtype=np.float64)
     try:
-        (d1,) = writer.write({1: [small]}, 1)[1]
-        writer.release(0)  # barrier 1
-        (d2,) = writer.write({1: [big]}, 2)[1]
-        assert d2[0] != d1[0]
-        assert (SHM_DIR / d1[0]).exists()  # superstep 1's readers may still copy
-        writer.release(1)  # barrier 2
-        assert not (SHM_DIR / d1[0]).exists()
-        (d3,) = writer.write({1: [small]}, 3)[1]
-        assert reader.read(d3).tolist() == small.tolist()
-        writer.release(3)  # barrier 4: superstep 3's half goes, superstep 2's stays
-        assert not reader.read(d3).any()
-        assert reader.read(d2).tolist() == big.tolist()
+        fabric.send(0, 3, {1: [first, first[::-1]]})
+        fabric.release(0, 2)  # barrier 3: superstep 2's file, not superstep 3's
+        fabric.send(0, 4, {1: [second]})
+        got = fabric.receive(1, 3)
+        assert [src for src, _ in got] == [0, 0]
+        assert got[0][1].dtype == record
+        assert got[0][1].tolist() == first.tolist()
+        assert got[1][1].tolist() == first[::-1].tolist()
+        fd = fabric._payload[0][3 % 2]
+        assert os.fstat(fd).st_size == 2 * first.nbytes
+        fabric.release(0, 3)  # barrier 4
+        assert os.fstat(fd).st_size == 0
+        with pytest.raises(MPSimError, match="short"):
+            fabric.receive(1, 3)
+        ((_, arr),) = fabric.receive(1, 4)
+        assert arr.tolist() == second.tolist()
     finally:
-        reader.close()
-        writer.close()
-
-
-class _GrowingProgram:
-    """Sends its peer a small array at superstep 1 and one that outgrows
-    the payload segment's half at superstep 2; at superstep 3 it looks up
-    its own first segment, by name, in the ledger ``log`` and ``/dev/shm``.
-    Done after ``steps`` supersteps."""
-
-    def __init__(self, rank, log, steps=3):
-        self.rank, self.log, self.steps = rank, log, steps
-        self.done = False
-        self.superstep = 0
-        self.got = []
-        self.first_segment = None
-
-    def step(self, ctx, inbox):
-        self.superstep += 1
-        self.got += [int(arr.sum()) for _src, arr in inbox]
-        if self.superstep == 3:
-            (name,) = (n for n in self.log.read_text().split() if n.endswith(f"_{self.rank}_0"))
-            self.first_segment = (name, (SHM_DIR / name).exists())
-        self.done = self.superstep >= self.steps
-        size = {1: 8, 2: _MIN_HALF_BYTES // 8 + 1}.get(self.superstep, 8)
-        return {} if self.done else {1 - self.rank: [np.ones(size, np.int64)]}
-
-    def result(self):
-        return self.first_segment, self.got
-
-
-@needs_dev_shm
-def test_segment_retired_by_growth_is_gone_after_the_next_barrier(shm_ledger):
-    eng = MultiprocessingBSPEngine(2)
-    eng.run([_GrowingProgram(r, shm_ledger.log) for r in range(2)])
-    for (name, exists), got in eng.results:
-        assert not exists, f"{name} outlived the barrier after its last read"
-        assert got == [8, _MIN_HALF_BYTES // 8 + 1]
-    created = shm_ledger.created()
-    assert all(f"{name[:-1]}1" in created for (name, _), _got in eng.results)
-
-
-@needs_dev_shm
-def test_killed_worker_after_growth_leaves_no_segment(shm_ledger):
-    """A worker killed once its first segment is retired and unlinked
-    leaves only later ones; the parent finds and unlinks those too."""
-    eng = MultiprocessingBSPEngine(2)
-    with pytest.raises(RankFailure):
-        eng.run(
-            [_GrowingProgram(r, shm_ledger.log, steps=6) for r in range(2)],
-            fault_plan=FaultPlan().crash(1, at_superstep=5),
-        )
-    assert any(name.endswith("_1_1") for name in shm_ledger.created())
-    assert shm_ledger.leaked() == []
+        fabric.close()
 
 
 # ----------------------------------------------------------------- edge cases

@@ -6,16 +6,21 @@ is a worker ``SIGKILL``-ing itself mid-run — no Python teardown, no goodbye
 message — and recovery means the coordinator attributing the death from
 heartbeats and sentinels, the Supervisor respawning a whole fleet resumed
 from cross-process checkpoint shards, and the regrown run producing a graph
-bit-identical to the fault-free one.  A killed worker cannot clean up after
-itself, so the parent must: no run leaves shared memory behind.
+bit-identical to the fault-free one.  A killed process cannot clean up after
+itself, so an mp run makes nothing that needs it: no run leaves shared memory
+behind, even when its whole process group is killed.
 """
 
+import contextlib
+import multiprocessing as mp
 import os
+import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -136,9 +141,9 @@ def test_detection_is_sentinel_fast_not_timeout_bound():
 # -------------------------------------------------------------- no leftovers
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="POSIX shm not at /dev/shm")
 def test_sigkilled_workers_leave_no_shared_memory(tmp_path, shm_ledger):
-    """A SIGKILLed worker cannot unlink its payload segments; the parent
-    does, after a supervised recovery and an unsupervised RankFailure
-    alike."""
+    """An mp run makes no named shared memory, so a SIGKILLed worker has
+    nothing to leave behind, after a supervised recovery and an
+    unsupervised RankFailure alike."""
     n, P, seed = 2_000, 4, 11
     result = generate(
         n, ranks=P, seed=seed, engine="mp",
@@ -146,7 +151,7 @@ def test_sigkilled_workers_leave_no_shared_memory(tmp_path, shm_ledger):
         checkpoint_dir=str(tmp_path),
     )
     assert len(result.recoveries) == 1
-    assert shm_ledger.created()
+    assert shm_ledger.created() == set()
     assert shm_ledger.leaked() == []
 
     with pytest.raises(RankFailure):
@@ -154,6 +159,69 @@ def test_sigkilled_workers_leave_no_shared_memory(tmp_path, shm_ledger):
             n, ranks=P, seed=seed, engine="mp",
             fault_plan=FaultPlan().crash(1, at_superstep=3),
         )
+    assert shm_ledger.leaked() == []
+
+
+class _MarkingProgram:
+    """Sends its peer 4,096 records every superstep until ``max_supersteps``;
+    rank 0 touches ``marker`` in superstep 2, when superstep 1's payloads
+    have been written and read."""
+
+    def __init__(self, rank, marker):
+        self.rank, self.marker = rank, marker
+        self.done = False
+        self.superstep = 0
+
+    def step(self, ctx, inbox):
+        self.superstep += 1
+        if self.rank == 0 and self.superstep == 2:
+            Path(self.marker).touch()
+        time.sleep(0.01)
+        return {1 - self.rank: [np.arange(4_096, dtype=np.int64)]}
+
+
+def _run_in_own_group(marker):
+    os.setsid()
+    MultiprocessingBSPEngine(2).run([_MarkingProgram(r, marker) for r in range(2)])
+
+
+def _live_members(pgid):
+    """Pids of the processes in group ``pgid`` that are not zombies."""
+    alive = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except OSError:  # exited meanwhile
+            continue
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            alive.append(int(pid))
+    return alive
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="POSIX shm not at /dev/shm")
+def test_sigkilled_process_group_leaves_no_shared_memory(tmp_path, shm_ledger):
+    """SIGKILL an mp run's whole process group mid-run, the coordinator with
+    its workers: no process cleans up, and none has anything to clean, so
+    no shared memory outlives the group and no process of it survives."""
+    marker = tmp_path / "superstep2"
+    child = mp.get_context("fork").Process(target=_run_in_own_group, args=(str(marker),))
+    child.start()
+    try:
+        deadline = time.monotonic() + 60
+        while not marker.exists():
+            assert child.is_alive(), "the mp run died before superstep 2"
+            assert time.monotonic() < deadline, "the mp run never reached superstep 2"
+            time.sleep(0.005)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+        child.join(timeout=10)
+    assert child.exitcode == -signal.SIGKILL
+    deadline = time.monotonic() + 5
+    while _live_members(child.pid):
+        assert time.monotonic() < deadline, f"{_live_members(child.pid)} survived SIGKILL"
+        time.sleep(0.01)
     assert shm_ledger.leaked() == []
 
 

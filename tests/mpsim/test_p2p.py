@@ -1,4 +1,5 @@
-"""Unit tests for the exchange fabric's heartbeat row and barrier.
+"""Unit tests for the exchange fabric's payload files, heartbeat row and
+barrier.
 
 The mp backend's workers beat the fabric at the top of every superstep;
 when one dies, the parent reads the row to attribute the death to the
@@ -9,9 +10,12 @@ barrier-progress row instead.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 
+import numpy as np
 import pytest
 
+from repro.mpsim import p2p
 from repro.mpsim.errors import RankFailure
 from repro.mpsim.p2p import P2PFabric
 
@@ -97,5 +101,31 @@ def test_broken_barrier_a_rank_never_reached_names_it():
         with pytest.raises(RankFailure) as err:
             fabric.wait(0, 3)
         assert (err.value.rank, err.value.superstep) == (1, 3)
+    finally:
+        fabric.close()
+
+
+def test_send_writes_every_byte_past_short_and_chunked_writes(monkeypatch):
+    """An outbox of more arrays than one ``pwritev`` takes, written by a
+    ``pwritev`` that stops halfway through its last buffer, still arrives
+    whole and in send order."""
+    real = os.pwritev
+    calls = []
+
+    def short(fd, bufs, offset):
+        calls.append(len(bufs))
+        last = bufs[-1][: (len(bufs[-1]) + 1) // 2]
+        return real(fd, [*bufs[:-1], last], offset)
+
+    monkeypatch.setattr(os, "pwritev", short)
+    fabric = P2PFabric(4)
+    try:
+        outbox = {d: [np.arange(i, i + 3) for i in range(400)] for d in (1, 2, 3)}
+        fabric.send(0, 1, outbox)
+        assert max(calls) == p2p._IOV_MAX
+        for d in (1, 2, 3):
+            got = fabric.receive(d, 1)
+            assert [src for src, _ in got] == [0] * 400
+            assert [arr.tolist() for _, arr in got] == [a.tolist() for a in outbox[d]]
     finally:
         fabric.close()

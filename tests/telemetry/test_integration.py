@@ -17,6 +17,7 @@ The contract under test:
 import pytest
 
 from repro.core.generator import generate
+from repro.core.spill import edges_digest
 from repro.mpsim.faults import FaultPlan
 from repro.telemetry import Telemetry
 from repro.telemetry.export import inspect_summary, validate_chrome_trace
@@ -132,6 +133,30 @@ def test_crashed_and_recovered_run_yields_annotated_trace(tmp_path):
 
     text = inspect_summary(trace)
     assert "recovery #1" in text
+
+
+def test_supervised_mp_run_traces_both_attempts(tmp_path):
+    """Supervised mp x telemetry: the recovered run's edge stream is the
+    unsupervised run's, and every worker lane has spans from both fleets."""
+    n, seed = 2_000, 11
+    plain = generate(n, ranks=4, seed=seed, engine="mp")
+    tel = Telemetry()
+    result = generate(
+        n, ranks=4, seed=seed, engine="mp",
+        fault_plan=FaultPlan().crash(2, at_superstep=4),
+        checkpoint_dir=str(tmp_path), telemetry=tel,
+    )
+    assert edges_digest(result.edges) == edges_digest(plain.edges)
+    assert len(result.recoveries) == 1
+    attempts = [s for s in tel.spans.spans if s.name == "attempt"]
+    assert len(attempts) == 2
+    for rank in range(4):
+        for name in ("compute", "exchange.write"):
+            starts = [s.ts for s in tel.spans.spans if s.name == name and s.tid == rank]
+            for a in attempts:
+                assert any(a.ts <= ts <= a.ts + a.dur for ts in starts), (
+                    rank, name, a.args["attempt"],
+                )
 
 
 # ------------------------------------------------- simulated-engine bridge
